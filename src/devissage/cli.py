@@ -34,6 +34,7 @@ from .dualgraph import (
     default_divisors,
     h1_lattice,
     invariant_rank,
+    laplacian,
     m_gamma,
     n_x,
     spanning_trees,
@@ -48,7 +49,7 @@ from .errors import (
     UnknownSequence,
     WeilCheckFailed,
 )
-from .exactlin import CoLGroup, LModule
+from .exactlin import CoLGroup, LModule, is_prime
 from .lprimary import (
     CoMap,
     box,
@@ -71,17 +72,6 @@ SCHEMA = "devissage/1"
 REPORT_SCHEMA = "devissage-report/1"
 SUITE_NAMES = ("boxcalc", "torsionlevels", "vanishing", "graph",
                "splitting", "devissage", "bhn")
-
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +98,7 @@ class RunConfig:
     out: Optional[str] = None
 
     def __post_init__(self):
-        if self.ell is not None and not _is_prime(self.ell):
+        if self.ell is not None and not is_prime(self.ell):
             raise InvalidInstance(f"ell must be prime, got {self.ell}")
         if not 1 <= self.max_level <= self.precision:
             raise InvalidInstance(
@@ -161,13 +151,25 @@ def load_raw(path: str) -> dict:
     return raw
 
 
-def _req(raw: dict, name: str, kind):
+def _req(raw: dict, name: str, kind, default=None):
+    """raw[name] checked against kind; default (when given) if absent."""
     if name not in raw:
-        raise ParseError(f"missing field {name!r}")
+        if default is None:
+            raise ParseError(f"missing field {name!r}")
+        return default
     value = raw[name]
     if not isinstance(value, kind):
         raise ParseError(f"field {name!r} has the wrong type")
     return value
+
+
+def _int(value, where: str) -> int:
+    """Coerce one integer field of the instance file; ParseError names it."""
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(
+            f"{where}: expected an integer, got {value!r}") from exc
 
 
 def _perm_from_cycles(cycles, vertex_ids, where: str) -> dict:
@@ -252,7 +254,8 @@ def build_instance(raw: dict, config: RunConfig):
     for i, entry in enumerate(_req(raw, "components", list)):
         if not isinstance(entry, dict) or "id" not in entry:
             raise ParseError(f"components[{i}]: needs an 'id'")
-        comps.append((str(entry["id"]), int(entry.get("genus", 0))))
+        comps.append((str(entry["id"]),
+                      _int(entry.get("genus", 0), f"components[{i}].genus")))
     nodes = [str(v) for v in _req(raw, "nodes", list)]
     edges = []
     for i, e in enumerate(_req(raw, "edges", list)):
@@ -262,7 +265,7 @@ def build_instance(raw: dict, config: RunConfig):
 
     vertex_ids = {c for c, _ in comps} | set(nodes)
     action = []
-    for i, gen in enumerate(raw.get("action", [])):
+    for i, gen in enumerate(_req(raw, "action", list, [])):
         if not isinstance(gen, list):
             raise ParseError(f"action[{i}]: must be a list of cycles")
         action.append(_perm_from_cycles(gen, vertex_ids, f"action[{i}]"))
@@ -283,19 +286,23 @@ def build_instance(raw: dict, config: RunConfig):
         divisors = default_divisors(graph)
 
     jacobians = []
-    for i, entry in enumerate(raw.get("jacobians", [])):
+    for i, entry in enumerate(_req(raw, "jacobians", list, [])):
         spot = f"jacobians[{i}]"
         if not isinstance(entry, dict):
             raise ParseError(f"{spot}: must be an object")
         for name in ("orbit_rep", "charpoly", "q", "f"):
             if name not in entry:
                 raise ParseError(f"{spot}: missing {name!r}")
+        coeffs = _req(entry, "charpoly", list)
         try:
-            poly = CharPoly(tuple(int(c) for c in entry["charpoly"]),
-                            int(entry["q"]))
-        except (ValueError, TypeError) as exc:
+            poly = CharPoly(
+                tuple(_int(c, f"{spot}.charpoly[{k}]")
+                      for k, c in enumerate(coeffs)),
+                _int(entry["q"], f"{spot}.q"))
+        except InvalidInstance as exc:
             raise ParseError(f"{spot}: {exc}") from exc
-        jacobians.append((str(entry["orbit_rep"]), poly, int(entry["f"])))
+        jacobians.append((str(entry["orbit_rep"]), poly,
+                          _int(entry["f"], f"{spot}.f")))
 
     ell = config.ell if config.ell is not None else raw.get("ell")
     if ell is None:
@@ -304,7 +311,8 @@ def build_instance(raw: dict, config: RunConfig):
         raise ParseError("missing field 'q'")
     try:
         return sequences.SingularityInstance(
-            graph, divisors, jacobians, int(ell), int(raw["q"]),
+            graph, divisors, jacobians, _int(ell, "ell"),
+            _int(raw["q"], "q"),
             precision=config.precision, max_level=config.max_level)
     except (InvalidInstance, ConfigIncompatible, WeilCheckFailed, TypeError,
             ValueError) as exc:
@@ -477,18 +485,10 @@ def _run_vanishing(inst, config) -> dict:
 
 
 def _laplacian_cofactor(graph) -> int:
-    verts = list(graph.vertex_ids)
-    idx = {v: i for i, v in enumerate(verts)}
-    n = len(verts)
-    lap = [[0] * n for _ in range(n)]
-    for a, b in graph.edges:
-        i, j = idx[a], idx[b]
-        lap[i][i] += 1
-        lap[j][j] += 1
-        lap[i][j] -= 1
-        lap[j][i] -= 1
-    reduced = sympy.Matrix(lap)[:n - 1, :n - 1]
-    return int(reduced.det())
+    # sympy's determinant, independent of the one spanning_trees checks with
+    lap = laplacian(graph)
+    n = lap.rows
+    return int(sympy.Matrix(lap.data)[:n - 1, :n - 1].det())
 
 
 def _rational_fixed_rank(lattice) -> int:

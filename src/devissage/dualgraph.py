@@ -32,11 +32,12 @@ from .exactlin import (
     KernelResult,
     LMap,
     LModule,
+    free_level,
     induced_into_kernel,
     integer_kernel_basis,
     kernel,
     preimage,
-    solve_integer,
+    solve_columns,
 )
 
 Edge = Tuple[str, str]
@@ -46,6 +47,29 @@ DEFAULT_TREE_CAP = 10 ** 6
 
 # ---------------------------------------------------------------------------
 # the graph
+
+
+def orbit_partition(points, images) -> List[set]:
+    """Orbits of points under a group action, in order of first appearance.
+
+    images(x) lists the image of x under each generator; an orbit is the
+    set reached from its first point by repeatedly applying them.
+    """
+    seen = set()
+    out = []
+    for start in points:
+        if start in seen:
+            continue
+        orbit = {start}
+        frontier = [start]
+        while frontier:
+            for img in images(frontier.pop()):
+                if img not in orbit:
+                    orbit.add(img)
+                    frontier.append(img)
+        seen |= orbit
+        out.append(orbit)
+    return out
 
 
 class DualGraph:
@@ -123,22 +147,11 @@ class DualGraph:
     # -- validation helpers ------------------------------------------
 
     def _check_connected(self):
-        verts = set(self._genus) | set(self.nodes)
-        if len(verts) <= 1:
-            return
-        adj: Dict[str, List[str]] = {v: [] for v in verts}
+        adj: Dict[str, List[str]] = {v: [] for v in self.vertex_ids}
         for c, n in self.edges:
             adj[c].append(n)
             adj[n].append(c)
-        seen = {next(iter(sorted(verts)))}
-        stack = list(seen)
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if seen != verts:
+        if len(orbit_partition(self.vertex_ids, adj.__getitem__)) != 1:
             raise ValueError("graph is not connected")
 
     def _normalize_perm(self, p) -> Dict[str, str]:
@@ -188,23 +201,9 @@ class DualGraph:
         return (perm[e[0]], perm[e[1]])
 
     def _orbits(self, ids: Sequence[str]) -> Tuple[Tuple[str, ...], ...]:
-        remaining = set(ids)
-        orbits = []
-        for start in sorted(ids):
-            if start not in remaining:
-                continue
-            orbit = {start}
-            frontier = [start]
-            while frontier:
-                v = frontier.pop()
-                for p in self.action:
-                    w = p[v]
-                    if w not in orbit:
-                        orbit.add(w)
-                        frontier.append(w)
-            orbits.append(tuple(sorted(orbit)))
-            remaining -= orbit
-        return tuple(orbits)
+        found = orbit_partition(sorted(ids),
+                                lambda v: [p[v] for p in self.action])
+        return tuple(tuple(sorted(o)) for o in found)
 
     def component_orbits(self) -> Tuple[Tuple[str, ...], ...]:
         return self._orbits(self.component_ids)
@@ -283,20 +282,6 @@ def _edge_perm_matrix(graph: DualGraph, perm: Dict[str, str]) -> IntMatrix:
     return IntMatrix.from_rows(rows, nedges)
 
 
-def _express_in_basis(basis: IntMatrix, cols: IntMatrix) -> IntMatrix:
-    """Solve basis @ X = cols over Z, columnwise; the basis is saturated."""
-    out = []
-    for j in range(cols.cols):
-        x = solve_integer(basis, list(cols.col(j)))
-        if x is None:
-            raise ArithmeticError("vector outside the cycle lattice; "
-                                  "the action does not preserve cycles")
-        out.append(list(x))
-    if not out:
-        return IntMatrix.zeros(basis.cols, 0)
-    return IntMatrix.from_rows(list(map(list, zip(*out))), len(out))
-
-
 def _compose_perms(first: Dict[str, str], then: Dict[str, str]) -> Dict[str, str]:
     # apply `first`, then `then`
     return {k: then[v] for k, v in first.items()}
@@ -317,7 +302,7 @@ def h1_lattice(graph: DualGraph) -> HomologyLattice:
     perms = []
     for p in graph.action:
         P = _edge_perm_matrix(graph, p)
-        M = _express_in_basis(basis, P @ basis)
+        M = solve_columns(basis, P @ basis)
         if (basis @ M) != (P @ basis):
             raise ArithmeticError("induced matrix does not reproduce the edge action")
         if c and M.det() not in (1, -1):
@@ -340,7 +325,7 @@ def h1_lattice(graph: DualGraph) -> HomologyLattice:
                 for i in w:
                     perm = _compose_perms(perm, perms[i])
                     mat = mats[i] @ mat
-                direct = _express_in_basis(
+                direct = solve_columns(
                     basis, _edge_perm_matrix(graph, perm) @ basis)
                 if direct != mat:
                     raise ArithmeticError(
@@ -348,16 +333,19 @@ def h1_lattice(graph: DualGraph) -> HomologyLattice:
     return HomologyLattice(basis, tuple(mats), graph.edges)
 
 
+def fixed_rank(mats: Sequence[IntMatrix], n: int) -> int:
+    """Rank of the common fixed sublattice of n x n integer matrices."""
+    if not mats or n == 0:
+        return n
+    stacked = mats[0] - IntMatrix.identity(n)
+    for M in mats[1:]:
+        stacked = stacked.vstack(M - IntMatrix.identity(n))
+    return integer_kernel_basis(stacked).cols
+
+
 def invariant_rank(lattice: HomologyLattice) -> int:
     """Rank of the common fixed sublattice of all action matrices."""
-    c = lattice.rank
-    if not lattice.action_matrices or c == 0:
-        return c
-    stacked = None
-    for M in lattice.action_matrices:
-        diff = M - IntMatrix.identity(c)
-        stacked = diff if stacked is None else stacked.vstack(diff)
-    return integer_kernel_basis(stacked).cols
+    return fixed_rank(lattice.action_matrices, lattice.rank)
 
 
 def rho(graph: DualGraph) -> int:
@@ -369,7 +357,8 @@ def rho(graph: DualGraph) -> int:
 # spanning trees, orbits, m
 
 
-def _laplacian(graph: DualGraph) -> IntMatrix:
+def laplacian(graph: DualGraph) -> IntMatrix:
+    """Graph Laplacian, vertices in vertex_ids order."""
     verts = graph.vertex_ids
     vindex = {v: i for i, v in enumerate(verts)}
     n = len(verts)
@@ -455,7 +444,7 @@ def spanning_trees(graph: DualGraph, cap: int = DEFAULT_TREE_CAP):
         rec(0, _DSU(nverts), ())
     trees = sorted(tuple(edges[i] for i in t) for t in found)
 
-    L = _laplacian(graph)
+    L = laplacian(graph)
     if nverts == 1:
         cofactor = 1
     else:
@@ -472,25 +461,16 @@ def tree_orbits(graph: DualGraph, cap: int = DEFAULT_TREE_CAP):
     """Orbits of the spanning tree set under the generated action group."""
     trees = [frozenset(t) for t in spanning_trees(graph, cap)]
     tree_set = set(trees)
-    orbits = []
-    seen = set()
-    for t in trees:
-        if t in seen:
-            continue
-        orbit = {t}
-        frontier = [t]
-        while frontier:
-            cur = frontier.pop()
-            for p in graph.action:
-                img = frozenset(graph.edge_image(p, e) for e in cur)
-                if img not in tree_set:
-                    raise ArithmeticError("action image of a spanning tree is not a spanning tree")
-                if img not in orbit:
-                    orbit.add(img)
-                    frontier.append(img)
-        seen |= orbit
-        orbits.append(tuple(sorted(tuple(sorted(t)) for t in orbit)))
-    return tuple(sorted(orbits))
+
+    def images(t):
+        imgs = [frozenset(graph.edge_image(p, e) for e in t)
+                for p in graph.action]
+        if not tree_set.issuperset(imgs):
+            raise ArithmeticError("action image of a spanning tree is not a spanning tree")
+        return imgs
+
+    return tuple(sorted(tuple(sorted(tuple(sorted(t)) for t in orbit))
+                        for orbit in orbit_partition(trees, images)))
 
 
 def m_gamma(graph: DualGraph, cap: int = DEFAULT_TREE_CAP) -> int:
@@ -749,14 +729,10 @@ class XiModule:
         return self.ell ** self.level
 
 
-def _free_level(ell: int, s: int, n: int) -> LModule:
-    return LModule(ell, 0, (s,) * n)
-
-
 def _span_contains(amb: LModule, A: IntMatrix, cols: IntMatrix) -> bool:
     """Every column of cols lies in the mod l^s column span of A."""
-    dom = _free_level(amb.ell, amb.torsion_exponents[0] if amb.torsion_exponents else 1,
-                      A.cols)
+    dom = free_level(amb.ell, amb.torsion_exponents[0] if amb.torsion_exponents else 1,
+                     A.cols)
     f = LMap(dom, amb, A)
     for j in range(cols.cols):
         if preimage(f, cols.col(j)) is None:
@@ -817,12 +793,12 @@ def build_xi(graph: DualGraph, config: DivisorConfig, ell: int, s: int) -> XiMod
         rows.append(row)
     C = IntMatrix.from_rows(rows, nvars)
 
-    ambient = _free_level(ell, s, nvars)
-    row_block = _free_level(ell, s, C.rows)
+    ambient = free_level(ell, s, nvars)
+    row_block = free_level(ell, s, C.rows)
     constraint = LMap(ambient, row_block, C)
     K: KernelResult = kernel(constraint)
 
-    divisor_block = _free_level(ell, s, ndiv)
+    divisor_block = free_level(ell, s, ndiv)
     proj_rows = [[1 if j == i else 0 for j in range(nvars)] for i in range(ndiv)]
     phi_ambient = LMap(ambient, divisor_block, IntMatrix.from_rows(proj_rows, nvars))
     phi = phi_ambient.compose(K.inclusion)
@@ -836,7 +812,7 @@ def build_xi(graph: DualGraph, config: DivisorConfig, ell: int, s: int) -> XiMod
         for k in range(c_rank):
             hrows[vindex[("y", comp, node)]][k] = cycles.entry(j, k)
     H = IntMatrix.from_rows(hrows, c_rank)
-    h1_dom = _free_level(ell, s, c_rank)
+    h1_dom = free_level(ell, s, c_rank)
     cycle_embedding = LMap(h1_dom, ambient, H)
 
     if not (C @ H).is_zero():
@@ -930,7 +906,8 @@ class PsiSplitting:
     equivariance_check: bool
 
 
-def _difference_basis(ndiv: int) -> IntMatrix:
+def difference_basis(ndiv: int) -> IntMatrix:
+    """Columns e_j - e_last, a basis of the zero sum vectors in Z^ndiv."""
     rows = [[0] * (ndiv - 1) for _ in range(ndiv)]
     for j in range(ndiv - 1):
         rows[j][j] = 1
@@ -983,29 +960,23 @@ def build_psi(graph: DualGraph, config: DivisorConfig, tree_orbit, ell: int,
     if len(set(normalized)) != len(normalized):
         raise NotAnOrbit("repeated tree in the orbit")
     tree_set = set(normalized)
-    for t in normalized:
-        for p in graph.action:
-            img = frozenset(graph.edge_image(p, e) for e in t)
-            if img not in tree_set:
-                raise NotAnOrbit("orbit is not closed under the action")
-    reached = {normalized[0]}
-    frontier = [normalized[0]]
-    while frontier:
-        cur = frontier.pop()
-        for p in graph.action:
-            img = frozenset(graph.edge_image(p, e) for e in cur)
-            if img not in reached:
-                reached.add(img)
-                frontier.append(img)
-    if reached != tree_set:
+
+    def images(t):
+        imgs = [frozenset(graph.edge_image(p, e) for e in t)
+                for p in graph.action]
+        if not tree_set.issuperset(imgs):
+            raise NotAnOrbit("orbit is not closed under the action")
+        return imgs
+
+    if len(orbit_partition(normalized, images)) != 1:
         raise NotAnOrbit("the given trees split into several orbits")
 
     trees = sorted(tuple(sorted(t)) for t in tree_set)
     m = len(trees)
     div_ids = config.ids
     ndiv = len(div_ids)
-    B = _difference_basis(ndiv)
-    domain = _free_level(ell, s, ndiv - 1)
+    B = difference_basis(ndiv)
+    domain = free_level(ell, s, ndiv - 1)
 
     cols = []
     for j in range(ndiv - 1):
@@ -1023,7 +994,7 @@ def build_psi(graph: DualGraph, config: DivisorConfig, tree_orbit, ell: int,
 
     equis = True
     for P, PD in zip(xi.ambient_actions, xi.divisor_actions):
-        R = _express_in_basis(B, PD @ B)
+        R = solve_columns(B, PD @ B)
         if (P @ Psi) != (Psi @ R):
             equis = False
     if not equis:

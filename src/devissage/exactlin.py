@@ -440,6 +440,21 @@ def solve_integer(A: IntMatrix, b: Sequence[int]):
     return V.apply(y)
 
 
+def solve_columns(A: IntMatrix, B: IntMatrix) -> IntMatrix:
+    """An integer X with A @ X = B, solved column by column.
+
+    Raises ArithmeticError when some column of B has no integer solution.
+    """
+    cols = []
+    for j in range(B.cols):
+        x = solve_integer(A, B.col(j))
+        if x is None:
+            raise ArithmeticError(f"column {j} has no integer solution")
+        cols.append(x)
+    return IntMatrix.from_rows(
+        [[x[i] for x in cols] for i in range(A.cols)], B.cols)
+
+
 # ---------------------------------------------------------------------------
 # canonical l-local modules
 
@@ -586,6 +601,11 @@ class LModule:
             parts.append(f"Z{self.ell}" + (f"^{self.free_rank}" if self.free_rank > 1 else ""))
         parts.extend(f"C{self.ell ** e}" for e in self.torsion_exponents)
         return " x ".join(parts)
+
+
+def free_level(ell: int, s: int, n: int) -> LModule:
+    """(Z/l^s)^n, the level s reduction of a rank n lattice."""
+    return LModule(ell, 0, (s,) * n)
 
 
 def tor_dimension_bound(i: int) -> bool:

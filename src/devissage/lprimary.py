@@ -499,9 +499,7 @@ class FrobObject:
 
     def qpow_mod(self, modulus: int) -> int:
         """q^qpow modulo the given l-power; exact inverse for negative powers."""
-        if self.qpow >= 0:
-            return pow(self.q, self.qpow, modulus)
-        return pow(pow(self.q, -1, modulus), -self.qpow, modulus)
+        return pow(self.q, self.qpow, modulus)
 
     def matrix_mod(self, s: int) -> IntMatrix:
         """Frobenius matrix modulo l^s, q-power folded in."""

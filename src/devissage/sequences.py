@@ -18,10 +18,13 @@ from .dualgraph import (
     HomologyLattice,
     XiModule,
     build_xi,
+    difference_basis,
+    fixed_rank,
     h1_lattice,
     invariant_rank,
     m_gamma,
     n_x,
+    orbit_partition,
 )
 from .errors import (
     ConfigIncompatible,
@@ -37,12 +40,14 @@ from .exactlin import (
     LMap,
     LModule,
     cokernel,
+    free_level,
     homology_at,
     image,
-    integer_kernel_basis,
+    is_prime,
     kernel,
     preimage,
-    solve_integer,
+    solve_columns,
+    valuation,
 )
 from .lprimary import FrobObject
 from .procyclic import CharPoly, h_level, h1, torsion_frob, weil_weight_check
@@ -51,37 +56,6 @@ MODELED_NOTE = (
     "middle term assembled as the direct sum of the outer terms; it models "
     "the field-theoretic object, it is not computed from a field"
 )
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
-def _vl(n: int, ell: int) -> int:
-    if n == 0:
-        raise ValueError("valuation of zero")
-    v = 0
-    while n % ell == 0:
-        n //= ell
-        v += 1
-    return v
-
-
-def _qpow_mod(q: int, t: int, modulus: int) -> int:
-    if t >= 0:
-        return pow(q, t, modulus)
-    return pow(pow(q, -1, modulus), -t, modulus)
-
-
-def _free_level(ell: int, s: int, n: int) -> LModule:
-    return LModule(ell, 0, (s,) * n)
 
 
 def _mod_desc(m: LModule) -> str:
@@ -114,7 +88,7 @@ class SingularityInstance:
             raise TypeError("divisors must be a DivisorConfig")
         if divisors.graph != graph:
             raise ConfigIncompatible("divisor configuration built for another graph")
-        if not _is_prime(ell):
+        if not is_prime(ell):
             raise InvalidInstance(f"l = {ell} is not prime")
         if q < 2:
             raise InvalidInstance("q must be a prime power >= 2")
@@ -305,25 +279,6 @@ def exactness_check(c: Complex, label: str = "complex",
 # building blocks shared by the sequence assemblers
 
 
-def _difference_basis(n: int) -> IntMatrix:
-    rows = [[0] * (n - 1) for _ in range(n)]
-    for j in range(n - 1):
-        rows[j][j] = 1
-        rows[n - 1][j] = -1
-    return IntMatrix.from_rows(rows, n - 1)
-
-
-def _in_basis(basis: IntMatrix, cols: IntMatrix) -> IntMatrix:
-    out = []
-    for j in range(cols.cols):
-        sol = solve_integer(basis, cols.col(j))
-        if sol is None:
-            raise ArithmeticError("column leaves the span of the basis")
-        out.append(list(sol))
-    rows = [[out[j][i] for j in range(cols.cols)] for i in range(basis.cols)]
-    return IntMatrix.from_rows(rows, cols.cols)
-
-
 def _perm_matrix(order: Sequence[str], perm: Dict[str, str]) -> IntMatrix:
     index = {x: i for i, x in enumerate(order)}
     rows = [[0] * len(order) for _ in order]
@@ -386,16 +341,16 @@ def upsilon_structure(inst: SingularityInstance, r: int, s: int) -> ComplexRepor
     jrank = inst.jacobian_rank()
     twist = r - 2
 
-    t_jac = _free_level(ell, s, jrank)
-    t_mid = _free_level(ell, s, jrank + c)
-    t_cyc = _free_level(ell, s, c)
+    t_jac = free_level(ell, s, jrank)
+    t_mid = free_level(ell, s, jrank + c)
+    t_cyc = free_level(ell, s, c)
     inc = LMap(t_jac, t_mid,
                IntMatrix.identity(jrank).vstack(IntMatrix.zeros(c, jrank)))
     proj = LMap(t_mid, t_cyc,
                 IntMatrix.zeros(c, jrank).hstack(IntMatrix.identity(c)))
 
     jac_blocks = _jacobian_level_blocks(inst, twist, s)
-    scalar = _qpow_mod(q, twist, mod)
+    scalar = pow(q, twist, mod)
     equivariant = True
     for gi in range(len(inst.graph.action)):
         act_cyc = _cycle_action(lat, gi).scale(scalar).mod(mod)
@@ -406,7 +361,7 @@ def upsilon_structure(inst: SingularityInstance, r: int, s: int) -> ComplexRepor
         if not _equivariant(proj, act_mid, act_cyc, mod):
             equivariant = False
 
-    predicted = _free_level(ell, s, n_x(inst.graph))
+    predicted = free_level(ell, s, n_x(inst.graph))
     defect = (jrank + c) - n_x(inst.graph)
     structure = {
         "observed": t_mid,
@@ -477,9 +432,9 @@ def lambda_structure(inst: SingularityInstance, s: int) -> LambdaReport:
         comp_rows[cindex[comp]][j] = 1
         point_rows[pindex[p]][j] = 1
 
-    dom = _free_level(ell, s, len(incid))
-    comp_block = _free_level(ell, s, len(graph.component_ids))
-    point_block = _free_level(ell, s, len(points))
+    dom = free_level(ell, s, len(incid))
+    comp_block = free_level(ell, s, len(graph.component_ids))
+    point_block = free_level(ell, s, len(points))
     per_comp_sum = LMap(dom, comp_block,
                         IntMatrix.from_rows(comp_rows, len(incid)))
     to_points = LMap(dom, point_block,
@@ -488,7 +443,7 @@ def lambda_structure(inst: SingularityInstance, s: int) -> LambdaReport:
     composite = to_points.compose(K.inclusion)
     co = cokernel(composite)
 
-    expected = _free_level(ell, s, 1)
+    expected = free_level(ell, s, 1)
     structure_ok = co.module == expected
 
     frob_flags = []
@@ -546,9 +501,9 @@ def devissage(inst: SingularityInstance, r: int,
 
     inner = upsilon_structure(inst, r, s)
 
-    t_up = _free_level(ell, s, jrank + c)
-    t_br = _free_level(ell, s, jrank + c + ndiv - 1)
-    t_div = _free_level(ell, s, ndiv - 1)
+    t_up = free_level(ell, s, jrank + c)
+    t_br = free_level(ell, s, jrank + c + ndiv - 1)
+    t_div = free_level(ell, s, ndiv - 1)
     inc = LMap(t_up, t_br,
                IntMatrix.identity(jrank + c).vstack(
                    IntMatrix.zeros(ndiv - 1, jrank + c)))
@@ -556,13 +511,13 @@ def devissage(inst: SingularityInstance, r: int,
                 IntMatrix.zeros(ndiv - 1, jrank + c).hstack(
                     IntMatrix.identity(ndiv - 1)))
 
-    B = _difference_basis(ndiv)
-    scalar = _qpow_mod(q, twist, mod)
+    B = difference_basis(ndiv)
+    scalar = pow(q, twist, mod)
     jac_blocks = _jacobian_level_blocks(inst, twist, s)
     equivariant = True
     for gi in range(len(graph.action)):
         PD = _perm_matrix(list(config.ids), config.action[gi])
-        act_div = _in_basis(B, PD @ B).scale(scalar).mod(mod)
+        act_div = solve_columns(B, PD @ B).scale(scalar).mod(mod)
         act_cyc = _cycle_action(lat, gi).scale(scalar).mod(mod)
         act_up = _diag_blocks(
             [_diag_blocks(jac_blocks, jrank), act_cyc], jrank + c)
@@ -575,7 +530,7 @@ def devissage(inst: SingularityInstance, r: int,
     # graph-side crosschecks at the same level: the cycle block must match
     # the kernel of phi, the divisor block the image of phi
     xi = build_xi(graph, config, ell, s)
-    theta_ok = kernel(xi.phi).module == _free_level(ell, s, c)
+    theta_ok = kernel(xi.phi).module == free_level(ell, s, c)
     divisor_ok = image(xi.phi) == t_div
 
     cores = tuple(
@@ -646,7 +601,7 @@ def corestriction_surjective(q: int, ell: int, t: int,
     base = q ** tt - 1
     extn = q ** (f * tt) - 1
     ratio = extn // base
-    vb, ve, vr = _vl(base, ell), _vl(extn, ell), _vl(ratio, ell)
+    vb, ve, vr = (valuation(x, ell) for x in (base, extn, ratio))
     return CorestrictionEvidence(
         f, t, vb, ve, vr, vr == ve - vb,
         "transfer scalar valuation matches the fixed-group growth"
@@ -667,27 +622,9 @@ class OnoReport:
     matches: bool
 
 
-def _fixed_rank(mats: Sequence[IntMatrix], n: int) -> int:
-    if not mats or n == 0:
-        return n
-    stacked = mats[0] - IntMatrix.identity(n)
-    for m in mats[1:]:
-        stacked = stacked.vstack(m - IntMatrix.identity(n))
-    return integer_kernel_basis(stacked).cols
-
-
 def _unimodular_inverse(m: IntMatrix) -> IntMatrix:
-    n = m.rows
-    cols = []
-    for i in range(n):
-        e = [1 if j == i else 0 for j in range(n)]
-        sol = solve_integer(m, e)
-        if sol is None:
-            raise ValueError("matrix is not invertible over the integers")
-        cols.append(list(sol))
-    rows = [[cols[j][i] for j in range(n)] for i in range(n)]
-    inv = IntMatrix.from_rows(rows, n)
-    if (m @ inv) != IntMatrix.identity(n):
+    inv = solve_columns(m, IntMatrix.identity(m.rows))
+    if (m @ inv) != IntMatrix.identity(m.rows):
         raise ArithmeticError("inverse verification failed")
     return inv
 
@@ -700,7 +637,7 @@ def ono_check(lattice: Union[HomologyLattice, Sequence[IntMatrix]],
     sides are computed as saturated integer kernels of the stacked
     generator differences, with no resolution of the lattice involved.
     """
-    if not _is_prime(ell):
+    if not is_prime(ell):
         raise InvalidInstance(f"l = {ell} is not prime")
     if isinstance(lattice, HomologyLattice):
         mats = list(lattice.action_matrices)
@@ -718,9 +655,9 @@ def ono_check(lattice: Union[HomologyLattice, Sequence[IntMatrix]],
             raise ValueError("generators must be square of the lattice rank")
         if m.det() not in (1, -1):
             raise ValueError("generators must be invertible over the integers")
-    right = _fixed_rank(mats, n)
+    right = fixed_rank(mats, n)
     contra = [_unimodular_inverse(m).transpose() for m in mats]
-    left = _fixed_rank(contra, n)
+    left = fixed_rank(contra, n)
     return OnoReport(ell, n, len(mats), right, left, left == right)
 
 
@@ -846,7 +783,7 @@ def bhn_finite_field_report(inst: SingularityInstance) -> BhnReport:
                else IntMatrix.identity(len(xi.var_names)))
         sigma_xi = _module_action(xi, amb)
 
-        a_level = _free_level(ell, s, c)
+        a_level = free_level(ell, s, c)
         act_a = LMap(a_level, a_level, msigma)
         act_x = LMap(xi.module, xi.module, sigma_xi)
         h1_inc = xi.h1_inclusion
@@ -880,7 +817,8 @@ def bhn_finite_field_report(inst: SingularityInstance) -> BhnReport:
     degrees = sorted({f for _, _, f in inst.jacobians} | {1})
     cores = tuple(corestriction_surjective(q, ell, 0, f) for f in degrees)
 
-    div_orbit_count = len(_divisor_orbits(config))
+    div_orbit_count = len(orbit_partition(
+        config.ids, lambda d: [p[d] for p in config.action]))
     display = (
         DisplayTerm("F", "computed",
                     f"killed by m = {m_value}; largest level exponent "
@@ -916,26 +854,3 @@ def bhn_finite_field_report(inst: SingularityInstance) -> BhnReport:
         ono=ono, levels=tuple(levels), jacobian_vanishing=tuple(vanishing),
         corestriction=cores, display=display, checks=checks,
         caveats=(ModeledTermCaveat(MODELED_NOTE),), verdict=verdict)
-
-
-def _divisor_orbits(config: DivisorConfig) -> Tuple[Tuple[str, ...], ...]:
-    ids = list(config.ids)
-    if not config.action:
-        return tuple((d,) for d in ids)
-    seen = set()
-    orbits = []
-    for d in ids:
-        if d in seen:
-            continue
-        orbit = {d}
-        frontier = [d]
-        while frontier:
-            cur = frontier.pop()
-            for p in config.action:
-                nxt = p[cur]
-                if nxt not in orbit:
-                    orbit.add(nxt)
-                    frontier.append(nxt)
-        seen |= orbit
-        orbits.append(tuple(sorted(orbit)))
-    return tuple(orbits)

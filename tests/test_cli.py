@@ -1,5 +1,6 @@
 """Front door coverage: parsing, suite execution, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 
@@ -256,6 +257,31 @@ class TestRunLibrary:
         assert report["verdict"] == "ERROR"
         assert report["error"]["kind"] == "parse"
 
+    @pytest.mark.parametrize("field, value, named", [
+        ("genus", "two", "components[0].genus"),
+        ("genus", None, "components[0].genus"),
+        ("f", "x", "jacobians[0].f"),
+        ("charpoly", [1, -2, 0], "jacobians[0]"),
+        ("q", 1, "jacobians[0]"),
+        ("jacobians", 5, "jacobians"),
+    ])
+    def test_malformed_field_exits_four(self, tmp_path, field, value, named):
+        payload = banana_raw(
+            genus=(1, 0),
+            jacobians=[{"orbit_rep": "u", "charpoly": [1, -2, 5],
+                        "q": 5, "f": 1}])
+        if field == "genus":
+            payload["components"][0]["genus"] = value
+        elif field == "jacobians":
+            payload["jacobians"] = value
+        else:
+            payload["jacobians"][0][field] = value
+        path = write_instance(tmp_path, payload)
+        code, report = run(RunConfig(input_path=path, suites=("graph",)))
+        assert code == 4
+        assert report["error"]["kind"] == "parse"
+        assert named in report["error"]["message"]
+
     def test_cap_exhaustion_exits_three(self):
         code, report = run(RunConfig(input_path=G1_SWAP, suites=("graph",),
                                      tree_cap=2))
@@ -275,6 +301,22 @@ class TestRunLibrary:
         assert "timings" in report
         assert "timings" not in json.loads(render_json(report))
         assert "s)" in render_text(report)
+
+    @pytest.mark.parametrize("fixture, digest", [
+        ("g1_swap.json",
+         "2f1b1f7d532856bcfbaf8c3a578c1bdc58fe53746e646ad3ef6eeb3bebd0f956"),
+        ("g2_tree.json",
+         "5284e3da3c4a726b5af3d159ac37427f47f6d5f75a5fbcd8941cc922a46627a4"),
+    ])
+    def test_golden_report_digest(self, monkeypatch, fixture, digest):
+        # the report embeds the input path, so run from the repository root
+        monkeypatch.chdir(os.path.join(FIXTURES, os.pardir))
+        code, report = run(RunConfig(
+            input_path=f"fixtures/{fixture}",
+            suites=tuple(FAST_SUITES.split(",")), seed=0))
+        assert code == 0
+        rendered = render_json(report).encode()
+        assert hashlib.sha256(rendered).hexdigest() == digest
 
     def test_seed_changes_draws_not_verdicts(self):
         base = run(RunConfig(input_path=G2_TREE, suites=("boxcalc",)))

@@ -25,6 +25,7 @@ from devissage.exactlin import (
     preimage,
     smith_normal_form,
     smith_with_inverses,
+    solve_columns,
     solve_integer,
     tensor_maps,
     tensor_with_index,
@@ -138,6 +139,14 @@ class TestSmith:
             x = solve_integer(A, b)
             assert x is not None and A.apply(x) == b
         assert solve_integer(IntMatrix.diagonal([2]), [3]) is None
+
+    def test_solve_columns(self):
+        A = IntMatrix.from_rows([[1, 2], [0, 3], [1, 5]], 2)
+        X = IntMatrix.from_rows([[1, -2, 0], [4, 1, 7]], 3)
+        assert solve_columns(A, A @ X) == X
+        assert solve_columns(A, IntMatrix.zeros(3, 0)) == IntMatrix.zeros(2, 0)
+        with pytest.raises(ArithmeticError):
+            solve_columns(IntMatrix.diagonal([2, 1]), IntMatrix.identity(2))
 
 
 class TestCanonical:
