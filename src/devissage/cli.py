@@ -56,6 +56,7 @@ from .lprimary import (
     box_unit,
     co_direct_sum,
     left_exactness_probe,
+    random_cogroup,
     tor_box,
     tors_level_check,
     torsbis_maps,
@@ -164,12 +165,14 @@ def _req(raw: dict, name: str, kind, default=None):
 
 
 def _int(value, where: str) -> int:
-    """Coerce one integer field of the instance file; ParseError names it."""
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(
-            f"{where}: expected an integer, got {value!r}") from exc
+    """One integer field of the instance file; ParseError names it.
+
+    Only JSON integers pass: a float, a bool or a string is rejected, never
+    truncated or parsed.
+    """
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"{where}: expected an integer, got {value!r}")
+    return value
 
 
 def _perm_from_cycles(cycles, vertex_ids, where: str) -> dict:
@@ -358,13 +361,6 @@ def _suite(checks) -> dict:
     return {"checks": list(checks), "verdict": "PASS" if ok else "FAIL"}
 
 
-def _random_cogroup(rng, ell, max_corank=2, max_torsion=2, max_exp=3):
-    c = rng.randint(0, max_corank)
-    k = rng.randint(0, max_torsion)
-    exps = sorted((rng.randint(1, max_exp) for _ in range(k)), reverse=True)
-    return CoLGroup(LModule(ell, c, tuple(exps)))
-
-
 def _run_boxcalc(inst, config) -> dict:
     ell = inst.ell
     rng = random.Random(config.seed)
@@ -372,13 +368,13 @@ def _run_boxcalc(inst, config) -> dict:
 
     unit_ok = 0
     for _ in range(100):
-        A = _random_cogroup(rng, ell)
+        A = random_cogroup(rng, ell)
         unit_ok += box(A, unit) == A and box(unit, A) == A
     law_ok = 0
     for _ in range(100):
-        A = _random_cogroup(rng, ell)
-        B = _random_cogroup(rng, ell)
-        C = _random_cogroup(rng, ell)
+        A = random_cogroup(rng, ell)
+        B = random_cogroup(rng, ell)
+        C = random_cogroup(rng, ell)
         assoc = box(box(A, B), C) == box(A, box(B, C))
         dist = (box(co_direct_sum(A, B), C)
                 == co_direct_sum(box(A, C), box(B, C)))

@@ -37,7 +37,7 @@ from .exactlin import (
     integer_kernel_basis,
     kernel,
     preimage,
-    solve_columns,
+    solve_integer,
 )
 
 Edge = Tuple[str, str]
@@ -302,8 +302,8 @@ def h1_lattice(graph: DualGraph) -> HomologyLattice:
     perms = []
     for p in graph.action:
         P = _edge_perm_matrix(graph, p)
-        M = solve_columns(basis, P @ basis)
-        if (basis @ M) != (P @ basis):
+        M = solve_integer(basis, P @ basis)
+        if M is None or (basis @ M) != (P @ basis):
             raise ArithmeticError("induced matrix does not reproduce the edge action")
         if c and M.det() not in (1, -1):
             raise ArithmeticError("induced action matrix is not unimodular")
@@ -311,7 +311,8 @@ def h1_lattice(graph: DualGraph) -> HomologyLattice:
         perms.append(p)
 
     # relation check: every word of length <= 4 in the generators must act
-    # through the matrix computed from the composed permutation
+    # through the matrix computed from the composed permutation; the basis
+    # columns are independent, so basis @ mat = P_w @ basis pins mat down
     ngen = len(perms)
     if ngen and c:
         words: List[Tuple[int, ...]] = [()]
@@ -325,9 +326,7 @@ def h1_lattice(graph: DualGraph) -> HomologyLattice:
                 for i in w:
                     perm = _compose_perms(perm, perms[i])
                     mat = mats[i] @ mat
-                direct = solve_columns(
-                    basis, _edge_perm_matrix(graph, perm) @ basis)
-                if direct != mat:
+                if basis @ mat != _edge_perm_matrix(graph, perm) @ basis:
                     raise ArithmeticError(
                         f"action matrices violate the group relation for word {w}")
     return HomologyLattice(basis, tuple(mats), graph.edges)
@@ -733,11 +732,7 @@ def _span_contains(amb: LModule, A: IntMatrix, cols: IntMatrix) -> bool:
     """Every column of cols lies in the mod l^s column span of A."""
     dom = free_level(amb.ell, amb.torsion_exponents[0] if amb.torsion_exponents else 1,
                      A.cols)
-    f = LMap(dom, amb, A)
-    for j in range(cols.cols):
-        if preimage(f, cols.col(j)) is None:
-            return False
-    return True
+    return preimage(LMap(dom, amb, A), cols) is not None
 
 
 def build_xi(graph: DualGraph, config: DivisorConfig, ell: int, s: int) -> XiModule:
@@ -832,13 +827,7 @@ def build_xi(graph: DualGraph, config: DivisorConfig, ell: int, s: int) -> XiMod
     ones = IntMatrix.from_rows([[1] * ndiv], ndiv)
     if not (ones @ phi.matrix).mod(mod).is_zero():
         raise ArithmeticError("phi image does not lie in the zero sum block")
-    phi_onto = True
-    for i in range(ndiv - 1):
-        target = [0] * ndiv
-        target[i], target[-1] = 1, -1
-        if preimage(phi, target) is None:
-            phi_onto = False
-            break
+    phi_onto = preimage(phi, difference_basis(ndiv)) is not None
     if not phi_onto:
         raise ArithmeticError("phi misses part of the zero sum block")
 
@@ -994,8 +983,8 @@ def build_psi(graph: DualGraph, config: DivisorConfig, tree_orbit, ell: int,
 
     equis = True
     for P, PD in zip(xi.ambient_actions, xi.divisor_actions):
-        R = solve_columns(B, PD @ B)
-        if (P @ Psi) != (Psi @ R):
+        R = solve_integer(B, PD @ B)
+        if R is None or (P @ Psi) != (Psi @ R):
             equis = False
     if not equis:
         raise ArithmeticError("psi does not commute with the action")

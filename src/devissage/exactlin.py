@@ -423,36 +423,25 @@ def rank(A: IntMatrix) -> int:
     return len(invariant_factors(A))
 
 
-def solve_integer(A: IntMatrix, b: Sequence[int]):
-    """One integer solution x of A x = b, or None when none exists."""
-    U, D, V, _, _ = smith_with_inverses(A)
-    c = U.apply(b)
-    y = [0] * A.cols
-    for i in range(A.rows):
-        d = D.entry(i, i) if i < min(D.rows, D.cols) else 0
-        if d == 0:
-            if c[i] != 0:
-                return None
-        else:
-            if c[i] % d != 0:
-                return None
-            y[i] = c[i] // d
-    return V.apply(y)
+def solve_integer(A: IntMatrix, B: IntMatrix) -> Optional[IntMatrix]:
+    """An integer X with A @ X = B, or None when some column of B has none.
 
-
-def solve_columns(A: IntMatrix, B: IntMatrix) -> IntMatrix:
-    """An integer X with A @ X = B, solved column by column.
-
-    Raises ArithmeticError when some column of B has no integer solution.
+    One Smith form U A V = D serves every column: U B = D Y is solved by
+    exact division row by row, and X = V Y.
     """
-    cols = []
-    for j in range(B.cols):
-        x = solve_integer(A, B.col(j))
-        if x is None:
-            raise ArithmeticError(f"column {j} has no integer solution")
-        cols.append(x)
-    return IntMatrix.from_rows(
-        [[x[i] for x in cols] for i in range(A.cols)], B.cols)
+    if A.rows != B.rows:
+        raise ValueError(f"cannot solve a {A.rows}-row system for {B.rows} rows")
+    U, D, V, _, _ = smith_with_inverses(A)
+    Y = []
+    for i, row in enumerate((U @ B).data):
+        d = D.entry(i, i) if i < min(A.rows, A.cols) else 0
+        if (any(x % d for x in row) if d else any(row)):
+            return None
+        Y.append([x // d for x in row] if d else row)
+    # Y needs A.cols rows: rows past A.cols were checked to be zero, and
+    # unknowns past A.rows are free and set to zero
+    Y = (Y + [[0] * B.cols] * A.cols)[:A.cols]
+    return V @ IntMatrix(A.cols, B.cols, Y)
 
 
 # ---------------------------------------------------------------------------
@@ -559,6 +548,12 @@ class LModule:
         for x, e in zip(vec, self.gen_orders()):
             out.append(int(x) if e is None else int(x) % self.ell ** e)
         return tuple(out)
+
+    def reduce_columns(self, M: IntMatrix) -> IntMatrix:
+        """Reduce every column of generator coordinates into canonical range."""
+        return IntMatrix(M.rows, M.cols, [
+            r if e is None else [x % self.ell ** e for x in r]
+            for r, e in zip(M.data, self.gen_orders())])
 
     # -- constructions ------------------------------------------------
 
@@ -1010,16 +1005,16 @@ def image(f: LMap) -> LModule:
     return cokernel(k.inclusion).module
 
 
-def preimage(f: LMap, vec: Sequence[int]):
-    """Some x with f(x) = vec in the codomain, or None.
+def preimage(f: LMap, B: IntMatrix) -> Optional[IntMatrix]:
+    """Some X with f(X) = B column by column, reduced into f.domain, or None.
 
-    Solves F x + R w = vec over Z, R the codomain relation columns.
+    Solves F X + R W = B over Z, R the codomain relation columns.
     """
     block = f.matrix.hstack(f.codomain.relation_cols())
-    sol = solve_integer(block, list(vec))
+    sol = solve_integer(block, B)
     if sol is None:
         return None
-    return f.domain.reduce_vector(sol[: f.domain.num_gens])
+    return f.domain.reduce_columns(sol.take_rows(range(f.domain.num_gens)))
 
 
 def induced_into_kernel(f: LMap, k: KernelResult) -> LMap:
@@ -1028,17 +1023,9 @@ def induced_into_kernel(f: LMap, k: KernelResult) -> LMap:
     Requires that every generator image of f lies in the kernel submodule;
     raises ValueError otherwise.
     """
-    cols = []
-    for j in range(f.domain.num_gens):
-        v = f.matrix.col(j)
-        y = preimage(k.inclusion, v)
-        if y is None:
-            raise ValueError("map does not factor through the kernel")
-        cols.append(y)
-    mat = IntMatrix.from_rows(list(map(list, zip(*cols))), f.domain.num_gens) \
-        if cols else IntMatrix.zeros(k.module.num_gens, 0)
-    if k.module.num_gens == 0:
-        mat = IntMatrix.zeros(0, f.domain.num_gens)
+    mat = preimage(k.inclusion, f.matrix)
+    if mat is None:
+        raise ValueError("map does not factor through the kernel")
     return LMap(f.domain, k.module, mat, f.precision)
 
 

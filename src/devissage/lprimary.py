@@ -134,6 +134,19 @@ def tor_box_i(A: Carrier, B: Carrier, i: int) -> CoLGroup:
     return CoLGroup(LModule(as_colgroup(A).ell, 0))
 
 
+def random_cogroup(rng, ell: int, max_corank: int = 2, max_torsion: int = 2,
+                   max_exp: int = 3) -> CoLGroup:
+    """A random (Ql/Zl)^c (+) finite group for property sweeps.
+
+    Draws the corank, the number of cyclic factors and then each exponent
+    from rng, in that order.
+    """
+    c = rng.randint(0, max_corank)
+    k = rng.randint(0, max_torsion)
+    exps = sorted((rng.randint(1, max_exp) for _ in range(k)), reverse=True)
+    return CoLGroup(LModule(ell, c, tuple(exps)))
+
+
 # ---------------------------------------------------------------------------
 # maps of discrete groups
 

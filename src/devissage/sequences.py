@@ -46,7 +46,7 @@ from .exactlin import (
     is_prime,
     kernel,
     preimage,
-    solve_columns,
+    solve_integer,
     valuation,
 )
 from .lprimary import FrobObject
@@ -446,23 +446,15 @@ def lambda_structure(inst: SingularityInstance, s: int) -> LambdaReport:
     expected = free_level(ell, s, 1)
     structure_ok = co.module == expected
 
+    unit = IntMatrix.identity(co.module.num_gens)
+    lift = preimage(co.projection, unit)
     frob_flags = []
     for gi, gp in enumerate(graph.action):
-        dp = config.action[gi]
         full = dict(gp)
-        full.update(dp)
+        full.update(config.action[gi])
         P = _perm_matrix(points, full)
-        ok = True
-        for i in range(co.module.num_gens):
-            unit = [1 if j == i else 0 for j in range(co.module.num_gens)]
-            lift = preimage(co.projection, unit)
-            if lift is None:
-                ok = False
-                break
-            moved = co.projection.matrix.apply(P.apply(lift))
-            if list(co.module.reduce_vector(moved)) != unit:
-                ok = False
-        frob_flags.append(ok)
+        frob_flags.append(lift is not None and co.module.reduce_columns(
+            co.projection.matrix @ (P @ lift)) == unit)
 
     verdict = "PASS" if structure_ok and all(frob_flags) else "FAIL"
     return LambdaReport(
@@ -517,7 +509,10 @@ def devissage(inst: SingularityInstance, r: int,
     equivariant = True
     for gi in range(len(graph.action)):
         PD = _perm_matrix(list(config.ids), config.action[gi])
-        act_div = solve_columns(B, PD @ B).scale(scalar).mod(mod)
+        act_div = solve_integer(B, PD @ B)
+        if act_div is None:
+            raise ArithmeticError("divisor action leaves the zero sum block")
+        act_div = act_div.scale(scalar).mod(mod)
         act_cyc = _cycle_action(lat, gi).scale(scalar).mod(mod)
         act_up = _diag_blocks(
             [_diag_blocks(jac_blocks, jrank), act_cyc], jrank + c)
@@ -623,8 +618,8 @@ class OnoReport:
 
 
 def _unimodular_inverse(m: IntMatrix) -> IntMatrix:
-    inv = solve_columns(m, IntMatrix.identity(m.rows))
-    if (m @ inv) != IntMatrix.identity(m.rows):
+    inv = solve_integer(m, IntMatrix.identity(m.rows))
+    if inv is None or (m @ inv) != IntMatrix.identity(m.rows):
         raise ArithmeticError("inverse verification failed")
     return inv
 
@@ -711,34 +706,20 @@ class BhnReport:
 
 def _module_action(xi: XiModule, amb: IntMatrix) -> IntMatrix:
     """Express an ambient action in the coordinates of the kernel module."""
-    cols = []
-    for j in range(xi.module.num_gens):
-        v = xi.inclusion.matrix.col(j)
-        moved = amb.apply(v)
-        sol = preimage(xi.inclusion, moved)
-        if sol is None:
-            raise ArithmeticError("action does not descend to the kernel module")
-        cols.append(list(sol))
-    rows = [[cols[j][i] for j in range(len(cols))]
-            for i in range(xi.module.num_gens)]
-    return IntMatrix.from_rows(rows, xi.module.num_gens)
+    sol = preimage(xi.inclusion, amb @ xi.inclusion.matrix)
+    if sol is None:
+        raise ArithmeticError("action does not descend to the kernel module")
+    return sol
 
 
 def _induced_on_cokernels(f: LMap, cok_dom, cok_cod) -> LMap:
     """The map between cokernels induced by an equivariant map."""
-    cols = []
-    for i in range(cok_dom.module.num_gens):
-        unit = [1 if j == i else 0 for j in range(cok_dom.module.num_gens)]
-        lift = preimage(cok_dom.projection, unit)
-        if lift is None:
-            raise ArithmeticError("cokernel projection is not onto")
-        moved = f.codomain.reduce_vector(f.matrix.apply(lift))
-        cols.append(list(cok_cod.module.reduce_vector(
-            cok_cod.projection.matrix.apply(moved))))
-    rows = [[cols[j][i] for j in range(len(cols))]
-            for i in range(cok_cod.module.num_gens)]
-    h = LMap(cok_dom.module, cok_cod.module,
-             IntMatrix.from_rows(rows, cok_dom.module.num_gens))
+    lift = preimage(cok_dom.projection,
+                    IntMatrix.identity(cok_dom.module.num_gens))
+    if lift is None:
+        raise ArithmeticError("cokernel projection is not onto")
+    moved = f.codomain.reduce_columns(f.matrix @ lift)
+    h = LMap(cok_dom.module, cok_cod.module, cok_cod.projection.matrix @ moved)
     lhs = h.compose(cok_dom.projection)
     rhs = cok_cod.projection.compose(f)
     if lhs.matrix != rhs.matrix:
@@ -793,11 +774,8 @@ def bhn_finite_field_report(inst: SingularityInstance) -> BhnReport:
         cok_x = cokernel(act_x - LMap.identity_on(xi.module))
         induced = _induced_on_cokernels(h1_inc, cok_a, cok_x)
         f_mod = kernel(induced)
-        killed = True
-        scaled = f_mod.inclusion.matrix.scale(m_value)
-        for j in range(scaled.cols):
-            if any(cok_a.module.reduce_vector(scaled.col(j))):
-                killed = False
+        killed = cok_a.module.reduce_columns(
+            f_mod.inclusion.matrix.scale(m_value)).is_zero()
         routes_agree = (c == 0) or (h_level(fo, 1, s) == cok_a.module)
         levels.append(BhnLevelRecord(
             level=s, h1_structure=cok_a.module, xi_h1_structure=cok_x.module,

@@ -36,6 +36,7 @@ from devissage.lprimary import (
     box_unit,
     co_direct_sum,
     left_exactness_probe,
+    random_cogroup,
     tor_box,
     tors_level_check,
     torsbis_maps,
@@ -53,7 +54,7 @@ from devissage.sequences import (
     upsilon_structure,
 )
 from oracles import rational_nullity
-from test_lprimary import mult_ell_ses, random_cogroup
+from test_lprimary import mult_ell_ses
 from test_dualgraph import (
     banana as graph_banana,
     double_cycle,

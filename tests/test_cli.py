@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+from itertools import combinations
 
 import pytest
 from click.testing import CliRunner
@@ -50,6 +51,52 @@ def banana_raw(genus=(0, 0), action=True, **extra):
     }
     payload.update(extra)
     return payload
+
+
+def subdivided_k4_raw():
+    """K4 with a node on every edge (betti 3); the action rotates the
+    four components, the nodes follow."""
+    pairs = list(combinations(range(4), 2))
+    nodes = [f"n{i}{j}" for i, j in pairs]
+    edges = [[f"c{k}", f"n{i}{j}"] for i, j in pairs for k in (i, j)]
+    perm = {}
+    for i, j in pairs:
+        a, b = sorted(((i + 1) % 4, (j + 1) % 4))
+        perm[f"n{i}{j}"] = f"n{a}{b}"
+    cycles, seen = [[f"c{i}" for i in range(4)]], set()
+    for start in nodes:
+        cyc, v = [], start
+        while v not in seen:
+            seen.add(v)
+            cyc.append(v)
+            v = perm[v]
+        if cyc:
+            cycles.append(cyc)
+    return {
+        "schema": "devissage/1",
+        "components": [{"id": f"c{i}", "genus": 0} for i in range(4)],
+        "nodes": nodes,
+        "edges": edges,
+        "action": [cycles],
+        "ell": 3,
+        "q": 5,
+    }
+
+
+def banana4_raw():
+    """A genus-1 and a genus-0 component joined by four rotated nodes."""
+    nodes = [f"n{i}" for i in range(4)]
+    return {
+        "schema": "devissage/1",
+        "components": [{"id": "u", "genus": 1}, {"id": "v", "genus": 0}],
+        "nodes": nodes,
+        "edges": [[c, n] for n in nodes for c in ("u", "v")],
+        "action": [[nodes]],
+        "ell": 3,
+        "q": 5,
+        "jacobians": [{"orbit_rep": "u", "charpoly": [1, -2, 5],
+                       "q": 5, "f": 1}],
+    }
 
 
 def config_for(path, **kw):
@@ -264,6 +311,10 @@ class TestRunLibrary:
         ("charpoly", [1, -2, 0], "jacobians[0]"),
         ("q", 1, "jacobians[0]"),
         ("jacobians", 5, "jacobians"),
+        # JSON floats and bools are not integers: no silent truncation
+        ("genus", 0.9, "components[0].genus"),
+        ("ell", 3.7, "ell"),
+        ("f", True, "jacobians[0].f"),
     ])
     def test_malformed_field_exits_four(self, tmp_path, field, value, named):
         payload = banana_raw(
@@ -272,8 +323,8 @@ class TestRunLibrary:
                         "q": 5, "f": 1}])
         if field == "genus":
             payload["components"][0]["genus"] = value
-        elif field == "jacobians":
-            payload["jacobians"] = value
+        elif field in ("jacobians", "ell"):
+            payload[field] = value
         else:
             payload["jacobians"][0][field] = value
         path = write_instance(tmp_path, payload)
@@ -315,6 +366,26 @@ class TestRunLibrary:
             input_path=f"fixtures/{fixture}",
             suites=tuple(FAST_SUITES.split(",")), seed=0))
         assert code == 0
+        rendered = render_json(report).encode()
+        assert hashlib.sha256(rendered).hexdigest() == digest
+
+    @pytest.mark.parametrize("shape, want_code, digest", [
+        ("k4", 0,
+         "e9a8ad347b28e96279f5776be9a1927b3f6d1f3220c86322cc8cd945fae3f525"),
+        # the genus-1 component gives the known upsilon defect: exit 2
+        ("banana4", 2,
+         "6c6c45cddbdab03a1f70b31858146c12eb3f5b5862e5eddd9e9692f0342f991f"),
+    ])
+    def test_golden_digest_betti_three(self, tmp_path, shape, want_code,
+                                       digest):
+        payload = subdivided_k4_raw() if shape == "k4" else banana4_raw()
+        path = write_instance(tmp_path, payload)
+        code, report = run(RunConfig(
+            input_path=path, suites=("splitting", "devissage", "bhn"),
+            seed=0))
+        assert code == want_code
+        assert report["instance"]["betti"] == 3
+        report["input"] = "instance.json"
         rendered = render_json(report).encode()
         assert hashlib.sha256(rendered).hexdigest() == digest
 

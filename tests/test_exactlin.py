@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from devissage.errors import MismatchedPrime, PrecisionExhausted
 from devissage.exactlin import (
@@ -25,7 +27,6 @@ from devissage.exactlin import (
     preimage,
     smith_normal_form,
     smith_with_inverses,
-    solve_columns,
     solve_integer,
     tensor_maps,
     tensor_with_index,
@@ -134,19 +135,44 @@ class TestSmith:
             A = IntMatrix.from_rows(
                 [[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)], n
             )
-            x0 = [rng.randint(-4, 4) for _ in range(n)]
-            b = A.apply(x0)
+            x0 = IntMatrix.column([rng.randint(-4, 4) for _ in range(n)])
+            b = A @ x0
             x = solve_integer(A, b)
-            assert x is not None and A.apply(x) == b
-        assert solve_integer(IntMatrix.diagonal([2]), [3]) is None
+            assert x is not None and A @ x == b
+        assert solve_integer(IntMatrix.diagonal([2]), IntMatrix.column([3])) is None
 
     def test_solve_columns(self):
         A = IntMatrix.from_rows([[1, 2], [0, 3], [1, 5]], 2)
         X = IntMatrix.from_rows([[1, -2, 0], [4, 1, 7]], 3)
-        assert solve_columns(A, A @ X) == X
-        assert solve_columns(A, IntMatrix.zeros(3, 0)) == IntMatrix.zeros(2, 0)
-        with pytest.raises(ArithmeticError):
-            solve_columns(IntMatrix.diagonal([2, 1]), IntMatrix.identity(2))
+        assert solve_integer(A, A @ X) == X
+        assert solve_integer(A, IntMatrix.zeros(3, 0)) == IntMatrix.zeros(2, 0)
+        # the second column has no solution, so the whole system has none
+        assert solve_integer(IntMatrix.diagonal([2, 1]), IntMatrix.identity(2)) is None
+        with pytest.raises(ValueError):
+            solve_integer(A, IntMatrix.identity(2))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_solve_integer_matches_single_columns(self, data):
+        m, n, k = (data.draw(st.integers(0, 4)) for _ in range(3))
+
+        def vector(size):
+            return data.draw(st.lists(st.integers(-6, 6),
+                                      min_size=size, max_size=size))
+
+        A = IntMatrix(m, n, [vector(n) for _ in range(m)])
+        # each column of B is an image A x, hence solvable, or arbitrary
+        cols = [A.apply(vector(n)) if data.draw(st.booleans()) else vector(m)
+                for _ in range(k)]
+        B = IntMatrix(m, k, [[c[i] for c in cols] for i in range(m)])
+        X = solve_integer(A, B)
+        singles = [solve_integer(A, B.take_cols([j])) for j in range(k)]
+        assert (X is None) == any(x is None for x in singles)
+        if X is not None:
+            assert (X.rows, X.cols) == (n, k)
+            assert A @ X == B
+            for j, x in enumerate(singles):
+                assert X.take_cols([j]) == x
 
 
 class TestCanonical:
@@ -388,9 +414,36 @@ class TestKernelsCokernels:
         M = LModule(2, 0, (3,))
         N = LModule(2, 0, (2,))
         f = LMap(M, N, [[1]])
-        assert preimage(f, (3,)) is not None
+        assert preimage(f, IntMatrix.column([3])) == IntMatrix.column([3])
         g = LMap(N, M, [[2]])
-        assert preimage(g, (1,)) is None  # 1 is not a multiple of 2 mod 8
+        # 1 is not a multiple of 2 mod 8
+        assert preimage(g, IntMatrix.column([1])) is None
+        assert preimage(g, IntMatrix.from_rows([[2, 1]])) is None
+        assert preimage(f, IntMatrix.zeros(1, 0)) == IntMatrix.zeros(1, 0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.randoms(use_true_random=False), st.sampled_from([2, 3]),
+           st.integers(0, 4))
+    def test_preimage_matches_single_columns(self, rng, ell, k):
+        dom = _random_module(rng, ell, allow_free=False)
+        cod = _random_module(rng, ell, allow_free=False)
+        f = _random_map(rng, dom, cod)
+        # even-numbered targets are images, the rest arbitrary
+        rows = [[rng.randint(-9, 9) for _ in range(k)] for _ in range(cod.num_gens)]
+        for j in range(0, k, 2):
+            x = [rng.randint(-9, 9) for _ in range(dom.num_gens)]
+            for i, v in enumerate(f.matrix.apply(x)):
+                rows[i][j] = v
+        B = IntMatrix(cod.num_gens, k, rows)
+        X = preimage(f, B)
+        singles = [preimage(f, B.take_cols([j])) for j in range(k)]
+        assert (X is None) == any(x is None for x in singles)
+        if X is not None:
+            assert (X.rows, X.cols) == (dom.num_gens, k)
+            assert dom.reduce_columns(X) == X
+            assert cod.reduce_columns(f.matrix @ X) == cod.reduce_columns(B)
+            for j, x in enumerate(singles):
+                assert X.take_cols([j]) == x
 
     def test_short_exact_sequence_homology(self):
         ell = 2

@@ -38,6 +38,7 @@ from devissage.lprimary import (
     co_kernel,
     finite_box_power,
     left_exactness_probe,
+    random_cogroup,
     tor_box,
     tor_box_i,
     tors_level_check,
@@ -45,13 +46,6 @@ from devissage.lprimary import (
 )
 
 from oracles import group_structure, subgroup_closure
-
-
-def random_cogroup(rng, ell, max_corank=2, max_torsion=2, max_exp=3):
-    c = rng.randint(0, max_corank)
-    k = rng.randint(0, max_torsion)
-    exps = sorted((rng.randint(1, max_exp) for _ in range(k)), reverse=True)
-    return CoLGroup(LModule(ell, c, tuple(exps)))
 
 
 def mult_ell_ses(ell):
