@@ -35,7 +35,6 @@ from .dualgraph import (
     h1_lattice,
     invariant_rank,
     laplacian,
-    m_gamma,
     n_x,
     spanning_trees,
     tree_orbits,
@@ -64,6 +63,7 @@ from .lprimary import (
 from .procyclic import (
     WEIL_CATALOG,
     CharPoly,
+    clear_memo,
     duality_crosscheck,
     vanishing_probe,
     weil_weight_check,
@@ -504,8 +504,8 @@ def _run_graph(inst, config) -> dict:
     lattice = h1_lattice(g)
     trees = spanning_trees(g, cap=config.tree_cap)
     orbits = tree_orbits(g, cap=config.tree_cap)
-    m_value = m_gamma(g, cap=config.tree_cap)
     sizes = sorted(len(o) for o in orbits)
+    m_value = gcd(*sizes)  # m_gamma, from the orbits in hand
     fixed = invariant_rank(lattice)
     return _suite([
         _check("first betti number agrees with the cycle lattice rank",
@@ -525,7 +525,7 @@ def _run_graph(inst, config) -> dict:
 def _run_splitting(inst, config) -> dict:
     g, div_cfg, ell = inst.graph, inst.divisors, inst.ell
     orbits = tree_orbits(g, cap=config.tree_cap)
-    m_value = m_gamma(g, cap=config.tree_cap)
+    m_value = gcd(*(len(o) for o in orbits))  # m_gamma, from the orbits
 
     # smallest deterministic prefix of orbits whose sizes reach the gcd
     chosen = []
@@ -634,6 +634,7 @@ def _error_report(config: RunConfig, kind: str, message: str) -> dict:
 
 def run(config: RunConfig):
     """Execute the selected suites.  Returns (exit code, report dict)."""
+    clear_memo()
     try:
         raw = load_raw(config.input_path)
         inst = build_instance(raw, config)

@@ -17,12 +17,16 @@ power sums, which are just j-th powers of the power sums of P, so the full
 product polynomial comes out of Newton's identities without ever touching
 the (2g)^j-dimensional matrix.  Root multiplicity of the rational target in
 that polynomial is the corank of H^1, exactly, for squarefree P.
+
+None of this depends on l, so each such result is memoized for the length
+of one CLI run (clear_memo); the checks that do depend on l run per call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import wraps
 from math import gcd
 from typing import Union
 
@@ -46,6 +50,26 @@ from .exactlin import (
     kernel,
 )
 from .lprimary import FrobObject, box_frob_power
+
+_MEMO: dict = {}
+
+
+def clear_memo():
+    """Forget every memoized result; the CLI does this as each run starts."""
+    _MEMO.clear()
+
+
+def _memo(key=lambda *args: args):
+    """Memoize a function in _MEMO under key(*args)."""
+    def decorate(fn):
+        @wraps(fn)
+        def cached(*args):
+            k = (fn, key(*args))
+            if k not in _MEMO:
+                _MEMO[k] = fn(*args)
+            return _MEMO[k]
+        return cached
+    return decorate
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +133,7 @@ class CharPoly:
             rows[i][n - 1] = -low[i]
         return IntMatrix.from_rows(rows, n)
 
+    @_memo()
     def is_squarefree(self) -> bool:
         x = sympy.Symbol("x")
         p = sympy.Poly(self.coefficients, x)
@@ -149,6 +174,7 @@ WEIL_CATALOG = (
 )
 
 
+@_memo()
 def weil_weight_check(P: CharPoly) -> bool:
     """Pure-weight-one test: functional equation plus root location.
 
@@ -352,12 +378,14 @@ def herbrand_balanced(X: FrobObject) -> bool:
 # eigenvalue-product polynomials
 
 
+@_memo(lambda P, j: (P.coefficients, P.q, j))
 def eigenproduct_poly(P: CharPoly, j: int) -> tuple:
     """Monic integer polynomial whose roots are all ordered j-fold products
     of roots of P, with multiplicity; coefficients leading-first.
 
     Power sums of the product multiset are j-th powers of the power sums of
-    P, so Newton's identities reconstruct the coefficients exactly.
+    P, so Newton's identities reconstruct the coefficients exactly: every
+    division by k is exact, or the polynomial would not be integral.
     """
     if j < 0:
         raise ValueError("negative power")
@@ -367,38 +395,40 @@ def eigenproduct_poly(P: CharPoly, j: int) -> tuple:
     D = n ** j
     t = P.power_sums(D)
     s = [pow(tk, j) for tk in t]
-    E = [Fraction(1)]
+    E = [1]
     for k in range(1, D + 1):
-        acc = Fraction(0)
+        acc = 0
         for i in range(1, k + 1):
             acc += (-1) ** (i - 1) * E[k - i] * s[i - 1]
-        E.append(acc / k)
-    coeffs = []
-    for k in range(D + 1):
-        c = (-1) ** k * E[k]
-        if c.denominator != 1:
+        e, rem = divmod(acc, k)
+        if rem:
             raise ArithmeticError("composed power polynomial not integral")
-        coeffs.append(int(c))
-    return tuple(coeffs)
+        E.append(e)
+    return tuple((-1) ** k * e for k, e in enumerate(E))
 
 
 def rational_root_multiplicity(coeffs: tuple, target) -> int:
     """Multiplicity of a rational target as a root, by exact division.
 
-    coeffs leading-first; target int or Fraction.
+    coeffs leading-first, integers; target int or Fraction a/b.  Synthetic
+    division is by the primitive factor b*x - a, so by Gauss's lemma every
+    quotient coefficient of a root is an integer: an inexact step, like a
+    nonzero remainder, means the target is not a root.
     """
-    v = Fraction(target)
-    cur = [Fraction(c) for c in coeffs]
+    a, b = target.numerator, target.denominator
+    cur = list(coeffs)
     mult = 0
     while len(cur) > 1:
-        # synthetic division by (x - v)
-        out = [cur[0]]
-        for c in cur[1:]:
-            out.append(out[-1] * v + c)
-        if out[-1] != 0:
-            break
+        out = [0]
+        for c in cur[:-1]:
+            quo, rem = divmod(c + a * out[-1], b)
+            if rem:
+                return mult
+            out.append(quo)
+        if cur[-1] + a * out[-1]:
+            return mult
         mult += 1
-        cur = out[:-1]
+        cur = out[1:]
     return mult
 
 
@@ -496,17 +526,30 @@ def _cleared_minus_one(X: FrobObject, transpose: bool = False) -> IntMatrix:
 
 
 def _kernel_corank(P: CharPoly, ell: int, j: int, r: int) -> int:
+    # torsion_frob's checks on l, which a memo hit skips: the determinant of
+    # every box power is a power of the constant term of P
+    _check_base(P, ell)
+    LModule(ell, 0)  # rejects an l that is not prime
+    if P.coefficients[-1] % ell == 0:
+        raise ValueError("frobenius must be an automorphism at l")
+    return _box_nullity(P, ell, j, r)
+
+
+@_memo(lambda P, ell, j, r: (P, j, r))
+def _box_nullity(P: CharPoly, ell: int, j: int, r: int) -> int:
+    """Integer nullity of the cleared Frobenius - 1; the same at every l."""
     X = box_torsion_frob(P, ell, j, r)
     K = _cleared_minus_one(X, transpose=True)
     return integer_kernel_basis(K).cols
 
 
+@_memo()
 def fixed_vector_witness(P: CharPoly, j: int, r: int):
     """An explicit Frobenius-eigenvector certificate on the Tate side.
 
     For the boundary slot j = -2r the pairing relation C^T J C = q J has a
     nonzero rational solution J; tensor powers of it are fixed by the
-    twisted Frobenius.  Returns an integer vector v with C^kron(j) v =
+    twisted Frobenius.  Returns an integer tuple v with C^kron(j) v =
     q^(j+r) v, or None when the slot is not of pairing type.
     """
     if j <= 0 or j != -2 * r or j % 2:
@@ -537,7 +580,7 @@ def fixed_vector_witness(P: CharPoly, j: int, r: int):
     got = big.apply(out)
     if got != tuple(target * x for x in out):
         return None
-    return out
+    return tuple(out)
 
 
 def matrix_power_kron(m: IntMatrix, j: int) -> IntMatrix:
@@ -618,16 +661,7 @@ def duality_crosscheck(P: CharPoly, ell: int, j: int, r: int,
     if dim <= dim_cap:
         left = _kernel_corank(P, ell, j, r)
         left_method = "kernel"
-        # right side: fixed vectors of q^(-j-r) C^tensor j on the free module
-        C = P.companion()
-        big = matrix_power_kron(C, j)
-        a = -j - r
-        n = big.rows
-        if a >= 0:
-            K = big.scale(P.q ** a) - IntMatrix.identity(n)
-        else:
-            K = big - IntMatrix.identity(n).scale(P.q ** (-a))
-        right = integer_kernel_basis(K).cols
+        right = _tate_fixed_rank(P, j, r)
         right_method = "kernel"
     else:
         left = eigenproduct_multiplicity(P, j, r)
@@ -648,6 +682,19 @@ def duality_crosscheck(P: CharPoly, ell: int, j: int, r: int,
             agree = False
     return DualityReport(left, right, left_method, right_method, agree,
                          tuple(pairs), witness_checked, P.declared_for)
+
+
+@_memo()
+def _tate_fixed_rank(P: CharPoly, j: int, r: int) -> int:
+    """Rank of the vectors fixed by q^(-j-r) C^tensor j on the free module."""
+    big = matrix_power_kron(P.companion(), j)
+    a = -j - r
+    n = big.rows
+    if a >= 0:
+        K = big.scale(P.q ** a) - IntMatrix.identity(n)
+    else:
+        K = big - IntMatrix.identity(n).scale(P.q ** (-a))
+    return integer_kernel_basis(K).cols
 
 
 # ---------------------------------------------------------------------------

@@ -137,3 +137,44 @@ def rational_rank(rows):
 
 def rational_nullity(rows, cols):
     return cols - rational_rank(rows) if rows else cols
+
+
+def fraction_eigenproduct_poly(P, j):
+    """Coefficients (leading-first) of the j-fold root product polynomial.
+
+    Newton's identities in Fraction arithmetic, integrality checked only at
+    the end: the slow route the library's integer recurrence replaces.
+    """
+    if j == 0:
+        return (1, -1)
+    D = P.degree ** j
+    s = [pow(tk, j) for tk in P.power_sums(D)]
+    E = [Fraction(1)]
+    for k in range(1, D + 1):
+        acc = Fraction(0)
+        for i in range(1, k + 1):
+            acc += (-1) ** (i - 1) * E[k - i] * s[i - 1]
+        E.append(acc / k)
+    coeffs = []
+    for k in range(D + 1):
+        c = (-1) ** k * E[k]
+        if c.denominator != 1:
+            raise ArithmeticError("composed power polynomial not integral")
+        coeffs.append(int(c))
+    return tuple(coeffs)
+
+
+def fraction_root_multiplicity(coeffs, target):
+    """Multiplicity of a rational root by Fraction synthetic division."""
+    v = Fraction(target)
+    cur = [Fraction(c) for c in coeffs]
+    mult = 0
+    while len(cur) > 1:
+        out = [cur[0]]
+        for c in cur[1:]:
+            out.append(out[-1] * v + c)
+        if out[-1] != 0:
+            break
+        mult += 1
+        cur = out[:-1]
+    return mult

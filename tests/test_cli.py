@@ -8,6 +8,7 @@ from itertools import combinations
 import pytest
 from click.testing import CliRunner
 
+from devissage import cli, procyclic
 from devissage.cli import (
     RunConfig,
     SUITE_NAMES,
@@ -368,6 +369,38 @@ class TestRunLibrary:
         assert code == 0
         rendered = render_json(report).encode()
         assert hashlib.sha256(rendered).hexdigest() == digest
+
+    @pytest.mark.parametrize("fixture, digest", [
+        ("g1_swap.json",
+         "23269ceecce5926937c0d2d537dbe7ff4ddffbb281004ceffa336368d07d6fdd"),
+        ("g2_tree.json",
+         "c95d14399a8be1404cb2f9817ec8608aefaa85c47f834bc1a6a0ffd0a583d62c"),
+    ])
+    def test_golden_vanishing_digest(self, fixture, digest):
+        code, report = run(RunConfig(
+            input_path=os.path.join(FIXTURES, fixture),
+            suites=("vanishing",), seed=0))
+        assert code == 0
+        report["input"] = "instance.json"
+        rendered = render_json(report).encode()
+        assert hashlib.sha256(rendered).hexdigest() == digest
+
+    def test_memo_is_scoped_to_one_run(self, monkeypatch):
+        config = RunConfig(input_path=G1_SWAP, suites=("vanishing",), seed=0)
+        first = run(config)
+        assert procyclic._MEMO
+        sizes = []
+        real_load = cli.load_raw
+
+        def load_raw(path):
+            sizes.append(len(procyclic._MEMO))
+            return real_load(path)
+
+        monkeypatch.setattr(cli, "load_raw", load_raw)
+        second = run(config)
+        assert sizes == [0]
+        assert first[0] == second[0] == 0
+        assert render_json(first[1]) == render_json(second[1])
 
     @pytest.mark.parametrize("shape, want_code, digest", [
         ("k4", 0,

@@ -1,9 +1,12 @@
 """Cohomology over a finite base: Weil checks, vanishing probes, duality."""
 
 import random
+from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from devissage.errors import (
     InvalidInstance,
@@ -11,13 +14,21 @@ from devissage.errors import (
     MissingDualData,
     WeilCheckFailed,
 )
-from devissage.exactlin import CoLGroup, IntMatrix, LModule, dual
+from devissage.exactlin import (
+    CoLGroup,
+    IntMatrix,
+    LModule,
+    dual,
+    integer_kernel_basis,
+)
 from devissage.lprimary import FrobObject
 from devissage.procyclic import (
     WEIL_CATALOG,
     CharPoly,
+    _kernel_corank,
     base_extension,
     box_torsion_frob,
+    clear_memo,
     cohomology,
     duality_crosscheck,
     eigenproduct_multiplicity,
@@ -38,7 +49,13 @@ from devissage.procyclic import (
     weil_weight_check,
 )
 
-from oracles import brute_kernel_structure, group_structure, rational_nullity
+from oracles import (
+    brute_kernel_structure,
+    fraction_eigenproduct_poly,
+    fraction_root_multiplicity,
+    group_structure,
+    rational_nullity,
+)
 
 P_GENERIC = WEIL_CATALOG[0]      # T^2 - 2T + 5, q = 5
 P_CM = WEIL_CATALOG[1]           # T^2 + 5, q = 5
@@ -487,6 +504,107 @@ class TestDuality:
                 for r in (-1, 0, 1):
                     d = duality_crosscheck(P, ell, j, r, levels=2)
                     assert d.levels_agree
+
+
+def monic_polys():
+    """Random monic integer CharPoly, not necessarily of Weil type."""
+    return st.builds(
+        lambda deg, mid, c0, q: CharPoly((1,) + tuple(mid[:deg - 1]) + (c0,),
+                                         q),
+        st.sampled_from((2, 4)),
+        st.lists(st.integers(-6, 6), min_size=3, max_size=3),
+        st.integers(-30, 30).filter(bool),
+        st.sampled_from((2, 3, 4, 5, 7, 9)))
+
+
+def outcome(fn, *args):
+    """The value of fn(*args), or the type of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc)
+
+
+def uncached_corank(P, ell, j, r):
+    X = box_torsion_frob(P, ell, j, r)
+    return integer_kernel_basis(X.frob_minus_one_cleared(transpose=True)
+                                .matrix).cols
+
+
+def uncached_duality(P, ell, j, r):
+    left = uncached_corank(P, ell, j, r)
+    # the Tate side by Fraction elimination: q^a C^kron j - 1, a = -j - r
+    big = matrix_power_kron(P.companion(), j)
+    a = -j - r
+    n = big.rows
+    rows = [[big.data[i][k] * P.q ** max(a, 0)
+             - (P.q ** max(-a, 0) if i == k else 0) for k in range(n)]
+            for i in range(n)]
+    right = rational_nullity(rows, n)
+    witness = left > 0 and (
+        fixed_vector_witness.__wrapped__(P, j, r) is not None)
+    return left, right, left == right, witness
+
+
+ELLS = (2, 3, 4, 5, 7)
+# 2 and 3 divide the constant term, 7 divides q and 4 is not prime
+C0_SIX = CharPoly((1, 1, 6), 7)
+
+
+@st.composite
+def shuffled_grid(draw):
+    """One polynomial's (P, l, j, r) cases over every l, in random order."""
+    P = draw(st.one_of(monic_polys(), st.sampled_from(WEIL_CATALOG[:6]),
+                       st.just(C0_SIX)))
+    jmax = 2 if P.degree == 4 else 3
+    slots = draw(st.lists(st.tuples(st.integers(0, jmax), st.integers(-2, 2)),
+                          min_size=2, max_size=3, unique=True))
+    return draw(st.permutations(
+        [(P, ell, j, r) for j, r in slots for ell in ELLS]))
+
+
+class TestMemoAgainstSlowRoutes:
+    @settings(max_examples=40, deadline=None)
+    @given(P=monic_polys(), j=st.integers(0, 3))
+    def test_integer_newton_matches_fractions(self, P, j):
+        assert eigenproduct_poly(P, j) == fraction_eigenproduct_poly(P, j)
+
+    @settings(max_examples=80, deadline=None)
+    @given(roots=st.lists(st.tuples(st.integers(-6, 6), st.integers(1, 4)),
+                          max_size=4),
+           extra=st.lists(st.integers(-5, 5), min_size=1, max_size=4),
+           target=st.one_of(st.integers(-6, 6),
+                            st.builds(Fraction, st.integers(-6, 6),
+                                      st.integers(1, 4))))
+    def test_root_multiplicity_matches_fractions(self, roots, extra, target):
+        # a product of factors (b x - a) times a random integer polynomial
+        coeffs = extra
+        for a, b in roots + [(target.numerator, target.denominator)] * 2:
+            coeffs = [b * x - a * y
+                      for x, y in zip(coeffs + [0], [0] + coeffs)]
+        want = fraction_root_multiplicity(coeffs, target)
+        assert want >= 2
+        assert rational_root_multiplicity(tuple(coeffs), target) == want
+
+    @settings(max_examples=25, deadline=None)
+    @given(shuffled_grid())
+    # memo hits before the l checks that must still fail
+    @example([(C0_SIX, ell, 2, -1) for ell in (5, 2, 3, 7, 4)])
+    # slots that differ in only j or only r, and in their coranks
+    @example([(P_GENERIC, ell, j, r) for j, r in ((2, -1), (1, -1), (2, 0))
+              for ell in (2, 3)])
+    def test_memo_matches_uncached_route(self, cases):
+        clear_memo()
+        for P, ell, j, r in cases:
+            assert outcome(_kernel_corank, P, ell, j, r) == \
+                outcome(uncached_corank, P, ell, j, r)
+            want = outcome(uncached_duality, P, ell, j, r)
+            got = outcome(duality_crosscheck, P, ell, j, r)
+            if isinstance(want, type):
+                assert got is want
+            else:
+                assert (got.left_corank, got.right_corank, got.levels_agree,
+                        got.witness_checked) == want
 
 
 class TestInduced:
