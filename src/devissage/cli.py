@@ -48,7 +48,7 @@ from .errors import (
     UnknownSequence,
     WeilCheckFailed,
 )
-from .exactlin import CoLGroup, LModule, is_prime
+from .exactlin import PRIME_BOUND, CoLGroup, LModule, is_prime
 from .lprimary import (
     CoMap,
     box,
@@ -71,8 +71,6 @@ from .procyclic import (
 
 SCHEMA = "devissage/1"
 REPORT_SCHEMA = "devissage-report/1"
-SUITE_NAMES = ("boxcalc", "torsionlevels", "vanishing", "graph",
-               "splitting", "devissage", "bhn")
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +97,9 @@ class RunConfig:
     out: Optional[str] = None
 
     def __post_init__(self):
-        if self.ell is not None and not is_prime(self.ell):
+        # an ell at or above PRIME_BOUND is rejected by build_instance
+        if (self.ell is not None and self.ell < PRIME_BOUND
+                and not is_prime(self.ell)):
             raise InvalidInstance(f"ell must be prime, got {self.ell}")
         if not 1 <= self.max_level <= self.precision:
             raise InvalidInstance(
@@ -310,11 +310,14 @@ def build_instance(raw: dict, config: RunConfig):
     ell = config.ell if config.ell is not None else raw.get("ell")
     if ell is None:
         raise ParseError("no prime given: set 'ell' in the file or pass --ell")
+    if _int(ell, "ell") >= PRIME_BOUND:
+        raise ParseError(f"ell = {ell} is not below {PRIME_BOUND}, the bound "
+                         f"of the deterministic primality test")
     if "q" not in raw:
         raise ParseError("missing field 'q'")
     try:
         return sequences.SingularityInstance(
-            graph, divisors, jacobians, _int(ell, "ell"),
+            graph, divisors, jacobians, ell,
             _int(raw["q"], "q"),
             precision=config.precision, max_level=config.max_level)
     except (InvalidInstance, ConfigIncompatible, WeilCheckFailed, TypeError,
@@ -566,10 +569,10 @@ def _run_splitting(inst, config) -> dict:
 def _run_devissage(inst, config) -> dict:
     checks = []
     for s in range(1, inst.max_level + 1):
-        up = sequences.upsilon_structure(inst, 2, s)
-        st = up.structure
+        outer, inner = sequences.devissage(inst, 2, s)
+        st = inner.structure
         checks.append(_check(
-            f"kernel object structure at level {s}", up.verdict == "PASS",
+            f"kernel object structure at level {s}", inner.verdict == "PASS",
             sequence="upsilon",
             structure=(f"observed {st['observed']}, predicted "
                        f"{st['predicted']}, defect {st['defect']}"),
@@ -579,7 +582,6 @@ def _run_devissage(inst, config) -> dict:
             f"boundary cokernel structure at level {s}",
             lam.verdict == "PASS",
             structure=f"{lam.structure} with twist {lam.twist}"))
-        outer, inner = sequences.devissage(inst, 2, s)
         checks.append(_check(
             f"outer assembly exact at level {s}", outer.verdict == "PASS",
             sequence="dev1", modeled=True))
@@ -590,7 +592,7 @@ def _run_devissage(inst, config) -> dict:
 
 
 def _run_bhn(inst, config) -> dict:
-    rep = sequences.bhn_finite_field_report(inst)
+    rep = sequences.bhn_finite_field_report(inst, config.tree_cap)
     checks = [_check(name, ok, sequence="bhnfin", modeled=True)
               for name, ok in rep.checks]
     for rec in rep.levels:
@@ -617,6 +619,7 @@ _RUNNERS = {
     "devissage": _run_devissage,
     "bhn": _run_bhn,
 }
+SUITE_NAMES = tuple(_RUNNERS)
 
 
 # ---------------------------------------------------------------------------

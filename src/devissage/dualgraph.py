@@ -208,9 +208,6 @@ class DualGraph:
     def component_orbits(self) -> Tuple[Tuple[str, ...], ...]:
         return self._orbits(self.component_ids)
 
-    def node_orbits(self) -> Tuple[Tuple[str, ...], ...]:
-        return self._orbits(self.nodes)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, DualGraph):
             return NotImplemented
@@ -273,13 +270,21 @@ def _boundary_matrix(graph: DualGraph) -> IntMatrix:
     return IntMatrix.from_rows(rows, len(graph.edges))
 
 
+def perm_matrix(order: Sequence, image) -> IntMatrix:
+    """Permutation matrix with a 1 at (position of image(x), position of x).
+
+    order lists the coordinates; image maps each of them to a member of
+    order, bijectively.
+    """
+    index = {x: i for i, x in enumerate(order)}
+    rows = [[0] * len(order) for _ in order]
+    for j, x in enumerate(order):
+        rows[index[image(x)]][j] = 1
+    return IntMatrix.from_rows(rows, len(order))
+
+
 def _edge_perm_matrix(graph: DualGraph, perm: Dict[str, str]) -> IntMatrix:
-    eindex = {e: i for i, e in enumerate(graph.edges)}
-    nedges = len(graph.edges)
-    rows = [[0] * nedges for _ in range(nedges)]
-    for j, e in enumerate(graph.edges):
-        rows[eindex[graph.edge_image(perm, e)]][j] = 1
-    return IntMatrix.from_rows(rows, nedges)
+    return perm_matrix(graph.edges, lambda e: graph.edge_image(perm, e))
 
 
 def _compose_perms(first: Dict[str, str], then: Dict[str, str]) -> Dict[str, str]:
@@ -357,18 +362,13 @@ def rho(graph: DualGraph) -> int:
 
 
 def laplacian(graph: DualGraph) -> IntMatrix:
-    """Graph Laplacian, vertices in vertex_ids order."""
-    verts = graph.vertex_ids
-    vindex = {v: i for i, v in enumerate(verts)}
-    n = len(verts)
-    rows = [[0] * n for _ in range(n)]
-    for c, nd in graph.edges:
-        i, j = vindex[c], vindex[nd]
-        rows[i][i] += 1
-        rows[j][j] += 1
-        rows[i][j] -= 1
-        rows[j][i] -= 1
-    return IntMatrix.from_rows(rows, n)
+    """Graph Laplacian, vertices in vertex_ids order.
+
+    B B^T for the boundary matrix B; DualGraph has no repeated edges, so
+    every off-diagonal entry is -1 or 0.
+    """
+    B = _boundary_matrix(graph)
+    return B @ B.transpose()
 
 
 class _DSU:
@@ -474,11 +474,7 @@ def tree_orbits(graph: DualGraph, cap: int = DEFAULT_TREE_CAP):
 
 def m_gamma(graph: DualGraph, cap: int = DEFAULT_TREE_CAP) -> int:
     """Gcd of the spanning tree orbit sizes under the action."""
-    sizes = [len(o) for o in tree_orbits(graph, cap)]
-    out = 0
-    for s in sizes:
-        out = gcd(out, s)
-    return out
+    return gcd(*(len(o) for o in tree_orbits(graph, cap)))
 
 
 # ---------------------------------------------------------------------------
@@ -843,14 +839,8 @@ def build_xi(graph: DualGraph, config: DivisorConfig, ell: int, s: int) -> XiMod
             new_pt = dp[pt] if pt in div_index else gp[pt]
             return ("y", gp[comp], new_pt)
 
-        prows = [[0] * nvars for _ in range(nvars)]
-        for old, name in enumerate(var_names):
-            prows[vindex[var_image(name)]][old] = 1
-        P = IntMatrix.from_rows(prows, nvars)
-        drows = [[0] * ndiv for _ in range(ndiv)]
-        for old, d in enumerate(div_ids):
-            drows[div_index[dp[d]]][old] = 1
-        PD = IntMatrix.from_rows(drows, ndiv)
+        P = perm_matrix(var_names, var_image)
+        PD = perm_matrix(div_ids, dp.__getitem__)
         if (phi_ambient.matrix @ P) != (PD @ phi_ambient.matrix):
             raise ArithmeticError("divisor projection is not equivariant")
         if not (C @ (P @ K.inclusion.matrix)).mod(mod).is_zero():
@@ -1022,9 +1012,7 @@ def bezout_combine(splittings: Sequence[PsiSplitting],
                 and sp.xi.ell == xi.ell and sp.xi.level == xi.level):
             raise ValueError("splittings belong to different assemblies")
     sizes = [sp.m for sp in splittings]
-    g = 0
-    for szv in sizes:
-        g = gcd(g, szv)
+    g = gcd(*sizes)
     full = m_gamma(xi.graph, cap)
     if g != full:
         raise GcdShortfall(

@@ -31,17 +31,41 @@ from .errors import MismatchedPrime, PrecisionExhausted
 # small integer helpers
 
 
+# Miller-Rabin with the first 13 prime bases decides every n below
+# PRIME_BOUND, itself a strong pseudoprime to all 13 (Sorenson and Webster,
+# Math. Comp. 86, 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_SMALL_PRIMES = frozenset(_MR_BASES)
+PRIME_BOUND = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    """Trial-division primality check, adequate for the small primes used here."""
-    if n < 2:
+    """Deterministic Miller-Rabin primality test for n < PRIME_BOUND.
+
+    Raises ValueError for larger n, where the test is not proven exact.
+    """
+    if n <= _MR_BASES[-1]:
+        return n in _SMALL_PRIMES
+    if any(n % p == 0 for p in _MR_BASES):
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    if n >= PRIME_BOUND:
+        raise ValueError(
+            f"primality of {n} is not decided deterministically at or above "
+            f"{PRIME_BOUND}")
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -236,11 +260,10 @@ class IntMatrix:
 
 
 def smith_with_inverses(A: IntMatrix):
-    """Smith normal form with all four transforms.
+    """Smith normal form with the transforms its callers read.
 
-    Returns (U, D, V, Uinv, Vinv) with U A V = D, U and V unimodular,
-    Uinv = U^-1, Vinv = V^-1, D diagonal with non-negative entries and
-    d_i | d_{i+1}.
+    Returns (U, D, V, Uinv) with U A V = D, U and V unimodular,
+    Uinv = U^-1, D diagonal with non-negative entries and d_i | d_{i+1}.
 
     Pivot choice: the nonzero entry of smallest absolute value in the active
     block, ties broken in row-major order, which makes every run fully
@@ -252,7 +275,6 @@ def smith_with_inverses(A: IntMatrix):
     U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     Ui = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    Vi = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
     def row_swap(i, j):
         if i == j:
@@ -282,7 +304,6 @@ def smith_with_inverses(A: IntMatrix):
             r[i], r[j] = r[j], r[i]
         for r in V:
             r[i], r[j] = r[j], r[i]
-        Vi[i], Vi[j] = Vi[j], Vi[i]
 
     def col_add(j, i, c):
         # col_j += c * col_i
@@ -292,9 +313,6 @@ def smith_with_inverses(A: IntMatrix):
             r[j] += c * r[i]
         for r in V:
             r[j] += c * r[i]
-        vij, vjj = Vi[i], Vi[j]
-        for k in range(n):
-            vij[k] -= c * vjj[k]
 
     def negate_row(i):
         a[i] = [-x for x in a[i]]
@@ -371,7 +389,6 @@ def smith_with_inverses(A: IntMatrix):
         IntMatrix.from_rows(a, n),
         IntMatrix.from_rows(V, n),
         IntMatrix.from_rows(Ui, m),
-        IntMatrix.from_rows(Vi, n),
     )
 
 
@@ -386,7 +403,7 @@ def smith_normal_form(A) -> tuple:
     """
     if not isinstance(A, IntMatrix):
         A = IntMatrix.from_rows(A)
-    U, D, V, _, _ = smith_with_inverses(A)
+    U, D, V, _ = smith_with_inverses(A)
     return U, D, V
 
 
@@ -409,18 +426,10 @@ def integer_kernel_basis(A: IntMatrix) -> IntMatrix:
     The basis spans a saturated sublattice (the honest kernel, not a finite
     index subgroup of it).
     """
-    _, D, V, _, _ = smith_with_inverses(A)
-    r = 0
-    for i in range(min(D.rows, D.cols)):
-        if D.entry(i, i) != 0:
-            r += 1
+    _, D, V, _ = smith_with_inverses(A)
+    r = sum(1 for i in range(min(D.rows, D.cols)) if D.entry(i, i))
     idx = list(range(r, A.cols))
     return V.take_cols(idx)
-
-
-def rank(A: IntMatrix) -> int:
-    """Rank over Q."""
-    return len(invariant_factors(A))
 
 
 def solve_integer(A: IntMatrix, B: IntMatrix) -> Optional[IntMatrix]:
@@ -431,7 +440,7 @@ def solve_integer(A: IntMatrix, B: IntMatrix) -> Optional[IntMatrix]:
     """
     if A.rows != B.rows:
         raise ValueError(f"cannot solve a {A.rows}-row system for {B.rows} rows")
-    U, D, V, _, _ = smith_with_inverses(A)
+    U, D, V, _ = smith_with_inverses(A)
     Y = []
     for i, row in enumerate((U @ B).data):
         d = D.entry(i, i) if i < min(A.rows, A.cols) else 0
@@ -493,11 +502,6 @@ class LModule:
     def is_finite(self) -> bool:
         return self.free_rank == 0
 
-    @property
-    def exponent_valuation(self) -> int:
-        """v_l of the exponent of the torsion part (0 when torsion free)."""
-        return self.torsion_exponents[0] if self.torsion_exponents else 0
-
     def order(self) -> Optional[int]:
         """Cardinality for finite modules, None otherwise."""
         if not self.is_finite:
@@ -520,27 +524,6 @@ class LModule:
 
     def relation_cols(self) -> IntMatrix:
         return self.standard_relation_rows().transpose()
-
-    def element_count_of_level(self, k: int) -> int:
-        """Number of elements killed by l^k (finite part only contributes min)."""
-        if not self.is_finite:
-            raise ValueError("level counting needs a finite module")
-        return self.ell ** sum(min(e, k) for e in self.torsion_exponents)
-
-    def all_elements(self):
-        """Iterate coefficient tuples of all elements of a finite module."""
-        if not self.is_finite:
-            raise ValueError("cannot enumerate an infinite module")
-        orders = [self.ell ** e for e in self.torsion_exponents]
-
-        def rec(i, prefix):
-            if i == len(orders):
-                yield tuple(prefix)
-                return
-            for c in range(orders[i]):
-                yield from rec(i + 1, prefix + [c])
-
-        yield from rec(0, [])
 
     def reduce_vector(self, vec: Sequence[int]) -> tuple:
         """Reduce generator coordinates into canonical range."""
@@ -744,11 +727,8 @@ def canonicalize_with_maps(pres: Presentation) -> Canonicalized:
     p = pres.num_generators
     ell = pres.ell
     rel_cols = pres.relation_matrix().transpose()  # p x q
-    U, D, V, Ui, Vi = smith_with_inverses(rel_cols)
-    r = 0
-    for i in range(min(D.rows, D.cols)):
-        if D.entry(i, i) != 0:
-            r += 1
+    U, D, _, Ui = smith_with_inverses(rel_cols)
+    r = sum(1 for i in range(min(D.rows, D.cols)) if D.entry(i, i))
     # classify the z-coordinates
     free_idx = list(range(r, p))
     torsion = []  # (exponent, index)

@@ -25,7 +25,6 @@ of one CLI run (clear_memo); the checks that do depend on l run per call.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import wraps
 from math import gcd
 from typing import Union
@@ -555,32 +554,24 @@ def fixed_vector_witness(P: CharPoly, j: int, r: int):
     if j <= 0 or j != -2 * r or j % 2:
         return None
     C = P.companion()
-    n = C.rows
-    CC = C.kron(C)
     # the functional equation pairs each root a with q/a, so q is always an
-    # eigenvalue of C kron C; solve (C kron C - q) w = 0 over Q
-    rows = [[Fraction(CC.data[a][b]) for b in range(n * n)]
-            for a in range(n * n)]
-    for a in range(n * n):
-        rows[a][a] -= P.q
-    w = _nullspace_vector(rows)
-    if w is None:
+    # eigenvalue of C kron C; any integer kernel vector of C kron C - q will do
+    CC = C.kron(C)
+    K = integer_kernel_basis(CC - IntMatrix.identity(CC.rows).scale(P.q))
+    if not K.cols:
         return None
-    den = 1
-    for x in w:
-        den = den * x.denominator // gcd(den, x.denominator)
-    v = [int(x * den) for x in w]
+    v = K.col(0)
     # tensor up to j/2 copies
     out = v
     for _ in range(j // 2 - 1):
-        out = [a * b for a in out for b in v]
+        out = tuple(a * b for a in out for b in v)
     # verify: C^kron j out = q^(j+r) out
     big = matrix_power_kron(C, j)
     target = P.q ** (j + r)
     got = big.apply(out)
     if got != tuple(target * x for x in out):
         return None
-    return tuple(out)
+    return out
 
 
 def matrix_power_kron(m: IntMatrix, j: int) -> IntMatrix:
@@ -588,42 +579,6 @@ def matrix_power_kron(m: IntMatrix, j: int) -> IntMatrix:
     for _ in range(j):
         out = out.kron(m)
     return out
-
-
-def _nullspace_vector(rows):
-    """One nonzero rational kernel vector of a square fraction matrix."""
-    n = len(rows)
-    mat = [row[:] for row in rows]
-    piv_cols = []
-    rr = 0
-    for c in range(n):
-        p = None
-        for a in range(rr, n):
-            if mat[a][c] != 0:
-                p = a
-                break
-        if p is None:
-            continue
-        mat[rr], mat[p] = mat[p], mat[rr]
-        inv = 1 / mat[rr][c]
-        mat[rr] = [x * inv for x in mat[rr]]
-        for a in range(n):
-            if a != rr and mat[a][c] != 0:
-                f = mat[a][c]
-                mat[a] = [x - f * y for x, y in zip(mat[a], mat[rr])]
-        piv_cols.append(c)
-        rr += 1
-        if rr == n:
-            return None
-    free = [c for c in range(n) if c not in piv_cols]
-    if not free:
-        return None
-    c0 = free[0]
-    vec = [Fraction(0)] * n
-    vec[c0] = Fraction(1)
-    for i, c in enumerate(piv_cols):
-        vec[c] = -mat[i][c0]
-    return vec
 
 
 # ---------------------------------------------------------------------------

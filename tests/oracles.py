@@ -178,3 +178,17 @@ def fraction_root_multiplicity(coeffs, target):
         mult += 1
         cur = out[:-1]
     return mult
+
+
+def trial_division_is_prime(n):
+    """Primality by trial division: exact for every n, slow for large n."""
+    if n < 2:
+        return False
+    if n % 2 == 0:
+        return n == 2
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 2
+    return True

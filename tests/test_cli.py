@@ -21,6 +21,7 @@ from devissage.cli import (
     run,
 )
 from devissage.errors import InvalidInstance, ParseError, UnknownSequence
+from devissage.exactlin import PRIME_BOUND
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 G1_SWAP = os.path.join(FIXTURES, "g1_swap.json")
@@ -316,6 +317,8 @@ class TestRunLibrary:
         ("genus", 0.9, "components[0].genus"),
         ("ell", 3.7, "ell"),
         ("f", True, "jacobians[0].f"),
+        # beyond the bound where primality is decided deterministically
+        ("ell", PRIME_BOUND, "ell"),
     ])
     def test_malformed_field_exits_four(self, tmp_path, field, value, named):
         payload = banana_raw(
@@ -335,10 +338,18 @@ class TestRunLibrary:
         assert named in report["error"]["message"]
 
     def test_cap_exhaustion_exits_three(self):
-        code, report = run(RunConfig(input_path=G1_SWAP, suites=("graph",),
-                                     tree_cap=2))
-        assert code == 3
-        assert report["error"]["kind"] == "cap"
+        for suite in ("graph", "splitting", "bhn"):
+            code, report = run(RunConfig(input_path=G1_SWAP, suites=(suite,),
+                                         tree_cap=2))
+            assert code == 3, suite
+            assert report["error"]["kind"] == "cap", suite
+
+    def test_large_prime_ell_finishes(self):
+        code, report = run(RunConfig(input_path=G1_SWAP,
+                                     suites=("graph", "bhn"),
+                                     ell=2 ** 61 - 1))
+        assert code == 0
+        assert report["config"]["ell"] == 2 ** 61 - 1
 
     def test_bhn_needs_single_generator(self, tmp_path):
         payload = banana_raw(action=[[["a", "b"]], [["u", "v"]]])
@@ -472,6 +483,14 @@ class TestCommandLine:
         runner = CliRunner()
         res = runner.invoke(main, ["run", "--input", G2_TREE, "--ell", "9"])
         assert res.exit_code == 4
+
+    def test_ell_flag_beyond_prime_bound_exits_four(self):
+        runner = CliRunner()
+        res = runner.invoke(main, ["run", "--input", G2_TREE,
+                                   "--ell", str(PRIME_BOUND + 2)])
+        assert res.exit_code == 4
+        error = json.loads(res.stdout)["error"]
+        assert error["kind"] == "parse" and "ell" in error["message"]
 
     def test_tree_cap_flag_exits_three(self):
         runner = CliRunner()

@@ -20,8 +20,10 @@ from devissage.dualgraph import (
     default_divisors,
     h1_lattice,
     invariant_rank,
+    laplacian,
     m_gamma,
     n_x,
+    perm_matrix,
     random_legal_graph,
     rho,
     spanning_trees,
@@ -115,7 +117,8 @@ def oriented_boundary(graph):
     return rows
 
 
-def laplacian_cofactor(graph):
+def laplacian_rows(graph):
+    """Degree minus adjacency, one edge at a time."""
     verts = list(graph.vertex_ids)
     vi = {v: i for i, v in enumerate(verts)}
     n = len(verts)
@@ -126,7 +129,11 @@ def laplacian_cofactor(graph):
         lap[j][j] += 1
         lap[i][j] -= 1
         lap[j][i] -= 1
-    minor = [row[:-1] for row in lap[:-1]]
+    return lap
+
+
+def laplacian_cofactor(graph):
+    minor = [row[:-1] for row in laplacian_rows(graph)[:-1]]
     return int(sympy.Matrix(minor).det())
 
 
@@ -319,6 +326,13 @@ class TestBetti:
             assert b == len(g.edges) - rational_rank(rows)
 
 
+class TestPermMatrix:
+    def test_column_of_x_has_its_one_at_the_image_of_x(self):
+        P = perm_matrix(("a", "b", "c"), {"a": "b", "b": "c", "c": "a"}.get)
+        assert [list(r) for r in P.data] == [[0, 0, 1], [1, 0, 0], [0, 1, 0]]
+        assert P.apply((1, 2, 3)) == (3, 1, 2)
+
+
 class TestHomologyLattice:
     def test_tree_has_rank_zero(self):
         lat = h1_lattice(tree_pair())
@@ -427,6 +441,12 @@ class TestNX:
 
 
 class TestSpanningTrees:
+    def test_laplacian_matches_edge_by_edge_construction(self):
+        rng = random.Random(5)
+        for _ in range(30):
+            g = random_legal_graph(rng)
+            assert [list(r) for r in laplacian(g).data] == laplacian_rows(g)
+
     def test_tree_graph_is_its_own_unique_tree(self):
         g = tree_pair()
         trees = spanning_trees(g)

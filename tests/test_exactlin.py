@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from devissage.errors import MismatchedPrime, PrecisionExhausted
 from devissage.exactlin import (
+    PRIME_BOUND,
     Canonicalized,
     CoLGroup,
     IntMatrix,
@@ -23,6 +24,7 @@ from devissage.exactlin import (
     image,
     integer_kernel_basis,
     invariant_factors,
+    is_prime,
     kernel,
     preimage,
     smith_normal_form,
@@ -38,6 +40,7 @@ from oracles import (
     brute_cokernel_structure,
     brute_kernel_structure,
     rational_nullity,
+    trial_division_is_prime,
 )
 
 
@@ -68,11 +71,10 @@ class TestSmith:
             A = IntMatrix.from_rows(
                 [[rng.randint(-40, 40) for _ in range(n)] for _ in range(m)], n
             )
-            U, D, V, Ui, Vi = smith_with_inverses(A)
+            U, D, V, Ui = smith_with_inverses(A)
             assert (U @ A @ V) == D
             assert abs(U.det()) == 1 and abs(V.det()) == 1
             assert (Ui @ U) == IntMatrix.identity(m)
-            assert (Vi @ V) == IntMatrix.identity(n)
             diag = [D.entry(i, i) for i in range(min(m, n))]
             for i in range(len(diag) - 1):
                 assert diag[i] >= 0
@@ -523,6 +525,23 @@ class TestSumsTensors:
 
 
 class TestMisc:
+    def test_is_prime_matches_trial_division(self):
+        for n in range(-5, 10 ** 5):
+            assert is_prime(n) == trial_division_is_prime(n), n
+
+    def test_is_prime_beyond_trial_division(self):
+        # strong pseudoprimes to the bases 2..7 and 2..23 respectively
+        for n, factors in ((3215031751, (151, 751, 28351)),
+                           (3825123056546413051, (149491, 747451, 34233211))):
+            assert n == factors[0] * factors[1] * factors[2]
+            assert not is_prime(n)
+        assert is_prime(2 ** 61 - 1) and is_prime(10 ** 12 + 39)
+        assert not is_prime((2 ** 31 - 1) * (10 ** 12 + 39))
+        assert is_prime(10 ** 24 + 7)
+        # the bound itself is a strong pseudoprime to all 13 bases
+        with pytest.raises(ValueError):
+            is_prime(PRIME_BOUND)
+
     def test_valuation(self):
         assert valuation(-48, 2) == 4
         with pytest.raises(ValueError):

@@ -606,6 +606,24 @@ class TestMemoAgainstSlowRoutes:
                 assert (got.left_corank, got.right_corank, got.levels_agree,
                         got.witness_checked) == want
 
+    @settings(max_examples=40, deadline=None)
+    @given(P=monic_polys(), j=st.sampled_from((2, 4)))
+    @example(P=P_GENERIC, j=2)
+    @example(P=P_GENERIC, j=4)
+    def test_witness_matches_rational_nullity(self, P, j):
+        r = -j // 2
+        w = fixed_vector_witness.__wrapped__(P, j, r)
+        C = P.companion()
+        n = C.rows * C.rows
+        CC = C.kron(C)
+        rows = [[CC.data[a][b] - (P.q if a == b else 0) for b in range(n)]
+                for a in range(n)]
+        assert (w is not None) == (rational_nullity(rows, n) > 0)
+        if w is not None:
+            assert any(w)
+            assert matrix_power_kron(C, j).apply(w) == tuple(
+                P.q ** (j + r) * x for x in w)
+
 
 class TestInduced:
     def test_identity_degree(self):
