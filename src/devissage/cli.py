@@ -30,14 +30,10 @@ from .dualgraph import (
     bezout_combine,
     betti,
     build_psi,
-    build_xi,
     default_divisors,
-    h1_lattice,
     invariant_rank,
     laplacian,
     n_x,
-    spanning_trees,
-    tree_orbits,
 )
 from .errors import (
     ConfigIncompatible,
@@ -319,7 +315,8 @@ def build_instance(raw: dict, config: RunConfig):
         return sequences.SingularityInstance(
             graph, divisors, jacobians, ell,
             _int(raw["q"], "q"),
-            precision=config.precision, max_level=config.max_level)
+            precision=config.precision, max_level=config.max_level,
+            tree_cap=config.tree_cap)
     except (InvalidInstance, ConfigIncompatible, WeilCheckFailed, TypeError,
             ValueError) as exc:
         raise ParseError(f"instance: {exc}") from exc
@@ -503,22 +500,19 @@ def _rational_fixed_rank(lattice) -> int:
 
 
 def _run_graph(inst, config) -> dict:
-    g = inst.graph
-    lattice = h1_lattice(g)
-    trees = spanning_trees(g, cap=config.tree_cap)
-    orbits = tree_orbits(g, cap=config.tree_cap)
-    sizes = sorted(len(o) for o in orbits)
-    m_value = gcd(*sizes)  # m_gamma, from the orbits in hand
+    g, lattice = inst.graph, inst.lattice
+    sizes = sorted(len(o) for o in inst.orbits)
+    n_trees = sum(sizes)
     fixed = invariant_rank(lattice)
     return _suite([
         _check("first betti number agrees with the cycle lattice rank",
                betti(g) == lattice.rank, structure=f"betti={betti(g)}"),
         _check("spanning tree enumeration matches the matrix tree count",
-               len(trees) == _laplacian_cofactor(g),
-               structure=f"{len(trees)} trees"),
+               n_trees == _laplacian_cofactor(g),
+               structure=f"{n_trees} trees"),
         _check("orbit sizes partition the tree set",
-               sum(sizes) == len(trees),
-               structure=f"m={m_value}, orbit sizes {sizes}"),
+               len({t for o in inst.orbits for t in o}) == n_trees,
+               structure=f"m={inst.m}, orbit sizes {sizes}"),
         _check("fixed cycle rank agrees between integer and rational "
                "routes", fixed == _rational_fixed_rank(lattice),
                structure=f"rho={fixed}"),
@@ -527,35 +521,33 @@ def _run_graph(inst, config) -> dict:
 
 def _run_splitting(inst, config) -> dict:
     g, div_cfg, ell = inst.graph, inst.divisors, inst.ell
-    orbits = tree_orbits(g, cap=config.tree_cap)
-    m_value = gcd(*(len(o) for o in orbits))  # m_gamma, from the orbits
 
     # smallest deterministic prefix of orbits whose sizes reach the gcd
     chosen = []
     running = 0
-    for orbit in orbits:
+    for orbit in inst.orbits:
         chosen.append(orbit)
         running = gcd(running, len(orbit))
-        if running == m_value:
+        if running == inst.m:
             break
 
     checks = []
     for s in range(1, inst.max_level + 1):
-        xi = build_xi(g, div_cfg, ell, s)
+        xi = inst.xi(s)
         checks.append(_check(
             f"residue sequence exact at level {s}",
             xi.spl2_exact and xi.phi_onto_ker_sum,
             sequence="spl2", structure=str(xi.module)))
         psis = [build_psi(g, div_cfg, o, ell, s, xi=xi) for o in chosen]
-        combined = bezout_combine(psis, cap=config.tree_cap)
-        section_ok = (combined.phi_check and combined.m == m_value
+        combined = bezout_combine(psis, inst.m)
+        section_ok = (combined.phi_check and combined.m == inst.m
                       and all(sp.phi_check and sp.equivariance_check
                               for sp in psis))
         checks.append(_check(
             f"combined section multiplies by the orbit gcd at level {s}",
             section_ok, sequence="spl2",
             structure=f"m={combined.m}, orbits used {len(psis)}"))
-        if m_value % ell != 0:
+        if inst.m % ell != 0:
             mod = ell ** s
             inv = pow(combined.m % mod, -1, mod)
             lhs = xi.phi_ambient.matrix @ combined.psi_ambient.matrix.scale(inv)
@@ -592,7 +584,7 @@ def _run_devissage(inst, config) -> dict:
 
 
 def _run_bhn(inst, config) -> dict:
-    rep = sequences.bhn_finite_field_report(inst, config.tree_cap)
+    rep = sequences.bhn_finite_field_report(inst)
     checks = [_check(name, ok, sequence="bhnfin", modeled=True)
               for name, ok in rep.checks]
     for rec in rep.levels:

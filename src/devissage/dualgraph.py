@@ -304,7 +304,6 @@ def h1_lattice(graph: DualGraph) -> HomologyLattice:
     basis = integer_kernel_basis(boundary)
     c = basis.cols
     mats = []
-    perms = []
     for p in graph.action:
         P = _edge_perm_matrix(graph, p)
         M = solve_integer(basis, P @ basis)
@@ -313,12 +312,11 @@ def h1_lattice(graph: DualGraph) -> HomologyLattice:
         if c and M.det() not in (1, -1):
             raise ArithmeticError("induced action matrix is not unimodular")
         mats.append(M)
-        perms.append(p)
 
     # relation check: every word of length <= 4 in the generators must act
     # through the matrix computed from the composed permutation; the basis
     # columns are independent, so basis @ mat = P_w @ basis pins mat down
-    ngen = len(perms)
+    ngen = len(graph.action)
     if ngen and c:
         words: List[Tuple[int, ...]] = [()]
         for _ in range(4):
@@ -329,7 +327,7 @@ def h1_lattice(graph: DualGraph) -> HomologyLattice:
                 perm = {v: v for v in graph.vertex_ids}
                 mat = IntMatrix.identity(c)
                 for i in w:
-                    perm = _compose_perms(perm, perms[i])
+                    perm = _compose_perms(perm, graph.action[i])
                     mat = mats[i] @ mat
                 if basis @ mat != _edge_perm_matrix(graph, perm) @ basis:
                     raise ArithmeticError(
@@ -397,15 +395,24 @@ class _DSU:
 def spanning_trees(graph: DualGraph, cap: int = DEFAULT_TREE_CAP):
     """All spanning trees, each a sorted tuple of edges.
 
-    Deletion/contraction recursion in sorted edge order: at every edge the
-    branch that keeps it contracts (union in the forest), the branch that
-    drops it prunes when the remaining edges can no longer connect the
-    graph.  The count is cross checked against a Laplacian cofactor; a
-    mismatch means the enumerator itself is broken and raises immediately.
+    A Laplacian cofactor counts the trees first (the matrix-tree theorem),
+    so more than cap trees raise EnumerationCapExceeded, naming the count,
+    before anything is enumerated.  Deletion/contraction recursion in
+    sorted edge order: at every edge the branch that keeps it contracts
+    (union in the forest), the branch that drops it prunes when the
+    remaining edges can no longer connect the graph.  The enumeration is
+    cross checked against the cofactor; a mismatch means the enumerator
+    itself is broken and raises immediately.
     """
     verts = graph.vertex_ids
     vindex = {v: i for i, v in enumerate(verts)}
     nverts = len(verts)
+    idx = list(range(1, nverts))
+    cofactor = laplacian(graph).take_rows(idx).take_cols(idx).det()
+    if cofactor > cap:
+        raise EnumerationCapExceeded(
+            f"{cofactor} spanning trees exceed the cap of {cap}; raise the "
+            f"cap to enumerate")
     edges = graph.edges
     target = nverts - 1
     found: List[Tuple[int, ...]] = []
@@ -421,9 +428,6 @@ def spanning_trees(graph: DualGraph, cap: int = DEFAULT_TREE_CAP):
     def rec(i: int, dsu: _DSU, chosen: Tuple[int, ...]):
         if len(chosen) == target:
             found.append(chosen)
-            if len(found) > cap:
-                raise EnumerationCapExceeded(
-                    f"more than {cap} spanning trees; raise the cap to enumerate")
             return
         if i == len(edges) or len(chosen) + (len(edges) - i) < target:
             return
@@ -437,18 +441,8 @@ def spanning_trees(graph: DualGraph, cap: int = DEFAULT_TREE_CAP):
             rec(i + 1, inc, chosen + (i,))
         rec(i + 1, dsu, chosen)
 
-    if nverts == 1:
-        found = [()]
-    else:
-        rec(0, _DSU(nverts), ())
+    rec(0, _DSU(nverts), ())
     trees = sorted(tuple(edges[i] for i in t) for t in found)
-
-    L = laplacian(graph)
-    if nverts == 1:
-        cofactor = 1
-    else:
-        idx = list(range(1, nverts))
-        cofactor = L.take_rows(idx).take_cols(idx).det()
     if cofactor != len(trees):
         raise ArithmeticError(
             f"spanning tree enumeration found {len(trees)} trees but the "
@@ -997,11 +991,11 @@ class CombinedSplitting:
 
 
 def bezout_combine(splittings: Sequence[PsiSplitting],
-                   cap: int = DEFAULT_TREE_CAP) -> CombinedSplitting:
+                   m: int) -> CombinedSplitting:
     """Combine per orbit sections into one achieving the orbit size gcd.
 
-    The gcd of the supplied orbit sizes must equal the gcd over all orbits;
-    otherwise more orbits are needed and GcdShortfall reports both numbers.
+    The gcd of the supplied orbit sizes must equal m, the gcd over all
+    tree orbits (m_gamma); GcdShortfall reports both numbers otherwise.
     """
     if not splittings:
         raise ValueError("no splittings supplied")
@@ -1013,11 +1007,10 @@ def bezout_combine(splittings: Sequence[PsiSplitting],
             raise ValueError("splittings belong to different assemblies")
     sizes = [sp.m for sp in splittings]
     g = gcd(*sizes)
-    full = m_gamma(xi.graph, cap)
-    if g != full:
+    if g != m:
         raise GcdShortfall(
             f"orbit sizes {sizes} reach gcd {g}, but the full orbit gcd is "
-            f"{full}; supply more orbits")
+            f"{m}; supply more orbits")
 
     # fold extended gcds into one coefficient list
     coeffs = [1]

@@ -407,19 +407,6 @@ def smith_normal_form(A) -> tuple:
     return U, D, V
 
 
-def invariant_factors(A) -> list:
-    """Nonzero diagonal entries of the Smith form, in divisibility order."""
-    if not isinstance(A, IntMatrix):
-        A = IntMatrix.from_rows(A)
-    _, D, _ = smith_normal_form(A)
-    out = []
-    for i in range(min(D.rows, D.cols)):
-        d = D.entry(i, i)
-        if d != 0:
-            out.append(d)
-    return out
-
-
 def integer_kernel_basis(A: IntMatrix) -> IntMatrix:
     """Basis of {x in Z^cols : A x = 0} as columns of the returned matrix.
 

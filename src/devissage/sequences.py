@@ -9,6 +9,7 @@ groups); every report that contains such a term says so explicitly.
 """
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from math import gcd
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -23,10 +24,10 @@ from .dualgraph import (
     fixed_rank,
     h1_lattice,
     invariant_rank,
-    m_gamma,
     n_x,
     orbit_partition,
     perm_matrix,
+    tree_orbits,
 )
 from .errors import (
     ConfigIncompatible,
@@ -80,18 +81,22 @@ class SingularityInstance:
     divisors the finite horizontal configuration, and jacobians one Weil
     polynomial per positive-genus component orbit together with the degree
     f of the field the orbit is defined over.  q is the base field size.
+
+    The suites share graph objects computed on first use, once per instance:
+    the cycle lattice, the spanning tree orbits (enumerated under tree_cap),
+    their gcd m, and the level-s kernel assembly xi(s).
     """
 
     def __init__(self, graph: DualGraph, divisors: DivisorConfig, jacobians,
-                 ell: int, q: int, precision: int = 8, max_level: int = 4):
+                 ell: int, q: int, precision: int = 8, max_level: int = 4,
+                 tree_cap: int = DEFAULT_TREE_CAP):
         if not isinstance(graph, DualGraph):
             raise TypeError("graph must be a DualGraph")
         if not isinstance(divisors, DivisorConfig):
             raise TypeError("divisors must be a DivisorConfig")
         if divisors.graph != graph:
             raise ConfigIncompatible("divisor configuration built for another graph")
-        if not is_prime(ell):
-            raise InvalidInstance(f"l = {ell} is not prime")
+        _require_prime(ell)
         if q < 2:
             raise InvalidInstance("q must be a prime power >= 2")
         if gcd(q, ell) != 1:
@@ -105,6 +110,8 @@ class SingularityInstance:
         self.q = int(q)
         self.precision = int(precision)
         self.max_level = int(max_level)
+        self.tree_cap = int(tree_cap)
+        self._xi = {}
 
         if hasattr(jacobians, "items"):
             entries = [(rep, poly, f) for rep, (poly, f) in jacobians.items()]
@@ -159,6 +166,23 @@ class SingularityInstance:
         self.jacobians: Tuple[Tuple[str, CharPoly, int], ...] = tuple(
             sorted(checked))
 
+    @cached_property
+    def lattice(self) -> HomologyLattice:
+        return h1_lattice(self.graph)
+
+    @cached_property
+    def orbits(self):
+        return tree_orbits(self.graph, self.tree_cap)
+
+    @cached_property
+    def m(self) -> int:
+        return gcd(*(len(o) for o in self.orbits))
+
+    def xi(self, s: int) -> XiModule:
+        if s not in self._xi:
+            self._xi[s] = build_xi(self.graph, self.divisors, self.ell, s)
+        return self._xi[s]
+
     @property
     def is_finite_field_mode(self) -> bool:
         """A single permutation generates the action: one Frobenius."""
@@ -178,6 +202,15 @@ class SingularityInstance:
         if s > self.precision:
             raise PrecisionExhausted(
                 f"level {s} exceeds working precision {self.precision}")
+
+
+def _require_prime(ell: int):
+    try:
+        prime = is_prime(ell)
+    except ValueError as exc:  # ell at or above PRIME_BOUND: undecided
+        raise InvalidInstance(str(exc)) from exc
+    if not prime:
+        raise InvalidInstance(f"l = {ell} is not prime")
 
 
 def induced_jacobian_block(inst: SingularityInstance, rep: str) -> FrobObject:
@@ -325,7 +358,7 @@ def upsilon_structure(inst: SingularityInstance, r: int, s: int) -> ComplexRepor
     inst._require_level(s)
     ell, q = inst.ell, inst.q
     mod = ell ** s
-    lat = h1_lattice(inst.graph)
+    lat = inst.lattice
     c = lat.rank
     jrank = inst.jacobian_rank()
     twist = r - 2
@@ -467,11 +500,10 @@ def devissage(inst: SingularityInstance, r: int,
     inst._require_level(s)
     ell, q = inst.ell, inst.q
     mod = ell ** s
-    graph, config = inst.graph, inst.divisors
-    lat = h1_lattice(graph)
+    lat = inst.lattice
     c = lat.rank
     jrank = inst.jacobian_rank()
-    ndiv = len(config.ids)
+    ndiv = len(inst.divisors.ids)
     twist = r - 2
 
     inner = upsilon_structure(inst, r, s)
@@ -486,7 +518,7 @@ def devissage(inst: SingularityInstance, r: int,
                 IntMatrix.zeros(ndiv - 1, jrank + c).hstack(
                     IntMatrix.identity(ndiv - 1)))
 
-    xi = build_xi(graph, config, ell, s)
+    xi = inst.xi(s)
     B = difference_basis(ndiv)
     scalar = pow(q, twist, mod)
     jac_blocks = _jacobian_level_blocks(inst, twist, s)
@@ -609,8 +641,7 @@ def ono_check(lattice: Union[HomologyLattice, Sequence[IntMatrix]],
     sides are computed as saturated integer kernels of the stacked
     generator differences, with no resolution of the lattice involved.
     """
-    if not is_prime(ell):
-        raise InvalidInstance(f"l = {ell} is not prime")
+    _require_prime(ell)
     if isinstance(lattice, HomologyLattice):
         mats = list(lattice.action_matrices)
         n = lattice.rank
@@ -704,8 +735,7 @@ def _induced_on_cokernels(f: LMap, cok_dom, cok_cod) -> LMap:
     return h
 
 
-def bhn_finite_field_report(inst: SingularityInstance,
-                            cap: int = DEFAULT_TREE_CAP) -> BhnReport:
+def bhn_finite_field_report(inst: SingularityInstance) -> BhnReport:
     """Five-term report over a finite base with every claim re-verified.
 
     Checks, per level up to the instance cap: the first cohomology of the
@@ -713,21 +743,19 @@ def bhn_finite_field_report(inst: SingularityInstance,
     dual-lattice equality), the kernel term F of the map into the residue
     kernel cohomology (killed by the tree-orbit gcd), and the vanishing of
     the jacobian block cohomology by two routes.  The two field-cohomology
-    terms in the display are assembled models and say so.  cap bounds the
-    spanning tree enumeration behind m.
+    terms in the display are assembled models and say so.  The spanning
+    tree enumeration behind m runs under the instance's cap.
     """
     if not inst.is_finite_field_mode:
         raise InvalidInstance(
             "five-term report needs a single Frobenius permutation")
-    graph, config = inst.graph, inst.divisors
     ell, q = inst.ell, inst.q
-    lat = h1_lattice(graph)
+    lat = inst.lattice
     c = lat.rank
     rho_value = invariant_rank(lat)
-    m_value = m_gamma(graph, cap)
+    m_value = inst.m
 
-    msigma = (lat.action_matrices[0] if lat.action_matrices
-              else IntMatrix.identity(c))
+    msigma = _cycle_action(lat, 0)
     fo = FrobObject(CoLGroup(LModule(ell, c)), msigma, q,
                     precision=inst.precision)
     h1_group = h1(fo)
@@ -738,7 +766,7 @@ def bhn_finite_field_report(inst: SingularityInstance,
     levels = []
     for s in range(1, inst.max_level + 1):
         mod = ell ** s
-        xi = build_xi(graph, config, ell, s)
+        xi = inst.xi(s)
         amb = (xi.ambient_actions[0] if xi.ambient_actions
                else IntMatrix.identity(len(xi.var_names)))
         sigma_xi = _module_action(xi, amb)
@@ -775,7 +803,7 @@ def bhn_finite_field_report(inst: SingularityInstance,
     cores = tuple(corestriction_surjective(q, ell, 0, f) for f in degrees)
 
     div_orbit_count = len(orbit_partition(
-        config.ids, lambda d: [p[d] for p in config.action]))
+        inst.divisors.ids, lambda d: [p[d] for p in inst.divisors.action]))
     display = (
         DisplayTerm("F", "computed",
                     f"killed by m = {m_value}; largest level exponent "

@@ -242,7 +242,7 @@ def _splitting_ok(graph, config, ell, s, m_value, orbits) -> bool:
             break
     psis = [build_psi(graph, config, o, ell, s, xi=xi) for o in chosen]
     ok &= all(sp.phi_check and sp.equivariance_check for sp in psis)
-    combined = bezout_combine(psis)
+    combined = bezout_combine(psis, m_value)
     ok &= combined.phi_check and combined.m == m_value
     basis = psis[0].basis
     ndiv = len(config.ids)

@@ -3,12 +3,13 @@
 import hashlib
 import json
 import os
+import time
 from itertools import combinations
 
 import pytest
 from click.testing import CliRunner
 
-from devissage import cli, procyclic
+from devissage import cli, procyclic, sequences
 from devissage.cli import (
     RunConfig,
     SUITE_NAMES,
@@ -55,17 +56,17 @@ def banana_raw(genus=(0, 0), action=True, **extra):
     return payload
 
 
-def subdivided_k4_raw():
-    """K4 with a node on every edge (betti 3); the action rotates the
-    four components, the nodes follow."""
-    pairs = list(combinations(range(4), 2))
+def subdivided_complete_raw(n):
+    """K_n (n <= 10) with a node on every edge; the action rotates the n
+    components, the nodes follow."""
+    pairs = list(combinations(range(n), 2))
     nodes = [f"n{i}{j}" for i, j in pairs]
     edges = [[f"c{k}", f"n{i}{j}"] for i, j in pairs for k in (i, j)]
     perm = {}
     for i, j in pairs:
-        a, b = sorted(((i + 1) % 4, (j + 1) % 4))
+        a, b = sorted(((i + 1) % n, (j + 1) % n))
         perm[f"n{i}{j}"] = f"n{a}{b}"
-    cycles, seen = [[f"c{i}" for i in range(4)]], set()
+    cycles, seen = [[f"c{i}" for i in range(n)]], set()
     for start in nodes:
         cyc, v = [], start
         while v not in seen:
@@ -76,13 +77,18 @@ def subdivided_k4_raw():
             cycles.append(cyc)
     return {
         "schema": "devissage/1",
-        "components": [{"id": f"c{i}", "genus": 0} for i in range(4)],
+        "components": [{"id": f"c{i}", "genus": 0} for i in range(n)],
         "nodes": nodes,
         "edges": edges,
         "action": [cycles],
         "ell": 3,
         "q": 5,
     }
+
+
+def subdivided_k4_raw():
+    """K4 with a node on every edge (betti 3)."""
+    return subdivided_complete_raw(4)
 
 
 def banana4_raw():
@@ -344,6 +350,24 @@ class TestRunLibrary:
             assert code == 3, suite
             assert report["error"]["kind"] == "cap", suite
 
+    def test_graph_objects_built_once_per_run(self, monkeypatch):
+        calls = {"tree_orbits": 0, "build_xi": 0}
+        for name in calls:
+            def counted(*args, _name=name, _real=getattr(sequences, name),
+                        **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(sequences, name, counted)
+        code, _ = run(RunConfig(input_path=G2_TREE))
+        assert code == 0
+        assert calls == {"tree_orbits": 1, "build_xi": 4}  # max_level 4
+
+    def test_cap_does_not_leak_between_runs(self):
+        suites = ("graph", "splitting", "bhn")
+        capped = run(RunConfig(input_path=G1_SWAP, suites=suites, tree_cap=2))
+        assert capped[0] == 3
+        assert run(RunConfig(input_path=G1_SWAP, suites=suites))[0] == 0
+
     def test_large_prime_ell_finishes(self):
         code, report = run(RunConfig(input_path=G1_SWAP,
                                      suites=("graph", "bhn"),
@@ -497,6 +521,23 @@ class TestCommandLine:
         res = runner.invoke(main, ["run", "--input", G1_SWAP,
                                    "--suite", "graph", "--tree-cap", "2"])
         assert res.exit_code == 3
+
+    @pytest.mark.parametrize("args, seconds", [
+        (["--suite", "graph"], 2.0),
+        (["--suite", "bhn", "--tree-cap", "2000"], 1.0),
+    ])
+    def test_cap_fails_before_enumerating(self, tmp_path, args, seconds):
+        # subdivided K6 has 1327104 spanning trees: a minute to enumerate,
+        # one determinant to count
+        path = write_instance(tmp_path, subdivided_complete_raw(6))
+        started = time.perf_counter()
+        res = CliRunner().invoke(main, ["run", "--input", path] + args,
+                                 env={"DEVISSAGE_TREE_CAP": None})
+        elapsed = time.perf_counter() - started
+        assert res.exit_code == 3
+        error = json.loads(res.stdout)["error"]
+        assert error["kind"] == "cap" and "1327104" in error["message"]
+        assert elapsed < seconds
 
     def test_tree_cap_env_override(self):
         runner = CliRunner()

@@ -471,6 +471,11 @@ class TestSpanningTrees:
         with pytest.raises(EnumerationCapExceeded):
             spanning_trees(banana(), cap=3)
 
+    def test_enumeration_cap_names_the_count(self):
+        with pytest.raises(EnumerationCapExceeded,
+                           match=r"^4 spanning trees exceed"):
+            spanning_trees(banana(), cap=3)
+
     def test_members_are_spanning_trees_and_count_matches_determinant(self):
         rng = random.Random(404)
         for _ in range(50):
@@ -876,7 +881,7 @@ class TestBezoutCombine:
         cfg = default_divisors(g)
         xi = build_xi(g, cfg, 3, 1)
         sps = [build_psi(g, cfg, o, 3, 1, xi=xi) for o in tree_orbits(g)]
-        combined = bezout_combine(sps)
+        combined = bezout_combine(sps, m_gamma(g))
         assert combined.m == 2
         assert combined.orbit_sizes == (2, 2)
         assert combined.phi_check
@@ -885,7 +890,7 @@ class TestBezoutCombine:
         g = rotation_cycle()
         cfg = default_divisors(g)
         sp = build_psi(g, cfg, tree_orbits(g)[0], 2, 2)
-        combined = bezout_combine([sp])
+        combined = bezout_combine([sp], m_gamma(g))
         assert combined.m == 4
         assert combined.psi_ambient.matrix == sp.psi_ambient.matrix
 
@@ -896,7 +901,7 @@ class TestBezoutCombine:
         orbits = sorted(tree_orbits(g), key=len)
         sps = [build_psi(g, cfg, orbits[0], 3, 2, xi=xi),
                build_psi(g, cfg, orbits[-1], 3, 2, xi=xi)]
-        combined = bezout_combine(sps)
+        combined = bezout_combine(sps, m_gamma(g))
         assert combined.m == 1
         assert sorted(combined.orbit_sizes) == [1, 2]
         lhs = xi.phi_ambient.matrix @ combined.psi_ambient.matrix
@@ -909,7 +914,7 @@ class TestBezoutCombine:
         big = [o for o in tree_orbits(g) if len(o) == 2]
         sps = [build_psi(g, cfg, o, 2, 1, xi=xi) for o in big[:2]]
         with pytest.raises(GcdShortfall, match="supply more orbits"):
-            bezout_combine(sps)
+            bezout_combine(sps, m_gamma(g))
 
     def test_mismatched_assemblies_rejected(self):
         g = banana()
@@ -917,9 +922,9 @@ class TestBezoutCombine:
         sp1 = build_psi(g, cfg, tree_orbits(g)[0], 3, 1)
         sp2 = build_psi(g, cfg, tree_orbits(g)[1], 3, 2)
         with pytest.raises(ValueError, match="different assemblies"):
-            bezout_combine([sp1, sp2])
+            bezout_combine([sp1, sp2], m_gamma(g))
         with pytest.raises(ValueError):
-            bezout_combine([])
+            bezout_combine([], m_gamma(g))
 
 
 class TestRandomPipeline:
@@ -940,7 +945,7 @@ class TestRandomPipeline:
             for sp in sps:
                 sizes_gcd = gcd(sizes_gcd, sp.m)
             if sizes_gcd == m_gamma(g):
-                combined = bezout_combine(sps)
+                combined = bezout_combine(sps, m_gamma(g))
                 assert combined.m == m_gamma(g)
             if g.action:
                 symmetric_seen += 1

@@ -12,17 +12,20 @@ from devissage.dualgraph import (
     build_xi,
     default_divisors,
     h1_lattice,
+    m_gamma,
     random_legal_graph,
+    tree_orbits,
 )
 from devissage.errors import (
     ConfigIncompatible,
+    EnumerationCapExceeded,
     InvalidInstance,
     ModeledTermCaveat,
     NotComposable,
     PrecisionExhausted,
     WeilCheckFailed,
 )
-from devissage.exactlin import IntMatrix, LMap, LModule
+from devissage.exactlin import PRIME_BOUND, IntMatrix, LMap, LModule
 from devissage.procyclic import WEIL_CATALOG, CharPoly, h1, torsion_frob
 from devissage.sequences import (
     BhnReport,
@@ -166,6 +169,12 @@ class TestInstanceValidation:
         with pytest.raises(InvalidInstance):
             instance(tree_pair(), ell=6)
 
+    def test_undecided_ell_rejected(self):
+        with pytest.raises(InvalidInstance, match=str(PRIME_BOUND)):
+            instance(tree_pair(), ell=PRIME_BOUND)
+        with pytest.raises(InvalidInstance, match=r"^l = 9 is not prime$"):
+            instance(tree_pair(), ell=9)
+
     def test_ell_dividing_q_rejected(self):
         with pytest.raises(InvalidInstance):
             instance(tree_pair(), ell=5, q=5)
@@ -246,6 +255,30 @@ class TestInstanceValidation:
                                 ell=3, q=5)
         with pytest.raises(TypeError):
             instance(banana(swap=False, genus=(1, 0)), [("u", "poly", 1)])
+
+
+class TestOwnedGraphObjects:
+    """The instance's graph objects equal a fresh library computation."""
+
+    def test_match_the_library_functions(self):
+        rng = random.Random(77)
+        for _ in range(25):
+            g = random_legal_graph(rng, genus_pool=(0,))
+            ell, q = rng.choice(((2, 5), (3, 5), (5, 7)))
+            inst = instance(g, ell=ell, q=q)
+            assert inst.orbits == tree_orbits(g)
+            assert inst.m == m_gamma(g)
+            assert inst.lattice == h1_lattice(g)
+            for s in (1, 2):
+                assert inst.xi(s) == build_xi(g, inst.divisors, ell, s)
+                assert inst.xi(s) is inst.xi(s)
+
+    def test_cap_is_the_instance_cap(self):
+        with pytest.raises(EnumerationCapExceeded,
+                           match="^4 spanning trees exceed"):
+            bhn_finite_field_report(instance(banana(), tree_cap=3))
+        assert bhn_finite_field_report(
+            instance(banana(), tree_cap=4)).m_value == 2
 
 
 class TestInducedBlock:
@@ -595,6 +628,10 @@ class TestOnoCheck:
             ono_check([IntMatrix.zeros(1, 2)], 3)
         with pytest.raises(InvalidInstance):
             ono_check([IntMatrix.identity(1)], 4)
+
+    def test_undecided_ell_rejected(self):
+        with pytest.raises(InvalidInstance, match=str(PRIME_BOUND)):
+            ono_check([], PRIME_BOUND, rank=0)
 
     def test_klein_four_signs(self):
         a = IntMatrix.diagonal((1, -1))
