@@ -22,6 +22,7 @@ operations that cannot certify their output at that precision raise
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import lt
 from typing import Iterable, Optional, Sequence
 
 from .errors import MismatchedPrime, PrecisionExhausted
@@ -101,7 +102,7 @@ class IntMatrix:
     def __init__(self, rows: int, cols: int, data: Iterable[Iterable[int]]):
         self.rows = rows
         self.cols = cols
-        tup = tuple(tuple(int(x) for x in row) for row in data)
+        tup = tuple(tuple(map(int, row)) for row in data)
         if len(tup) != rows or any(len(r) != cols for r in tup):
             raise ValueError("shape mismatch in IntMatrix")
         self.data = tup
@@ -468,11 +469,11 @@ class LModule:
             raise ValueError(f"l must be prime, got {self.ell}")
         if self.free_rank < 0:
             raise ValueError("negative free rank")
-        exps = tuple(int(e) for e in self.torsion_exponents)
+        exps = tuple(map(int, self.torsion_exponents))
         object.__setattr__(self, "torsion_exponents", exps)
-        if any(e < 1 for e in exps):
+        if exps and min(exps) < 1:
             raise ValueError("torsion exponents must be >= 1")
-        if any(exps[i] < exps[i + 1] for i in range(len(exps) - 1)):
+        if any(map(lt, exps, exps[1:])):
             raise ValueError("torsion exponents must be weakly decreasing")
 
     # -- structure queries -------------------------------------------
@@ -537,9 +538,21 @@ class LModule:
         return LModule(self.ell, self.free_rank + other.free_rank, exps)
 
     def tensor(self, other: "LModule") -> "LModule":
-        """Tensor product over Zl, via the closed form on cyclic factors."""
-        mod, _ = tensor_with_index(self, other)
-        return mod
+        """Tensor product over Zl, in closed form on cyclic factors.
+
+        Zl (x) Zl = Zl, Zl (x) Z/l^e = Z/l^e, Z/l^a (x) Z/l^b = Z/l^min(a,b);
+        callers that need the generator pairing use :func:`tensor_with_index`.
+
+        >>> str(LModule(3, 2).tensor(LModule(3, 1, (2,))))
+        'Z3^2 x C9 x C9'
+        """
+        if self.ell != other.ell:
+            raise MismatchedPrime("tensor across primes")
+        a, b = self.torsion_exponents, other.torsion_exponents
+        exps = [min(x, y) for x in a for y in b]
+        exps += a * other.free_rank + b * self.free_rank
+        exps.sort(reverse=True)
+        return LModule(self.ell, self.free_rank * other.free_rank, tuple(exps))
 
     def tor1(self, other: "LModule") -> "LModule":
         """First derived functor of tensor over Zl.
@@ -784,39 +797,30 @@ class LMap:
                 raise PrecisionExhausted(
                     f"codomain exponent exceeds working precision {N}; raise precision"
                 )
-        dom_orders = self.domain.gen_orders()
-        cod_orders = self.codomain.gen_orders()
+        f = self.domain.free_rank
+        dom_exps = self.domain.torsion_exponents
         rows = []
-        for i, bo in enumerate(cod_orders):
-            row = []
-            for j, ao in enumerate(dom_orders):
-                x = mat.entry(i, j)
-                if bo is None:
-                    if ao is not None:
-                        if N is None:
-                            if x != 0:
-                                raise ValueError(
-                                    "torsion generator cannot map to the free part"
-                                )
-                        elif x % ell ** N != 0:
-                            raise ValueError(
-                                "torsion generator cannot map to the free part"
-                            )
-                        x = 0
-                    elif N is not None:
-                        x %= ell ** N
-                else:
-                    x %= ell ** bo
-                    if ao is not None:
-                        need = max(bo - ao, 0)
-                        if need and x % ell ** need != 0:
-                            raise ValueError(
-                                f"entry ({i},{j}) violates well-definedness: "
-                                f"needs divisibility by l^{need}"
-                            )
-                row.append(x)
+        for i, (bo, row) in enumerate(zip(self.codomain.gen_orders(), mat.data)):
+            if bo is None:
+                # a free row: its torsion columns must vanish (mod l^N)
+                if N is not None:
+                    m = ell ** N
+                    row = [x % m for x in row]
+                if any(row[f:]):
+                    raise ValueError(
+                        "torsion generator cannot map to the free part"
+                    )
+            else:
+                m = ell ** bo
+                row = [x % m for x in row]
+                for j, ao in enumerate(dom_exps, f):
+                    if ao < bo and row[j] % ell ** (bo - ao):
+                        raise ValueError(
+                            f"entry ({i},{j}) violates well-definedness: "
+                            f"needs divisibility by l^{bo - ao}"
+                        )
             rows.append(row)
-        object.__setattr__(self, "matrix", IntMatrix.from_rows(rows, self.domain.num_gens))
+        object.__setattr__(self, "matrix", IntMatrix(mat.rows, mat.cols, rows))
 
     # -- constructors -------------------------------------------------
 
@@ -1058,25 +1062,20 @@ def tensor_with_index(M: LModule, N: LModule):
     """
     if M.ell != N.ell:
         raise MismatchedPrime("tensor across primes")
-    a = M.gen_orders()
-    b = N.gen_orders()
-    entries = []
-    for i in range(M.num_gens):
-        for j in range(N.num_gens):
-            if a[i] is None and b[j] is None:
-                e = None
-            elif a[i] is None:
-                e = b[j]
-            elif b[j] is None:
-                e = a[i]
+    free, tors = [], []
+    for i, x in enumerate(M.gen_orders()):
+        for j, y in enumerate(N.gen_orders()):
+            if x is None and y is None:
+                free.append((i, j))
             else:
-                e = min(a[i], b[j])
-            key = (0, i, j) if e is None else (1, -e, i, j)
-            entries.append((key, i, j, e))
-    entries.sort(key=lambda t: t[0])
-    free_rank = sum(1 for _, _, _, e in entries if e is None)
-    exps = tuple(e for _, _, _, e in entries if e is not None)
-    return LModule(M.ell, free_rank, exps), [(i, j) for _, i, j, _ in entries]
+                e = y if x is None else x if y is None else min(x, y)
+                tors.append((e, i, j))
+    # free pairs first, then torsion by decreasing order; the sort is
+    # stable, so ties keep their (i, j) order
+    tors.sort(key=lambda t: -t[0])
+    exps = tuple(e for e, _, _ in tors)
+    return (LModule(M.ell, len(free), exps),
+            free + [(i, j) for _, i, j in tors])
 
 
 def tensor_maps(f: LMap, g: LMap) -> LMap:

@@ -299,7 +299,9 @@ def finite_box_power(F: LModule, n: int) -> LModule:
         raise NotFiniteExponent("finite box power needs a finite module")
     if n < 1:
         raise ValueError("finite box power needs n >= 1; the unit is Ql/Zl")
-    mod, _ = tensor_power_with_index(F, n)
+    mod = F
+    for _ in range(n - 1):
+        mod = mod.tensor(F)
     return mod
 
 
@@ -325,7 +327,7 @@ def tors_level_check(A: CoLGroup, n: int, s: int) -> TorsLevelReport:
         # empty products: the level of the unit Ql/Zl is cyclic of order l^s
         tensor_side = LModule(A.ell, 0, (s,))
     else:
-        tensor_side, _ = tensor_power_with_index(A.level(s), n)
+        tensor_side = finite_box_power(A.level(s), n)
     return TorsLevelReport(box_side, tensor_side, box_side == tensor_side)
 
 
@@ -389,9 +391,10 @@ def torsbis_maps(A: CoLGroup, s: int, t: int, n: int, rng=None) -> TorsBisData:
         mat = [[cols[j][i] for j in range(len(didx))] for i in range(len(cidx))]
         f_st = LMap(dom, cod, IntMatrix.from_rows(mat, len(didx)))
     # level tensor powers and box-power levels share their multi-index order
-    phi_s = LMap(dom, box_power(A, n).level(s), IntMatrix.identity(dom.num_gens))
-    phi_t = LMap(cod, box_power(A, n).level(t), IntMatrix.identity(cod.num_gens))
-    incl_mat = box_power(A, n).level_inclusion_matrix(s, t)
+    An = box_power(A, n)
+    phi_s = LMap(dom, An.level(s), IntMatrix.identity(dom.num_gens))
+    phi_t = LMap(cod, An.level(t), IntMatrix.identity(cod.num_gens))
+    incl_mat = An.level_inclusion_matrix(s, t)
     incl = LMap(phi_s.codomain, phi_t.codomain, incl_mat)
     lhs = incl.compose(phi_s)
     rhs = phi_t.compose(f_st)

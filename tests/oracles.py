@@ -192,3 +192,93 @@ def trial_division_is_prime(n):
             return False
         d += 2
     return True
+
+
+def entrywise_lmap_matrix(domain, codomain, rows, precision=None):
+    """Normalised rows of LMap(domain, codomain, rows, precision), cell by cell.
+
+    The validation LMap made one entry at a time before its row-wise form:
+    the same checks in the same order, so the first bad input raises the
+    same exception with the same message.  rows must have the map's shape.
+    """
+    from devissage.errors import MismatchedPrime, PrecisionExhausted
+
+    if domain.ell != codomain.ell:
+        raise MismatchedPrime("map between modules over different primes")
+    ell = domain.ell
+    N = precision
+    if N is not None:
+        if N < 1:
+            raise ValueError("precision must be >= 1")
+        if any(e > N for e in codomain.torsion_exponents):
+            raise PrecisionExhausted(
+                f"codomain exponent exceeds working precision {N}; raise precision"
+            )
+    out = []
+    for i, bo in enumerate(codomain.gen_orders()):
+        row = []
+        for j, ao in enumerate(domain.gen_orders()):
+            x = rows[i][j]
+            if bo is None:
+                if ao is not None:
+                    if N is None:
+                        if x != 0:
+                            raise ValueError(
+                                "torsion generator cannot map to the free part"
+                            )
+                    elif x % ell ** N != 0:
+                        raise ValueError(
+                            "torsion generator cannot map to the free part"
+                        )
+                    x = 0
+                elif N is not None:
+                    x %= ell ** N
+            else:
+                x %= ell ** bo
+                if ao is not None:
+                    need = max(bo - ao, 0)
+                    if need and x % ell ** need != 0:
+                        raise ValueError(
+                            f"entry ({i},{j}) violates well-definedness: "
+                            f"needs divisibility by l^{need}"
+                        )
+            row.append(x)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def generator_expression_lmodule_check(ell, free_rank, exponents):
+    """The canonical-form checks LModule made with generator expressions.
+
+    Same checks, order and messages; returns the normalised exponents.
+    """
+    if not trial_division_is_prime(ell):
+        raise ValueError(f"l must be prime, got {ell}")
+    if free_rank < 0:
+        raise ValueError("negative free rank")
+    exps = tuple(int(e) for e in exponents)
+    if any(e < 1 for e in exps):
+        raise ValueError("torsion exponents must be >= 1")
+    if any(exps[i] < exps[i + 1] for i in range(len(exps) - 1)):
+        raise ValueError("torsion exponents must be weakly decreasing")
+    return exps
+
+
+def sorted_key_tensor_index(M, N):
+    """Generator pairs of M (x) N in canonical order, by sorting 4-tuple keys.
+
+    Free x free pairs first in (i, j) order, then torsion pairs by
+    decreasing order and then (i, j): the order tensor_with_index used
+    to build with one keyed sort.
+    """
+    a, b = M.gen_orders(), N.gen_orders()
+    keyed = []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            if x is None and y is None:
+                keyed.append(((0, i, j), i, j))
+            else:
+                e = y if x is None else x if y is None else min(x, y)
+                keyed.append(((1, -e, i, j), i, j))
+    keyed.sort()
+    return [(i, j) for _, i, j in keyed]

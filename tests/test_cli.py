@@ -8,6 +8,8 @@ from itertools import combinations
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from devissage import cli, procyclic, sequences
 from devissage.cli import (
@@ -420,6 +422,40 @@ class TestRunLibrary:
         rendered = render_json(report).encode()
         assert hashlib.sha256(rendered).hexdigest() == digest
 
+    # every check passes whatever the random draws, so the report alone
+    # does not see them; the final states of the suites' two generators
+    # pin how many draws random_cogroup and torsbis_maps make, and from
+    # which ranges
+    @pytest.mark.parametrize("seed, digest, draws", [
+        (1, "a0a269176e16128560ae7ad151caf29709e92989934fbe3a79cef8a62bc02624",
+         "57c1f01c550c9b91caf0f37c1a74cc46f8bb6c2d4b947852b8c4241e13baca52"),
+        (7, "53e617438d3799547235e007b44ded77566bc07e1a032cfc1b8a4dc9ebba9637",
+         "65cf369c6212cd230b4d667c27f9f8277052f58a14bef71fb91cda9b5953e267"),
+        (199,
+         "09cf318ef829ff43a5c3e45c51e45f6ad59003c450aaf8b76330ff138b569f33",
+         "55f3f0cc9b368575eb1bd2150e18cde17835a0e48a646e0fd1a839cffda21ad3"),
+    ], ids=["1", "7", "199"])
+    def test_golden_digest_algebra_seeds(self, monkeypatch, seed, digest,
+                                         draws):
+        generators = []
+
+        class Recording(cli.random.Random):
+            def __init__(self, *args):
+                super().__init__(*args)
+                generators.append(self)
+
+        monkeypatch.setattr(cli.random, "Random", Recording)
+        code, report = run(RunConfig(input_path=G1_SWAP,
+                                     suites=("boxcalc", "torsionlevels"),
+                                     seed=seed))
+        assert code == 0
+        report["input"] = "instance.json"
+        rendered = render_json(report).encode()
+        assert hashlib.sha256(rendered).hexdigest() == digest
+        states = repr([g.getstate() for g in generators]).encode()
+        assert len(generators) == 2
+        assert hashlib.sha256(states).hexdigest() == draws
+
     def test_memo_is_scoped_to_one_run(self, monkeypatch):
         config = RunConfig(input_path=G1_SWAP, suites=("vanishing",), seed=0)
         first = run(config)
@@ -464,6 +500,123 @@ class TestRunLibrary:
         assert base[0] == other[0] == 0
         assert base[1]["suites"]["boxcalc"]["verdict"] == "PASS"
         assert other[1]["suites"]["boxcalc"]["verdict"] == "PASS"
+
+
+# ---------------------------------------------------------------------------
+# instance-file fuzzing
+
+def _fixture_payload(name):
+    with open(os.path.join(FIXTURES, name), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+FUZZ_BASES = {name: _fixture_payload(name)
+              for name in ("g1_swap.json", "g2_tree.json")}
+FUZZ_FIELDS = ("components", "nodes", "edges", "action", "ell", "q",
+               "divisors", "jacobians", "schema")
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2 ** 70, 2 ** 70)
+    | st.floats(allow_infinity=False) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6)
+EXTREME_ELLS = (PRIME_BOUND - 1, PRIME_BOUND, PRIME_BOUND + 1, 10 ** 24 + 7,
+                2 ** 61 - 1, 2, 5, 1, 0, -3, 9, True, 3.0, "3")
+EXTREME_QS = (10 ** 40 + 1, 3 ** 80, 2 ** 200, 2, 1, 0, -5, 9, 5.0, "5")
+
+
+def _vertices(payload):
+    """The vertex ids a payload names, as the parser will read them."""
+    comps = payload.get("components")
+    ids = [c.get("id") for c in comps if isinstance(c, dict)] \
+        if isinstance(comps, list) else []
+    nodes = payload.get("nodes")
+    return ids + (list(nodes) if isinstance(nodes, list) else []) or ["u"]
+
+
+@st.composite
+def mutated_instances(draw):
+    """A shipped fixture with one to three structural or numeric defects."""
+    payload = json.loads(json.dumps(
+        FUZZ_BASES[draw(st.sampled_from(sorted(FUZZ_BASES)))]))
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from((
+            "replace", "delete", "unknown_vertex", "bad_id", "permutation",
+            "ell", "q", "genus", "jacobian", "top_level")))
+        if not isinstance(payload, dict):
+            break
+        if kind == "replace":
+            payload[draw(st.sampled_from(FUZZ_FIELDS))] = draw(JSON_VALUES)
+        elif kind == "delete":
+            payload.pop(draw(st.sampled_from(FUZZ_FIELDS)), None)
+        elif kind == "unknown_vertex":
+            edge = [draw(st.sampled_from(_vertices(payload))), "zz"]
+            if draw(st.booleans()):
+                payload["edges"] = list(payload.get("edges") or []) + [edge]
+            else:
+                payload["action"] = [[edge]]
+        elif kind == "bad_id":
+            field = draw(st.sampled_from(("components", "nodes")))
+            items = payload.get(field)
+            if isinstance(items, list) and items:
+                k = draw(st.integers(0, len(items) - 1))
+                value = draw(JSON_VALUES)
+                if field == "components" and isinstance(items[k], dict):
+                    items[k]["id"] = value
+                else:
+                    items[k] = value
+        elif kind == "permutation":
+            # cycles over arbitrary vertices: swaps of a component with a
+            # node, repeated vertices, maps that break the edge set
+            vertices = st.sampled_from(_vertices(payload))
+            payload["action"] = draw(st.lists(
+                st.lists(st.lists(vertices, max_size=3), max_size=2),
+                max_size=2))
+        elif kind == "ell":
+            payload["ell"] = draw(st.sampled_from(EXTREME_ELLS))
+        elif kind == "q":
+            payload["q"] = draw(st.sampled_from(EXTREME_QS))
+        elif kind == "genus":
+            comps = payload.get("components")
+            if isinstance(comps, list) and comps \
+                    and isinstance(comps[0], dict):
+                comps[0]["genus"] = draw(st.sampled_from(
+                    (-1, 1, 2, "1", None, 1.5)))
+        elif kind == "jacobian":
+            payload["jacobians"] = [{
+                "orbit_rep": draw(st.sampled_from(_vertices(payload))),
+                "charpoly": draw(st.lists(st.integers(-30, 30), max_size=5)),
+                "q": draw(st.sampled_from((5, 4, 9, 0))),
+                "f": draw(st.integers(0, 2))}]
+        else:
+            payload = draw(st.sampled_from(([], [payload], 3, "x", {})))
+    return payload
+
+
+class TestInstanceFuzz:
+
+    @settings(max_examples=120, deadline=None)
+    @given(payload=mutated_instances(),
+           precision=st.sampled_from((1, 2, 8, 12)),
+           level=st.sampled_from(("one", "max", "zero", "above")))
+    def test_mutated_instances_exit_cleanly(self, tmp_path_factory, payload,
+                                            precision, level):
+        max_level = {"one": 1, "max": precision, "zero": 0,
+                     "above": precision + 1}[level]
+        path = tmp_path_factory.mktemp("fuzz") / "instance.json"
+        path.write_text(json.dumps(payload))
+        fields = dict(input_path=str(path), suites=tuple(FAST_SUITES.split(",")),
+                      precision=precision, max_level=max_level, tree_cap=50)
+        if not 1 <= max_level <= precision:
+            # the command line turns this into exit 4 before any run
+            with pytest.raises(InvalidInstance):
+                RunConfig(**fields)
+            return
+        code, report = run(RunConfig(**fields))
+        assert code in (0, 2, 3, 4)
+        assert (code in (3, 4)) == ("error" in report)
+        render_json(report)
+        render_text(report)
 
 
 class TestCommandLine:

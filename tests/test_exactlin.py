@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from devissage.errors import MismatchedPrime, PrecisionExhausted
@@ -38,7 +38,10 @@ from devissage.exactlin import (
 from oracles import (
     brute_cokernel_structure,
     brute_kernel_structure,
+    entrywise_lmap_matrix,
+    generator_expression_lmodule_check,
     rational_nullity,
+    sorted_key_tensor_index,
     trial_division_is_prime,
 )
 
@@ -524,6 +527,105 @@ class TestSumsTensors:
         idm = LMap.identity_on(LModule(2, 1, (2,)))
         assert tensor_maps(idm, idm).equal_as_maps(
             LMap.identity_on(LModule(2, 1, (2,)).tensor(LModule(2, 1, (2,)))))
+
+
+@st.composite
+def lmodules(draw, ell=None):
+    """A canonical module over l in {2, 3, 5} with free and torsion parts."""
+    if ell is None:
+        ell = draw(st.sampled_from([2, 3, 5]))
+    exps = draw(st.lists(st.integers(1, 4), max_size=3))
+    return LModule(ell, draw(st.integers(0, 2)),
+                   tuple(sorted(exps, reverse=True)))
+
+
+def _outcome(build):
+    """build()'s value, or the type and message of what it raised."""
+    try:
+        return "ok", build()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestFastPathsDifferential:
+    """The closed-form and row-wise fast paths against the slow routes."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_tensor_closed_form_matches_index_and_resolution(self, data):
+        M = data.draw(lmodules())
+        N = data.draw(lmodules(ell=M.ell))
+        T, pairs = tensor_with_index(M, N)
+        assert M.tensor(N) == T
+        assert pairs == sorted_key_tensor_index(M, N)
+        # the cokernel of (relations of M) (x) id_N presents M (x) N
+        rel = LMap(LModule(M.ell, M.relation_cols().cols),
+                   LModule(M.ell, M.num_gens), M.relation_cols())
+        big = tensor_maps(rel, LMap.identity_on(N))
+        assert cokernel(big).module == T
+
+    def test_tensor_across_primes(self):
+        for M, N in ((LModule(2, 1), LModule(3, 0, (1,))),
+                     (LModule(5, 0), LModule(3, 2))):
+            with pytest.raises(MismatchedPrime, match="tensor across primes"):
+                M.tensor(N)
+            with pytest.raises(MismatchedPrime, match="tensor across primes"):
+                tensor_with_index(M, N)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_lmap_matches_entrywise_normaliser(self, data):
+        dom = data.draw(lmodules())
+        cod = data.draw(lmodules(ell=dom.ell))
+        precision = data.draw(st.one_of(st.none(), st.integers(0, 5)))
+        # mostly zeros and l-power multiples, so that well-defined maps,
+        # torsion-to-free entries and divisibility failures all turn up
+        cell = st.one_of(
+            st.just(0),
+            st.builds(lambda k, c: dom.ell ** k * c, st.integers(0, 5),
+                      st.integers(-30, 30)))
+        rows = [[data.draw(cell) for _ in range(dom.num_gens)]
+                for _ in range(cod.num_gens)]
+        want = _outcome(lambda: entrywise_lmap_matrix(dom, cod, rows,
+                                                      precision))
+        got = _outcome(lambda: LMap(
+            dom, cod, IntMatrix.from_rows(rows, dom.num_gens),
+            precision).matrix.data)
+        assert got == want
+
+    def test_lmap_differential_cases(self):
+        # each branch once, in the spots the random test may miss
+        Z, C4, C2 = LModule(2, 1), LModule(2, 0, (2,)), LModule(2, 0, (1,))
+        ZC = LModule(2, 1, (2, 1))
+        for dom, cod, rows, N in (
+                (C2, Z, [[1]], None),         # torsion to free, exact
+                (C2, Z, [[4]], 2),            # torsion to free, zero mod l^N
+                (C2, Z, [[2]], 2),            # torsion to free, nonzero mod l^N
+                (ZC, ZC, [[3, 0, 0], [5, 2, 2], [7, 1, 3]], None),
+                (C2, C4, [[1]], None),        # needs divisibility by l
+                (ZC, C4, [[9, 6, 3]], None),  # entry (0,2) fails
+                (Z, Z, [[-9]], 3),            # free rows reduced mod l^N
+                (C4, C4, [[1]], 1),           # precision exhausted
+                (C4, C4, [[1]], 0)):          # precision below one
+            want = _outcome(lambda: entrywise_lmap_matrix(dom, cod, rows, N))
+            got = _outcome(lambda: LMap(dom, cod, rows, N).matrix.data)
+            assert got == want, (dom, cod, rows, N)
+
+    @settings(max_examples=300, deadline=None)
+    # (0, 2) breaks both rules: the >= 1 check must speak first
+    @example(ell=2, free_rank=0, exps=[0, 2])
+    @example(ell=2, free_rank=0, exps=[1, 2])
+    @example(ell=2, free_rank=0, exps=[3.0, 1])
+    @given(ell=st.sampled_from([-3, 0, 1, 2, 3, 4, 5, 9]),
+           free_rank=st.integers(-1, 2),
+           exps=st.lists(st.integers(-1, 4), max_size=4))
+    def test_lmodule_rejects_like_generator_expressions(self, ell, free_rank,
+                                                        exps):
+        want = _outcome(lambda: generator_expression_lmodule_check(
+            ell, free_rank, exps))
+        got = _outcome(lambda: LModule(ell, free_rank,
+                                       tuple(exps)).torsion_exponents)
+        assert got == want
 
 
 class TestMisc:
