@@ -520,8 +520,6 @@ def _run_graph(inst, config) -> dict:
 
 
 def _run_splitting(inst, config) -> dict:
-    g, div_cfg, ell = inst.graph, inst.divisors, inst.ell
-
     # smallest deterministic prefix of orbits whose sizes reach the gcd
     chosen = []
     running = 0
@@ -538,7 +536,7 @@ def _run_splitting(inst, config) -> dict:
             f"residue sequence exact at level {s}",
             xi.spl2_exact and xi.phi_onto_ker_sum,
             sequence="spl2", structure=str(xi.module)))
-        psis = [build_psi(g, div_cfg, o, ell, s, xi=xi) for o in chosen]
+        psis = [build_psi(xi, o) for o in chosen]
         combined = bezout_combine(psis, inst.m)
         section_ok = (combined.phi_check and combined.m == inst.m
                       and all(sp.phi_check and sp.equivariance_check
@@ -547,8 +545,8 @@ def _run_splitting(inst, config) -> dict:
             f"combined section multiplies by the orbit gcd at level {s}",
             section_ok, sequence="spl2",
             structure=f"m={combined.m}, orbits used {len(psis)}"))
-        if inst.m % ell != 0:
-            mod = ell ** s
+        if inst.m % inst.ell != 0:
+            mod = xi.modulus
             inv = pow(combined.m % mod, -1, mod)
             lhs = xi.phi_ambient.matrix @ combined.psi_ambient.matrix.scale(inv)
             checks.append(_check(

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
     BalanceViolated,
@@ -450,20 +450,28 @@ def spanning_trees(graph: DualGraph, cap: int = DEFAULT_TREE_CAP):
     return tuple(trees)
 
 
-def tree_orbits(graph: DualGraph, cap: int = DEFAULT_TREE_CAP):
-    """Orbits of the spanning tree set under the generated action group."""
-    trees = [frozenset(t) for t in spanning_trees(graph, cap)]
+def _tree_orbit_partition(graph: DualGraph, trees, not_closed: Exception):
+    """Orbits of trees (frozensets of edges) under the action; an image
+    outside the given trees raises not_closed."""
     tree_set = set(trees)
 
     def images(t):
         imgs = [frozenset(graph.edge_image(p, e) for e in t)
                 for p in graph.action]
         if not tree_set.issuperset(imgs):
-            raise ArithmeticError("action image of a spanning tree is not a spanning tree")
+            raise not_closed
         return imgs
 
+    return orbit_partition(trees, images)
+
+
+def tree_orbits(graph: DualGraph, cap: int = DEFAULT_TREE_CAP):
+    """Orbits of the spanning tree set under the generated action group."""
+    trees = [frozenset(t) for t in spanning_trees(graph, cap)]
+    orbits = _tree_orbit_partition(graph, trees, ArithmeticError(
+        "action image of a spanning tree is not a spanning tree"))
     return tuple(sorted(tuple(sorted(tuple(sorted(t)) for t in orbit))
-                        for orbit in orbit_partition(trees, images)))
+                        for orbit in orbits))
 
 
 def m_gamma(graph: DualGraph, cap: int = DEFAULT_TREE_CAP) -> int:
@@ -690,7 +698,10 @@ class XiModule:
     the y family on each component sums to zero, and at every support point
     the alpha sitting there (when one does) plus the incident y values sum
     to zero.  The cycle lattice embeds via the y coordinates on node
-    incidences; phi projects onto the divisor block.
+    incidences; phi projects onto the divisor block.  The constraint rows
+    are the components, then the support points; its columns are the
+    alphas, then the y incidences grouped by component.  phi_kernel is the
+    kernel of phi, with its inclusion into the module.
     """
 
     graph: DualGraph
@@ -704,6 +715,7 @@ class XiModule:
     divisor_block: LModule
     phi_ambient: LMap
     phi: LMap
+    phi_kernel: KernelResult
     cycle_embedding: LMap
     h1_inclusion: LMap
     var_names: tuple
@@ -716,6 +728,18 @@ class XiModule:
     @property
     def modulus(self) -> int:
         return self.ell ** self.level
+
+    def incidence_maps(self) -> Tuple[LMap, LMap]:
+        """The per-component sum and the map to the support points on the y
+        incidences: the y columns of the component and support point rows."""
+        ncomp = len(self.graph.component_ids)
+        C = self.constraint.matrix
+        y_cols = range(len(self.config.ids), C.cols)
+        dom = free_level(self.ell, self.level, len(y_cols))
+        return tuple(
+            LMap(dom, free_level(self.ell, self.level, len(rows)),
+                 C.take_rows(rows).take_cols(y_cols))
+            for rows in (range(ncomp), range(ncomp, C.rows)))
 
 
 def _span_contains(amb: LModule, A: IntMatrix, cols: IntMatrix) -> bool:
@@ -742,16 +766,13 @@ def build_xi(graph: DualGraph, config: DivisorConfig, ell: int, s: int) -> XiMod
     ndiv = len(div_ids)
     div_index = {d: i for i, d in enumerate(div_ids)}
     support = config.support_points()
-    sindex = {w: i for i, w in enumerate(support)}
 
+    var_names: List[tuple] = [("alpha", d) for d in div_ids]
     comp_points: Dict[str, Tuple[str, ...]] = {}
     for c in graph.component_ids:
-        pts = tuple(sorted(tuple(graph.component_nodes(c)) + config.free_on(c)))
-        comp_points[c] = pts
-    var_names: List[tuple] = [("alpha", d) for d in div_ids]
-    for c in graph.component_ids:
-        for p in comp_points[c]:
-            var_names.append(("y", c, p))
+        comp_points[c] = tuple(sorted(graph.component_nodes(c)
+                                      + config.free_on(c)))
+        var_names.extend(("y", c, p) for p in comp_points[c])
     vindex = {name: i for i, name in enumerate(var_names)}
     nvars = len(var_names)
 
@@ -765,14 +786,12 @@ def build_xi(graph: DualGraph, config: DivisorConfig, ell: int, s: int) -> XiMod
         row = [0] * nvars
         if w in div_index:                      # free point: its own alpha
             row[div_index[w]] = 1
+            carriers = [config.anchor(w)[1]]
         else:
             anchored = config.anchored_at(w)
             if anchored is not None:
                 row[div_index[anchored]] = 1
-        if w in div_index:
-            carriers = [config.anchor(w)[1]]
-        else:
-            carriers = list(graph.node_components(w))
+            carriers = graph.node_components(w)
         for c in carriers:
             row[vindex[("y", c, w)]] = 1
         rows.append(row)
@@ -807,8 +826,8 @@ def build_xi(graph: DualGraph, config: DivisorConfig, ell: int, s: int) -> XiMod
     h1_inclusion = induced_into_kernel(cycle_embedding, K)
 
     # exactness in the middle: kernel of phi coincides with the cycle image
-    k2 = kernel(phi)
-    ker_amb = K.inclusion.matrix @ k2.inclusion.matrix
+    phi_kernel = kernel(phi)
+    ker_amb = K.inclusion.matrix @ phi_kernel.inclusion.matrix
     spl2_exact = (_span_contains(ambient, H, ker_amb)
                   and _span_contains(ambient, ker_amb, H))
     if not spl2_exact:
@@ -847,6 +866,7 @@ def build_xi(graph: DualGraph, config: DivisorConfig, ell: int, s: int) -> XiMod
         ambient=ambient, constraint=constraint,
         module=K.module, inclusion=K.inclusion,
         divisor_block=divisor_block, phi_ambient=phi_ambient, phi=phi,
+        phi_kernel=phi_kernel,
         cycle_embedding=cycle_embedding, h1_inclusion=h1_inclusion,
         var_names=tuple(var_names), support=support,
         ambient_actions=tuple(ambient_actions),
@@ -914,42 +934,29 @@ def _psi_column(xi: XiModule, trees, alpha: Dict[str, int]) -> List[int]:
     return col
 
 
-def build_psi(graph: DualGraph, config: DivisorConfig, tree_orbit, ell: int,
-              s: int, xi: Optional[XiModule] = None) -> PsiSplitting:
-    """Construct the section for one orbit of spanning trees.
+def build_psi(xi: XiModule, tree_orbit) -> PsiSplitting:
+    """Construct the section of xi's phi for one orbit of spanning trees.
 
     tree_orbit must be a full orbit under the generated action group: every
-    member a spanning tree, closed under each generator, and reachable from
-    any member.  The construction sums the balanced tree solutions over the
-    orbit, which is what makes the result equivariant.
+    member a spanning tree of xi's graph, closed under each generator, and
+    reachable from any member.  The construction sums the balanced tree
+    solutions over the orbit, which is what makes the result equivariant.
     """
-    if xi is None:
-        xi = build_xi(graph, config, ell, s)
-    mod = ell ** s
+    graph = xi.graph
 
-    normalized = []
-    for t in tree_orbit:
-        normalized.append(frozenset(_validate_tree(graph, t)))
+    normalized = [frozenset(_validate_tree(graph, t)) for t in tree_orbit]
     if len(set(normalized)) != len(normalized):
         raise NotAnOrbit("repeated tree in the orbit")
-    tree_set = set(normalized)
-
-    def images(t):
-        imgs = [frozenset(graph.edge_image(p, e) for e in t)
-                for p in graph.action]
-        if not tree_set.issuperset(imgs):
-            raise NotAnOrbit("orbit is not closed under the action")
-        return imgs
-
-    if len(orbit_partition(normalized, images)) != 1:
+    if len(_tree_orbit_partition(graph, normalized, NotAnOrbit(
+            "orbit is not closed under the action"))) != 1:
         raise NotAnOrbit("the given trees split into several orbits")
 
-    trees = sorted(tuple(sorted(t)) for t in tree_set)
+    trees = sorted(tuple(sorted(t)) for t in normalized)
     m = len(trees)
-    div_ids = config.ids
+    div_ids = xi.config.ids
     ndiv = len(div_ids)
     B = difference_basis(ndiv)
-    domain = free_level(ell, s, ndiv - 1)
+    domain = free_level(xi.ell, xi.level, ndiv - 1)
 
     cols = []
     for j in range(ndiv - 1):
@@ -965,18 +972,15 @@ def build_psi(graph: DualGraph, config: DivisorConfig, tree_orbit, ell: int,
     if not phi_check:
         raise ArithmeticError("phi after psi is not multiplication by the orbit size")
 
-    equis = True
     for P, PD in zip(xi.ambient_actions, xi.divisor_actions):
         R = solve_integer(B, PD @ B)
         if R is None or (P @ Psi) != (Psi @ R):
-            equis = False
-    if not equis:
-        raise ArithmeticError("psi does not commute with the action")
+            raise ArithmeticError("psi does not commute with the action")
 
     return PsiSplitting(
         xi=xi, trees=tuple(trees), m=m, domain=domain, basis=B,
         psi_ambient=LMap(domain, xi.ambient, Psi),
-        phi_check=phi_check, equivariance_check=equis,
+        phi_check=phi_check, equivariance_check=True,
     )
 
 

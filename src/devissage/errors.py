@@ -51,7 +51,8 @@ class MissingDualData(DevissageError):
 
 
 class EnumerationCapExceeded(DevissageError):
-    """Spanning-tree enumeration would exceed the configured cap."""
+    """A computation would exceed a size cap: more spanning trees than the
+    tree cap, or an exact kernel above the procyclic dimension cap."""
 
 
 class BalanceViolated(DevissageError):

@@ -466,7 +466,6 @@ class FrobObject:
     q: int
     qpow: int = 0
     twist_tag: int = 0
-    precision: int = 8
 
     def __post_init__(self):
         mat = self.matrix
@@ -543,7 +542,7 @@ class FrobObject:
     def twist(self, r: int) -> "FrobObject":
         """Tate twist: multiply the Frobenius by q^r, tracked exactly."""
         return FrobObject(self.carrier, self.matrix, self.q,
-                          self.qpow + r, self.twist_tag + r, self.precision)
+                          self.qpow + r, self.twist_tag + r)
 
     def level_action(self, s: int) -> LMap:
         """Arithmetic Frobenius on the l^s-torsion of a divisible carrier.
@@ -578,7 +577,7 @@ def box_frob(X: FrobObject, Y: FrobObject) -> FrobObject:
     else:
         carrier = X.rep_module.tensor(Y.rep_module)
     return FrobObject(carrier, big.matrix, X.q, X.qpow + Y.qpow,
-                      X.twist_tag + Y.twist_tag, min(X.precision, Y.precision))
+                      X.twist_tag + Y.twist_tag)
 
 
 def box_frob_power(X: FrobObject, n: int) -> FrobObject:
@@ -590,7 +589,7 @@ def box_frob_power(X: FrobObject, n: int) -> FrobObject:
             unit: Carrier = box_unit(X.ell)
         else:
             unit = LModule(X.ell, 1)
-        return FrobObject(unit, IntMatrix.identity(1), X.q, 0, 0, X.precision)
+        return FrobObject(unit, IntMatrix.identity(1), X.q)
     out = X
     for _ in range(n - 1):
         out = box_frob(out, X)

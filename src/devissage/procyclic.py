@@ -32,6 +32,7 @@ from typing import Union
 import sympy
 
 from .errors import (
+    EnumerationCapExceeded,
     InvalidInstance,
     MismatchedBase,
     MissingDualData,
@@ -49,6 +50,9 @@ from .exactlin import (
     kernel,
 )
 from .lprimary import FrobObject, box_frob_power
+
+# largest (2g)^j matrix an exact kernel is computed on
+KERNEL_DIM_CAP = 100
 
 _MEMO: dict = {}
 
@@ -447,6 +451,13 @@ def eigenproduct_multiplicity(P: CharPoly, j: int, r: int) -> int:
 # the vanishing probe
 
 
+def _kernel_cap_error(dim: int) -> EnumerationCapExceeded:
+    # a repeated-root P has no root-product route: only the kernel counts
+    return EnumerationCapExceeded(
+        f"P has repeated roots, so its corank needs an exact kernel of "
+        f"dimension {dim}, above the cap of {KERNEL_DIM_CAP}")
+
+
 @dataclass(frozen=True)
 class VanishingVerdict:
     """Exact verdict for H^1 of a box-power twist over the finite base.
@@ -472,12 +483,14 @@ class VanishingVerdict:
 
 
 def vanishing_probe(P: CharPoly, ell: int, j: int, r: int,
-                    levels: int = 4, dim_cap: int = 100) -> VanishingVerdict:
+                    levels: int = 4) -> VanishingVerdict:
     """Decide triviality of H^1(k, A{l}^box j (r)) exactly.
 
     Requires the Weil check; the verdict comes from root-product arithmetic
     on P, and is independently cross-checked through an integer kernel
-    computation whenever the matrix dimension is within dim_cap.
+    computation whenever the matrix dimension is within KERNEL_DIM_CAP.  A
+    P with repeated roots takes the kernel route alone, and raises
+    EnumerationCapExceeded above the cap.
     """
     if not weil_weight_check(P):
         raise WeilCheckFailed(f"{P.coefficients} is not pure of weight 1 at q={P.q}")
@@ -489,14 +502,12 @@ def vanishing_probe(P: CharPoly, ell: int, j: int, r: int,
         corank = eigenproduct_multiplicity(P, j, r)
         method = "eigenproduct"
     else:
-        if dim > dim_cap:
-            raise InvalidInstance(
-                "repeated-root polynomial beyond the exact-kernel cap"
-            )
+        if dim > KERNEL_DIM_CAP:
+            raise _kernel_cap_error(dim)
         corank = _kernel_corank(P, ell, j, r)
         method = "kernel"
     crosschecked = False
-    if method == "eigenproduct" and dim <= dim_cap:
+    if method == "eigenproduct" and dim <= KERNEL_DIM_CAP:
         other = _kernel_corank(P, ell, j, r)
         if other != corank:
             raise ArithmeticError(
@@ -598,7 +609,7 @@ class DualityReport:
 
 
 def duality_crosscheck(P: CharPoly, ell: int, j: int, r: int,
-                       levels: int = 4, dim_cap: int = 100) -> DualityReport:
+                       levels: int = 4) -> DualityReport:
     """Compare H^1 of the torsion side with the dual of H^0 on the Tate side.
 
     Left: H^1(k, A{l}^box j (r)), divisible of some corank.  Right: the
@@ -606,14 +617,18 @@ def duality_crosscheck(P: CharPoly, ell: int, j: int, r: int,
     variety)^tensor j twisted by -j-r.  Both are computed and their level
     snapshots compared; methods are recorded because the small-dimension
     route uses genuine integer kernels while large dimensions fall back to
-    root-product arithmetic on both sides.
+    root-product arithmetic on both sides.  That fallback is exact only for
+    squarefree P; above KERNEL_DIM_CAP a P with repeated roots raises
+    EnumerationCapExceeded.
     """
     if P.declared_for != "A_dual":
         raise MissingDualData(
             "duality chain needs P declared for the dual variety"
         )
     dim = P.degree ** j
-    if dim <= dim_cap:
+    if dim > KERNEL_DIM_CAP and not P.is_squarefree():
+        raise _kernel_cap_error(dim)
+    if dim <= KERNEL_DIM_CAP:
         left = _kernel_corank(P, ell, j, r)
         left_method = "kernel"
         right = _tate_fixed_rank(P, j, r)
@@ -694,7 +709,7 @@ def induced(X: FrobObject, f: int) -> FrobObject:
         carrier: Union[LModule, CoLGroup] = CoLGroup(total)
     else:
         carrier = total
-    return FrobObject(carrier, acc.matrix, X.q, qpow, X.twist_tag, X.precision)
+    return FrobObject(carrier, acc.matrix, X.q, qpow, X.twist_tag)
 
 
 def base_extension(X: FrobObject, f: int) -> FrobObject:
@@ -702,7 +717,7 @@ def base_extension(X: FrobObject, f: int) -> FrobObject:
     if f < 1:
         raise ValueError("extension degree must be positive")
     return FrobObject(X.carrier, matrix_power(X.matrix, f), X.q,
-                      X.qpow * f, X.twist_tag, X.precision)
+                      X.qpow * f, X.twist_tag)
 
 
 @dataclass(frozen=True)

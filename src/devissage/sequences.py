@@ -45,7 +45,6 @@ from .exactlin import (
     cokernel,
     free_level,
     homology_at,
-    image,
     is_prime,
     kernel,
     preimage,
@@ -241,7 +240,7 @@ def induced_jacobian_block(inst: SingularityInstance, rep: str) -> FrobObject:
             rows[a][(f - 1) * n + b] = wrap.entry(a, b)
     carrier = CoLGroup(LModule(inst.ell, size))
     return FrobObject(carrier, IntMatrix.from_rows(rows, size), inst.q,
-                      qpow=ext.qpow, precision=inst.precision)
+                      qpow=ext.qpow)
 
 
 # ---------------------------------------------------------------------------
@@ -335,11 +334,25 @@ def _cycle_action(lat: HomologyLattice, gi: int) -> IntMatrix:
     return IntMatrix.identity(lat.rank)
 
 
-def _equivariant(f: LMap, act_dom: IntMatrix, act_cod: IntMatrix,
-                 modulus: int) -> bool:
-    lhs = (f.matrix @ act_dom).mod(modulus)
-    rhs = (act_cod @ f.matrix).mod(modulus)
-    return lhs == rhs
+def _split_sequence(ell: int, s: int, a: int, b: int, actions):
+    """0 -> A -> A (+) B -> B -> 0 on free level-s modules of ranks a, b.
+
+    Returns the complex and whether both maps commute with every
+    (action on A, action on B) pair, the middle acting block-diagonally.
+    """
+    mod = ell ** s
+    t_a, t_mid, t_b = (free_level(ell, s, n) for n in (a, a + b, b))
+    inc = LMap(t_a, t_mid, IntMatrix.identity(a).vstack(IntMatrix.zeros(b, a)))
+    proj = LMap(t_mid, t_b,
+                IntMatrix.zeros(b, a).hstack(IntMatrix.identity(b)))
+    equivariant = True
+    for act_a, act_b in actions:
+        act_mid = _diag_blocks([act_a, act_b], a + b)
+        for f, act_dom, act_cod in ((inc, act_a, act_mid),
+                                    (proj, act_mid, act_b)):
+            equivariant &= ((f.matrix @ act_dom).mod(mod)
+                            == (act_cod @ f.matrix).mod(mod))
+    return Complex((t_a, t_mid, t_b), (inc, proj)), equivariant
 
 
 # ---------------------------------------------------------------------------
@@ -356,46 +369,29 @@ def upsilon_structure(inst: SingularityInstance, r: int, s: int) -> ComplexRepor
     nonzero defect fails the run rather than being absorbed.
     """
     inst._require_level(s)
-    ell, q = inst.ell, inst.q
+    ell = inst.ell
     mod = ell ** s
     lat = inst.lattice
-    c = lat.rank
     jrank = inst.jacobian_rank()
     twist = r - 2
 
-    t_jac = free_level(ell, s, jrank)
-    t_mid = free_level(ell, s, jrank + c)
-    t_cyc = free_level(ell, s, c)
-    inc = LMap(t_jac, t_mid,
-               IntMatrix.identity(jrank).vstack(IntMatrix.zeros(c, jrank)))
-    proj = LMap(t_mid, t_cyc,
-                IntMatrix.zeros(c, jrank).hstack(IntMatrix.identity(c)))
-
-    jac_blocks = _jacobian_level_blocks(inst, twist, s)
-    scalar = pow(q, twist, mod)
-    equivariant = True
-    for gi in range(len(inst.graph.action)):
-        act_cyc = _cycle_action(lat, gi).scale(scalar).mod(mod)
-        act_jac = _diag_blocks(jac_blocks, jrank)
-        act_mid = _diag_blocks([act_jac, act_cyc], jrank + c)
-        if not _equivariant(inc, act_jac, act_mid, mod):
-            equivariant = False
-        if not _equivariant(proj, act_mid, act_cyc, mod):
-            equivariant = False
-
-    predicted = free_level(ell, s, n_x(inst.graph))
-    defect = (jrank + c) - n_x(inst.graph)
+    act_jac = _diag_blocks(_jacobian_level_blocks(inst, twist, s), jrank)
+    scalar = pow(inst.q, twist, mod)
+    seq, equivariant = _split_sequence(ell, s, jrank, lat.rank, [
+        (act_jac, _cycle_action(lat, gi).scale(scalar).mod(mod))
+        for gi in range(len(inst.graph.action))])
+    nx = n_x(inst.graph)
+    defect = jrank + lat.rank - nx
     structure = {
-        "observed": t_mid,
-        "predicted": predicted,
-        "n_x": n_x(inst.graph),
+        "observed": seq.terms[1],
+        "predicted": free_level(ell, s, nx),
+        "n_x": nx,
         "defect": defect,
         "equivariant": equivariant,
         "twist_tags": (twist, r - 1, twist),
     }
     report = exactness_check(
-        Complex((t_jac, t_mid, t_cyc), (inc, proj)),
-        label="upsilon",
+        seq, label="upsilon",
         notes=(
             "jacobian blocks: induced torsion over the base (computed)",
             MODELED_NOTE,
@@ -432,43 +428,18 @@ def lambda_structure(inst: SingularityInstance, s: int) -> LambdaReport:
     it, so the recorded action is q^-1 times the verified identity.
     """
     inst._require_level(s)
-    graph, config = inst.graph, inst.divisors
-    ell = inst.ell
+    xi = inst.xi(s)
+    per_comp_sum, to_points = xi.incidence_maps()
+    co = cokernel(to_points.compose(kernel(per_comp_sum).inclusion))
 
-    incid: List[Tuple[str, str]] = []
-    for comp in graph.component_ids:
-        pts = sorted(tuple(graph.component_nodes(comp)) + config.free_on(comp))
-        for p in pts:
-            incid.append((comp, p))
-    points = list(config.support_points())
-    pindex = {p: i for i, p in enumerate(points)}
-    cindex = {comp: i for i, comp in enumerate(graph.component_ids)}
-
-    comp_rows = [[0] * len(incid) for _ in graph.component_ids]
-    point_rows = [[0] * len(incid) for _ in points]
-    for j, (comp, p) in enumerate(incid):
-        comp_rows[cindex[comp]][j] = 1
-        point_rows[pindex[p]][j] = 1
-
-    dom = free_level(ell, s, len(incid))
-    comp_block = free_level(ell, s, len(graph.component_ids))
-    point_block = free_level(ell, s, len(points))
-    per_comp_sum = LMap(dom, comp_block,
-                        IntMatrix.from_rows(comp_rows, len(incid)))
-    to_points = LMap(dom, point_block,
-                     IntMatrix.from_rows(point_rows, len(incid)))
-    K = kernel(per_comp_sum)
-    composite = to_points.compose(K.inclusion)
-    co = cokernel(composite)
-
-    expected = free_level(ell, s, 1)
+    expected = free_level(inst.ell, s, 1)
     structure_ok = co.module == expected
 
     unit = IntMatrix.identity(co.module.num_gens)
     lift = preimage(co.projection, unit)
     frob_flags = []
-    for gp, dp in zip(graph.action, config.action):
-        P = perm_matrix(points, {**gp, **dp}.__getitem__)
+    for gp, dp in zip(inst.graph.action, inst.divisors.action):
+        P = perm_matrix(xi.support, {**gp, **dp}.__getitem__)
         frob_flags.append(lift is not None and co.module.reduce_columns(
             co.projection.matrix @ (P @ lift)) == unit)
 
@@ -508,39 +479,24 @@ def devissage(inst: SingularityInstance, r: int,
 
     inner = upsilon_structure(inst, r, s)
 
-    t_up = free_level(ell, s, jrank + c)
-    t_br = free_level(ell, s, jrank + c + ndiv - 1)
-    t_div = free_level(ell, s, ndiv - 1)
-    inc = LMap(t_up, t_br,
-               IntMatrix.identity(jrank + c).vstack(
-                   IntMatrix.zeros(ndiv - 1, jrank + c)))
-    proj = LMap(t_br, t_div,
-                IntMatrix.zeros(ndiv - 1, jrank + c).hstack(
-                    IntMatrix.identity(ndiv - 1)))
-
     xi = inst.xi(s)
     B = difference_basis(ndiv)
     scalar = pow(q, twist, mod)
-    jac_blocks = _jacobian_level_blocks(inst, twist, s)
-    equivariant = True
+    act_jac = _diag_blocks(_jacobian_level_blocks(inst, twist, s), jrank)
+    actions = []
     for gi, PD in enumerate(xi.divisor_actions):
         act_div = solve_integer(B, PD @ B)
         if act_div is None:
             raise ArithmeticError("divisor action leaves the zero sum block")
-        act_div = act_div.scale(scalar).mod(mod)
         act_cyc = _cycle_action(lat, gi).scale(scalar).mod(mod)
-        act_up = _diag_blocks(
-            [_diag_blocks(jac_blocks, jrank), act_cyc], jrank + c)
-        act_br = _diag_blocks([act_up, act_div], jrank + c + ndiv - 1)
-        if not _equivariant(inc, act_up, act_br, mod):
-            equivariant = False
-        if not _equivariant(proj, act_br, act_div, mod):
-            equivariant = False
+        actions.append((_diag_blocks([act_jac, act_cyc], jrank + c),
+                        act_div.scale(scalar).mod(mod)))
+    seq, equivariant = _split_sequence(ell, s, jrank + c, ndiv - 1, actions)
 
     # graph-side crosschecks at the same level: the cycle block must match
     # the kernel of phi, the divisor block the image of phi
-    theta_ok = kernel(xi.phi).module == free_level(ell, s, c)
-    divisor_ok = image(xi.phi) == t_div
+    theta_ok = xi.phi_kernel.module == free_level(ell, s, c)
+    divisor_ok = cokernel(xi.phi_kernel.inclusion).module == seq.terms[2]
 
     cores = tuple(
         corestriction_surjective(q, ell, twist, f)
@@ -555,8 +511,7 @@ def devissage(inst: SingularityInstance, r: int,
         "corestriction": cores,
     }
     outer = exactness_check(
-        Complex((t_up, t_br, t_div), (inc, proj)),
-        label="devissage",
+        seq, label="devissage",
         notes=(
             "kernel object: see the inner sequence report",
             MODELED_NOTE,
@@ -756,8 +711,7 @@ def bhn_finite_field_report(inst: SingularityInstance) -> BhnReport:
     m_value = inst.m
 
     msigma = _cycle_action(lat, 0)
-    fo = FrobObject(CoLGroup(LModule(ell, c)), msigma, q,
-                    precision=inst.precision)
+    fo = FrobObject(CoLGroup(LModule(ell, c)), msigma, q)
     h1_group = h1(fo)
     h1_corank = h1_group.corank
     corank_ok = h1_corank == rho_value
@@ -765,7 +719,6 @@ def bhn_finite_field_report(inst: SingularityInstance) -> BhnReport:
 
     levels = []
     for s in range(1, inst.max_level + 1):
-        mod = ell ** s
         xi = inst.xi(s)
         amb = (xi.ambient_actions[0] if xi.ambient_actions
                else IntMatrix.identity(len(xi.var_names)))

@@ -282,3 +282,24 @@ def sorted_key_tensor_index(M, N):
                 keyed.append(((1, -e, i, j), i, j))
     keyed.sort()
     return [(i, j) for _, i, j in keyed]
+
+
+def incidence_layout_rows(graph, config):
+    """Per-component sum rows and support point rows on the incidences.
+
+    The layout lambda_structure built for itself before it read Xi's
+    constraints: the incidences (component, point on it) with components in
+    order and each component's points sorted, one row per component summing
+    its incidences and one row per support point collecting those at it.
+    """
+    incid = []
+    for comp in graph.component_ids:
+        pts = sorted(tuple(graph.component_nodes(comp)) + config.free_on(comp))
+        incid.extend((comp, p) for p in pts)
+    points = list(config.support_points())
+    comp_rows = [[0] * len(incid) for _ in graph.component_ids]
+    point_rows = [[0] * len(incid) for _ in points]
+    for j, (comp, p) in enumerate(incid):
+        comp_rows[graph.component_ids.index(comp)][j] = 1
+        point_rows[points.index(p)][j] = 1
+    return comp_rows, point_rows

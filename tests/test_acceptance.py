@@ -240,7 +240,7 @@ def _splitting_ok(graph, config, ell, s, m_value, orbits) -> bool:
         running = gcd(running, len(orbit))
         if running == m_value:
             break
-    psis = [build_psi(graph, config, o, ell, s, xi=xi) for o in chosen]
+    psis = [build_psi(xi, o) for o in chosen]
     ok &= all(sp.phi_check and sp.equivariance_check for sp in psis)
     combined = bezout_combine(psis, m_value)
     ok &= combined.phi_check and combined.m == m_value

@@ -34,14 +34,12 @@ def test_every_layer_name_resolves(monkeypatch):
         assert callable(namespace.get(name)), f"{module}.{name}"
 
 
-def test_algebra_seeds_layers_are_called(monkeypatch):
-    """One algebra-seeds operation reaches every layer traced on it.
+def count_layer_calls(monkeypatch, workload, suites):
+    """Calls into every layer traced on workload during one operation.
 
-    Inlining a traced function into its callers, or calling it through a
-    name the tracer does not rebind, leaves its counter at zero and fails
-    the traced benchmark run; this catches it in the test suite.
-    Functions are counted in every devissage module that holds them, as
-    the tracer rebinds them.
+    The operation is one run of suites on the g1_swap fixture, then
+    rendering its report.  Functions are counted in every devissage module
+    that holds them and methods on their class, as the tracer rebinds them.
     """
     from devissage import cli
 
@@ -57,22 +55,49 @@ def test_algebra_seeds_layers_are_called(monkeypatch):
         return wrapper
 
     for module, name, homes, _ in tracer.LAYERS:
-        if tracer.AS not in homes:
+        if workload not in homes:
             continue
-        assert "." not in name, "a method layer needs a class rebinding"
         label = f"{module}.{name}"
         calls[label] = 0
-        original = vars(modules[f"devissage.{module}"])[name]
+        home = modules[f"devissage.{module}"]
+        if "." in name:
+            cls_name, attr = name.split(".")
+            owner = vars(home)[cls_name]
+            monkeypatch.setattr(owner, attr,
+                                counting(label, vars(owner)[attr]))
+            continue
+        original = vars(home)[name]
         wrapper = counting(label, original)
         for mod in modules.values():
             if vars(mod).get(name) is original:
                 monkeypatch.setattr(mod, name, wrapper)
-    assert {"lprimary.box", "lprimary.torsbis_maps"} <= set(calls)
-    # one benchmark operation: run, then render the report
     code, report = cli.run(cli.RunConfig(
         input_path=os.path.join(os.path.dirname(TRACER), os.pardir,
                                 "fixtures", "g1_swap.json"),
-        suites=("boxcalc", "torsionlevels"), seed=0))
+        suites=suites, seed=0))
     assert code == 0
     cli.render_json(report)
+    return calls
+
+
+def test_algebra_seeds_layers_are_called(monkeypatch):
+    """One algebra-seeds operation reaches every layer traced on it.
+
+    Inlining a traced function into its callers, or calling it through a
+    name the tracer does not rebind, leaves its counter at zero and fails
+    the traced benchmark run; this catches it in the test suite.
+    """
+    calls = count_layer_calls(monkeypatch, "algebra-seeds",
+                              ("boxcalc", "torsionlevels"))
+    assert {"lprimary.box", "lprimary.torsbis_maps"} <= set(calls)
+    assert all(calls.values()), calls
+
+
+def test_graph_scale_layers_are_called(monkeypatch):
+    """One run of the graph-scale suites reaches every layer traced there,
+    the IntMatrix.det method among them."""
+    calls = count_layer_calls(monkeypatch, "graph-scale",
+                              ("graph", "splitting", "devissage", "bhn"))
+    assert {"dualgraph.build_psi", "sequences.lambda_structure",
+            "exactlin.IntMatrix.det"} <= set(calls)
     assert all(calls.values()), calls

@@ -352,6 +352,27 @@ class TestRunLibrary:
             assert code == 3, suite
             assert report["error"]["kind"] == "cap", suite
 
+    def test_exact_kernel_cap_exits_three(self, tmp_path):
+        # a supersingular genus-2 jacobian: P = (T^2 + 5)^2 has repeated
+        # roots, so the vanishing probe needs a 4^4 = 256 dimensional kernel
+        payload = {
+            "schema": "devissage/1",
+            "components": [{"id": "u", "genus": 2}, {"id": "v", "genus": 0}],
+            "nodes": ["n"],
+            "edges": [["u", "n"], ["v", "n"]],
+            "action": [],
+            "ell": 3,
+            "q": 5,
+            "jacobians": [{"orbit_rep": "u", "charpoly": [1, 0, 10, 0, 25],
+                           "q": 5, "f": 1}],
+        }
+        path = write_instance(tmp_path, payload)
+        code, report = run(RunConfig(input_path=path, suites=("vanishing",)))
+        assert code == 3
+        assert report["error"]["kind"] == "cap"
+        assert "256" in report["error"]["message"]
+        assert "100" in report["error"]["message"]
+
     def test_graph_objects_built_once_per_run(self, monkeypatch):
         calls = {"tree_orbits": 0, "build_xi": 0}
         for name in calls:

@@ -38,7 +38,7 @@ from devissage.errors import (
     NotAnOrbit,
     NotASpanningTree,
 )
-from devissage.exactlin import IntMatrix, LModule, kernel
+from devissage.exactlin import IntMatrix, LModule, cokernel, image, kernel
 
 from oracles import brute_kernel_structure, rational_nullity, rational_rank
 
@@ -702,6 +702,21 @@ class TestBuildXi:
             assert kernel(xi.phi).module.is_trivial
             assert xi.spl2_exact and xi.phi_onto_ker_sum
 
+    def test_phi_kernel_is_the_kernel_of_phi(self):
+        # differential: the kernel build_xi keeps against a fresh kernel of
+        # phi, and its cokernel against the image of phi
+        rng = random.Random(29)
+        graphs = [tree_pair(), banana(), double_cycle(), rotation_cycle()]
+        graphs += [random_legal_graph(rng) for _ in range(15)]
+        for g in graphs:
+            for ell, s in ((2, 2), (3, 1)):
+                xi = build_xi(g, default_divisors(g), ell, s)
+                fresh = kernel(xi.phi)
+                assert xi.phi_kernel.module == fresh.module
+                assert xi.phi_kernel.inclusion == fresh.inclusion
+                assert (cokernel(xi.phi_kernel.inclusion).module
+                        == image(xi.phi))
+
     def test_banana_kernel_of_phi_is_one_cycle(self):
         g = banana(swap=False)
         xi = build_xi(g, default_divisors(g), 3, 1)
@@ -784,7 +799,7 @@ class TestBuildPsi:
         cfg = default_divisors(g)
         xi = build_xi(g, cfg, 3, 1)
         for orbit in tree_orbits(g):
-            sp = build_psi(g, cfg, orbit, 3, 1, xi=xi)
+            sp = build_psi(xi, orbit)
             assert sp.m == 2
             psi_m = sp.psi_ambient.matrix
             for x in range(3):
@@ -800,7 +815,7 @@ class TestBuildPsi:
         for s in (1, 2, 3):
             xi = build_xi(g, cfg, 3, s)
             orbit = [spanning_trees(g)[0]]
-            sp = build_psi(g, cfg, orbit, 3, s, xi=xi)
+            sp = build_psi(xi, orbit)
             assert sp.m == 1
             lhs = (xi.phi_ambient.matrix @ sp.psi_ambient.matrix)
             assert (lhs - sp.basis).mod(3 ** s).is_zero()
@@ -812,7 +827,7 @@ class TestBuildPsi:
         for s in (1, 2, 3):
             mod = 3 ** s
             xi = build_xi(g, cfg, 3, s)
-            sp = build_psi(g, cfg, tree_orbits(g)[0], 3, s, xi=xi)
+            sp = build_psi(xi, tree_orbits(g)[0])
             inv = pow(sp.m, -1, mod)
             section = sp.psi_ambient.matrix.scale(inv)
             lhs = xi.phi_ambient.matrix @ section
@@ -827,7 +842,7 @@ class TestBuildPsi:
             [{"d_a": "d_b", "d_b": "d_a"}])
         xi = build_xi(g, cfg, 3, 1)
         orbit = tree_orbits(g)[0]
-        sp = build_psi(g, cfg, orbit, 3, 1, xi=xi)
+        sp = build_psi(xi, orbit)
         assert sp.m == 2
         for coords in product(range(3), repeat=3):
             amb = sp.psi_ambient.matrix.apply(coords)
@@ -841,7 +856,7 @@ class TestBuildPsi:
         cfg = default_divisors(g)
         xi = build_xi(g, cfg, 2, 2)
         orbit = max(tree_orbits(g), key=len)
-        sp = build_psi(g, cfg, orbit, 2, 2, xi=xi)
+        sp = build_psi(xi, orbit)
         assert sp.m == 2
         assert sp.equivariance_check and sp.phi_check
 
@@ -849,14 +864,14 @@ class TestBuildPsi:
         g = double_cycle()
         cfg = default_divisors(g)
         orbit = min(tree_orbits(g), key=len)
-        sp = build_psi(g, cfg, orbit, 2, 2)
+        sp = build_psi(build_xi(g, cfg, 2, 2), orbit)
         assert sp.m == 1
 
     def test_rotation_orbit(self):
         g = rotation_cycle()
         cfg = default_divisors(g)
         xi = build_xi(g, cfg, 3, 2)
-        sp = build_psi(g, cfg, tree_orbits(g)[0], 3, 2, xi=xi)
+        sp = build_psi(xi, tree_orbits(g)[0])
         assert sp.m == 4
         lhs = xi.phi_ambient.matrix @ sp.psi_ambient.matrix
         assert (lhs - sp.basis.scale(4)).mod(9).is_zero()
@@ -866,13 +881,13 @@ class TestBuildPsi:
         cfg = default_divisors(g)
         orbits = tree_orbits(g)
         with pytest.raises(NotAnOrbit, match="closed"):
-            build_psi(g, cfg, orbits[0][:1], 3, 1)
+            build_psi(build_xi(g, cfg, 3, 1), orbits[0][:1])
         with pytest.raises(NotAnOrbit, match="several"):
-            build_psi(g, cfg, orbits[0] + orbits[1], 3, 1)
+            build_psi(build_xi(g, cfg, 3, 1), orbits[0] + orbits[1])
         with pytest.raises(NotAnOrbit, match="repeated"):
-            build_psi(g, cfg, orbits[0] + orbits[0][:1], 3, 1)
+            build_psi(build_xi(g, cfg, 3, 1), orbits[0] + orbits[0][:1])
         with pytest.raises(NotASpanningTree):
-            build_psi(g, cfg, [tuple(g.edges)], 3, 1)
+            build_psi(build_xi(g, cfg, 3, 1), [tuple(g.edges)])
 
 
 class TestBezoutCombine:
@@ -880,7 +895,7 @@ class TestBezoutCombine:
         g = banana()
         cfg = default_divisors(g)
         xi = build_xi(g, cfg, 3, 1)
-        sps = [build_psi(g, cfg, o, 3, 1, xi=xi) for o in tree_orbits(g)]
+        sps = [build_psi(xi, o) for o in tree_orbits(g)]
         combined = bezout_combine(sps, m_gamma(g))
         assert combined.m == 2
         assert combined.orbit_sizes == (2, 2)
@@ -889,7 +904,7 @@ class TestBezoutCombine:
     def test_single_orbit_passthrough(self):
         g = rotation_cycle()
         cfg = default_divisors(g)
-        sp = build_psi(g, cfg, tree_orbits(g)[0], 2, 2)
+        sp = build_psi(build_xi(g, cfg, 2, 2), tree_orbits(g)[0])
         combined = bezout_combine([sp], m_gamma(g))
         assert combined.m == 4
         assert combined.psi_ambient.matrix == sp.psi_ambient.matrix
@@ -899,8 +914,8 @@ class TestBezoutCombine:
         cfg = default_divisors(g)
         xi = build_xi(g, cfg, 3, 2)
         orbits = sorted(tree_orbits(g), key=len)
-        sps = [build_psi(g, cfg, orbits[0], 3, 2, xi=xi),
-               build_psi(g, cfg, orbits[-1], 3, 2, xi=xi)]
+        sps = [build_psi(xi, orbits[0]),
+               build_psi(xi, orbits[-1])]
         combined = bezout_combine(sps, m_gamma(g))
         assert combined.m == 1
         assert sorted(combined.orbit_sizes) == [1, 2]
@@ -912,15 +927,15 @@ class TestBezoutCombine:
         cfg = default_divisors(g)
         xi = build_xi(g, cfg, 2, 1)
         big = [o for o in tree_orbits(g) if len(o) == 2]
-        sps = [build_psi(g, cfg, o, 2, 1, xi=xi) for o in big[:2]]
+        sps = [build_psi(xi, o) for o in big[:2]]
         with pytest.raises(GcdShortfall, match="supply more orbits"):
             bezout_combine(sps, m_gamma(g))
 
     def test_mismatched_assemblies_rejected(self):
         g = banana()
         cfg = default_divisors(g)
-        sp1 = build_psi(g, cfg, tree_orbits(g)[0], 3, 1)
-        sp2 = build_psi(g, cfg, tree_orbits(g)[1], 3, 2)
+        sp1 = build_psi(build_xi(g, cfg, 3, 1), tree_orbits(g)[0])
+        sp2 = build_psi(build_xi(g, cfg, 3, 2), tree_orbits(g)[1])
         with pytest.raises(ValueError, match="different assemblies"):
             bezout_combine([sp1, sp2], m_gamma(g))
         with pytest.raises(ValueError):
@@ -938,7 +953,7 @@ class TestRandomPipeline:
             xi = build_xi(g, cfg, ell, s)
             assert xi.spl2_exact and xi.phi_onto_ker_sum
             orbits = tree_orbits(g)
-            sps = [build_psi(g, cfg, o, ell, s, xi=xi) for o in orbits[:2]]
+            sps = [build_psi(xi, o) for o in orbits[:2]]
             for sp in sps:
                 assert sp.phi_check and sp.equivariance_check
             sizes_gcd = 0

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from devissage.errors import (
+    EnumerationCapExceeded,
     InvalidInstance,
     MismatchedBase,
     MissingDualData,
@@ -450,7 +451,7 @@ class TestVanishing:
         assert v.corank_method == "kernel"
         assert v.corank == 4
         assert vanishing_probe(P_SQUARE, 3, 1, 0).corank == 0
-        with pytest.raises(InvalidInstance):
+        with pytest.raises(EnumerationCapExceeded):
             vanishing_probe(P_SQUARE, 3, 4, -2)
 
     def test_witness_vectors(self):
@@ -496,6 +497,13 @@ class TestDuality:
         assert d.left_method == "eigenproduct"
         assert d.right_method == "eigenproduct-shared"
         assert d.left_corank == d.right_corank == 38 and d.levels_agree
+
+    def test_repeated_roots_above_the_cap_raise(self):
+        # the root product would count 8 where the kernel has nullity 4 at
+        # j = 2, so above the cap there is no exact route to share
+        with pytest.raises(EnumerationCapExceeded, match="256.*100"):
+            duality_crosscheck(P_SQUARE, 3, 4, -2)
+        assert duality_crosscheck(P_SQUARE, 3, 2, -1).left_corank == 4
 
     def test_sweep_agreement(self):
         for P in WEIL_CATALOG:

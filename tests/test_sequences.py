@@ -42,7 +42,12 @@ from devissage.sequences import (
     ono_check,
     upsilon_structure,
 )
-from oracles import quotient_structure, rational_nullity, subgroup_closure
+from oracles import (
+    incidence_layout_rows,
+    quotient_structure,
+    rational_nullity,
+    subgroup_closure,
+)
 
 P5 = CharPoly((1, -2, 5), 5)
 P25 = CharPoly((1, -2, 25), 25)
@@ -536,6 +541,29 @@ class TestLambdaStructure:
     def test_level_bounds(self):
         with pytest.raises(PrecisionExhausted):
             lambda_structure(instance(tree_pair(), precision=1, max_level=1), 2)
+
+    def test_incidence_maps_match_the_incidence_layout(self):
+        # differential: the y-column blocks of Xi's constraints against the
+        # incidence layout built directly from the graph and the divisors
+        rng = random.Random(17)
+        graphs = [tree_pair(), banana(swap=False), banana(), comp_swap(),
+                  triangle()] + [random_legal_graph(rng) for _ in range(20)]
+        cases = [(g, default_divisors(g)) for g in graphs]
+        cases.append((banana(), anchored_banana_config(banana())))
+        for g, cfg in cases:
+            comp_rows, point_rows = incidence_layout_rows(g, cfg)
+            n = len(comp_rows[0])
+            for ell, s in ((2, 1), (3, 2)):
+                per_comp_sum, to_points = build_xi(
+                    g, cfg, ell, s).incidence_maps()
+                assert per_comp_sum.matrix == IntMatrix.from_rows(comp_rows, n)
+                assert to_points.matrix == IntMatrix.from_rows(point_rows, n)
+                assert per_comp_sum.domain == free_level(ell, s, n)
+                assert to_points.domain == free_level(ell, s, n)
+                assert per_comp_sum.codomain == free_level(
+                    ell, s, len(comp_rows))
+                assert to_points.codomain == free_level(
+                    ell, s, len(point_rows))
 
 
 class TestDevissage:
