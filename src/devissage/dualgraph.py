@@ -26,6 +26,7 @@ from .errors import (
     GcdShortfall,
     NotAnOrbit,
     NotASpanningTree,
+    VerificationFailed,
 )
 from .exactlin import (
     IntMatrix,
@@ -308,9 +309,9 @@ def h1_lattice(graph: DualGraph) -> HomologyLattice:
         P = _edge_perm_matrix(graph, p)
         M = solve_integer(basis, P @ basis)
         if M is None or (basis @ M) != (P @ basis):
-            raise ArithmeticError("induced matrix does not reproduce the edge action")
+            raise VerificationFailed("induced matrix does not reproduce the edge action")
         if c and M.det() not in (1, -1):
-            raise ArithmeticError("induced action matrix is not unimodular")
+            raise VerificationFailed("induced action matrix is not unimodular")
         mats.append(M)
 
     # relation check: every word of length <= 4 in the generators must act
@@ -330,7 +331,7 @@ def h1_lattice(graph: DualGraph) -> HomologyLattice:
                     perm = _compose_perms(perm, graph.action[i])
                     mat = mats[i] @ mat
                 if basis @ mat != _edge_perm_matrix(graph, perm) @ basis:
-                    raise ArithmeticError(
+                    raise VerificationFailed(
                         f"action matrices violate the group relation for word {w}")
     return HomologyLattice(basis, tuple(mats), graph.edges)
 
@@ -444,7 +445,7 @@ def spanning_trees(graph: DualGraph, cap: int = DEFAULT_TREE_CAP):
     rec(0, _DSU(nverts), ())
     trees = sorted(tuple(edges[i] for i in t) for t in found)
     if cofactor != len(trees):
-        raise ArithmeticError(
+        raise VerificationFailed(
             f"spanning tree enumeration found {len(trees)} trees but the "
             f"Laplacian cofactor is {cofactor}")
     return tuple(trees)
@@ -468,7 +469,7 @@ def _tree_orbit_partition(graph: DualGraph, trees, not_closed: Exception):
 def tree_orbits(graph: DualGraph, cap: int = DEFAULT_TREE_CAP):
     """Orbits of the spanning tree set under the generated action group."""
     trees = [frozenset(t) for t in spanning_trees(graph, cap)]
-    orbits = _tree_orbit_partition(graph, trees, ArithmeticError(
+    orbits = _tree_orbit_partition(graph, trees, VerificationFailed(
         "action image of a spanning tree is not a spanning tree"))
     return tuple(sorted(tuple(sorted(tuple(sorted(t)) for t in orbit))
                         for orbit in orbits))
@@ -562,8 +563,8 @@ def tree_solve(graph: DualGraph, tree, values, modulus: Optional[int] = None):
             continue
         r = residual[v]
         if (r % modulus if modulus else r) != 0:
-            raise BalanceViolated(
-                "internal: leaf elimination ended with a nonzero residual "
+            raise VerificationFailed(
+                "leaf elimination ended with a nonzero residual "
                 f"{r} at {v} despite the balance precheck")
     if modulus:
         return {e: val % modulus for e, val in x.items()}
@@ -722,8 +723,6 @@ class XiModule:
     support: tuple
     ambient_actions: Tuple[IntMatrix, ...]
     divisor_actions: Tuple[IntMatrix, ...]
-    spl2_exact: bool
-    phi_onto_ker_sum: bool
 
     @property
     def modulus(self) -> int:
@@ -820,25 +819,23 @@ def build_xi(graph: DualGraph, config: DivisorConfig, ell: int, s: int) -> XiMod
     cycle_embedding = LMap(h1_dom, ambient, H)
 
     if not (C @ H).is_zero():
-        raise ArithmeticError("cycle columns do not satisfy the point constraints")
+        raise VerificationFailed("cycle columns do not satisfy the point constraints")
     if not (phi_ambient.matrix @ H).is_zero():
-        raise ArithmeticError("cycle columns leak into the divisor block")
+        raise VerificationFailed("cycle columns leak into the divisor block")
     h1_inclusion = induced_into_kernel(cycle_embedding, K)
 
     # exactness in the middle: kernel of phi coincides with the cycle image
     phi_kernel = kernel(phi)
     ker_amb = K.inclusion.matrix @ phi_kernel.inclusion.matrix
-    spl2_exact = (_span_contains(ambient, H, ker_amb)
-                  and _span_contains(ambient, ker_amb, H))
-    if not spl2_exact:
-        raise ArithmeticError("kernel of phi differs from the cycle image at this level")
+    if not (_span_contains(ambient, H, ker_amb)
+            and _span_contains(ambient, ker_amb, H)):
+        raise VerificationFailed("kernel of phi differs from the cycle image at this level")
 
     ones = IntMatrix.from_rows([[1] * ndiv], ndiv)
     if not (ones @ phi.matrix).mod(mod).is_zero():
-        raise ArithmeticError("phi image does not lie in the zero sum block")
-    phi_onto = preimage(phi, difference_basis(ndiv)) is not None
-    if not phi_onto:
-        raise ArithmeticError("phi misses part of the zero sum block")
+        raise VerificationFailed("phi image does not lie in the zero sum block")
+    if preimage(phi, difference_basis(ndiv)) is None:
+        raise VerificationFailed("phi misses part of the zero sum block")
 
     ambient_actions = []
     divisor_actions = []
@@ -855,9 +852,9 @@ def build_xi(graph: DualGraph, config: DivisorConfig, ell: int, s: int) -> XiMod
         P = perm_matrix(var_names, var_image)
         PD = perm_matrix(div_ids, dp.__getitem__)
         if (phi_ambient.matrix @ P) != (PD @ phi_ambient.matrix):
-            raise ArithmeticError("divisor projection is not equivariant")
+            raise VerificationFailed("divisor projection is not equivariant")
         if not (C @ (P @ K.inclusion.matrix)).mod(mod).is_zero():
-            raise ArithmeticError("action does not preserve the assembled kernel")
+            raise VerificationFailed("action does not preserve the assembled kernel")
         ambient_actions.append(P)
         divisor_actions.append(PD)
 
@@ -871,7 +868,6 @@ def build_xi(graph: DualGraph, config: DivisorConfig, ell: int, s: int) -> XiMod
         var_names=tuple(var_names), support=support,
         ambient_actions=tuple(ambient_actions),
         divisor_actions=tuple(divisor_actions),
-        spl2_exact=spl2_exact, phi_onto_ker_sum=phi_onto,
     )
 
 
@@ -895,8 +891,6 @@ class PsiSplitting:
     domain: LModule
     basis: IntMatrix
     psi_ambient: LMap
-    phi_check: bool
-    equivariance_check: bool
 
 
 def difference_basis(ndiv: int) -> IntMatrix:
@@ -966,21 +960,18 @@ def build_psi(xi: XiModule, tree_orbit) -> PsiSplitting:
            if cols else IntMatrix.zeros(len(xi.var_names), 0))
 
     if not (xi.constraint.matrix @ Psi).is_zero():
-        raise BalanceViolated(
-            "internal: psi columns violate the defining constraints")
-    phi_check = (xi.phi_ambient.matrix @ Psi) == B.scale(m)
-    if not phi_check:
-        raise ArithmeticError("phi after psi is not multiplication by the orbit size")
+        raise VerificationFailed("psi columns violate the defining constraints")
+    if (xi.phi_ambient.matrix @ Psi) != B.scale(m):
+        raise VerificationFailed("phi after psi is not multiplication by the orbit size")
 
     for P, PD in zip(xi.ambient_actions, xi.divisor_actions):
         R = solve_integer(B, PD @ B)
         if R is None or (P @ Psi) != (Psi @ R):
-            raise ArithmeticError("psi does not commute with the action")
+            raise VerificationFailed("psi does not commute with the action")
 
     return PsiSplitting(
         xi=xi, trees=tuple(trees), m=m, domain=domain, basis=B,
         psi_ambient=LMap(domain, xi.ambient, Psi),
-        phi_check=phi_check, equivariance_check=True,
     )
 
 
@@ -991,7 +982,6 @@ class CombinedSplitting:
     coefficients: Tuple[int, ...]
     orbit_sizes: Tuple[int, ...]
     psi_ambient: LMap
-    phi_check: bool
 
 
 def bezout_combine(splittings: Sequence[PsiSplitting],
@@ -1029,13 +1019,11 @@ def bezout_combine(splittings: Sequence[PsiSplitting],
         Psi = term if Psi is None else Psi + term
     B = splittings[0].basis
     # stored map matrices are already reduced mod l^s, so compare there
-    phi_check = ((xi.phi_ambient.matrix @ Psi) - B.scale(g)).mod(xi.modulus).is_zero()
-    if not phi_check:
-        raise ArithmeticError("combined section misses the gcd multiple")
+    if not ((xi.phi_ambient.matrix @ Psi) - B.scale(g)).mod(xi.modulus).is_zero():
+        raise VerificationFailed("combined section misses the gcd multiple")
     return CombinedSplitting(
         xi=xi, m=g, coefficients=tuple(coeffs), orbit_sizes=tuple(sizes),
         psi_ambient=LMap(splittings[0].domain, xi.ambient, Psi),
-        phi_check=phi_check,
     )
 
 

@@ -55,6 +55,10 @@ class EnumerationCapExceeded(DevissageError):
     tree cap, or an exact kernel above the procyclic dimension cap."""
 
 
+class VerificationFailed(DevissageError, ArithmeticError):
+    """A re-checked proof step is false: a computation defect, not bad input."""
+
+
 class BalanceViolated(DevissageError):
     """Vertex charge vector violates the two-sided balance condition."""
 

@@ -362,14 +362,14 @@ def torsbis_maps(A: CoLGroup, s: int, t: int, n: int, rng=None) -> TorsBisData:
         raise ValueError("need 1 <= s <= t")
     ell = A.ell
     c = A.corank
-    As, At = A.level(s), A.level(t)
     if n == 0:
         dom = LModule(ell, 0, (s,))
         cod = LModule(ell, 0, (t,))
         f_st = LMap(dom, cod, [[ell ** (t - s)]])
     else:
-        dom, didx = tensor_power_with_index(As, n)
-        cod, cidx = tensor_power_with_index(At, n)
+        # A is divisible: level t has level s's generator order, all of order l^t
+        dom, didx = tensor_power_with_index(A.level(s), n)
+        cod = LModule(ell, 0, (t,) * len(didx))
         cols = []
         for tup in didx:
             # lift each leg: a_{i} = l^(t-s) * b with b = e_i + l^s * z
@@ -381,14 +381,14 @@ def torsbis_maps(A: CoLGroup, s: int, t: int, n: int, rng=None) -> TorsBisData:
                     for j in range(c):
                         lift[j] += ell ** s * rng.randint(0, ell - 1)
                 legs.append(lift)
-            vec = [0] * len(cidx)
-            for p, ctup in enumerate(cidx):
+            vec = [0] * len(didx)
+            for p, ctup in enumerate(didx):
                 prod = 1
                 for leg, j in zip(legs, ctup):
                     prod *= leg[j]
                 vec[p] = (prod * ell ** (t - s)) % ell ** t
             cols.append(vec)
-        mat = [[cols[j][i] for j in range(len(didx))] for i in range(len(cidx))]
+        mat = [[cols[j][i] for j in range(len(didx))] for i in range(len(didx))]
         f_st = LMap(dom, cod, IntMatrix.from_rows(mat, len(didx)))
     # level tensor powers and box-power levels share their multi-index order
     An = box_power(A, n)

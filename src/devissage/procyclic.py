@@ -36,6 +36,7 @@ from .errors import (
     InvalidInstance,
     MismatchedBase,
     MissingDualData,
+    VerificationFailed,
     WeilCheckFailed,
 )
 from .exactlin import (
@@ -405,7 +406,7 @@ def eigenproduct_poly(P: CharPoly, j: int) -> tuple:
             acc += (-1) ** (i - 1) * E[k - i] * s[i - 1]
         e, rem = divmod(acc, k)
         if rem:
-            raise ArithmeticError("composed power polynomial not integral")
+            raise VerificationFailed("composed power polynomial not integral")
         E.append(e)
     return tuple((-1) ** k * e for k, e in enumerate(E))
 
@@ -510,10 +511,7 @@ def vanishing_probe(P: CharPoly, ell: int, j: int, r: int,
     if method == "eigenproduct" and dim <= KERNEL_DIM_CAP:
         other = _kernel_corank(P, ell, j, r)
         if other != corank:
-            raise ArithmeticError(
-                "root-product and kernel coranks disagree; the instance "
-                "violates the squarefree diagonalizability assumption"
-            )
+            raise VerificationFailed("root-product and kernel coranks disagree")
         crosschecked = True
     structure = CoLGroup(LModule(ell, corank))
     snaps = tuple(structure.level(s) for s in range(1, levels + 1))

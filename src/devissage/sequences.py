@@ -11,7 +11,7 @@ groups); every report that contains such a term says so explicitly.
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from math import gcd
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 from .dualgraph import (
     DEFAULT_TREE_CAP,
@@ -35,6 +35,7 @@ from .errors import (
     ModeledTermCaveat,
     NotComposable,
     PrecisionExhausted,
+    VerificationFailed,
     WeilCheckFailed,
 )
 from .exactlin import (
@@ -81,9 +82,9 @@ class SingularityInstance:
     polynomial per positive-genus component orbit together with the degree
     f of the field the orbit is defined over.  q is the base field size.
 
-    The suites share graph objects computed on first use, once per instance:
-    the cycle lattice, the spanning tree orbits (enumerated under tree_cap),
-    their gcd m, and the level-s kernel assembly xi(s).
+    The suites share objects computed once per instance, on first use: the
+    cycle lattice, the tree orbits (enumerated under tree_cap), their gcd m,
+    the level-s kernel assembly xi(s) and the induced jacobian blocks.
     """
 
     def __init__(self, graph: DualGraph, divisors: DivisorConfig, jacobians,
@@ -181,6 +182,12 @@ class SingularityInstance:
         if s not in self._xi:
             self._xi[s] = build_xi(self.graph, self.divisors, self.ell, s)
         return self._xi[s]
+
+    @cached_property
+    def jacobian_blocks(self) -> Tuple[FrobObject, ...]:
+        """The induced jacobian block of each entry of jacobians, in order."""
+        return tuple(induced_jacobian_block(self, rep)
+                     for rep, _, _ in self.jacobians)
 
     @property
     def is_finite_field_mode(self) -> bool:
@@ -308,13 +315,10 @@ def exactness_check(c: Complex, label: str = "complex",
 # building blocks shared by the sequence assemblers
 
 
-def _jacobian_level_blocks(inst: SingularityInstance, twist: int,
-                           s: int) -> List[IntMatrix]:
-    blocks = []
-    for rep, _, _ in inst.jacobians:
-        fo = induced_jacobian_block(inst, rep).twist(twist)
-        blocks.append(fo.matrix_mod(s))
-    return blocks
+def _jacobian_action(inst: SingularityInstance, twist: int, s: int) -> IntMatrix:
+    """The twisted Frobenius on all jacobian blocks at once, mod l^s."""
+    return _diag_blocks([fo.twist(twist).matrix_mod(s)
+                         for fo in inst.jacobian_blocks], inst.jacobian_rank())
 
 
 def _diag_blocks(blocks: Sequence[IntMatrix], size: int) -> IntMatrix:
@@ -375,7 +379,7 @@ def upsilon_structure(inst: SingularityInstance, r: int, s: int) -> ComplexRepor
     jrank = inst.jacobian_rank()
     twist = r - 2
 
-    act_jac = _diag_blocks(_jacobian_level_blocks(inst, twist, s), jrank)
+    act_jac = _jacobian_action(inst, twist, s)
     scalar = pow(inst.q, twist, mod)
     seq, equivariant = _split_sequence(ell, s, jrank, lat.rank, [
         (act_jac, _cycle_action(lat, gi).scale(scalar).mod(mod))
@@ -482,12 +486,12 @@ def devissage(inst: SingularityInstance, r: int,
     xi = inst.xi(s)
     B = difference_basis(ndiv)
     scalar = pow(q, twist, mod)
-    act_jac = _diag_blocks(_jacobian_level_blocks(inst, twist, s), jrank)
+    act_jac = _jacobian_action(inst, twist, s)
     actions = []
     for gi, PD in enumerate(xi.divisor_actions):
         act_div = solve_integer(B, PD @ B)
         if act_div is None:
-            raise ArithmeticError("divisor action leaves the zero sum block")
+            raise VerificationFailed("divisor action leaves the zero sum block")
         act_cyc = _cycle_action(lat, gi).scale(scalar).mod(mod)
         actions.append((_diag_blocks([act_jac, act_cyc], jrank + c),
                         act_div.scale(scalar).mod(mod)))
@@ -584,7 +588,7 @@ class OnoReport:
 def _unimodular_inverse(m: IntMatrix) -> IntMatrix:
     inv = solve_integer(m, IntMatrix.identity(m.rows))
     if inv is None or (m @ inv) != IntMatrix.identity(m.rows):
-        raise ArithmeticError("inverse verification failed")
+        raise VerificationFailed("inverse verification failed")
     return inv
 
 
@@ -671,7 +675,7 @@ def _module_action(xi: XiModule, amb: IntMatrix) -> IntMatrix:
     """Express an ambient action in the coordinates of the kernel module."""
     sol = preimage(xi.inclusion, amb @ xi.inclusion.matrix)
     if sol is None:
-        raise ArithmeticError("action does not descend to the kernel module")
+        raise VerificationFailed("action does not descend to the kernel module")
     return sol
 
 
@@ -680,13 +684,13 @@ def _induced_on_cokernels(f: LMap, cok_dom, cok_cod) -> LMap:
     lift = preimage(cok_dom.projection,
                     IntMatrix.identity(cok_dom.module.num_gens))
     if lift is None:
-        raise ArithmeticError("cokernel projection is not onto")
+        raise VerificationFailed("cokernel projection is not onto")
     moved = f.codomain.reduce_columns(f.matrix @ lift)
     h = LMap(cok_dom.module, cok_cod.module, cok_cod.projection.matrix @ moved)
     lhs = h.compose(cok_dom.projection)
     rhs = cok_cod.projection.compose(f)
     if lhs.matrix != rhs.matrix:
-        raise ArithmeticError("induced cokernel map fails its defining square")
+        raise VerificationFailed("induced cokernel map fails its defining square")
     return h
 
 
@@ -743,9 +747,8 @@ def bhn_finite_field_report(inst: SingularityInstance) -> BhnReport:
             equivariance_ok=equiv, level_routes_agree=routes_agree))
 
     vanishing = []
-    for rep, poly, f in inst.jacobians:
+    for (rep, poly, _), ind in zip(inst.jacobians, inst.jacobian_blocks):
         ext = torsion_frob(poly, ell)
-        ind = induced_jacobian_block(inst, rep)
         vanishing.append(JacobianVanishing(
             orbit_rep=rep,
             extension_route_trivial=h1(ext).dual_module.is_trivial,

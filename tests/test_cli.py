@@ -11,7 +11,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from devissage import cli, procyclic, sequences
+from devissage import cli, dualgraph, procyclic, sequences
 from devissage.cli import (
     RunConfig,
     SUITE_NAMES,
@@ -524,6 +524,56 @@ class TestRunLibrary:
 
 
 # ---------------------------------------------------------------------------
+# a false proof step inside a suite
+
+# suite -> (module, leaf helper, wrapper that makes one proof step false,
+# the message the step raises with)
+FAULTS = {
+    "graph": (dualgraph, "solve_integer", lambda real: lambda *a: None,
+              "induced matrix does not reproduce the edge action"),
+    "splitting": (dualgraph, "_psi_column",
+                  lambda real: lambda *a: [2 * v for v in real(*a)],
+                  "phi after psi is not multiplication by the orbit size"),
+    "devissage": (sequences, "solve_integer", lambda real: lambda *a: None,
+                  "divisor action leaves the zero sum block"),
+    "bhn": (sequences, "preimage", lambda real: lambda *a: None,
+            "action does not descend to the kernel module"),
+    "vanishing": (procyclic, "_box_nullity",
+                  lambda real: lambda *a: real(*a) + 1,
+                  "root-product and kernel coranks disagree"),
+}
+
+
+class TestVerificationFailure:
+
+    @pytest.mark.parametrize("suite", sorted(FAULTS))
+    def test_false_step_is_a_failed_check(self, monkeypatch, suite):
+        # the faulty suite runs first: the run goes on to the next one
+        suites = (suite, "boxcalc")
+        clean = run(RunConfig(input_path=G1_SWAP, suites=suites))
+        assert clean[0] == 0
+        module, helper, wrap, message = FAULTS[suite]
+        monkeypatch.setattr(module, helper, wrap(getattr(module, helper)))
+
+        code, report = run(RunConfig(input_path=G1_SWAP, suites=suites))
+        assert code == 2
+        assert report["verdict"] == "FAIL"
+        assert report["suites"][suite] == {
+            "checks": [{"name": "internal verification",
+                        "structure": message, "verdict": "FAIL"}],
+            "verdict": "FAIL"}
+        assert report["suites"]["boxcalc"] == clean[1]["suites"]["boxcalc"]
+        assert set(report["timings"]) == set(suites)
+
+        res = CliRunner().invoke(main, ["run", "--input", G1_SWAP,
+                                        "--suite", ",".join(suites)])
+        assert res.exit_code == 2
+        assert "Traceback" not in res.output
+        assert json.loads(res.stdout)["suites"][suite] == \
+            report["suites"][suite]
+
+
+# ---------------------------------------------------------------------------
 # instance-file fuzzing
 
 def _fixture_payload(name):
@@ -636,6 +686,17 @@ class TestInstanceFuzz:
         code, report = run(RunConfig(**fields))
         assert code in (0, 2, 3, 4)
         assert (code in (3, 4)) == ("error" in report)
+        failed = any(c["verdict"] == "FAIL"
+                     for s in report.get("suites", {}).values()
+                     for c in s["checks"])
+        if code == 0:
+            assert report["verdict"] == "PASS" and not failed
+        elif code == 2:
+            assert report["verdict"] == "FAIL" and failed
+        else:
+            assert report["verdict"] == "ERROR"
+            assert report["error"]["kind"] in (
+                ("cap",) if code == 3 else ("parse", "invalid"))
         render_json(report)
         render_text(report)
 

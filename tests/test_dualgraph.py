@@ -700,7 +700,6 @@ class TestBuildXi:
             xi = build_xi(g, cfg, ell, s)
             assert xi.module == LModule(ell, 0, (s,))
             assert kernel(xi.phi).module.is_trivial
-            assert xi.spl2_exact and xi.phi_onto_ker_sum
 
     def test_phi_kernel_is_the_kernel_of_phi(self):
         # differential: the kernel build_xi keeps against a fresh kernel of
@@ -759,7 +758,6 @@ class TestBuildXi:
             xi = build_xi(g, cfg, ell, s)
             expected = betti(g) + len(cfg.ids) - 1
             assert xi.module == LModule(ell, 0, (s,) * expected)
-            assert xi.spl2_exact and xi.phi_onto_ker_sum
             rows, nvars = xi_constraint_rows(g, cfg)
             assert rational_nullity(rows, nvars) == expected
 
@@ -858,7 +856,13 @@ class TestBuildPsi:
         orbit = max(tree_orbits(g), key=len)
         sp = build_psi(xi, orbit)
         assert sp.m == 2
-        assert sp.equivariance_check and sp.phi_check
+        # the action on the zero sum block in the difference basis B: its
+        # last row is minus the column sums, so the other rows determine it
+        B, Psi = sp.basis, sp.psi_ambient.matrix
+        for P, PD in zip(xi.ambient_actions, xi.divisor_actions):
+            R = (PD @ B).take_rows(range(B.cols))
+            assert ((P @ Psi) - (Psi @ R)).mod(4).is_zero()
+        assert ((xi.phi_ambient.matrix @ Psi) - B.scale(2)).mod(4).is_zero()
 
     def test_fixed_tree_gives_unit_section(self):
         g = double_cycle()
@@ -899,7 +903,8 @@ class TestBezoutCombine:
         combined = bezout_combine(sps, m_gamma(g))
         assert combined.m == 2
         assert combined.orbit_sizes == (2, 2)
-        assert combined.phi_check
+        lhs = xi.phi_ambient.matrix @ combined.psi_ambient.matrix
+        assert (lhs - sps[0].basis.scale(2)).mod(3).is_zero()
 
     def test_single_orbit_passthrough(self):
         g = rotation_cycle()
@@ -950,12 +955,10 @@ class TestRandomPipeline:
             g = random_legal_graph(rng)
             cfg = default_divisors(g)
             ell, s = rng.choice([(2, 1), (2, 2), (3, 1), (3, 2), (5, 1)])
+            # build_xi and build_psi raise on a false proof step
             xi = build_xi(g, cfg, ell, s)
-            assert xi.spl2_exact and xi.phi_onto_ker_sum
             orbits = tree_orbits(g)
             sps = [build_psi(xi, o) for o in orbits[:2]]
-            for sp in sps:
-                assert sp.phi_check and sp.equivariance_check
             sizes_gcd = 0
             for sp in sps:
                 sizes_gcd = gcd(sizes_gcd, sp.m)

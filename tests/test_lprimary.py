@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from devissage.errors import (
     InputNotExact,
@@ -18,6 +20,7 @@ from devissage.exactlin import (
     LModule,
     direct_sum_with_maps,
     kernel,
+    tensor_power_with_index,
 )
 from devissage.lprimary import (
     CoMap,
@@ -286,6 +289,26 @@ class TestTorsBis:
         for seed in range(10):
             pert = torsbis_maps(A, 1, 2, 3, rng=random.Random(seed))
             assert base.f_st.equal_as_maps(pert.f_st)
+
+    @settings(max_examples=60, deadline=None)
+    @given(ell=st.sampled_from((2, 3, 5)), corank=st.integers(1, 2),
+           n=st.integers(1, 3), levels=st.sampled_from(
+               [(s, t) for t in range(2, 5) for s in range(1, t)]))
+    def test_codomain_is_the_level_t_tensor_power(self, ell, corank, n,
+                                                  levels):
+        # differential: against the level-t tensor power and its own index;
+        # with unperturbed lifts f_st sends the generator of each index
+        # tuple to l^(t-s) times the generator of that tuple at level t
+        s, t = levels
+        A = CoLGroup(LModule(ell, corank))
+        data = torsbis_maps(A, s, t, n)
+        cod, cidx = tensor_power_with_index(A.level(t), n)
+        _, didx = tensor_power_with_index(A.level(s), n)
+        assert data.f_st.codomain == cod
+        rows = [[ell ** (t - s) if ctup == dtup else 0 for dtup in didx]
+                for ctup in cidx]
+        assert data.f_st.matrix == IntMatrix.from_rows(rows, len(didx))
+        assert data.commutes
 
 
 class TestDirectSystem:

@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 import sympy
 
+from devissage import sequences
 from devissage.dualgraph import (
     DivisorConfig,
     DualGraph,
@@ -277,6 +278,22 @@ class TestOwnedGraphObjects:
             for s in (1, 2):
                 assert inst.xi(s) == build_xi(g, inst.divisors, ell, s)
                 assert inst.xi(s) is inst.xi(s)
+
+    def test_jacobian_blocks_built_once(self, monkeypatch):
+        calls = []
+        real = sequences.induced_jacobian_block
+
+        def counted(inst, rep):
+            calls.append(rep)
+            return real(inst, rep)
+
+        monkeypatch.setattr(sequences, "induced_jacobian_block", counted)
+        inst = instance(triangle(), [("u", P125, 3)], ell=2)
+        for s in range(1, 5):
+            devissage(inst, 2, s)
+        bhn_finite_field_report(inst)
+        assert calls == ["u"]
+        assert inst.jacobian_blocks == (real(inst, "u"),)
 
     def test_cap_is_the_instance_cap(self):
         with pytest.raises(EnumerationCapExceeded,
