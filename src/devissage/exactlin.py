@@ -232,28 +232,48 @@ class IntMatrix:
         """Exact determinant via fraction-free Bareiss elimination."""
         if self.rows != self.cols:
             raise ValueError("determinant of non-square matrix")
-        n = self.rows
-        if n == 0:
+        if self.rows == 0:
             return 1
-        a = [list(r) for r in self.data]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                # find a pivot row below
-                for i in range(k + 1, n):
-                    if a[i][k] != 0:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
+        rank, sign, pivot = _bareiss([list(r) for r in self.data])
+        return sign * pivot if rank == self.rows else 0
+
+    def rank(self) -> int:
+        """Rank over Q via fraction-free Bareiss elimination."""
+        return _bareiss([list(r) for r in self.data])[0]
+
+
+def _bareiss(a: list):
+    """Fraction-free row echelon of the row list a, in place.
+
+    Returns (rank, sign of the row permutation, last pivot).  Every entry
+    stays an integer minor of the input, so each division is exact; for a
+    square matrix of full rank, sign * last pivot is its determinant.
+    """
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    r, sign, prev = 0, 1, 1
+    for k in range(cols):
+        if r == rows:
+            break
+        if a[r][k] == 0:
+            for i in range(r + 1, rows):
+                if a[i][k] != 0:
+                    a[r], a[i] = a[i], a[r]
+                    sign = -sign
+                    break
+            else:
+                continue
+        top = a[r]
+        piv = top[k]
+        for i in range(r + 1, rows):
+            row = a[i]
+            x = row[k]
+            for j in range(k + 1, cols):
+                row[j] = (row[j] * piv - x * top[j]) // prev
+            row[k] = 0
+        prev = piv
+        r += 1
+    return r, sign, prev
 
 
 # ---------------------------------------------------------------------------

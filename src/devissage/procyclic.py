@@ -9,7 +9,7 @@ vanishes.  The base field never appears as field elements: it is the pair
 Weil-weight bookkeeping is exact.  A characteristic polynomial passes the
 weight-1 test iff it satisfies the q-functional equation and its associated
 real polynomial (in u = T + q/T) has all roots real in [-2 sqrt q, 2 sqrt q];
-the interval test runs in exact arithmetic on isolated algebraic roots.
+the interval test is a Sturm count over Z, evaluated exactly at +-2 sqrt q.
 
 Vanishing questions for box powers reduce to: does some j-fold product of
 roots of P equal q^(j+r)?  The multiset of such products is encoded by its
@@ -28,8 +28,6 @@ from dataclasses import dataclass, field
 from functools import wraps
 from math import gcd
 from typing import Union
-
-import sympy
 
 from .errors import (
     EnumerationCapExceeded,
@@ -139,9 +137,8 @@ class CharPoly:
 
     @_memo()
     def is_squarefree(self) -> bool:
-        x = sympy.Symbol("x")
-        p = sympy.Poly(self.coefficients, x)
-        return sympy.gcd(p, p.diff(x)).degree() == 0
+        low = list(self.low_coeffs())
+        return len(_poly_gcd(low, _derivative(low))) == 1
 
     def power_sums(self, upto: int) -> list:
         """Sums of k-th powers of the roots for k = 1..upto, exactly."""
@@ -207,15 +204,97 @@ def weil_weight_check(P: CharPoly) -> bool:
         ck = low[g + k]
         for d, c in enumerate(V[k]):
             h[d] += ck * c
-    x = sympy.Symbol("x")
-    hp = sympy.Poly(list(reversed(h)), x)
-    roots = hp.real_roots()
-    if len(roots) != g:
-        return False
-    for r in roots:
-        if not bool(r ** 2 <= 4 * q):
-            return False
-    return True
+    # h is monic of degree g, so all its roots (with multiplicity) lie in the
+    # interval exactly when the squarefree part has all its roots there
+    hs = _squarefree_part(h)
+    chain = _sturm_chain(hs)
+    # Sturm: sign changes at -2 sqrt q minus those at 2 sqrt q count the
+    # roots in (-2 sqrt q, 2 sqrt q]; a root on -2 sqrt q is added
+    inside = (_variations(chain, -2, q) - _variations(chain, 2, q)
+              + (_sign_at_sqrt(hs, -2, q) == 0))
+    return inside == len(hs) - 1
+
+
+# ---------------------------------------------------------------------------
+# integer polynomials: coefficient lists, low degree first, no trailing zero
+
+
+def _derivative(p: list) -> list:
+    return [k * c for k, c in enumerate(p)][1:]
+
+
+def _primitive(p: list) -> list:
+    """p divided by the gcd of its coefficients; signs are kept, [] stays []."""
+    c = gcd(*p)
+    return [x // c for x in p] if c > 1 else p
+
+
+def _pseudo_divmod(a: list, b: list):
+    """(quot, rem) with |lc b|^(deg a - deg b + 1) a = quot b + rem.
+
+    The multiplier is positive, so rem is a positive multiple of the
+    remainder over Q, and deg rem < deg b.
+    """
+    db, lc = len(b) - 1, b[-1]
+    scale = abs(lc)
+    r = list(a)
+    quot = [0] * max(len(a) - db, 0)
+    for k in range(len(a) - 1 - db, -1, -1):
+        t = r[k + db] if lc > 0 else -r[k + db]
+        r = [x * scale for x in r]
+        quot = [x * scale for x in quot]
+        quot[k] += t
+        for i, bi in enumerate(b):
+            r[k + i] -= t * bi
+    r = r[:db]
+    while r and r[-1] == 0:
+        r.pop()
+    return quot, r
+
+
+def _poly_gcd(a: list, b: list) -> list:
+    """A gcd over Q of integer polynomials, by the primitive PRS (Collins)."""
+    while b:
+        a, b = b, _primitive(_pseudo_divmod(a, b)[1])
+    return a
+
+
+def _squarefree_part(p: list) -> list:
+    """p / gcd(p, p') up to a constant factor: the distinct roots of p."""
+    d = _poly_gcd(p, _derivative(p))
+    return p if len(d) == 1 else _primitive(_pseudo_divmod(p, d)[0])
+
+
+def _sturm_chain(p: list) -> list:
+    """p, p' and the negated pseudo-remainders, each up to a positive factor."""
+    chain = [p, _primitive(_derivative(p))]
+    while True:
+        r = _pseudo_divmod(chain[-2], chain[-1])[1]
+        if not r:
+            return chain
+        chain.append(_primitive([-x for x in r]))
+
+
+def _sign_at_sqrt(p: list, c: int, q: int) -> int:
+    """The sign of p(c sqrt q), exactly: p(c sqrt q) = A + B sqrt q."""
+    A = B = 0
+    for k, a in enumerate(p):
+        term = a * c ** k * q ** (k // 2)
+        if k % 2:
+            B += term
+        else:
+            A += term
+    sa, sb = (A > 0) - (A < 0), (B > 0) - (B < 0)
+    if sa * sb >= 0:
+        return sa or sb
+    d = A * A - q * B * B
+    return sa * ((d > 0) - (d < 0))
+
+
+def _variations(chain: list, c: int, q: int) -> int:
+    """Sign changes along the chain at c sqrt q, zeros skipped."""
+    signs = [sg for sg in (_sign_at_sqrt(p, c, q) for p in chain) if sg]
+    return sum(1 for u, v in zip(signs, signs[1:]) if u != v)
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,14 @@
 Everything in here deliberately avoids the library's own SNF/presentation
 machinery: structures of finite modules are recovered by counting element
 orders, subgroups by BFS closure, ranks by fraction Gaussian elimination.
+The sympy_* oracles are second routes through sympy, which the library
+itself never imports.
 """
 
 from fractions import Fraction
 from itertools import product
+
+import sympy
 
 
 def subgroup_closure(orders, gens):
@@ -303,3 +307,51 @@ def incidence_layout_rows(graph, config):
         comp_rows[graph.component_ids.index(comp)][j] = 1
         point_rows[points.index(p)][j] = 1
     return comp_rows, point_rows
+
+
+def sympy_is_squarefree(coeffs):
+    """deg gcd(P, P') = 0 over Q, by sympy; coefficients leading first."""
+    x = sympy.Symbol("x")
+    p = sympy.Poly(coeffs, x)
+    return sympy.gcd(p, p.diff(x)).degree() == 0
+
+
+def sympy_gcd_degree(a, b):
+    """Degree of gcd(a, b) over Q, by sympy; coefficients leading first."""
+    x = sympy.Symbol("x")
+    return sympy.gcd(sympy.Poly(a, x), sympy.Poly(b, x)).degree()
+
+
+def sympy_weil_check(coeffs, q):
+    """Every root of P has absolute value sqrt q, by sympy.
+
+    P is pure of weight one exactly when it satisfies the q-functional
+    equation and R(u) = Res_T(P(T), T^2 - uT + q), which is q^g h(u)^2, has
+    all its 2g roots (with multiplicity) real in [-2 sqrt q, 2 sqrt q].
+    The route never builds h itself.
+    """
+    T, u = sympy.symbols("T u")
+    P = sympy.Poly(coeffs, T).as_expr()
+    n = len(coeffs) - 1
+    if sympy.expand(T ** n * P.subs(T, sympy.Rational(q) / T)
+                    - q ** (n // 2) * P) != 0:
+        return False
+    R = sympy.Poly(sympy.resultant(P, T ** 2 - u * T + q, T), u)
+    roots = R.real_roots()
+    return len(roots) == n and all(bool(r ** 2 <= 4 * q) for r in roots)
+
+
+def sympy_det(rows):
+    """Determinant by sympy (1 for the empty matrix)."""
+    return int(sympy.Matrix(rows).det()) if rows else 1
+
+
+def sympy_rank(rows):
+    """Rank over Q by sympy."""
+    return sympy.Matrix(rows).rank() if rows else 0
+
+
+def sympy_laplacian_cofactor(lap_rows):
+    """The Laplacian minor without its last row and column, by sympy."""
+    n = len(lap_rows)
+    return sympy_det([row[:n - 1] for row in lap_rows[:n - 1]])

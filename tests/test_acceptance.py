@@ -11,7 +11,6 @@ import time
 from itertools import product
 from math import gcd
 
-import sympy
 
 from devissage.cli import RunConfig, build_instance, load_raw, render_json, run
 from devissage.dualgraph import (
@@ -54,7 +53,7 @@ from devissage.sequences import (
     ono_check,
     upsilon_structure,
 )
-from oracles import rational_nullity
+from oracles import rational_nullity, sympy_laplacian_cofactor
 from test_lprimary import mult_ell_ses
 from test_dualgraph import (
     banana as graph_banana,
@@ -202,7 +201,7 @@ def _cofactor(graph) -> int:
         lap[j][j] += 1
         lap[i][j] -= 1
         lap[j][i] -= 1
-    return int(sympy.Matrix(lap)[:n - 1, :n - 1].det())
+    return sympy_laplacian_cofactor(lap)
 
 
 def test_criterion_06_graph_invariants():

@@ -3,8 +3,13 @@
 import hashlib
 import json
 import os
+import random
+import re
+import subprocess
+import sys
 import time
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 from click.testing import CliRunner
@@ -24,9 +29,12 @@ from devissage.cli import (
     run,
 )
 from devissage.errors import InvalidInstance, ParseError, UnknownSequence
-from devissage.exactlin import PRIME_BOUND
+from devissage.exactlin import PRIME_BOUND, IntMatrix
+
+from oracles import sympy_laplacian_cofactor, sympy_rank
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 G1_SWAP = os.path.join(FIXTURES, "g1_swap.json")
 G2_TREE = os.path.join(FIXTURES, "g2_tree.json")
 
@@ -662,6 +670,64 @@ def mutated_instances(draw):
         else:
             payload = draw(st.sampled_from(([], [payload], 3, "x", {})))
     return payload
+
+
+@st.composite
+def action_stacks(draw):
+    """(c, matrices): 1-3 c x c integer matrices, some signed permutations."""
+    c = draw(st.integers(1, 6))
+    mats = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            perm = draw(st.permutations(range(c)))
+            signs = [draw(st.sampled_from((1, 1, -1))) for _ in range(c)]
+            mats.append([[signs[i] if j == perm[i] else 0 for j in range(c)]
+                         for i in range(c)])
+        else:
+            mats.append([[draw(st.integers(-2, 2)) for _ in range(c)]
+                         for _ in range(c)])
+    return c, mats
+
+
+class TestGraphSecondRoutes:
+    """The graph suite's second routes against sympy."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32))
+    def test_laplacian_cofactor_matches_sympy(self, seed):
+        g = dualgraph.random_legal_graph(random.Random(seed), max_components=6,
+                                         max_extra_nodes=5)
+        rows = [list(r) for r in dualgraph.laplacian(g).data]
+        assert cli._laplacian_cofactor(g) == sympy_laplacian_cofactor(rows)
+
+    @settings(max_examples=100, deadline=None)
+    @given(action_stacks())
+    def test_rational_fixed_rank_matches_sympy(self, stack):
+        c, mats = stack
+        lattice = SimpleNamespace(
+            rank=c, action_matrices=[IntMatrix.from_rows(m, c) for m in mats])
+        rows = [[m[k][j] - (j == k) for j in range(c)]
+                for m in mats for k in range(c)]
+        assert cli._rational_fixed_rank(lattice) == c - sympy_rank(rows)
+
+
+class TestRuntimeDependencies:
+    def test_cli_import_loads_no_sympy(self):
+        code = ("import sys, devissage.cli; print(sorted("
+                "m for m in sys.modules if m.split('.')[0] == 'sympy'))")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (SRC, os.environ.get("PYTHONPATH")))))
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
+
+    def test_src_has_no_sympy_import(self):
+        pattern = re.compile(r"^\s*(import|from)\s+sympy\b", re.M)
+        pkg = os.path.join(SRC, "devissage")
+        for name in sorted(os.listdir(pkg)):
+            if name.endswith(".py"):
+                with open(os.path.join(pkg, name), encoding="utf-8") as fh:
+                    assert not pattern.search(fh.read()), name
 
 
 class TestInstanceFuzz:

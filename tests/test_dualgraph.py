@@ -40,7 +40,12 @@ from devissage.errors import (
 )
 from devissage.exactlin import IntMatrix, LModule, cokernel, image, kernel
 
-from oracles import brute_kernel_structure, rational_nullity, rational_rank
+from oracles import (
+    brute_kernel_structure,
+    rational_nullity,
+    rational_rank,
+    sympy_laplacian_cofactor,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -133,8 +138,7 @@ def laplacian_rows(graph):
 
 
 def laplacian_cofactor(graph):
-    minor = [row[:-1] for row in laplacian_rows(graph)[:-1]]
-    return int(sympy.Matrix(minor).det())
+    return sympy_laplacian_cofactor(laplacian_rows(graph))
 
 
 def is_spanning_tree(graph, edge_subset):

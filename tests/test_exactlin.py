@@ -42,6 +42,8 @@ from oracles import (
     generator_expression_lmodule_check,
     rational_nullity,
     sorted_key_tensor_index,
+    sympy_det,
+    sympy_rank,
     trial_division_is_prime,
 )
 
@@ -626,6 +628,37 @@ class TestFastPathsDifferential:
         got = _outcome(lambda: LModule(ell, free_rank,
                                        tuple(exps)).torsion_exponents)
         assert got == want
+
+
+@st.composite
+def low_rank_rows(draw, square=False):
+    """Row lists L @ R of a random inner size, so rank deficits are common."""
+    m = draw(st.integers(0, 6))
+    n = m if square else draw(st.integers(1, 6))
+    k = draw(st.integers(0, 6))
+    entries = st.integers(-4, 4)
+    L = [[draw(entries) for _ in range(k)] for _ in range(m)]
+    R = [[draw(entries) for _ in range(n)] for _ in range(k)]
+    return [[sum(L[i][t] * R[t][j] for t in range(k)) for j in range(n)]
+            for i in range(m)]
+
+
+class TestBareiss:
+    """det and rank, which share one fraction-free elimination, against sympy."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(low_rank_rows(square=True))
+    @example([[0, 1], [1, 0]])
+    @example([[0, 0, 1], [0, 2, 0], [3, 0, 0]])
+    def test_det_matches_sympy(self, rows):
+        assert IntMatrix.from_rows(rows, len(rows)).det() == sympy_det(rows)
+
+    @settings(max_examples=150, deadline=None)
+    @given(low_rank_rows())
+    @example([[0, 0, 1], [0, 0, 2], [0, 3, 0]])
+    def test_rank_matches_sympy(self, rows):
+        cols = len(rows[0]) if rows else 1
+        assert IntMatrix.from_rows(rows, cols).rank() == sympy_rank(rows)
 
 
 class TestMisc:

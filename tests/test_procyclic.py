@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import comb, isqrt
 
 import pytest
 import sympy
@@ -27,6 +28,7 @@ from devissage.procyclic import (
     WEIL_CATALOG,
     CharPoly,
     _kernel_corank,
+    _poly_gcd,
     base_extension,
     box_torsion_frob,
     clear_memo,
@@ -56,6 +58,9 @@ from oracles import (
     fraction_root_multiplicity,
     group_structure,
     rational_nullity,
+    sympy_gcd_degree,
+    sympy_is_squarefree,
+    sympy_weil_check,
 )
 
 P_GENERIC = WEIL_CATALOG[0]      # T^2 - 2T + 5, q = 5
@@ -185,6 +190,123 @@ class TestWeilCheck:
                 continue
             Q = CharPoly(tuple(reversed(rev)), q)
             assert weil_weight_check(Q) == weil_weight_check(P)
+
+
+def poly_mul(a, b):
+    """Product of two coefficient lists, low degree first."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def weil_poly(h, q):
+    """Leading-first coefficients of P(T) = T^g h(T + q/T), h low first."""
+    g = len(h) - 1
+    P = [0] * (2 * g + 1)
+    for d, hd in enumerate(h):
+        # T^(g-d) (T^2 + q)^d
+        for i in range(d + 1):
+            P[g - d + 2 * i] += hd * comb(d, i) * q ** (d - i)
+    return tuple(reversed(P))
+
+
+@st.composite
+def weil_candidates(draw):
+    """(coefficients, q) of T^g h(T + q/T) for h of degree 1..4.
+
+    h is a product of factors u - a with a inside, on the edge of or just
+    outside [-2 sqrt q, 2 sqrt q], and of random quadratics, each taken once
+    or twice.  For a square q the edge factor puts a root of h on an
+    endpoint.  Sometimes h's constant term is shifted (P keeps its
+    functional equation) or P's constant term is (it loses it).
+    """
+    q = draw(st.sampled_from((2, 3, 4, 5, 7, 9, 16, 25)))
+    edge = isqrt(4 * q)  # the largest a with a^2 <= 4q
+    h, degree = [1], draw(st.integers(1, 4))
+    while len(h) - 1 < degree:
+        kind = draw(st.sampled_from(("inside", "edge", "outside", "quad")))
+        if kind == "quad":
+            factor = [draw(st.integers(-2 * q, 2 * q)),
+                      draw(st.integers(-edge, edge)), 1]
+        else:
+            a = (draw(st.integers(-edge, edge)) if kind == "inside"
+                 else draw(st.sampled_from((-1, 1))) * (
+                     edge + (kind == "outside")))
+            factor = [-a, 1]
+        for _ in range(draw(st.integers(1, 2))):
+            h = poly_mul(h, factor)
+    h[0] += draw(st.sampled_from((0, 0, 0, -1, 1)))
+    coeffs = list(weil_poly(h, q))
+    coeffs[-1] += draw(st.sampled_from((0, 0, 0, 0, 1)))
+    return tuple(coeffs), q
+
+
+@st.composite
+def monic_even_polys(draw):
+    """Leading-first monic integer polynomials of even degree with a nonzero
+    constant term: products of random factors, some repeated."""
+    nonzero = st.integers(-4, 4).filter(bool)
+    p = [1]
+    for _ in range(draw(st.integers(1, 3))):
+        middle = [draw(st.integers(-4, 4))] if draw(st.booleans()) else []
+        factor = [draw(nonzero)] + middle + [1]
+        for _ in range(draw(st.integers(1, 2))):
+            p = poly_mul(p, factor)
+    if (len(p) - 1) % 2:
+        p = poly_mul(p, [draw(nonzero), 1])
+    return tuple(reversed(p))
+
+
+def int_polys():
+    """Nonzero integer polynomials of degree 0..3, low degree first."""
+    return st.builds(lambda low, top: low + [top],
+                     st.lists(st.integers(-5, 5), max_size=3),
+                     st.integers(-5, 5).filter(bool))
+
+
+class TestSympyDifferential:
+    """The integer PRS and Sturm routes against sympy."""
+
+    def test_endpoint_roots(self):
+        # q = 4: roots of h on -4, on 4, on both; then just outside
+        assert weil_weight_check(CharPoly((1, -4, 4), 4))    # h = u - 4
+        assert weil_weight_check(CharPoly((1, 4, 4), 4))     # h = u + 4
+        assert weil_weight_check(CharPoly((1, 0, -8, 0, 16), 4))
+        assert not weil_weight_check(CharPoly((1, -5, 4), 4))
+        assert not weil_weight_check(CharPoly((1, 5, 4), 4))
+        # supersingular (T^2 + q)^k: h = u^k
+        for k in (1, 2, 3):
+            coeffs = weil_poly([0] * k + [1], 7)
+            assert weil_weight_check(CharPoly(coeffs, 7))
+
+    @settings(max_examples=150, deadline=None)
+    @given(weil_candidates())
+    @example(((1, -4, 4), 4))
+    @example(((1, 4, 4), 4))
+    @example(((1, 0, -8, 0, 16), 4))
+    @example(((1, 0, 18, 0, 81), 9))
+    @example(((1, -6, 5), 5))
+    def test_weil_check_matches_sympy(self, case):
+        coeffs, q = case
+        assert (weil_weight_check(CharPoly(coeffs, q))
+                == sympy_weil_check(coeffs, q))
+
+    @settings(max_examples=150, deadline=None)
+    @given(monic_even_polys())
+    @example(P_SQUARE.coefficients)
+    def test_squarefree_matches_sympy(self, coeffs):
+        assert CharPoly(coeffs, 2).is_squarefree() == sympy_is_squarefree(
+            coeffs)
+
+    @settings(max_examples=100, deadline=None)
+    @given(int_polys(), int_polys(), int_polys())
+    def test_gcd_degree_matches_sympy(self, a, b, c):
+        # a common factor c of random degree, not monic, low degree first
+        a, b = poly_mul(a, c), poly_mul(b, c)
+        want = sympy_gcd_degree(a[::-1], b[::-1])
+        assert len(_poly_gcd(a, b)) - 1 == want
 
 
 class TestFrobConstructors:

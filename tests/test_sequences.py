@@ -27,6 +27,7 @@ from devissage.errors import (
     WeilCheckFailed,
 )
 from devissage.exactlin import PRIME_BOUND, IntMatrix, LMap, LModule
+from devissage.lprimary import FrobObject
 from devissage.procyclic import WEIL_CATALOG, CharPoly, h1, torsion_frob
 from devissage.sequences import (
     BhnReport,
@@ -621,6 +622,23 @@ class TestDevissage:
         assert outer.verdict == "PASS" and inner.verdict == "PASS"
         assert outer.structure["equivariant"]
         assert [t.num_gens for t in outer.terms] == [1, 4, 3]
+
+    def test_builds_no_twisted_jacobian_action(self, monkeypatch):
+        # both split sequences are equivariant by construction, so no
+        # twisted Frobenius is built to check it
+        inst = instance(triangle(), [("u", P125, 3)], ell=2)
+        assert inst.jacobian_blocks
+        calls = []
+        real = FrobObject.twist
+
+        def counted(self, r):
+            calls.append(r)
+            return real(self, r)
+
+        monkeypatch.setattr(FrobObject, "twist", counted)
+        for s in range(1, 5):
+            devissage(inst, 2, s)
+        assert calls == []
 
     def test_modeled_caveat_present(self):
         outer, inner = devissage(instance(tree_pair()), 2, 1)
