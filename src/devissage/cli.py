@@ -148,6 +148,12 @@ def load_raw(path: str) -> dict:
         raise ParseError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: "
             f"{exc.msg}") from exc
+    except ValueError as exc:
+        # bytes that are not UTF-8, or an integer literal beyond the
+        # interpreter's digit limit
+        raise ParseError(f"{path}: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{path}: JSON nested too deeply") from exc
     if not isinstance(raw, dict):
         raise ParseError(f"{path}: top level must be an object")
     if raw.get("schema") != SCHEMA:

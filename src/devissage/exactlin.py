@@ -578,7 +578,7 @@ class LModule:
         """First derived functor of tensor over Zl.
 
         Cyclic rules: Tor1(Z/l^a, Z/l^b) = Z/l^min(a,b); free factors
-        contribute nothing.  Higher Tor vanishes (see :func:`tor_dimension_bound`).
+        contribute nothing.  Higher Tor vanishes: Zl has global dimension 1.
         """
         self._check_prime(other)
         exps = sorted(
@@ -604,11 +604,6 @@ class LModule:
 def free_level(ell: int, s: int, n: int) -> LModule:
     """(Z/l^s)^n, the level s reduction of a rank n lattice."""
     return LModule(ell, 0, (s,) * n)
-
-
-def tor_dimension_bound(i: int) -> bool:
-    """True iff Tor^i can be nonzero.  Zl has global dimension 1."""
-    return i in (0, 1)
 
 
 @dataclass(frozen=True)
@@ -743,6 +738,10 @@ def canonicalize_with_maps(pres: Presentation) -> Canonicalized:
 
     Invariant factors prime to l are units l-locally and their generators are
     dropped; mixed factors u*l^v keep only the l-part l^v.
+
+    >>> P = Presentation(2, 2, ((2, 0), (0, 3)))
+    >>> str(canonicalize_with_maps(P).module)
+    'C2'
     """
     p = pres.num_generators
     ell = pres.ell
@@ -763,16 +762,6 @@ def canonicalize_with_maps(pres: Presentation) -> Canonicalized:
     project = U.take_rows(selected)
     lift = Ui.take_cols(selected)
     return Canonicalized(module, project, lift)
-
-
-def canonicalize(pres: Presentation) -> LModule:
-    """Canonical form of a presentation.
-
-    >>> P = Presentation(2, 2, ((2, 0), (0, 3)))
-    >>> str(canonicalize(P))
-    'C2'
-    """
-    return canonicalize_with_maps(pres).module
 
 
 # ---------------------------------------------------------------------------
@@ -895,32 +884,6 @@ class LMap:
             and self.matrix == other.matrix
         )
 
-    def dual_map(self) -> "LMap":
-        """Pontryagin dual of a map of finite modules.
-
-        For f: X -> Y the dual runs Y^D -> X^D; on canonical generators the
-        entry is f_ij * l^(a_j - b_i), an exact integer by well-definedness.
-        Finite modules are canonically their own duals, so domain and
-        codomain swap as LModules.
-        """
-        if not (self.domain.is_finite and self.codomain.is_finite):
-            raise ValueError("dual_map needs finite modules")
-        ell = self.domain.ell
-        a = self.domain.torsion_exponents
-        b = self.codomain.torsion_exponents
-        rows = []
-        for j in range(self.domain.num_gens):
-            row = []
-            for i in range(self.codomain.num_gens):
-                num = self.matrix.entry(i, j) * ell ** a[j]
-                den = ell ** b[i]
-                if num % den != 0:
-                    raise ValueError("well-definedness violated in dual_map")
-                row.append(num // den)
-            rows.append(row)
-        return LMap(self.codomain, self.domain,
-                    IntMatrix.from_rows(rows, self.codomain.num_gens), self.precision)
-
 
 # ---------------------------------------------------------------------------
 # kernels, cokernels, images
@@ -1041,37 +1004,7 @@ def homology_at(incoming: Optional[LMap], outgoing: Optional[LMap],
 
 
 # ---------------------------------------------------------------------------
-# sums and tensors with coordinate bookkeeping
-
-
-def direct_sum_with_maps(mods: Sequence[LModule]):
-    """Direct sum in canonical order plus injections and projections."""
-    if not mods:
-        raise ValueError("empty direct sum")
-    ell = mods[0].ell
-    for m in mods:
-        if m.ell != ell:
-            raise MismatchedPrime("direct sum across primes")
-    entries = []  # (sort key, block, local index, order)
-    for b, m in enumerate(mods):
-        for i, e in enumerate(m.gen_orders()):
-            key = (0, b, i) if e is None else (1, -e, b, i)
-            entries.append((key, b, i, e))
-    entries.sort(key=lambda t: t[0])
-    free_rank = sum(1 for _, _, _, e in entries if e is None)
-    exps = tuple(e for _, _, _, e in entries if e is not None)
-    total = LModule(ell, free_rank, exps)
-    pos = {(b, i): p for p, (_, b, i, _) in enumerate(entries)}
-    injections, projections = [], []
-    for b, m in enumerate(mods):
-        inj = IntMatrix.from_rows(
-            [[1 if pos[(b, j)] == p else 0 for j in range(m.num_gens)]
-             for p in range(total.num_gens)],
-            m.num_gens,
-        )
-        injections.append(LMap(m, total, inj))
-        projections.append(LMap(total, m, inj.transpose()))
-    return total, injections, projections
+# tensors with coordinate bookkeeping
 
 
 def tensor_with_index(M: LModule, N: LModule):

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 from .errors import (
     InputNotExact,
@@ -38,7 +38,6 @@ from .exactlin import (
     IntMatrix,
     LMap,
     LModule,
-    cokernel,
     homology_at,
     kernel,
     tensor_maps,
@@ -118,22 +117,6 @@ def tor_box(A: Carrier, B: Carrier) -> CoLGroup:
     return CoLGroup(a.dual_module.tor1(b.dual_module))
 
 
-def tor_box_i(A: Carrier, B: Carrier, i: int) -> CoLGroup:
-    """Degree-i derived functor: box for i=0, tor_box for i=1, zero beyond.
-
-    The dual side has global dimension one, so everything in degree >= 2
-    vanishes identically; this is exposed as a constant query rather than
-    recomputed.
-    """
-    if i < 0:
-        raise ValueError("negative derived degree")
-    if i == 0:
-        return box(A, B)
-    if i == 1:
-        return tor_box(A, B)
-    return CoLGroup(LModule(as_colgroup(A).ell, 0))
-
-
 def random_cogroup(rng, ell: int, max_corank: int = 2, max_torsion: int = 2,
                    max_exp: int = 3) -> CoLGroup:
     """A random (Ql/Zl)^c (+) finite group for property sweeps.
@@ -174,33 +157,8 @@ class CoMap:
                    LMap(codomain.dual_module, domain.dual_module, matrix))
 
     @classmethod
-    def from_level_matrix(cls, domain: CoLGroup, codomain: CoLGroup, matrix) -> "CoMap":
-        """Build from one integer matrix acting on every torsion level.
-
-        Only uniform cases admit such a description: both groups divisible
-        (the dual is then the plain transpose) or both finite (classical
-        finite duality).  Mixed maps must supply their dual directly.
-        """
-        if not isinstance(matrix, IntMatrix):
-            matrix = IntMatrix.from_rows(matrix, domain.dual_module.num_gens)
-        if domain.is_divisible and codomain.is_divisible:
-            return cls.from_dual_matrix(domain, codomain, matrix.transpose())
-        if domain.is_finite and codomain.is_finite:
-            f = LMap(domain.dual_module, codomain.dual_module, matrix)
-            return cls(domain, codomain, f.dual_map())
-        raise ValueError(
-            "a single level matrix only determines a map in the uniform "
-            "divisible/divisible or finite/finite cases"
-        )
-
-    @classmethod
     def identity_on(cls, C: CoLGroup) -> "CoMap":
         return cls(C, C, LMap.identity_on(C.dual_module))
-
-    @classmethod
-    def zero(cls, domain: CoLGroup, codomain: CoLGroup) -> "CoMap":
-        return cls(domain, codomain,
-                   LMap.zero(codomain.dual_module, domain.dual_module))
 
     @classmethod
     def multiplication(cls, C: CoLGroup, c: int) -> "CoMap":
@@ -216,37 +174,12 @@ class CoMap:
     def is_zero_map(self) -> bool:
         return self.dual_map.is_zero_map()
 
-    def level_map(self, s: int) -> LMap:
-        """Restriction to the l^s-torsion subgroups, an honest finite map."""
-        ell = self.domain.ell
-        ms = _dual_mod_level(self.codomain.dual_module, s)
-        mt = _dual_mod_level(self.domain.dual_module, s)
-        g = LMap(ms, mt, self.dual_map.matrix)
-        return g.dual_map()
-
-
-def _dual_mod_level(M: LModule, s: int) -> LModule:
-    """M / l^s with the generator indexing of M itself."""
-    exps = tuple(s if e is None else min(e, s) for e in M.gen_orders())
-    return LModule(M.ell, 0, exps)
-
 
 def box_maps(f: CoMap, g: CoMap) -> CoMap:
     """f box g, computed as the tensor of the dual maps."""
     dom = box(f.domain, g.domain)
     cod = box(f.codomain, g.codomain)
     return CoMap(dom, cod, tensor_maps(f.dual_map, g.dual_map))
-
-
-def co_kernel(f: CoMap):
-    """Kernel of a discrete map: dual of the cokernel of the dual.
-
-    Returns (subgroup, inclusion CoMap).
-    """
-    ck = cokernel(f.dual_map)
-    sub = CoLGroup(ck.module)
-    inc = CoMap(sub, f.domain, ck.projection)
-    return sub, inc
 
 
 def co_cokernel(f: CoMap):
@@ -286,11 +219,6 @@ def co_exactness(maps: Sequence[CoMap]):
 
 # ---------------------------------------------------------------------------
 # torsion levels
-
-
-def level(A: Carrier, s: int) -> LModule:
-    """The l^s-torsion subgroup as a finite module."""
-    return as_colgroup(A).level(s)
 
 
 def finite_box_power(F: LModule, n: int) -> LModule:
@@ -399,43 +327,6 @@ def torsbis_maps(A: CoLGroup, s: int, t: int, n: int, rng=None) -> TorsBisData:
     lhs = incl.compose(phi_s)
     rhs = phi_t.compose(f_st)
     return TorsBisData(f_st, phi_s, phi_t, incl, lhs.equal_as_maps(rhs))
-
-
-@dataclass
-class DirectSystem:
-    """Finite snapshots of a discrete group along its torsion levels.
-
-    Structure claims are only emitted once the top two levels agree with the
-    candidate; until then the system reports itself as not stabilised.
-    """
-
-    group: CoLGroup
-    depth: int = 6
-
-    def __post_init__(self):
-        if self.depth < 2:
-            raise ValueError("depth must be at least 2")
-        self.levels = [self.group.level(s) for s in range(1, self.depth + 1)]
-
-    def inclusion(self, s: int, t: int) -> IntMatrix:
-        return self.group.level_inclusion_matrix(s, t)
-
-    def structure_claim(self):
-        """Infer (corank, finite part) from the top snapshots.
-
-        Returns (claim, stable).  The claim is the group whose levels match
-        the observed top two snapshots; stable is False when even that
-        reconstruction disagrees, which at full depth cannot happen for an
-        honest cofinitely generated group.
-        """
-        top = self.levels[-1]
-        s = self.depth
-        corank = sum(1 for e in top.torsion_exponents if e == s)
-        finite = tuple(e for e in top.torsion_exponents if e < s)
-        claim = CoLGroup(LModule(self.group.ell, corank, finite))
-        stable = (claim.level(s) == top
-                  and claim.level(s - 1) == self.levels[-2])
-        return claim, stable
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +488,7 @@ def box_frob_power(X: FrobObject, n: int) -> FrobObject:
 
 
 # ---------------------------------------------------------------------------
-# probes and sequence transforms
+# exactness probes
 
 
 @dataclass(frozen=True)
@@ -643,98 +534,3 @@ def left_exactness_probe(iota: CoMap, pi: CoMap, A: Carrier) -> ProbeResult:
         surjective=obstruction.is_trivial,
         obstruction=obstruction,
     )
-
-
-def box_monomial(A: Carrier, B: Carrier, C: Carrier, j: Sequence[int],
-                 D=None) -> CoLGroup:
-    """A^box j0 box B^box j1 box C^box j2 box D."""
-    a = as_colgroup(A)
-    out = box_power(a, j[0])
-    out = box(out, box_power(as_colgroup(B), j[1]))
-    out = box(out, box_power(as_colgroup(C), j[2]))
-    if D is not None:
-        if isinstance(D, FrobObject):
-            D = D.carrier
-        out = box(out, as_colgroup(D))
-    return out
-
-
-@dataclass(frozen=True)
-class TransformResult:
-    """Verified output of the sequence transformer.
-
-    mode 'divisible': the boxed sequence stays short exact.
-    mode 'finite': the boxed sequence is left exact with a finite-exponent
-    defect J at the right end, bounded by the reported tor term; es1 and es2
-    are the two derived short sequences around the image I.
-    """
-
-    mode: str
-    terms: tuple
-    exact_positions: tuple
-    obstruction: Optional[CoLGroup]
-    tor_term: Optional[CoLGroup]
-    es1_exact: Optional[bool] = None
-    es2_exact: Optional[bool] = None
-    notes: tuple = ()
-
-
-def abstract_sequence_transform(iota: CoMap, pi: CoMap, j: Sequence[int],
-                                D=None, mode: str = "auto") -> TransformResult:
-    """Box an exact sequence with the monomial in its own three terms.
-
-    For divisible first term the result is again short exact.  For a first
-    term of finite exponent the failure of right exactness is confined to a
-    finite-exponent group embedding into the matching tor term; both derived
-    short sequences are built and checked.
-    """
-    _require_ses(iota, pi)
-    A, B, C = iota.domain, iota.codomain, pi.codomain
-    if mode == "auto":
-        if A.is_divisible:
-            mode = "divisible"
-        elif A.is_finite:
-            mode = "finite"
-        else:
-            raise NotDivisible(
-                "mixed first term: choose a divisible or finite-exponent model"
-            )
-    X = box_monomial(A, B, C, j, D)
-    idX = CoMap.identity_on(X)
-    bi = box_maps(iota, idX)
-    bp = box_maps(pi, idX)
-    hs = co_exactness([bi, bp])
-    obstruction, _ = co_cokernel(bp)
-    terms = (bi.domain, bi.codomain, bp.codomain)
-    ok = (hs[0].is_trivial, hs[1].is_trivial, obstruction.is_trivial)
-    if mode == "divisible":
-        if not A.is_divisible:
-            raise NotDivisible("divisible mode needs a divisible first term")
-        return TransformResult("divisible", terms, ok, None, None)
-    if not A.is_finite:
-        raise NotFiniteExponent("finite mode needs a finite-exponent first term")
-    tor_term = tor_box(A, X)
-    # es1: 0 -> A box X -> B box X -> I -> 0 with I the cokernel of the
-    # left map; middle exactness makes I the image of the right map
-    img, proj_to_img = co_cokernel(bi)
-    es1 = co_exactness([bi, proj_to_img])
-    # cross-check the image through the right map: its dual is the
-    # coimage of the dual, the cokernel of the dual kernel inclusion
-    im_sub_dual = cokernel(kernel(bp.dual_map).inclusion)
-    ok1 = all(h.is_trivial for h in es1)
-    ok1 = ok1 and (img.dual_module == im_sub_dual.module)
-    # es2: 0 -> I -> C box X -> J -> 0 is exact by construction of J;
-    # the content is that J has finite exponent and fits inside the tor term
-    J = obstruction
-    ok2 = J.corank == 0
-    je = sorted(J.finite_exponents, reverse=True)
-    te = sorted(tor_term.finite_exponents, reverse=True)
-    fits = len(je) <= len(te) and all(a <= b for a, b in zip(je, te))
-    notes = []
-    if not ok2:
-        notes.append("defect has positive corank")
-    if not fits:
-        notes.append("defect does not embed in the tor term")
-    return TransformResult("finite", terms, ok, J, tor_term,
-                           es1_exact=ok1, es2_exact=ok2 and fits,
-                           notes=tuple(notes))

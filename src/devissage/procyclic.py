@@ -24,10 +24,9 @@ of one CLI run (clear_memo); the checks that do depend on l run per call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import wraps
 from math import gcd
-from typing import Union
 
 from .errors import (
     EnumerationCapExceeded,
@@ -43,7 +42,6 @@ from .exactlin import (
     LMap,
     LModule,
     cokernel,
-    direct_sum_with_maps,
     dual,
     integer_kernel_basis,
     kernel,
@@ -319,19 +317,6 @@ def _adjugate(m: IntMatrix) -> IntMatrix:
     return IntMatrix.from_rows(rows, n)
 
 
-def matrix_power(m: IntMatrix, k: int) -> IntMatrix:
-    if k < 0:
-        raise ValueError("negative matrix power")
-    out = IntMatrix.identity(m.rows)
-    base = m
-    while k:
-        if k & 1:
-            out = out @ base
-        base = base @ base
-        k >>= 1
-    return out
-
-
 def tate_frob(P: CharPoly, ell: int) -> FrobObject:
     """Arithmetic Frobenius on the Tate module of the declared variety.
 
@@ -370,27 +355,6 @@ def box_torsion_frob(P: CharPoly, ell: int, j: int, r: int) -> FrobObject:
 # cohomology
 
 
-@dataclass(frozen=True)
-class CohomologyResult:
-    h0: Union[LModule, CoLGroup]
-    h1: Union[LModule, CoLGroup]
-    corank_flags: dict = field(default_factory=dict)
-    convention_note: str = (
-        "arithmetic Frobenius stored; fixed points of F-1 with the q-power "
-        "unit cleared before kernels"
-    )
-
-    def h_i(self, i: int):
-        if i == 0:
-            return self.h0
-        if i == 1:
-            return self.h1
-        # the base group is procyclic: nothing above degree one
-        if isinstance(self.h0, CoLGroup):
-            return CoLGroup(LModule(self.h0.ell, 0))
-        return LModule(self.h0.ell, 0)
-
-
 def h0(X: FrobObject):
     """Fixed points of Frobenius on the carrier.
 
@@ -416,16 +380,6 @@ def h1(X: FrobObject):
     return cokernel(f).module
 
 
-def cohomology(X: FrobObject) -> CohomologyResult:
-    a, b = h0(X), h1(X)
-    flags = {}
-    if isinstance(a, CoLGroup):
-        flags["h0_corank"] = a.corank
-    if isinstance(b, CoLGroup):
-        flags["h1_corank"] = b.corank
-    return CohomologyResult(a, b, flags)
-
-
 def h_level(X: FrobObject, i: int, s: int) -> LModule:
     """Cohomology of the finite level-s coefficients.
 
@@ -445,16 +399,6 @@ def h_level(X: FrobObject, i: int, s: int) -> LModule:
     one = LMap.identity_on(act.domain)
     f = act - one
     return kernel(f).module if i == 0 else cokernel(f).module
-
-
-def herbrand_balanced(X: FrobObject) -> bool:
-    """Finite carriers have |H^0| = |H^1| over the procyclic group."""
-    a, b = h0(X), h1(X)
-    if isinstance(a, CoLGroup):
-        if a.corank or b.corank:
-            return False
-        return a.dual_module.order() == b.dual_module.order()
-    return a.order() == b.order()
 
 
 # ---------------------------------------------------------------------------
@@ -742,74 +686,3 @@ def _tate_fixed_rank(P: CharPoly, j: int, r: int) -> int:
     else:
         K = big - IntMatrix.identity(n).scale(P.q ** (-a))
     return integer_kernel_basis(K).cols
-
-
-# ---------------------------------------------------------------------------
-# induced modules
-
-
-def induced(X: FrobObject, f: int) -> FrobObject:
-    """Induction from the degree-f extension of the base.
-
-    The input is first restricted to the extension (where the generator acts
-    by the f-th power of the stored frobenius); the carrier then becomes f
-    copies, with the base frobenius cycling the copies and applying the
-    restricted action once around the loop.  By the induction adjunction the
-    cohomology agrees with base_extension(X, f) in both degrees, which is
-    what shapiro_check exercises.  Symbolic q-powers stay exact: a negative
-    twist is spread over the pass-through blocks so the stored matrix stays
-    integral.
-    """
-    if f < 1:
-        raise ValueError("extension degree must be positive")
-    if f == 1:
-        return X
-    rep = X.rep_module
-    n = rep.num_gens
-    expo = X.qpow * f
-    wrap_core = matrix_power(X.matrix, f)
-    if expo >= 0:
-        wrap = wrap_core.scale(X.q ** expo)
-        passthrough = IntMatrix.identity(n)
-        qpow = 0
-    else:
-        wrap = wrap_core
-        passthrough = IntMatrix.identity(n).scale(X.q ** (-expo))
-        qpow = expo
-    total, injs, projs = direct_sum_with_maps([rep] * f)
-    acc = LMap.zero(total, total)
-    for blk in range(f):
-        src = (blk - 1) % f
-        block = LMap(rep, rep, wrap if blk == 0 else passthrough)
-        acc = acc + injs[blk].compose(block).compose(projs[src])
-    if X.is_discrete:
-        carrier: Union[LModule, CoLGroup] = CoLGroup(total)
-    else:
-        carrier = total
-    return FrobObject(carrier, acc.matrix, X.q, qpow, X.twist_tag)
-
-
-def base_extension(X: FrobObject, f: int) -> FrobObject:
-    """The same carrier viewed over the degree-f extension: Frobenius^f."""
-    if f < 1:
-        raise ValueError("extension degree must be positive")
-    return FrobObject(X.carrier, matrix_power(X.matrix, f), X.q,
-                      X.qpow * f, X.twist_tag)
-
-
-@dataclass(frozen=True)
-class ShapiroReport:
-    h0_induced: object
-    h0_extended: object
-    h1_induced: object
-    h1_extended: object
-    agree: bool
-
-
-def shapiro_check(X: FrobObject, f: int) -> ShapiroReport:
-    """Cohomology of the induced module against the extended base."""
-    ind = induced(X, f)
-    ext = base_extension(X, f)
-    a0, e0 = h0(ind), h0(ext)
-    a1, e1 = h1(ind), h1(ext)
-    return ShapiroReport(a0, e0, a1, e1, a0 == e0 and a1 == e1)

@@ -23,7 +23,6 @@ from devissage.dualgraph import (
     invariant_rank,
     m_gamma,
     n_x,
-    random_legal_graph,
     spanning_trees,
     tree_orbits,
 )
@@ -53,6 +52,7 @@ from devissage.sequences import (
     ono_check,
     upsilon_structure,
 )
+from generators import random_legal_graph
 from oracles import rational_nullity, sympy_laplacian_cofactor
 from test_lprimary import mult_ell_ses
 from test_dualgraph import (
