@@ -834,7 +834,7 @@ def main():
 @click.option("--ell", type=int, default=None,
               help="override the prime from the instance file")
 @click.option("--precision", type=int, default=8, show_default=True,
-              help="working precision N")
+              help="largest level N a check may use; at least --level")
 @click.option("--level", "max_level", type=int, default=4, show_default=True,
               help="largest level S probed by the suites")
 @click.option("--format", "fmt", type=click.Choice(["json", "text"]),
@@ -869,10 +869,19 @@ def run_command(input_path, suites, ell, precision, max_level, fmt, seed,
     except InvalidInstance as exc:
         click.echo(f"error: {exc}", err=True)
         raise SystemExit(4)
+    # open the report file before any suite runs, so a bad path fails fast
+    fh = None
+    if out:
+        try:
+            fh = open(out, "w", encoding="utf-8")
+        except OSError as exc:
+            click.echo(f"error: cannot write {out}: {exc.strerror or exc}",
+                       err=True)
+            raise SystemExit(4)
     code, report = run(config)
     rendered = render_json(report) if fmt == "json" else render_text(report)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
+    if fh:
+        with fh:
             fh.write(rendered)
     else:
         click.echo(rendered, nl=False)

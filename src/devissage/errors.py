@@ -19,10 +19,9 @@ class MismatchedBase(DevissageError):
 
 
 class PrecisionExhausted(DevissageError):
-    """An invariant factor saturated at l^N.
+    """A level above the instance's working precision was asked for.
 
-    Free rank and torsion of exponent >= N cannot be told apart at working
-    precision N.  Re-run with a larger precision.
+    Re-run with a precision at least as large as the level.
     """
 
 

@@ -13,10 +13,7 @@ The two carrier types:
 * :class:`CoLGroup` -- a cofinitely generated l-primary torsion group,
   represented by the finitely generated module it is the Pontryagin dual of.
 
-Maps are integer matrices on canonical generators (:class:`LMap`).  A map may
-carry a working precision N, meaning its entries are only known modulo l^N;
-operations that cannot certify their output at that precision raise
-:class:`~devissage.errors.PrecisionExhausted` rather than guess.
+Maps are exact integer matrices on canonical generators (:class:`LMap`).
 """
 
 from __future__ import annotations
@@ -25,7 +22,7 @@ from dataclasses import dataclass
 from operator import lt
 from typing import Iterable, Optional, Sequence
 
-from .errors import MismatchedPrime, PrecisionExhausted
+from .errors import MismatchedPrime
 
 
 # ---------------------------------------------------------------------------
@@ -520,18 +517,12 @@ class LModule:
         """Per-generator order exponent, None meaning free."""
         return (None,) * self.free_rank + self.torsion_exponents
 
-    def standard_relation_rows(self) -> IntMatrix:
-        """Relation matrix of the defining presentation, one row per torsion generator."""
-        n = self.num_gens
-        rows = []
-        for i, e in enumerate(self.torsion_exponents):
-            row = [0] * n
-            row[self.free_rank + i] = self.ell ** e
-            rows.append(row)
-        return IntMatrix.from_rows(rows, n)
-
     def relation_cols(self) -> IntMatrix:
-        return self.standard_relation_rows().transpose()
+        """Relations of the defining presentation, one column per torsion generator."""
+        f, exps = self.free_rank, self.torsion_exponents
+        return IntMatrix(self.num_gens, len(exps), [
+            [self.ell ** e if j == f + i else 0 for i, e in enumerate(exps)]
+            for j in range(self.num_gens)])
 
     def reduce_vector(self, vec: Sequence[int]) -> tuple:
         """Reduce generator coordinates into canonical range."""
@@ -639,10 +630,6 @@ class CoLGroup:
         return not self.finite_exponents
 
     @property
-    def is_finite(self) -> bool:
-        return self.corank == 0
-
-    @property
     def is_trivial(self) -> bool:
         return self.dual_module.is_trivial
 
@@ -698,27 +685,6 @@ def dual(x):
 
 
 @dataclass(frozen=True)
-class Presentation:
-    """A module given by generators and integer relation rows.
-
-    The module is Z^num_generators modulo the row span, read l-locally.
-    """
-
-    ell: int
-    num_generators: int
-    relation_rows: tuple
-
-    def __post_init__(self):
-        rows = tuple(tuple(int(x) for x in r) for r in self.relation_rows)
-        object.__setattr__(self, "relation_rows", rows)
-        if any(len(r) != self.num_generators for r in rows):
-            raise ValueError("relation row width disagrees with generator count")
-
-    def relation_matrix(self) -> IntMatrix:
-        return IntMatrix.from_rows(self.relation_rows, self.num_generators)
-
-
-@dataclass(frozen=True)
 class Canonicalized:
     """Canonical form of a presentation plus the change of coordinates.
 
@@ -733,19 +699,19 @@ class Canonicalized:
     lift: IntMatrix
 
 
-def canonicalize_with_maps(pres: Presentation) -> Canonicalized:
+def canonicalize_with_maps(ell: int, rel_cols: IntMatrix) -> Canonicalized:
     """Collapse a presentation to canonical form, keeping the coordinate maps.
 
-    Invariant factors prime to l are units l-locally and their generators are
-    dropped; mixed factors u*l^v keep only the l-part l^v.
+    The presented module is Z^p modulo the span of the columns of the p x q
+    relation matrix rel_cols, read l-locally.  Invariant factors prime to l
+    are units l-locally and their generators are dropped; mixed factors
+    u*l^v keep only the l-part l^v.
 
-    >>> P = Presentation(2, 2, ((2, 0), (0, 3)))
-    >>> str(canonicalize_with_maps(P).module)
+    >>> R = IntMatrix.from_rows([[2, 0], [0, 3]])
+    >>> str(canonicalize_with_maps(2, R).module)
     'C2'
     """
-    p = pres.num_generators
-    ell = pres.ell
-    rel_cols = pres.relation_matrix().transpose()  # p x q
+    p = rel_cols.rows
     U, D, _, Ui = smith_with_inverses(rel_cols)
     r = sum(1 for i in range(min(D.rows, D.cols)) if D.entry(i, i))
     # classify the z-coordinates
@@ -774,17 +740,14 @@ class LMap:
 
     matrix has shape (codomain gens) x (domain gens) and acts on coefficient
     columns.  Entries are normalised: rows belonging to torsion generators of
-    the codomain are reduced modulo the generator order.
-
-    precision=N marks a map whose entries are only known modulo l^N; exact
-    maps use precision=None.  A torsion domain generator can never map to a
-    free codomain generator (Zl has no torsion), so those entries must be 0.
+    the codomain are reduced modulo the generator order.  A torsion domain
+    generator can never map to a free codomain generator (Zl has no
+    torsion), so those entries must be 0.
     """
 
     domain: LModule
     codomain: LModule
     matrix: IntMatrix
-    precision: Optional[int] = None
 
     def __post_init__(self):
         if self.domain.ell != self.codomain.ell:
@@ -798,23 +761,12 @@ class LMap:
                 f"{self.codomain.num_gens}x{self.domain.num_gens}"
             )
         ell = self.domain.ell
-        N = self.precision
-        if N is not None:
-            if N < 1:
-                raise ValueError("precision must be >= 1")
-            if any(e > N for e in self.codomain.torsion_exponents):
-                raise PrecisionExhausted(
-                    f"codomain exponent exceeds working precision {N}; raise precision"
-                )
         f = self.domain.free_rank
         dom_exps = self.domain.torsion_exponents
         rows = []
         for i, (bo, row) in enumerate(zip(self.codomain.gen_orders(), mat.data)):
             if bo is None:
-                # a free row: its torsion columns must vanish (mod l^N)
-                if N is not None:
-                    m = ell ** N
-                    row = [x % m for x in row]
+                # a free row: its torsion columns must vanish
                 if any(row[f:]):
                     raise ValueError(
                         "torsion generator cannot map to the free part"
@@ -837,39 +789,24 @@ class LMap:
     def identity_on(cls, module: LModule) -> "LMap":
         return cls(module, module, IntMatrix.identity(module.num_gens))
 
-    @classmethod
-    def zero(cls, domain: LModule, codomain: LModule) -> "LMap":
-        return cls(domain, codomain, IntMatrix.zeros(codomain.num_gens, domain.num_gens))
-
     # -- map algebra --------------------------------------------------
-
-    def _merge_precision(self, other: "LMap"):
-        if self.precision is None:
-            return other.precision
-        if other.precision is None:
-            return self.precision
-        return min(self.precision, other.precision)
 
     def compose(self, other: "LMap") -> "LMap":
         """self after other."""
         if other.codomain != self.domain:
             raise ValueError("composition mismatch")
-        return LMap(
-            other.domain, self.codomain, self.matrix @ other.matrix,
-            self._merge_precision(other),
-        )
+        return LMap(other.domain, self.codomain, self.matrix @ other.matrix)
 
     def __add__(self, other: "LMap") -> "LMap":
         if self.domain != other.domain or self.codomain != other.codomain:
             raise ValueError("sum of maps with different (co)domains")
-        return LMap(self.domain, self.codomain, self.matrix + other.matrix,
-                    self._merge_precision(other))
+        return LMap(self.domain, self.codomain, self.matrix + other.matrix)
 
     def __sub__(self, other: "LMap") -> "LMap":
         return self + other.scale(-1)
 
     def scale(self, c: int) -> "LMap":
-        return LMap(self.domain, self.codomain, self.matrix.scale(c), self.precision)
+        return LMap(self.domain, self.codomain, self.matrix.scale(c))
 
     def apply(self, vec: Sequence[int]) -> tuple:
         return self.codomain.reduce_vector(self.matrix.apply(vec))
@@ -893,23 +830,12 @@ class LMap:
 class KernelResult:
     module: LModule
     inclusion: LMap
-    precision_capped: bool = False
 
 
 @dataclass(frozen=True)
 class CokernelResult:
     module: LModule
     projection: LMap
-    precision_capped: bool = False
-
-
-def _guard_precision(f: LMap, where: str):
-    if f.precision is not None and (f.domain.free_rank or f.codomain.free_rank):
-        raise PrecisionExhausted(
-            f"{where} of an approximate map with a free carrier cannot be "
-            f"certified at precision {f.precision}; raise precision or supply "
-            "an exact matrix"
-        )
 
 
 def kernel(f: LMap) -> KernelResult:
@@ -919,38 +845,24 @@ def kernel(f: LMap) -> KernelResult:
     F u lies in the relation lattice of the codomain.  Two saturated integer
     kernel computations and one canonicalization, all exact.
     """
-    _guard_precision(f, "kernel")
     dom, cod = f.domain, f.codomain
-    ell = dom.ell
     block = f.matrix.hstack(cod.relation_cols())
     kb = integer_kernel_basis(block)
     B = kb.take_rows(range(dom.num_gens)) if kb.cols else IntMatrix.zeros(dom.num_gens, 0)
     # relations among the kernel generators: preimages of the domain relations
     block2 = B.hstack(dom.relation_cols())
     yb = integer_kernel_basis(block2)
-    rel_rows = yb.take_rows(range(B.cols)).transpose()
-    canon = canonicalize_with_maps(Presentation(ell, B.cols, rel_rows.data))
-    inc_matrix = B @ canon.lift
-    inc = LMap(canon.module, dom, inc_matrix)
-    capped = _capped(f, canon.module)
-    return KernelResult(canon.module, inc, capped)
+    canon = canonicalize_with_maps(dom.ell, yb.take_rows(range(B.cols)))
+    inc = LMap(canon.module, dom, B @ canon.lift)
+    return KernelResult(canon.module, inc)
 
 
 def cokernel(f: LMap) -> CokernelResult:
     """Cokernel of a map, with the projection from the codomain."""
-    _guard_precision(f, "cokernel")
     cod = f.codomain
-    rel = cod.standard_relation_rows().vstack(f.matrix.transpose())
-    canon = canonicalize_with_maps(Presentation(cod.ell, cod.num_gens, rel.data))
+    canon = canonicalize_with_maps(cod.ell, cod.relation_cols().hstack(f.matrix))
     proj = LMap(cod, canon.module, canon.project)
-    capped = _capped(f, canon.module)
-    return CokernelResult(canon.module, proj, capped)
-
-
-def _capped(f: LMap, result: LModule) -> bool:
-    if f.precision is None:
-        return False
-    return any(e >= f.precision for e in result.torsion_exponents)
+    return CokernelResult(canon.module, proj)
 
 
 def image(f: LMap) -> LModule:
@@ -980,7 +892,7 @@ def induced_into_kernel(f: LMap, k: KernelResult) -> LMap:
     mat = preimage(k.inclusion, f.matrix)
     if mat is None:
         raise ValueError("map does not factor through the kernel")
-    return LMap(f.domain, k.module, mat, f.precision)
+    return LMap(f.domain, k.module, mat)
 
 
 def homology_at(incoming: Optional[LMap], outgoing: Optional[LMap],
@@ -1041,8 +953,7 @@ def tensor_maps(f: LMap, g: LMap) -> LMap:
         for (j, l) in dpairs:
             row.append(f.matrix.entry(i, j) * g.matrix.entry(k, l))
         rows.append(row)
-    prec = f._merge_precision(g)
-    return LMap(dom, cod, IntMatrix.from_rows(rows, dom.num_gens), prec)
+    return LMap(dom, cod, IntMatrix.from_rows(rows, dom.num_gens))
 
 
 def tensor_power_with_index(M: LModule, n: int):

@@ -198,26 +198,18 @@ def trial_division_is_prime(n):
     return True
 
 
-def entrywise_lmap_matrix(domain, codomain, rows, precision=None):
-    """Normalised rows of LMap(domain, codomain, rows, precision), cell by cell.
+def entrywise_lmap_matrix(domain, codomain, rows):
+    """Normalised rows of LMap(domain, codomain, rows), cell by cell.
 
     The validation LMap made one entry at a time before its row-wise form:
     the same checks in the same order, so the first bad input raises the
     same exception with the same message.  rows must have the map's shape.
     """
-    from devissage.errors import MismatchedPrime, PrecisionExhausted
+    from devissage.errors import MismatchedPrime
 
     if domain.ell != codomain.ell:
         raise MismatchedPrime("map between modules over different primes")
     ell = domain.ell
-    N = precision
-    if N is not None:
-        if N < 1:
-            raise ValueError("precision must be >= 1")
-        if any(e > N for e in codomain.torsion_exponents):
-            raise PrecisionExhausted(
-                f"codomain exponent exceeds working precision {N}; raise precision"
-            )
     out = []
     for i, bo in enumerate(codomain.gen_orders()):
         row = []
@@ -225,18 +217,10 @@ def entrywise_lmap_matrix(domain, codomain, rows, precision=None):
             x = rows[i][j]
             if bo is None:
                 if ao is not None:
-                    if N is None:
-                        if x != 0:
-                            raise ValueError(
-                                "torsion generator cannot map to the free part"
-                            )
-                    elif x % ell ** N != 0:
+                    if x != 0:
                         raise ValueError(
                             "torsion generator cannot map to the free part"
                         )
-                    x = 0
-                elif N is not None:
-                    x %= ell ** N
             else:
                 x %= ell ** bo
                 if ao is not None:

@@ -101,3 +101,12 @@ def test_graph_scale_layers_are_called(monkeypatch):
     assert {"dualgraph.build_psi", "sequences.lambda_structure",
             "exactlin.IntMatrix.det"} <= set(calls)
     assert all(calls.values()), calls
+
+
+def test_fixture_all_layers_are_called(monkeypatch):
+    """The README quickstart run, every suite on g1_swap, reaches every
+    layer traced on fixture-all, the Frobenius-object layers among them."""
+    calls = count_layer_calls(monkeypatch, "fixture-all", ("all",))
+    assert {"procyclic._kernel_corank", "lprimary.box_frob_power",
+            "lprimary.FrobObject.__post_init__"} <= set(calls)
+    assert all(calls.values()), calls

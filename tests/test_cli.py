@@ -797,6 +797,22 @@ class TestCommandLine:
         assert res.output == ""
         assert json.loads(target.read_text())["verdict"] == "PASS"
 
+    @pytest.mark.parametrize("where", ["missing-dir", "is-dir"])
+    def test_unwritable_out_exits_four(self, tmp_path, monkeypatch, where):
+        target = str(tmp_path / "missing" / "r.json"
+                     if where == "missing-dir" else tmp_path)
+
+        def no_suite(config):
+            raise AssertionError("a suite ran before --out was checked")
+
+        monkeypatch.setattr(cli, "run", no_suite)
+        res = CliRunner().invoke(main, ["run", "--input", G2_TREE,
+                                        "--suite", "graph", "--out", target])
+        assert res.exit_code == 4
+        assert res.stdout == ""
+        assert res.stderr.startswith(f"error: cannot write {target}: ")
+        assert "Traceback" not in res.stderr
+
     def test_malformed_input_exits_four(self, tmp_path):
         path = tmp_path / "zz.json"
         path.write_text("{")

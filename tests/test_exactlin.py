@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from devissage.errors import MismatchedPrime, PrecisionExhausted
+from devissage.errors import MismatchedPrime
 from devissage.exactlin import (
     PRIME_BOUND,
     Canonicalized,
@@ -14,7 +14,6 @@ from devissage.exactlin import (
     IntMatrix,
     LMap,
     LModule,
-    Presentation,
     canonicalize_with_maps,
     cokernel,
     dual,
@@ -183,31 +182,42 @@ class TestSmith:
 
 class TestCanonical:
     def test_unit_factor_dropped(self):
-        P = Presentation(2, 2, ((2, 0), (0, 3)))
-        assert canonicalize_with_maps(P).module == LModule(2, 0, (1,))
-        assert canonicalize_with_maps(
-            Presentation(3, 2, ((2, 0), (0, 3)))).module == LModule(3, 0, (1,))
+        R = IntMatrix.from_rows([[2, 0], [0, 3]])
+        assert canonicalize_with_maps(2, R).module == LModule(2, 0, (1,))
+        assert canonicalize_with_maps(3, R).module == LModule(3, 0, (1,))
 
     def test_free_module(self):
-        assert canonicalize_with_maps(Presentation(5, 3, ())).module == LModule(5, 3)
+        assert canonicalize_with_maps(
+            5, IntMatrix.zeros(3, 0)).module == LModule(5, 3)
 
     def test_mixed_factor_keeps_l_part(self):
         # Z/12 at l=2 is Z/4
-        P = Presentation(2, 1, ((12,),))
-        assert canonicalize_with_maps(P).module == LModule(2, 0, (2,))
+        R = IntMatrix.from_rows([[12]])
+        assert canonicalize_with_maps(2, R).module == LModule(2, 0, (2,))
+
+    def test_empty_shapes(self):
+        # no generators: the zero module, with empty coordinate maps
+        for q in (0, 2):
+            c = canonicalize_with_maps(3, IntMatrix.zeros(0, q))
+            assert c.module == LModule(3, 0)
+            assert (c.project.rows, c.project.cols) == (0, 0)
+            assert (c.lift.rows, c.lift.cols) == (0, 0)
+        # no relations: the free module, with identity coordinate maps
+        c = canonicalize_with_maps(2, IntMatrix.zeros(2, 0))
+        assert c.module == LModule(2, 2)
+        assert c.project == c.lift == IntMatrix.identity(2)
 
     def test_maps_are_mutually_inverse(self):
         rng = random.Random(23)
         for _ in range(25):
             p = rng.randint(1, 4)
             q = rng.randint(0, 4)
-            rows = [[rng.randint(-20, 20) for _ in range(p)] for _ in range(q)]
-            pres = Presentation(2, p, tuple(map(tuple, rows)))
-            c = canonicalize_with_maps(pres)
+            rel = IntMatrix(p, q, [[rng.randint(-20, 20) for _ in range(q)]
+                                   for _ in range(p)])
+            c = canonicalize_with_maps(2, rel)
             prod = c.project @ c.lift
             assert prod == IntMatrix.identity(c.module.num_gens)
             # projection kills every relation l-locally
-            rel = pres.relation_matrix().transpose()
             killed = c.project @ rel
             orders = c.module.gen_orders()
             for i in range(killed.rows):
@@ -456,31 +466,6 @@ class TestKernelsCokernels:
         assert homology_at(dprj, None, sub).is_trivial
 
 
-class TestPrecision:
-    def test_codomain_beyond_precision_rejected(self):
-        M = LModule(2, 0, (4,))
-        with pytest.raises(PrecisionExhausted):
-            LMap(M, M, [[1]], precision=3)
-
-    def test_free_carrier_rejected(self):
-        M = LModule(2, 1)
-        f = LMap(M, M, [[8]], precision=3)
-        with pytest.raises(PrecisionExhausted):
-            kernel(f)
-        with pytest.raises(PrecisionExhausted):
-            cokernel(f)
-
-    def test_capped_flag(self):
-        M = LModule(2, 0, (3,))
-        z = LMap(M, M, [[0]], precision=3)
-        ck = cokernel(z)
-        assert ck.module == M and ck.precision_capped
-        # coker of *2 on C8 is C2; exponent 1 < 3 so no saturation there
-        small = LMap(M, M, [[2]], precision=3)
-        res = cokernel(small)
-        assert res.module == LModule(2, 0, (1,)) and not res.precision_capped
-
-
 class TestSumsTensors:
     def test_tensor_index_order(self):
         M = LModule(2, 1, (2,))
@@ -553,7 +538,6 @@ class TestFastPathsDifferential:
     def test_lmap_matches_entrywise_normaliser(self, data):
         dom = data.draw(lmodules())
         cod = data.draw(lmodules(ell=dom.ell))
-        precision = data.draw(st.one_of(st.none(), st.integers(0, 5)))
         # mostly zeros and l-power multiples, so that well-defined maps,
         # torsion-to-free entries and divisibility failures all turn up
         cell = st.one_of(
@@ -562,30 +546,27 @@ class TestFastPathsDifferential:
                       st.integers(-30, 30)))
         rows = [[data.draw(cell) for _ in range(dom.num_gens)]
                 for _ in range(cod.num_gens)]
-        want = _outcome(lambda: entrywise_lmap_matrix(dom, cod, rows,
-                                                      precision))
+        want = _outcome(lambda: entrywise_lmap_matrix(dom, cod, rows))
         got = _outcome(lambda: LMap(
-            dom, cod, IntMatrix.from_rows(rows, dom.num_gens),
-            precision).matrix.data)
+            dom, cod, IntMatrix.from_rows(rows, dom.num_gens)).matrix.data)
         assert got == want
 
     def test_lmap_differential_cases(self):
         # each branch once, in the spots the random test may miss
         Z, C4, C2 = LModule(2, 1), LModule(2, 0, (2,)), LModule(2, 0, (1,))
         ZC = LModule(2, 1, (2, 1))
-        for dom, cod, rows, N in (
-                (C2, Z, [[1]], None),         # torsion to free, exact
-                (C2, Z, [[4]], 2),            # torsion to free, zero mod l^N
-                (C2, Z, [[2]], 2),            # torsion to free, nonzero mod l^N
-                (ZC, ZC, [[3, 0, 0], [5, 2, 2], [7, 1, 3]], None),
-                (C2, C4, [[1]], None),        # needs divisibility by l
-                (ZC, C4, [[9, 6, 3]], None),  # entry (0,2) fails
-                (Z, Z, [[-9]], 3),            # free rows reduced mod l^N
-                (C4, C4, [[1]], 1),           # precision exhausted
-                (C4, C4, [[1]], 0)):          # precision below one
-            want = _outcome(lambda: entrywise_lmap_matrix(dom, cod, rows, N))
-            got = _outcome(lambda: LMap(dom, cod, rows, N).matrix.data)
-            assert got == want, (dom, cod, rows, N)
+        for dom, cod, rows in (
+                (C2, Z, [[1]]),               # torsion to free, nonzero
+                (C2, Z, [[4]]),               # torsion to free, l-multiple
+                (C2, Z, [[2]]),               # torsion to free, l-multiple
+                (C2, Z, [[0]]),               # torsion to free, zero
+                (ZC, ZC, [[3, 0, 0], [5, 2, 2], [7, 1, 3]]),
+                (C2, C4, [[1]]),              # needs divisibility by l
+                (ZC, C4, [[9, 6, 3]]),        # entry (0,2) fails
+                (Z, Z, [[-9]])):              # free rows are not reduced
+            want = _outcome(lambda: entrywise_lmap_matrix(dom, cod, rows))
+            got = _outcome(lambda: LMap(dom, cod, rows).matrix.data)
+            assert got == want, (dom, cod, rows)
 
     @settings(max_examples=300, deadline=None)
     # (0, 2) breaks both rules: the >= 1 check must speak first
