@@ -897,3 +897,7 @@ def explain_command(name):
     except UnknownSequence as exc:
         click.echo(f"error: {exc}", err=True)
         raise SystemExit(4)
+
+
+if __name__ == "__main__":
+    main()

@@ -40,6 +40,7 @@ from .exactlin import (
     LModule,
     homology_at,
     kernel,
+    rank_mod,
     tensor_maps,
     tensor_power_with_index,
 )
@@ -350,6 +351,10 @@ class FrobObject:
     the well-definedness validation below enforces.  Mixed discrete
     carriers (positive corank plus finite part) do not admit a single
     matrix in either convention and are rejected.
+
+    On a nontrivial carrier the matrix must be invertible over Z_l: l is
+    prime, so det is nonzero and prime to l exactly when the matrix has
+    full rank mod l, which is what is checked.
     """
 
     carrier: Carrier
@@ -375,10 +380,8 @@ class FrobObject:
                 raise ValueError(
                     "mixed discrete carriers do not admit a single level matrix"
                 )
-        if n and not self.carrier_is_trivial():
-            det = mat.det()
-            if det == 0 or det % self.ell == 0:
-                raise ValueError("frobenius must be an automorphism at l")
+        if n and not self.carrier_is_trivial() and rank_mod(mat, self.ell) < n:
+            raise ValueError("frobenius must be an automorphism at l")
         # the integer part must act on the representative
         LMap(self.rep_module, self.rep_module, mat)
 

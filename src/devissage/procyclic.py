@@ -45,6 +45,7 @@ from .exactlin import (
     dual,
     integer_kernel_basis,
     kernel,
+    nullity,
 )
 from .lprimary import FrobObject, box_frob_power
 
@@ -459,6 +460,7 @@ def rational_root_multiplicity(coeffs: tuple, target) -> int:
     return mult
 
 
+@_memo(lambda P, j, r: (P.coefficients, P.q, j, r))
 def eigenproduct_multiplicity(P: CharPoly, j: int, r: int) -> int:
     """Number of ordered j-tuples of roots of P whose product is q^(j+r).
 
@@ -570,8 +572,7 @@ def _kernel_corank(P: CharPoly, ell: int, j: int, r: int) -> int:
 def _box_nullity(P: CharPoly, ell: int, j: int, r: int) -> int:
     """Integer nullity of the cleared Frobenius - 1; the same at every l."""
     X = box_torsion_frob(P, ell, j, r)
-    K = _cleared_minus_one(X, transpose=True)
-    return integer_kernel_basis(K).cols
+    return nullity(_cleared_minus_one(X, transpose=True))
 
 
 @_memo()
@@ -685,4 +686,4 @@ def _tate_fixed_rank(P: CharPoly, j: int, r: int) -> int:
         K = big.scale(P.q ** a) - IntMatrix.identity(n)
     else:
         K = big - IntMatrix.identity(n).scale(P.q ** (-a))
-    return integer_kernel_basis(K).cols
+    return nullity(K)

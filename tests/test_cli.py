@@ -722,6 +722,25 @@ class TestRuntimeDependencies:
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
 
+    @pytest.mark.parametrize("out, code", [(None, 0),
+                                           ("/nonexistent/dir/r.json", 4)])
+    def test_module_entry_point_runs(self, out, code):
+        # python -m devissage.cli runs the command, not only the import
+        args = [sys.executable, "-m", "devissage.cli", "run",
+                "--input", G2_TREE, "--suite", "graph"]
+        if out:
+            args += ["--out", out]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (SRC, os.environ.get("PYTHONPATH")))))
+        res = subprocess.run(args, env=env, capture_output=True, text=True,
+                             check=False)
+        assert res.returncode == code, res.stderr
+        if out:
+            assert res.stdout == ""
+            assert res.stderr.startswith(f"error: cannot write {out}: ")
+        else:
+            assert json.loads(res.stdout)["verdict"] == "PASS"
+
     def test_src_has_no_sympy_import(self):
         pattern = re.compile(r"^\s*(import|from)\s+sympy\b", re.M)
         pkg = os.path.join(SRC, "devissage")

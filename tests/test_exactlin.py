@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from devissage.errors import MismatchedPrime
 from devissage.exactlin import (
+    NULLITY_PRIME,
     PRIME_BOUND,
     Canonicalized,
     CoLGroup,
@@ -22,7 +23,9 @@ from devissage.exactlin import (
     integer_kernel_basis,
     is_prime,
     kernel,
+    nullity,
     preimage,
+    rank_mod,
     smith_normal_form,
     smith_with_inverses,
     solve_integer,
@@ -614,6 +617,53 @@ class TestBareiss:
     def test_rank_matches_sympy(self, rows):
         cols = len(rows[0]) if rows else 1
         assert IntMatrix.from_rows(rows, cols).rank() == sympy_rank(rows)
+
+
+@st.composite
+def nullity_matrices(draw):
+    """L @ R of a random inner size: square, wide, tall, zero and rank
+    deficient.  Half the draws shift entries by multiples of NULLITY_PRIME,
+    which keeps the rank mod the prime but often raises the rank over Q."""
+    m, n, k = (draw(st.integers(0, 6)) for _ in range(3))
+    entries = st.integers(-4, 4)
+    L = [[draw(entries) for _ in range(k)] for _ in range(m)]
+    R = [[draw(entries) for _ in range(n)] for _ in range(k)]
+    shifts = st.sampled_from((0, NULLITY_PRIME, -2 * NULLITY_PRIME)) \
+        if draw(st.booleans()) else st.just(0)
+    return IntMatrix(m, n, [[sum(L[i][t] * R[t][j] for t in range(k))
+                             + draw(shifts) for j in range(n)]
+                            for i in range(m)])
+
+
+class TestNullity:
+    """Rank mod a prime as a proof of full rank, the Smith form otherwise."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(nullity_matrices())
+    def test_matches_kernel_basis_and_fractions(self, A):
+        want = rational_nullity(A.data, A.cols)
+        assert nullity(A) == integer_kernel_basis(A).cols == want
+        # a minor that is nonzero mod p is nonzero over Z
+        assert rank_mod(A, NULLITY_PRIME) <= A.cols - want
+
+    @pytest.mark.parametrize("rows, rank_p, want", [
+        ([[NULLITY_PRIME]], 0, 0),
+        ([[NULLITY_PRIME, 0], [0, 1]], 1, 0),
+        ([[1, 1], [1, 1 + NULLITY_PRIME]], 1, 0),       # det = p
+        ([[NULLITY_PRIME, 2 * NULLITY_PRIME], [1, 2]], 1, 1),  # short over Q
+        ([[2, 4], [1, 2], [3, 6 - NULLITY_PRIME]], 1, 0),      # tall
+        ([[0, 0, 0]], 0, 3),
+    ])
+    def test_prime_dividing_a_minor_takes_the_fallback(self, rows, rank_p,
+                                                       want):
+        A = IntMatrix.from_rows(rows)
+        assert rank_mod(A, NULLITY_PRIME) == rank_p
+        assert nullity(A) == want == rational_nullity(rows, A.cols)
+
+    def test_rank_mod_small_primes(self):
+        A = IntMatrix.from_rows([[2, 0, 0], [0, 3, 0], [0, 0, 5]])
+        assert [rank_mod(A, p) for p in (2, 3, 5, 7)] == [2, 2, 2, 3]
+        assert rank_mod(IntMatrix(0, 4, []), 3) == 0
 
 
 class TestMisc:

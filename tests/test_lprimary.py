@@ -369,6 +369,34 @@ class TestFrob:
         with pytest.raises(ValueError):
             FrobObject(CoLGroup(LModule(3, 1)), [[3]], 7)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from((2, 3, 5, 7)), st.integers(1, 4), st.data())
+    def test_automorphism_check_matches_determinant(self, ell, n, data):
+        """Construction fails exactly when det is 0 or divisible by l."""
+        entries = st.integers(-6, 6)
+        rows = [[data.draw(entries) for _ in range(n)] for _ in range(n)]
+        # besides plain draws: a row made from the others (det 0) and a
+        # row scaled by l (l divides det)
+        shape = data.draw(st.sampled_from(("plain", "dependent", "scaled")))
+        if shape == "dependent":
+            c = data.draw(entries)
+            rows[-1] = [c * sum(col) for col in zip(*rows[:-1])] \
+                if n > 1 else [0]
+        elif shape == "scaled":
+            rows[0] = [ell * x for x in rows[0]]
+        M = IntMatrix.from_rows(rows, n)
+        carrier = data.draw(st.sampled_from((
+            LModule(ell, n), CoLGroup(LModule(ell, n)),
+            LModule(ell, 0, (2,) * n))))
+        det = M.det()
+        if det == 0 or det % ell == 0:
+            with pytest.raises(ValueError,
+                               match="^frobenius must be an automorphism "
+                                     "at l$"):
+                FrobObject(carrier, M, 11)
+        else:
+            assert FrobObject(carrier, M, 11).matrix == M
+
     def test_level_action(self):
         X = FrobObject(CoLGroup(LModule(2, 2)), [[0, 1], [1, 0]], 3, qpow=1)
         lm = X.level_action(2)
