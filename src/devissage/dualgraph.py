@@ -15,7 +15,8 @@ projection phi and its Bezout combination across orbits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -33,11 +34,14 @@ from .exactlin import (
     KernelResult,
     LMap,
     LModule,
+    SmithKernel,
     free_level,
-    induced_into_kernel,
     integer_kernel_basis,
     kernel,
+    kernel_coordinates,
+    level_kernel,
     preimage,
+    smith_kernel,
     solve_integer,
 )
 
@@ -686,76 +690,61 @@ def default_divisors(graph: DualGraph) -> DivisorConfig:
 
 
 @dataclass
-class XiModule:
-    """Level s assembly of the residue kernel with its two structure maps.
+class XiLattice:
+    """Xi's integer data, which no level changes, with its Smith forms.
 
     The ambient coordinates are one alpha per divisor and one y per
     incidence (component, support point on it).  The defining constraints:
     the y family on each component sums to zero, and at every support point
     the alpha sitting there (when one does) plus the incident y values sum
-    to zero.  The cycle lattice embeds via the y coordinates on node
-    incidences; phi projects onto the divisor block.  The constraint rows
-    are the components, then the support points; its columns are the
-    alphas, then the y incidences grouped by component.  phi_kernel is the
-    kernel of phi, with its inclusion into the module.
+    to zero.  The constraint rows are the components, then the support
+    points; its columns are the alphas, then the y incidences grouped by
+    component.  cycles embeds the cycle lattice via the y coordinates on
+    node incidences; projection reads the divisor block.  kernel holds the
+    Smith data of the constraints and cycle_span that of the transposed
+    cycle embedding, which build_xi reads at every level; psi keeps
+    build_psi's integer sections by orbit.
     """
 
-    graph: DualGraph
     config: DivisorConfig
-    ell: int
-    level: int
-    ambient: LModule
-    constraint: LMap
-    module: LModule
-    inclusion: LMap
-    divisor_block: LModule
-    phi_ambient: LMap
-    phi: LMap
-    phi_kernel: KernelResult
-    cycle_embedding: LMap
-    h1_inclusion: LMap
     var_names: tuple
     support: tuple
+    constraint: IntMatrix
+    projection: IntMatrix
+    cycles: IntMatrix
     ambient_actions: Tuple[IntMatrix, ...]
     divisor_actions: Tuple[IntMatrix, ...]
+    kernel: SmithKernel
+    cycle_span: SmithKernel
+    psi: Dict[tuple, tuple] = field(default_factory=dict, compare=False,
+                                    repr=False)
 
     @property
-    def modulus(self) -> int:
-        return self.ell ** self.level
+    def graph(self) -> DualGraph:
+        return self.config.graph
 
-    def incidence_maps(self) -> Tuple[LMap, LMap]:
-        """The per-component sum and the map to the support points on the y
-        incidences: the y columns of the component and support point rows."""
+    def incidence_blocks(self) -> Tuple[IntMatrix, IntMatrix]:
+        """The y columns of the component rows and of the support point rows."""
         ncomp = len(self.graph.component_ids)
-        C = self.constraint.matrix
-        y_cols = range(len(self.config.ids), C.cols)
-        dom = free_level(self.ell, self.level, len(y_cols))
-        return tuple(
-            LMap(dom, free_level(self.ell, self.level, len(rows)),
-                 C.take_rows(rows).take_cols(y_cols))
-            for rows in (range(ncomp), range(ncomp, C.rows)))
+        C = self.constraint
+        y = C.take_cols(range(len(self.config.ids), C.cols))
+        return y.take_rows(range(ncomp)), y.take_rows(range(ncomp, C.rows))
+
+    @cached_property
+    def component_sums(self) -> SmithKernel:
+        """Smith data of the per-component sum on the y incidences."""
+        return smith_kernel(self.incidence_blocks()[0])
+
+    @cached_property
+    def zero_sum_actions(self) -> tuple:
+        """Per generator, R with B R = PD B on the difference basis B, or None."""
+        B = difference_basis(len(self.config.ids))
+        return tuple(solve_integer(B, PD @ B) for PD in self.divisor_actions)
 
 
-def _span_contains(amb: LModule, A: IntMatrix, cols: IntMatrix) -> bool:
-    """Every column of cols lies in the mod l^s column span of A."""
-    dom = free_level(amb.ell, amb.torsion_exponents[0] if amb.torsion_exponents else 1,
-                     A.cols)
-    return preimage(LMap(dom, amb, A), cols) is not None
-
-
-def build_xi(graph: DualGraph, config: DivisorConfig, ell: int, s: int) -> XiModule:
-    """Assemble the level s kernel module with verified structure maps.
-
-    Verifies, by explicit solving mod l^s, that the cycle embedding lands
-    exactly on the kernel of phi and that phi maps onto the zero sum part
-    of the divisor block; both are re-derived here rather than assumed.
-    """
-    if config.graph is not graph and config.graph != graph:
-        raise ConfigIncompatible("divisor configuration belongs to a different graph")
-    if s < 1:
-        raise ValueError("level must be >= 1")
-    mod = ell ** s
-
+def xi_lattice(config: DivisorConfig) -> XiLattice:
+    """Assemble Xi's integer data and take its Smith forms, once."""
+    graph = config.graph
     div_ids = config.ids
     ndiv = len(div_ids)
     div_index = {d: i for i, d in enumerate(div_ids)}
@@ -790,52 +779,25 @@ def build_xi(graph: DualGraph, config: DivisorConfig, ell: int, s: int) -> XiMod
             row[vindex[("y", c, w)]] = 1
         rows.append(row)
     C = IntMatrix.from_rows(rows, nvars)
-
-    ambient = free_level(ell, s, nvars)
-    row_block = free_level(ell, s, C.rows)
-    constraint = LMap(ambient, row_block, C)
-    K: KernelResult = kernel(constraint)
-
-    divisor_block = free_level(ell, s, ndiv)
-    proj_rows = [[1 if j == i else 0 for j in range(nvars)] for i in range(ndiv)]
-    phi_ambient = LMap(ambient, divisor_block, IntMatrix.from_rows(proj_rows, nvars))
-    phi = phi_ambient.compose(K.inclusion)
+    proj = IntMatrix.from_rows(
+        [[1 if j == i else 0 for j in range(nvars)] for i in range(ndiv)], nvars)
 
     # cycle lattice into the y coordinates on node incidences
-    boundary = _boundary_matrix(graph)
-    cycles = integer_kernel_basis(boundary)
+    cycles = integer_kernel_basis(_boundary_matrix(graph))
     c_rank = cycles.cols
     hrows = [[0] * c_rank for _ in range(nvars)]
     for j, (comp, node) in enumerate(graph.edges):
         for k in range(c_rank):
             hrows[vindex[("y", comp, node)]][k] = cycles.entry(j, k)
     H = IntMatrix.from_rows(hrows, c_rank)
-    h1_dom = free_level(ell, s, c_rank)
-    cycle_embedding = LMap(h1_dom, ambient, H)
-
     if not (C @ H).is_zero():
         raise VerificationFailed("cycle columns do not satisfy the point constraints")
-    if not (phi_ambient.matrix @ H).is_zero():
+    if not (proj @ H).is_zero():
         raise VerificationFailed("cycle columns leak into the divisor block")
-    h1_inclusion = induced_into_kernel(cycle_embedding, K)
-
-    # exactness in the middle: kernel of phi coincides with the cycle image
-    phi_kernel = kernel(phi)
-    ker_amb = K.inclusion.matrix @ phi_kernel.inclusion.matrix
-    if not (_span_contains(ambient, H, ker_amb)
-            and _span_contains(ambient, ker_amb, H)):
-        raise VerificationFailed("kernel of phi differs from the cycle image at this level")
-
-    ones = IntMatrix.from_rows([[1] * ndiv], ndiv)
-    if not (ones @ phi.matrix).mod(mod).is_zero():
-        raise VerificationFailed("phi image does not lie in the zero sum block")
-    if preimage(phi, difference_basis(ndiv)) is None:
-        raise VerificationFailed("phi misses part of the zero sum block")
 
     ambient_actions = []
     divisor_actions = []
-    for gi, gp in enumerate(graph.action):
-        dp = config.action[gi]
+    for gp, dp in zip(graph.action, config.action):
 
         def var_image(name):
             if name[0] == "alpha":
@@ -846,23 +808,149 @@ def build_xi(graph: DualGraph, config: DivisorConfig, ell: int, s: int) -> XiMod
 
         P = perm_matrix(var_names, var_image)
         PD = perm_matrix(div_ids, dp.__getitem__)
-        if (phi_ambient.matrix @ P) != (PD @ phi_ambient.matrix):
+        if (proj @ P) != (PD @ proj):
             raise VerificationFailed("divisor projection is not equivariant")
-        if not (C @ (P @ K.inclusion.matrix)).mod(mod).is_zero():
-            raise VerificationFailed("action does not preserve the assembled kernel")
         ambient_actions.append(P)
         divisor_actions.append(PD)
 
+    return XiLattice(
+        config=config, var_names=tuple(var_names), support=support,
+        constraint=C, projection=proj, cycles=H,
+        ambient_actions=tuple(ambient_actions),
+        divisor_actions=tuple(divisor_actions),
+        kernel=smith_kernel(C), cycle_span=smith_kernel(H.transpose()),
+    )
+
+
+@dataclass
+class XiModule:
+    """Level s assembly of the residue kernel with its two structure maps.
+
+    lattice holds the integer data behind it (see XiLattice), of which the
+    coordinate names, support points and actions are repeated here.
+    module is the kernel of the constraints mod l^s; the cycle lattice
+    embeds via the y coordinates on node incidences and phi projects onto
+    the divisor block.  phi_kernel is the kernel of phi, with its inclusion
+    into the module.
+    """
+
+    lattice: XiLattice
+    graph: DualGraph
+    config: DivisorConfig
+    ell: int
+    level: int
+    ambient: LModule
+    constraint: LMap
+    module: LModule
+    inclusion: LMap
+    divisor_block: LModule
+    phi_ambient: LMap
+    phi: LMap
+    phi_kernel: KernelResult
+    cycle_embedding: LMap
+    h1_inclusion: LMap
+    var_names: tuple
+    support: tuple
+    ambient_actions: Tuple[IntMatrix, ...]
+    divisor_actions: Tuple[IntMatrix, ...]
+
+    @property
+    def modulus(self) -> int:
+        return self.ell ** self.level
+
+    def incidence_maps(self) -> Tuple[LMap, LMap]:
+        """The per-component sum and the map to the support points on the y
+        incidences: the y columns of the component and support point rows."""
+        return tuple(
+            LMap(free_level(self.ell, self.level, M.cols),
+                 free_level(self.ell, self.level, M.rows), M)
+            for M in self.lattice.incidence_blocks())
+
+
+def _span_contains(span: SmithKernel, ell: int, s: int, B: IntMatrix) -> bool:
+    """Every column of B lies in the mod l^s column span of A, where span is
+    the Smith data of A^T.
+
+    A submodule of (Z/l^s)^n is the annihilator of its annihilator (Z/l^s
+    is self-injective), and the annihilator of A's span is ker(A^T mod
+    l^s): b lies in the span exactly when every generator of that kernel
+    pairs to 0 with it.
+    """
+    dual = level_kernel(span, ell, s).inclusion.matrix
+    return (dual.transpose() @ B).mod(ell ** s).is_zero()
+
+
+def build_xi(graph: DualGraph, config: DivisorConfig, ell: int, s: int,
+             lattice: Optional[XiLattice] = None) -> XiModule:
+    """Assemble the level s kernel module with verified structure maps.
+
+    The Smith data of the constraints and of the cycle embedding do not
+    depend on s: they come from lattice, which xi_lattice builds when none
+    is given (a SingularityInstance builds it once and passes it at every
+    level).  Every proof step is still taken at level s, by reading that
+    data or by explicit solving mod l^s: the cycle columns lie in the
+    kernel, the cycle embedding lands exactly on the kernel of phi (both
+    inclusions), phi maps onto the zero sum part of the divisor block, and
+    the action preserves the kernel.
+    """
+    if config.graph is not graph and config.graph != graph:
+        raise ConfigIncompatible("divisor configuration belongs to a different graph")
+    if s < 1:
+        raise ValueError("level must be >= 1")
+    if lattice is None:
+        lattice = xi_lattice(config)
+    elif lattice.config is not config:
+        raise ValueError("lattice was built for another divisor configuration")
+    mod = ell ** s
+    C = lattice.constraint
+    ndiv = len(config.ids)
+
+    ambient = free_level(ell, s, C.cols)
+    constraint = LMap(ambient, free_level(ell, s, C.rows), C)
+    K = level_kernel(lattice.kernel, ell, s)
+
+    divisor_block = free_level(ell, s, ndiv)
+    phi_ambient = LMap(ambient, divisor_block, lattice.projection)
+    phi = phi_ambient.compose(K.inclusion)
+
+    H = lattice.cycles
+    h1_dom = free_level(ell, s, H.cols)
+    cycle_embedding = LMap(h1_dom, ambient, H)
+    coords = kernel_coordinates(lattice.kernel, ell, s, H)
+    if coords is None:
+        raise VerificationFailed("cycle columns do not lie in the assembled kernel")
+    h1_inclusion = LMap(h1_dom, K.module, coords)
+
+    # exactness in the middle: kernel of phi coincides with the cycle image.
+    # The kernel lies in the cycle span by the cycle embedding's Smith data;
+    # the cycle image lies in the kernel when h1_inclusion's columns lie in
+    # phi_kernel's span, a solve inside the module
+    phi_kernel = kernel(phi)
+    ker_amb = K.inclusion.matrix @ phi_kernel.inclusion.matrix
+    if not (_span_contains(lattice.cycle_span, ell, s, ker_amb)
+            and preimage(phi_kernel.inclusion, h1_inclusion.matrix) is not None):
+        raise VerificationFailed("kernel of phi differs from the cycle image at this level")
+
+    ones = IntMatrix.from_rows([[1] * ndiv], ndiv)
+    if not (ones @ phi.matrix).mod(mod).is_zero():
+        raise VerificationFailed("phi image does not lie in the zero sum block")
+    if preimage(phi, difference_basis(ndiv)) is None:
+        raise VerificationFailed("phi misses part of the zero sum block")
+
+    for P in lattice.ambient_actions:
+        if not (C @ (P @ K.inclusion.matrix)).mod(mod).is_zero():
+            raise VerificationFailed("action does not preserve the assembled kernel")
+
     return XiModule(
-        graph=graph, config=config, ell=ell, level=s,
+        lattice=lattice, graph=graph, config=config, ell=ell, level=s,
         ambient=ambient, constraint=constraint,
         module=K.module, inclusion=K.inclusion,
         divisor_block=divisor_block, phi_ambient=phi_ambient, phi=phi,
         phi_kernel=phi_kernel,
         cycle_embedding=cycle_embedding, h1_inclusion=h1_inclusion,
-        var_names=tuple(var_names), support=support,
-        ambient_actions=tuple(ambient_actions),
-        divisor_actions=tuple(divisor_actions),
+        var_names=lattice.var_names, support=lattice.support,
+        ambient_actions=lattice.ambient_actions,
+        divisor_actions=lattice.divisor_actions,
     )
 
 
@@ -897,9 +985,9 @@ def difference_basis(ndiv: int) -> IntMatrix:
     return IntMatrix.from_rows(rows, ndiv - 1)
 
 
-def _psi_column(xi: XiModule, trees, alpha: Dict[str, int]) -> List[int]:
+def _psi_column(lattice: XiLattice, trees, alpha: Dict[str, int]) -> List[int]:
     """The proof's assignment for one zero sum alpha vector, exactly over Z."""
-    graph, config = xi.graph, xi.config
+    graph, config = lattice.graph, lattice.config
     m = len(trees)
     a: Dict[str, int] = {}
     for c in graph.component_ids:
@@ -909,10 +997,10 @@ def _psi_column(xi: XiModule, trees, alpha: Dict[str, int]) -> List[int]:
         a[n] = -alpha[anchored] if anchored is not None else 0
     solutions = [tree_solve(graph, t, a) for t in trees]
 
-    col = [0] * len(xi.var_names)
+    col = [0] * len(lattice.var_names)
     for d, value in alpha.items():
-        col[xi.var_names.index(("alpha", d))] = m * value
-    for i, name in enumerate(xi.var_names):
+        col[lattice.var_names.index(("alpha", d))] = m * value
+    for i, name in enumerate(lattice.var_names):
         if name[0] != "y":
             continue
         _, comp, pt = name
@@ -923,16 +1011,9 @@ def _psi_column(xi: XiModule, trees, alpha: Dict[str, int]) -> List[int]:
     return col
 
 
-def build_psi(xi: XiModule, tree_orbit) -> PsiSplitting:
-    """Construct the section of xi's phi for one orbit of spanning trees.
-
-    tree_orbit must be a full orbit under the generated action group: every
-    member a spanning tree of xi's graph, closed under each generator, and
-    reachable from any member.  The construction sums the balanced tree
-    solutions over the orbit, which is what makes the result equivariant.
-    """
-    graph = xi.graph
-
+def _orbit_section(lattice: XiLattice, tree_orbit):
+    """The validated orbit, sorted, and its integer section over Z."""
+    graph = lattice.graph
     normalized = [frozenset(_validate_tree(graph, t)) for t in tree_orbit]
     if len(set(normalized)) != len(normalized):
         raise NotAnOrbit("repeated tree in the orbit")
@@ -940,32 +1021,49 @@ def build_psi(xi: XiModule, tree_orbit) -> PsiSplitting:
             "orbit is not closed under the action"))) != 1:
         raise NotAnOrbit("the given trees split into several orbits")
 
-    trees = sorted(tuple(sorted(t)) for t in normalized)
-    m = len(trees)
-    div_ids = xi.config.ids
-    ndiv = len(div_ids)
-    B = difference_basis(ndiv)
-    domain = free_level(xi.ell, xi.level, ndiv - 1)
-
+    trees = tuple(sorted(tuple(sorted(t)) for t in normalized))
+    div_ids = lattice.config.ids
+    B = difference_basis(len(div_ids))
     cols = []
-    for j in range(ndiv - 1):
+    for j in range(B.cols):
         alpha = {d: B.entry(i, j) for i, d in enumerate(div_ids)}
-        cols.append(_psi_column(xi, trees, alpha))
+        cols.append(_psi_column(lattice, trees, alpha))
     Psi = (IntMatrix.from_rows(list(map(list, zip(*cols))), len(cols))
-           if cols else IntMatrix.zeros(len(xi.var_names), 0))
+           if cols else IntMatrix.zeros(len(lattice.var_names), 0))
+    return trees, Psi
 
-    if not (xi.constraint.matrix @ Psi).is_zero():
+
+def build_psi(xi: XiModule, tree_orbit) -> PsiSplitting:
+    """Construct the section of xi's phi for one orbit of spanning trees.
+
+    tree_orbit must be a full orbit under the generated action group: every
+    member a spanning tree of xi's graph, closed under each generator, and
+    reachable from any member.  The construction sums the balanced tree
+    solutions over the orbit, which is what makes the result equivariant.
+    Neither the orbit's validation nor those integer solutions depend on
+    the level: xi's lattice keeps them by the orbit as given, and each level
+    checks the solutions again and reduces them.
+    """
+    lattice = xi.lattice
+    orbit = tuple(tuple(map(tuple, t)) for t in tree_orbit)
+    if orbit not in lattice.psi:
+        lattice.psi[orbit] = _orbit_section(lattice, orbit)
+    trees, Psi = lattice.psi[orbit]
+    m = len(trees)
+    B = difference_basis(len(xi.config.ids))
+    domain = free_level(xi.ell, xi.level, B.cols)
+
+    if not (lattice.constraint @ Psi).is_zero():
         raise VerificationFailed("psi columns violate the defining constraints")
-    if (xi.phi_ambient.matrix @ Psi) != B.scale(m):
+    if (lattice.projection @ Psi) != B.scale(m):
         raise VerificationFailed("phi after psi is not multiplication by the orbit size")
 
-    for P, PD in zip(xi.ambient_actions, xi.divisor_actions):
-        R = solve_integer(B, PD @ B)
+    for P, R in zip(lattice.ambient_actions, lattice.zero_sum_actions):
         if R is None or (P @ Psi) != (Psi @ R):
             raise VerificationFailed("psi does not commute with the action")
 
     return PsiSplitting(
-        xi=xi, trees=tuple(trees), m=m, domain=domain, basis=B,
+        xi=xi, trees=trees, m=m, domain=domain, basis=B,
         psi_ambient=LMap(domain, xi.ambient, Psi),
     )
 

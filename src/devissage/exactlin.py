@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from operator import lt
 from typing import Iterable, Optional, Sequence
 
-from .errors import MismatchedPrime
+from .errors import MismatchedPrime, VerificationFailed
 
 
 # ---------------------------------------------------------------------------
@@ -933,16 +933,75 @@ def preimage(f: LMap, B: IntMatrix) -> Optional[IntMatrix]:
     return f.domain.reduce_columns(sol.take_rows(range(f.domain.num_gens)))
 
 
-def induced_into_kernel(f: LMap, k: KernelResult) -> LMap:
-    """Factor f through a kernel containing its image.
+@dataclass(frozen=True)
+class SmithKernel:
+    """One integer Smith form of A, read as ker(A mod l^s) at any l and s.
 
-    Requires that every generator image of f lies in the kernel submodule;
-    raises ValueError otherwise.
+    smith_with_inverses(A^T) = (U, D, V, Uinv) gives A Q = W E with
+    Q = U^T, Q^-1 = Uinv^T and W = V^-T unimodular and E = D^T diagonal.
+    So A x = 0 mod l^s exactly when y = Q^-1 x has d_i y_i = 0 mod l^s for
+    every diagonal entry d_i (0 past the rank): with v_i = min(v_l(d_i), s),
+    and v_i = s when d_i = 0, the kernel is the sum of the cyclic groups of
+    order l^v_i generated by l^(s - v_i) Q_i, wherever v_i > 0.
     """
-    mat = preimage(k.inclusion, f.matrix)
-    if mat is None:
-        raise ValueError("map does not factor through the kernel")
-    return LMap(f.domain, k.module, mat)
+
+    basis: IntMatrix      # Q, one column per coordinate y_i
+    inverse: IntMatrix    # Q^-1
+    diagonal: tuple       # d_i, one per column of A
+
+    def level_orders(self, ell: int, s: int) -> list:
+        """(v_i, i) for every i with v_i > 0, by decreasing v_i."""
+        out = []
+        for i, d in enumerate(self.diagonal):
+            v = s if d == 0 else min(valuation(d, ell), s)
+            if v:
+                out.append((v, i))
+        out.sort(key=lambda t: -t[0])   # stable: ties keep their index order
+        return out
+
+
+def smith_kernel(A: IntMatrix) -> SmithKernel:
+    """The Smith data of A that level_kernel and kernel_coordinates read."""
+    U, D, _, Ui = smith_with_inverses(A.transpose())
+    rank_rows = min(D.rows, D.cols)
+    diagonal = tuple(D.entry(i, i) if i < rank_rows else 0
+                     for i in range(A.cols))
+    return SmithKernel(U.transpose(), Ui.transpose(), diagonal)
+
+
+def level_kernel(sk: SmithKernel, ell: int, s: int) -> KernelResult:
+    """ker(A mod l^s) with its inclusion into (Z/l^s)^cols, from A's Smith data."""
+    orders = sk.level_orders(ell, s)
+    module = LModule(ell, 0, tuple(v for v, _ in orders))
+    gens = IntMatrix(len(orders), sk.basis.rows, [
+        [ell ** (s - v) * x for x in sk.basis.col(i)] for v, i in orders])
+    return KernelResult(module, LMap(module, free_level(ell, s, sk.basis.rows),
+                                     gens.transpose()))
+
+
+def kernel_coordinates(sk: SmithKernel, ell: int, s: int,
+                       X: IntMatrix) -> Optional[IntMatrix]:
+    """Coordinates of the columns of X in level_kernel(sk, ell, s)'s
+    generators, or None when a column is not in ker(A mod l^s).
+
+    y = Q^-1 x must have l^(s - v_i) | y_i for every i (y_i = 0 mod l^s
+    where v_i = 0); the coordinate of a kept y_i is y_i / l^(s - v_i).  The
+    result is checked to reproduce X mod l^s.
+    """
+    mod = ell ** s
+    Y = (sk.inverse @ X).mod(mod)
+    orders = sk.level_orders(ell, s)
+    kept = {i: v for v, i in orders}
+    for i, row in enumerate(Y.data):
+        step = ell ** (s - kept.get(i, 0))
+        if any(x % step for x in row):
+            return None
+    coords = IntMatrix(len(orders), X.cols, [
+        [x // ell ** (s - v) for x in Y.data[i]] for v, i in orders])
+    inclusion = level_kernel(sk, ell, s).inclusion.matrix
+    if not ((inclusion @ coords) - X).mod(mod).is_zero():
+        raise VerificationFailed("kernel coordinates do not reproduce the vectors")
+    return coords
 
 
 def homology_at(incoming: Optional[LMap], outgoing: Optional[LMap],
@@ -961,8 +1020,11 @@ def homology_at(incoming: Optional[LMap], outgoing: Optional[LMap],
         return k.module
     if incoming.codomain != carrier:
         raise ValueError("incoming map does not end at the carrier")
-    h = induced_into_kernel(incoming, k)
-    return cokernel(h).module
+    # incoming factors through the kernel: a complex has outgoing o incoming = 0
+    mat = preimage(k.inclusion, incoming.matrix)
+    if mat is None:
+        raise ValueError("map does not factor through the kernel")
+    return cokernel(LMap(incoming.domain, k.module, mat)).module
 
 
 # ---------------------------------------------------------------------------

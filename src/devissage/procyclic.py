@@ -501,11 +501,16 @@ class VanishingVerdict:
     corank: int
     corank_method: str
     structure: CoLGroup
-    level_snapshots: tuple
+    levels: int
     boundary_minus: bool   # j == -2r
     boundary_plus: bool    # j == +2r, the remark's printed variant
     matrix_dim: int
     crosschecked: bool
+
+    @property
+    def level_snapshots(self) -> tuple:
+        """The l^s-torsion of the structure for s = 1..levels."""
+        return tuple(self.structure.level(s) for s in range(1, self.levels + 1))
 
 
 def vanishing_probe(P: CharPoly, ell: int, j: int, r: int,
@@ -538,15 +543,13 @@ def vanishing_probe(P: CharPoly, ell: int, j: int, r: int,
         if other != corank:
             raise VerificationFailed("root-product and kernel coranks disagree")
         crosschecked = True
-    structure = CoLGroup(LModule(ell, corank))
-    snaps = tuple(structure.level(s) for s in range(1, levels + 1))
     return VanishingVerdict(
         ell=ell, q=P.q, j=j, r=r,
         nontrivial=corank > 0,
         corank=corank,
         corank_method=method,
-        structure=structure,
-        level_snapshots=snaps,
+        structure=CoLGroup(LModule(ell, corank)),
+        levels=levels,
         boundary_minus=(j == -2 * r),
         boundary_plus=(j == 2 * r),
         matrix_dim=dim,
@@ -620,14 +623,28 @@ def matrix_power_kron(m: IntMatrix, j: int) -> IntMatrix:
 
 @dataclass(frozen=True)
 class DualityReport:
+    ell: int
+    levels: int
     left_corank: int
     right_corank: int
     left_method: str
     right_method: str
-    levels_agree: bool
-    level_pairs: tuple
     witness_checked: bool
     declared_for: str
+
+    @property
+    def level_pairs(self) -> tuple:
+        """(left, right) l^s-torsion of the two divisible sides, s = 1..levels."""
+        sides = [CoLGroup(LModule(self.ell, k))
+                 for k in (self.left_corank, self.right_corank)]
+        return tuple(tuple(g.level(s) for g in sides)
+                     for s in range(1, self.levels + 1))
+
+    @property
+    def levels_agree(self) -> bool:
+        """The two sides agree at every level: the l^s-torsion of a
+        divisible group of corank k is (Z/l^s)^k, so that is corank equality."""
+        return self.left_corank == self.right_corank
 
 
 def duality_crosscheck(P: CharPoly, ell: int, j: int, r: int,
@@ -636,8 +653,9 @@ def duality_crosscheck(P: CharPoly, ell: int, j: int, r: int,
 
     Left: H^1(k, A{l}^box j (r)), divisible of some corank.  Right: the
     Pontryagin dual of the fixed module of (T_l of the declared dual
-    variety)^tensor j twisted by -j-r.  Both are computed and their level
-    snapshots compared; methods are recorded because the small-dimension
+    variety)^tensor j twisted by -j-r.  Both coranks are computed; the
+    report derives their level snapshots for s = 1..levels on demand.
+    Methods are recorded because the small-dimension
     route uses genuine integer kernels while large dimensions fall back to
     root-product arithmetic on both sides.  That fallback is exact only for
     squarefree P; above KERNEL_DIM_CAP a P with repeated roots raises
@@ -664,16 +682,8 @@ def duality_crosscheck(P: CharPoly, ell: int, j: int, r: int,
     if left > 0:
         w = fixed_vector_witness(P, j, r)
         witness_checked = w is not None
-    pairs = []
-    agree = left == right
-    for s in range(1, levels + 1):
-        lv_left = CoLGroup(LModule(ell, left)).level(s)
-        lv_right = CoLGroup(LModule(ell, right)).level(s)
-        pairs.append((lv_left, lv_right))
-        if lv_left != lv_right:
-            agree = False
-    return DualityReport(left, right, left_method, right_method, agree,
-                         tuple(pairs), witness_checked, P.declared_for)
+    return DualityReport(ell, levels, left, right, left_method, right_method,
+                         witness_checked, P.declared_for)
 
 
 @_memo()

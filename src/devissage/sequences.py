@@ -18,6 +18,7 @@ from .dualgraph import (
     DivisorConfig,
     DualGraph,
     HomologyLattice,
+    XiLattice,
     XiModule,
     build_xi,
     fixed_rank,
@@ -27,6 +28,7 @@ from .dualgraph import (
     orbit_partition,
     perm_matrix,
     tree_orbits,
+    xi_lattice,
 )
 from .errors import (
     ConfigIncompatible,
@@ -47,6 +49,8 @@ from .exactlin import (
     homology_at,
     is_prime,
     kernel,
+    kernel_coordinates,
+    level_kernel,
     preimage,
     solve_integer,
     valuation,
@@ -83,7 +87,9 @@ class SingularityInstance:
 
     The suites share objects computed once per instance, on first use: the
     cycle lattice, the tree orbits (enumerated under tree_cap), their gcd m,
-    the level-s kernel assembly xi(s) and the induced jacobian blocks.
+    the integer data of the kernel assembly with its Smith forms (xi_data),
+    the level-s assembly xi(s) read from it, and the induced jacobian
+    blocks.
     """
 
     def __init__(self, graph: DualGraph, divisors: DivisorConfig, jacobians,
@@ -177,9 +183,14 @@ class SingularityInstance:
     def m(self) -> int:
         return gcd(*(len(o) for o in self.orbits))
 
+    @cached_property
+    def xi_data(self) -> XiLattice:
+        return xi_lattice(self.divisors)
+
     def xi(self, s: int) -> XiModule:
         if s not in self._xi:
-            self._xi[s] = build_xi(self.graph, self.divisors, self.ell, s)
+            self._xi[s] = build_xi(self.graph, self.divisors, self.ell, s,
+                                   self.xi_data)
         return self._xi[s]
 
     @cached_property
@@ -399,8 +410,9 @@ def lambda_structure(inst: SingularityInstance, s: int) -> LambdaReport:
     """
     inst._require_level(s)
     xi = inst.xi(s)
-    per_comp_sum, to_points = xi.incidence_maps()
-    co = cokernel(to_points.compose(kernel(per_comp_sum).inclusion))
+    _, to_points = xi.incidence_maps()
+    sums = level_kernel(xi.lattice.component_sums, inst.ell, s)
+    co = cokernel(to_points.compose(sums.inclusion))
 
     expected = free_level(inst.ell, s, 1)
     structure_ok = co.module == expected
@@ -628,7 +640,8 @@ class BhnReport:
 
 def _module_action(xi: XiModule, amb: IntMatrix) -> IntMatrix:
     """Express an ambient action in the coordinates of the kernel module."""
-    sol = preimage(xi.inclusion, amb @ xi.inclusion.matrix)
+    sol = kernel_coordinates(xi.lattice.kernel, xi.ell, xi.level,
+                             amb @ xi.inclusion.matrix)
     if sol is None:
         raise VerificationFailed("action does not descend to the kernel module")
     return sol

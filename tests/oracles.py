@@ -4,11 +4,14 @@ Everything in here deliberately avoids the library's own SNF/presentation
 machinery: structures of finite modules are recovered by counting element
 orders, subgroups by BFS closure, ranks by fraction Gaussian elimination.
 The sympy_* oracles are second routes through sympy, which the library
-itself never imports.
+itself never imports.  per_level_xi is the one exception: the assembly of
+Xi that build_xi made at every level through the generic kernel and
+preimage solves, before it read one Smith form per configuration.
 """
 
 from fractions import Fraction
 from itertools import product
+from types import SimpleNamespace
 
 import sympy
 
@@ -339,3 +342,79 @@ def sympy_laplacian_cofactor(lap_rows):
     """The Laplacian minor without its last row and column, by sympy."""
     n = len(lap_rows)
     return sympy_det([row[:n - 1] for row in lap_rows[:n - 1]])
+
+
+def per_level_xi(graph, config, ell, s):
+    """Xi at level s by generic solves mod l^s, rebuilt from nothing.
+
+    The constraints C (component sums, then support points; alphas, then
+    y incidences), their kernel K through exactlin.kernel, the cycle
+    inclusion factored through K by a preimage solve, the kernel of phi,
+    and the cokernel of the support-point map on the kernel of the
+    per-component sum (Lambda).  Returns a namespace of those objects with
+    the cycle embedding H.
+    """
+    from devissage.dualgraph import _boundary_matrix
+    from devissage.exactlin import (
+        IntMatrix, LMap, cokernel, free_level, integer_kernel_basis, kernel,
+        preimage)
+
+    div_ids = config.ids
+    ndiv = len(div_ids)
+    div_index = {d: i for i, d in enumerate(div_ids)}
+    var_names = [("alpha", d) for d in div_ids]
+    comp_points = {}
+    for c in graph.component_ids:
+        comp_points[c] = tuple(sorted(graph.component_nodes(c)
+                                      + config.free_on(c)))
+        var_names.extend(("y", c, p) for p in comp_points[c])
+    vindex = {name: i for i, name in enumerate(var_names)}
+    nvars = len(var_names)
+
+    rows = []
+    for c in graph.component_ids:
+        row = [0] * nvars
+        for p in comp_points[c]:
+            row[vindex[("y", c, p)]] = 1
+        rows.append(row)
+    for w in config.support_points():
+        row = [0] * nvars
+        if w in div_index:
+            row[div_index[w]] = 1
+            carriers = [config.anchor(w)[1]]
+        else:
+            anchored = config.anchored_at(w)
+            if anchored is not None:
+                row[div_index[anchored]] = 1
+            carriers = graph.node_components(w)
+        for c in carriers:
+            row[vindex[("y", c, w)]] = 1
+        rows.append(row)
+    C = IntMatrix.from_rows(rows, nvars)
+
+    ambient = free_level(ell, s, nvars)
+    K = kernel(LMap(ambient, free_level(ell, s, C.rows), C))
+    proj = IntMatrix.from_rows(
+        [[1 if j == i else 0 for j in range(nvars)] for i in range(ndiv)], nvars)
+    phi = LMap(ambient, free_level(ell, s, ndiv), proj).compose(K.inclusion)
+
+    cycles = integer_kernel_basis(_boundary_matrix(graph))
+    hrows = [[0] * cycles.cols for _ in range(nvars)]
+    for j, (comp, node) in enumerate(graph.edges):
+        for k in range(cycles.cols):
+            hrows[vindex[("y", comp, node)]][k] = cycles.entry(j, k)
+    H = IntMatrix.from_rows(hrows, cycles.cols)
+    h1_inclusion = LMap(free_level(ell, s, H.cols), K.module,
+                        preimage(K.inclusion, H))
+
+    ncomp = len(graph.component_ids)
+    y_cols = range(ndiv, nvars)
+    y_level = free_level(ell, s, len(y_cols))
+    per_comp_sum, to_points = (
+        LMap(y_level, free_level(ell, s, len(r)), C.take_rows(r).take_cols(y_cols))
+        for r in (range(ncomp), range(ncomp, C.rows)))
+    lam = cokernel(to_points.compose(kernel(per_comp_sum).inclusion))
+    return SimpleNamespace(
+        module=K.module, inclusion=K.inclusion, phi_kernel=kernel(phi),
+        h1_inclusion=h1_inclusion, cycle_embedding=H,
+        lambda_cokernel=lam.module)

@@ -16,7 +16,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from devissage import cli, dualgraph, procyclic, sequences
+from devissage import cli, dualgraph, exactlin, procyclic, sequences
 from devissage.cli import (
     RunConfig,
     SUITE_NAMES,
@@ -394,6 +394,30 @@ class TestRunLibrary:
         assert code == 0
         assert calls == {"tree_orbits": 1, "build_xi": 4}  # max_level 4
 
+    @pytest.mark.parametrize("max_level", (1, 2, 4))
+    def test_constraint_smith_form_taken_once_per_run(self, monkeypatch,
+                                                      max_level):
+        # every level reads the one Smith form of Xi's constraints C, which
+        # smith_kernel takes of C^T
+        config = RunConfig(input_path=G2_TREE, max_level=max_level)
+        C = build_instance(load_raw(G2_TREE), config).xi_data.constraint
+        real = exactlin.smith_with_inverses
+        inputs = []
+
+        def counted(A):
+            inputs.append(A)
+            return real(A)
+
+        monkeypatch.setattr(exactlin, "smith_with_inverses", counted)
+        levels = []
+        real_build = sequences.build_xi
+        monkeypatch.setattr(sequences, "build_xi", lambda *a: levels.append(
+            a[3]) or real_build(*a))
+        code, _ = run(config)
+        assert code == 0
+        assert sorted(levels) == list(range(1, max_level + 1))
+        assert inputs.count(C.transpose()) == 1
+
     def test_cap_does_not_leak_between_runs(self):
         suites = ("graph", "splitting", "bhn")
         capped = run(RunConfig(input_path=G1_SWAP, suites=suites, tree_cap=2))
@@ -545,7 +569,7 @@ FAULTS = {
                   "phi after psi is not multiplication by the orbit size"),
     "devissage": (dualgraph, "_span_contains", lambda real: lambda *a: False,
                   "kernel of phi differs from the cycle image at this level"),
-    "bhn": (sequences, "preimage", lambda real: lambda *a: None,
+    "bhn": (sequences, "kernel_coordinates", lambda real: lambda *a: None,
             "action does not descend to the kernel module"),
     "vanishing": (procyclic, "_box_nullity",
                   lambda real: lambda *a: real(*a) + 1,

@@ -27,6 +27,7 @@ from devissage.dualgraph import (
     spanning_trees,
     tree_orbits,
     tree_solve,
+    xi_lattice,
 )
 from devissage.errors import (
     BalanceViolated,
@@ -790,6 +791,15 @@ class TestBuildXi:
         g = tree_pair()
         with pytest.raises(ValueError):
             build_xi(g, default_divisors(g), 3, 0)
+
+    def test_one_lattice_serves_every_level(self):
+        g = double_cycle()
+        cfg = default_divisors(g)
+        lattice = xi_lattice(cfg)
+        for s in (1, 2, 3):
+            assert build_xi(g, cfg, 3, s, lattice) == build_xi(g, cfg, 3, s)
+        with pytest.raises(ValueError, match="another divisor configuration"):
+            build_xi(g, default_divisors(g), 3, 1, lattice)
 
 
 class TestBuildPsi:

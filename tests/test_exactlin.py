@@ -18,14 +18,18 @@ from devissage.exactlin import (
     canonicalize_with_maps,
     cokernel,
     dual,
+    free_level,
     homology_at,
     image,
     integer_kernel_basis,
     is_prime,
     kernel,
+    kernel_coordinates,
+    level_kernel,
     nullity,
     preimage,
     rank_mod,
+    smith_kernel,
     smith_normal_form,
     smith_with_inverses,
     solve_integer,
@@ -664,6 +668,68 @@ class TestNullity:
         A = IntMatrix.from_rows([[2, 0, 0], [0, 3, 0], [0, 0, 5]])
         assert [rank_mod(A, p) for p in (2, 3, 5, 7)] == [2, 2, 2, 3]
         assert rank_mod(IntMatrix(0, 4, []), 3) == 0
+
+
+def _unimodular(rng, n):
+    """A random product of elementary row additions and swaps on I_n."""
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(2 * n):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i == j:
+            continue
+        if rng.random() < 0.25:
+            rows[i], rows[j] = rows[j], rows[i]
+        else:
+            c = rng.randint(-3, 3)
+            rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+    return IntMatrix(n, n, rows)
+
+
+@st.composite
+def smith_shaped(draw):
+    """(l, A) with A = L D R for unimodular L, R and a diagonal D whose
+    entries include zeros, units, multiples of l and powers of l above the
+    highest level 4: those are the l-parts of A's invariant factors."""
+    ell = draw(st.sampled_from((2, 3, 5)))
+    m, n = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    factors = st.sampled_from(
+        (0, 1, 7, ell, 7 * ell, ell ** 2, ell ** 3, ell ** 5))
+    D = IntMatrix(m, n, [[draw(factors) if i == j else 0 for j in range(n)]
+                         for i in range(m)])
+    rng = draw(st.randoms(use_true_random=False))
+    return ell, _unimodular(rng, m) @ D @ _unimodular(rng, n)
+
+
+class TestLevelKernel:
+    """ker(A mod l^s) read from one Smith form against kernel and preimage."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(smith_shaped(), st.integers(1, 4), st.randoms(use_true_random=False))
+    @example((2, IntMatrix.diagonal([0, 2, 32, 7])), 2, random.Random(0))
+    @example((3, IntMatrix.from_rows([[9, 0, 0], [0, 243, 0]])), 4,
+             random.Random(1))
+    def test_matches_kernel_and_preimage(self, case, s, rng):
+        ell, A = case
+        mod = ell ** s
+        sk = smith_kernel(A)
+        got = level_kernel(sk, ell, s)
+        want = kernel(LMap(free_level(ell, s, A.cols),
+                           free_level(ell, s, A.rows), A))
+        assert got.module == want.module
+        # the two inclusions span the same submodule mod l^s
+        assert preimage(got.inclusion, want.inclusion.matrix) is not None
+        assert preimage(want.inclusion, got.inclusion.matrix) is not None
+        # kernel vectors: the coordinates are the unique preimage
+        k = want.module.num_gens
+        combos = IntMatrix(k, 3, [[rng.randrange(mod) for _ in range(3)]
+                                  for _ in range(k)])
+        X = want.inclusion.matrix @ combos
+        assert kernel_coordinates(sk, ell, s, X) == preimage(got.inclusion, X)
+        # a kernel vector plus a unit vector: refused exactly off the kernel
+        for j in range(A.cols):
+            x = IntMatrix.column([v + (i == j) for i, v in enumerate(X.col(0))])
+            inside = (A @ x).mod(mod).is_zero()
+            assert (kernel_coordinates(sk, ell, s, x) is None) == (not inside)
 
 
 class TestMisc:

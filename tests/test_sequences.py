@@ -1,5 +1,6 @@
 """Finite-level sequence assembly: instances, exactness, structure, reports."""
 
+import os
 import random
 from itertools import product
 
@@ -7,6 +8,7 @@ import pytest
 import sympy
 
 from devissage import sequences
+from devissage.cli import RunConfig, build_instance, load_raw
 from devissage.dualgraph import (
     DivisorConfig,
     DualGraph,
@@ -46,11 +48,13 @@ from devissage.sequences import (
 from generators import random_legal_graph
 from oracles import (
     incidence_layout_rows,
+    per_level_xi,
     quotient_structure,
     rational_nullity,
     subgroup_closure,
 )
 
+FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 P5 = CharPoly((1, -2, 5), 5)
 P25 = CharPoly((1, -2, 25), 25)
 P125 = CharPoly((1, -2, 125), 125)
@@ -262,6 +266,43 @@ class TestInstanceValidation:
                                 ell=3, q=5)
         with pytest.raises(TypeError):
             instance(banana(swap=False, genus=(1, 0)), [("u", "poly", 1)])
+
+
+class TestXiAgainstPerLevelRoute:
+    """Xi read from one Smith form per instance against the per-level route
+    build_xi took before (oracles.per_level_xi), at every level 1..4."""
+
+    @staticmethod
+    def _compare(inst):
+        for s in range(1, 5):
+            xi = inst.xi(s)
+            old = per_level_xi(inst.graph, inst.divisors, inst.ell, s)
+            assert xi.module == old.module
+            assert xi.phi_kernel.module == old.phi_kernel.module
+            cycles = xi.inclusion.matrix @ xi.h1_inclusion.matrix
+            assert (cycles - old.cycle_embedding).mod(xi.modulus).is_zero()
+            assert lambda_structure(inst, s).structure == old.lambda_cokernel
+
+    def test_pinned_graphs(self):
+        cases = [instance(g, ell=ell)
+                 for g in (tree_pair(), banana(swap=False), banana(),
+                           comp_swap(genus=(0, 0)))
+                 for ell in (2, 3)]
+        cases.append(SingularityInstance(
+            banana(), anchored_banana_config(banana()), (), ell=2, q=5))
+        for name in ("g1_swap.json", "g2_tree.json"):
+            path = os.path.join(FIXTURES, name)
+            cases.append(build_instance(load_raw(path),
+                                        RunConfig(input_path=path)))
+        for inst in cases:
+            self._compare(inst)
+
+    def test_random_graphs(self):
+        rng = random.Random(151)
+        for _ in range(12):
+            g = random_legal_graph(rng, genus_pool=(0,))
+            ell, q = rng.choice(((2, 5), (3, 5), (5, 7)))
+            self._compare(instance(g, ell=ell, q=q))
 
 
 class TestOwnedGraphObjects:
