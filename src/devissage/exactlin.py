@@ -14,12 +14,17 @@ The two carrier types:
   represented by the finitely generated module it is the Pontryagin dual of.
 
 Maps are exact integer matrices on canonical generators (:class:`LMap`).
+
+The public constructors of :class:`IntMatrix` and :class:`LModule` validate
+their input; results the library builds from already-validated values
+(products, Smith forms, tensor products, torsion levels, ...) take the
+private ``_trusted`` route, which stores them unchecked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import lt
+from operator import index, lt
 from typing import Iterable, Optional, Sequence
 
 from .errors import MismatchedPrime, VerificationFailed
@@ -67,6 +72,29 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def is_prime_power(n: int) -> bool:
+    """Whether n = p^k for a prime p and k >= 1; raises where is_prime does.
+
+    A factor p <= 41 settles it.  Else every prime factor is at least 43, so
+    k <= log2(n) / 5, and the exact k-th root r of n for the largest such k
+    with one is no perfect power: n is a prime power iff r is prime.
+    """
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return p ** valuation(n, p) == n
+    b = n.bit_length()
+    for k in range(b // 5, 1, -1):
+        # Newton from above: 2^(b/k) >= n^(1/k), within a factor 2^(1/k)
+        r = int(2.0 ** (b / k) * (1 + 2.0 ** -40)) + 1 if b < 1000 * k else 1 << -(-b // k)
+        while (s := ((k - 1) * r + n // r ** (k - 1)) // k) < r:
+            r = s
+        if r ** k == n:
+            return is_prime(r)
+    return is_prime(n)
+
+
 def valuation(x: int, ell: int) -> int:
     """l-adic valuation of a nonzero integer.
 
@@ -104,6 +132,14 @@ class IntMatrix:
             raise ValueError("shape mismatch in IntMatrix")
         self.data = tup
 
+    @classmethod
+    def _trusted(cls, rows: int, cols: int, data: tuple) -> "IntMatrix":
+        """Unchecked: data is a rows-tuple of cols-tuples of Python ints,
+        built from already-validated matrices (__eq__ compares it as stored)."""
+        m = object.__new__(cls)
+        m.rows, m.cols, m.data = rows, cols, data
+        return m
+
     # -- constructors -------------------------------------------------
 
     @classmethod
@@ -115,16 +151,17 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls.diagonal((1,) * n)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, [[0] * cols for _ in range(rows)])
+        return cls._trusted(rows, cols, ((0,) * cols,) * rows)
 
     @classmethod
     def diagonal(cls, entries: Sequence[int]) -> "IntMatrix":
         n = len(entries)
-        return cls(n, n, [[entries[i] if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls._trusted(n, n, tuple([
+            (0,) * i + (index(x),) + (0,) * (n - 1 - i) for i, x in enumerate(entries)]))
 
     @classmethod
     def column(cls, entries: Sequence[int]) -> "IntMatrix":
@@ -156,7 +193,8 @@ class IntMatrix:
         return tuple(self.data[i][j] for i in range(self.rows))
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows, [self.col(j) for j in range(self.cols)])
+        data = tuple(zip(*self.data)) if self.rows else ((),) * self.cols
+        return IntMatrix._trusted(self.cols, self.rows, data)
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -170,26 +208,27 @@ class IntMatrix:
                     ork = od[k]
                     for j in range(other.cols):
                         row[j] += a * ork[j]
-            out.append(row)
-        return IntMatrix(self.rows, other.cols, out)
+            out.append(tuple(row))
+        return IntMatrix._trusted(self.rows, other.cols, tuple(out))
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        return IntMatrix(
-            self.rows,
-            self.cols,
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)],
-        )
+        return IntMatrix._trusted(self.rows, self.cols, tuple([
+            tuple([a + b for a, b in zip(r1, r2)]) for r1, r2 in zip(self.data, other.data)]))
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         return self + other.scale(-1)
 
     def scale(self, c: int) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, [[c * x for x in r] for r in self.data])
+        c = index(c)
+        return IntMatrix._trusted(self.rows, self.cols, tuple([
+            tuple([c * x for x in r]) for r in self.data]))
 
     def mod(self, m: int) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, [[x % m for x in r] for r in self.data])
+        m = index(m)
+        return IntMatrix._trusted(self.rows, self.cols, tuple([
+            tuple([x % m for x in r]) for r in self.data]))
 
     def apply(self, vec: Sequence[int]) -> tuple:
         if len(vec) != self.cols:
@@ -199,28 +238,24 @@ class IntMatrix:
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.rows != other.rows:
             raise ValueError("row mismatch in hstack")
-        return IntMatrix(
-            self.rows, self.cols + other.cols,
-            [r1 + r2 for r1, r2 in zip(self.data, other.data)],
-        )
+        return IntMatrix._trusted(self.rows, self.cols + other.cols, tuple([
+            r1 + r2 for r1, r2 in zip(self.data, other.data)]))
 
     def vstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.cols:
             raise ValueError("column mismatch in vstack")
-        return IntMatrix(self.rows + other.rows, self.cols, self.data + other.data)
+        return IntMatrix._trusted(self.rows + other.rows, self.cols, self.data + other.data)
 
     def take_rows(self, idx: Sequence[int]) -> "IntMatrix":
-        return IntMatrix(len(idx), self.cols, [self.data[i] for i in idx])
+        return IntMatrix._trusted(len(idx), self.cols, tuple([self.data[i] for i in idx]))
 
     def take_cols(self, idx: Sequence[int]) -> "IntMatrix":
-        return IntMatrix(self.rows, len(idx), [[r[j] for j in idx] for r in self.data])
+        return IntMatrix._trusted(self.rows, len(idx), tuple([
+            tuple([r[j] for j in idx]) for r in self.data]))
 
     def kron(self, other: "IntMatrix") -> "IntMatrix":
-        out = []
-        for r1 in self.data:
-            for r2 in other.data:
-                out.append([a * b for a in r1 for b in r2])
-        return IntMatrix(self.rows * other.rows, self.cols * other.cols, out)
+        return IntMatrix._trusted(self.rows * other.rows, self.cols * other.cols, tuple([
+            tuple([a * b for a in r1 for b in r2]) for r1 in self.data for r2 in other.data]))
 
     def is_zero(self) -> bool:
         return all(x == 0 for r in self.data for x in r)
@@ -403,10 +438,10 @@ def smith_with_inverses(A: IntMatrix):
         t += 1
 
     return (
-        IntMatrix.from_rows(U, m),
-        IntMatrix.from_rows(a, n),
-        IntMatrix.from_rows(V, n),
-        IntMatrix.from_rows(Ui, m),
+        IntMatrix._trusted(m, m, tuple(map(tuple, U))),
+        IntMatrix._trusted(m, n, tuple(map(tuple, a))),
+        IntMatrix._trusted(n, n, tuple(map(tuple, V))),
+        IntMatrix._trusted(m, m, tuple(map(tuple, Ui))),
     )
 
 
@@ -543,6 +578,14 @@ class LModule:
         if any(map(lt, exps, exps[1:])):
             raise ValueError("torsion exponents must be weakly decreasing")
 
+    @classmethod
+    def _trusted(cls, ell: int, free_rank: int, exps: tuple) -> "LModule":
+        """Unchecked: canonical data built from already-validated modules."""
+        m = object.__new__(cls)
+        d = m.__dict__
+        d["ell"], d["free_rank"], d["torsion_exponents"] = ell, free_rank, exps
+        return m
+
     # -- structure queries -------------------------------------------
 
     @property
@@ -570,9 +613,9 @@ class LModule:
     def relation_cols(self) -> IntMatrix:
         """Relations of the defining presentation, one column per torsion generator."""
         f, exps = self.free_rank, self.torsion_exponents
-        return IntMatrix(self.num_gens, len(exps), [
-            [self.ell ** e if j == f + i else 0 for i, e in enumerate(exps)]
-            for j in range(self.num_gens)])
+        return IntMatrix._trusted(self.num_gens, len(exps), tuple([
+            tuple([self.ell ** e if j == f + i else 0 for i, e in enumerate(exps)])
+            for j in range(self.num_gens)]))
 
     def reduce_vector(self, vec: Sequence[int]) -> tuple:
         """Reduce generator coordinates into canonical range."""
@@ -583,9 +626,9 @@ class LModule:
 
     def reduce_columns(self, M: IntMatrix) -> IntMatrix:
         """Reduce every column of generator coordinates into canonical range."""
-        return IntMatrix(M.rows, M.cols, [
-            r if e is None else [x % self.ell ** e for x in r]
-            for r, e in zip(M.data, self.gen_orders())])
+        return IntMatrix._trusted(M.rows, M.cols, tuple([
+            r if e is None else tuple([x % self.ell ** e for x in r])
+            for r, e in zip(M.data, self.gen_orders(), strict=True)]))
 
     # -- constructions ------------------------------------------------
 
@@ -596,7 +639,7 @@ class LModule:
     def direct_sum(self, other: "LModule") -> "LModule":
         self._check_prime(other)
         exps = tuple(sorted(self.torsion_exponents + other.torsion_exponents, reverse=True))
-        return LModule(self.ell, self.free_rank + other.free_rank, exps)
+        return LModule._trusted(self.ell, self.free_rank + other.free_rank, exps)
 
     def tensor(self, other: "LModule") -> "LModule":
         """Tensor product over Zl, in closed form on cyclic factors.
@@ -613,7 +656,7 @@ class LModule:
         exps = [min(x, y) for x in a for y in b]
         exps += a * other.free_rank + b * self.free_rank
         exps.sort(reverse=True)
-        return LModule(self.ell, self.free_rank * other.free_rank, tuple(exps))
+        return LModule._trusted(self.ell, self.free_rank * other.free_rank, tuple(exps))
 
     def tor1(self, other: "LModule") -> "LModule":
         """First derived functor of tensor over Zl.
@@ -626,7 +669,7 @@ class LModule:
             (min(a, b) for a in self.torsion_exponents for b in other.torsion_exponents),
             reverse=True,
         )
-        return LModule(self.ell, 0, tuple(exps))
+        return LModule._trusted(self.ell, 0, tuple(exps))
 
     def dual(self) -> "CoLGroup":
         """Pontryagin dual: Zl^r (+) F  ->  (Ql/Zl)^r (+) F."""
@@ -692,11 +735,12 @@ class CoLGroup:
         (Ql/Zl) contributes Z/l^s per copy, a finite cyclic factor C(l^e)
         contributes Z/l^min(e,s).
         """
+        s = index(s)
         if s < 0:
             raise ValueError("level must be >= 0")
         exps = [s] * self.corank + [min(e, s) for e in self.finite_exponents]
         exps = tuple(sorted((e for e in exps if e > 0), reverse=True))
-        return LModule(self.ell, 0, exps)
+        return LModule._trusted(self.ell, 0, exps)
 
     def level_inclusion_matrix(self, s: int, t: int) -> IntMatrix:
         """Matrix of the natural inclusion of the l^s-torsion into the l^t-torsion.
@@ -823,7 +867,7 @@ class LMap:
                     )
             else:
                 m = ell ** bo
-                row = [x % m for x in row]
+                row = tuple([x % m for x in row])
                 for j, ao in enumerate(dom_exps, f):
                     if ao < bo and row[j] % ell ** (bo - ao):
                         raise ValueError(
@@ -831,7 +875,7 @@ class LMap:
                             f"needs divisibility by l^{bo - ao}"
                         )
             rows.append(row)
-        object.__setattr__(self, "matrix", IntMatrix(mat.rows, mat.cols, rows))
+        object.__setattr__(self, "matrix", IntMatrix._trusted(mat.rows, mat.cols, tuple(rows)))
 
     # -- constructors -------------------------------------------------
 
@@ -1051,7 +1095,7 @@ def tensor_with_index(M: LModule, N: LModule):
     # stable, so ties keep their (i, j) order
     tors.sort(key=lambda t: -t[0])
     exps = tuple(e for e, _, _ in tors)
-    return (LModule(M.ell, len(free), exps),
+    return (LModule._trusted(M.ell, len(free), exps),
             free + [(i, j) for _, i, j in tors])
 
 

@@ -22,7 +22,7 @@ automorphism and can be cleared before any kernel or cokernel is taken.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 from typing import Sequence, Union
 
 from .errors import (
@@ -39,6 +39,7 @@ from .exactlin import (
     LMap,
     LModule,
     homology_at,
+    is_prime_power,
     kernel,
     rank_mod,
     tensor_maps,
@@ -310,24 +311,17 @@ def torsbis_maps(A: CoLGroup, s: int, t: int, n: int, rng=None) -> TorsBisData:
                     for j in range(c):
                         lift[j] += ell ** s * rng.randint(0, ell - 1)
                 legs.append(lift)
-            vec = [0] * len(didx)
-            for p, ctup in enumerate(didx):
-                prod = 1
-                for leg, j in zip(legs, ctup):
-                    prod *= leg[j]
-                vec[p] = (prod * ell ** (t - s)) % ell ** t
-            cols.append(vec)
-        mat = [[cols[j][i] for j in range(len(didx))] for i in range(len(didx))]
-        f_st = LMap(dom, cod, IntMatrix.from_rows(mat, len(didx)))
+            cols.append([prod(leg[j] for leg, j in zip(legs, ctup)) * ell ** (t - s)
+                         % ell ** t for ctup in didx])
+        f_st = LMap(dom, cod, IntMatrix.from_rows(cols, len(didx)).transpose())
     # level tensor powers and box-power levels share their multi-index order
     An = box_power(A, n)
     phi_s = LMap(dom, An.level(s), IntMatrix.identity(dom.num_gens))
     phi_t = LMap(cod, An.level(t), IntMatrix.identity(cod.num_gens))
-    incl_mat = An.level_inclusion_matrix(s, t)
-    incl = LMap(phi_s.codomain, phi_t.codomain, incl_mat)
-    lhs = incl.compose(phi_s)
-    rhs = phi_t.compose(f_st)
-    return TorsBisData(f_st, phi_s, phi_t, incl, lhs.equal_as_maps(rhs))
+    incl = LMap(phi_s.codomain, phi_t.codomain, An.level_inclusion_matrix(s, t))
+    # A is divisible, so dom is An.level(s), cod is An.level(t) and phi_s,
+    # phi_t are identities: the square commutes iff incl and f_st agree
+    return TorsBisData(f_st, phi_s, phi_t, incl, incl.equal_as_maps(f_st))
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +367,7 @@ class FrobObject:
             raise ValueError("frobenius matrix must be square on the carrier")
         if gcd(self.q, self.ell) != 1:
             raise MismatchedBase(f"q={self.q} is not a unit at l={self.ell}")
-        if self.q < 2:
+        if not is_prime_power(self.q):
             raise ValueError("q must be a prime power >= 2")
         if isinstance(self.carrier, CoLGroup):
             if self.carrier.corank and self.carrier.finite_exponents:

@@ -44,6 +44,7 @@ from .exactlin import (
     cokernel,
     dual,
     integer_kernel_basis,
+    is_prime_power,
     kernel,
     nullity,
 )
@@ -77,6 +78,17 @@ def _memo(key=lambda *args: args):
 # characteristic polynomial data
 
 
+def require_decided(test, n: int, name: str, kind: str):
+    """Raise InvalidInstance naming n unless test(n) holds, also where
+    is_prime leaves n undecided (at or above PRIME_BOUND)."""
+    try:
+        ok = test(n)
+    except ValueError as exc:
+        raise InvalidInstance(f"{name} = {n}: {exc}") from exc
+    if not ok:
+        raise InvalidInstance(f"{name} = {n} is not {kind}")
+
+
 @dataclass(frozen=True)
 class CharPoly:
     """Monic integer characteristic polynomial of Frobenius, with its base.
@@ -100,8 +112,7 @@ class CharPoly:
             raise InvalidInstance("polynomial must be monic")
         if coeffs[-1] == 0:
             raise InvalidInstance("constant term must be nonzero")
-        if self.q < 2:
-            raise InvalidInstance("q must be at least 2")
+        require_decided(is_prime_power, self.q, "q", "a prime power")
         if self.declared_for not in ("A", "A_dual"):
             raise InvalidInstance("declared_for must be 'A' or 'A_dual'")
 

@@ -48,6 +48,7 @@ from .exactlin import (
     free_level,
     homology_at,
     is_prime,
+    is_prime_power,
     kernel,
     kernel_coordinates,
     level_kernel,
@@ -56,7 +57,8 @@ from .exactlin import (
     valuation,
 )
 from .lprimary import FrobObject
-from .procyclic import CharPoly, h_level, h1, torsion_frob, weil_weight_check
+from .procyclic import (CharPoly, h_level, h1, require_decided, torsion_frob,
+                        weil_weight_check)
 
 MODELED_NOTE = (
     "middle term assembled as the direct sum of the outer terms; it models "
@@ -101,9 +103,8 @@ class SingularityInstance:
             raise TypeError("divisors must be a DivisorConfig")
         if divisors.graph != graph:
             raise ConfigIncompatible("divisor configuration built for another graph")
-        _require_prime(ell)
-        if q < 2:
-            raise InvalidInstance("q must be a prime power >= 2")
+        require_decided(is_prime, ell, "l", "prime")
+        require_decided(is_prime_power, q, "q", "a prime power")
         if gcd(q, ell) != 1:
             raise InvalidInstance(f"l = {ell} divides q = {q}")
         if not 1 <= max_level <= precision:
@@ -214,15 +215,6 @@ class SingularityInstance:
         if s > self.precision:
             raise PrecisionExhausted(
                 f"level {s} exceeds working precision {self.precision}")
-
-
-def _require_prime(ell: int):
-    try:
-        prime = is_prime(ell)
-    except ValueError as exc:  # ell at or above PRIME_BOUND: undecided
-        raise InvalidInstance(str(exc)) from exc
-    if not prime:
-        raise InvalidInstance(f"l = {ell} is not prime")
 
 
 def induced_jacobian_block(inst: SingularityInstance, rep: str) -> FrobObject:
@@ -567,7 +559,7 @@ def ono_check(lattice: Union[HomologyLattice, Sequence[IntMatrix]],
     sides are computed as saturated integer kernels of the stacked
     generator differences, with no resolution of the lattice involved.
     """
-    _require_prime(ell)
+    require_decided(is_prime, ell, "l", "prime")
     if isinstance(lattice, HomologyLattice):
         mats = list(lattice.action_matrices)
         n = lattice.rank

@@ -201,6 +201,25 @@ def trial_division_is_prime(n):
     return True
 
 
+def trial_division_is_prime_power(n):
+    """n = p^k for a prime p and k >= 1, by dividing out the least factor."""
+    if n < 2:
+        return False
+    p = next(d for d in range(2, n + 1) if n % d == 0)
+    while n % p == 0:
+        n //= p
+    return n == 1
+
+
+def composed_torsbis_commutes(data):
+    """Whether incl o phi_s = phi_t o f_st for a TorsBisData, through two
+    LMap compositions: the route torsbis_maps took before it compared incl
+    with f_st directly."""
+    lhs = data.incl.compose(data.phi_s)
+    rhs = data.phi_t.compose(data.f_st)
+    return lhs.equal_as_maps(rhs)
+
+
 def entrywise_lmap_matrix(domain, codomain, rows):
     """Normalised rows of LMap(domain, codomain, rows), cell by cell.
 

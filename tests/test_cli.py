@@ -354,6 +354,25 @@ class TestRunLibrary:
         assert report["error"]["kind"] == "parse"
         assert named in report["error"]["message"]
 
+    # 10 ** 40 + 1 is divisible by 17; PRIME_BOUND has no factor up to 41
+    # and is no perfect power, so is_prime cannot decide it
+    @pytest.mark.parametrize("q", [10, 10 ** 40 + 1, PRIME_BOUND],
+                             ids=["10", "10^40+1", "undecided"])
+    @pytest.mark.parametrize("where, named", [
+        ("top", "instance: q"), ("jacobian", "jacobians[0]: q")])
+    def test_q_not_a_prime_power_exits_four(self, tmp_path, q, where, named):
+        jac = {"orbit_rep": "u", "charpoly": [1, -2, 5], "q": 5, "f": 1}
+        payload = banana_raw(genus=(1, 0), jacobians=[jac])
+        if where == "top":
+            payload["q"] = q
+        else:
+            jac["q"] = q
+        code, report = run(RunConfig(input_path=write_instance(tmp_path, payload),
+                                     suites=("graph",)))
+        assert code == 4
+        assert report["error"]["kind"] == "parse"
+        assert report["error"]["message"].startswith(named)
+
     def test_cap_exhaustion_exits_three(self):
         for suite in ("graph", "splitting", "bhn"):
             code, report = run(RunConfig(input_path=G1_SWAP, suites=(suite,),

@@ -23,6 +23,7 @@ from devissage.exactlin import (
     image,
     integer_kernel_basis,
     is_prime,
+    is_prime_power,
     kernel,
     kernel_coordinates,
     level_kernel,
@@ -48,6 +49,7 @@ from oracles import (
     sympy_det,
     sympy_rank,
     trial_division_is_prime,
+    trial_division_is_prime_power,
 )
 
 
@@ -592,6 +594,62 @@ class TestFastPathsDifferential:
         assert got == want
 
 
+def _assert_equals_public_rebuild(x):
+    """x holds tuples of Python ints and equals, with an equal hash, what
+    the public constructor builds from its data."""
+    if isinstance(x, IntMatrix):
+        parts, y = x.data, IntMatrix(x.rows, x.cols, x.data)
+    else:
+        parts = ((x.ell, x.free_rank), x.torsion_exponents)
+        y = LModule(x.ell, x.free_rank, x.torsion_exponents)
+    assert type(parts) is tuple
+    assert all(type(p) is tuple and all(type(v) is int for v in p)
+               for p in parts)
+    assert x == y and hash(x) == hash(y)
+
+
+def _random_matrix(rng, rows, cols):
+    return IntMatrix(rows, cols, [[rng.randint(-20, 20) for _ in range(cols)]
+                                  for _ in range(rows)])
+
+
+class TestTrustedRoutes:
+    """Results the library builds unchecked pass the public constructors."""
+
+    @settings(max_examples=200, deadline=None)
+    @example(ell=2, m=0, n=3, k=2, rng=random.Random(0))
+    @example(ell=3, m=3, n=0, k=0, rng=random.Random(1))
+    @example(ell=5, m=0, n=0, k=1, rng=random.Random(2))
+    @given(ell=st.sampled_from([2, 3, 5]), m=st.integers(0, 3),
+           n=st.integers(0, 3), k=st.integers(0, 3),
+           rng=st.randoms(use_true_random=False))
+    def test_trusted_results_equal_their_public_rebuild(self, ell, m, n, k,
+                                                         rng):
+        A, B = _random_matrix(rng, m, n), _random_matrix(rng, m, n)
+        C, R = _random_matrix(rng, n, k), _random_matrix(rng, k, n)
+        M, N = _random_module(rng, ell), _random_module(rng, ell)
+        rows = [rng.randrange(m) for _ in range(k)] if m else []
+        cols = [rng.randrange(n) for _ in range(k)] if n else []
+        matrices = [
+            A.transpose(), A @ C, A + B, A - B, A.scale(rng.randint(-9, 9)),
+            A.mod(ell ** rng.randint(1, 3)), A.hstack(A @ C), A.vstack(R),
+            A.take_rows(rows), A.take_cols(cols), A.kron(C),
+            IntMatrix.identity(n), IntMatrix.zeros(m, n),
+            IntMatrix.diagonal([rng.randint(-9, 9) for _ in range(k)]),
+            M.relation_cols(),
+            M.reduce_columns(_random_matrix(rng, M.num_gens, k)),
+            *smith_with_inverses(A), _random_map(rng, M, N).matrix]
+        modules = [M.tensor(N), M.tor1(N), M.direct_sum(N),
+                   M.dual().level(rng.randint(0, 4)),
+                   tensor_with_index(M, N)[0]]
+        for x in matrices + modules:
+            _assert_equals_public_rebuild(x)
+
+    def test_transpose_of_empty_shapes(self):
+        assert IntMatrix.zeros(0, 3).transpose().data == ((), (), ())
+        assert IntMatrix.zeros(3, 0).transpose().data == ()
+
+
 @st.composite
 def low_rank_rows(draw, square=False):
     """Row lists L @ R of a random inner size, so rank deficits are common."""
@@ -749,6 +807,22 @@ class TestMisc:
         # the bound itself is a strong pseudoprime to all 13 bases
         with pytest.raises(ValueError):
             is_prime(PRIME_BOUND)
+
+    def test_is_prime_power_matches_trial_division(self):
+        for n in range(-5, 5000):
+            assert is_prime_power(n) == trial_division_is_prime_power(n), n
+
+    def test_is_prime_power_beyond_trial_division(self):
+        big = 2 ** 61 - 1
+        for q in (2 ** 200, 3 ** 80, 43 ** 50, (10 ** 12 + 39) ** 3, big ** 7):
+            assert is_prime_power(q), q
+        # 10^40 + 1 has the factor 17; 2021 = 43 * 47 is the 6th root
+        for q in (10, 10 ** 40 + 1, 43 ** 5 * 47, (43 * 47) ** 6, big * 43):
+            assert not is_prime_power(q), q
+        # no factor up to 41, and the root is at or above PRIME_BOUND
+        for q in (PRIME_BOUND, (big * (10 ** 12 + 39)) ** 2):
+            with pytest.raises(ValueError):
+                is_prime_power(q)
 
     def test_valuation(self):
         assert valuation(-48, 2) == 4

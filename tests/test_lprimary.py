@@ -1,6 +1,7 @@
 """Tests for the modified tensor calculus on l-primary groups."""
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -43,7 +44,7 @@ from devissage.lprimary import (
     torsbis_maps,
 )
 
-from oracles import group_structure, subgroup_closure
+from oracles import composed_torsbis_commutes, group_structure, subgroup_closure
 
 
 def mult_ell_ses(ell):
@@ -294,6 +295,23 @@ class TestTorsBis:
                 for ctup in cidx]
         assert data.f_st.matrix == IntMatrix.from_rows(rows, len(didx))
         assert data.commutes
+
+    def test_direct_comparison_matches_composed_square(self):
+        # every point of the grid above, with and without perturbed lifts;
+        # the composed route must also see a square that does not commute
+        rng = random.Random(0)
+        for ell in (2, 3, 5):
+            for corank in (1, 2):
+                A = CoLGroup(LModule(ell, corank))
+                for n in (1, 2, 3):
+                    for t in range(2, 5):
+                        for s in range(1, t):
+                            for lifts in (None, rng):
+                                data = torsbis_maps(A, s, t, n, rng=lifts)
+                                assert data.commutes == \
+                                    composed_torsbis_commutes(data)
+                            broken = replace(data, f_st=data.f_st.scale(0))
+                            assert not composed_torsbis_commutes(broken)
 
 
 class TestDirectSystem:
