@@ -52,7 +52,7 @@ from .exactlin import (
     IntMatrix,
     LModule,
     is_prime,
-    smith_normal_form,
+    smith_with_inverses,
 )
 from .lprimary import (
     CoMap,
@@ -500,7 +500,7 @@ def _laplacian_cofactor(graph) -> int:
     # independent of the Bareiss determinant spanning_trees checks with
     lap = laplacian(graph)
     keep = range(lap.rows - 1)
-    D = smith_normal_form(lap.take_rows(keep).take_cols(keep))[1]
+    D = smith_with_inverses(lap.take_rows(keep).take_cols(keep))[1]
     return abs(prod(D.entry(i, i) for i in keep))
 
 

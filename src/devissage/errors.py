@@ -82,10 +82,6 @@ class InvalidInstance(DevissageError):
     """Instance file or in-memory instance failed validation."""
 
 
-class NotComposable(DevissageError):
-    """Candidate complex has maps whose endpoints do not line up."""
-
-
 class ModeledTermCaveat(DevissageError):
     """Honesty marker carried in reports whose displays contain terms that
     are assembled models rather than computed field cohomology.

@@ -322,6 +322,10 @@ def smith_with_inverses(A: IntMatrix):
     block, ties broken in row-major order, which makes every run fully
     deterministic.  The diagonal D is the classical invariant-factor form and
     does not depend on the pivot rule.
+
+    >>> D = smith_with_inverses(IntMatrix.from_rows([[2, 4], [6, 8]]))[1]
+    >>> [D.entry(i, i) for i in range(2)]
+    [2, 4]
     """
     m, n = A.rows, A.cols
     a = [list(r) for r in A.data]
@@ -443,21 +447,6 @@ def smith_with_inverses(A: IntMatrix):
         IntMatrix._trusted(n, n, tuple(map(tuple, V))),
         IntMatrix._trusted(m, m, tuple(map(tuple, Ui))),
     )
-
-
-def smith_normal_form(A) -> tuple:
-    """(U, D, V) with U A V = D in invariant-factor form.
-
-    Accepts an IntMatrix or a list of rows.
-
-    >>> U, D, V, = smith_normal_form([[2, 4], [6, 8]])
-    >>> [D.entry(i, i) for i in range(2)]
-    [2, 4]
-    """
-    if not isinstance(A, IntMatrix):
-        A = IntMatrix.from_rows(A)
-    U, D, V, _ = smith_with_inverses(A)
-    return U, D, V
 
 
 def integer_kernel_basis(A: IntMatrix) -> IntMatrix:

@@ -79,8 +79,6 @@ def box_unit(ell: int) -> CoLGroup:
 def co_direct_sum(A: Carrier, B: Carrier) -> CoLGroup:
     """Direct sum of discrete groups, through the dual sum."""
     a, b = as_colgroup(A), as_colgroup(B)
-    if a.ell != b.ell:
-        raise MismatchedPrime("direct sum across primes")
     return CoLGroup(a.dual_module.direct_sum(b.dual_module))
 
 
@@ -91,8 +89,6 @@ def box(A: Carrier, B: Carrier) -> CoLGroup:
     '(Q2/Z2)'
     """
     a, b = as_colgroup(A), as_colgroup(B)
-    if a.ell != b.ell:
-        raise MismatchedPrime("box product across primes")
     return CoLGroup(a.dual_module.tensor(b.dual_module))
 
 
@@ -114,8 +110,6 @@ def tor_box(A: Carrier, B: Carrier) -> CoLGroup:
     pieces (free duals) contribute nothing.
     """
     a, b = as_colgroup(A), as_colgroup(B)
-    if a.ell != b.ell:
-        raise MismatchedPrime("tor across primes")
     return CoLGroup(a.dual_module.tor1(b.dual_module))
 
 
@@ -266,15 +260,16 @@ class TorsBisData:
     """The level-raising maps on tensor powers of torsion levels.
 
     f_st: divide each tensor leg by l^(t-s) inside the level-t subgroup,
-    then multiply the whole tensor back; phi_s and phi_t identify tensor
-    powers of levels with levels of the box power; incl is the natural
-    inclusion of the s-level of the box power into its t-level.
-    The square  incl o phi_s = phi_t o f_st  must commute.
+    then multiply the whole tensor back; incl is the natural inclusion of
+    the s-level of the box power into its t-level.  The identifications
+    iso_s, iso_t of tensor powers of levels with levels of the box power
+    close the square  incl o iso_s = iso_t o f_st,  which must commute.
+    A is divisible, so both are identities on equal modules (level tensor
+    powers and box-power levels share their multi-index order), and the
+    square commutes iff incl and f_st agree as maps.
     """
 
     f_st: LMap
-    phi_s: LMap
-    phi_t: LMap
     incl: LMap
     commutes: bool
 
@@ -314,14 +309,9 @@ def torsbis_maps(A: CoLGroup, s: int, t: int, n: int, rng=None) -> TorsBisData:
             cols.append([prod(leg[j] for leg, j in zip(legs, ctup)) * ell ** (t - s)
                          % ell ** t for ctup in didx])
         f_st = LMap(dom, cod, IntMatrix.from_rows(cols, len(didx)).transpose())
-    # level tensor powers and box-power levels share their multi-index order
     An = box_power(A, n)
-    phi_s = LMap(dom, An.level(s), IntMatrix.identity(dom.num_gens))
-    phi_t = LMap(cod, An.level(t), IntMatrix.identity(cod.num_gens))
-    incl = LMap(phi_s.codomain, phi_t.codomain, An.level_inclusion_matrix(s, t))
-    # A is divisible, so dom is An.level(s), cod is An.level(t) and phi_s,
-    # phi_t are identities: the square commutes iff incl and f_st agree
-    return TorsBisData(f_st, phi_s, phi_t, incl, incl.equal_as_maps(f_st))
+    incl = LMap(An.level(s), An.level(t), An.level_inclusion_matrix(s, t))
+    return TorsBisData(f_st, incl, incl.equal_as_maps(f_st))
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,15 @@ Everything in here deliberately avoids the library's own SNF/presentation
 machinery: structures of finite modules are recovered by counting element
 orders, subgroups by BFS closure, ranks by fraction Gaussian elimination.
 The sympy_* oracles are second routes through sympy, which the library
-itself never imports.  per_level_xi is the one exception: the assembly of
-Xi that build_xi made at every level through the generic kernel and
-preimage solves, before it read one Smith form per configuration.
+itself never imports.  Two oracles are exceptions, earlier library routes
+kept as references: per_level_xi, the assembly of Xi that build_xi made at
+every level through the generic kernel and preimage solves, before it read
+one Smith form per configuration; and exactness_check, the homology route
+that proved every assembled split sequence exact before the verdict was
+read off its identity blocks.
 """
 
+from collections import namedtuple
 from fractions import Fraction
 from itertools import product
 from types import SimpleNamespace
@@ -212,12 +216,79 @@ def trial_division_is_prime_power(n):
 
 
 def composed_torsbis_commutes(data):
-    """Whether incl o phi_s = phi_t o f_st for a TorsBisData, through two
+    """Whether incl o iso_s = iso_t o f_st for a TorsBisData, through two
     LMap compositions: the route torsbis_maps took before it compared incl
-    with f_st directly."""
-    lhs = data.incl.compose(data.phi_s)
-    rhs = data.phi_t.compose(data.f_st)
-    return lhs.equal_as_maps(rhs)
+    with f_st directly.  iso_s and iso_t are the identity maps from the
+    tensor powers of levels (f_st's domain and codomain) onto the levels of
+    the box power (incl's domain and codomain)."""
+    from devissage.exactlin import IntMatrix, LMap
+
+    def identification(src, dst):
+        return LMap(src, dst, IntMatrix.identity(src.num_gens))
+
+    iso_s = identification(data.f_st.domain, data.incl.domain)
+    iso_t = identification(data.f_st.codomain, data.incl.codomain)
+    return data.incl.compose(iso_s).equal_as_maps(iso_t.compose(data.f_st))
+
+
+Complex = namedtuple("Complex", "terms maps")
+
+
+def split_sequence(ell, s, a, b):
+    """0 -> A -> A (+) B -> B -> 0 on free level-s modules of ranks a, b,
+    with the identity-block inclusion and projection: the sequence that
+    sequences.upsilon_structure and sequences.devissage assemble."""
+    from devissage.exactlin import IntMatrix, LMap, free_level
+
+    t_a, t_mid, t_b = (free_level(ell, s, n) for n in (a, a + b, b))
+    inc = LMap(t_a, t_mid, IntMatrix.identity(a).vstack(IntMatrix.zeros(b, a)))
+    proj = LMap(t_mid, t_b,
+                IntMatrix.zeros(b, a).hstack(IntMatrix.identity(b)))
+    return Complex((t_a, t_mid, t_b), (inc, proj))
+
+
+def _module_desc(m):
+    if m.is_trivial:
+        return "0"
+    parts = [f"Z/{m.ell}^{e}" for e in m.torsion_exponents]
+    if m.free_rank:
+        parts = [f"Z{m.ell}^{m.free_rank}"] + parts
+    return " x ".join(parts)
+
+
+def exactness_check(c):
+    """Exactness of a Complex through the homology at every term.
+
+    The complex is padded with zero off both ends.  Maps that do not join
+    consecutive terms raise ValueError.  Returns a namespace of the terms,
+    is_complex, the homology per term (empty when not a complex), its
+    position_verdicts and the verdict: EXACT, HOMOLOGY, or FAIL for maps
+    whose consecutive composites do not vanish.
+    """
+    from devissage.exactlin import homology_at
+
+    terms, maps = tuple(c.terms), tuple(c.maps)
+    if len(maps) != len(terms) - 1 or not terms:
+        raise ValueError(
+            f"{len(terms)} terms need {max(len(terms) - 1, 0)} maps, "
+            f"got {len(maps)}")
+    for i, f in enumerate(maps):
+        if f.domain != terms[i] or f.codomain != terms[i + 1]:
+            raise ValueError(f"map {i} does not join terms {i} and {i + 1}")
+    if not all(maps[i + 1].compose(maps[i]).matrix.is_zero()
+               for i in range(len(maps) - 1)):
+        return SimpleNamespace(terms=terms, is_complex=False, homology=(),
+                               position_verdicts=("NOT A COMPLEX",) * len(terms),
+                               verdict="FAIL")
+    hom = tuple(
+        homology_at(maps[i - 1] if i > 0 else None,
+                    maps[i] if i < len(maps) else None, terms[i])
+        for i in range(len(terms)))
+    return SimpleNamespace(
+        terms=terms, is_complex=True, homology=hom,
+        position_verdicts=tuple("EXACT" if h.is_trivial
+                                else f"homology {_module_desc(h)}" for h in hom),
+        verdict="EXACT" if all(h.is_trivial for h in hom) else "HOMOLOGY")
 
 
 def entrywise_lmap_matrix(domain, codomain, rows):

@@ -14,6 +14,6 @@ def test_docstring_examples_pass():
         result = doctest.testmod(module)
         assert result.failed == 0, info.name
         attempted += result.attempted
-    # valuation, smith_normal_form, LModule, CoLGroup, canonicalize_with_maps,
+    # valuation, smith_with_inverses, LModule, CoLGroup, canonicalize_with_maps,
     # box
     assert attempted >= 6

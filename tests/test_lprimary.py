@@ -127,6 +127,16 @@ class TestBox:
         with pytest.raises(MismatchedPrime):
             box(box_unit(2), box_unit(3))
 
+    @pytest.mark.parametrize("product", [box, co_direct_sum, tor_box])
+    def test_products_reject_mixed_primes(self, product):
+        # each product leaves the prime check to the LModule operation it wraps
+        A = CoLGroup(LModule(2, 1, (2, 1)))
+        B = CoLGroup(LModule(3, 1, (1,)))
+        with pytest.raises(MismatchedPrime):
+            product(A, B)
+        with pytest.raises(MismatchedPrime):
+            product(B, A)
+
     def test_rejects_profinite(self):
         with pytest.raises(NotCofinitelyGenerated):
             as_colgroup(LModule(2, 1))
