@@ -497,7 +497,8 @@ def _run_vanishing(inst, config) -> dict:
 
 def _laplacian_cofactor(graph) -> int:
     # |product of the Smith invariant factors| of the reduced Laplacian:
-    # independent of the Bareiss determinant spanning_trees checks with
+    # independent of the Bareiss determinant that spanning_trees compares
+    # its tree count with
     lap = laplacian(graph)
     keep = range(lap.rows - 1)
     D = smith_with_inverses(lap.take_rows(keep).take_cols(keep))[1]

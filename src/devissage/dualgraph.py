@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import product
 from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -75,6 +76,15 @@ def orbit_partition(points, images) -> List[set]:
         seen |= orbit
         out.append(orbit)
     return out
+
+
+def _components(vertices, edges) -> List[set]:
+    """Connected components of the graph on vertices with the given edges."""
+    adj: Dict = {v: [] for v in vertices}
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    return orbit_partition(vertices, adj.__getitem__)
 
 
 class DualGraph:
@@ -152,11 +162,7 @@ class DualGraph:
     # -- validation helpers ------------------------------------------
 
     def _check_connected(self):
-        adj: Dict[str, List[str]] = {v: [] for v in self.vertex_ids}
-        for c, n in self.edges:
-            adj[c].append(n)
-            adj[n].append(c)
-        if len(orbit_partition(self.vertex_ids, adj.__getitem__)) != 1:
+        if len(_components(self.vertex_ids, self.edges)) != 1:
             raise ValueError("graph is not connected")
 
     def _normalize_perm(self, p) -> Dict[str, str]:
@@ -369,109 +375,112 @@ def laplacian(graph: DualGraph) -> IntMatrix:
     return B @ B.transpose()
 
 
-class _DSU:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
+def _multigraph_trees(nverts: int, ends: Sequence[Tuple[int, int]]):
+    """Spanning trees of a connected loopless multigraph, as edge indices.
 
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
+    Vertices are 0..nverts-1 and edge j joins ends[j]; parallel edges are
+    allowed.  Deletion/contraction on the first remaining edge: the branch
+    that keeps it merges its ends and drops the loops this makes, the
+    branch that deletes it is taken only when the rest still connects the
+    graph.  Every branch so holds a connected graph and ends in a tree.
+    """
+    found: List[Tuple[int, ...]] = []
 
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[ra] = rb
-        return True
+    def rec(edges, alive: frozenset, chosen: Tuple[int, ...]):
+        if len(alive) == 1:
+            found.append(chosen)
+            return
+        (a, b, j), rest = edges[0], edges[1:]
+        merged = [(a if x == b else x, a if y == b else y, k)
+                  for x, y, k in rest]
+        rec([e for e in merged if e[0] != e[1]], alive - {b}, chosen + (j,))
+        if len(_components(alive, [e[:2] for e in rest])) == 1:
+            rec(rest, alive, chosen)
 
-    def clone(self) -> "_DSU":
-        d = _DSU(0)
-        d.parent = list(self.parent)
-        return d
+    rec([(a, b, j) for j, (a, b) in enumerate(ends)], frozenset(range(nverts)),
+        ())
+    return found
 
 
 def spanning_trees(graph: DualGraph, cap: int = DEFAULT_TREE_CAP):
-    """All spanning trees, each a sorted tuple of edges.
+    """All spanning trees, each a sorted tuple of edges, in sorted order.
 
     A Laplacian cofactor counts the trees first (the matrix-tree theorem),
     so more than cap trees raise EnumerationCapExceeded, naming the count,
-    before anything is enumerated.  Deletion/contraction recursion in
-    sorted edge order: at every edge the branch that keeps it contracts
-    (union in the forest), the branch that drops it prunes when the
-    remaining edges can no longer connect the graph.  The enumeration is
-    cross checked against the cofactor; a mismatch means the enumerator
-    itself is broken and raises immediately.
+    before anything is enumerated.  Every node lies on exactly two distinct
+    components, so the graph is the subdivision of its component multigraph
+    M, whose vertices are the components and whose edges are the nodes.  A
+    spanning tree of the graph is a spanning tree T of M with both edges at
+    every node of T, plus one of the two edges at every other node: with N
+    nodes and C components there are tau(M) * 2^(N - C + 1) of them.  M's
+    trees are enumerated and the product expanded.  The count is cross
+    checked against the cofactor; a mismatch means the enumerator itself is
+    broken and raises immediately.
+
+    The 3-banana, two components through three nodes, has tau(M) = 3:
+
+    >>> g = DualGraph([("u", 0), ("v", 0)], ["a", "b", "c"],
+    ...               [(c, n) for c in "uv" for n in "abc"])
+    >>> len(spanning_trees(g))  # 3 * 2^(3 - 2 + 1)
+    12
     """
     verts = graph.vertex_ids
-    vindex = {v: i for i, v in enumerate(verts)}
-    nverts = len(verts)
-    idx = list(range(1, nverts))
+    idx = list(range(1, len(verts)))
     cofactor = laplacian(graph).take_rows(idx).take_cols(idx).det()
     if cofactor > cap:
         raise EnumerationCapExceeded(
             f"{cofactor} spanning trees exceed the cap of {cap}; raise the "
             f"cap to enumerate")
     edges = graph.edges
-    target = nverts - 1
+    eindex = {e: i for i, e in enumerate(edges)}
+    cindex = {c: i for i, c in enumerate(graph.component_ids)}
+    pairs = [graph.node_components(n) for n in graph.nodes]
+    halves = [(eindex[a, n], eindex[b, n])
+              for (a, b), n in zip(pairs, graph.nodes)]
     found: List[Tuple[int, ...]] = []
-
-    def connected_using(dsu: _DSU, start: int) -> bool:
-        probe = dsu.clone()
-        parts = nverts - sum(1 for i in range(nverts) if probe.find(i) != i)
-        for c, nd in edges[start:]:
-            if probe.union(vindex[c], vindex[nd]):
-                parts -= 1
-        return parts == 1
-
-    def rec(i: int, dsu: _DSU, chosen: Tuple[int, ...]):
-        if len(chosen) == target:
-            found.append(chosen)
-            return
-        if i == len(edges) or len(chosen) + (len(edges) - i) < target:
-            return
-        if not connected_using(dsu, i):
-            return
-        c, nd = edges[i]
-        a, b = vindex[c], vindex[nd]
-        if dsu.find(a) != dsu.find(b):
-            inc = dsu.clone()
-            inc.union(a, b)
-            rec(i + 1, inc, chosen + (i,))
-        rec(i + 1, dsu, chosen)
-
-    rec(0, _DSU(nverts), ())
-    trees = sorted(tuple(edges[i] for i in t) for t in found)
-    if cofactor != len(trees):
+    for t in _multigraph_trees(len(cindex),
+                               [(cindex[a], cindex[b]) for a, b in pairs]):
+        inside = [i for j in t for i in halves[j]]
+        kept = set(t)
+        outside = [h for j, h in enumerate(halves) if j not in kept]
+        found.extend(tuple(sorted(inside + list(pick)))
+                     for pick in product(*outside))
+    found.sort()
+    if cofactor != len(found):
         raise VerificationFailed(
-            f"spanning tree enumeration found {len(trees)} trees but the "
+            f"spanning tree enumeration found {len(found)} trees but the "
             f"Laplacian cofactor is {cofactor}")
-    return tuple(trees)
+    return tuple(tuple(edges[i] for i in t) for t in found)
 
 
-def _tree_orbit_partition(graph: DualGraph, trees, not_closed: Exception):
-    """Orbits of trees (frozensets of edges) under the action; an image
-    outside the given trees raises not_closed."""
-    tree_set = set(trees)
+def _tree_orbit_positions(graph: DualGraph, trees, not_closed: Exception):
+    """Orbits of trees (sorted tuples of graph edges) under the action, each
+    a sorted list of positions in trees; an image outside the given trees
+    raises not_closed.  Trees are held as bitmasks over edge indices."""
+    eindex = {e: i for i, e in enumerate(graph.edges)}
+    indices = [[eindex[e] for e in t] for t in trees]
+    position = {sum(1 << i for i in ix): k for k, ix in enumerate(indices)}
+    # per generator, the bit of each edge's image
+    moves = [[1 << eindex[graph.edge_image(p, e)] for e in graph.edges]
+             for p in graph.action]
 
-    def images(t):
-        imgs = [frozenset(graph.edge_image(p, e) for e in t)
-                for p in graph.action]
-        if not tree_set.issuperset(imgs):
+    def images(k):
+        imgs = [position.get(sum(move[i] for i in indices[k]))
+                for move in moves]
+        if None in imgs:
             raise not_closed
         return imgs
 
-    return orbit_partition(trees, images)
+    return [sorted(o) for o in orbit_partition(range(len(trees)), images)]
 
 
 def tree_orbits(graph: DualGraph, cap: int = DEFAULT_TREE_CAP):
-    """Orbits of the spanning tree set under the generated action group."""
-    trees = [frozenset(t) for t in spanning_trees(graph, cap)]
-    orbits = _tree_orbit_partition(graph, trees, VerificationFailed(
+    """Orbits of the spanning tree set under the generated action group,
+    each a sorted tuple of trees, in sorted order."""
+    trees = spanning_trees(graph, cap)
+    orbits = _tree_orbit_positions(graph, trees, VerificationFailed(
         "action image of a spanning tree is not a spanning tree"))
-    return tuple(sorted(tuple(sorted(tuple(sorted(t)) for t in orbit))
-                        for orbit in orbits))
+    return tuple(tuple(trees[k] for k in o) for o in sorted(orbits))
 
 
 def m_gamma(graph: DualGraph, cap: int = DEFAULT_TREE_CAP) -> int:
@@ -498,11 +507,9 @@ def _validate_tree(graph: DualGraph, tree) -> Tuple[Edge, ...]:
     if len(edges) != len(verts) - 1:
         raise NotASpanningTree(
             f"{len(edges)} edges cannot span {len(verts)} vertices")
-    vindex = {v: i for i, v in enumerate(verts)}
-    dsu = _DSU(len(verts))
-    for c, n in edges:
-        if not dsu.union(vindex[c], vindex[n]):
-            raise NotASpanningTree("tree edges contain a cycle")
+    # |V| - 1 edges that do not connect the vertices must close a cycle
+    if len(_components(verts, edges)) != 1:
+        raise NotASpanningTree("tree edges contain a cycle")
     return tuple(sorted(edges))
 
 
@@ -1014,14 +1021,14 @@ def _psi_column(lattice: XiLattice, trees, alpha: Dict[str, int]) -> List[int]:
 def _orbit_section(lattice: XiLattice, tree_orbit):
     """The validated orbit, sorted, and its integer section over Z."""
     graph = lattice.graph
-    normalized = [frozenset(_validate_tree(graph, t)) for t in tree_orbit]
+    normalized = [_validate_tree(graph, t) for t in tree_orbit]
     if len(set(normalized)) != len(normalized):
         raise NotAnOrbit("repeated tree in the orbit")
-    if len(_tree_orbit_partition(graph, normalized, NotAnOrbit(
+    if len(_tree_orbit_positions(graph, normalized, NotAnOrbit(
             "orbit is not closed under the action"))) != 1:
         raise NotAnOrbit("the given trees split into several orbits")
 
-    trees = tuple(sorted(tuple(sorted(t)) for t in normalized))
+    trees = tuple(sorted(normalized))
     div_ids = lattice.config.ids
     B = difference_basis(len(div_ids))
     cols = []

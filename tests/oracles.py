@@ -4,12 +4,15 @@ Everything in here deliberately avoids the library's own SNF/presentation
 machinery: structures of finite modules are recovered by counting element
 orders, subgroups by BFS closure, ranks by fraction Gaussian elimination.
 The sympy_* oracles are second routes through sympy, which the library
-itself never imports.  Two oracles are exceptions, earlier library routes
+itself never imports.  Some oracles are exceptions, earlier library routes
 kept as references: per_level_xi, the assembly of Xi that build_xi made at
 every level through the generic kernel and preimage solves, before it read
-one Smith form per configuration; and exactness_check, the homology route
-that proved every assembled split sequence exact before the verdict was
-read off its identity blocks.
+one Smith form per configuration; exactness_check, the homology route that
+proved every assembled split sequence exact before the verdict was read off
+its identity blocks; and edge_recursion_trees with frozenset_tree_orbits,
+the spanning-tree enumeration over the graph's own edges and the orbit
+partition of trees as frozensets of edges, before trees were enumerated
+through the component multigraph and held as edge bitmasks.
 """
 
 from collections import namedtuple
@@ -508,3 +511,75 @@ def per_level_xi(graph, config, ell, s):
         module=K.module, inclusion=K.inclusion, phi_kernel=kernel(phi),
         h1_inclusion=h1_inclusion, cycle_embedding=H,
         lambda_cokernel=lam.module)
+
+
+def edge_recursion_trees(graph):
+    """Every spanning tree of a DualGraph, each a sorted tuple of edges, in
+    sorted order, by deletion/contraction over the graph's own edges.
+
+    In sorted edge order, the branch that keeps an edge unions its ends in
+    a union-find forest; a branch stops once the forest plus the remaining
+    edges can no longer connect the graph.
+    """
+    verts = graph.vertex_ids
+    vindex = {v: i for i, v in enumerate(verts)}
+    edges = [(vindex[c], vindex[n]) for c, n in graph.edges]
+    target = len(verts) - 1
+    found = []
+
+    def find(parent, x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    def connected_using(parent, start):
+        probe = list(parent)
+        parts = sum(1 for i in range(len(verts)) if probe[i] == i)
+        for a, b in edges[start:]:
+            ra, rb = find(probe, a), find(probe, b)
+            if ra != rb:
+                probe[ra] = rb
+                parts -= 1
+        return parts == 1
+
+    def rec(i, parent, chosen):
+        if len(chosen) == target:
+            found.append(chosen)
+            return
+        if len(chosen) + len(edges) - i < target:
+            return
+        if not connected_using(parent, i):
+            return
+        ra, rb = find(parent, edges[i][0]), find(parent, edges[i][1])
+        if ra != rb:
+            joined = list(parent)
+            joined[ra] = rb
+            rec(i + 1, joined, chosen + (i,))
+        rec(i + 1, parent, chosen)
+
+    rec(0, list(range(len(verts))), ())
+    return tuple(sorted(tuple(graph.edges[i] for i in t) for t in found))
+
+
+def frozenset_tree_orbits(graph, trees):
+    """Orbits of the given trees under graph.action by BFS closure over
+    frozensets of edges, each a sorted tuple of sorted trees, in sorted
+    order; None when an image falls outside the trees."""
+    tree_set = {frozenset(t) for t in trees}
+    seen, orbits = set(), []
+    for start in sorted(tree_set, key=sorted):
+        if start in seen:
+            continue
+        orbit, frontier = {start}, [start]
+        while frontier:
+            t = frontier.pop()
+            for p in graph.action:
+                img = frozenset((p[c], p[n]) for c, n in t)
+                if img not in tree_set:
+                    return None
+                if img not in orbit:
+                    orbit.add(img)
+                    frontier.append(img)
+        seen |= orbit
+        orbits.append(tuple(sorted(tuple(sorted(t)) for t in orbit)))
+    return tuple(sorted(orbits))

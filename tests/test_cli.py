@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 from itertools import combinations
+from math import isqrt
 from types import SimpleNamespace
 
 import pytest
@@ -828,6 +829,98 @@ class TestInstanceFuzz:
                 ("cap",) if code == 3 else ("parse", "invalid"))
         render_json(report)
         render_text(report)
+
+
+# ---------------------------------------------------------------------------
+# valid instances with positive genus, through every suite
+
+def weil_charpoly(rng, genus, Q):
+    """[1, -a, Q] with |a| <= 2 sqrt(Q) for genus 1, a product of two such
+    for genus 2: pure of weight one over F_Q."""
+    coeffs = [1]
+    for _ in range(genus):
+        bound = isqrt(4 * Q)
+        factor = [1, -rng.randint(-bound, bound), Q]
+        coeffs = [sum(coeffs[i] * factor[k - i]
+                      for i in range(len(coeffs)) if 0 <= k - i < 3)
+                  for k in range(len(coeffs) + 2)]
+    return coeffs
+
+
+def valid_raw(graph, rng, ell, q):
+    """Instance file for graph, with a Weil jacobian on every positive-genus
+    orbit: extension degree f the orbit size, base q^f."""
+    action = []
+    for perm in graph.action:
+        seen, cycles = set(), []
+        for start in sorted(perm):
+            cyc, v = [], start
+            while v not in seen:
+                seen.add(v)
+                cyc.append(v)
+                v = perm[v]
+            if len(cyc) > 1:
+                cycles.append(cyc)
+        action.append(cycles)
+    jacobians = [{"orbit_rep": orb[0], "f": len(orb), "q": q ** len(orb),
+                  "charpoly": weil_charpoly(rng, graph.genus(orb[0]),
+                                            q ** len(orb))}
+                 for orb in graph.component_orbits() if graph.genus(orb[0])]
+    return {
+        "schema": "devissage/1",
+        "components": [{"id": c, "genus": g} for c, g in graph.components],
+        "nodes": list(graph.nodes),
+        "edges": [list(e) for e in graph.edges],
+        "action": action,
+        "ell": ell,
+        "q": q,
+        "jacobians": jacobians,
+    }
+
+
+def swapped_pairs():
+    """Two genus-1 components swapped by the action, and two genus-2 ones:
+    two orbits of size 2, each component joined to a genus-0 hub."""
+    pairs = (("u1", "v1", 1), ("u2", "v2", 2))
+    comps = [("w", 0)] + [(c, g) for u, v, g in pairs for c in (u, v)]
+    nodes = [f"n{c}" for c, _ in comps[1:]]
+    perm = {}
+    for u, v, _ in pairs:
+        perm.update({u: v, v: u, f"n{u}": f"n{v}", f"n{v}": f"n{u}"})
+    return dualgraph.DualGraph(
+        comps, nodes,
+        [e for c, _ in comps[1:] for e in ((c, f"n{c}"), ("w", f"n{c}"))],
+        [perm])
+
+
+class TestValidInstanceSweep:
+    """Valid instances never crash a suite, and a rerun renders the same.
+
+    The vanishing suite probes its whole polynomial catalog on every run,
+    about half a second, so the draws are few.
+    """
+
+    def assert_runs_cleanly(self, tmp_path, payload):
+        path = write_instance(tmp_path, payload)
+        config = RunConfig(input_path=path, precision=2, max_level=2,
+                           tree_cap=200)
+        code, report = run(config)
+        assert code in (0, 2, 3), report.get("error")
+        assert render_json(run(config)[1]) == render_json(report)
+
+    @settings(max_examples=3, deadline=None)
+    @given(rng=st.randoms(use_true_random=False),
+           primes=st.sampled_from([(3, 5), (2, 3)]))
+    def test_random_graphs_with_genus(self, tmp_path_factory, rng, primes):
+        graph = random_legal_graph(rng, genus_pool=(0, 1, 2))
+        self.assert_runs_cleanly(tmp_path_factory.mktemp("sweep"),
+                                 valid_raw(graph, rng, *primes))
+
+    def test_orbits_of_size_two(self, tmp_path):
+        payload = valid_raw(swapped_pairs(), random.Random(0), 3, 5)
+        assert [(j["f"], len(j["charpoly"])) for j in payload["jacobians"]] \
+            == [(2, 3), (2, 5)]
+        self.assert_runs_cleanly(tmp_path, payload)
 
 
 class TestCommandLine:

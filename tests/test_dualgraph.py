@@ -7,8 +7,11 @@ from math import gcd
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form
 
+from devissage import dualgraph
 from devissage.dualgraph import (
     DivisorConfig,
     DualGraph,
@@ -42,6 +45,8 @@ from devissage.exactlin import IntMatrix, LModule, cokernel, image, kernel
 from generators import random_legal_graph
 from oracles import (
     brute_kernel_structure,
+    edge_recursion_trees,
+    frozenset_tree_orbits,
     rational_nullity,
     rational_rank,
     sympy_laplacian_cofactor,
@@ -100,6 +105,44 @@ def rotation_cycle(k=4):
     act = [dict({f"c{i}": f"c{(i + 1) % k}" for i in range(k)},
                 **{f"n{i}": f"n{(i + 1) % k}" for i in range(k)})]
     return DualGraph(comps, nodes, edges, act)
+
+
+def subdivision(ncomp, pairs, comp_perms=(), node_perms=()):
+    """Components c0.., node n{k} between the components pairs[k] names.
+
+    Each of comp_perms permutes the component indices of a graph without
+    parallel nodes, and the nodes follow; each of node_perms maps node
+    indices and fixes the components.
+    """
+    at = {frozenset(pr): k for k, pr in enumerate(pairs)}
+    action = []
+    for perm in comp_perms:
+        act = {f"c{i}": f"c{perm[i]}" for i in range(ncomp)}
+        act.update({f"n{k}": f"n{at[frozenset((perm[i], perm[j]))]}"
+                    for k, (i, j) in enumerate(pairs)})
+        action.append(act)
+    for perm in node_perms:
+        action.append({f"n{k}": f"n{perm[k]}" for k in range(len(pairs))})
+    return DualGraph(
+        [(f"c{i}", 0) for i in range(ncomp)],
+        [f"n{k}" for k in range(len(pairs))],
+        [(f"c{i}", f"n{k}") for k, pr in enumerate(pairs) for i in pr],
+        action)
+
+
+def k_banana(k, rotate=False):
+    # two components through k parallel nodes
+    rotation = [[(j + 1) % k for j in range(k)]] if rotate else []
+    return subdivision(2, [(0, 1)] * k, node_perms=rotation)
+
+
+def n_cycle(n, comp_perms=()):
+    return subdivision(n, [(i, (i + 1) % n) for i in range(n)], comp_perms)
+
+
+def complete(n, comp_perms=()):
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return subdivision(n, pairs, comp_perms)
 
 
 def banana_plus_leaf():
@@ -522,6 +565,80 @@ class TestTreeOrbits:
             for o in tree_orbits(g):
                 seen.extend(o)
             assert sorted(seen) == sorted(trees)
+
+
+class TestComponentMultigraphRoute:
+    """spanning_trees and tree_orbits against the edge-by-edge recursion
+    and the frozenset orbit partition of tests/oracles.py."""
+
+    def assert_matches_oracle(self, g):
+        trees = spanning_trees(g)
+        assert trees == edge_recursion_trees(g)
+        assert tree_orbits(g) == frozenset_tree_orbits(g, trees)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.randoms(use_true_random=False), st.booleans(),
+           st.sampled_from([(0,), (0, 1, 2)]))
+    def test_random_graphs(self, rng, allow_action, genus_pool):
+        self.assert_matches_oracle(random_legal_graph(
+            rng, max_components=5, max_extra_nodes=4,
+            genus_pool=genus_pool, allow_action=allow_action))
+
+    def test_two_generator_actions(self):
+        # the dihedral group of the square, and S4 on subdivided K4
+        square = n_cycle(4, [[1, 2, 3, 0], [0, 3, 2, 1]])
+        k4 = complete(4, [[1, 2, 0, 3], [3, 1, 2, 0]])
+        for g in (square, k4):
+            assert len(g.action) == 2
+            self.assert_matches_oracle(g)
+
+    def test_bananas(self):
+        for k in range(1, 7):
+            for rotate in (False, True):
+                self.assert_matches_oracle(k_banana(k, rotate))
+
+    def test_one_component_graph(self):
+        g = DualGraph([("c", 2)], [], [])
+        assert spanning_trees(g) == ((),)
+        assert tree_orbits(g) == (((),),)
+        self.assert_matches_oracle(g)
+
+    def test_count_is_multigraph_count_times_powers_of_two(self):
+        # tau = tau(M) * 2^(N - C + 1) with the multigraph's own count
+        cases = [(k_banana(k), k, k, 2) for k in range(1, 7)]
+        cases += [(n_cycle(n), n, n, n) for n in range(2, 9)]
+        cases += [(complete(4), 16, 6, 4), (complete(5), 125, 10, 5)]
+        for g, tau_m, n, c in cases:
+            assert len(spanning_trees(g)) == tau_m * 2 ** (n - c + 1)
+
+
+class TestTreeCapBoundary:
+    # subdivided K4 has 16 * 2^3 = 128 spanning trees
+
+    def test_cap_equal_to_the_count_enumerates(self):
+        assert len(spanning_trees(complete(4), cap=128)) == 128
+
+    def test_cap_one_below_the_count_raises_naming_it(self):
+        with pytest.raises(EnumerationCapExceeded,
+                           match=r"^128 spanning trees exceed the cap of 127;"):
+            spanning_trees(complete(4), cap=127)
+
+    def test_no_enumeration_starts_past_the_cap(self, monkeypatch):
+        calls = []
+        real = dualgraph._multigraph_trees
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(dualgraph, "_multigraph_trees", counted)
+        g = complete(4, [[1, 2, 3, 0]])
+        for fn in (spanning_trees, tree_orbits, m_gamma):
+            with pytest.raises(EnumerationCapExceeded, match=r"^128 "):
+                fn(g, cap=127)
+        assert calls == []
+        assert len(tree_orbits(g, cap=128)) > 0
+        assert len(calls) == 1
 
 
 class TestExtendedGcd:
