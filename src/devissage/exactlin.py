@@ -520,6 +520,45 @@ def rank_mod(A: IntMatrix, p: int) -> int:
     return rank
 
 
+def hessenberg_mod(A: IntMatrix, p: int) -> IntMatrix:
+    """An upper Hessenberg matrix similar to the square A over Z/p, p prime.
+
+    Gaussian similarity (Cohen, Algorithm 2.2.9): each row operation is
+    followed by its inverse column operation, so rank(H - mu) equals
+    rank(A - mu) mod p at every shift mu, in O(n^2) steps of rank_mod.
+
+    >>> A = IntMatrix.from_rows([[1, 2, 0], [3, 0, 1], [4, 5, 6]])
+    >>> hessenberg_mod(A, 7).data
+    ((1, 2, 0), (3, 6, 1), (0, 5, 0))
+    >>> [rank_mod(M - IntMatrix.identity(3).scale(4), 7)
+    ...  for M in (A, hessenberg_mod(A, 7))]
+    [2, 2]
+    """
+    n = A.rows
+    if A.cols != n:
+        raise ValueError("Hessenberg form of a non-square matrix")
+    h = [[x % p for x in r] for r in A.data]
+    for k in range(n - 2):
+        i = next((i for i in range(k + 1, n) if h[i][k]), None)
+        if i is None:
+            continue
+        # move the pivot to the subdiagonal: swap rows, then the columns
+        h[i], h[k + 1] = h[k + 1], h[i]
+        for r in h:
+            r[i], r[k + 1] = r[k + 1], r[i]
+        top = h[k + 1]
+        inv = pow(top[k], -1, p)
+        for i in range(k + 2, n):
+            c = h[i][k] * inv % p
+            if c:
+                # row_i -= c row_(k+1) (both 0 left of k), col_(k+1) += c col_i
+                row = h[i]
+                row[k:] = [(x - c * y) % p for x, y in zip(row[k:], top[k:])]
+                for r in h:
+                    r[k + 1] = (r[k + 1] + c * r[i]) % p
+    return IntMatrix._trusted(n, n, tuple(map(tuple, h)))
+
+
 def nullity(A: IntMatrix) -> int:
     """Dimension of the rational kernel of A, exactly.
 

@@ -40,7 +40,6 @@ from .exactlin import (
     LModule,
     homology_at,
     is_prime_power,
-    kernel,
     rank_mod,
     tensor_maps,
     tensor_power_with_index,
@@ -178,17 +177,6 @@ def box_maps(f: CoMap, g: CoMap) -> CoMap:
     return CoMap(dom, cod, tensor_maps(f.dual_map, g.dual_map))
 
 
-def co_cokernel(f: CoMap):
-    """Cokernel of a discrete map: dual of the kernel of the dual.
-
-    Returns (quotient, projection CoMap).
-    """
-    k = kernel(f.dual_map)
-    quo = CoLGroup(k.module)
-    proj = CoMap(f.codomain, quo, k.inclusion)
-    return quo, proj
-
-
 def co_exactness(maps: Sequence[CoMap]):
     """Homology of a complex of discrete groups at every position.
 
@@ -318,6 +306,12 @@ def torsbis_maps(A: CoLGroup, s: int, t: int, n: int, rng=None) -> TorsBisData:
 # Frobenius objects
 
 
+def cleared_minus_one(mat: IntMatrix, q: int, t: int) -> IntMatrix:
+    """q^t mat - 1 for t >= 0, else mat - q^-t: a unit multiple of it."""
+    one = IntMatrix.identity(mat.rows)
+    return mat.scale(q ** t) - one if t >= 0 else mat - one.scale(q ** -t)
+
+
 @dataclass(frozen=True)
 class FrobObject:
     """A carrier together with its arithmetic Frobenius.
@@ -408,12 +402,7 @@ class FrobObject:
         """
         mod = self.rep_module
         mat = self.matrix.transpose() if transpose else self.matrix
-        n = mod.num_gens
-        if self.qpow >= 0:
-            cleared = mat.scale(self.q ** self.qpow) - IntMatrix.identity(n)
-        else:
-            cleared = mat - IntMatrix.identity(n).scale(self.q ** (-self.qpow))
-        return LMap(mod, mod, cleared)
+        return LMap(mod, mod, cleared_minus_one(mat, self.q, self.qpow))
 
     # -- constructions ------------------------------------------------
 
@@ -512,8 +501,9 @@ def left_exactness_probe(iota: CoMap, pi: CoMap, A: Carrier) -> ProbeResult:
     idA = CoMap.identity_on(Ac)
     bi = box_maps(iota, idA)
     bp = box_maps(pi, idA)
+    # the last homology is the cokernel of bp: the dual of ker(bp.dual_map)
     hs = co_exactness([bi, bp])
-    obstruction, _ = co_cokernel(bp)
+    obstruction = hs[-1]
     return ProbeResult(
         terms=(bi.domain, bi.codomain, bp.codomain),
         injective=hs[0].is_trivial,

@@ -20,6 +20,10 @@ that polynomial is the corank of H^1, exactly, for squarefree P.
 
 None of this depends on l, so each such result is memoized for the length
 of one CLI run (clear_memo); the checks that do depend on l run per call.
+The kernel crosscheck memoizes one box power per (P, j): its matrix, its
+q-power and its Hessenberg form mod NULLITY_PRIME.  A twist r moves only
+the q-power, so each twist's nullity is one O(n^2) rank of a shifted
+Hessenberg matrix, with an exact integer kernel where that rank is short.
 """
 
 from __future__ import annotations
@@ -41,14 +45,17 @@ from .exactlin import (
     IntMatrix,
     LMap,
     LModule,
+    NULLITY_PRIME,
     cokernel,
     dual,
+    hessenberg_mod,
     integer_kernel_basis,
     is_prime_power,
     kernel,
     nullity,
+    rank_mod,
 )
-from .lprimary import FrobObject, box_frob_power
+from .lprimary import FrobObject, box_frob_power, cleared_minus_one
 
 # largest (2g)^j matrix an exact kernel is computed on
 KERNEL_DIM_CAP = 100
@@ -568,10 +575,6 @@ def vanishing_probe(P: CharPoly, ell: int, j: int, r: int,
     )
 
 
-def _cleared_minus_one(X: FrobObject, transpose: bool = False) -> IntMatrix:
-    return X.frob_minus_one_cleared(transpose=transpose).matrix
-
-
 def _kernel_corank(P: CharPoly, ell: int, j: int, r: int) -> int:
     # torsion_frob's checks on l, which a memo hit skips: the determinant of
     # every box power is a power of the constant term of P
@@ -582,11 +585,29 @@ def _kernel_corank(P: CharPoly, ell: int, j: int, r: int) -> int:
     return _box_nullity(P, ell, j, r)
 
 
+@_memo(lambda P, ell, j: (P, j))
+def _box_family(P: CharPoly, ell: int, j: int):
+    """The transposed untwisted box power K, its q-power and K's Hessenberg
+    form mod NULLITY_PRIME; none of them depends on l or on the twist."""
+    X = box_torsion_frob(P, ell, j, 0)
+    K = X.matrix.transpose()
+    return K, X.qpow, hessenberg_mod(K, NULLITY_PRIME)
+
+
 @_memo(lambda P, ell, j, r: (P, j, r))
 def _box_nullity(P: CharPoly, ell: int, j: int, r: int) -> int:
-    """Integer nullity of the cleared Frobenius - 1; the same at every l."""
-    X = box_torsion_frob(P, ell, j, r)
-    return nullity(_cleared_minus_one(X, transpose=True))
+    """Integer nullity of the cleared Frobenius - 1; the same at every l.
+
+    q^a K - 1, a = base + r, is a unit times K - q^-a, similar to H - q^-a
+    mod p: its full rank proves nullity 0, as in exactlin.nullity.  A short
+    rank, or p | q, takes the integer kernel."""
+    K, base, H = _box_family(P, ell, j)
+    a, p, n = base + r, NULLITY_PRIME, H.rows
+    if P.q % p:
+        shift = IntMatrix.diagonal((-pow(P.q, -a, p),) * n)
+        if rank_mod(H + shift, p) == n:
+            return 0
+    return integer_kernel_basis(cleared_minus_one(K, P.q, a)).cols
 
 
 @_memo()
@@ -701,10 +722,4 @@ def duality_crosscheck(P: CharPoly, ell: int, j: int, r: int,
 def _tate_fixed_rank(P: CharPoly, j: int, r: int) -> int:
     """Rank of the vectors fixed by q^(-j-r) C^tensor j on the free module."""
     big = matrix_power_kron(P.companion(), j)
-    a = -j - r
-    n = big.rows
-    if a >= 0:
-        K = big.scale(P.q ** a) - IntMatrix.identity(n)
-    else:
-        K = big - IntMatrix.identity(n).scale(P.q ** (-a))
-    return nullity(K)
+    return nullity(cleared_minus_one(big, P.q, -j - r))

@@ -9,10 +9,13 @@ kept as references: per_level_xi, the assembly of Xi that build_xi made at
 every level through the generic kernel and preimage solves, before it read
 one Smith form per configuration; exactness_check, the homology route that
 proved every assembled split sequence exact before the verdict was read off
-its identity blocks; and edge_recursion_trees with frozenset_tree_orbits,
+its identity blocks; edge_recursion_trees with frozenset_tree_orbits,
 the spanning-tree enumeration over the graph's own edges and the orbit
 partition of trees as frozensets of edges, before trees were enumerated
-through the component multigraph and held as edge bitmasks.
+through the component multigraph and held as edge bitmasks; co_cokernel,
+the cokernel of a discrete map that left_exactness_probe took besides its
+homology; and box_twist_nullity, the kernel nullity of one twisted box power
+built afresh, before each twist read one box power per (P, j).
 """
 
 from collections import namedtuple
@@ -583,3 +586,24 @@ def frozenset_tree_orbits(graph, trees):
         seen |= orbit
         orbits.append(tuple(sorted(tuple(sorted(t)) for t in orbit)))
     return tuple(sorted(orbits))
+
+
+def co_cokernel(f):
+    """Cokernel of a discrete map: dual of the kernel of the dual.
+
+    Returns (quotient, projection CoMap).
+    """
+    from devissage.exactlin import CoLGroup, kernel
+    from devissage.lprimary import CoMap
+    k = kernel(f.dual_map)
+    quo = CoLGroup(k.module)
+    return quo, CoMap(f.codomain, quo, k.inclusion)
+
+
+def box_twist_nullity(P, ell, j, r):
+    """Nullity of the cleared Frobenius - 1 on the dual of A{l}^box j (r),
+    with the twisted box power built for this twist alone."""
+    from devissage.exactlin import nullity
+    from devissage.procyclic import box_torsion_frob
+    X = box_torsion_frob(P, ell, j, r)
+    return nullity(X.frob_minus_one_cleared(transpose=True).matrix)

@@ -897,7 +897,7 @@ class TestValidInstanceSweep:
     """Valid instances never crash a suite, and a rerun renders the same.
 
     The vanishing suite probes its whole polynomial catalog on every run,
-    about half a second, so the draws are few.
+    about a quarter of a second, so the draws are few.
     """
 
     def assert_runs_cleanly(self, tmp_path, payload):

@@ -19,6 +19,7 @@ from devissage.exactlin import (
     cokernel,
     dual,
     free_level,
+    hessenberg_mod,
     homology_at,
     image,
     integer_kernel_basis,
@@ -725,6 +726,61 @@ class TestNullity:
         A = IntMatrix.from_rows([[2, 0, 0], [0, 3, 0], [0, 0, 5]])
         assert [rank_mod(A, p) for p in (2, 3, 5, 7)] == [2, 2, 2, 3]
         assert rank_mod(IntMatrix(0, 4, []), 3) == 0
+
+
+@st.composite
+def hessenberg_cases(draw):
+    """A square matrix up to 8x8 with zero columns, repeated rows and zero
+    subcolumns, a prime p and the shifts to compare at: every residue for
+    p = 2, 3, one random shift for NULLITY_PRIME, where half the draws make
+    two rows of A - mu equal so that the shifted rank drops."""
+    n = draw(st.integers(0, 8))
+    rows = [[draw(st.integers(-4, 4)) for _ in range(n)] for _ in range(n)]
+    for _ in range(draw(st.integers(0, 3)) if n else 0):
+        kind = draw(st.sampled_from(("column", "row", "subcolumn")))
+        k, i = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if kind == "column":
+            for r in rows:
+                r[k] = 0
+        elif kind == "row":
+            rows[i] = list(rows[k])
+        else:
+            for r in rows[k + 1:]:
+                r[k] = 0
+    p = draw(st.sampled_from((2, 3, NULLITY_PRIME)))
+    if p < NULLITY_PRIME:
+        return IntMatrix.from_rows(rows, n), p, range(p)
+    mu = draw(st.one_of(st.integers(-4, 4), st.integers(0, p - 1)))
+    if n > 1 and draw(st.booleans()):
+        i, k = draw(st.permutations(range(n)))[:2]
+        rows[i] = [x + mu * ((c == i) - (c == k))
+                   for c, x in enumerate(rows[k])]
+    return IntMatrix.from_rows(rows, n), p, (mu,)
+
+
+class TestHessenberg:
+    """The Gaussian similarity behind the twist families' rank test."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(hessenberg_cases())
+    @example((IntMatrix.from_rows([[0, 1, 1], [0, 0, 1], [1, 0, 0]]), 2,
+              range(2)))
+    def test_hessenberg_keeps_every_shifted_rank(self, case):
+        A, p, mus = case
+        H = hessenberg_mod(A, p)
+        n = A.rows
+        assert (H.rows, H.cols) == (n, n)
+        assert all(0 <= x < p for r in H.data for x in r)
+        assert all(H.entry(i, k) == 0 for k in range(n)
+                   for i in range(k + 2, n))
+        one = IntMatrix.identity(n)
+        for mu in mus:
+            assert rank_mod(H - one.scale(mu), p) == \
+                rank_mod(A - one.scale(mu), p)
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError):
+            hessenberg_mod(IntMatrix.zeros(2, 3), 5)
 
 
 def _unimodular(rng, n):

@@ -33,7 +33,6 @@ from devissage.lprimary import (
     box_maps,
     box_power,
     box_unit,
-    co_cokernel,
     co_direct_sum,
     co_exactness,
     finite_box_power,
@@ -44,7 +43,12 @@ from devissage.lprimary import (
     torsbis_maps,
 )
 
-from oracles import composed_torsbis_commutes, group_structure, subgroup_closure
+from oracles import (
+    co_cokernel,
+    composed_torsbis_commutes,
+    group_structure,
+    subgroup_closure,
+)
 
 
 def mult_ell_ses(ell):
@@ -219,6 +223,26 @@ class TestLeftExactness:
             _, iota, pi = split_ses(X, Z)
             res = left_exactness_probe(iota, pi, A)
             assert res.left_exact and res.surjective
+
+    def test_obstruction_is_the_cokernel_of_the_boxed_right_map(self):
+        # the probe reads the obstruction off the last homology; the
+        # separate cokernel route must agree, on split, divisible and
+        # non-split finite sequences boxed with the unit, Z/l and random A
+        rng = random.Random(29)
+        for ell in (2, 3, 5):
+            fin, unit, iota, pi = mult_ell_ses(ell)
+            C2 = CoLGroup(LModule(ell, 0, (2,)))
+            seqs = [(iota, pi),
+                    (CoMap.from_dual_matrix(fin, C2, [[1]]),
+                     CoMap.from_dual_matrix(C2, fin, [[ell]])),
+                    split_ses(random_cogroup(rng, ell),
+                              random_cogroup(rng, ell))[1:]]
+            for A in [unit, fin] + [random_cogroup(rng, ell)
+                                    for _ in range(6)]:
+                idA = CoMap.identity_on(A)
+                for i, p in seqs:
+                    want, _ = co_cokernel(box_maps(p, idA))
+                    assert left_exactness_probe(i, p, A).obstruction == want
 
     def test_not_exact_rejected(self):
         U = box_unit(2)

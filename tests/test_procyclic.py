@@ -9,6 +9,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from devissage import procyclic
 from devissage.errors import (
     EnumerationCapExceeded,
     InvalidInstance,
@@ -17,6 +18,7 @@ from devissage.errors import (
     WeilCheckFailed,
 )
 from devissage.exactlin import (
+    NULLITY_PRIME,
     CoLGroup,
     IntMatrix,
     LModule,
@@ -25,8 +27,10 @@ from devissage.exactlin import (
 )
 from devissage.lprimary import FrobObject
 from devissage.procyclic import (
+    KERNEL_DIM_CAP,
     WEIL_CATALOG,
     CharPoly,
+    _box_nullity,
     _kernel_corank,
     _poly_gcd,
     box_torsion_frob,
@@ -48,6 +52,7 @@ from devissage.procyclic import (
 
 from generators import matrix_power
 from oracles import (
+    box_twist_nullity,
     brute_kernel_structure,
     fraction_eigenproduct_poly,
     fraction_root_multiplicity,
@@ -745,6 +750,57 @@ class TestMemoAgainstSlowRoutes:
             assert any(w)
             assert matrix_power_kron(C, j).apply(w) == tuple(
                 P.q ** (j + r) * x for x in w)
+
+
+@pytest.fixture
+def exact_route(monkeypatch):
+    """The dimensions of the matrices _box_nullity hands to the integer
+    kernel, in call order."""
+    dims = []
+    real = procyclic.integer_kernel_basis
+
+    def counted(A):
+        dims.append(A.rows)
+        return real(A)
+    monkeypatch.setattr(procyclic, "integer_kernel_basis", counted)
+    return dims
+
+
+class TestTwistFamilies:
+    """One box power and Hessenberg form per (P, j), read at every twist,
+    against the box power built for each twist alone."""
+
+    def test_vanishing_grid_matches_per_twist_route(self, exact_route):
+        # the grid of the vanishing suite, plus a repeated-root P whose
+        # boundary twists have a short rank mod p and take the exact route
+        calls = 0
+        for P in WEIL_CATALOG + (P_SQUARE,):
+            exact_before = len(exact_route)
+            for ell in (2, 3, 5, 7):
+                if P.q % ell == 0:
+                    continue
+                clear_memo()  # each l builds the families afresh
+                for j in range(5):
+                    if P.degree ** j > KERNEL_DIM_CAP:
+                        break
+                    for r in range(-3, 4):
+                        calls += 1
+                        assert _box_nullity(P, ell, j, r) == \
+                            box_twist_nullity(P, ell, j, r), (P, ell, j, r)
+        # both routes ran, the exact one on P_SQUARE too
+        assert exact_before < len(exact_route) < calls
+
+    def test_q_equal_to_the_nullity_prime_takes_the_exact_route(
+            self, exact_route):
+        # p | q: q^-a has no residue mod p for a > 0, so every twist goes
+        # to the integer kernel
+        P = CharPoly((1, 0, NULLITY_PRIME), NULLITY_PRIME)
+        clear_memo()
+        for j in range(3):
+            for r in range(-3, 4):
+                assert _box_nullity(P, 3, j, r) == \
+                    box_twist_nullity(P, 3, j, r), (j, r)
+        assert len(exact_route) == 3 * 7
 
 
 class TestOracleCrossChecks:
