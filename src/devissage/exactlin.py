@@ -24,7 +24,7 @@ private ``_trusted`` route, which stores them unchecked.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import index, lt
+from operator import index, itemgetter, lt, mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import MismatchedPrime, VerificationFailed
@@ -489,7 +489,9 @@ NULLITY_PRIME = 2 ** 30 - 35
 
 
 def rank_mod(A: IntMatrix, p: int) -> int:
-    """Rank of A over Z/p for a prime p, by Gaussian elimination.
+    """Rank of A over Z/p for a prime p, by Gaussian elimination in place:
+    each pivot updates only the rows with a nonzero entry in its column, at
+    its own nonzero columns.
 
     A minor that is nonzero mod p is nonzero over Z, so this never exceeds
     the rank over Q.
@@ -498,24 +500,23 @@ def rank_mod(A: IntMatrix, p: int) -> int:
     1
     """
     rows = [[x % p for x in r] for r in A.data]
+    m, n = len(rows), A.cols
     rank = 0
-    for _ in range(A.cols):
-        # each row holds the columns not yet eliminated, the current one first
-        i = next((i for i, r in enumerate(rows) if r[0]), None)
+    for c in range(n):
+        # rows[:rank] hold the pivots; below them, columns < c are zero
+        i = next((i for i in range(rank, m) if rows[i][c]), None)
         if i is None:
-            rows = [r[1:] for r in rows]
             continue
-        top = rows.pop(i)
+        rows[rank], rows[i] = rows[i], rows[rank]
+        top = rows[rank]
+        inv = pow(top[c], -1, p)
+        tail = [(k, top[k] * inv % p) for k in range(c + 1, n) if top[k]]
         rank += 1
-        inv = pow(top[0], -1, p)
-        tail = [x * inv % p for x in top[1:]]
-        rest = []
-        for r in rows:
-            c = r[0]
-            rest.append([(x - c * y) % p for x, y in zip(r[1:], tail)]
-                        if c else r[1:])
-        rows = rest
-        if not rows:
+        for r in filter(itemgetter(c), rows[rank:]):
+            x = r[c]
+            for k, y in tail:
+                r[k] = (r[k] - x * y) % p
+        if rank == m:
             break
     return rank
 
@@ -523,9 +524,11 @@ def rank_mod(A: IntMatrix, p: int) -> int:
 def hessenberg_mod(A: IntMatrix, p: int) -> IntMatrix:
     """An upper Hessenberg matrix similar to the square A over Z/p, p prime.
 
-    Gaussian similarity (Cohen, Algorithm 2.2.9): each row operation is
-    followed by its inverse column operation, so rank(H - mu) equals
-    rank(A - mu) mod p at every shift mu, in O(n^2) steps of rank_mod.
+    Gaussian similarity (Cohen, Algorithm 2.2.9): each step's row operations
+    are followed by their inverse column operations, so rank(H - mu) equals
+    rank(A - mu) mod p at every shift mu.  The form costs O(n^3) once; on
+    H - mu of nullity k, rank_mod updates at most k + 1 rows per column, so
+    a shift costs O((k + 1) n^2).
 
     >>> A = IntMatrix.from_rows([[1, 2, 0], [3, 0, 1], [4, 5, 6]])
     >>> hessenberg_mod(A, 7).data
@@ -548,14 +551,16 @@ def hessenberg_mod(A: IntMatrix, p: int) -> IntMatrix:
             r[i], r[k + 1] = r[k + 1], r[i]
         top = h[k + 1]
         inv = pow(top[k], -1, p)
-        for i in range(k + 2, n):
-            c = h[i][k] * inv % p
+        cs = [h[i][k] * inv % p for i in range(k + 2, n)]
+        # L H L^-1 for L = I - sum c_i e_i e_(k+1)^T: row_i -= c_i row_(k+1)
+        # (both 0 left of k), then one column update col_(k+1) += sum c_i col_i
+        for i, c in enumerate(cs, k + 2):
             if c:
-                # row_i -= c row_(k+1) (both 0 left of k), col_(k+1) += c col_i
                 row = h[i]
                 row[k:] = [(x - c * y) % p for x, y in zip(row[k:], top[k:])]
-                for r in h:
-                    r[k + 1] = (r[k + 1] + c * r[i]) % p
+        if any(cs):
+            for r in h:
+                r[k + 1] = (r[k + 1] + sum(map(mul, cs, r[k + 2:]))) % p
     return IntMatrix._trusted(n, n, tuple(map(tuple, h)))
 
 

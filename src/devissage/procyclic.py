@@ -21,9 +21,11 @@ that polynomial is the corank of H^1, exactly, for squarefree P.
 None of this depends on l, so each such result is memoized for the length
 of one CLI run (clear_memo); the checks that do depend on l run per call.
 The kernel crosscheck memoizes one box power per (P, j): its matrix, its
-q-power and its Hessenberg form mod NULLITY_PRIME.  A twist r moves only
-the q-power, so each twist's nullity is one O(n^2) rank of a shifted
-Hessenberg matrix, with an exact integer kernel where that rank is short.
+q-power and its Hessenberg form mod NULLITY_PRIME (O(n^3) once).  A twist
+r moves only the q-power, so each twist's nullity is one O(n^2) full rank
+of a shifted Hessenberg matrix, with an exact integer kernel where that
+rank is short.  The Tate side memoizes one C^tensor j per (P, j) and keeps
+a dense nullity per twist, independent of the box side.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import wraps
 from math import gcd
+from operator import mul
 
 from .errors import (
     EnumerationCapExceeded,
@@ -440,12 +443,11 @@ def eigenproduct_poly(P: CharPoly, j: int) -> tuple:
     n = P.degree
     D = n ** j
     t = P.power_sums(D)
-    s = [pow(tk, j) for tk in t]
+    # signed power sums: step k sums (-1)^(i-1) E[k - i] t_i^j over i = 1..k
+    s = [(-1) ** i * pow(tk, j) for i, tk in enumerate(t)]
     E = [1]
     for k in range(1, D + 1):
-        acc = 0
-        for i in range(1, k + 1):
-            acc += (-1) ** (i - 1) * E[k - i] * s[i - 1]
+        acc = sum(map(mul, reversed(E), s))
         e, rem = divmod(acc, k)
         if rem:
             raise VerificationFailed("composed power polynomial not integral")
@@ -621,10 +623,9 @@ def fixed_vector_witness(P: CharPoly, j: int, r: int):
     """
     if j <= 0 or j != -2 * r or j % 2:
         return None
-    C = P.companion()
     # the functional equation pairs each root a with q/a, so q is always an
     # eigenvalue of C kron C; any integer kernel vector of C kron C - q will do
-    CC = C.kron(C)
+    CC = _tate_power(P, 2)
     K = integer_kernel_basis(CC - IntMatrix.identity(CC.rows).scale(P.q))
     if not K.cols:
         return None
@@ -634,7 +635,7 @@ def fixed_vector_witness(P: CharPoly, j: int, r: int):
     for _ in range(j // 2 - 1):
         out = tuple(a * b for a in out for b in v)
     # verify: C^kron j out = q^(j+r) out
-    big = matrix_power_kron(C, j)
+    big = _tate_power(P, j)
     target = P.q ** (j + r)
     got = big.apply(out)
     if got != tuple(target * x for x in out):
@@ -647,6 +648,12 @@ def matrix_power_kron(m: IntMatrix, j: int) -> IntMatrix:
     for _ in range(j):
         out = out.kron(m)
     return out
+
+
+@_memo(lambda P, j: (P.coefficients, j))
+def _tate_power(P: CharPoly, j: int) -> IntMatrix:
+    """C^tensor j for the companion C of P, built once per (P, j) and run."""
+    return matrix_power_kron(P.companion(), j)
 
 
 # ---------------------------------------------------------------------------
@@ -721,5 +728,4 @@ def duality_crosscheck(P: CharPoly, ell: int, j: int, r: int,
 @_memo()
 def _tate_fixed_rank(P: CharPoly, j: int, r: int) -> int:
     """Rank of the vectors fixed by q^(-j-r) C^tensor j on the free module."""
-    big = matrix_power_kron(P.companion(), j)
-    return nullity(cleared_minus_one(big, P.q, -j - r))
+    return nullity(cleared_minus_one(_tate_power(P, j), P.q, -j - r))

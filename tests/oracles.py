@@ -14,8 +14,12 @@ the spanning-tree enumeration over the graph's own edges and the orbit
 partition of trees as frozensets of edges, before trees were enumerated
 through the component multigraph and held as edge bitmasks; co_cokernel,
 the cokernel of a discrete map that left_exactness_probe took besides its
-homology; and box_twist_nullity, the kernel nullity of one twisted box power
-built afresh, before each twist read one box power per (P, j).
+homology; box_twist_nullity, the kernel nullity of one twisted box power
+built afresh, before each twist read one box power per (P, j);
+row_copying_rank_mod, interleaved_hessenberg_mod and
+integer_newton_eigenproduct_poly, the forms of rank_mod, hessenberg_mod and
+eigenproduct_poly's Newton step before they eliminated in place, batched
+each step's column operations and summed each step with map(mul, ...).
 """
 
 from collections import namedtuple
@@ -607,3 +611,74 @@ def box_twist_nullity(P, ell, j, r):
     from devissage.procyclic import box_torsion_frob
     X = box_torsion_frob(P, ell, j, r)
     return nullity(X.frob_minus_one_cleared(transpose=True).matrix)
+
+
+def row_copying_rank_mod(A, p):
+    """Rank of A over Z/p by the elimination rank_mod made before it worked
+    in place: every remaining row is copied, without its first entry, at
+    every column."""
+    rows = [[x % p for x in r] for r in A.data]
+    rank = 0
+    for _ in range(A.cols):
+        # each row holds the columns not yet eliminated, the current one first
+        i = next((i for i, r in enumerate(rows) if r[0]), None)
+        if i is None:
+            rows = [r[1:] for r in rows]
+            continue
+        top = rows.pop(i)
+        rank += 1
+        inv = pow(top[0], -1, p)
+        tail = [x * inv % p for x in top[1:]]
+        rest = []
+        for r in rows:
+            c = r[0]
+            rest.append([(x - c * y) % p for x, y in zip(r[1:], tail)]
+                        if c else r[1:])
+        rows = rest
+        if not rows:
+            break
+    return rank
+
+
+def interleaved_hessenberg_mod(A, p):
+    """hessenberg_mod with each row operation followed at once by its inverse
+    column operation, one i at a time, as Cohen's Algorithm 2.2.9 states it."""
+    from devissage.exactlin import IntMatrix
+    n = A.rows
+    h = [[x % p for x in r] for r in A.data]
+    for k in range(n - 2):
+        i = next((i for i in range(k + 1, n) if h[i][k]), None)
+        if i is None:
+            continue
+        h[i], h[k + 1] = h[k + 1], h[i]
+        for r in h:
+            r[i], r[k + 1] = r[k + 1], r[i]
+        top = h[k + 1]
+        inv = pow(top[k], -1, p)
+        for i in range(k + 2, n):
+            c = h[i][k] * inv % p
+            if c:
+                row = h[i]
+                row[k:] = [(x - c * y) % p for x, y in zip(row[k:], top[k:])]
+                for r in h:
+                    r[k + 1] = (r[k + 1] + c * r[i]) % p
+    return IntMatrix(n, n, h)
+
+
+def integer_newton_eigenproduct_poly(P, j):
+    """eigenproduct_poly's integer Newton recurrence written term by term,
+    with the sign of each product taken in the inner loop."""
+    if j == 0:
+        return (1, -1)
+    D = P.degree ** j
+    s = [pow(tk, j) for tk in P.power_sums(D)]
+    E = [1]
+    for k in range(1, D + 1):
+        acc = 0
+        for i in range(1, k + 1):
+            acc += (-1) ** (i - 1) * E[k - i] * s[i - 1]
+        e, rem = divmod(acc, k)
+        if rem:
+            raise ArithmeticError("composed power polynomial not integral")
+        E.append(e)
+    return tuple((-1) ** k * e for k, e in enumerate(E))

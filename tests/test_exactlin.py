@@ -44,7 +44,9 @@ from oracles import (
     brute_kernel_structure,
     entrywise_lmap_matrix,
     generator_expression_lmodule_check,
+    interleaved_hessenberg_mod,
     rational_nullity,
+    row_copying_rank_mod,
     sorted_key_tensor_index,
     sympy_det,
     sympy_rank,
@@ -729,6 +731,43 @@ class TestNullity:
 
 
 @st.composite
+def rank_cases(draw):
+    """A matrix up to 8x8 and a prime p: any shape, 0 rows or 0 columns
+    included, with rows repeated up to a factor, or an upper Hessenberg
+    matrix with zero subdiagonal entries."""
+    p = draw(st.sampled_from((2, 3, NULLITY_PRIME)))
+    entries = st.one_of(st.integers(-4, 4), st.integers(0, p - 1))
+    if draw(st.booleans()):
+        m = n = draw(st.integers(0, 8))
+        rows = [[draw(entries) if c + 1 >= i else 0 for c in range(n)]
+                for i in range(n)]
+        for k in draw(st.lists(st.integers(0, n - 2), max_size=3)) \
+                if n > 1 else ():
+            rows[k + 1][k] = 0
+    else:
+        m, n = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+        rows = [[draw(entries) for _ in range(n)] for _ in range(m)]
+        for _ in range(draw(st.integers(0, 3)) if m else 0):
+            i, k = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+            c = draw(st.integers(-3, 3))
+            rows[i] = [c * x for x in rows[k]]
+    return IntMatrix(m, n, rows), p
+
+
+class TestRankMod:
+    """In-place elimination against the row-copying one it replaced."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(rank_cases())
+    @example((IntMatrix(0, 3, []), 2))
+    @example((IntMatrix(3, 0, [[], [], []]), NULLITY_PRIME))
+    @example((IntMatrix.from_rows([[1, 2, 3], [0, 0, 4], [0, 0, 5]]), 3))
+    def test_matches_row_copying_elimination(self, case):
+        A, p = case
+        assert rank_mod(A, p) == row_copying_rank_mod(A, p)
+
+
+@st.composite
 def hessenberg_cases(draw):
     """A square matrix up to 8x8 with zero columns, repeated rows and zero
     subcolumns, a prime p and the shifts to compare at: every residue for
@@ -777,6 +816,12 @@ class TestHessenberg:
         for mu in mus:
             assert rank_mod(H - one.scale(mu), p) == \
                 rank_mod(A - one.scale(mu), p)
+
+    @settings(max_examples=300, deadline=None)
+    @given(hessenberg_cases())
+    def test_batched_column_update_matches_interleaved(self, case):
+        A, p, _ = case
+        assert hessenberg_mod(A, p) == interleaved_hessenberg_mod(A, p)
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Cohomology over a finite base: Weil checks, vanishing probes, duality."""
 
+import os
 import random
 from fractions import Fraction
 from math import comb, isqrt
@@ -57,6 +58,7 @@ from oracles import (
     fraction_eigenproduct_poly,
     fraction_root_multiplicity,
     group_structure,
+    integer_newton_eigenproduct_poly,
     rational_nullity,
     sympy_gcd_degree,
     sympy_is_squarefree,
@@ -462,6 +464,14 @@ class TestEigenproduct:
                 c = P.coefficients[-1]
                 assert Q[-1] == c ** (j * n ** (j - 1))
 
+    @pytest.mark.parametrize("P", WEIL_CATALOG)
+    def test_newton_step_matches_term_by_term(self, P):
+        # every box power the vanishing suite reaches, the quartic's
+        # j = 4 (degree 256) among them
+        for j in range(5):
+            assert eigenproduct_poly.__wrapped__(P, j) == \
+                integer_newton_eigenproduct_poly(P, j), j
+
     def test_root_multiplicity(self):
         # (x - 2)^2 (x - 3) = x^3 - 7x^2 + 16x - 12
         assert rational_root_multiplicity((1, -7, 16, -12), 2) == 2
@@ -801,6 +811,25 @@ class TestTwistFamilies:
                 assert _box_nullity(P, 3, j, r) == \
                     box_twist_nullity(P, 3, j, r), (j, r)
         assert len(exact_route) == 3 * 7
+
+
+class TestTatePowers:
+    def test_one_kronecker_power_per_polynomial_and_j(self, monkeypatch):
+        """A vanishing run on g1_swap builds C^kron j once per (C, j): the
+        Tate ranks of every twist and the witnesses share it."""
+        from devissage import cli
+        built = []
+        real = procyclic.matrix_power_kron
+
+        def counted(m, j):
+            built.append((m.data, j))
+            return real(m, j)
+        monkeypatch.setattr(procyclic, "matrix_power_kron", counted)
+        fixture = os.path.join(os.path.dirname(__file__), os.pardir,
+                               "fixtures", "g1_swap.json")
+        code, _ = cli.run(cli.RunConfig(fixture, suites=("vanishing",)))
+        assert code == 0
+        assert len(built) == len(set(built)) == 35
 
 
 class TestOracleCrossChecks:
