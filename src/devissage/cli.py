@@ -519,8 +519,9 @@ def _rational_fixed_rank(lattice) -> int:
 
 
 def _run_graph(inst, config) -> dict:
-    g, lattice = inst.graph, inst.lattice
+    # the orbits count and cap the trees before the lattice's Smith forms
     sizes = sorted(len(o) for o in inst.orbits)
+    g, lattice = inst.graph, inst.lattice
     n_trees = sum(sizes)
     fixed = invariant_rank(lattice)
     return _suite([

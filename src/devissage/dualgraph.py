@@ -456,22 +456,32 @@ def spanning_trees(graph: DualGraph, cap: int = DEFAULT_TREE_CAP):
 def _tree_orbit_positions(graph: DualGraph, trees, not_closed: Exception):
     """Orbits of trees (sorted tuples of graph edges) under the action, each
     a sorted list of positions in trees; an image outside the given trees
-    raises not_closed.  Trees are held as bitmasks over edge indices."""
-    eindex = {e: i for i, e in enumerate(graph.edges)}
-    indices = [[eindex[e] for e in t] for t in trees]
-    position = {sum(1 << i for i in ix): k for k, ix in enumerate(indices)}
-    # per generator, the bit of each edge's image
-    moves = [[1 << eindex[graph.edge_image(p, e)] for e in graph.edges]
-             for p in graph.action]
-
-    def images(k):
-        imgs = [position.get(sum(move[i] for i in indices[k]))
-                for move in moves]
-        if None in imgs:
+    raises not_closed.  Trees are held as bitmasks over edge indices, and a
+    generator maps a mask one byte at a time: per 8-bit chunk of the mask,
+    a table sends each byte value to the bits of its edges' images."""
+    edges = graph.edges
+    bit_of = {e: 1 << i for i, e in enumerate(edges)}
+    # a tree's edges are distinct bits, so their sum is the mask
+    masks = [sum(map(bit_of.__getitem__, t)) for t in trees]
+    position = {mask: k for k, mask in enumerate(masks)}
+    nbytes = (len(edges) + 7) // 8
+    data = [mask.to_bytes(nbytes, "little") for mask in masks]
+    images = []
+    for p in graph.action:
+        moved = [bit_of[graph.edge_image(p, e)] for e in edges]
+        img = [0] * len(masks)
+        for c in range(nbytes):
+            table = [0]
+            for b in moved[8 * c:8 * c + 8]:
+                table += [x | b for x in table]
+            img = [x | table[d[c]] for x, d in zip(img, data)]
+        pos = list(map(position.get, img))
+        if None in pos:
             raise not_closed
-        return imgs
-
-    return [sorted(o) for o in orbit_partition(range(len(trees)), images)]
+        images.append(pos)
+    per_tree = list(zip(*images)) if images else [()] * len(trees)
+    return [sorted(o) for o in orbit_partition(range(len(trees)),
+                                               per_tree.__getitem__)]
 
 
 def tree_orbits(graph: DualGraph, cap: int = DEFAULT_TREE_CAP):
@@ -513,6 +523,50 @@ def _validate_tree(graph: DualGraph, tree) -> Tuple[Edge, ...]:
     return tuple(sorted(edges))
 
 
+def _leaf_order(graph: DualGraph, edges):
+    """Leaf elimination on a spanning tree's edges: the (leaf, edge, other
+    end) steps in peeling order, and the vertices never peeled (one)."""
+    verts = graph.vertex_ids
+    degree = dict.fromkeys(verts, 0)
+    # xor of the positions of a vertex's unpeeled edges: at a leaf, its edge
+    rest = dict.fromkeys(verts, 0)
+    for i, e in enumerate(edges):
+        for v in e:
+            degree[v] += 1
+            rest[v] ^= i
+    steps = []
+    leaves = [v for v in verts if degree[v] == 1]
+    while leaves:
+        v = leaves.pop()
+        if degree[v] != 1:
+            continue
+        e = edges[rest[v]]
+        other = e[1] if e[0] == v else e[0]
+        steps.append((v, e, other))
+        rest[other] ^= rest[v]
+        degree[v] -= 1
+        degree[other] -= 1
+        if degree[other] == 1:
+            leaves.append(other)
+    if any(degree.values()):
+        raise NotASpanningTree("leaf elimination left a cycle")
+    peeled = {v for v, _, _ in steps}
+    return steps, [v for v in verts if v not in peeled]
+
+
+def _check_balance(diff, modulus: Optional[int] = None):
+    if (diff % modulus if modulus else diff) != 0:
+        raise BalanceViolated(
+            f"class totals differ by {diff}; the vertex sums admit no solution")
+
+
+def _check_root(v, r, modulus: Optional[int] = None):
+    if (r % modulus if modulus else r) != 0:
+        raise VerificationFailed(
+            "leaf elimination ended with a nonzero residual "
+            f"{r} at {v} despite the balance precheck")
+
+
 def tree_solve(graph: DualGraph, tree, values, modulus: Optional[int] = None):
     """Unique edge values on a spanning tree with prescribed vertex sums.
 
@@ -530,48 +584,17 @@ def tree_solve(graph: DualGraph, tree, values, modulus: Optional[int] = None):
         if str(k) not in known:
             raise ValueError(f"value attached to unknown vertex {k!r}")
     residual = {v: values.get(v, 0) for v in verts}
+    _check_balance(sum(residual[c] for c in graph.component_ids)
+                   - sum(residual[n] for n in graph.nodes), modulus)
 
-    comp_total = sum(residual[c] for c in graph.component_ids)
-    node_total = sum(residual[n] for n in graph.nodes)
-    diff = comp_total - node_total
-    if (diff % modulus if modulus else diff) != 0:
-        raise BalanceViolated(
-            f"class totals differ by {diff}; the vertex sums admit no solution")
-
-    incident: Dict[str, List[Edge]] = {v: [] for v in verts}
-    for e in edges:
-        incident[e[0]].append(e)
-        incident[e[1]].append(e)
-    degree = {v: len(incident[v]) for v in verts}
-    removed = set()
-    consumed = set()
-    leaves = [v for v in verts if degree[v] == 1]
+    steps, roots = _leaf_order(graph, edges)
     x: Dict[Edge, int] = {}
-    while leaves:
-        v = leaves.pop()
-        if degree[v] != 1:
-            continue
-        e = next(ed for ed in incident[v] if ed not in removed)
+    for v, e, other in steps:
         x[e] = residual[v]
-        other = e[1] if e[0] == v else e[0]
         residual[other] -= x[e]
-        removed.add(e)
-        consumed.add(v)
-        degree[v] -= 1
-        degree[other] -= 1
-        if degree[other] == 1:
-            leaves.append(other)
-    if any(degree[v] > 0 for v in verts):
-        raise NotASpanningTree("leaf elimination left a cycle")
     # exactly one vertex is never peeled; balance forces its residual to 0
-    for v in verts:
-        if v in consumed:
-            continue
-        r = residual[v]
-        if (r % modulus if modulus else r) != 0:
-            raise VerificationFailed(
-                "leaf elimination ended with a nonzero residual "
-                f"{r} at {v} despite the balance precheck")
+    for v in roots:
+        _check_root(v, residual[v], modulus)
     if modulus:
         return {e: val % modulus for e, val in x.items()}
     return dict(x)
@@ -992,35 +1015,29 @@ def difference_basis(ndiv: int) -> IntMatrix:
     return IntMatrix.from_rows(rows, ndiv - 1)
 
 
-def _psi_column(lattice: XiLattice, trees, alpha: Dict[str, int]) -> List[int]:
-    """The proof's assignment for one zero sum alpha vector, exactly over Z."""
-    graph, config = lattice.graph, lattice.config
-    m = len(trees)
-    a: Dict[str, int] = {}
-    for c in graph.component_ids:
-        a[c] = sum(alpha[d] for d in config.free_on(c))
-    for n in graph.nodes:
-        anchored = config.anchored_at(n)
-        a[n] = -alpha[anchored] if anchored is not None else 0
-    solutions = [tree_solve(graph, t, a) for t in trees]
-
-    col = [0] * len(lattice.var_names)
-    for d, value in alpha.items():
-        col[lattice.var_names.index(("alpha", d))] = m * value
-    for i, name in enumerate(lattice.var_names):
-        if name[0] != "y":
-            continue
-        _, comp, pt = name
-        if pt in graph.nodes:
-            col[i] = sum(sol.get((comp, pt), 0) for sol in solutions)
+def _psi_column(lattice: XiLattice, m: int, alpha: Dict[str, int],
+                edge_sum: Dict[Edge, int]) -> List[int]:
+    """The proof's assignment for one zero sum alpha vector, exactly over Z:
+    m alpha on the divisor block, -m alpha at the free points, and on each
+    node incidence edge_sum, the tree solutions summed over the orbit."""
+    col = []
+    for name in lattice.var_names:
+        if name[0] == "alpha":
+            col.append(m * alpha[name[1]])
         else:
-            col[i] = -m * alpha[pt]
+            _, comp, pt = name
+            # divisor ids and graph ids live in disjoint namespaces
+            col.append(-m * alpha[pt] if pt in alpha
+                       else edge_sum.get((comp, pt), 0))
     return col
 
 
 def _orbit_section(lattice: XiLattice, tree_orbit):
-    """The validated orbit, sorted, and its integer section over Z."""
-    graph = lattice.graph
+    """The validated orbit, sorted, and its integer section over Z.
+
+    tree_solve is linear in the vertex values, so every column of the
+    difference basis goes through each tree's leaf order at once."""
+    graph, config = lattice.graph, lattice.config
     normalized = [_validate_tree(graph, t) for t in tree_orbit]
     if len(set(normalized)) != len(normalized):
         raise NotAnOrbit("repeated tree in the orbit")
@@ -1029,12 +1046,36 @@ def _orbit_section(lattice: XiLattice, tree_orbit):
         raise NotAnOrbit("the given trees split into several orbits")
 
     trees = tuple(sorted(normalized))
-    div_ids = lattice.config.ids
+    div_ids = config.ids
     B = difference_basis(len(div_ids))
-    cols = []
+    alphas = [{d: B.entry(i, j) for i, d in enumerate(div_ids)}
+              for j in range(B.cols)]
+    # per vertex, its value in each column
+    values = {c: [sum(al[d] for d in config.free_on(c)) for al in alphas]
+              for c in graph.component_ids}
+    for n in graph.nodes:
+        anchored = config.anchored_at(n)
+        values[n] = [-al[anchored] if anchored is not None else 0
+                     for al in alphas]
     for j in range(B.cols):
-        alpha = {d: B.entry(i, j) for i, d in enumerate(div_ids)}
-        cols.append(_psi_column(lattice, trees, alpha))
+        _check_balance(sum(values[c][j] for c in graph.component_ids)
+                       - sum(values[n][j] for n in graph.nodes))
+
+    sums: Dict[Edge, List[int]] = {}
+    for t in trees:
+        residual = dict(values)
+        steps, roots = _leaf_order(graph, t)
+        for v, e, other in steps:
+            x = residual[v]
+            residual[other] = [r - y for r, y in zip(residual[other], x)]
+            sums[e] = [s + y for s, y in zip(sums[e], x)] if e in sums else x
+        for v in roots:
+            for r in residual[v]:
+                _check_root(v, r)
+
+    cols = [_psi_column(lattice, len(trees), alpha,
+                        {e: s[j] for e, s in sums.items()})
+            for j, alpha in enumerate(alphas)]
     Psi = (IntMatrix.from_rows(list(map(list, zip(*cols))), len(cols))
            if cols else IntMatrix.zeros(len(lattice.var_names), 0))
     return trees, Psi

@@ -323,6 +323,11 @@ def smith_with_inverses(A: IntMatrix):
     deterministic.  The diagonal D is the classical invariant-factor form and
     does not depend on the pivot rule.
 
+    Cost follows the nonzeros: the pivot scan stops at the first unit (the
+    smallest possible entry), row and column operations touch only the
+    nonzero entries of their source, and a unit pivot skips the scan for an
+    entry it does not divide.
+
     >>> D = smith_with_inverses(IntMatrix.from_rows([[2, 4], [6, 8]]))[1]
     >>> [D.entry(i, i) for i in range(2)]
     [2, 4]
@@ -333,6 +338,17 @@ def smith_with_inverses(A: IntMatrix):
     Ui = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
+    def pivot(t):
+        # min |entry|, row-major ties; a unit is the minimum
+        best = None
+        for i in range(t, m):
+            for j, x in enumerate(a[i][t:], t):
+                if x and (best is None or abs(x) < best[0]):
+                    best = (abs(x), i, j)
+                    if best[0] == 1:
+                        return best
+        return best
+
     def row_swap(i, j):
         if i == j:
             return
@@ -342,17 +358,16 @@ def smith_with_inverses(A: IntMatrix):
             r[i], r[j] = r[j], r[i]
 
     def row_add(i, j, c):
-        # row_i += c * row_j
+        # row_i += c * row_j, at the nonzero entries of row_j
         if c == 0:
             return
-        ai, aj = a[i], a[j]
-        for k in range(n):
-            ai[k] += c * aj[k]
-        ui, uj = U[i], U[j]
-        for k in range(m):
-            ui[k] += c * uj[k]
+        for src, dst in ((a[j], a[i]), (U[j], U[i])):
+            for k, x in enumerate(src):
+                if x:
+                    dst[k] += c * x
         for r in Ui:
-            r[j] -= c * r[i]
+            if r[i]:
+                r[j] -= c * r[i]
 
     def col_swap(i, j):
         if i == j:
@@ -362,15 +377,6 @@ def smith_with_inverses(A: IntMatrix):
         for r in V:
             r[i], r[j] = r[j], r[i]
 
-    def col_add(j, i, c):
-        # col_j += c * col_i
-        if c == 0:
-            return
-        for r in a:
-            r[j] += c * r[i]
-        for r in V:
-            r[j] += c * r[i]
-
     def negate_row(i):
         a[i] = [-x for x in a[i]]
         U[i] = [-x for x in U[i]]
@@ -379,13 +385,7 @@ def smith_with_inverses(A: IntMatrix):
 
     t = 0
     while t < m and t < n:
-        # locate pivot: min |entry|, row-major ties
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                x = a[i][j]
-                if x != 0 and (best is None or abs(x) < best[0]):
-                    best = (abs(x), i, j)
+        best = pivot(t)
         if best is None:
             break
         row_swap(t, best[1])
@@ -393,47 +393,38 @@ def smith_with_inverses(A: IntMatrix):
         while True:
             # reduce column t
             dirty = False
-            for i in range(m):
-                if i != t and a[i][t] != 0:
-                    q = a[i][t] // a[t][t]
-                    row_add(i, t, -q)
-                    if a[i][t] != 0:
+            for i, r in enumerate(a):
+                if r[t] and i != t:
+                    row_add(i, t, -(r[t] // a[t][t]))
+                    if r[t]:
                         dirty = True
             if dirty:
                 # a smaller residue exists below; promote it and repeat
-                best = None
-                for i in range(m):
-                    if i != t and a[i][t] != 0 and (best is None or abs(a[i][t]) < best[0]):
-                        best = (abs(a[i][t]), i)
-                row_swap(t, best[1])
+                row_swap(t, min((abs(r[t]), i) for i, r in enumerate(a)
+                                if r[t] and i != t)[1])
                 continue
-            # reduce row t
+            # reduce row t: column t is now clear, so adding a multiple of
+            # it changes a only in row t, and V only where V[r][t] != 0
+            at, d = a[t], a[t][t]
+            vt = [r for r in V if r[t]]
             dirty = False
-            for j in range(n):
-                if j != t and a[t][j] != 0:
-                    q = a[t][j] // a[t][t]
-                    col_add(j, t, -q)
-                    if a[t][j] != 0:
+            for j, x in enumerate(at):
+                if x and j != t:
+                    q = x // d
+                    if q:
+                        at[j] -= q * d
+                        for r in vt:
+                            r[j] -= q * r[t]
+                    if at[j]:
                         dirty = True
             if dirty:
-                best = None
-                for j in range(n):
-                    if j != t and a[t][j] != 0 and (best is None or abs(a[t][j]) < best[0]):
-                        best = (abs(a[t][j]), j)
-                col_swap(t, best[1])
+                col_swap(t, min((abs(x), j) for j, x in enumerate(at)
+                                if x and j != t)[1])
                 continue
-            if any(a[i][t] for i in range(m) if i != t):
-                continue
-            # pivot must divide the rest of the block
-            d = a[t][t]
-            stuck = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if a[i][j] % d != 0:
-                        stuck = i
-                        break
-                if stuck is not None:
-                    break
+            # pivot must divide the rest of the block; a unit divides all
+            stuck = None if d in (1, -1) else next(
+                (i for i in range(t + 1, m) if any(x % d for x in a[i][t + 1:])),
+                None)
             if stuck is None:
                 break
             row_add(t, stuck, 1)

@@ -19,7 +19,10 @@ built afresh, before each twist read one box power per (P, j);
 row_copying_rank_mod, interleaved_hessenberg_mod and
 integer_newton_eigenproduct_poly, the forms of rank_mod, hessenberg_mod and
 eigenproduct_poly's Newton step before they eliminated in place, batched
-each step's column operations and summed each step with map(mul, ...).
+each step's column operations and summed each step with map(mul, ...);
+dense_smith_with_inverses, the Smith form before it skipped zeros and
+stopped at the first unit pivot; per_column_orbit_section, the section of
+one tree orbit by a tree_solve call per (column, tree) pair.
 """
 
 from collections import namedtuple
@@ -682,3 +685,142 @@ def integer_newton_eigenproduct_poly(P, j):
             raise ArithmeticError("composed power polynomial not integral")
         E.append(e)
     return tuple((-1) ** k * e for k, e in enumerate(E))
+
+
+def dense_smith_with_inverses(A):
+    """smith_with_inverses as it was before it followed the nonzeros: every
+    pivot scan covers the whole active block, every row and column
+    operation the whole row or column of a, U, V and U^-1, and every pivot
+    runs the divisibility scan.  Same pivot rule, so the same (U, D, V,
+    U^-1)."""
+    from devissage.exactlin import IntMatrix
+    m, n = A.rows, A.cols
+    a = [list(r) for r in A.data]
+    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    Ui = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+    def row_swap(i, j):
+        if i == j:
+            return
+        a[i], a[j] = a[j], a[i]
+        U[i], U[j] = U[j], U[i]
+        for r in Ui:
+            r[i], r[j] = r[j], r[i]
+
+    def row_add(i, j, c):
+        if c == 0:
+            return
+        for k in range(n):
+            a[i][k] += c * a[j][k]
+        for k in range(m):
+            U[i][k] += c * U[j][k]
+        for r in Ui:
+            r[j] -= c * r[i]
+
+    def col_swap(i, j):
+        if i == j:
+            return
+        for r in a + V:
+            r[i], r[j] = r[j], r[i]
+
+    def col_add(j, i, c):
+        if c == 0:
+            return
+        for r in a + V:
+            r[j] += c * r[i]
+
+    t = 0
+    while t < m and t < n:
+        best = None
+        for i in range(t, m):
+            for j in range(t, n):
+                x = a[i][j]
+                if x != 0 and (best is None or abs(x) < best[0]):
+                    best = (abs(x), i, j)
+        if best is None:
+            break
+        row_swap(t, best[1])
+        col_swap(t, best[2])
+        while True:
+            dirty = False
+            for i in range(m):
+                if i != t and a[i][t] != 0:
+                    row_add(i, t, -(a[i][t] // a[t][t]))
+                    dirty = dirty or a[i][t] != 0
+            if dirty:
+                low = min((abs(a[i][t]), i) for i in range(m)
+                          if i != t and a[i][t] != 0)
+                row_swap(t, low[1])
+                continue
+            dirty = False
+            for j in range(n):
+                if j != t and a[t][j] != 0:
+                    col_add(j, t, -(a[t][j] // a[t][t]))
+                    dirty = dirty or a[t][j] != 0
+            if dirty:
+                low = min((abs(a[t][j]), j) for j in range(n)
+                          if j != t and a[t][j] != 0)
+                col_swap(t, low[1])
+                continue
+            if any(a[i][t] for i in range(m) if i != t):
+                continue
+            d = a[t][t]
+            stuck = next((i for i in range(t + 1, m)
+                          if any(a[i][j] % d for j in range(t + 1, n))), None)
+            if stuck is None:
+                break
+            row_add(t, stuck, 1)
+        if a[t][t] < 0:
+            a[t] = [-x for x in a[t]]
+            U[t] = [-x for x in U[t]]
+            for r in Ui:
+                r[t] = -r[t]
+        t += 1
+    return tuple(IntMatrix(len(M), cols, M)
+                 for M, cols in ((U, m), (a, n), (V, n), (Ui, m)))
+
+
+def per_column_orbit_section(lattice, tree_orbit):
+    """_orbit_section as it was before one leaf order per tree: the orbit
+    validated and sorted, then tree_solve for every (difference basis
+    column, tree) pair, each call validating its tree again, and each
+    column placed by var_names.index.  Returns (trees, Psi)."""
+    from devissage.dualgraph import (
+        NotAnOrbit, _tree_orbit_positions, _validate_tree, difference_basis,
+        tree_solve)
+    from devissage.exactlin import IntMatrix
+    graph, config = lattice.graph, lattice.config
+    normalized = [_validate_tree(graph, t) for t in tree_orbit]
+    if len(set(normalized)) != len(normalized):
+        raise NotAnOrbit("repeated tree in the orbit")
+    if len(_tree_orbit_positions(graph, normalized, NotAnOrbit(
+            "orbit is not closed under the action"))) != 1:
+        raise NotAnOrbit("the given trees split into several orbits")
+    trees = tuple(sorted(normalized))
+    m = len(trees)
+    B = difference_basis(len(config.ids))
+    cols = []
+    for j in range(B.cols):
+        alpha = {d: B.entry(i, j) for i, d in enumerate(config.ids)}
+        a = {c: sum(alpha[d] for d in config.free_on(c))
+             for c in graph.component_ids}
+        for n in graph.nodes:
+            anchored = config.anchored_at(n)
+            a[n] = -alpha[anchored] if anchored is not None else 0
+        solutions = [tree_solve(graph, t, a) for t in trees]
+        col = [0] * len(lattice.var_names)
+        for d, value in alpha.items():
+            col[lattice.var_names.index(("alpha", d))] = m * value
+        for i, name in enumerate(lattice.var_names):
+            if name[0] != "y":
+                continue
+            _, comp, pt = name
+            if pt in graph.nodes:
+                col[i] = sum(sol.get((comp, pt), 0) for sol in solutions)
+            else:
+                col[i] = -m * alpha[pt]
+        cols.append(col)
+    Psi = (IntMatrix.from_rows([list(r) for r in zip(*cols)], len(cols))
+           if cols else IntMatrix.zeros(len(lattice.var_names), 0))
+    return trees, Psi

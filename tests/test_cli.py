@@ -381,6 +381,25 @@ class TestRunLibrary:
             assert code == 3, suite
             assert report["error"]["kind"] == "cap", suite
 
+    def test_capped_graph_takes_no_smith_form(self, monkeypatch):
+        # the graph suite counts and caps the trees before h1_lattice
+        calls = []
+        for module, name in ((sequences, "h1_lattice"),
+                             (exactlin, "smith_with_inverses"),
+                             (cli, "smith_with_inverses")):
+            def counted(*args, _name=name, _real=getattr(module, name)):
+                calls.append(_name)
+                return _real(*args)
+            monkeypatch.setattr(module, name, counted)
+        code, report = run(RunConfig(input_path=G1_SWAP, suites=("graph",),
+                                     tree_cap=2))
+        assert (code, report["error"]["kind"]) == (3, "cap")
+        assert report["error"]["message"].startswith(
+            "graph: 4 spanning trees exceed the cap of 2;")
+        assert calls == []
+        assert run(RunConfig(input_path=G1_SWAP, suites=("graph",)))[0] == 0
+        assert {"h1_lattice", "smith_with_inverses"} <= set(calls)
+
     def test_exact_kernel_cap_exits_three(self, tmp_path):
         # a supersingular genus-2 jacobian: P = (T^2 + 5)^2 has repeated
         # roots, so the vanishing probe needs a 4^4 = 256 dimensional kernel

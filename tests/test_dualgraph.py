@@ -16,6 +16,8 @@ from devissage.dualgraph import (
     DivisorConfig,
     DualGraph,
     _egcd,
+    _orbit_section,
+    _tree_orbit_positions,
     betti,
     bezout_combine,
     build_psi,
@@ -47,6 +49,7 @@ from oracles import (
     brute_kernel_structure,
     edge_recursion_trees,
     frozenset_tree_orbits,
+    per_column_orbit_section,
     rational_nullity,
     rational_rank,
     sympy_laplacian_cofactor,
@@ -639,6 +642,49 @@ class TestTreeCapBoundary:
         assert calls == []
         assert len(tree_orbits(g, cap=128)) > 0
         assert len(calls) == 1
+
+
+class TestOrbitImagesByByteTables:
+    """_tree_orbit_positions maps masks one byte at a time; edge counts that
+    cross a byte boundary and leave a partial last byte."""
+
+    @pytest.mark.parametrize("g", [complete(4, [[1, 2, 3, 0]]),
+                                   complete(5, [[1, 2, 3, 4, 0]])])
+    def test_matches_frozenset_orbits(self, g):
+        assert len(g.edges) in (12, 20)
+        trees = spanning_trees(g)
+        orbits = _tree_orbit_positions(g, trees, AssertionError())
+        assert tuple(sorted(tuple(trees[k] for k in o) for o in orbits)) \
+            == frozenset_tree_orbits(g, trees)
+
+    def test_image_outside_the_trees_raises_the_given_error(self):
+        g = complete(5, [[1, 2, 3, 4, 0]])
+        trees = spanning_trees(g)
+        missing = NotAnOrbit("not closed")
+        with pytest.raises(NotAnOrbit) as caught:
+            _tree_orbit_positions(g, trees[1:], missing)
+        assert caught.value is missing
+
+
+class TestOrbitSectionAgainstPerColumnRoute:
+    """One leaf order per tree against tree_solve per (column, tree)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.randoms(use_true_random=False), st.booleans(), st.booleans())
+    def test_random_graphs(self, rng, allow_action, node_divisors):
+        g = random_legal_graph(rng, allow_action=allow_action)
+        divisors = [(f"p_{c}", ("free", c)) for c in g.component_ids]
+        action = [{f"p_{c}": f"p_{p[c]}" for c in g.component_ids}
+                  for p in g.action]
+        if node_divisors:
+            divisors += [(f"d_{n}", ("node", n)) for n in g.nodes]
+            for act, p in zip(action, g.action):
+                act.update({f"d_{n}": f"d_{p[n]}" for n in g.nodes})
+        lattice = xi_lattice(DivisorConfig(g, divisors, action))
+        for orbit in tree_orbits(g):
+            given_order = orbit[::-1]
+            assert _orbit_section(lattice, given_order) \
+                == per_column_orbit_section(lattice, given_order)
 
 
 class TestExtendedGcd:

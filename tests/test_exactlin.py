@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from devissage.dualgraph import _boundary_matrix
 from devissage.errors import MismatchedPrime
 from devissage.exactlin import (
     NULLITY_PRIME,
@@ -39,9 +40,11 @@ from devissage.exactlin import (
     valuation,
 )
 
+from generators import random_legal_graph
 from oracles import (
     brute_cokernel_structure,
     brute_kernel_structure,
+    dense_smith_with_inverses,
     entrywise_lmap_matrix,
     generator_expression_lmodule_check,
     interleaved_hessenberg_mod,
@@ -765,6 +768,50 @@ class TestRankMod:
     def test_matches_row_copying_elimination(self, case):
         A, p = case
         assert rank_mod(A, p) == row_copying_rank_mod(A, p)
+
+
+@st.composite
+def smith_inputs(draw):
+    """A matrix up to 8x9 of one of four kinds: sparse with entries 0, 1,
+    -1; the boundary matrix of a random_legal_graph draw; dense with entries
+    up to 9 in absolute value, so that non-unit pivots and the divisibility
+    step run; dense with some rows repeated."""
+    kind = draw(st.sampled_from(("sparse", "boundary", "dense", "repeated")))
+    if kind == "boundary":
+        rng = draw(st.randoms(use_true_random=False))
+        return _boundary_matrix(random_legal_graph(rng, max_components=5))
+    m, n = draw(st.integers(0, 8)), draw(st.integers(0, 9))
+    pool = (0, 0, 0, 1, -1) if kind == "sparse" else tuple(range(-9, 10))
+    rows = [[draw(st.sampled_from(pool)) for _ in range(n)] for _ in range(m)]
+    if kind == "repeated" and m > 1:
+        for _ in range(draw(st.integers(1, m - 1))):
+            i, k = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+            rows[i] = list(rows[k])
+    return IntMatrix(m, n, rows)
+
+
+class TestSmithAgainstDenseRoute:
+    """smith_with_inverses skips zeros and stops at the first unit pivot but
+    makes the elementary operations of the dense routine it replaced, in
+    the same order: U, D, V and U^-1 agree entry for entry."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(smith_inputs())
+    @example(IntMatrix(0, 4, []))
+    @example(IntMatrix(3, 0, [[], [], []]))
+    @example(IntMatrix(0, 0, []))
+    @example(IntMatrix.from_rows([[7]]))
+    @example(IntMatrix.from_rows([[-1]]))
+    @example(IntMatrix.from_rows([[2, 0], [0, 3]]))
+    @example(IntMatrix.from_rows([[0, -1, 2], [3, 0, -1], [0, -1, 2]]))
+    @example(IntMatrix.from_rows([[-2, 4, 6], [-2, 4, 6], [4, -1, 0]]))
+    def test_same_transforms_as_the_dense_route(self, A):
+        assert smith_with_inverses(A) == dense_smith_with_inverses(A)
+
+    def test_divisibility_step_runs(self):
+        # 2 does not divide 3: row 1 is added to row 0 and the pivot redone
+        D = smith_with_inverses(IntMatrix.from_rows([[2, 0], [0, 3]]))[1]
+        assert D == IntMatrix.from_rows([[1, 0], [0, 6]])
 
 
 @st.composite
