@@ -328,8 +328,7 @@ def build_instance(raw: dict, config: RunConfig):
         raise ParseError("missing field 'q'")
     try:
         return sequences.SingularityInstance(
-            graph, divisors, jacobians, ell,
-            _int(raw["q"], "q"),
+            divisors, jacobians, ell, _int(raw["q"], "q"),
             precision=config.precision, max_level=config.max_level,
             tree_cap=config.tree_cap)
     except (InvalidInstance, ConfigIncompatible, WeilCheckFailed, TypeError,
@@ -474,14 +473,12 @@ def _run_vanishing(inst, config) -> dict:
                 continue
             for j in range(0, 5):
                 for r in range(-3, 4):
-                    v = vanishing_probe(P, p, j, r, levels=config.max_level)
+                    v = vanishing_probe(P, p, j, r)
                     probes += 1
                     rule_ok &= v.nontrivial == (j == -2 * r)
                     minus_hits += v.boundary_minus
                     plus_hits += v.boundary_plus
-                    d = duality_crosscheck(P, p, j, r,
-                                           levels=config.max_level)
-                    duality_ok &= d.levels_agree
+                    duality_ok &= duality_crosscheck(P, p, j, r).levels_agree
     return _suite([
         _check("weight bounds hold for every fixture polynomial", weil_ok,
                structure=f"{len(polys)} fixtures"),

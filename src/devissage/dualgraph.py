@@ -856,17 +856,15 @@ def xi_lattice(config: DivisorConfig) -> XiLattice:
 class XiModule:
     """Level s assembly of the residue kernel with its two structure maps.
 
-    lattice holds the integer data behind it (see XiLattice), of which the
-    coordinate names, support points and actions are repeated here.
-    module is the kernel of the constraints mod l^s; the cycle lattice
-    embeds via the y coordinates on node incidences and phi projects onto
-    the divisor block.  phi_kernel is the kernel of phi, with its inclusion
-    into the module.
+    lattice holds the integer data behind it (see XiLattice): the graph,
+    the divisor configuration, the coordinate names, support points and
+    actions.  module is the kernel of the constraints mod l^s; the cycle
+    lattice embeds via the y coordinates on node incidences and phi projects
+    onto the divisor block.  phi_kernel is the kernel of phi, with its
+    inclusion into the module.
     """
 
     lattice: XiLattice
-    graph: DualGraph
-    config: DivisorConfig
     ell: int
     level: int
     ambient: LModule
@@ -879,10 +877,6 @@ class XiModule:
     phi_kernel: KernelResult
     cycle_embedding: LMap
     h1_inclusion: LMap
-    var_names: tuple
-    support: tuple
-    ambient_actions: Tuple[IntMatrix, ...]
-    divisor_actions: Tuple[IntMatrix, ...]
 
     @property
     def modulus(self) -> int:
@@ -910,30 +904,22 @@ def _span_contains(span: SmithKernel, ell: int, s: int, B: IntMatrix) -> bool:
     return (dual.transpose() @ B).mod(ell ** s).is_zero()
 
 
-def build_xi(graph: DualGraph, config: DivisorConfig, ell: int, s: int,
-             lattice: Optional[XiLattice] = None) -> XiModule:
+def build_xi(lattice: XiLattice, ell: int, s: int) -> XiModule:
     """Assemble the level s kernel module with verified structure maps.
 
     The Smith data of the constraints and of the cycle embedding do not
-    depend on s: they come from lattice, which xi_lattice builds when none
-    is given (a SingularityInstance builds it once and passes it at every
-    level).  Every proof step is still taken at level s, by reading that
-    data or by explicit solving mod l^s: the cycle columns lie in the
-    kernel, the cycle embedding lands exactly on the kernel of phi (both
-    inclusions), phi maps onto the zero sum part of the divisor block, and
-    the action preserves the kernel.
+    depend on s: they come from lattice, which xi_lattice builds once (a
+    SingularityInstance passes its own at every level).  Every proof step
+    is still taken at level s, by reading that data or by explicit solving
+    mod l^s: the cycle columns lie in the kernel, the cycle embedding lands
+    exactly on the kernel of phi (both inclusions), phi maps onto the zero
+    sum part of the divisor block, and the action preserves the kernel.
     """
-    if config.graph is not graph and config.graph != graph:
-        raise ConfigIncompatible("divisor configuration belongs to a different graph")
     if s < 1:
         raise ValueError("level must be >= 1")
-    if lattice is None:
-        lattice = xi_lattice(config)
-    elif lattice.config is not config:
-        raise ValueError("lattice was built for another divisor configuration")
     mod = ell ** s
     C = lattice.constraint
-    ndiv = len(config.ids)
+    ndiv = len(lattice.config.ids)
 
     ambient = free_level(ell, s, C.cols)
     constraint = LMap(ambient, free_level(ell, s, C.rows), C)
@@ -972,15 +958,12 @@ def build_xi(graph: DualGraph, config: DivisorConfig, ell: int, s: int,
             raise VerificationFailed("action does not preserve the assembled kernel")
 
     return XiModule(
-        lattice=lattice, graph=graph, config=config, ell=ell, level=s,
+        lattice=lattice, ell=ell, level=s,
         ambient=ambient, constraint=constraint,
         module=K.module, inclusion=K.inclusion,
         divisor_block=divisor_block, phi_ambient=phi_ambient, phi=phi,
         phi_kernel=phi_kernel,
         cycle_embedding=cycle_embedding, h1_inclusion=h1_inclusion,
-        var_names=lattice.var_names, support=lattice.support,
-        ambient_actions=lattice.ambient_actions,
-        divisor_actions=lattice.divisor_actions,
     )
 
 
@@ -1098,7 +1081,7 @@ def build_psi(xi: XiModule, tree_orbit) -> PsiSplitting:
         lattice.psi[orbit] = _orbit_section(lattice, orbit)
     trees, Psi = lattice.psi[orbit]
     m = len(trees)
-    B = difference_basis(len(xi.config.ids))
+    B = difference_basis(len(lattice.config.ids))
     domain = free_level(xi.ell, xi.level, B.cols)
 
     if not (lattice.constraint @ Psi).is_zero():
@@ -1136,9 +1119,8 @@ def bezout_combine(splittings: Sequence[PsiSplitting],
         raise ValueError("no splittings supplied")
     xi = splittings[0].xi
     for sp in splittings[1:]:
-        if sp.xi is not xi and not (
-                sp.xi.graph == xi.graph and sp.xi.config == xi.config
-                and sp.xi.ell == xi.ell and sp.xi.level == xi.level):
+        if (sp.xi.lattice, sp.xi.ell, sp.xi.level) != (
+                xi.lattice, xi.ell, xi.level):
             raise ValueError("splittings belong to different assemblies")
     sizes = [sp.m for sp in splittings]
     g = gcd(*sizes)

@@ -45,10 +45,6 @@ class WeilCheckFailed(DevissageError):
     """Characteristic polynomial fails the weight-one root test."""
 
 
-class MissingDualData(DevissageError):
-    """A duality crosscheck needs a declared dual-side polynomial."""
-
-
 class EnumerationCapExceeded(DevissageError):
     """A computation would exceed a size cap: more spanning trees than the
     tree cap, or an exact kernel above the procyclic dimension cap."""

@@ -112,16 +112,15 @@ def tor_box(A: Carrier, B: Carrier) -> CoLGroup:
     return CoLGroup(a.dual_module.tor1(b.dual_module))
 
 
-def random_cogroup(rng, ell: int, max_corank: int = 2, max_torsion: int = 2,
-                   max_exp: int = 3) -> CoLGroup:
+def random_cogroup(rng, ell: int) -> CoLGroup:
     """A random (Ql/Zl)^c (+) finite group for property sweeps.
 
-    Draws the corank, the number of cyclic factors and then each exponent
-    from rng, in that order.
+    Draws the corank c <= 2, the number k <= 2 of cyclic factors and then
+    each exponent, at most 3, from rng, in that order.
     """
-    c = rng.randint(0, max_corank)
-    k = rng.randint(0, max_torsion)
-    exps = sorted((rng.randint(1, max_exp) for _ in range(k)), reverse=True)
+    c = rng.randint(0, 2)
+    k = rng.randint(0, 2)
+    exps = sorted((rng.randint(1, 3) for _ in range(k)), reverse=True)
     return CoLGroup(LModule(ell, c, tuple(exps)))
 
 
@@ -339,7 +338,6 @@ class FrobObject:
     matrix: IntMatrix
     q: int
     qpow: int = 0
-    twist_tag: int = 0
 
     def __post_init__(self):
         mat = self.matrix
@@ -408,8 +406,7 @@ class FrobObject:
 
     def twist(self, r: int) -> "FrobObject":
         """Tate twist: multiply the Frobenius by q^r, tracked exactly."""
-        return FrobObject(self.carrier, self.matrix, self.q,
-                          self.qpow + r, self.twist_tag + r)
+        return FrobObject(self.carrier, self.matrix, self.q, self.qpow + r)
 
     def level_action(self, s: int) -> LMap:
         """Arithmetic Frobenius on the l^s-torsion of a divisible carrier.
@@ -443,8 +440,7 @@ def box_frob(X: FrobObject, Y: FrobObject) -> FrobObject:
         carrier: Carrier = box(X.carrier, Y.carrier)
     else:
         carrier = X.rep_module.tensor(Y.rep_module)
-    return FrobObject(carrier, big.matrix, X.q, X.qpow + Y.qpow,
-                      X.twist_tag + Y.twist_tag)
+    return FrobObject(carrier, big.matrix, X.q, X.qpow + Y.qpow)
 
 
 def box_frob_power(X: FrobObject, n: int) -> FrobObject:

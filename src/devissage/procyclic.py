@@ -39,7 +39,6 @@ from .errors import (
     EnumerationCapExceeded,
     InvalidInstance,
     MismatchedBase,
-    MissingDualData,
     VerificationFailed,
     WeilCheckFailed,
 )
@@ -57,6 +56,7 @@ from .exactlin import (
     kernel,
     nullity,
     rank_mod,
+    solve_integer,
 )
 from .lprimary import FrobObject, box_frob_power, cleared_minus_one
 
@@ -104,14 +104,10 @@ class CharPoly:
     """Monic integer characteristic polynomial of Frobenius, with its base.
 
     coefficients are listed leading-first, so T^2 - 2T + 5 is (1, -2, 5).
-    declared_for records which Tate module the polynomial describes: the
-    dual abelian variety ("A_dual", the default, matching how the duality
-    chain consumes it) or the variety itself ("A").
     """
 
     coefficients: tuple
     q: int
-    declared_for: str = "A_dual"
 
     def __post_init__(self):
         coeffs = tuple(int(c) for c in self.coefficients)
@@ -123,8 +119,6 @@ class CharPoly:
         if coeffs[-1] == 0:
             raise InvalidInstance("constant term must be nonzero")
         require_decided(is_prime_power, self.q, "q", "a prime power")
-        if self.declared_for not in ("A", "A_dual"):
-            raise InvalidInstance("declared_for must be 'A' or 'A_dual'")
 
     @property
     def degree(self) -> int:
@@ -322,25 +316,16 @@ def _variations(chain: list, c: int, q: int) -> int:
 
 
 def _adjugate(m: IntMatrix) -> IntMatrix:
-    n = m.rows
-    if n == 0:
-        return m
-    if n == 1:
-        return IntMatrix.from_rows([[1]], 1)
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            minor = [[m.data[r][c] for c in range(n) if c != i]
-                     for r in range(n) if r != j]
-            cof = IntMatrix.from_rows(minor, n - 1).det()
-            row.append((-1) ** (i + j) * cof)
-        rows.append(row)
-    return IntMatrix.from_rows(rows, n)
+    """adj(m), the integer X with m X = det(m) I, for a nonsingular m."""
+    target = IntMatrix.identity(m.rows).scale(m.det())
+    X = solve_integer(m, target)
+    if X is None or m @ X != target:
+        raise VerificationFailed("m adj(m) is not det(m) I")
+    return X
 
 
 def tate_frob(P: CharPoly, ell: int) -> FrobObject:
-    """Arithmetic Frobenius on the Tate module of the declared variety.
+    """Arithmetic Frobenius on the Tate module of the dual variety.
 
     The carrier is profinite free of rank 2g; the matrix is the companion
     of P.
@@ -520,21 +505,13 @@ class VanishingVerdict:
     nontrivial: bool
     corank: int
     corank_method: str
-    structure: CoLGroup
-    levels: int
     boundary_minus: bool   # j == -2r
     boundary_plus: bool    # j == +2r, the remark's printed variant
     matrix_dim: int
     crosschecked: bool
 
-    @property
-    def level_snapshots(self) -> tuple:
-        """The l^s-torsion of the structure for s = 1..levels."""
-        return tuple(self.structure.level(s) for s in range(1, self.levels + 1))
 
-
-def vanishing_probe(P: CharPoly, ell: int, j: int, r: int,
-                    levels: int = 4) -> VanishingVerdict:
+def vanishing_probe(P: CharPoly, ell: int, j: int, r: int) -> VanishingVerdict:
     """Decide triviality of H^1(k, A{l}^box j (r)) exactly.
 
     Requires the Weil check; the verdict comes from root-product arithmetic
@@ -568,8 +545,6 @@ def vanishing_probe(P: CharPoly, ell: int, j: int, r: int,
         nontrivial=corank > 0,
         corank=corank,
         corank_method=method,
-        structure=CoLGroup(LModule(ell, corank)),
-        levels=levels,
         boundary_minus=(j == -2 * r),
         boundary_plus=(j == 2 * r),
         matrix_dim=dim,
@@ -612,37 +587,6 @@ def _box_nullity(P: CharPoly, ell: int, j: int, r: int) -> int:
     return integer_kernel_basis(cleared_minus_one(K, P.q, a)).cols
 
 
-@_memo()
-def fixed_vector_witness(P: CharPoly, j: int, r: int):
-    """An explicit Frobenius-eigenvector certificate on the Tate side.
-
-    For the boundary slot j = -2r the pairing relation C^T J C = q J has a
-    nonzero rational solution J; tensor powers of it are fixed by the
-    twisted Frobenius.  Returns an integer tuple v with C^kron(j) v =
-    q^(j+r) v, or None when the slot is not of pairing type.
-    """
-    if j <= 0 or j != -2 * r or j % 2:
-        return None
-    # the functional equation pairs each root a with q/a, so q is always an
-    # eigenvalue of C kron C; any integer kernel vector of C kron C - q will do
-    CC = _tate_power(P, 2)
-    K = integer_kernel_basis(CC - IntMatrix.identity(CC.rows).scale(P.q))
-    if not K.cols:
-        return None
-    v = K.col(0)
-    # tensor up to j/2 copies
-    out = v
-    for _ in range(j // 2 - 1):
-        out = tuple(a * b for a in out for b in v)
-    # verify: C^kron j out = q^(j+r) out
-    big = _tate_power(P, j)
-    target = P.q ** (j + r)
-    got = big.apply(out)
-    if got != tuple(target * x for x in out):
-        return None
-    return out
-
-
 def matrix_power_kron(m: IntMatrix, j: int) -> IntMatrix:
     out = IntMatrix.identity(1)
     for _ in range(j):
@@ -662,22 +606,10 @@ def _tate_power(P: CharPoly, j: int) -> IntMatrix:
 
 @dataclass(frozen=True)
 class DualityReport:
-    ell: int
-    levels: int
     left_corank: int
     right_corank: int
     left_method: str
     right_method: str
-    witness_checked: bool
-    declared_for: str
-
-    @property
-    def level_pairs(self) -> tuple:
-        """(left, right) l^s-torsion of the two divisible sides, s = 1..levels."""
-        sides = [CoLGroup(LModule(self.ell, k))
-                 for k in (self.left_corank, self.right_corank)]
-        return tuple(tuple(g.level(s) for g in sides)
-                     for s in range(1, self.levels + 1))
 
     @property
     def levels_agree(self) -> bool:
@@ -686,24 +618,18 @@ class DualityReport:
         return self.left_corank == self.right_corank
 
 
-def duality_crosscheck(P: CharPoly, ell: int, j: int, r: int,
-                       levels: int = 4) -> DualityReport:
+def duality_crosscheck(P: CharPoly, ell: int, j: int, r: int) -> DualityReport:
     """Compare H^1 of the torsion side with the dual of H^0 on the Tate side.
 
     Left: H^1(k, A{l}^box j (r)), divisible of some corank.  Right: the
-    Pontryagin dual of the fixed module of (T_l of the declared dual
-    variety)^tensor j twisted by -j-r.  Both coranks are computed; the
-    report derives their level snapshots for s = 1..levels on demand.
+    Pontryagin dual of the fixed module of (T_l of the dual variety, which
+    P describes)^tensor j twisted by -j-r.  Both coranks are computed.
     Methods are recorded because the small-dimension
     route uses genuine integer kernels while large dimensions fall back to
     root-product arithmetic on both sides.  That fallback is exact only for
     squarefree P; above KERNEL_DIM_CAP a P with repeated roots raises
     EnumerationCapExceeded.
     """
-    if P.declared_for != "A_dual":
-        raise MissingDualData(
-            "duality chain needs P declared for the dual variety"
-        )
     dim = P.degree ** j
     if dim > KERNEL_DIM_CAP and not P.is_squarefree():
         raise _kernel_cap_error(dim)
@@ -717,12 +643,7 @@ def duality_crosscheck(P: CharPoly, ell: int, j: int, r: int,
         left_method = "eigenproduct"
         right = eigenproduct_multiplicity(P, j, r)
         right_method = "eigenproduct-shared"
-    witness_checked = False
-    if left > 0:
-        w = fixed_vector_witness(P, j, r)
-        witness_checked = w is not None
-    return DualityReport(ell, levels, left, right, left_method, right_method,
-                         witness_checked, P.declared_for)
+    return DualityReport(left, right, left_method, right_method)
 
 
 @_memo()

@@ -11,12 +11,11 @@ groups); every report that contains such a term says so explicitly.
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple
 
 from .dualgraph import (
     DEFAULT_TREE_CAP,
     DivisorConfig,
-    DualGraph,
     HomologyLattice,
     XiLattice,
     XiModule,
@@ -31,7 +30,6 @@ from .dualgraph import (
     xi_lattice,
 )
 from .errors import (
-    ConfigIncompatible,
     InvalidInstance,
     ModeledTermCaveat,
     PrecisionExhausted,
@@ -51,11 +49,12 @@ from .exactlin import (
     kernel_coordinates,
     level_kernel,
     preimage,
+    smith_kernel,
     solve_integer,
     valuation,
 )
 from .lprimary import FrobObject
-from .procyclic import (CharPoly, h_level, h1, require_decided, torsion_frob,
+from .procyclic import (CharPoly, h1, require_decided, torsion_frob,
                         weil_weight_check)
 
 MODELED_NOTE = (
@@ -71,10 +70,11 @@ MODELED_NOTE = (
 class SingularityInstance:
     """Combinatorial stand-in for a fibered surface around its bad fiber.
 
-    graph carries the component/node geometry with the Galois action,
-    divisors the finite horizontal configuration, and jacobians one Weil
-    polynomial per positive-genus component orbit together with the degree
-    f of the field the orbit is defined over.  q is the base field size.
+    divisors is the finite horizontal configuration, whose graph carries
+    the component/node geometry with the Galois action, and jacobians is a
+    list of (orbit representative, Weil polynomial, f) entries, one per
+    positive-genus component orbit, f the degree of the field the orbit is
+    defined over.  q is the base field size.
 
     The suites share objects computed once per instance, on first use: the
     cycle lattice, the tree orbits (enumerated under tree_cap), their gcd m,
@@ -83,15 +83,11 @@ class SingularityInstance:
     blocks.
     """
 
-    def __init__(self, graph: DualGraph, divisors: DivisorConfig, jacobians,
-                 ell: int, q: int, precision: int = 8, max_level: int = 4,
+    def __init__(self, divisors: DivisorConfig, jacobians, ell: int, q: int,
+                 precision: int = 8, max_level: int = 4,
                  tree_cap: int = DEFAULT_TREE_CAP):
-        if not isinstance(graph, DualGraph):
-            raise TypeError("graph must be a DualGraph")
         if not isinstance(divisors, DivisorConfig):
             raise TypeError("divisors must be a DivisorConfig")
-        if divisors.graph != graph:
-            raise ConfigIncompatible("divisor configuration built for another graph")
         require_decided(is_prime, ell, "l", "prime")
         require_decided(is_prime_power, q, "q", "a prime power")
         if gcd(q, ell) != 1:
@@ -99,7 +95,7 @@ class SingularityInstance:
         if not 1 <= max_level <= precision:
             raise InvalidInstance(
                 f"need 1 <= max_level <= precision, got {max_level} and {precision}")
-        self.graph = graph
+        self.graph = graph = divisors.graph
         self.divisors = divisors
         self.ell = int(ell)
         self.q = int(q)
@@ -108,10 +104,6 @@ class SingularityInstance:
         self.tree_cap = int(tree_cap)
         self._xi = {}
 
-        if hasattr(jacobians, "items"):
-            entries = [(rep, poly, f) for rep, (poly, f) in jacobians.items()]
-        else:
-            entries = [tuple(e) for e in jacobians]
         orbits = graph.component_orbits()
         orbit_of = {}
         for orb in orbits:
@@ -119,7 +111,7 @@ class SingularityInstance:
                 orbit_of[c] = orb
         seen_orbits = set()
         checked = []
-        for rep, poly, f in entries:
+        for rep, poly, f in jacobians:
             rep = str(rep)
             if rep not in orbit_of:
                 raise InvalidInstance(f"jacobian entry names unknown component {rep!r}")
@@ -179,8 +171,7 @@ class SingularityInstance:
 
     def xi(self, s: int) -> XiModule:
         if s not in self._xi:
-            self._xi[s] = build_xi(self.graph, self.divisors, self.ell, s,
-                                   self.xi_data)
+            self._xi[s] = build_xi(self.xi_data, self.ell, s)
         return self._xi[s]
 
     @cached_property
@@ -270,7 +261,7 @@ def _split_terms(ell: int, s: int, a: int, b: int) -> Tuple[LModule, ...]:
 # structure of the assembled middle object
 
 
-def upsilon_structure(inst: SingularityInstance, r: int, s: int) -> SequenceReport:
+def upsilon_structure(inst: SingularityInstance, s: int) -> SequenceReport:
     """Assemble the kernel object at level s and compare with its predicted
     shape: one divisible line per unit of genus-plus-cycle weight.
 
@@ -283,7 +274,6 @@ def upsilon_structure(inst: SingularityInstance, r: int, s: int) -> SequenceRepo
     ell = inst.ell
     lat = inst.lattice
     jrank = inst.jacobian_rank()
-    twist = r - 2
 
     terms = _split_terms(ell, s, jrank, lat.rank)
     nx = n_x(inst.graph)
@@ -294,7 +284,6 @@ def upsilon_structure(inst: SingularityInstance, r: int, s: int) -> SequenceRepo
         "n_x": nx,
         "defect": defect,
         "equivariant": True,
-        "twist_tags": (twist, r - 1, twist),
     }
     return SequenceReport(
         "upsilon", terms, "PASS" if defect == 0 else "FAIL",
@@ -344,7 +333,7 @@ def lambda_structure(inst: SingularityInstance, s: int) -> LambdaReport:
     lift = preimage(co.projection, unit)
     frob_flags = []
     for gp, dp in zip(inst.graph.action, inst.divisors.action):
-        P = perm_matrix(xi.support, {**gp, **dp}.__getitem__)
+        P = perm_matrix(xi.lattice.support, {**gp, **dp}.__getitem__)
         frob_flags.append(lift is not None and co.module.reduce_columns(
             co.projection.matrix @ (P @ lift)) == unit)
 
@@ -381,7 +370,7 @@ def devissage(inst: SingularityInstance, r: int,
     ndiv = len(inst.divisors.ids)
     twist = r - 2
 
-    inner = upsilon_structure(inst, r, s)
+    inner = upsilon_structure(inst, s)
 
     # the divisor action needs no check that it keeps the zero-sum block:
     # each generator acts by a permutation matrix, which preserves sums
@@ -399,7 +388,6 @@ def devissage(inst: SingularityInstance, r: int,
         corestriction_surjective(q, ell, twist, 1),)
 
     structure = {
-        "twist_tags": (r - 1, r - 1, twist),
         "equivariant": True,
         "cycle_block_matches_residue_kernel": theta_ok,
         "divisor_block_matches_projection_image": divisor_ok,
@@ -467,7 +455,6 @@ def corestriction_surjective(q: int, ell: int, t: int,
 
 @dataclass(frozen=True)
 class OnoReport:
-    ell: int
     rank: int
     generators: int
     fixed_rank: int
@@ -482,26 +469,14 @@ def _unimodular_inverse(m: IntMatrix) -> IntMatrix:
     return inv
 
 
-def ono_check(lattice: Union[HomologyLattice, Sequence[IntMatrix]],
-              ell: int, rank: Optional[int] = None) -> OnoReport:
-    """Fixed rank of a lattice equals the fixed rank of its dual.
+def ono_check(mats: Sequence[IntMatrix], n: int) -> OnoReport:
+    """Fixed rank of Z^n under the generators mats equals the fixed rank of
+    its dual.
 
     The dual carries the contragredient (inverse transpose) action; both
     sides are computed as saturated integer kernels of the stacked
     generator differences, with no resolution of the lattice involved.
     """
-    require_decided(is_prime, ell, "l", "prime")
-    if isinstance(lattice, HomologyLattice):
-        mats = list(lattice.action_matrices)
-        n = lattice.rank
-    else:
-        mats = list(lattice)
-        if mats:
-            n = mats[0].rows
-        elif rank is not None:
-            n = rank
-        else:
-            raise ValueError("empty generator list needs an explicit rank")
     for m in mats:
         if m.rows != n or m.cols != n:
             raise ValueError("generators must be square of the lattice rank")
@@ -510,7 +485,7 @@ def ono_check(lattice: Union[HomologyLattice, Sequence[IntMatrix]],
     right = fixed_rank(mats, n)
     contra = [_unimodular_inverse(m).transpose() for m in mats]
     left = fixed_rank(contra, n)
-    return OnoReport(ell, n, len(mats), right, left, left == right)
+    return OnoReport(n, len(mats), right, left, left == right)
 
 
 # ---------------------------------------------------------------------------
@@ -611,13 +586,16 @@ def bhn_finite_field_report(inst: SingularityInstance) -> BhnReport:
     h1_group = h1(fo)
     h1_corank = h1_group.corank
     corank_ok = h1_corank == rho_value
-    ono = ono_check(lat, ell)
+    # coker(M - 1 mod l^s) read off M - 1's elementary divisors d_i alone:
+    # the sum of the Z/l^min(v_l(d_i), s)
+    minus_one = smith_kernel(msigma - IntMatrix.identity(c))
+    ono = ono_check(lat.action_matrices, c)
 
     levels = []
     for s in range(1, inst.max_level + 1):
         xi = inst.xi(s)
-        amb = (xi.ambient_actions[0] if xi.ambient_actions
-               else IntMatrix.identity(len(xi.var_names)))
+        amb = (xi.lattice.ambient_actions[0] if xi.lattice.ambient_actions
+               else IntMatrix.identity(len(xi.lattice.var_names)))
         sigma_xi = _module_action(xi, amb)
 
         a_level = free_level(ell, s, c)
@@ -632,7 +610,8 @@ def bhn_finite_field_report(inst: SingularityInstance) -> BhnReport:
         f_mod = kernel(induced)
         killed = cok_a.module.reduce_columns(
             f_mod.inclusion.matrix.scale(m_value)).is_zero()
-        routes_agree = (c == 0) or (h_level(fo, 1, s) == cok_a.module)
+        routes_agree = cok_a.module == LModule(
+            ell, 0, tuple(v for v, _ in minus_one.level_orders(ell, s)))
         levels.append(BhnLevelRecord(
             level=s, h1_structure=cok_a.module, xi_h1_structure=cok_x.module,
             f_structure=f_mod.module, f_killed_by_m=killed,

@@ -25,6 +25,7 @@ from devissage.dualgraph import (
     n_x,
     spanning_trees,
     tree_orbits,
+    xi_lattice,
 )
 from devissage.exactlin import CoLGroup, LModule
 from devissage.lprimary import (
@@ -163,7 +164,7 @@ def test_criterion_04_vanishing_grid():
                 continue
             for j in range(0, 5):
                 for r in range(-3, 4):
-                    v = vanishing_probe(P, ell, j, r, levels=4)
+                    v = vanishing_probe(P, ell, j, r)
                     ok &= v.nontrivial == (j == -2 * r)
                     minus_hits += v.boundary_minus
                     plus_hits += v.boundary_plus
@@ -183,8 +184,7 @@ def test_criterion_05_duality_crosscheck():
                 continue
             for j in range(0, 5):
                 for r in range(-3, 4):
-                    ok &= duality_crosscheck(P, ell, j, r,
-                                             levels=4).levels_agree
+                    ok &= duality_crosscheck(P, ell, j, r).levels_agree
     elapsed = time.perf_counter() - started
     ok &= elapsed < 20.0
     _verdict(5, f"duality chain agrees level-wise ({elapsed:.2f}s)", ok)
@@ -232,7 +232,7 @@ def test_criterion_06_graph_invariants():
 def _splitting_ok(graph, config, ell, s, m_value, orbits) -> bool:
     mod = ell ** s
     # build_xi, build_psi and bezout_combine raise on a false proof step
-    xi = build_xi(graph, config, ell, s)
+    xi = build_xi(xi_lattice(config), ell, s)
     chosen, running = [], 0
     for orbit in orbits:
         chosen.append(orbit)
@@ -298,7 +298,7 @@ def test_criterion_08_structure():
         ok &= all(g in (0, 1) for _, g in inst.graph.components)
         want_rank = n_x(inst.graph)
         for s in (1, 2, 3, 4):
-            up = upsilon_structure(inst, 2, s)
+            up = upsilon_structure(inst, s)
             ok &= up.verdict == "PASS"
             ok &= up.structure["defect"] == 0
             observed = up.structure["observed"]
@@ -328,8 +328,7 @@ def test_criterion_09_bhn_reports():
     for i in range(200):
         mat, order = random_finite_lattice(rng)
         mats = [mat, mat @ mat] if i % 4 == 0 else [mat]
-        ell = (2, 3, 5)[i % 3]
-        report = ono_check(mats, ell, rank=mat.rows)
+        report = ono_check(mats, mat.rows)
         ok &= report.matches
         ok &= 1 <= order <= 8 and mat.rows <= 6
         nontrivial += report.fixed_rank < report.rank

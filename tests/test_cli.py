@@ -451,7 +451,7 @@ class TestRunLibrary:
         levels = []
         real_build = sequences.build_xi
         monkeypatch.setattr(sequences, "build_xi", lambda *a: levels.append(
-            a[3]) or real_build(*a))
+            a[2]) or real_build(*a))
         code, _ = run(config)
         assert code == 0
         assert sorted(levels) == list(range(1, max_level + 1))
@@ -514,6 +514,22 @@ class TestRunLibrary:
         report["input"] = "instance.json"
         rendered = render_json(report).encode()
         assert hashlib.sha256(rendered).hexdigest() == digest
+
+    def test_golden_vanishing_digest_outside_the_catalog(self, tmp_path):
+        # a jacobian that WEIL_CATALOG does not hold adds an eighth fixture
+        payload = banana4_raw()
+        payload["jacobians"][0]["charpoly"] = [1, 1, 5]
+        code, report = run(RunConfig(
+            input_path=write_instance(tmp_path, payload),
+            suites=("vanishing",), seed=0))
+        assert code == 0
+        checks = report["suites"]["vanishing"]["checks"]
+        assert [c["structure"] for c in checks[:2]] == ["8 fixtures",
+                                                        "840 probes"]
+        report["input"] = "instance.json"
+        rendered = render_json(report).encode()
+        assert hashlib.sha256(rendered).hexdigest() == (
+            "925c06946cad49ab89e6894267b910022155fd6d28ecc3ef6b9c13cbf4c758f7")
 
     # every check passes whatever the random draws, so the report alone
     # does not see them; the final states of the suites' two generators
@@ -803,6 +819,17 @@ class TestRuntimeDependencies:
             assert res.stderr.startswith(f"error: cannot write {out}: ")
         else:
             assert json.loads(res.stdout)["verdict"] == "PASS"
+
+    def test_reach_tool_runs(self):
+        # tools/reach.py lists the functions no suite enters, with a total
+        tool = os.path.join(os.path.dirname(__file__), os.pardir, "tools",
+                            "reach.py")
+        res = subprocess.run([sys.executable, tool, G2_TREE],
+                             capture_output=True, text=True, check=False)
+        assert res.returncode == 0, res.stderr
+        last = res.stdout.splitlines()[-1]
+        assert re.fullmatch(r"\s*\d+  total in \d+ functions never entered",
+                            last), last
 
     def test_src_has_no_sympy_import(self):
         pattern = re.compile(r"^\s*(import|from)\s+sympy\b", re.M)

@@ -863,7 +863,7 @@ class TestBuildXi:
         g = tree_pair()
         cfg = default_divisors(g)
         for ell, s in ((3, 1), (2, 3)):
-            xi = build_xi(g, cfg, ell, s)
+            xi = build_xi(xi_lattice(cfg), ell, s)
             assert xi.module == LModule(ell, 0, (s,))
             assert kernel(xi.phi).module.is_trivial
 
@@ -875,7 +875,7 @@ class TestBuildXi:
         graphs += [random_legal_graph(rng) for _ in range(15)]
         for g in graphs:
             for ell, s in ((2, 2), (3, 1)):
-                xi = build_xi(g, default_divisors(g), ell, s)
+                xi = build_xi(xi_lattice(default_divisors(g)), ell, s)
                 fresh = kernel(xi.phi)
                 assert xi.phi_kernel.module == fresh.module
                 assert xi.phi_kernel.inclusion == fresh.inclusion
@@ -884,7 +884,7 @@ class TestBuildXi:
 
     def test_banana_kernel_of_phi_is_one_cycle(self):
         g = banana(swap=False)
-        xi = build_xi(g, default_divisors(g), 3, 1)
+        xi = build_xi(xi_lattice(default_divisors(g)), 3, 1)
         assert xi.module == LModule(3, 0, (1, 1))
         assert kernel(xi.phi).module == LModule(3, 0, (1,))
 
@@ -899,7 +899,7 @@ class TestBuildXi:
         rows2, nvars2 = xi_constraint_rows(g2, cfg2)
         assert brute_kernel_structure(
             2, (4,) * nvars2, (4,) * len(rows2), rows2) == (2,)
-        xi = build_xi(g2, cfg2, 2, 2)
+        xi = build_xi(xi_lattice(cfg2), 2, 2)
         assert xi.module.torsion_exponents == (2,)
 
     def test_anchored_config_structure(self):
@@ -909,7 +909,7 @@ class TestBuildXi:
             [("p_u", ("free", "u")), ("p_v", ("free", "v")),
              ("d_a", ("node", "a")), ("d_b", ("node", "b"))],
             [{"d_a": "d_b", "d_b": "d_a"}])
-        xi = build_xi(g, cfg, 2, 1)
+        xi = build_xi(xi_lattice(cfg), 2, 1)
         assert xi.module == LModule(2, 0, (1,) * 4)  # betti + ndiv - 1
         rows, nvars = xi_constraint_rows(g, cfg)
         assert brute_kernel_structure(
@@ -921,7 +921,7 @@ class TestBuildXi:
             g = random_legal_graph(rng)
             cfg = default_divisors(g)
             ell, s = rng.choice([(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)])
-            xi = build_xi(g, cfg, ell, s)
+            xi = build_xi(xi_lattice(cfg), ell, s)
             expected = betti(g) + len(cfg.ids) - 1
             assert xi.module == LModule(ell, 0, (s,) * expected)
             rows, nvars = xi_constraint_rows(g, cfg)
@@ -929,40 +929,33 @@ class TestBuildXi:
 
     def test_kernel_of_phi_matches_cycle_count(self):
         for g in (banana(), double_cycle(), rotation_cycle()):
-            xi = build_xi(g, default_divisors(g), 3, 2)
+            xi = build_xi(xi_lattice(default_divisors(g)), 3, 2)
             assert kernel(xi.phi).module == LModule(3, 0, (2,) * betti(g))
 
     def test_action_preserves_the_kernel(self):
         g = double_cycle()
-        xi = build_xi(g, default_divisors(g), 3, 2)
+        xi = build_xi(xi_lattice(default_divisors(g)), 3, 2)
         rng = random.Random(41)
         mod = xi.modulus
         for _ in range(5):
             coords = [rng.randrange(mod) for _ in range(xi.module.num_gens)]
             amb = xi.inclusion.matrix.apply(coords)
-            for p_mat in xi.ambient_actions:
+            for p_mat in xi.lattice.ambient_actions:
                 moved = p_mat.apply(amb)
                 img = xi.constraint.matrix.apply(moved)
                 assert all(x % mod == 0 for x in img)
 
-    def test_config_for_wrong_graph_rejected(self):
-        cfg = default_divisors(banana())
-        with pytest.raises(ConfigIncompatible, match="different graph"):
-            build_xi(tree_pair(), cfg, 3, 1)
-
     def test_level_must_be_positive(self):
         g = tree_pair()
         with pytest.raises(ValueError):
-            build_xi(g, default_divisors(g), 3, 0)
+            build_xi(xi_lattice(default_divisors(g)), 3, 0)
 
     def test_one_lattice_serves_every_level(self):
         g = double_cycle()
         cfg = default_divisors(g)
         lattice = xi_lattice(cfg)
         for s in (1, 2, 3):
-            assert build_xi(g, cfg, 3, s, lattice) == build_xi(g, cfg, 3, s)
-        with pytest.raises(ValueError, match="another divisor configuration"):
-            build_xi(g, default_divisors(g), 3, 1, lattice)
+            assert build_xi(lattice, 3, s) == build_xi(xi_lattice(cfg), 3, s)
 
 
 class TestBuildPsi:
@@ -970,7 +963,7 @@ class TestBuildPsi:
         # phi o psi doubles every zero sum vector, checked on all of them
         g = banana()
         cfg = default_divisors(g)
-        xi = build_xi(g, cfg, 3, 1)
+        xi = build_xi(xi_lattice(cfg), 3, 1)
         for orbit in tree_orbits(g):
             sp = build_psi(xi, orbit)
             assert sp.m == 2
@@ -986,7 +979,7 @@ class TestBuildPsi:
         g = banana(swap=False)
         cfg = default_divisors(g)
         for s in (1, 2, 3):
-            xi = build_xi(g, cfg, 3, s)
+            xi = build_xi(xi_lattice(cfg), 3, s)
             orbit = [spanning_trees(g)[0]]
             sp = build_psi(xi, orbit)
             assert sp.m == 1
@@ -999,7 +992,7 @@ class TestBuildPsi:
         cfg = default_divisors(g)
         for s in (1, 2, 3):
             mod = 3 ** s
-            xi = build_xi(g, cfg, 3, s)
+            xi = build_xi(xi_lattice(cfg), 3, s)
             sp = build_psi(xi, tree_orbits(g)[0])
             inv = pow(sp.m, -1, mod)
             section = sp.psi_ambient.matrix.scale(inv)
@@ -1013,7 +1006,7 @@ class TestBuildPsi:
             [("p_u", ("free", "u")), ("p_v", ("free", "v")),
              ("d_a", ("node", "a")), ("d_b", ("node", "b"))],
             [{"d_a": "d_b", "d_b": "d_a"}])
-        xi = build_xi(g, cfg, 3, 1)
+        xi = build_xi(xi_lattice(cfg), 3, 1)
         orbit = tree_orbits(g)[0]
         sp = build_psi(xi, orbit)
         assert sp.m == 2
@@ -1027,14 +1020,15 @@ class TestBuildPsi:
     def test_equivariance(self):
         g = double_cycle()
         cfg = default_divisors(g)
-        xi = build_xi(g, cfg, 2, 2)
+        xi = build_xi(xi_lattice(cfg), 2, 2)
         orbit = max(tree_orbits(g), key=len)
         sp = build_psi(xi, orbit)
         assert sp.m == 2
         # the action on the zero sum block in the difference basis B: its
         # last row is minus the column sums, so the other rows determine it
         B, Psi = sp.basis, sp.psi_ambient.matrix
-        for P, PD in zip(xi.ambient_actions, xi.divisor_actions):
+        lat = xi.lattice
+        for P, PD in zip(lat.ambient_actions, lat.divisor_actions):
             R = (PD @ B).take_rows(range(B.cols))
             assert ((P @ Psi) - (Psi @ R)).mod(4).is_zero()
         assert ((xi.phi_ambient.matrix @ Psi) - B.scale(2)).mod(4).is_zero()
@@ -1043,13 +1037,13 @@ class TestBuildPsi:
         g = double_cycle()
         cfg = default_divisors(g)
         orbit = min(tree_orbits(g), key=len)
-        sp = build_psi(build_xi(g, cfg, 2, 2), orbit)
+        sp = build_psi(build_xi(xi_lattice(cfg), 2, 2), orbit)
         assert sp.m == 1
 
     def test_rotation_orbit(self):
         g = rotation_cycle()
         cfg = default_divisors(g)
-        xi = build_xi(g, cfg, 3, 2)
+        xi = build_xi(xi_lattice(cfg), 3, 2)
         sp = build_psi(xi, tree_orbits(g)[0])
         assert sp.m == 4
         lhs = xi.phi_ambient.matrix @ sp.psi_ambient.matrix
@@ -1059,21 +1053,22 @@ class TestBuildPsi:
         g = banana()
         cfg = default_divisors(g)
         orbits = tree_orbits(g)
+        lat = xi_lattice(cfg)
         with pytest.raises(NotAnOrbit, match="closed"):
-            build_psi(build_xi(g, cfg, 3, 1), orbits[0][:1])
+            build_psi(build_xi(lat, 3, 1), orbits[0][:1])
         with pytest.raises(NotAnOrbit, match="several"):
-            build_psi(build_xi(g, cfg, 3, 1), orbits[0] + orbits[1])
+            build_psi(build_xi(lat, 3, 1), orbits[0] + orbits[1])
         with pytest.raises(NotAnOrbit, match="repeated"):
-            build_psi(build_xi(g, cfg, 3, 1), orbits[0] + orbits[0][:1])
+            build_psi(build_xi(lat, 3, 1), orbits[0] + orbits[0][:1])
         with pytest.raises(NotASpanningTree):
-            build_psi(build_xi(g, cfg, 3, 1), [tuple(g.edges)])
+            build_psi(build_xi(lat, 3, 1), [tuple(g.edges)])
 
 
 class TestBezoutCombine:
     def test_banana_both_orbits(self):
         g = banana()
         cfg = default_divisors(g)
-        xi = build_xi(g, cfg, 3, 1)
+        xi = build_xi(xi_lattice(cfg), 3, 1)
         sps = [build_psi(xi, o) for o in tree_orbits(g)]
         combined = bezout_combine(sps, m_gamma(g))
         assert combined.m == 2
@@ -1084,7 +1079,7 @@ class TestBezoutCombine:
     def test_single_orbit_passthrough(self):
         g = rotation_cycle()
         cfg = default_divisors(g)
-        sp = build_psi(build_xi(g, cfg, 2, 2), tree_orbits(g)[0])
+        sp = build_psi(build_xi(xi_lattice(cfg), 2, 2), tree_orbits(g)[0])
         combined = bezout_combine([sp], m_gamma(g))
         assert combined.m == 4
         assert combined.psi_ambient.matrix == sp.psi_ambient.matrix
@@ -1092,7 +1087,7 @@ class TestBezoutCombine:
     def test_mixed_sizes_reach_gcd_one(self):
         g = double_cycle()
         cfg = default_divisors(g)
-        xi = build_xi(g, cfg, 3, 2)
+        xi = build_xi(xi_lattice(cfg), 3, 2)
         orbits = sorted(tree_orbits(g), key=len)
         sps = [build_psi(xi, orbits[0]),
                build_psi(xi, orbits[-1])]
@@ -1105,7 +1100,7 @@ class TestBezoutCombine:
     def test_shortfall_reported(self):
         g = double_cycle()
         cfg = default_divisors(g)
-        xi = build_xi(g, cfg, 2, 1)
+        xi = build_xi(xi_lattice(cfg), 2, 1)
         big = [o for o in tree_orbits(g) if len(o) == 2]
         sps = [build_psi(xi, o) for o in big[:2]]
         with pytest.raises(GcdShortfall, match="supply more orbits"):
@@ -1114,10 +1109,23 @@ class TestBezoutCombine:
     def test_mismatched_assemblies_rejected(self):
         g = banana()
         cfg = default_divisors(g)
-        sp1 = build_psi(build_xi(g, cfg, 3, 1), tree_orbits(g)[0])
-        sp2 = build_psi(build_xi(g, cfg, 3, 2), tree_orbits(g)[1])
+        orbits = tree_orbits(g)
+        sp1 = build_psi(build_xi(xi_lattice(cfg), 3, 1), orbits[0])
+        sp2 = build_psi(build_xi(xi_lattice(cfg), 3, 2), orbits[1])
         with pytest.raises(ValueError, match="different assemblies"):
             bezout_combine([sp1, sp2], m_gamma(g))
+        # equal lattices built apart are one assembly; another divisor
+        # configuration at the same level is not
+        same = build_psi(build_xi(xi_lattice(cfg), 3, 1), orbits[1])
+        assert bezout_combine([sp1, same], m_gamma(g)).m == 2
+        anchored = DivisorConfig(
+            g,
+            [("p_u", ("free", "u")), ("p_v", ("free", "v")),
+             ("d_a", ("node", "a")), ("d_b", ("node", "b"))],
+            [{"d_a": "d_b", "d_b": "d_a"}])
+        other = build_psi(build_xi(xi_lattice(anchored), 3, 1), orbits[1])
+        with pytest.raises(ValueError, match="different assemblies"):
+            bezout_combine([sp1, other], m_gamma(g))
         with pytest.raises(ValueError):
             bezout_combine([], m_gamma(g))
 
@@ -1131,7 +1139,7 @@ class TestRandomPipeline:
             cfg = default_divisors(g)
             ell, s = rng.choice([(2, 1), (2, 2), (3, 1), (3, 2), (5, 1)])
             # build_xi and build_psi raise on a false proof step
-            xi = build_xi(g, cfg, ell, s)
+            xi = build_xi(xi_lattice(cfg), ell, s)
             orbits = tree_orbits(g)
             sps = [build_psi(xi, o) for o in orbits[:2]]
             sizes_gcd = 0
