@@ -571,7 +571,7 @@ def _run_splitting(inst, config) -> dict:
 def _run_devissage(inst, config) -> dict:
     checks = []
     for s in range(1, inst.max_level + 1):
-        outer, inner = sequences.devissage(inst, 2, s)
+        outer, inner = sequences.devissage(inst, s)
         st = inner.structure
         checks.append(_check(
             f"kernel object structure at level {s}", inner.verdict == "PASS",

@@ -517,9 +517,8 @@ def _validate_tree(graph: DualGraph, tree) -> Tuple[Edge, ...]:
     if len(edges) != len(verts) - 1:
         raise NotASpanningTree(
             f"{len(edges)} edges cannot span {len(verts)} vertices")
-    # |V| - 1 edges that do not connect the vertices must close a cycle
-    if len(_components(verts, edges)) != 1:
-        raise NotASpanningTree("tree edges contain a cycle")
+    # |V| - 1 edges that do not connect the vertices must close a cycle,
+    # which _leaf_order, run next by both callers, rejects
     return tuple(sorted(edges))
 
 
@@ -578,6 +577,7 @@ def tree_solve(graph: DualGraph, tree, values, modulus: Optional[int] = None):
     only, hence exact over Z and over Z/m alike.
     """
     edges = _validate_tree(graph, tree)
+    steps, roots = _leaf_order(graph, edges)
     verts = graph.vertex_ids
     known = set(verts)
     for k in values:
@@ -587,7 +587,6 @@ def tree_solve(graph: DualGraph, tree, values, modulus: Optional[int] = None):
     _check_balance(sum(residual[c] for c in graph.component_ids)
                    - sum(residual[n] for n in graph.nodes), modulus)
 
-    steps, roots = _leaf_order(graph, edges)
     x: Dict[Edge, int] = {}
     for v, e, other in steps:
         x[e] = residual[v]
@@ -1022,6 +1021,7 @@ def _orbit_section(lattice: XiLattice, tree_orbit):
     difference basis goes through each tree's leaf order at once."""
     graph, config = lattice.graph, lattice.config
     normalized = [_validate_tree(graph, t) for t in tree_orbit]
+    leaf_orders = {t: _leaf_order(graph, t) for t in normalized}
     if len(set(normalized)) != len(normalized):
         raise NotAnOrbit("repeated tree in the orbit")
     if len(_tree_orbit_positions(graph, normalized, NotAnOrbit(
@@ -1047,7 +1047,7 @@ def _orbit_section(lattice: XiLattice, tree_orbit):
     sums: Dict[Edge, List[int]] = {}
     for t in trees:
         residual = dict(values)
-        steps, roots = _leaf_order(graph, t)
+        steps, roots = leaf_orders[t]
         for v, e, other in steps:
             x = residual[v]
             residual[other] = [r - y for r, y in zip(residual[other], x)]

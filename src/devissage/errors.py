@@ -37,10 +37,6 @@ class InputNotExact(DevissageError):
     """A sequence handed in as exact failed its own exactness check."""
 
 
-class NotCofinitelyGenerated(DevissageError):
-    """A construction would leave the cofinitely generated subcategory."""
-
-
 class WeilCheckFailed(DevissageError):
     """Characteristic polynomial fails the weight-one root test."""
 

@@ -941,7 +941,7 @@ class LMap:
 
 
 # ---------------------------------------------------------------------------
-# kernels, cokernels, images
+# kernels, cokernels, preimages
 
 
 @dataclass(frozen=True)
@@ -981,12 +981,6 @@ def cokernel(f: LMap) -> CokernelResult:
     canon = canonicalize_with_maps(cod.ell, cod.relation_cols().hstack(f.matrix))
     proj = LMap(cod, canon.module, canon.project)
     return CokernelResult(canon.module, proj)
-
-
-def image(f: LMap) -> LModule:
-    """Image of a map, as an abstract module (domain modulo kernel)."""
-    k = kernel(f)
-    return cokernel(k.inclusion).module
 
 
 def preimage(f: LMap, B: IntMatrix) -> Optional[IntMatrix]:

@@ -23,13 +23,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, prod
-from typing import Sequence, Union
+from typing import Sequence
 
 from .errors import (
     InputNotExact,
     MismatchedBase,
     MismatchedPrime,
-    NotCofinitelyGenerated,
     NotDivisible,
     NotFiniteExponent,
 )
@@ -45,29 +44,9 @@ from .exactlin import (
     tensor_power_with_index,
 )
 
-Carrier = Union[LModule, CoLGroup]
-
 
 # ---------------------------------------------------------------------------
-# coercion and the box product
-
-
-def as_colgroup(x: Carrier) -> CoLGroup:
-    """View x inside the discrete category.
-
-    Finite modules are canonically their own Pontryagin duals.  A module
-    with free part is profinite, not torsion, and is rejected: no operation
-    here is allowed to leave the cofinitely generated torsion subcategory.
-    """
-    if isinstance(x, CoLGroup):
-        return x
-    if isinstance(x, LModule):
-        if x.free_rank:
-            raise NotCofinitelyGenerated(
-                "a module with free part is not an l-primary torsion group"
-            )
-        return CoLGroup(x)
-    raise TypeError(f"cannot interpret {x!r} as a discrete l-primary group")
+# the box product
 
 
 def box_unit(ell: int) -> CoLGroup:
@@ -75,41 +54,37 @@ def box_unit(ell: int) -> CoLGroup:
     return CoLGroup(LModule(ell, 1))
 
 
-def co_direct_sum(A: Carrier, B: Carrier) -> CoLGroup:
+def co_direct_sum(A: CoLGroup, B: CoLGroup) -> CoLGroup:
     """Direct sum of discrete groups, through the dual sum."""
-    a, b = as_colgroup(A), as_colgroup(B)
-    return CoLGroup(a.dual_module.direct_sum(b.dual_module))
+    return CoLGroup(A.dual_module.direct_sum(B.dual_module))
 
 
-def box(A: Carrier, B: Carrier) -> CoLGroup:
+def box(A: CoLGroup, B: CoLGroup) -> CoLGroup:
     """Modified tensor product, via duals.
 
     >>> str(box(box_unit(2), box_unit(2)))
     '(Q2/Z2)'
     """
-    a, b = as_colgroup(A), as_colgroup(B)
-    return CoLGroup(a.dual_module.tensor(b.dual_module))
+    return CoLGroup(A.dual_module.tensor(B.dual_module))
 
 
-def box_power(A: Carrier, n: int) -> CoLGroup:
+def box_power(A: CoLGroup, n: int) -> CoLGroup:
     """n-fold box power; the 0th power is the unit Ql/Zl."""
     if n < 0:
         raise ValueError("negative box power")
-    a = as_colgroup(A)
-    out = box_unit(a.ell)
+    out = box_unit(A.ell)
     for _ in range(n):
-        out = box(out, a)
+        out = box(out, A)
     return out
 
 
-def tor_box(A: Carrier, B: Carrier) -> CoLGroup:
+def tor_box(A: CoLGroup, B: CoLGroup) -> CoLGroup:
     """First derived functor of the box product.
 
     Closed form: finite cyclic pieces pair by minimum exponent, divisible
     pieces (free duals) contribute nothing.
     """
-    a, b = as_colgroup(A), as_colgroup(B)
-    return CoLGroup(a.dual_module.tor1(b.dual_module))
+    return CoLGroup(A.dual_module.tor1(B.dual_module))
 
 
 def random_cogroup(rng, ell: int) -> CoLGroup:
@@ -313,112 +288,66 @@ def cleared_minus_one(mat: IntMatrix, q: int, t: int) -> IntMatrix:
 
 @dataclass(frozen=True)
 class FrobObject:
-    """A carrier together with its arithmetic Frobenius.
+    """A divisible group (Ql/Zl)^n together with its arithmetic Frobenius.
 
     The Frobenius is q^qpow * matrix with an exact integer matrix; the
     q-power is kept symbolic so that negative Tate twists stay exact
     (q is a unit at l, so clearing it never changes kernels or cokernels).
 
-    Coordinates: for a profinite/finite LModule carrier the matrix acts on
-    its canonical generators.  For a divisible CoLGroup carrier the matrix
-    acts on every torsion level at once, in the coordinate labels of the
-    dual module; the action on the dual itself is the transpose.  For a
-    finite CoLGroup carrier the matrix stores the dual-module endomorphism
-    outright (the group action is its Pontryagin dual), which is also what
-    the well-definedness validation below enforces.  Mixed discrete
-    carriers (positive corank plus finite part) do not admit a single
-    matrix in either convention and are rejected.
+    The matrix acts on every torsion level (Z/l^s)^n of the carrier at
+    once, in the coordinate labels of the dual module Zl^n; the action on
+    the dual itself is the transpose.  A carrier with a finite part admits
+    no such single matrix and is rejected.
 
     On a nontrivial carrier the matrix must be invertible over Z_l: l is
     prime, so det is nonzero and prime to l exactly when the matrix has
     full rank mod l, which is what is checked.
     """
 
-    carrier: Carrier
+    carrier: CoLGroup
     matrix: IntMatrix
     q: int
     qpow: int = 0
 
     def __post_init__(self):
+        if not self.carrier.is_divisible:
+            raise ValueError("frobenius objects need a divisible carrier")
         mat = self.matrix
-        if not isinstance(mat, IntMatrix):
-            mat = IntMatrix.from_rows(mat, self.rep_module.num_gens)
-            object.__setattr__(self, "matrix", mat)
-        n = self.rep_module.num_gens
+        n = self.carrier.corank
         if mat.rows != n or mat.cols != n:
             raise ValueError("frobenius matrix must be square on the carrier")
         if gcd(self.q, self.ell) != 1:
             raise MismatchedBase(f"q={self.q} is not a unit at l={self.ell}")
         if not is_prime_power(self.q):
             raise ValueError("q must be a prime power >= 2")
-        if isinstance(self.carrier, CoLGroup):
-            if self.carrier.corank and self.carrier.finite_exponents:
-                raise ValueError(
-                    "mixed discrete carriers do not admit a single level matrix"
-                )
-        if n and not self.carrier_is_trivial() and rank_mod(mat, self.ell) < n:
+        if n and rank_mod(mat, self.ell) < n:
             raise ValueError("frobenius must be an automorphism at l")
-        # the integer part must act on the representative
-        LMap(self.rep_module, self.rep_module, mat)
-
-    def carrier_is_trivial(self) -> bool:
-        return self.rep_module.is_trivial
 
     @property
     def ell(self) -> int:
-        return self.carrier.ell if isinstance(self.carrier, LModule) \
-            else self.carrier.dual_module.ell
+        return self.carrier.ell
 
     @property
     def rep_module(self) -> LModule:
-        """The finitely generated coordinate container."""
-        if isinstance(self.carrier, LModule):
-            return self.carrier
+        """The finitely generated coordinate container, the dual Zl^n."""
         return self.carrier.dual_module
-
-    @property
-    def is_discrete(self) -> bool:
-        return isinstance(self.carrier, CoLGroup)
 
     # -- materialisation ---------------------------------------------
 
-    def qpow_mod(self, modulus: int) -> int:
-        """q^qpow modulo the given l-power; exact inverse for negative powers."""
-        return pow(self.q, self.qpow, modulus)
-
-    def matrix_mod(self, s: int) -> IntMatrix:
-        """Frobenius matrix modulo l^s, q-power folded in."""
-        m = self.ell ** s
-        return self.matrix.scale(self.qpow_mod(m)).mod(m)
-
-    def frob_minus_one_cleared(self, transpose: bool = False) -> LMap:
+    def frob_minus_one_cleared(self) -> LMap:
         """An exact integer map with the kernel and cokernel of frobenius - 1.
 
         q^t*F - 1 equals the unit q^t times (F - q^-t); clearing the unit
         changes neither kernel nor cokernel up to canonical isomorphism.
-        For discrete carriers pass transpose=True to act on the dual.
         """
         mod = self.rep_module
-        mat = self.matrix.transpose() if transpose else self.matrix
-        return LMap(mod, mod, cleared_minus_one(mat, self.q, self.qpow))
+        return LMap(mod, mod, cleared_minus_one(self.matrix, self.q, self.qpow))
 
     # -- constructions ------------------------------------------------
 
     def twist(self, r: int) -> "FrobObject":
         """Tate twist: multiply the Frobenius by q^r, tracked exactly."""
         return FrobObject(self.carrier, self.matrix, self.q, self.qpow + r)
-
-    def level_action(self, s: int) -> LMap:
-        """Arithmetic Frobenius on the l^s-torsion of a divisible carrier.
-
-        Levels of a divisible group are free over Z/l^s in the dual labels,
-        so the stored matrix acts verbatim.  For finite carriers the torsion
-        subgroups embed with scaled coordinates; act on the carrier instead.
-        """
-        if not self.is_discrete or not self.carrier.is_divisible:
-            raise ValueError("level_action needs a divisible discrete carrier")
-        lvl = self.carrier.level(s)
-        return LMap(lvl, lvl, self.matrix_mod(s))
 
 
 def box_frob(X: FrobObject, Y: FrobObject) -> FrobObject:
@@ -431,16 +360,11 @@ def box_frob(X: FrobObject, Y: FrobObject) -> FrobObject:
         raise MismatchedPrime("box of frobenius objects across primes")
     if X.q != Y.q:
         raise MismatchedBase("box of frobenius objects over different bases")
-    if X.is_discrete != Y.is_discrete:
-        raise ValueError("cannot box a discrete with a profinite carrier")
     fx = LMap(X.rep_module, X.rep_module, X.matrix)
     fy = LMap(Y.rep_module, Y.rep_module, Y.matrix)
     big = tensor_maps(fx, fy)
-    if X.is_discrete:
-        carrier: Carrier = box(X.carrier, Y.carrier)
-    else:
-        carrier = X.rep_module.tensor(Y.rep_module)
-    return FrobObject(carrier, big.matrix, X.q, X.qpow + Y.qpow)
+    return FrobObject(box(X.carrier, Y.carrier), big.matrix, X.q,
+                      X.qpow + Y.qpow)
 
 
 def box_frob_power(X: FrobObject, n: int) -> FrobObject:
@@ -448,11 +372,7 @@ def box_frob_power(X: FrobObject, n: int) -> FrobObject:
     if n < 0:
         raise ValueError("negative box power")
     if n == 0:
-        if X.is_discrete:
-            unit: Carrier = box_unit(X.ell)
-        else:
-            unit = LModule(X.ell, 1)
-        return FrobObject(unit, IntMatrix.identity(1), X.q)
+        return FrobObject(box_unit(X.ell), IntMatrix.identity(1), X.q)
     out = X
     for _ in range(n - 1):
         out = box_frob(out, X)
@@ -486,15 +406,14 @@ def _require_ses(iota: CoMap, pi: CoMap):
         raise InputNotExact("input sequence is not exact")
 
 
-def left_exactness_probe(iota: CoMap, pi: CoMap, A: Carrier) -> ProbeResult:
+def left_exactness_probe(iota: CoMap, pi: CoMap, A: CoLGroup) -> ProbeResult:
     """Box an exact 0 -> X -> Y -> Z -> 0 with A and measure what survives.
 
     The boxed sequence is always exact except possibly at the right end;
     the cokernel of the right map is reported as the obstruction.
     """
     _require_ses(iota, pi)
-    Ac = as_colgroup(A)
-    idA = CoMap.identity_on(Ac)
+    idA = CoMap.identity_on(A)
     bi = box_maps(iota, idA)
     bp = box_maps(pi, idA)
     # the last homology is the cokernel of bp: the dual of ker(bp.dual_map)

@@ -45,10 +45,8 @@ from .errors import (
 from .exactlin import (
     CoLGroup,
     IntMatrix,
-    LMap,
     LModule,
     NULLITY_PRIME,
-    cokernel,
     dual,
     hessenberg_mod,
     integer_kernel_basis,
@@ -131,12 +129,6 @@ class CharPoly:
     def low_coeffs(self) -> tuple:
         """Coefficients constant-first."""
         return tuple(reversed(self.coefficients))
-
-    def evaluate(self, x):
-        out = 0
-        for c in self.coefficients:
-            out = out * x + c
-        return out
 
     def companion(self) -> IntMatrix:
         """Companion matrix with this characteristic polynomial."""
@@ -324,17 +316,6 @@ def _adjugate(m: IntMatrix) -> IntMatrix:
     return X
 
 
-def tate_frob(P: CharPoly, ell: int) -> FrobObject:
-    """Arithmetic Frobenius on the Tate module of the dual variety.
-
-    The carrier is profinite free of rank 2g; the matrix is the companion
-    of P.
-    """
-    _check_base(P, ell)
-    carrier = LModule(ell, P.degree)
-    return FrobObject(carrier, P.companion(), P.q)
-
-
 def torsion_frob(P: CharPoly, ell: int) -> FrobObject:
     """Arithmetic Frobenius on the l-primary torsion of the paired variety.
 
@@ -362,50 +343,9 @@ def box_torsion_frob(P: CharPoly, ell: int, j: int, r: int) -> FrobObject:
 # cohomology
 
 
-def h0(X: FrobObject):
-    """Fixed points of Frobenius on the carrier.
-
-    Discrete carriers go through Pontryagin duality: fixed points of F on
-    the group are dual to the cokernel of the dual endomorphism minus one.
-    For free representatives the transpose question is moot (elementary
-    divisors are transpose-invariant), and for finite ones the stored
-    matrix already is the dual-side endomorphism.
-    """
-    if X.is_discrete:
-        g = X.frob_minus_one_cleared()
-        return dual(cokernel(g).module)
-    f = X.frob_minus_one_cleared()
-    return kernel(f).module
-
-
-def h1(X: FrobObject):
+def h1(X: FrobObject) -> CoLGroup:
     """Co-fixed points (the only higher cohomology of a procyclic group)."""
-    if X.is_discrete:
-        g = X.frob_minus_one_cleared()
-        return dual(kernel(g).module)
-    f = X.frob_minus_one_cleared()
-    return cokernel(f).module
-
-
-def h_level(X: FrobObject, i: int, s: int) -> LModule:
-    """Cohomology of the finite level-s coefficients.
-
-    For a divisible carrier this is H^i(k, l^s-torsion of X); note the usual
-    caveat that the colimit over s can collapse classes that every finite
-    level sees (the transition maps divide).
-    """
-    if i not in (0, 1):
-        return LModule(X.ell, 0)
-    if X.is_discrete:
-        act = X.level_action(s)
-    else:
-        if X.rep_module.torsion_exponents:
-            raise ValueError("level reduction needs a free profinite carrier")
-        lvl = LModule(X.ell, 0, (s,) * X.rep_module.num_gens)
-        act = LMap(lvl, lvl, X.matrix_mod(s))
-    one = LMap.identity_on(act.domain)
-    f = act - one
-    return kernel(f).module if i == 0 else cokernel(f).module
+    return dual(kernel(X.frob_minus_one_cleared()).module)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ groups); every report that contains such a term says so explicitly.
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .dualgraph import (
     DEFAULT_TREE_CAP,
@@ -51,7 +51,6 @@ from .exactlin import (
     preimage,
     smith_kernel,
     solve_integer,
-    valuation,
 )
 from .lprimary import FrobObject
 from .procyclic import (CharPoly, h1, require_decided, torsion_frob,
@@ -351,9 +350,9 @@ def lambda_structure(inst: SingularityInstance, s: int) -> LambdaReport:
 # the two-step devissage
 
 
-def devissage(inst: SingularityInstance, r: int,
+def devissage(inst: SingularityInstance,
               s: int) -> Tuple[SequenceReport, SequenceReport]:
-    """Both short exact sequences around the assembled middle, twisted by r.
+    """Both short exact sequences around the assembled middle.
 
     Returns (outer, inner): the outer sequence splits the middle into the
     kernel object and the zero-sum divisor block; the inner one splits the
@@ -364,11 +363,10 @@ def devissage(inst: SingularityInstance, r: int,
     graph side.
     """
     inst._require_level(s)
-    ell, q = inst.ell, inst.q
+    ell = inst.ell
     c = inst.lattice.rank
     jrank = inst.jacobian_rank()
     ndiv = len(inst.divisors.ids)
-    twist = r - 2
 
     inner = upsilon_structure(inst, s)
 
@@ -382,18 +380,12 @@ def devissage(inst: SingularityInstance, r: int,
     theta_ok = xi.phi_kernel.module == free_level(ell, s, c)
     divisor_ok = cokernel(xi.phi_kernel.inclusion).module == terms[2]
 
-    cores = tuple(
-        corestriction_surjective(q, ell, twist, f)
-        for _, _, f in inst.jacobians) or (
-        corestriction_surjective(q, ell, twist, 1),)
-
     structure = {
         "equivariant": True,
         "cycle_block_matches_residue_kernel": theta_ok,
         "divisor_block_matches_projection_image": divisor_ok,
-        "corestriction": cores,
     }
-    ok = theta_ok and divisor_ok and all(e.surjective for e in cores)
+    ok = theta_ok and divisor_ok
     outer = SequenceReport(
         "devissage", terms, "PASS" if ok else "FAIL",
         notes=(
@@ -405,48 +397,6 @@ def devissage(inst: SingularityInstance, r: int,
         structure=structure,
     )
     return outer, inner
-
-
-# ---------------------------------------------------------------------------
-# corestriction evidence
-
-
-@dataclass(frozen=True)
-class CorestrictionEvidence:
-    extension_degree: int
-    twist: int
-    base_valuation: Optional[int]
-    extension_valuation: Optional[int]
-    transfer_valuation: Optional[int]
-    surjective: bool
-    note: str
-
-
-def corestriction_surjective(q: int, ell: int, t: int,
-                             f: int) -> CorestrictionEvidence:
-    """Check that the transfer on twisted roots of unity is onto.
-
-    For twist zero the target is divisible and the transfer multiplies by
-    the degree, so the answer is immediate.  Otherwise the fixed groups are
-    cyclic of order given by l-adic valuations and the transfer scalar is
-    the geometric sum (q^ft - 1)/(q^t - 1); surjectivity is equivalent to
-    the valuation of that scalar accounting exactly for the growth.
-    """
-    if f < 1:
-        raise ValueError("extension degree must be >= 1")
-    if t == 0:
-        return CorestrictionEvidence(
-            f, 0, None, None, None, True,
-            "divisible target; transfer is multiplication by the degree")
-    tt = abs(t)
-    base = q ** tt - 1
-    extn = q ** (f * tt) - 1
-    ratio = extn // base
-    vb, ve, vr = (valuation(x, ell) for x in (base, extn, ratio))
-    return CorestrictionEvidence(
-        f, t, vb, ve, vr, vr == ve - vb,
-        "transfer scalar valuation matches the fixed-group growth"
-        if vr == ve - vb else "transfer drops a power of l")
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +479,6 @@ class BhnReport:
     ono: OnoReport
     levels: Tuple[BhnLevelRecord, ...]
     jacobian_vanishing: Tuple[JacobianVanishing, ...]
-    corestriction: Tuple[CorestrictionEvidence, ...]
     display: Tuple[DisplayTerm, ...]
     checks: Tuple[Tuple[str, bool], ...]
     caveats: tuple
@@ -626,9 +575,6 @@ def bhn_finite_field_report(inst: SingularityInstance) -> BhnReport:
             induced_route_trivial=h1(ind).dual_module.is_trivial,
         ))
 
-    degrees = sorted({f for _, _, f in inst.jacobians} | {1})
-    cores = tuple(corestriction_surjective(q, ell, 0, f) for f in degrees)
-
     div_orbit_count = len(orbit_partition(
         inst.divisors.ids, lambda d: [p[d] for p in inst.divisors.action]))
     display = (
@@ -657,12 +603,13 @@ def bhn_finite_field_report(inst: SingularityInstance) -> BhnReport:
         ("jacobian cohomology vanishes by both routes",
          all(v.extension_route_trivial and v.induced_route_trivial
              for v in vanishing)),
-        ("corestriction stage onto", all(e.surjective for e in cores)),
+        # twist 0: transfer multiplies divisible Ql/Zl by the degree: onto
+        ("corestriction stage onto", True),
     )
     verdict = "PASS" if all(ok for _, ok in checks) else "FAIL"
     return BhnReport(
         ell=ell, q=q, max_level=inst.max_level, rho=rho_value,
         m_value=m_value, h1_corank=h1_corank, corank_matches_rho=corank_ok,
         ono=ono, levels=tuple(levels), jacobian_vanishing=tuple(vanishing),
-        corestriction=cores, display=display, checks=checks,
+        display=display, checks=checks,
         caveats=(ModeledTermCaveat(MODELED_NOTE),), verdict=verdict)

@@ -611,9 +611,10 @@ def box_twist_nullity(P, ell, j, r):
     """Nullity of the cleared Frobenius - 1 on the dual of A{l}^box j (r),
     with the twisted box power built for this twist alone."""
     from devissage.exactlin import nullity
+    from devissage.lprimary import cleared_minus_one
     from devissage.procyclic import box_torsion_frob
     X = box_torsion_frob(P, ell, j, r)
-    return nullity(X.frob_minus_one_cleared(transpose=True).matrix)
+    return nullity(cleared_minus_one(X.matrix.transpose(), X.q, X.qpow))
 
 
 def row_copying_rank_mod(A, p):

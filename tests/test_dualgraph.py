@@ -42,7 +42,7 @@ from devissage.errors import (
     NotAnOrbit,
     NotASpanningTree,
 )
-from devissage.exactlin import IntMatrix, LModule, cokernel, image, kernel
+from devissage.exactlin import IntMatrix, LModule, cokernel, kernel
 
 from generators import random_legal_graph
 from oracles import (
@@ -800,6 +800,18 @@ class TestTreeSolve:
         with pytest.raises(NotASpanningTree):
             tree_solve(g, (("u", "a"), ("u", "b"), ("x", "q")), {})
 
+    def test_cycle_with_tree_edge_count_rejected(self):
+        # |V| - 1 distinct edges: the 4-cycle u-a-v-b leaves node c alone
+        g = theta()
+        cycle = (("u", "a"), ("v", "a"), ("u", "b"), ("v", "b"))
+        with pytest.raises(NotASpanningTree, match="cycle"):
+            tree_solve(g, cycle, {})
+        with pytest.raises(NotASpanningTree, match="cycle"):
+            tree_solve(g, cycle, {"u": 1})      # not balanced either
+        xi = build_xi(xi_lattice(default_divisors(g)), 3, 1)
+        with pytest.raises(NotASpanningTree, match="cycle"):
+            build_psi(xi, [cycle])
+
 
 class TestDivisorConfig:
     def test_default_config(self):
@@ -880,7 +892,7 @@ class TestBuildXi:
                 assert xi.phi_kernel.module == fresh.module
                 assert xi.phi_kernel.inclusion == fresh.inclusion
                 assert (cokernel(xi.phi_kernel.inclusion).module
-                        == image(xi.phi))
+                        == cokernel(kernel(xi.phi).inclusion).module)
 
     def test_banana_kernel_of_phi_is_one_cycle(self):
         g = banana(swap=False)

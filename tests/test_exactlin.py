@@ -22,7 +22,6 @@ from devissage.exactlin import (
     free_level,
     hessenberg_mod,
     homology_at,
-    image,
     integer_kernel_basis,
     is_prime,
     is_prime_power,
@@ -372,7 +371,7 @@ class TestKernelsCokernels:
         assert k.module == LModule(ell, 0, (1,))
         # inclusion lands on the l-divisible element and composes to zero
         assert mul2.compose(k.inclusion).is_zero_map()
-        assert image(mul2) == LModule(ell, 0, (1,))
+        assert cokernel(kernel(mul2).inclusion).module == LModule(ell, 0, (1,))
 
     def test_companion_cokernel_frozen(self):
         # F-1 for F the companion of T^2 - 2T + 5, on (Z/8)^2

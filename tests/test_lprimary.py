@@ -11,7 +11,6 @@ from devissage.errors import (
     InputNotExact,
     MismatchedBase,
     MismatchedPrime,
-    NotCofinitelyGenerated,
     NotDivisible,
 )
 from devissage.exactlin import (
@@ -26,7 +25,6 @@ from devissage.exactlin import (
 from devissage.lprimary import (
     CoMap,
     FrobObject,
-    as_colgroup,
     box,
     box_frob,
     box_frob_power,
@@ -140,14 +138,6 @@ class TestBox:
             product(A, B)
         with pytest.raises(MismatchedPrime):
             product(B, A)
-
-    def test_rejects_profinite(self):
-        with pytest.raises(NotCofinitelyGenerated):
-            as_colgroup(LModule(2, 1))
-
-    def test_finite_module_coerces(self):
-        F = LModule(2, 0, (2, 1))
-        assert as_colgroup(F).dual_module == F
 
 
 class TestTor:
@@ -370,56 +360,65 @@ class TestFrob:
         assert X.twist(4).twist(-4) == X
 
     def test_twist_on_mu(self):
-        # Frobenius on the cyclotomic level is multiplication by q
-        X = FrobObject(CoLGroup(LModule(3, 0, (2,))), IntMatrix.identity(1),
-                       7, qpow=1)
-        assert X.matrix_mod(1).data == ((1,),)  # 7 = 1 mod 3
-        assert X.matrix_mod(2).data == ((7,),)
+        # Frobenius on mu = Ql/Zl(1) is multiplication by q
+        X = FrobObject(box_unit(3), IntMatrix.identity(1), 7, qpow=1)
+        assert X.frob_minus_one_cleared().matrix.data == ((6,),)
 
     def test_negative_twist_exact(self):
+        # 2^-1 F - 1 is the unit 2^-1 times F - 2: no modular inverse taken
         X = FrobObject(CoLGroup(LModule(5, 1)), IntMatrix.identity(1), 2,
                        qpow=-1)
-        # 2^-1 mod 25 is 13
-        assert X.matrix_mod(2).data == ((13,),)
+        assert X.frob_minus_one_cleared().matrix.data == ((-1,),)
+
+    @pytest.mark.parametrize("carrier", [
+        CoLGroup(LModule(3, 0, (2,))), CoLGroup(LModule(3, 1, (1,)))])
+    def test_rejects_finite_and_mixed_carriers(self, carrier):
+        # neither admits one matrix acting on every torsion level
+        with pytest.raises(ValueError, match="divisible carrier"):
+            FrobObject(carrier, IntMatrix.identity(carrier.dual_module
+                                                   .num_gens), 7)
 
     def test_box_frob_adds_twists(self):
         rng = random.Random(3)
         for _ in range(20):
             a, b = rng.randint(-2, 2), rng.randint(-2, 2)
-            X = FrobObject(CoLGroup(LModule(3, 1)), [[2]], 7, qpow=a)
-            Y = FrobObject(CoLGroup(LModule(3, 1)), [[4]], 7, qpow=b)
+            X = FrobObject(CoLGroup(LModule(3, 1)), IntMatrix.column([2]), 7,
+                           qpow=a)
+            Y = FrobObject(CoLGroup(LModule(3, 1)), IntMatrix.column([4]), 7,
+                           qpow=b)
             Z = box_frob(X, Y)
             assert Z.qpow == a + b
             assert Z.matrix.data == ((8,),)
 
     def test_mu_box_mu(self):
-        # Z/l^n(1) box Z/l^n(1) = Z/l^n(2)
-        mu = FrobObject(CoLGroup(LModule(2, 0, (3,))), [[1]], 7, qpow=1)
+        # Ql/Zl(1) box Ql/Zl(1) = Ql/Zl(2)
+        mu = FrobObject(box_unit(2), IntMatrix.identity(1), 7, qpow=1)
         sq = box_frob(mu, mu)
-        assert sq.carrier == CoLGroup(LModule(2, 0, (3,)))
+        assert sq.carrier == box_unit(2)
         assert sq.qpow == 2
         assert sq.matrix.data == ((1,),)
 
     def test_unit_neutral(self):
-        X = FrobObject(CoLGroup(LModule(2, 2)), [[1, 1], [0, 1]], 3, qpow=1)
+        X = FrobObject(CoLGroup(LModule(2, 2)),
+                       IntMatrix.from_rows([[1, 1], [0, 1]], 2), 3, qpow=1)
         unit = box_frob_power(X, 0)
         Y = box_frob(X, unit)
         assert Y.carrier == X.carrier
         assert Y.matrix == X.matrix and Y.qpow == X.qpow
 
     def test_base_mismatch(self):
-        X = FrobObject(CoLGroup(LModule(3, 1)), [[1]], 7)
-        Y = FrobObject(CoLGroup(LModule(3, 1)), [[1]], 4)
+        X = FrobObject(CoLGroup(LModule(3, 1)), IntMatrix.identity(1), 7)
+        Y = FrobObject(CoLGroup(LModule(3, 1)), IntMatrix.identity(1), 4)
         with pytest.raises(MismatchedBase):
             box_frob(X, Y)
 
     def test_q_must_be_unit(self):
         with pytest.raises(MismatchedBase):
-            FrobObject(CoLGroup(LModule(3, 1)), [[1]], 9)
+            FrobObject(CoLGroup(LModule(3, 1)), IntMatrix.identity(1), 9)
 
     def test_frobenius_must_be_invertible(self):
         with pytest.raises(ValueError):
-            FrobObject(CoLGroup(LModule(3, 1)), [[3]], 7)
+            FrobObject(CoLGroup(LModule(3, 1)), IntMatrix.column([3]), 7)
 
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from((2, 3, 5, 7)), st.integers(1, 4), st.data())
@@ -437,9 +436,7 @@ class TestFrob:
         elif shape == "scaled":
             rows[0] = [ell * x for x in rows[0]]
         M = IntMatrix.from_rows(rows, n)
-        carrier = data.draw(st.sampled_from((
-            LModule(ell, n), CoLGroup(LModule(ell, n)),
-            LModule(ell, 0, (2,) * n))))
+        carrier = CoLGroup(LModule(ell, n))
         det = M.det()
         if det == 0 or det % ell == 0:
             with pytest.raises(ValueError,
@@ -448,11 +445,6 @@ class TestFrob:
                 FrobObject(carrier, M, 11)
         else:
             assert FrobObject(carrier, M, 11).matrix == M
-
-    def test_level_action(self):
-        X = FrobObject(CoLGroup(LModule(2, 2)), [[0, 1], [1, 0]], 3, qpow=1)
-        lm = X.level_action(2)
-        assert lm.matrix.data == ((0, 3), (3, 0))
 
 
 class TestSequenceTransform:

@@ -1,7 +1,6 @@
 """Cohomology over a finite base: Weil checks, vanishing probes, duality."""
 
 import os
-import random
 from fractions import Fraction
 from math import comb, isqrt
 
@@ -23,10 +22,10 @@ from devissage.exactlin import (
     CoLGroup,
     IntMatrix,
     LModule,
-    dual,
     integer_kernel_basis,
+    smith_kernel,
 )
-from devissage.lprimary import FrobObject
+from devissage.lprimary import FrobObject, cleared_minus_one
 from devissage.procyclic import (
     KERNEL_DIM_CAP,
     WEIL_CATALOG,
@@ -40,12 +39,9 @@ from devissage.procyclic import (
     duality_crosscheck,
     eigenproduct_multiplicity,
     eigenproduct_poly,
-    h0,
     h1,
-    h_level,
     matrix_power_kron,
     rational_root_multiplicity,
-    tate_frob,
     torsion_frob,
     vanishing_probe,
     weil_weight_check,
@@ -54,10 +50,8 @@ from devissage.procyclic import (
 from generators import matrix_power
 from oracles import (
     box_twist_nullity,
-    brute_kernel_structure,
     fraction_eigenproduct_poly,
     fraction_root_multiplicity,
-    group_structure,
     integer_newton_eigenproduct_poly,
     rational_nullity,
     sympy_gcd_degree,
@@ -77,23 +71,6 @@ def entries(m):
     return [list(r) for r in m.data]
 
 
-def finite_matrix(rng, ell, exps, lo=-4, hi=4):
-    # entries into a generator of exponent e_i from one of exponent e_j
-    # need divisibility by l^(e_i - e_j); determinant must be an l-unit
-    n = len(exps)
-    while True:
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                step = ell ** max(exps[i] - exps[j], 0)
-                row.append(rng.randint(lo, hi) * step)
-            rows.append(row)
-        m = IntMatrix.from_rows(rows, n)
-        if m.det() % ell != 0:
-            return m
-
-
 class TestCharPoly:
     def test_validation(self):
         with pytest.raises(InvalidInstance):
@@ -109,8 +86,6 @@ class TestCharPoly:
         assert P_GENERIC.degree == 2 and P_GENERIC.g == 1
         assert P_QUARTIC.degree == 4 and P_QUARTIC.g == 2
         assert P_GENERIC.low_coeffs() == (5, -2, 1)
-        assert P_GENERIC.evaluate(1) == 4
-        assert P_GENERIC.evaluate(5) == 20
 
     def test_companion_satisfies_its_polynomial(self):
         # Horner on matrices: P(C) = 0
@@ -323,15 +298,9 @@ class TestSympyDifferential:
 
 
 class TestFrobConstructors:
-    def test_tate_frob_shape(self):
-        X = tate_frob(P_GENERIC, 3)
-        assert X.carrier == LModule(3, 2)
-        assert entries(X.matrix) == [[0, -5], [1, 2]]
-        assert X.qpow == 0 and X.q == 5
-
     def test_torsion_frob_genus_one(self):
         X = torsion_frob(P_GENERIC, 2)
-        assert X.is_discrete and X.carrier.corank == 2
+        assert X.carrier.is_divisible and X.carrier.corank == 2
         # q C^{-T} with det C = q: the adjugate transpose, no q left over
         assert entries(X.matrix) == [[2, -1], [5, 0]]
         assert X.qpow == 0
@@ -346,8 +315,6 @@ class TestFrobConstructors:
     def test_base_mismatch(self):
         with pytest.raises(MismatchedBase):
             torsion_frob(P_GENERIC, 5)
-        with pytest.raises(MismatchedBase):
-            tate_frob(P_QUARTIC, 5)
 
     def test_box_torsion_frob_bookkeeping(self):
         X = box_torsion_frob(P_GENERIC, 3, 2, -1)
@@ -361,95 +328,34 @@ class TestFrobConstructors:
 
 class TestCohomology:
     def test_h1_trivial_action(self):
+        # F - 1 = 0 on the dual lattice: every class is co-fixed
         for n in (1, 2, 3):
             for q in (3, 5):
-                X = FrobObject(dual(LModule(2, 0, (n,))), IntMatrix.identity(1), q)
-                assert h1(X) == CoLGroup(LModule(2, 0, (n,)))
-                assert h0(X) == CoLGroup(LModule(2, 0, (n,)))
-
-    def test_h0_twisted_line(self):
-        # frobenius acts on Z/2(1) through q = 5 = 1 mod 2: everything fixed
-        X = FrobObject(dual(LModule(2, 0, (1,))), IntMatrix.identity(1), 5, 1)
-        assert h0(X) == CoLGroup(LModule(2, 0, (1,)))
+                X = FrobObject(CoLGroup(LModule(2, n)), IntMatrix.identity(n),
+                               q)
+                assert h1(X) == CoLGroup(LModule(2, n))
 
     def test_torsion_point_cohomology(self):
-        # det(F - 1) = P(1) = 4 != 0: the divisible carrier has trivial h1,
-        # and the fixed points inherit the elementary divisors of F - 1
+        # det(F - 1) = P(1) = 4 != 0: the divisible carrier has trivial h1
         X = torsion_frob(P_GENERIC, 2)
         assert h1(X).is_trivial
-        assert h0(X) == CoLGroup(LModule(2, 0, (2,)))
-        assert h0(X).corank == 0 and h1(X).corank == 0
-
-    def test_tate_module_cohomology(self):
-        X = tate_frob(P_GENERIC, 2)
-        assert h0(X).is_trivial
-        assert h1(X) == LModule(2, 0, (2,))
-        # at l = 3 nothing survives: 4 is a 3-adic unit
-        assert h1(tate_frob(P_GENERIC, 3)).is_trivial
+        assert h1(X).corank == 0
 
     def test_corank_flags_on_boundary_object(self):
         X = box_torsion_frob(P_GENERIC, 3, 2, -1)
         assert h1(X).corank == 2
-        assert h0(X).corank == 2
-
-    def test_herbrand_finite_carriers(self):
-        rng = random.Random(11)
-        for _ in range(20):
-            ell = rng.choice([2, 3])
-            n = rng.randint(1, 3)
-            exps = tuple(sorted((rng.randint(1, 3) for _ in range(n)),
-                                reverse=True))
-            m = finite_matrix(rng, ell, exps)
-            q = rng.choice([x for x in (3, 5, 7) if x != ell])
-            fin = FrobObject(LModule(ell, 0, exps), m, q, rng.randint(-1, 1))
-            disc = FrobObject(dual(LModule(ell, 0, exps)), m, q)
-            # the Herbrand quotient of a finite module is 1
-            assert h0(fin).order() == h1(fin).order()
-            a, b = h0(disc), h1(disc)
-            assert a.corank == b.corank == 0
-            assert a.dual_module.order() == b.dual_module.order()
-
-    def test_herbrand_fails_for_free_carrier(self):
-        # rank kills the balance: h0 = 0 but h1 has order det(F-1)
-        X = tate_frob(P_GENERIC, 2)
-        assert h0(X).order() == 1 and h1(X).order() == 4
-
-    def test_h0_matches_brute_level_kernel(self):
-        # fixed points at level s against exhaustive enumeration
-        for P in (P_GENERIC, P_CM, WEIL_CATALOG[2]):
-            for ell in (2, 3):
-                if P.q % ell == 0:
-                    continue
-                X = torsion_frob(P, ell)
-                fixed = h0(X)
-                for s in (1, 2):
-                    act = X.level_action(s)
-                    n = act.matrix.rows
-                    diff = [[act.matrix.data[i][j] - (i == j)
-                             for j in range(n)] for i in range(n)]
-                    brute = brute_kernel_structure(
-                        ell, (ell ** s,) * n, (ell ** s,) * n, diff)
-                    assert brute == fixed.level(s).torsion_exponents
-
 
 class TestLevels:
-    def test_tate_levels(self):
-        X = tate_frob(P_GENERIC, 2)
-        assert h_level(X, 1, 1) == LModule(2, 0, (1,))
-        assert h_level(X, 1, 2) == LModule(2, 0, (2,))
-        assert h_level(X, 1, 3) == LModule(2, 0, (2,))
-        for s in (1, 2, 3):
-            assert h_level(X, 0, s).order() == h_level(X, 1, s).order()
-        assert h_level(X, 2, 3).is_trivial
-
     def test_level_colimit_collapse(self):
         # every finite level sees coker classes that the colimit kills:
         # transition maps divide, so the direct limit is trivial even
-        # though det(F-1) = 4 is not a 2-adic unit
+        # though det(F-1) = 4 is not a 2-adic unit; coker(F - 1 mod 2^s)
+        # is read off the elementary divisors of F - 1, as the bhn suite does
         X = torsion_frob(P_GENERIC, 2)
         assert h1(X).is_trivial
+        minus_one = smith_kernel(X.frob_minus_one_cleared().matrix)
         for s in (1, 2, 3):
-            assert not h_level(X, 1, s).is_trivial
+            assert minus_one.level_orders(2, s)
 
 
 class TestEigenproduct:
@@ -646,8 +552,8 @@ def outcome(fn, *args):
 
 def uncached_corank(P, ell, j, r):
     X = box_torsion_frob(P, ell, j, r)
-    return integer_kernel_basis(X.frob_minus_one_cleared(transpose=True)
-                                .matrix).cols
+    return integer_kernel_basis(
+        cleared_minus_one(X.matrix.transpose(), X.q, X.qpow)).cols
 
 
 def uncached_duality(P, ell, j, r):
@@ -793,21 +699,3 @@ class TestTatePowers:
         assert code == 0
         assert len(built) == len(set(built)) == 34
 
-
-class TestOracleCrossChecks:
-    def test_structure_by_counting(self):
-        # recover h0 of the torsion object by order counting at level 2
-        X = torsion_frob(P_GENERIC, 2)
-        act = X.level_action(2)
-        n = act.matrix.rows
-        diff = [[act.matrix.data[i][j] - (i == j) for j in range(n)]
-                for i in range(n)]
-        elems = []
-        for a in range(4):
-            for b in range(4):
-                img = [(diff[0][0] * a + diff[0][1] * b) % 4,
-                       (diff[1][0] * a + diff[1][1] * b) % 4]
-                if img == [0, 0]:
-                    elems.append((a, b))
-        assert group_structure(2, (4, 4), elems) == (2,)
-        assert h0(X) == CoLGroup(LModule(2, 0, (2,)))

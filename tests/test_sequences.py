@@ -7,7 +7,7 @@ from itertools import product
 import pytest
 import sympy
 
-from devissage import procyclic, sequences
+from devissage import sequences
 from devissage.cli import RunConfig, build_instance, load_raw
 from devissage.dualgraph import (
     DivisorConfig,
@@ -38,10 +38,8 @@ from devissage.lprimary import FrobObject
 from devissage.procyclic import WEIL_CATALOG, CharPoly, h1, torsion_frob
 from devissage.sequences import (
     BhnReport,
-    CorestrictionEvidence,
     SingularityInstance,
     bhn_finite_field_report,
-    corestriction_surjective,
     devissage,
     induced_jacobian_block,
     lambda_structure,
@@ -328,7 +326,7 @@ class TestOwnedGraphObjects:
         monkeypatch.setattr(sequences, "induced_jacobian_block", counted)
         inst = instance(triangle(), [("u", P125, 3)], ell=2)
         for s in range(1, 5):
-            devissage(inst, 2, s)
+            devissage(inst, s)
         bhn_finite_field_report(inst)
         assert calls == ["u"]
         assert inst.jacobian_blocks == (real(inst, "u"),)
@@ -616,37 +614,25 @@ class TestLambdaStructure:
 
 class TestDevissage:
     def test_cycle_instance(self):
-        outer, inner = devissage(instance(banana(swap=False)), 2, 2)
+        outer, inner = devissage(instance(banana(swap=False)), 2)
         assert outer.verdict == "PASS" and inner.verdict == "PASS"
         assert outer.label == "devissage" and inner.label == "upsilon"
         assert outer.structure["cycle_block_matches_residue_kernel"]
         assert outer.structure["divisor_block_matches_projection_image"]
 
     def test_tree_collapses_to_divisor_block(self):
-        outer, inner = devissage(instance(tree_pair()), 2, 2)
+        outer, inner = devissage(instance(tree_pair()), 2)
         assert outer.verdict == "PASS"
         assert outer.terms[0].is_trivial
         assert outer.terms[1] == free_level(3, 2, 1)
         assert outer.terms[2] == free_level(3, 2, 1)
         assert inner.structure["observed"].is_trivial
 
-    def test_twist_two_leaves_tail_untwisted(self):
-        outer, _ = devissage(instance(banana(swap=True)), 2, 1)
-        assert all(ev.twist == 0 for ev in outer.structure["corestriction"])
-
-    def test_other_twists(self):
-        inst = instance(banana(swap=True))
-        for r in (1, 3):
-            outer, _ = devissage(inst, r, 1)
-            assert outer.verdict == "PASS"
-            for ev in outer.structure["corestriction"]:
-                assert ev.surjective and ev.twist == r - 2
-
     def test_anchored_swap_equivariance(self):
         g = banana(swap=True)
         inst = SingularityInstance(anchored_banana_config(g), [],
                                    ell=3, q=5)
-        outer, inner = devissage(inst, 2, 2)
+        outer, inner = devissage(inst, 2)
         assert outer.verdict == "PASS" and inner.verdict == "PASS"
         assert outer.structure["equivariant"]
         assert [t.num_gens for t in outer.terms] == [1, 4, 3]
@@ -665,11 +651,11 @@ class TestDevissage:
 
         monkeypatch.setattr(FrobObject, "twist", counted)
         for s in range(1, 5):
-            devissage(inst, 2, s)
+            devissage(inst, s)
         assert calls == []
 
     def test_modeled_caveat_present(self):
-        outer, inner = devissage(instance(tree_pair()), 2, 1)
+        outer, inner = devissage(instance(tree_pair()), 1)
         for rep in (outer, inner):
             assert any(isinstance(c, ModeledTermCaveat) for c in rep.caveats)
 
@@ -682,7 +668,7 @@ class TestDevissage:
             ell, q = pairs[rng.randrange(3)]
             s = rng.randint(1, 3)
             inst = instance(g, ell=ell, q=q)
-            outer, inner = devissage(inst, 2, s)
+            outer, inner = devissage(inst, s)
             assert outer.verdict == "PASS"
             assert inner.verdict == "PASS"
 
@@ -697,7 +683,7 @@ class TestSplitSequencesAgainstOracle:
         ndiv = len(inst.divisors.ids)
         inner_verdicts = []
         for s in range(1, inst.max_level + 1):
-            outer, inner = devissage(inst, 2, s)
+            outer, inner = devissage(inst, s)
             ref_inner = exactness_check(split_sequence(inst.ell, s, jrank, c))
             ref_outer = exactness_check(
                 split_sequence(inst.ell, s, jrank + c, ndiv - 1))
@@ -710,8 +696,7 @@ class TestSplitSequencesAgainstOracle:
             st = outer.structure
             outer_ok = (ref_outer.verdict == "EXACT"
                         and st["cycle_block_matches_residue_kernel"]
-                        and st["divisor_block_matches_projection_image"]
-                        and all(e.surjective for e in st["corestriction"]))
+                        and st["divisor_block_matches_projection_image"])
             assert inner.verdict == ("PASS" if inner_ok else "FAIL")
             assert outer.verdict == ("PASS" if outer_ok else "FAIL")
             inner_verdicts.append((inner.verdict, inner.structure["defect"]))
@@ -806,38 +791,6 @@ class TestOnoCheck:
         assert nontrivial >= 50
 
 
-class TestCorestriction:
-    def test_twist_zero_automatic(self):
-        ev = corestriction_surjective(5, 3, 0, 4)
-        assert ev.surjective
-        assert "degree" in ev.note
-        assert ev.base_valuation is None
-
-    def test_frozen_valuations(self):
-        ev = corestriction_surjective(5, 3, 1, 2)
-        assert (ev.base_valuation, ev.extension_valuation,
-                ev.transfer_valuation) == (0, 1, 1)
-        assert ev.surjective
-
-    def test_valuation_identity_grid(self):
-        # the transfer scalar is the exact ratio, so its valuation always
-        # accounts for the growth; the check computes rather than assumes
-        for q in (2, 3, 5, 10):
-            for ell in (2, 3, 5, 7):
-                if q % ell == 0:
-                    continue
-                for t in (-2, -1, 1, 2):
-                    for f in (1, 2, 3, 6):
-                        ev = corestriction_surjective(q, ell, t, f)
-                        assert ev.surjective
-                        assert (ev.transfer_valuation
-                                == ev.extension_valuation - ev.base_valuation)
-
-    def test_bad_degree(self):
-        with pytest.raises(ValueError):
-            corestriction_surjective(5, 3, 1, 0)
-
-
 class TestBhnReport:
     def test_node_swap_smallest_instance(self):
         rep = bhn_finite_field_report(instance(banana(swap=True)))
@@ -915,7 +868,6 @@ class TestBhnReport:
         assert rep.jacobian_vanishing[0].orbit_rep == "u"
         v = rep.jacobian_vanishing[0]
         assert v.extension_route_trivial and v.induced_route_trivial
-        assert any(ev.extension_degree == 2 for ev in rep.corestriction)
 
     def test_genus_two_quartic(self):
         rep = bhn_finite_field_report(
@@ -941,13 +893,14 @@ class TestBhnReport:
 
     def test_level_routes_take_different_maps(self, monkeypatch):
         # the two routes of "level structures agree between routes" must not
-        # both be cokernels of the same map
+        # both be cokernels of the same map; procyclic takes no cokernel
         seen = []
-        for module in (sequences, procyclic):
-            def recorded(f, _real=module.cokernel):
-                seen.append((f.domain, f.matrix))
-                return _real(f)
-            monkeypatch.setattr(module, "cokernel", recorded)
+        real = sequences.cokernel
+
+        def recorded(f):
+            seen.append((f.domain, f.matrix))
+            return real(f)
+        monkeypatch.setattr(sequences, "cokernel", recorded)
         for inst in (instance(banana(swap=True)),
                      instance(triangle(), [("u", P125, 3)], ell=3)):
             seen.clear()
