@@ -3,10 +3,10 @@
 The run command reads a JSON instance description, assembles the graph,
 divisor and jacobian data, executes the selected check suites, and prints
 one report.  Exit codes: 0 when every selected check passes, 2 when at
-least one check fails, 3 when a precision bound or enumeration cap is
-exhausted, 4 when the input fails parsing or validation.  A proof step found
-false (VerificationFailed) fails its suite with one "internal verification"
-check, and the other suites still run.
+least one check fails, 3 when the tree cap or the exact-kernel cap is hit
+(--precision only bounds --level), 4 when the input fails parsing or
+validation.  A proof step found false (VerificationFailed) fails its suite
+with one "internal verification" check, and the other suites still run.
 
 JSON reports are deterministic for a fixed (input, config, seed) triple:
 keys are sorted and timings are kept out of the JSON rendering.  The text
@@ -51,8 +51,8 @@ from .exactlin import (
     CoLGroup,
     IntMatrix,
     LModule,
+    SmithForm,
     is_prime,
-    smith_with_inverses,
 )
 from .lprimary import (
     CoMap,
@@ -498,8 +498,7 @@ def _laplacian_cofactor(graph) -> int:
     # its tree count with
     lap = laplacian(graph)
     keep = range(lap.rows - 1)
-    D = smith_with_inverses(lap.take_rows(keep).take_cols(keep))[1]
-    return abs(prod(D.entry(i, i) for i in keep))
+    return abs(prod(SmithForm.of(lap.take_rows(keep).take_cols(keep)).diagonal))
 
 
 def _rational_fixed_rank(lattice) -> int:

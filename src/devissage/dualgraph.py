@@ -32,17 +32,15 @@ from .errors import (
 )
 from .exactlin import (
     IntMatrix,
-    KernelResult,
     LMap,
     LModule,
-    SmithKernel,
+    SmithForm,
     free_level,
     integer_kernel_basis,
     kernel,
     kernel_coordinates,
     level_kernel,
     preimage,
-    smith_kernel,
     solve_integer,
 )
 
@@ -138,6 +136,7 @@ class DualGraph:
         if len(set(norm)) != len(norm):
             raise ValueError("duplicate edge")
         self.edges: Tuple[Edge, ...] = tuple(sorted(norm))
+        self.edge_index: Dict[Edge, int] = {e: i for i, e in enumerate(self.edges)}
 
         at_node: Dict[str, List[str]] = {n: [] for n in self.nodes}
         for c, n in self.edges:
@@ -218,6 +217,11 @@ class DualGraph:
 
     def component_orbits(self) -> Tuple[Tuple[str, ...], ...]:
         return self._orbits(self.component_ids)
+
+    @cached_property
+    def cycle_basis(self) -> IntMatrix:
+        """Cycle lattice basis, ker of the boundary map Z^E -> Z^V, taken once."""
+        return integer_kernel_basis(_boundary_matrix(self))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DualGraph):
@@ -311,8 +315,7 @@ def h1_lattice(graph: DualGraph) -> HomologyLattice:
     orientation and no sign corrections arise.  Group relations of the
     generators are re-checked on all short words.
     """
-    boundary = _boundary_matrix(graph)
-    basis = integer_kernel_basis(boundary)
+    basis = graph.cycle_basis
     c = basis.cols
     mats = []
     for p in graph.action:
@@ -431,8 +434,7 @@ def spanning_trees(graph: DualGraph, cap: int = DEFAULT_TREE_CAP):
         raise EnumerationCapExceeded(
             f"{cofactor} spanning trees exceed the cap of {cap}; raise the "
             f"cap to enumerate")
-    edges = graph.edges
-    eindex = {e: i for i, e in enumerate(edges)}
+    edges, eindex = graph.edges, graph.edge_index
     cindex = {c: i for i, c in enumerate(graph.component_ids)}
     pairs = [graph.node_components(n) for n in graph.nodes]
     halves = [(eindex[a, n], eindex[b, n])
@@ -460,7 +462,7 @@ def _tree_orbit_positions(graph: DualGraph, trees, not_closed: Exception):
     generator maps a mask one byte at a time: per 8-bit chunk of the mask,
     a table sends each byte value to the bits of its edges' images."""
     edges = graph.edges
-    bit_of = {e: 1 << i for i, e in enumerate(edges)}
+    bit_of = {e: 1 << i for e, i in graph.edge_index.items()}
     # a tree's edges are distinct bits, so their sum is the mask
     masks = [sum(map(bit_of.__getitem__, t)) for t in trees]
     position = {mask: k for k, mask in enumerate(masks)}
@@ -504,7 +506,7 @@ def m_gamma(graph: DualGraph, cap: int = DEFAULT_TREE_CAP) -> int:
 
 def _validate_tree(graph: DualGraph, tree) -> Tuple[Edge, ...]:
     edges = []
-    eset = set(graph.edges)
+    eset = graph.edge_index
     for e in tree:
         pair = tuple(e)
         cand = pair if pair in eset else (pair[1], pair[0])
@@ -730,7 +732,7 @@ class XiLattice:
     points; its columns are the alphas, then the y incidences grouped by
     component.  cycles embeds the cycle lattice via the y coordinates on
     node incidences; projection reads the divisor block.  kernel holds the
-    Smith data of the constraints and cycle_span that of the transposed
+    SmithForm of the transposed constraints and cycle_span that of the
     cycle embedding, which build_xi reads at every level; psi keeps
     build_psi's integer sections by orbit.
     """
@@ -743,8 +745,8 @@ class XiLattice:
     cycles: IntMatrix
     ambient_actions: Tuple[IntMatrix, ...]
     divisor_actions: Tuple[IntMatrix, ...]
-    kernel: SmithKernel
-    cycle_span: SmithKernel
+    kernel: SmithForm
+    cycle_span: SmithForm
     psi: Dict[tuple, tuple] = field(default_factory=dict, compare=False,
                                     repr=False)
 
@@ -760,9 +762,9 @@ class XiLattice:
         return y.take_rows(range(ncomp)), y.take_rows(range(ncomp, C.rows))
 
     @cached_property
-    def component_sums(self) -> SmithKernel:
-        """Smith data of the per-component sum on the y incidences."""
-        return smith_kernel(self.incidence_blocks()[0])
+    def component_sums(self) -> SmithForm:
+        """Smith form of the transposed per-component sum on the y incidences."""
+        return SmithForm.of(self.incidence_blocks()[0].transpose())
 
     @cached_property
     def zero_sum_actions(self) -> tuple:
@@ -812,7 +814,7 @@ def xi_lattice(config: DivisorConfig) -> XiLattice:
         [[1 if j == i else 0 for j in range(nvars)] for i in range(ndiv)], nvars)
 
     # cycle lattice into the y coordinates on node incidences
-    cycles = integer_kernel_basis(_boundary_matrix(graph))
+    cycles = graph.cycle_basis
     c_rank = cycles.cols
     hrows = [[0] * c_rank for _ in range(nvars)]
     for j, (comp, node) in enumerate(graph.edges):
@@ -847,7 +849,7 @@ def xi_lattice(config: DivisorConfig) -> XiLattice:
         constraint=C, projection=proj, cycles=H,
         ambient_actions=tuple(ambient_actions),
         divisor_actions=tuple(divisor_actions),
-        kernel=smith_kernel(C), cycle_span=smith_kernel(H.transpose()),
+        kernel=SmithForm.of(C.transpose()), cycle_span=SmithForm.of(H),
     )
 
 
@@ -859,7 +861,7 @@ class XiModule:
     the divisor configuration, the coordinate names, support points and
     actions.  module is the kernel of the constraints mod l^s; the cycle
     lattice embeds via the y coordinates on node incidences and phi projects
-    onto the divisor block.  phi_kernel is the kernel of phi, with its
+    onto the divisor block.  phi_kernel is the kernel of phi, as its
     inclusion into the module.
     """
 
@@ -873,7 +875,7 @@ class XiModule:
     divisor_block: LModule
     phi_ambient: LMap
     phi: LMap
-    phi_kernel: KernelResult
+    phi_kernel: LMap
     cycle_embedding: LMap
     h1_inclusion: LMap
 
@@ -890,16 +892,16 @@ class XiModule:
             for M in self.lattice.incidence_blocks())
 
 
-def _span_contains(span: SmithKernel, ell: int, s: int, B: IntMatrix) -> bool:
+def _span_contains(span: SmithForm, ell: int, s: int, B: IntMatrix) -> bool:
     """Every column of B lies in the mod l^s column span of A, where span is
-    the Smith data of A^T.
+    SmithForm.of(A).
 
     A submodule of (Z/l^s)^n is the annihilator of its annihilator (Z/l^s
     is self-injective), and the annihilator of A's span is ker(A^T mod
     l^s): b lies in the span exactly when every generator of that kernel
     pairs to 0 with it.
     """
-    dual = level_kernel(span, ell, s).inclusion.matrix
+    dual = level_kernel(span, ell, s).matrix
     return (dual.transpose() @ B).mod(ell ** s).is_zero()
 
 
@@ -926,7 +928,7 @@ def build_xi(lattice: XiLattice, ell: int, s: int) -> XiModule:
 
     divisor_block = free_level(ell, s, ndiv)
     phi_ambient = LMap(ambient, divisor_block, lattice.projection)
-    phi = phi_ambient.compose(K.inclusion)
+    phi = phi_ambient.compose(K)
 
     H = lattice.cycles
     h1_dom = free_level(ell, s, H.cols)
@@ -934,16 +936,16 @@ def build_xi(lattice: XiLattice, ell: int, s: int) -> XiModule:
     coords = kernel_coordinates(lattice.kernel, ell, s, H)
     if coords is None:
         raise VerificationFailed("cycle columns do not lie in the assembled kernel")
-    h1_inclusion = LMap(h1_dom, K.module, coords)
+    h1_inclusion = LMap(h1_dom, K.domain, coords)
 
     # exactness in the middle: kernel of phi coincides with the cycle image.
     # The kernel lies in the cycle span by the cycle embedding's Smith data;
     # the cycle image lies in the kernel when h1_inclusion's columns lie in
     # phi_kernel's span, a solve inside the module
     phi_kernel = kernel(phi)
-    ker_amb = K.inclusion.matrix @ phi_kernel.inclusion.matrix
+    ker_amb = K.matrix @ phi_kernel.matrix
     if not (_span_contains(lattice.cycle_span, ell, s, ker_amb)
-            and preimage(phi_kernel.inclusion, h1_inclusion.matrix) is not None):
+            and preimage(phi_kernel, h1_inclusion.matrix) is not None):
         raise VerificationFailed("kernel of phi differs from the cycle image at this level")
 
     ones = IntMatrix.from_rows([[1] * ndiv], ndiv)
@@ -953,13 +955,13 @@ def build_xi(lattice: XiLattice, ell: int, s: int) -> XiModule:
         raise VerificationFailed("phi misses part of the zero sum block")
 
     for P in lattice.ambient_actions:
-        if not (C @ (P @ K.inclusion.matrix)).mod(mod).is_zero():
+        if not (C @ (P @ K.matrix)).mod(mod).is_zero():
             raise VerificationFailed("action does not preserve the assembled kernel")
 
     return XiModule(
         lattice=lattice, ell=ell, level=s,
         ambient=ambient, constraint=constraint,
-        module=K.module, inclusion=K.inclusion,
+        module=K.domain, inclusion=K,
         divisor_block=divisor_block, phi_ambient=phi_ambient, phi=phi,
         phi_kernel=phi_kernel,
         cycle_embedding=cycle_embedding, h1_inclusion=h1_inclusion,

@@ -24,8 +24,9 @@ private ``_trusted`` route, which stores them unchecked.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 from operator import index, itemgetter, lt, mul
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import MismatchedPrime, VerificationFailed
 
@@ -440,16 +441,45 @@ def smith_with_inverses(A: IntMatrix):
     )
 
 
+class SmithForm(NamedTuple):
+    """One Smith form U A V = D of A, unchecked, that every kernel, cokernel,
+    solve and level structure reads; diagonal has one d_i per row of A, 0
+    past the rank."""
+
+    U: IntMatrix
+    V: IntMatrix
+    Uinv: IntMatrix
+    diagonal: tuple
+
+    @classmethod
+    def of(cls, A: IntMatrix) -> "SmithForm":
+        U, D, V, Ui = smith_with_inverses(A)
+        return cls(U, V, Ui, tuple([r[i] if i < A.cols else 0
+                                    for i, r in enumerate(D.data)]))
+
+    def orders(self, ell: int, s: Optional[int] = None) -> list:
+        """(v_i, i) for each row i with v_i != 0, by decreasing v_i, ties by row:
+        v_i = v_l(d_i), or None (ranked first) where d_i = 0, which lists the
+        free, then the torsion generators of Z^rows / A Z^cols; at a level s,
+        v_i = min(v_l(d_i), s), or s where d_i = 0."""
+        out = []
+        for i, d in enumerate(self.diagonal):
+            v = (s if d == 0 else valuation(d, ell) if s is None
+                 else min(valuation(d, ell), s))
+            if v != 0:
+                out.append((v, i))
+        out.sort(key=lambda t: -(t[0] or inf))   # v is never 0 here
+        return out
+
+
 def integer_kernel_basis(A: IntMatrix) -> IntMatrix:
     """Basis of {x in Z^cols : A x = 0} as columns of the returned matrix.
 
     The basis spans a saturated sublattice (the honest kernel, not a finite
     index subgroup of it).
     """
-    _, D, V, _ = smith_with_inverses(A)
-    r = sum(1 for i in range(min(D.rows, D.cols)) if D.entry(i, i))
-    idx = list(range(r, A.cols))
-    return V.take_cols(idx)
+    sf = SmithForm.of(A)
+    return sf.V.take_cols(range(sum(map(bool, sf.diagonal)), A.cols))
 
 
 def solve_integer(A: IntMatrix, B: IntMatrix) -> Optional[IntMatrix]:
@@ -460,17 +490,16 @@ def solve_integer(A: IntMatrix, B: IntMatrix) -> Optional[IntMatrix]:
     """
     if A.rows != B.rows:
         raise ValueError(f"cannot solve a {A.rows}-row system for {B.rows} rows")
-    U, D, V, _ = smith_with_inverses(A)
+    sf = SmithForm.of(A)
     Y = []
-    for i, row in enumerate((U @ B).data):
-        d = D.entry(i, i) if i < min(A.rows, A.cols) else 0
+    for row, d in zip((sf.U @ B).data, sf.diagonal):
         if (any(x % d for x in row) if d else any(row)):
             return None
         Y.append([x // d for x in row] if d else row)
     # Y needs A.cols rows: rows past A.cols were checked to be zero, and
     # unknowns past A.rows are free and set to zero
     Y = (Y + [[0] * B.cols] * A.cols)[:A.cols]
-    return V @ IntMatrix(A.cols, B.cols, Y)
+    return sf.V @ IntMatrix(A.cols, B.cols, Y)
 
 
 # the largest prime below 2^30: a residue is one 30-bit digit of a CPython
@@ -802,22 +831,7 @@ def dual(x):
 # presentations
 
 
-@dataclass(frozen=True)
-class Canonicalized:
-    """Canonical form of a presentation plus the change of coordinates.
-
-    project: (module gens) x (presentation gens), image of each presentation
-    generator in canonical coordinates.
-    lift: (presentation gens) x (module gens), a chosen preimage of each
-    canonical generator.  project @ lift is the identity on the module.
-    """
-
-    module: LModule
-    project: IntMatrix
-    lift: IntMatrix
-
-
-def canonicalize_with_maps(ell: int, rel_cols: IntMatrix) -> Canonicalized:
+def canonicalize_with_maps(ell: int, rel_cols: IntMatrix):
     """Collapse a presentation to canonical form, keeping the coordinate maps.
 
     The presented module is Z^p modulo the span of the columns of the p x q
@@ -825,27 +839,21 @@ def canonicalize_with_maps(ell: int, rel_cols: IntMatrix) -> Canonicalized:
     are units l-locally and their generators are dropped; mixed factors
     u*l^v keep only the l-part l^v.
 
+    Returns (module, project, lift): project, (module gens) x (presentation
+    gens), sends each presentation generator to canonical coordinates; lift,
+    (presentation gens) x (module gens), picks a preimage of each canonical
+    generator, and project @ lift is the identity on the module.
+
     >>> R = IntMatrix.from_rows([[2, 0], [0, 3]])
-    >>> str(canonicalize_with_maps(2, R).module)
+    >>> str(canonicalize_with_maps(2, R)[0])
     'C2'
     """
-    p = rel_cols.rows
-    U, D, _, Ui = smith_with_inverses(rel_cols)
-    r = sum(1 for i in range(min(D.rows, D.cols)) if D.entry(i, i))
-    # classify the z-coordinates
-    free_idx = list(range(r, p))
-    torsion = []  # (exponent, index)
-    for i in range(r):
-        v = valuation(D.entry(i, i), ell)
-        if v > 0:
-            torsion.append((v, i))
-    torsion.sort(key=lambda t: (-t[0], t[1]))
-    exps = tuple(v for v, _ in torsion)
-    module = LModule(ell, len(free_idx), exps)
-    selected = free_idx + [i for _, i in torsion]
-    project = U.take_rows(selected)
-    lift = Ui.take_cols(selected)
-    return Canonicalized(module, project, lift)
+    sf = SmithForm.of(rel_cols)
+    orders = sf.orders(ell)
+    exps = tuple(v for v, _ in orders if v is not None)
+    selected = [i for _, i in orders]
+    return (LModule(ell, len(orders) - len(exps), exps),
+            sf.U.take_rows(selected), sf.Uinv.take_cols(selected))
 
 
 # ---------------------------------------------------------------------------
@@ -944,20 +952,8 @@ class LMap:
 # kernels, cokernels, preimages
 
 
-@dataclass(frozen=True)
-class KernelResult:
-    module: LModule
-    inclusion: LMap
-
-
-@dataclass(frozen=True)
-class CokernelResult:
-    module: LModule
-    projection: LMap
-
-
-def kernel(f: LMap) -> KernelResult:
-    """Kernel of a map, with its inclusion into the domain.
+def kernel(f: LMap) -> LMap:
+    """Kernel of a map, as its inclusion into the domain.
 
     Lift to presentations: u in Z^m represents a kernel element iff
     F u lies in the relation lattice of the codomain.  Two saturated integer
@@ -970,17 +966,16 @@ def kernel(f: LMap) -> KernelResult:
     # relations among the kernel generators: preimages of the domain relations
     block2 = B.hstack(dom.relation_cols())
     yb = integer_kernel_basis(block2)
-    canon = canonicalize_with_maps(dom.ell, yb.take_rows(range(B.cols)))
-    inc = LMap(canon.module, dom, B @ canon.lift)
-    return KernelResult(canon.module, inc)
+    module, _, lift = canonicalize_with_maps(dom.ell, yb.take_rows(range(B.cols)))
+    return LMap(module, dom, B @ lift)
 
 
-def cokernel(f: LMap) -> CokernelResult:
-    """Cokernel of a map, with the projection from the codomain."""
+def cokernel(f: LMap) -> LMap:
+    """Cokernel of a map, as the projection from the codomain."""
     cod = f.codomain
-    canon = canonicalize_with_maps(cod.ell, cod.relation_cols().hstack(f.matrix))
-    proj = LMap(cod, canon.module, canon.project)
-    return CokernelResult(canon.module, proj)
+    module, project, _ = canonicalize_with_maps(
+        cod.ell, cod.relation_cols().hstack(f.matrix))
+    return LMap(cod, module, project)
 
 
 def preimage(f: LMap, B: IntMatrix) -> Optional[IntMatrix]:
@@ -995,55 +990,32 @@ def preimage(f: LMap, B: IntMatrix) -> Optional[IntMatrix]:
     return f.domain.reduce_columns(sol.take_rows(range(f.domain.num_gens)))
 
 
-@dataclass(frozen=True)
-class SmithKernel:
-    """One integer Smith form of A, read as ker(A mod l^s) at any l and s.
+def _level_generators(sf: SmithForm, ell: int, s: int, orders) -> IntMatrix:
+    # column k is l^(s - v) Q_i for the k-th (v, i) of orders; Q_i = row i of U
+    return IntMatrix._trusted(len(orders), sf.U.rows, tuple([
+        tuple([ell ** (s - v) * x for x in sf.U.data[i]])
+        for v, i in orders])).transpose()
 
-    smith_with_inverses(A^T) = (U, D, V, Uinv) gives A Q = W E with
-    Q = U^T, Q^-1 = Uinv^T and W = V^-T unimodular and E = D^T diagonal.
-    So A x = 0 mod l^s exactly when y = Q^-1 x has d_i y_i = 0 mod l^s for
-    every diagonal entry d_i (0 past the rank): with v_i = min(v_l(d_i), s),
-    and v_i = s when d_i = 0, the kernel is the sum of the cyclic groups of
-    order l^v_i generated by l^(s - v_i) Q_i, wherever v_i > 0.
+
+def level_kernel(sf: SmithForm, ell: int, s: int) -> LMap:
+    """ker(A mod l^s) as its inclusion into (Z/l^s)^cols, read off
+    sf = SmithForm.of(A^T) at any l and s.
+
+    U A^T V = D gives A Q = W E with Q = U^T, Q^-1 = Uinv^T and W = V^-T
+    unimodular and E = D^T diagonal.  So A x = 0 mod l^s exactly when
+    y = Q^-1 x has d_i y_i = 0 mod l^s for every d_i: the kernel is the sum
+    of the cyclic groups of order l^v_i generated by l^(s - v_i) Q_i, for
+    the (v_i, i) of sf.orders(ell, s).
     """
-
-    basis: IntMatrix      # Q, one column per coordinate y_i
-    inverse: IntMatrix    # Q^-1
-    diagonal: tuple       # d_i, one per column of A
-
-    def level_orders(self, ell: int, s: int) -> list:
-        """(v_i, i) for every i with v_i > 0, by decreasing v_i."""
-        out = []
-        for i, d in enumerate(self.diagonal):
-            v = s if d == 0 else min(valuation(d, ell), s)
-            if v:
-                out.append((v, i))
-        out.sort(key=lambda t: -t[0])   # stable: ties keep their index order
-        return out
+    orders = sf.orders(ell, s)
+    return LMap(LModule(ell, 0, tuple(v for v, _ in orders)),
+                free_level(ell, s, sf.U.rows),
+                _level_generators(sf, ell, s, orders))
 
 
-def smith_kernel(A: IntMatrix) -> SmithKernel:
-    """The Smith data of A that level_kernel and kernel_coordinates read."""
-    U, D, _, Ui = smith_with_inverses(A.transpose())
-    rank_rows = min(D.rows, D.cols)
-    diagonal = tuple(D.entry(i, i) if i < rank_rows else 0
-                     for i in range(A.cols))
-    return SmithKernel(U.transpose(), Ui.transpose(), diagonal)
-
-
-def level_kernel(sk: SmithKernel, ell: int, s: int) -> KernelResult:
-    """ker(A mod l^s) with its inclusion into (Z/l^s)^cols, from A's Smith data."""
-    orders = sk.level_orders(ell, s)
-    module = LModule(ell, 0, tuple(v for v, _ in orders))
-    gens = IntMatrix(len(orders), sk.basis.rows, [
-        [ell ** (s - v) * x for x in sk.basis.col(i)] for v, i in orders])
-    return KernelResult(module, LMap(module, free_level(ell, s, sk.basis.rows),
-                                     gens.transpose()))
-
-
-def kernel_coordinates(sk: SmithKernel, ell: int, s: int,
+def kernel_coordinates(sf: SmithForm, ell: int, s: int,
                        X: IntMatrix) -> Optional[IntMatrix]:
-    """Coordinates of the columns of X in level_kernel(sk, ell, s)'s
+    """Coordinates of the columns of X in level_kernel(sf, ell, s)'s
     generators, or None when a column is not in ker(A mod l^s).
 
     y = Q^-1 x must have l^(s - v_i) | y_i for every i (y_i = 0 mod l^s
@@ -1051,17 +1023,14 @@ def kernel_coordinates(sk: SmithKernel, ell: int, s: int,
     result is checked to reproduce X mod l^s.
     """
     mod = ell ** s
-    Y = (sk.inverse @ X).mod(mod)
-    orders = sk.level_orders(ell, s)
+    Y = (sf.Uinv.transpose() @ X).mod(mod)
+    orders = sf.orders(ell, s)
     kept = {i: v for v, i in orders}
-    for i, row in enumerate(Y.data):
-        step = ell ** (s - kept.get(i, 0))
-        if any(x % step for x in row):
-            return None
+    if any(x % ell ** (s - kept.get(i, 0)) for i, row in enumerate(Y.data) for x in row):
+        return None
     coords = IntMatrix(len(orders), X.cols, [
         [x // ell ** (s - v) for x in Y.data[i]] for v, i in orders])
-    inclusion = level_kernel(sk, ell, s).inclusion.matrix
-    if not ((inclusion @ coords) - X).mod(mod).is_zero():
+    if not ((_level_generators(sf, ell, s, orders) @ coords) - X).mod(mod).is_zero():
         raise VerificationFailed("kernel coordinates do not reproduce the vectors")
     return coords
 
@@ -1072,21 +1041,18 @@ def homology_at(incoming: Optional[LMap], outgoing: Optional[LMap],
 
     None stands for the zero map off the end of a complex.
     """
-    if outgoing is None:
-        k = KernelResult(carrier, LMap.identity_on(carrier))
-    else:
-        if outgoing.domain != carrier:
-            raise ValueError("outgoing map does not start at the carrier")
-        k = kernel(outgoing)
+    if outgoing is not None and outgoing.domain != carrier:
+        raise ValueError("outgoing map does not start at the carrier")
+    k = LMap.identity_on(carrier) if outgoing is None else kernel(outgoing)
     if incoming is None:
-        return k.module
+        return k.domain
     if incoming.codomain != carrier:
         raise ValueError("incoming map does not end at the carrier")
     # incoming factors through the kernel: a complex has outgoing o incoming = 0
-    mat = preimage(k.inclusion, incoming.matrix)
+    mat = preimage(k, incoming.matrix)
     if mat is None:
         raise ValueError("map does not factor through the kernel")
-    return cokernel(LMap(incoming.domain, k.module, mat)).module
+    return cokernel(LMap(incoming.domain, k.domain, mat)).codomain
 
 
 # ---------------------------------------------------------------------------

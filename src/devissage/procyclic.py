@@ -345,7 +345,7 @@ def box_torsion_frob(P: CharPoly, ell: int, j: int, r: int) -> FrobObject:
 
 def h1(X: FrobObject) -> CoLGroup:
     """Co-fixed points (the only higher cohomology of a procyclic group)."""
-    return dual(kernel(X.frob_minus_one_cleared()).module)
+    return dual(kernel(X.frob_minus_one_cleared()).domain)
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,7 @@ from .exactlin import (
     IntMatrix,
     LMap,
     LModule,
+    SmithForm,
     cokernel,
     free_level,
     is_prime,
@@ -49,7 +50,6 @@ from .exactlin import (
     kernel_coordinates,
     level_kernel,
     preimage,
-    smith_kernel,
     solve_integer,
 )
 from .lprimary import FrobObject
@@ -323,22 +323,22 @@ def lambda_structure(inst: SingularityInstance, s: int) -> LambdaReport:
     xi = inst.xi(s)
     _, to_points = xi.incidence_maps()
     sums = level_kernel(xi.lattice.component_sums, inst.ell, s)
-    co = cokernel(to_points.compose(sums.inclusion))
+    co = cokernel(to_points.compose(sums))
 
     expected = free_level(inst.ell, s, 1)
-    structure_ok = co.module == expected
+    structure_ok = co.codomain == expected
 
-    unit = IntMatrix.identity(co.module.num_gens)
-    lift = preimage(co.projection, unit)
+    unit = IntMatrix.identity(co.codomain.num_gens)
+    lift = preimage(co, unit)
     frob_flags = []
     for gp, dp in zip(inst.graph.action, inst.divisors.action):
         P = perm_matrix(xi.lattice.support, {**gp, **dp}.__getitem__)
-        frob_flags.append(lift is not None and co.module.reduce_columns(
-            co.projection.matrix @ (P @ lift)) == unit)
+        frob_flags.append(lift is not None and co.codomain.reduce_columns(
+            co.matrix @ (P @ lift)) == unit)
 
     verdict = "PASS" if structure_ok and all(frob_flags) else "FAIL"
     return LambdaReport(
-        level=s, structure=co.module, expected=expected,
+        level=s, structure=co.codomain, expected=expected,
         structure_ok=structure_ok,
         frobenius_trivial_untwisted=tuple(frob_flags), twist=-1,
         verdict=verdict,
@@ -377,8 +377,8 @@ def devissage(inst: SingularityInstance,
 
     # graph-side crosschecks at the same level: the cycle block must match
     # the kernel of phi, the divisor block the image of phi
-    theta_ok = xi.phi_kernel.module == free_level(ell, s, c)
-    divisor_ok = cokernel(xi.phi_kernel.inclusion).module == terms[2]
+    theta_ok = xi.phi_kernel.domain == free_level(ell, s, c)
+    divisor_ok = cokernel(xi.phi_kernel).codomain == terms[2]
 
     structure = {
         "equivariant": True,
@@ -494,16 +494,15 @@ def _module_action(xi: XiModule, amb: IntMatrix) -> IntMatrix:
     return sol
 
 
-def _induced_on_cokernels(f: LMap, cok_dom, cok_cod) -> LMap:
-    """The map between cokernels induced by an equivariant map."""
-    lift = preimage(cok_dom.projection,
-                    IntMatrix.identity(cok_dom.module.num_gens))
+def _induced_on_cokernels(f: LMap, cok_dom: LMap, cok_cod: LMap) -> LMap:
+    """The map between cokernels (given as projections) induced by f."""
+    lift = preimage(cok_dom, IntMatrix.identity(cok_dom.codomain.num_gens))
     if lift is None:
         raise VerificationFailed("cokernel projection is not onto")
     moved = f.codomain.reduce_columns(f.matrix @ lift)
-    h = LMap(cok_dom.module, cok_cod.module, cok_cod.projection.matrix @ moved)
-    lhs = h.compose(cok_dom.projection)
-    rhs = cok_cod.projection.compose(f)
+    h = LMap(cok_dom.codomain, cok_cod.codomain, cok_cod.matrix @ moved)
+    lhs = h.compose(cok_dom)
+    rhs = cok_cod.compose(f)
     if lhs.matrix != rhs.matrix:
         raise VerificationFailed("induced cokernel map fails its defining square")
     return h
@@ -537,7 +536,7 @@ def bhn_finite_field_report(inst: SingularityInstance) -> BhnReport:
     corank_ok = h1_corank == rho_value
     # coker(M - 1 mod l^s) read off M - 1's elementary divisors d_i alone:
     # the sum of the Z/l^min(v_l(d_i), s)
-    minus_one = smith_kernel(msigma - IntMatrix.identity(c))
+    minus_one = SmithForm.of(msigma - IntMatrix.identity(c))
     ono = ono_check(lat.action_matrices, c)
 
     levels = []
@@ -557,13 +556,12 @@ def bhn_finite_field_report(inst: SingularityInstance) -> BhnReport:
         cok_x = cokernel(act_x - LMap.identity_on(xi.module))
         induced = _induced_on_cokernels(h1_inc, cok_a, cok_x)
         f_mod = kernel(induced)
-        killed = cok_a.module.reduce_columns(
-            f_mod.inclusion.matrix.scale(m_value)).is_zero()
-        routes_agree = cok_a.module == LModule(
-            ell, 0, tuple(v for v, _ in minus_one.level_orders(ell, s)))
+        killed = cok_a.codomain.reduce_columns(f_mod.matrix.scale(m_value)).is_zero()
+        routes_agree = cok_a.codomain == LModule(
+            ell, 0, tuple(v for v, _ in minus_one.orders(ell, s)))
         levels.append(BhnLevelRecord(
-            level=s, h1_structure=cok_a.module, xi_h1_structure=cok_x.module,
-            f_structure=f_mod.module, f_killed_by_m=killed,
+            level=s, h1_structure=cok_a.codomain, xi_h1_structure=cok_x.codomain,
+            f_structure=f_mod.domain, f_killed_by_m=killed,
             equivariance_ok=equiv, level_routes_agree=routes_agree))
 
     vanishing = []

@@ -22,7 +22,10 @@ eigenproduct_poly's Newton step before they eliminated in place, batched
 each step's column operations and summed each step with map(mul, ...);
 dense_smith_with_inverses, the Smith form before it skipped zeros and
 stopped at the first unit pivot; per_column_orbit_section, the section of
-one tree orbit by a tree_solve call per (column, tree) pair.
+one tree orbit by a tree_solve call per (column, tree) pair;
+canonical_orders and smith_level_orders, the two ways canonicalize_with_maps
+and level_kernel classified a Smith diagonal before both read
+SmithForm.orders.
 """
 
 from collections import namedtuple
@@ -499,7 +502,7 @@ def per_level_xi(graph, config, ell, s):
     K = kernel(LMap(ambient, free_level(ell, s, C.rows), C))
     proj = IntMatrix.from_rows(
         [[1 if j == i else 0 for j in range(nvars)] for i in range(ndiv)], nvars)
-    phi = LMap(ambient, free_level(ell, s, ndiv), proj).compose(K.inclusion)
+    phi = LMap(ambient, free_level(ell, s, ndiv), proj).compose(K)
 
     cycles = integer_kernel_basis(_boundary_matrix(graph))
     hrows = [[0] * cycles.cols for _ in range(nvars)]
@@ -507,8 +510,8 @@ def per_level_xi(graph, config, ell, s):
         for k in range(cycles.cols):
             hrows[vindex[("y", comp, node)]][k] = cycles.entry(j, k)
     H = IntMatrix.from_rows(hrows, cycles.cols)
-    h1_inclusion = LMap(free_level(ell, s, H.cols), K.module,
-                        preimage(K.inclusion, H))
+    h1_inclusion = LMap(free_level(ell, s, H.cols), K.domain,
+                        preimage(K, H))
 
     ncomp = len(graph.component_ids)
     y_cols = range(ndiv, nvars)
@@ -516,11 +519,11 @@ def per_level_xi(graph, config, ell, s):
     per_comp_sum, to_points = (
         LMap(y_level, free_level(ell, s, len(r)), C.take_rows(r).take_cols(y_cols))
         for r in (range(ncomp), range(ncomp, C.rows)))
-    lam = cokernel(to_points.compose(kernel(per_comp_sum).inclusion))
+    lam = cokernel(to_points.compose(kernel(per_comp_sum)))
     return SimpleNamespace(
-        module=K.module, inclusion=K.inclusion, phi_kernel=kernel(phi),
+        module=K.domain, inclusion=K, phi_kernel=kernel(phi),
         h1_inclusion=h1_inclusion, cycle_embedding=H,
-        lambda_cokernel=lam.module)
+        lambda_cokernel=lam.codomain)
 
 
 def edge_recursion_trees(graph):
@@ -603,8 +606,8 @@ def co_cokernel(f):
     from devissage.exactlin import CoLGroup, kernel
     from devissage.lprimary import CoMap
     k = kernel(f.dual_map)
-    quo = CoLGroup(k.module)
-    return quo, CoMap(f.codomain, quo, k.inclusion)
+    quo = CoLGroup(k.domain)
+    return quo, CoMap(f.codomain, quo, k)
 
 
 def box_twist_nullity(P, ell, j, r):
@@ -686,6 +689,38 @@ def integer_newton_eigenproduct_poly(P, j):
             raise ArithmeticError("composed power polynomial not integral")
         E.append(e)
     return tuple((-1) ** k * e for k, e in enumerate(E))
+
+
+def canonical_orders(ell, D):
+    """canonicalize_with_maps' classification of the Smith form D = U A V
+    before SmithForm: (None, i) for the free rows i past the rank, then
+    (v_l(d_i), i) for the rows of positive valuation, by decreasing
+    valuation, ties by row."""
+    from devissage.exactlin import valuation
+    r = sum(1 for i in range(min(D.rows, D.cols)) if D.entry(i, i))
+    torsion = []
+    for i in range(r):
+        v = valuation(D.entry(i, i), ell)
+        if v > 0:
+            torsion.append((v, i))
+    torsion.sort(key=lambda t: (-t[0], t[1]))
+    return [(None, i) for i in range(r, D.rows)] + torsion
+
+
+def smith_level_orders(ell, s, D):
+    """SmithKernel.level_orders on the Smith form D, as level_kernel read it
+    before SmithForm: (min(v_l(d_i), s), i), or (s, i) where d_i = 0, for
+    every row i where that is positive, by decreasing value, ties by row."""
+    from devissage.exactlin import valuation
+    diagonal = tuple(D.entry(i, i) if i < min(D.rows, D.cols) else 0
+                     for i in range(D.rows))
+    out = []
+    for i, d in enumerate(diagonal):
+        v = s if d == 0 else min(valuation(d, ell), s)
+        if v:
+            out.append((v, i))
+    out.sort(key=lambda t: -t[0])
+    return out
 
 
 def dense_smith_with_inverses(A):

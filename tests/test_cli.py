@@ -385,8 +385,7 @@ class TestRunLibrary:
         # the graph suite counts and caps the trees before h1_lattice
         calls = []
         for module, name in ((sequences, "h1_lattice"),
-                             (exactlin, "smith_with_inverses"),
-                             (cli, "smith_with_inverses")):
+                             (exactlin, "smith_with_inverses")):
             def counted(*args, _name=name, _real=getattr(module, name)):
                 calls.append(_name)
                 return _real(*args)
@@ -437,7 +436,7 @@ class TestRunLibrary:
     def test_constraint_smith_form_taken_once_per_run(self, monkeypatch,
                                                       max_level):
         # every level reads the one Smith form of Xi's constraints C, which
-        # smith_kernel takes of C^T
+        # SmithForm.of takes of C^T
         config = RunConfig(input_path=G2_TREE, max_level=max_level)
         C = build_instance(load_raw(G2_TREE), config).xi_data.constraint
         real = exactlin.smith_with_inverses
@@ -456,6 +455,28 @@ class TestRunLibrary:
         assert code == 0
         assert sorted(levels) == list(range(1, max_level + 1))
         assert inputs.count(C.transpose()) == 1
+
+    @pytest.mark.parametrize("suites", (("all",), ("splitting",)))
+    def test_cycle_basis_smith_form_taken_once_per_run(self, monkeypatch,
+                                                       suites):
+        # h1_lattice and xi_lattice read the graph's one cycle basis, the
+        # kernel of its boundary matrix B; a splitting-only run reads it for
+        # Xi and builds no h1_lattice action matrices
+        config = RunConfig(input_path=G1_SWAP, suites=suites)
+        B = dualgraph._boundary_matrix(
+            build_instance(load_raw(G1_SWAP), config).graph)
+        real = exactlin.smith_with_inverses
+        inputs = []
+        monkeypatch.setattr(exactlin, "smith_with_inverses",
+                            lambda A: inputs.append(A) or real(A))
+        lattices = []
+        real_h1 = sequences.h1_lattice
+        monkeypatch.setattr(sequences, "h1_lattice",
+                            lambda g: lattices.append(g) or real_h1(g))
+        code, _ = run(config)
+        assert code == 0
+        assert inputs.count(B) == 1
+        assert len(lattices) == (0 if suites == ("splitting",) else 1)
 
     def test_cap_does_not_leak_between_runs(self):
         suites = ("graph", "splitting", "bhn")

@@ -1,21 +1,24 @@
 """Exact linear algebra layer: Smith form, canonical modules, maps, (co)kernels."""
 
+import ast
+import os
 import random
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import devissage
 from devissage.dualgraph import _boundary_matrix
 from devissage.errors import MismatchedPrime
 from devissage.exactlin import (
     NULLITY_PRIME,
     PRIME_BOUND,
-    Canonicalized,
     CoLGroup,
     IntMatrix,
     LMap,
     LModule,
+    SmithForm,
     canonicalize_with_maps,
     cokernel,
     dual,
@@ -31,7 +34,6 @@ from devissage.exactlin import (
     nullity,
     preimage,
     rank_mod,
-    smith_kernel,
     smith_with_inverses,
     solve_integer,
     tensor_maps,
@@ -43,12 +45,14 @@ from generators import random_legal_graph
 from oracles import (
     brute_cokernel_structure,
     brute_kernel_structure,
+    canonical_orders,
     dense_smith_with_inverses,
     entrywise_lmap_matrix,
     generator_expression_lmodule_check,
     interleaved_hessenberg_mod,
     rational_nullity,
     row_copying_rank_mod,
+    smith_level_orders,
     sorted_key_tensor_index,
     sympy_det,
     sympy_rank,
@@ -196,29 +200,30 @@ class TestSmith:
 class TestCanonical:
     def test_unit_factor_dropped(self):
         R = IntMatrix.from_rows([[2, 0], [0, 3]])
-        assert canonicalize_with_maps(2, R).module == LModule(2, 0, (1,))
-        assert canonicalize_with_maps(3, R).module == LModule(3, 0, (1,))
+        assert canonicalize_with_maps(2, R)[0] == LModule(2, 0, (1,))
+        assert canonicalize_with_maps(3, R)[0] == LModule(3, 0, (1,))
 
     def test_free_module(self):
         assert canonicalize_with_maps(
-            5, IntMatrix.zeros(3, 0)).module == LModule(5, 3)
+            5, IntMatrix.zeros(3, 0))[0] == LModule(5, 3)
 
     def test_mixed_factor_keeps_l_part(self):
         # Z/12 at l=2 is Z/4
         R = IntMatrix.from_rows([[12]])
-        assert canonicalize_with_maps(2, R).module == LModule(2, 0, (2,))
+        assert canonicalize_with_maps(2, R)[0] == LModule(2, 0, (2,))
 
     def test_empty_shapes(self):
         # no generators: the zero module, with empty coordinate maps
         for q in (0, 2):
-            c = canonicalize_with_maps(3, IntMatrix.zeros(0, q))
-            assert c.module == LModule(3, 0)
-            assert (c.project.rows, c.project.cols) == (0, 0)
-            assert (c.lift.rows, c.lift.cols) == (0, 0)
+            module, project, lift = canonicalize_with_maps(
+                3, IntMatrix.zeros(0, q))
+            assert module == LModule(3, 0)
+            assert (project.rows, project.cols) == (0, 0)
+            assert (lift.rows, lift.cols) == (0, 0)
         # no relations: the free module, with identity coordinate maps
-        c = canonicalize_with_maps(2, IntMatrix.zeros(2, 0))
-        assert c.module == LModule(2, 2)
-        assert c.project == c.lift == IntMatrix.identity(2)
+        module, project, lift = canonicalize_with_maps(2, IntMatrix.zeros(2, 0))
+        assert module == LModule(2, 2)
+        assert project == lift == IntMatrix.identity(2)
 
     def test_maps_are_mutually_inverse(self):
         rng = random.Random(23)
@@ -227,12 +232,12 @@ class TestCanonical:
             q = rng.randint(0, 4)
             rel = IntMatrix(p, q, [[rng.randint(-20, 20) for _ in range(q)]
                                    for _ in range(p)])
-            c = canonicalize_with_maps(2, rel)
-            prod = c.project @ c.lift
-            assert prod == IntMatrix.identity(c.module.num_gens)
+            module, project, lift = canonicalize_with_maps(2, rel)
+            prod = project @ lift
+            assert prod == IntMatrix.identity(module.num_gens)
             # projection kills every relation l-locally
-            killed = c.project @ rel
-            orders = c.module.gen_orders()
+            killed = project @ rel
+            orders = module.gen_orders()
             for i in range(killed.rows):
                 for j in range(killed.cols):
                     if orders[i] is None:
@@ -289,8 +294,8 @@ class TestClosedForms:
             f = LMap(free_k, free_n, relcols)
             idY = LMap.identity_on(Y)
             big = tensor_maps(f, idY)
-            assert cokernel(big).module == X.tensor(Y)
-            assert kernel(big).module == X.tor1(Y)
+            assert cokernel(big).codomain == X.tensor(Y)
+            assert kernel(big).domain == X.tor1(Y)
 
     def test_dual_involution(self):
         M = LModule(5, 2, (4, 1))
@@ -364,14 +369,14 @@ class TestKernelsCokernels:
         ell = 3
         Zl = LModule(ell, 1)
         mul = LMap(Zl, Zl, [[ell]])
-        assert cokernel(mul).module == LModule(ell, 0, (1,))
+        assert cokernel(mul).codomain == LModule(ell, 0, (1,))
         sq = LModule(ell, 0, (2,))
         mul2 = LMap(sq, sq, [[ell]])
         k = kernel(mul2)
-        assert k.module == LModule(ell, 0, (1,))
+        assert k.domain == LModule(ell, 0, (1,))
         # inclusion lands on the l-divisible element and composes to zero
-        assert mul2.compose(k.inclusion).is_zero_map()
-        assert cokernel(kernel(mul2).inclusion).module == LModule(ell, 0, (1,))
+        assert mul2.compose(k).is_zero_map()
+        assert cokernel(kernel(mul2)).codomain == LModule(ell, 0, (1,))
 
     def test_companion_cokernel_frozen(self):
         # F-1 for F the companion of T^2 - 2T + 5, on (Z/8)^2
@@ -380,11 +385,11 @@ class TestKernelsCokernels:
         C = companion([5, -2, 1])
         f = LMap(sq, sq, C - IntMatrix.identity(2))
         ck = cokernel(f)
-        assert ck.module == LModule(2, 0, (2,))
+        assert ck.codomain == LModule(2, 0, (2,))
         oracle = brute_cokernel_structure(
             2, [8, 8], [8, 8], [list(r) for r in f.matrix.data]
         )
-        assert oracle == ck.module.torsion_exponents
+        assert oracle == ck.codomain.torsion_exponents
 
     def test_brute_force_random_finite(self):
         rng = random.Random(77)
@@ -400,22 +405,22 @@ class TestKernelsCokernels:
             corders = [ell ** e for e in cod.torsion_exponents]
             k = kernel(f)
             ck = cokernel(f)
-            assert k.module.torsion_exponents == brute_kernel_structure(
+            assert k.domain.torsion_exponents == brute_kernel_structure(
                 ell, dorders, corders, mat)
-            assert ck.module.torsion_exponents == brute_cokernel_structure(
+            assert ck.codomain.torsion_exponents == brute_cokernel_structure(
                 ell, dorders, corders, mat)
-            assert f.compose(k.inclusion).is_zero_map()
-            assert ck.projection.compose(f).is_zero_map()
+            assert f.compose(k).is_zero_map()
+            assert ck.compose(f).is_zero_map()
             # exactness of  ker -> dom -> cod -> coker  at the middle spots
-            assert homology_at(k.inclusion, f, dom).is_trivial
-            assert homology_at(f, ck.projection, cod).is_trivial
+            assert homology_at(k, f, dom).is_trivial
+            assert homology_at(f, ck, cod).is_trivial
 
     def test_kernel_with_free_parts(self):
         # multiplication by 6 on Z2 x Z/4: kernel trivial at l=2? no: on C4 it is C2... 6 = 2*3
         M = LModule(2, 1, (2,))
         f = LMap(M, M, IntMatrix.diagonal([6, 6]))
-        assert kernel(f).module == LModule(2, 0, (1,))
-        assert cokernel(f).module == LModule(2, 0, (1, 1))
+        assert kernel(f).domain == LModule(2, 0, (1,))
+        assert cokernel(f).codomain == LModule(2, 0, (1, 1))
 
     def test_herbrand_quotient_trivial_for_finite(self):
         rng = random.Random(13)
@@ -423,7 +428,7 @@ class TestKernelsCokernels:
             ell = rng.choice([2, 3])
             M = _random_module(rng, ell, allow_free=False)
             f = _random_map(rng, M, M)
-            assert kernel(f).module.order() == cokernel(f).module.order()
+            assert kernel(f).domain.order() == cokernel(f).codomain.order()
 
     def test_preimage(self):
         M = LModule(2, 0, (3,))
@@ -536,7 +541,7 @@ class TestFastPathsDifferential:
         rel = LMap(LModule(M.ell, M.relation_cols().cols),
                    LModule(M.ell, M.num_gens), M.relation_cols())
         big = tensor_maps(rel, LMap.identity_on(N))
-        assert cokernel(big).module == T
+        assert cokernel(big).codomain == T
 
     def test_tensor_across_primes(self):
         for M, N in ((LModule(2, 1), LModule(3, 0, (1,))),
@@ -915,25 +920,69 @@ class TestLevelKernel:
     def test_matches_kernel_and_preimage(self, case, s, rng):
         ell, A = case
         mod = ell ** s
-        sk = smith_kernel(A)
-        got = level_kernel(sk, ell, s)
+        sf = SmithForm.of(A.transpose())
+        got = level_kernel(sf, ell, s)
         want = kernel(LMap(free_level(ell, s, A.cols),
                            free_level(ell, s, A.rows), A))
-        assert got.module == want.module
+        assert got.domain == want.domain
         # the two inclusions span the same submodule mod l^s
-        assert preimage(got.inclusion, want.inclusion.matrix) is not None
-        assert preimage(want.inclusion, got.inclusion.matrix) is not None
+        assert preimage(got, want.matrix) is not None
+        assert preimage(want, got.matrix) is not None
         # kernel vectors: the coordinates are the unique preimage
-        k = want.module.num_gens
+        k = want.domain.num_gens
         combos = IntMatrix(k, 3, [[rng.randrange(mod) for _ in range(3)]
                                   for _ in range(k)])
-        X = want.inclusion.matrix @ combos
-        assert kernel_coordinates(sk, ell, s, X) == preimage(got.inclusion, X)
+        X = want.matrix @ combos
+        assert kernel_coordinates(sf, ell, s, X) == preimage(got, X)
         # a kernel vector plus a unit vector: refused exactly off the kernel
         for j in range(A.cols):
             x = IntMatrix.column([v + (i == j) for i, v in enumerate(X.col(0))])
             inside = (A @ x).mod(mod).is_zero()
-            assert (kernel_coordinates(sk, ell, s, x) is None) == (not inside)
+            assert (kernel_coordinates(sf, ell, s, x) is None) == (not inside)
+
+
+class TestSmithForm:
+    """The one Smith form reader against the classifiers it replaced, and
+    the one place that takes a Smith form."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(smith_shaped(), st.integers(0, 4))
+    @example((2, IntMatrix.zeros(0, 3)), 2)
+    @example((3, IntMatrix.zeros(3, 0)), 4)
+    @example((5, IntMatrix.zeros(2, 3)), 1)
+    @example((2, IntMatrix.identity(3)), 3)
+    def test_orders_match_pre_change_classifiers(self, case, s):
+        ell, A = case
+        sf = SmithForm.of(A)
+        U, D, V, Ui = smith_with_inverses(A)
+        assert (sf.U, sf.V, sf.Uinv) == (U, V, Ui)
+        assert len(sf.diagonal) == A.rows
+        assert sf.orders(ell) == canonical_orders(ell, D)
+        assert sf.orders(ell, s) == smith_level_orders(ell, s, D)
+
+    def test_smith_with_inverses_has_one_home(self):
+        # every name of smith_with_inverses in src/devissage, by innermost
+        # enclosing definition: only SmithForm.of calls it and unpacks its
+        # (U, D, V, Uinv), so every other reader goes through SmithForm
+        src = os.path.dirname(devissage.__file__)
+        found = set()
+
+        def visit(node, path, where):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                where = where + (node.name,)
+            name = (node.id if isinstance(node, ast.Name) else
+                    node.attr if isinstance(node, ast.Attribute) else
+                    node.name if isinstance(node, ast.alias) else None)
+            if name == "smith_with_inverses":
+                found.add((path, ".".join(where)))
+            for child in ast.iter_child_nodes(node):
+                visit(child, path, where)
+
+        for path in sorted(os.listdir(src)):
+            if path.endswith(".py"):
+                with open(os.path.join(src, path)) as fh:
+                    visit(ast.parse(fh.read()), path, ())
+        assert found == {("exactlin.py", "SmithForm.of")}
 
 
 class TestMisc:

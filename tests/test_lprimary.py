@@ -346,7 +346,7 @@ class TestDirectSystem:
         inc = G.level_inclusion_matrix(1, 3)
         # injective on the finite level: kernel of the inclusion map trivial
         lm = LMap(G.level(1), G.level(3), inc)
-        assert kernel(lm).module.is_trivial
+        assert kernel(lm).domain.is_trivial
 
     def test_exponent_bound(self):
         G = CoLGroup(LModule(2, 1, (4, 2)))
@@ -499,7 +499,7 @@ class TestSequenceTransform:
         bi, bp = box_maps(iota, idA), box_maps(pi, idA)
         img, proj_to_img = co_cokernel(bi)
         assert all(h.is_trivial for h in co_exactness([bi, proj_to_img]))
-        assert img.dual_module == cokernel(kernel(bp.dual_map).inclusion).module
+        assert img.dual_module == cokernel(kernel(bp.dual_map)).codomain
         assert res.obstruction.corank == 0
         je = res.obstruction.finite_exponents
         te = tor_box(A, A).finite_exponents

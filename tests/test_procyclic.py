@@ -22,8 +22,8 @@ from devissage.exactlin import (
     CoLGroup,
     IntMatrix,
     LModule,
+    SmithForm,
     integer_kernel_basis,
-    smith_kernel,
 )
 from devissage.lprimary import FrobObject, cleared_minus_one
 from devissage.procyclic import (
@@ -353,9 +353,9 @@ class TestLevels:
         # is read off the elementary divisors of F - 1, as the bhn suite does
         X = torsion_frob(P_GENERIC, 2)
         assert h1(X).is_trivial
-        minus_one = smith_kernel(X.frob_minus_one_cleared().matrix)
+        minus_one = SmithForm.of(X.frob_minus_one_cleared().matrix)
         for s in (1, 2, 3):
-            assert minus_one.level_orders(2, s)
+            assert minus_one.orders(2, s)
 
 
 class TestEigenproduct:
