@@ -32,7 +32,6 @@ from .dualgraph import (
     betti,
     build_psi,
     default_divisors,
-    invariant_rank,
     laplacian,
     n_x,
 )
@@ -223,41 +222,6 @@ def _parse_divisors(raw_divs, where="divisors"):
     return entries
 
 
-def _divisor_action(entries, perm) -> dict:
-    """Induced divisor permutation under one graph generator.
-
-    Node anchored divisors follow their node.  Free divisors on a
-    component map to the free divisors of the image component matched by
-    sorted position; that is the only canonical choice the file format can
-    express without spelling out the divisor permutation itself.
-    """
-    by_node = {t: d for d, (k, t) in entries if k == "node"}
-    free = {}
-    for d, (k, t) in entries:
-        if k == "free":
-            free.setdefault(t, []).append(d)
-    for lst in free.values():
-        lst.sort()
-    out = {}
-    for did, (kind, target) in entries:
-        if kind == "node":
-            image = perm.get(target, target)
-            if image not in by_node:
-                raise ParseError(
-                    f"divisor {did!r}: no divisor is anchored at the image "
-                    f"node {image!r}")
-            out[did] = by_node[image]
-        else:
-            image = perm.get(target, target)
-            src, dst = free[target], free.get(image, [])
-            if len(src) != len(dst):
-                raise ParseError(
-                    f"free divisor counts differ between component "
-                    f"{target!r} and its image {image!r}")
-            out[did] = dst[src.index(did)]
-    return out
-
-
 def build_instance(raw: dict, config: RunConfig):
     """Assemble a SingularityInstance from decoded JSON.
 
@@ -291,9 +255,8 @@ def build_instance(raw: dict, config: RunConfig):
 
     if "divisors" in raw:
         entries = _parse_divisors(_req(raw, "divisors", list))
-        div_action = [_divisor_action(entries, g) for g in graph.action]
         try:
-            divisors = DivisorConfig(graph, entries, div_action)
+            divisors = DivisorConfig(graph, entries)
         except (ValueError, ConfigIncompatible) as exc:
             raise ParseError(f"divisors: {exc}") from exc
     else:
@@ -519,7 +482,7 @@ def _run_graph(inst, config) -> dict:
     sizes = sorted(len(o) for o in inst.orbits)
     g, lattice = inst.graph, inst.lattice
     n_trees = sum(sizes)
-    fixed = invariant_rank(lattice)
+    fixed = inst.rho
     return _suite([
         _check("first betti number agrees with the cycle lattice rank",
                betti(g) == lattice.rank, structure=f"betti={betti(g)}"),

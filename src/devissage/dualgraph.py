@@ -268,7 +268,6 @@ class HomologyLattice:
 
     basis: IntMatrix
     action_matrices: Tuple[IntMatrix, ...]
-    edge_order: Tuple[Edge, ...]
 
     @property
     def rank(self) -> int:
@@ -346,7 +345,7 @@ def h1_lattice(graph: DualGraph) -> HomologyLattice:
                 if basis @ mat != _edge_perm_matrix(graph, perm) @ basis:
                     raise VerificationFailed(
                         f"action matrices violate the group relation for word {w}")
-    return HomologyLattice(basis, tuple(mats), graph.edges)
+    return HomologyLattice(basis, tuple(mats))
 
 
 def fixed_rank(mats: Sequence[IntMatrix], n: int) -> int:
@@ -609,12 +608,24 @@ class DivisorConfig:
     """Finite marking of points used to truncate the residue calculus.
 
     Each divisor is attached either to a node or to a fresh free point on a
-    declared component; the attachment must be equivariant for the graph
-    action, and every component orbit must carry at least one free point
-    divisor.  Ids live in their own namespace, disjoint from the graph's.
+    declared component, and every component orbit must carry at least one
+    free point divisor.  Ids live in their own namespace, disjoint from the
+    graph's.  The divisor action is induced by the graph action, one full
+    permutation per generator: a node divisor follows its node, and the
+    free divisors on a component go to those on its image, matched by
+    sorted id.  A node whose image carries no divisor, or a component whose
+    image carries another number of free divisors, admits no such action.
+
+    >>> g = DualGraph([("u", 0), ("v", 0)], ["a", "b"],
+    ...               [("u", "a"), ("v", "a"), ("u", "b"), ("v", "b")],
+    ...               [{"a": "b", "b": "a"}])
+    >>> cfg = DivisorConfig(g, [("p_u", ("free", "u")), ("p_v", ("free", "v")),
+    ...                         ("d_a", ("node", "a")), ("d_b", ("node", "b"))])
+    >>> sorted(cfg.action[0].items())
+    [('d_a', 'd_b'), ('d_b', 'd_a'), ('p_u', 'p_u'), ('p_v', 'p_v')]
     """
 
-    def __init__(self, graph: DualGraph, divisors, action=()):
+    def __init__(self, graph: DualGraph, divisors):
         if not isinstance(graph, DualGraph):
             raise TypeError("first argument must be a DualGraph")
         self.graph = graph
@@ -644,40 +655,36 @@ class DivisorConfig:
             raise ConfigIncompatible("empty divisor set")
         self.divisors: Tuple[Tuple[str, str, str], ...] = tuple(sorted(entries))
         self._by_id = {d: (k, t) for d, k, t in self.divisors}
-
-        if len(tuple(action)) != len(graph.action):
-            raise ConfigIncompatible(
-                "divisor action must supply one permutation per graph generator")
+        self._at_node = {t: d for d, k, t in self.divisors if k == "node"}
+        free: Dict[str, List[str]] = {c: [] for c in graph.component_ids}
+        for d, k, t in self.divisors:
+            if k == "free":
+                free[t].append(d)               # in sorted id order
+        self._free = {c: tuple(ds) for c, ds in free.items()}
         self.action: Tuple[Dict[str, str], ...] = tuple(
-            self._normalize_perm(p) for p in action
-        )
-        for gi, (gp, dp) in enumerate(zip(graph.action, self.action)):
-            for d, kind, target in self.divisors:
-                ik, it = self._by_id[dp[d]]
-                if ik != kind or it != gp[target]:
-                    raise ConfigIncompatible(
-                        f"divisor action is not equivariant at {d} "
-                        f"under generator {gi}")
+            self._induced(p) for p in graph.action)
 
-        covered = set()
-        for d, kind, target in self.divisors:
-            if kind == "free":
-                covered.add(target)
         for orbit in graph.component_orbits():
-            if not covered & set(orbit):
+            if not any(self._free[c] for c in orbit):
                 raise ConfigIncompatible(
                     f"component orbit {orbit} has no free point divisor")
 
-    def _normalize_perm(self, p) -> Dict[str, str]:
-        full = {d: d for d, _, _ in self.divisors}
-        for k, v in dict(p).items():
-            k, v = str(k), str(v)
-            if k not in full:
-                raise ValueError(f"divisor action moves unknown id {k!r}")
-            full[k] = v
-        if sorted(full.values()) != sorted(full):
-            raise ValueError("divisor action entry is not a permutation")
-        return full
+    def _induced(self, perm: Dict[str, str]) -> Dict[str, str]:
+        out = {}
+        for c, ds in self._free.items():
+            image = self._free[perm[c]]
+            if len(ds) != len(image):
+                raise ConfigIncompatible(
+                    f"free divisor counts differ between component {c!r} "
+                    f"and its image {perm[c]!r}")
+            out.update(zip(ds, image))
+        for n, d in self._at_node.items():
+            if perm[n] not in self._at_node:
+                raise ConfigIncompatible(
+                    f"divisor {d!r}: no divisor is anchored at the image "
+                    f"node {perm[n]!r}")
+            out[d] = self._at_node[perm[n]]
+        return out
 
     @property
     def ids(self) -> Tuple[str, ...]:
@@ -687,13 +694,10 @@ class DivisorConfig:
         return self._by_id[div_id]
 
     def free_on(self, comp_id: str) -> Tuple[str, ...]:
-        return tuple(d for d, k, t in self.divisors if k == "free" and t == comp_id)
+        return self._free.get(comp_id, ())
 
     def anchored_at(self, node_id: str) -> Optional[str]:
-        for d, k, t in self.divisors:
-            if k == "node" and t == node_id:
-                return d
-        return None
+        return self._at_node.get(node_id)
 
     def support_points(self) -> Tuple[str, ...]:
         free = [d for d, k, _ in self.divisors if k == "free"]
@@ -702,18 +706,13 @@ class DivisorConfig:
     def __eq__(self, other) -> bool:
         if not isinstance(other, DivisorConfig):
             return NotImplemented
-        return (self.graph == other.graph and self.divisors == other.divisors
-                and self.action == other.action)
+        return self.graph == other.graph and self.divisors == other.divisors
 
 
 def default_divisors(graph: DualGraph) -> DivisorConfig:
-    """One free point divisor on every component, equivariantly labeled."""
-    divisors = [(f"p_{c}", ("free", c)) for c in graph.component_ids]
-    action = [
-        {f"p_{c}": f"p_{p[c]}" for c in graph.component_ids}
-        for p in graph.action
-    ]
-    return DivisorConfig(graph, divisors, action)
+    """One free point divisor on every component."""
+    return DivisorConfig(graph, [(f"p_{c}", ("free", c))
+                                 for c in graph.component_ids])
 
 
 # ---------------------------------------------------------------------------
@@ -872,7 +871,6 @@ class XiModule:
     constraint: LMap
     module: LModule
     inclusion: LMap
-    divisor_block: LModule
     phi_ambient: LMap
     phi: LMap
     phi_kernel: LMap
@@ -926,8 +924,7 @@ def build_xi(lattice: XiLattice, ell: int, s: int) -> XiModule:
     constraint = LMap(ambient, free_level(ell, s, C.rows), C)
     K = level_kernel(lattice.kernel, ell, s)
 
-    divisor_block = free_level(ell, s, ndiv)
-    phi_ambient = LMap(ambient, divisor_block, lattice.projection)
+    phi_ambient = LMap(ambient, free_level(ell, s, ndiv), lattice.projection)
     phi = phi_ambient.compose(K)
 
     H = lattice.cycles
@@ -962,7 +959,7 @@ def build_xi(lattice: XiLattice, ell: int, s: int) -> XiModule:
         lattice=lattice, ell=ell, level=s,
         ambient=ambient, constraint=constraint,
         module=K.domain, inclusion=K,
-        divisor_block=divisor_block, phi_ambient=phi_ambient, phi=phi,
+        phi_ambient=phi_ambient, phi=phi,
         phi_kernel=phi_kernel,
         cycle_embedding=cycle_embedding, h1_inclusion=h1_inclusion,
     )

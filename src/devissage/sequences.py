@@ -76,10 +76,10 @@ class SingularityInstance:
     defined over.  q is the base field size.
 
     The suites share objects computed once per instance, on first use: the
-    cycle lattice, the tree orbits (enumerated under tree_cap), their gcd m,
-    the integer data of the kernel assembly with its Smith forms (xi_data),
-    the level-s assembly xi(s) read from it, and the induced jacobian
-    blocks.
+    cycle lattice with its fixed rank rho, the tree orbits (enumerated
+    under tree_cap), their gcd m, the integer data of the kernel assembly
+    with its Smith forms (xi_data), the level-s assembly xi(s) read from
+    it, and the induced jacobian blocks.
     """
 
     def __init__(self, divisors: DivisorConfig, jacobians, ell: int, q: int,
@@ -159,6 +159,10 @@ class SingularityInstance:
     @cached_property
     def orbits(self):
         return tree_orbits(self.graph, self.tree_cap)
+
+    @cached_property
+    def rho(self) -> int:
+        return invariant_rank(self.lattice)
 
     @cached_property
     def m(self) -> int:
@@ -246,7 +250,6 @@ class SequenceReport:
     label: str
     terms: Tuple[LModule, LModule, LModule]
     verdict: str
-    notes: Tuple[str, ...] = ()
     caveats: tuple = ()
     structure: dict = field(default_factory=dict)
 
@@ -286,11 +289,6 @@ def upsilon_structure(inst: SingularityInstance, s: int) -> SequenceReport:
     }
     return SequenceReport(
         "upsilon", terms, "PASS" if defect == 0 else "FAIL",
-        notes=(
-            "jacobian blocks: induced torsion over the base (computed)",
-            MODELED_NOTE,
-            "cycle block: level reduction of the homology lattice (computed)",
-        ),
         caveats=(ModeledTermCaveat(MODELED_NOTE),),
         structure=structure,
     )
@@ -304,12 +302,9 @@ def upsilon_structure(inst: SingularityInstance, s: int) -> SequenceReport:
 class LambdaReport:
     level: int
     structure: LModule
-    expected: LModule
-    structure_ok: bool
     frobenius_trivial_untwisted: Tuple[bool, ...]
     twist: int
     verdict: str
-    notes: Tuple[str, ...] = ()
 
 
 def lambda_structure(inst: SingularityInstance, s: int) -> LambdaReport:
@@ -325,8 +320,7 @@ def lambda_structure(inst: SingularityInstance, s: int) -> LambdaReport:
     sums = level_kernel(xi.lattice.component_sums, inst.ell, s)
     co = cokernel(to_points.compose(sums))
 
-    expected = free_level(inst.ell, s, 1)
-    structure_ok = co.codomain == expected
+    structure_ok = co.codomain == free_level(inst.ell, s, 1)
 
     unit = IntMatrix.identity(co.codomain.num_gens)
     lift = preimage(co, unit)
@@ -338,12 +332,9 @@ def lambda_structure(inst: SingularityInstance, s: int) -> LambdaReport:
 
     verdict = "PASS" if structure_ok and all(frob_flags) else "FAIL"
     return LambdaReport(
-        level=s, structure=co.codomain, expected=expected,
-        structure_ok=structure_ok,
+        level=s, structure=co.codomain,
         frobenius_trivial_untwisted=tuple(frob_flags), twist=-1,
-        verdict=verdict,
-        notes=("point permutation acts trivially on the cokernel; the "
-               "residue twist contributes the q^-1 scalar",))
+        verdict=verdict)
 
 
 # ---------------------------------------------------------------------------
@@ -388,11 +379,6 @@ def devissage(inst: SingularityInstance,
     ok = theta_ok and divisor_ok
     outer = SequenceReport(
         "devissage", terms, "PASS" if ok else "FAIL",
-        notes=(
-            "kernel object: see the inner sequence report",
-            MODELED_NOTE,
-            "zero-sum divisor block (computed)",
-        ),
         caveats=(ModeledTermCaveat(MODELED_NOTE),),
         structure=structure,
     )
@@ -525,7 +511,7 @@ def bhn_finite_field_report(inst: SingularityInstance) -> BhnReport:
     ell, q = inst.ell, inst.q
     lat = inst.lattice
     c = lat.rank
-    rho_value = invariant_rank(lat)
+    rho_value = inst.rho
     m_value = inst.m
 
     msigma = (lat.action_matrices[0] if lat.action_matrices

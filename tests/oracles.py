@@ -25,7 +25,9 @@ stopped at the first unit pivot; per_column_orbit_section, the section of
 one tree orbit by a tree_solve call per (column, tree) pair;
 canonical_orders and smith_level_orders, the two ways canonicalize_with_maps
 and level_kernel classified a Smith diagonal before both read
-SmithForm.orders.
+SmithForm.orders; divisor_action, the divisor permutation the instance
+parser induced from one graph generator and handed to DivisorConfig,
+before DivisorConfig derived its action itself.
 """
 
 from collections import namedtuple
@@ -860,3 +862,38 @@ def per_column_orbit_section(lattice, tree_orbit):
     Psi = (IntMatrix.from_rows([list(r) for r in zip(*cols)], len(cols))
            if cols else IntMatrix.zeros(len(lattice.var_names), 0))
     return trees, Psi
+
+
+def divisor_action(entries, perm):
+    """Induced divisor permutation under one graph generator.
+
+    entries are (id, (kind, target)) pairs.  Node anchored divisors follow
+    their node.  Free divisors on a component map to the free divisors of
+    the image component matched by sorted position.
+    """
+    from devissage.errors import ConfigIncompatible
+
+    by_node = {t: d for d, (k, t) in entries if k == "node"}
+    free = {}
+    for d, (k, t) in entries:
+        if k == "free":
+            free.setdefault(t, []).append(d)
+    for lst in free.values():
+        lst.sort()
+    out = {}
+    for did, (kind, target) in entries:
+        image = perm.get(target, target)
+        if kind == "node":
+            if image not in by_node:
+                raise ConfigIncompatible(
+                    f"divisor {did!r}: no divisor is anchored at the image "
+                    f"node {image!r}")
+            out[did] = by_node[image]
+        else:
+            src, dst = free[target], free.get(image, [])
+            if len(src) != len(dst):
+                raise ConfigIncompatible(
+                    f"free divisor counts differ between component "
+                    f"{target!r} and its image {image!r}")
+            out[did] = dst[src.index(did)]
+    return out

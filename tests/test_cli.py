@@ -49,6 +49,11 @@ def write_instance(tmp_path, payload, name="inst.json"):
     return str(path)
 
 
+def _fixture_payload(name):
+    with open(os.path.join(FIXTURES, name), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 def banana_raw(genus=(0, 0), action=True, **extra):
     if action is True:
         action = [[["a", "b"]]]
@@ -281,6 +286,43 @@ class TestDivisorActionDerivation:
         with pytest.raises(ParseError, match="image"):
             build_instance(load_raw(path), config_for(path))
 
+    def test_free_divisor_counts_differ_rejected(self, tmp_path):
+        payload = banana_raw(
+            action=[[["u", "v"]]],
+            divisors=[{"id": "p_u1", "at": {"component": "u"}},
+                      {"id": "p_u2", "at": {"component": "u"}},
+                      {"id": "p_v", "at": {"component": "v"}}])
+        path = write_instance(tmp_path, payload)
+        with pytest.raises(ParseError,
+                           match="divisors: free divisor counts differ "
+                                 "between component 'u' and its image 'v'"):
+            build_instance(load_raw(path), config_for(path))
+
+    def _error(self, tmp_path, payload):
+        code, report = run(config_for(write_instance(tmp_path, payload)))
+        assert code == 4
+        assert report["error"]["kind"] == "parse"
+        return report["error"]["message"]
+
+    def test_free_divisor_on_a_node_is_named(self, tmp_path):
+        # the swap moves a, which is a node: the anchor is the fault
+        payload = banana_raw(divisors=[
+            {"id": "p_u", "at": {"component": "u"}},
+            {"id": "p_v", "at": {"component": "v"}},
+            {"id": "p_a", "at": {"component": "a"}},
+        ])
+        assert self._error(tmp_path, payload) == (
+            "divisors: divisor p_a placed on unknown component 'a'")
+
+    def test_node_divisor_on_a_component_is_named(self, tmp_path):
+        payload = banana_raw(action=[[["u", "v"]]], divisors=[
+            {"id": "p_u", "at": {"component": "u"}},
+            {"id": "p_v", "at": {"component": "v"}},
+            {"id": "d_u", "at": {"node": "u"}},
+        ])
+        assert self._error(tmp_path, payload) == (
+            "divisors: divisor d_u anchored at unknown node 'u'")
+
     def test_at_must_hold_exactly_one_key(self, tmp_path):
         payload = banana_raw(divisors=[
             {"id": "p", "at": {"component": "u", "node": "a"}}])
@@ -398,6 +440,18 @@ class TestRunLibrary:
         assert calls == []
         assert run(RunConfig(input_path=G1_SWAP, suites=("graph",)))[0] == 0
         assert {"h1_lattice", "smith_with_inverses"} <= set(calls)
+
+    def test_fixed_rank_taken_once_per_run(self, monkeypatch):
+        # the graph and bhn suites both read the instance's one rho
+        calls = []
+        real = sequences.invariant_rank
+        monkeypatch.setattr(sequences, "invariant_rank",
+                            lambda lat: calls.append(lat) or real(lat))
+        code, report = run(RunConfig(input_path=G1_SWAP,
+                                     suites=("graph", "bhn")))
+        assert code == 0
+        assert len(calls) == 1
+        assert "rho=0" in json.dumps(report["suites"]["graph"])
 
     def test_exact_kernel_cap_exits_three(self, tmp_path):
         # a supersingular genus-2 jacobian: P = (T^2 + 5)^2 has repeated
@@ -623,6 +677,33 @@ class TestRunLibrary:
         rendered = render_json(report).encode()
         assert hashlib.sha256(rendered).hexdigest() == digest
 
+    # explicit divisor configurations through every suite: node divisors
+    # following a node swap, two free divisors per component under a
+    # component swap, and the shipped banana4 fixture, whose genus-1
+    # component gives the known upsilon defect
+    @pytest.mark.parametrize("payload, want_code, digest", [
+        (banana_raw(divisors=[
+            {"id": "p_u", "at": {"component": "u"}},
+            {"id": "p_v", "at": {"component": "v"}},
+            {"id": "d_a", "at": {"node": "a"}},
+            {"id": "d_b", "at": {"node": "b"}}]), 0,
+         "9227c7152157946d572290fd6d7a1a4119d8994b7861b325e39ca18c8ff2003c"),
+        (banana_raw(action=[[["u", "v"]]], divisors=[
+            {"id": f"p_{c}{i}", "at": {"component": c}}
+            for c in ("u", "v") for i in (1, 2)]), 0,
+         "a794cbad71eba076e242f825580fe0bf83817cff3e06d310dd864015eb0a3738"),
+        (_fixture_payload("banana4_divisors.json"), 2,
+         "207486feae465163b32ab9034a65fbfb4414c3c826a689c3b6dad7c122ebae6e"),
+    ], ids=["anchored-node-swap", "free-pairs-swapped", "banana4-fixture"])
+    def test_golden_digest_divisor_configurations(self, tmp_path, payload,
+                                                  want_code, digest):
+        code, report = run(RunConfig(
+            input_path=write_instance(tmp_path, payload), seed=0))
+        assert code == want_code
+        report["input"] = "instance.json"
+        rendered = render_json(report).encode()
+        assert hashlib.sha256(rendered).hexdigest() == digest
+
     def test_seed_changes_draws_not_verdicts(self):
         base = run(RunConfig(input_path=G2_TREE, suites=("boxcalc",)))
         other = run(RunConfig(input_path=G2_TREE, suites=("boxcalc",),
@@ -684,11 +765,6 @@ class TestVerificationFailure:
 
 # ---------------------------------------------------------------------------
 # instance-file fuzzing
-
-def _fixture_payload(name):
-    with open(os.path.join(FIXTURES, name), encoding="utf-8") as fh:
-        return json.load(fh)
-
 
 FUZZ_BASES = {name: _fixture_payload(name)
               for name in ("g1_swap.json", "g2_tree.json")}
@@ -945,6 +1021,23 @@ def valid_raw(graph, rng, ell, q):
     }
 
 
+def with_divisors(payload, graph, rng):
+    """payload with an explicit divisor list: one or two free divisors on
+    every component, as many on each component of an orbit, and a divisor
+    on every node of a random choice of node orbits."""
+    divisors = []
+    for orbit in graph.component_orbits():
+        count = rng.randint(1, 2)
+        divisors += [{"id": f"p_{c}_{i}", "at": {"component": c}}
+                     for c in orbit for i in range(count)]
+    for orbit in dualgraph.orbit_partition(
+            sorted(graph.nodes), lambda v: [p[v] for p in graph.action]):
+        if rng.random() < 0.5:
+            divisors += [{"id": f"d_{n}", "at": {"node": n}}
+                         for n in sorted(orbit)]
+    return dict(payload, divisors=divisors)
+
+
 def swapped_pairs():
     """Two genus-1 components swapped by the action, and two genus-2 ones:
     two orbits of size 2, each component joined to a genus-0 hub."""
@@ -987,6 +1080,24 @@ class TestValidInstanceSweep:
         payload = valid_raw(swapped_pairs(), random.Random(0), 3, 5)
         assert [(j["f"], len(j["charpoly"])) for j in payload["jacobians"]] \
             == [(2, 3), (2, 5)]
+        self.assert_runs_cleanly(tmp_path, payload)
+
+    @settings(max_examples=3, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           primes=st.sampled_from([(3, 5), (2, 3)]))
+    def test_random_graphs_with_divisors(self, tmp_path_factory, seed,
+                                         primes):
+        # a seeded Random: hypothesis' own randoms seldom draw an action
+        rng = random.Random(seed)
+        graph = random_legal_graph(rng, genus_pool=(0, 1, 2))
+        payload = with_divisors(valid_raw(graph, rng, *primes), graph, rng)
+        self.assert_runs_cleanly(tmp_path_factory.mktemp("sweep"), payload)
+
+    def test_orbits_of_size_two_with_divisors(self, tmp_path):
+        graph = swapped_pairs()
+        rng = random.Random(0)
+        payload = with_divisors(valid_raw(graph, rng, 3, 5), graph, rng)
+        assert len(payload["divisors"]) > len(graph.component_ids)
         self.assert_runs_cleanly(tmp_path, payload)
 
 

@@ -15,5 +15,5 @@ def test_docstring_examples_pass():
         assert result.failed == 0, info.name
         attempted += result.attempted
     # valuation, smith_with_inverses, LModule, CoLGroup, canonicalize_with_maps,
-    # box, spanning_trees
+    # box, spanning_trees, DivisorConfig
     assert attempted >= 6

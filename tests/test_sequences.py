@@ -110,7 +110,6 @@ def anchored_banana_config(graph):
         graph,
         (("d_a", ("node", "a")), ("d_b", ("node", "b")),
          ("p_u", ("free", "u")), ("p_v", ("free", "v"))),
-        [{"d_a": "d_b", "d_b": "d_a"}],
     )
 
 

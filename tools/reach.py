@@ -4,7 +4,7 @@ Usage, from the root of a source checkout:
 
     python3 tools/reach.py [INSTANCE.json ...] [--seed N]
 
-Every instance (both shipped fixtures by default) is run through
+Every instance (the three shipped fixtures by default) is run through
 ``devissage.cli.run`` with every suite, and the report through
 ``render_json``, under ``sys.setprofile``; the import of the package is
 profiled as well.  The script then prints each function or method
@@ -22,7 +22,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
 PACKAGE = os.path.join(SRC, "devissage")
 FIXTURES = [os.path.join(ROOT, "fixtures", name)
-            for name in ("g1_swap.json", "g2_tree.json")]
+            for name in ("g1_swap.json", "g2_tree.json",
+                         "banana4_divisors.json")]
 
 
 def definitions():
