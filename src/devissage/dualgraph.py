@@ -554,50 +554,17 @@ def _leaf_order(graph: DualGraph, edges):
     return steps, [v for v in verts if v not in peeled]
 
 
-def _check_balance(diff, modulus: Optional[int] = None):
-    if (diff % modulus if modulus else diff) != 0:
+def _check_balance(diff):
+    if diff != 0:
         raise BalanceViolated(
             f"class totals differ by {diff}; the vertex sums admit no solution")
 
 
-def _check_root(v, r, modulus: Optional[int] = None):
-    if (r % modulus if modulus else r) != 0:
+def _check_root(v, r):
+    if r != 0:
         raise VerificationFailed(
             "leaf elimination ended with a nonzero residual "
             f"{r} at {v} despite the balance precheck")
-
-
-def tree_solve(graph: DualGraph, tree, values, modulus: Optional[int] = None):
-    """Unique edge values on a spanning tree with prescribed vertex sums.
-
-    values maps vertex ids to the required sum of incident edge values;
-    missing vertices default to 0.  Each edge joins one component and one
-    node, so summing the defining equations over either vertex class counts
-    every edge once: the two class totals must agree (mod the modulus when
-    one is given) or no solution exists.  Leaf elimination is subtraction
-    only, hence exact over Z and over Z/m alike.
-    """
-    edges = _validate_tree(graph, tree)
-    steps, roots = _leaf_order(graph, edges)
-    verts = graph.vertex_ids
-    known = set(verts)
-    for k in values:
-        if str(k) not in known:
-            raise ValueError(f"value attached to unknown vertex {k!r}")
-    residual = {v: values.get(v, 0) for v in verts}
-    _check_balance(sum(residual[c] for c in graph.component_ids)
-                   - sum(residual[n] for n in graph.nodes), modulus)
-
-    x: Dict[Edge, int] = {}
-    for v, e, other in steps:
-        x[e] = residual[v]
-        residual[other] -= x[e]
-    # exactly one vertex is never peeled; balance forces its residual to 0
-    for v in roots:
-        _check_root(v, residual[v], modulus)
-    if modulus:
-        return {e: val % modulus for e, val in x.items()}
-    return dict(x)
 
 
 # ---------------------------------------------------------------------------
@@ -1016,7 +983,7 @@ def _psi_column(lattice: XiLattice, m: int, alpha: Dict[str, int],
 def _orbit_section(lattice: XiLattice, tree_orbit):
     """The validated orbit, sorted, and its integer section over Z.
 
-    tree_solve is linear in the vertex values, so every column of the
+    Each edge value is linear in the vertex values, so every column of the
     difference basis goes through each tree's leaf order at once."""
     graph, config = lattice.graph, lattice.config
     normalized = [_validate_tree(graph, t) for t in tree_orbit]

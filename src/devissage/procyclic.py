@@ -12,11 +12,11 @@ real polynomial (in u = T + q/T) has all roots real in [-2 sqrt q, 2 sqrt q];
 the interval test is a Sturm count over Z, evaluated exactly at +-2 sqrt q.
 
 Vanishing questions for box powers reduce to: does some j-fold product of
-roots of P equal q^(j+r)?  The multiset of such products is encoded by its
-power sums, which are just j-th powers of the power sums of P, so the full
-product polynomial comes out of Newton's identities without ever touching
-the (2g)^j-dimensional matrix.  Root multiplicity of the rational target in
-that polynomial is the corank of H^1, exactly, for squarefree P.
+roots of P equal q^(j+r)?  The (2g)^j products fall into one small factor
+per exponent shape (a partition of j), whose power sums come from those of
+P by Moebius inversion and whose coefficients come from Newton's identities.
+The weighted multiplicities of the rational target as a root of the factors
+sum to the corank of H^1, exactly, for squarefree P.
 
 None of this depends on l, so each such result is memoized for the length
 of one CLI run (clear_memo); the checks that do depend on l run per call.
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import wraps
-from math import gcd
+from math import factorial, gcd, perm, prod
 from operator import mul
 
 from .errors import (
@@ -352,32 +352,70 @@ def h1(X: FrobObject) -> CoLGroup:
 # eigenvalue-product polynomials
 
 
-@_memo(lambda P, j: (P.coefficients, P.q, j))
-def eigenproduct_poly(P: CharPoly, j: int) -> tuple:
-    """Monic integer polynomial whose roots are all ordered j-fold products
-    of roots of P, with multiplicity; coefficients leading-first.
-
-    Power sums of the product multiset are j-th powers of the power sums of
-    P, so Newton's identities reconstruct the coefficients exactly: every
-    division by k is exact, or the polynomial would not be integral.
-    """
-    if j < 0:
-        raise ValueError("negative power")
-    if j == 0:
-        return (1, -1)  # the empty product: single root 1
-    n = P.degree
-    D = n ** j
-    t = P.power_sums(D)
-    # signed power sums: step k sums (-1)^(i-1) E[k - i] t_i^j over i = 1..k
-    s = [(-1) ** i * pow(tk, j) for i, tk in enumerate(t)]
+def _newton_poly(sums) -> tuple:
+    """The monic integer polynomial, leading-first, with power sums sums:
+    step k of Newton's identities sums (-1)^(i-1) E[k - i] p_i, i = 1..k."""
+    s = [(-1) ** i * pk for i, pk in enumerate(sums)]
     E = [1]
-    for k in range(1, D + 1):
-        acc = sum(map(mul, reversed(E), s))
-        e, rem = divmod(acc, k)
+    for k in range(1, len(s) + 1):
+        e, rem = divmod(sum(map(mul, reversed(E), s)), k)
         if rem:
             raise VerificationFailed("composed power polynomial not integral")
         E.append(e)
     return tuple((-1) ** k * e for k, e in enumerate(E))
+
+
+def _shapes(j: int, parts: int, top: int):
+    """The partitions of j into at most `parts` parts, each at most top."""
+    if j == 0:
+        yield ()
+    for first in range(min(j, top), 0, -1) if parts else ():
+        for rest in _shapes(j - first, parts - 1, first):
+            yield (first,) + rest
+
+
+def _set_partitions(items: list):
+    """Every set partition of the positions of items, as lists of blocks."""
+    if not items:
+        yield []
+    for part in _set_partitions(items[1:]) if items else ():
+        for i, block in enumerate(part + [[]]):
+            yield part[:i] + [items[:1] + block] + part[i + 1:]
+
+
+@_memo(lambda P, j: (P.coefficients, P.q, j))
+def eigenproduct_poly(P: CharPoly, j: int) -> tuple:
+    """The ordered j-fold products of roots of P, with multiplicity, as the
+    roots of prod Q^w over the factors ((w, Q), ...), each Q monic, integral
+    and leading-first: one per shape lambda, a partition of j into at most
+    d = deg P parts, whose multisets of roots are each the content of
+    w = j!/prod(lambda_i!) ordered tuples.  Q has one root per multiset,
+    d!/((d - len lambda)! aut lambda) in all, and k-th power sum
+    (1/aut lambda) sum_pi mu(pi) prod_(B in pi) p_(k lambda_B)(P) over the
+    set partitions pi of the parts, mu(pi) = prod_B (-1)^(|B|-1) (|B|-1)!
+    (Moebius inversion; Doubilet, Stud. Appl. Math. 51, 1972).
+
+    >>> eigenproduct_poly(CharPoly((1, -2, 5), 5), 2)
+    ((1, (1, 6, 25)), (2, (1, -5)))
+    """
+    if j < 0:
+        raise ValueError("negative power")
+    shapes = [(lam, prod(factorial(lam.count(v)) for v in set(lam)))
+              for lam in _shapes(j, P.degree, j)]
+    degrees = [perm(P.degree, len(lam)) // aut for lam, aut in shapes]
+    t = (P.degree,) + tuple(P.power_sums(j * max(degrees)))  # t[k] = p_k
+    factors = []
+    for (lam, aut), deg in zip(shapes, degrees):
+        terms = [(prod((-1) ** (len(B) - 1) * factorial(len(B) - 1)
+                       for B in pi), [sum(B) for B in pi])
+                 for pi in _set_partitions(list(lam))]
+        sums = [sum(mu * prod(t[k * b] for b in blocks)
+                    for mu, blocks in terms) for k in range(1, deg + 1)]
+        if any(m % aut for m in sums):
+            raise VerificationFailed("shape power sum not divisible by aut")
+        factors.append((factorial(j) // prod(map(factorial, lam)),
+                        _newton_poly([m // aut for m in sums])))
+    return tuple(factors)
 
 
 def rational_root_multiplicity(coeffs: tuple, target) -> int:
@@ -414,8 +452,8 @@ def eigenproduct_multiplicity(P: CharPoly, j: int, r: int) -> int:
     """
     if j + r < 0:
         return 0
-    target = P.q ** (j + r)
-    return rational_root_multiplicity(eigenproduct_poly(P, j), target)
+    return sum(w * rational_root_multiplicity(Q, P.q ** (j + r))
+               for w, Q in eigenproduct_poly(P, j))
 
 
 # ---------------------------------------------------------------------------

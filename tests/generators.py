@@ -1,6 +1,7 @@
 """Test-side constructions that the check suites never use.
 
-random_legal_graph draws the random dual graphs of the property sweeps;
+random_legal_graph draws the random dual graphs of the property sweeps,
+and random_symmetric_graph those among them that carry an action;
 matrix_power is the repeated-squaring power that the power-sum tests
 compare traces against.
 """
@@ -68,6 +69,17 @@ def random_legal_graph(rng, max_components: int = 4, max_extra_nodes: int = 3,
         return graph
     pick = nontrivial[rng.randrange(len(nontrivial))]
     return DualGraph(comps, nodes, edges, action=[pick])
+
+
+def random_symmetric_graph(rng, tries: int = 100, **kw) -> DualGraph:
+    """random_legal_graph(rng, **kw) drawn again, up to tries times, until
+    it carries an action: one draw in six to ten does, so a sweep that asks
+    for symmetric cases gets them.  The last draw is returned either way."""
+    for _ in range(tries):
+        graph = random_legal_graph(rng, **kw)
+        if graph.action:
+            break
+    return graph
 
 
 def _component_automorphisms(graph: DualGraph) -> List[Dict[str, str]]:

@@ -16,18 +16,22 @@ through the component multigraph and held as edge bitmasks; co_cokernel,
 the cokernel of a discrete map that left_exactness_probe took besides its
 homology; box_twist_nullity, the kernel nullity of one twisted box power
 built afresh, before each twist read one box power per (P, j);
-row_copying_rank_mod, interleaved_hessenberg_mod and
-integer_newton_eigenproduct_poly, the forms of rank_mod, hessenberg_mod and
-eigenproduct_poly's Newton step before they eliminated in place, batched
-each step's column operations and summed each step with map(mul, ...);
+row_copying_rank_mod and interleaved_hessenberg_mod, the forms of rank_mod
+and hessenberg_mod before they eliminated in place and batched each step's
+column operations; integer_newton_eigenproduct_poly, the composed power of
+degree (2g)^j that eigenproduct_poly built before it split the products by
+exponent shape, Newton's recurrence written term by term;
 dense_smith_with_inverses, the Smith form before it skipped zeros and
-stopped at the first unit pivot; per_column_orbit_section, the section of
-one tree orbit by a tree_solve call per (column, tree) pair;
+stopped at the first unit pivot; tree_solve, the per-tree solver of vertex
+sums on a spanning tree, and per_column_orbit_section, the section of one
+tree orbit by a tree_solve call per (column, tree) pair, before
+_orbit_section pushed every column through one leaf order per tree;
 canonical_orders and smith_level_orders, the two ways canonicalize_with_maps
 and level_kernel classified a Smith diagonal before both read
 SmithForm.orders; divisor_action, the divisor permutation the instance
 parser induced from one graph generator and handed to DivisorConfig,
-before DivisorConfig derived its action itself.
+before DivisorConfig derived its action itself.  float_root_tuple_count
+counts ordered root tuples with a given product in floating point.
 """
 
 from collections import namedtuple
@@ -675,8 +679,9 @@ def interleaved_hessenberg_mod(A, p):
 
 
 def integer_newton_eigenproduct_poly(P, j):
-    """eigenproduct_poly's integer Newton recurrence written term by term,
-    with the sign of each product taken in the inner loop."""
+    """The composed power of degree (2g)^j that eigenproduct_poly built
+    before exponent shapes: Newton's integer recurrence on the j-th powers
+    of P's power sums, term by term, the sign taken in the inner loop."""
     if j == 0:
         return (1, -1)
     D = P.degree ** j
@@ -691,6 +696,16 @@ def integer_newton_eigenproduct_poly(P, j):
             raise ArithmeticError("composed power polynomial not integral")
         E.append(e)
     return tuple((-1) ** k * e for k, e in enumerate(E))
+
+
+def float_root_tuple_count(coeffs, j, target):
+    """Ordered j-tuples of the complex roots of coeffs (leading-first,
+    with multiplicity) whose product is within 1e-9 of target, relatively:
+    a floating-point count over every tuple, roots by sympy's nroots."""
+    roots = [complex(z) for z in sympy.Poly(coeffs, sympy.Symbol("x"))
+             .nroots(n=30)]
+    return sum(1 for t in product(roots, repeat=j)
+               if abs(_prod(t) - target) <= 1e-9 * abs(target))
 
 
 def canonical_orders(ell, D):
@@ -819,14 +834,46 @@ def dense_smith_with_inverses(A):
                  for M, cols in ((U, m), (a, n), (V, n), (Ui, m)))
 
 
+def tree_solve(graph, tree, values, modulus=None):
+    """Unique edge values on a spanning tree with prescribed vertex sums:
+    the per-tree route that _orbit_section replaced.
+
+    values maps vertex ids to the required sum of incident edge values;
+    missing vertices default to 0.  Each edge joins one component and one
+    node, so summing the defining equations over either vertex class counts
+    every edge once: the two class totals must agree (mod the modulus when
+    one is given) or no solution exists.  Leaf elimination is subtraction
+    only, hence exact over Z and over Z/m alike.
+    """
+    from devissage.dualgraph import (
+        _check_balance, _check_root, _leaf_order, _validate_tree)
+    reduce = (lambda x: x % modulus) if modulus else (lambda x: x)
+    edges = _validate_tree(graph, tree)
+    steps, roots = _leaf_order(graph, edges)
+    verts = graph.vertex_ids
+    for k in values:
+        if str(k) not in verts:
+            raise ValueError(f"value attached to unknown vertex {k!r}")
+    residual = {v: values.get(v, 0) for v in verts}
+    _check_balance(reduce(sum(residual[c] for c in graph.component_ids)
+                          - sum(residual[n] for n in graph.nodes)))
+    x = {}
+    for v, e, other in steps:
+        x[e] = residual[v]
+        residual[other] -= x[e]
+    # exactly one vertex is never peeled; balance forces its residual to 0
+    for v in roots:
+        _check_root(v, reduce(residual[v]))
+    return {e: reduce(val) for e, val in x.items()}
+
+
 def per_column_orbit_section(lattice, tree_orbit):
     """_orbit_section as it was before one leaf order per tree: the orbit
     validated and sorted, then tree_solve for every (difference basis
     column, tree) pair, each call validating its tree again, and each
     column placed by var_names.index.  Returns (trees, Psi)."""
     from devissage.dualgraph import (
-        NotAnOrbit, _tree_orbit_positions, _validate_tree, difference_basis,
-        tree_solve)
+        NotAnOrbit, _tree_orbit_positions, _validate_tree, difference_basis)
     from devissage.exactlin import IntMatrix
     graph, config = lattice.graph, lattice.config
     normalized = [_validate_tree(graph, t) for t in tree_orbit]

@@ -32,7 +32,7 @@ from devissage.cli import (
 from devissage.errors import InvalidInstance, ParseError, UnknownSequence
 from devissage.exactlin import PRIME_BOUND, IntMatrix
 
-from generators import random_legal_graph
+from generators import random_legal_graph, random_symmetric_graph
 from oracles import sympy_laplacian_cofactor, sympy_rank
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
@@ -606,6 +606,33 @@ class TestRunLibrary:
         assert hashlib.sha256(rendered).hexdigest() == (
             "925c06946cad49ab89e6894267b910022155fd6d28ecc3ef6b9c13cbf4c758f7")
 
+    # g1_swap.json with both components of genus 3 or 4 and one squarefree
+    # Weil jacobian on each; the digests were recorded with the composed
+    # power of degree (2g)^4, which took about 4 s at genus 3 and 270 s at
+    # genus 4
+    @pytest.mark.parametrize("genus, charpoly, digest", [
+        (3, [1, -6, 23, -60, 115, -150, 125],
+         "09e7e7b398a55cb945004134b9e784ea842f80371f8790a07b62115f1ca16c26"),
+        (4, [1, -4, 16, -44, 110, -220, 400, -500, 625],
+         "95b1acf732bde7d76ed199cbbc43ba5bbe9f633d89fb265f84683ba7421d6656"),
+    ])
+    def test_high_genus_vanishing_budget(self, tmp_path, genus, charpoly,
+                                         digest):
+        payload = _fixture_payload("g1_swap.json")
+        payload["components"] = [{"id": c, "genus": genus} for c in "uv"]
+        payload["jacobians"] = [{"orbit_rep": c, "f": 1, "q": 5,
+                                 "charpoly": charpoly} for c in "uv"]
+        config = RunConfig(input_path=write_instance(tmp_path, payload),
+                           suites=("vanishing",), seed=0)
+        started = time.perf_counter()
+        code, report = run(config)
+        elapsed = time.perf_counter() - started
+        assert code == 0
+        assert elapsed < 1.0, f"vanishing suite took {elapsed:.2f} s"
+        report["input"] = "instance.json"
+        rendered = render_json(report).encode()
+        assert hashlib.sha256(rendered).hexdigest() == digest
+
     # every check passes whatever the random draws, so the report alone
     # does not see them; the final states of the suites' two generators
     # pin how many draws random_cogroup and torsbis_maps make, and from
@@ -978,8 +1005,8 @@ class TestInstanceFuzz:
 # valid instances with positive genus, through every suite
 
 def weil_charpoly(rng, genus, Q):
-    """[1, -a, Q] with |a| <= 2 sqrt(Q) for genus 1, a product of two such
-    for genus 2: pure of weight one over F_Q."""
+    """[1, -a, Q] with |a| <= 2 sqrt(Q) for genus 1, a product of genus
+    such factors for higher genus: pure of weight one over F_Q."""
     coeffs = [1]
     for _ in range(genus):
         bound = isqrt(4 * Q)
@@ -1069,10 +1096,14 @@ class TestValidInstanceSweep:
         assert render_json(run(config)[1]) == render_json(report)
 
     @settings(max_examples=3, deadline=None)
-    @given(rng=st.randoms(use_true_random=False),
+    @given(seed=st.integers(0, 2 ** 32 - 1), symmetric=st.booleans(),
            primes=st.sampled_from([(3, 5), (2, 3)]))
-    def test_random_graphs_with_genus(self, tmp_path_factory, rng, primes):
-        graph = random_legal_graph(rng, genus_pool=(0, 1, 2))
+    def test_random_graphs_with_genus(self, tmp_path_factory, seed, symmetric,
+                                      primes):
+        # a seeded Random: hypothesis' own randoms seldom draw an action
+        rng = random.Random(seed)
+        graph = (random_symmetric_graph if symmetric else random_legal_graph)(
+            rng, genus_pool=(0, 1, 2, 3, 4))
         self.assert_runs_cleanly(tmp_path_factory.mktemp("sweep"),
                                  valid_raw(graph, rng, *primes))
 
@@ -1089,7 +1120,7 @@ class TestValidInstanceSweep:
                                          primes):
         # a seeded Random: hypothesis' own randoms seldom draw an action
         rng = random.Random(seed)
-        graph = random_legal_graph(rng, genus_pool=(0, 1, 2))
+        graph = random_legal_graph(rng, genus_pool=(0, 1, 2, 3, 4))
         payload = with_divisors(valid_raw(graph, rng, *primes), graph, rng)
         self.assert_runs_cleanly(tmp_path_factory.mktemp("sweep"), payload)
 

@@ -50,6 +50,7 @@ from devissage.procyclic import (
 from generators import matrix_power
 from oracles import (
     box_twist_nullity,
+    float_root_tuple_count,
     fraction_eigenproduct_poly,
     fraction_root_multiplicity,
     integer_newton_eigenproduct_poly,
@@ -65,10 +66,25 @@ P_QUARTIC = WEIL_CATALOG[6]      # (T^2 + 5)(T^2 - 2T + 5), q = 5
 # squarefull but still pure of weight one: the companion matrix is then
 # non-semisimple, so only the kernel route describes the built object
 P_SQUARE = CharPoly((1, -4, 14, -20, 25), 5)
+# genus 3 and genus 4 jacobians over F_5, squarefree and pure of weight one
+P_GENUS_THREE = CharPoly((1, -6, 23, -60, 115, -150, 125), 5)
+P_GENUS_FOUR = CharPoly((1, -4, 16, -44, 110, -220, 400, -500, 625), 5)
 
 
 def entries(m):
     return [list(r) for r in m.data]
+
+
+def expanded(factors):
+    """The product of Q^w over eigenproduct_poly's factors ((w, Q), ...),
+    coefficients leading-first."""
+    out = [1]
+    for w, Q in factors:
+        for _ in range(w):
+            out = [sum(out[i] * Q[k - i] for i in range(len(out))
+                       if 0 <= k - i < len(Q))
+                   for k in range(len(out) + len(Q) - 1)]
+    return tuple(out)
 
 
 class TestCharPoly:
@@ -360,19 +376,20 @@ class TestLevels:
 
 class TestEigenproduct:
     def test_degenerate_powers(self):
-        assert eigenproduct_poly(P_GENERIC, 0) == (1, -1)
+        assert expanded(eigenproduct_poly(P_GENERIC, 0)) == (1, -1)
         for P in WEIL_CATALOG:
-            assert eigenproduct_poly(P, 1) == P.coefficients
+            assert expanded(eigenproduct_poly(P, 1)) == P.coefficients
 
     def test_square_product_frozen(self):
         # pair products of the roots 1 +- 2i: 5, 5, -3 +- 4i, so
         # (x^2 - 10x + 25)(x^2 + 6x + 25) expanded by hand
-        assert eigenproduct_poly(P_GENERIC, 2) == (1, -4, -10, -100, 625)
+        assert expanded(eigenproduct_poly(P_GENERIC, 2)) \
+            == (1, -4, -10, -100, 625)
 
     def test_shape_invariants(self):
         for P in (P_GENERIC, P_CM):
             for j in (1, 2, 3):
-                Q = eigenproduct_poly(P, j)
+                Q = expanded(eigenproduct_poly(P, j))
                 n = P.degree
                 assert len(Q) == n ** j + 1
                 assert Q[0] == 1
@@ -387,7 +404,7 @@ class TestEigenproduct:
         # every box power the vanishing suite reaches, the quartic's
         # j = 4 (degree 256) among them
         for j in range(5):
-            assert eigenproduct_poly.__wrapped__(P, j) == \
+            assert expanded(eigenproduct_poly.__wrapped__(P, j)) == \
                 integer_newton_eigenproduct_poly(P, j), j
 
     def test_root_multiplicity(self):
@@ -586,11 +603,60 @@ def shuffled_grid(draw):
         [(P, ell, j, r) for j, r in slots for ell in ELLS]))
 
 
+def integer_root_polys():
+    """Monic CharPoly of degree 2 or 4 with distinct roots among +-1, +-q
+    and q^2, whose j-fold products often hit the targets q^(j+r)."""
+    return st.builds(
+        lambda q, roots: CharPoly(
+            expanded((1, (1, -sign * q ** e)) for sign, e in roots), q),
+        st.sampled_from((2, 3, 5)),
+        st.sampled_from((2, 4)).flatmap(lambda deg: st.lists(
+            st.sampled_from(((1, 0), (-1, 0), (1, 1), (-1, 1), (1, 2))),
+            min_size=deg, max_size=deg, unique=True)))
+
+
+class TestEigenproductByShape:
+    """The factors by exponent shape against the composed power of degree
+    d^j that they replace (oracles.integer_newton_eigenproduct_poly)."""
+
+    @staticmethod
+    def assert_matches_oracle(P, jmax=4):
+        for j in range(jmax + 1):
+            factors = eigenproduct_poly(P, j)
+            assert sum(w * (len(Q) - 1) for w, Q in factors) \
+                == P.degree ** j
+            full = integer_newton_eigenproduct_poly(P, j)
+            for r in range(-3, 4):
+                want = rational_root_multiplicity(
+                    full, Fraction(P.q) ** (j + r))
+                assert eigenproduct_multiplicity(P, j, r) == want, (j, r)
+
+    @pytest.mark.parametrize("P", WEIL_CATALOG)
+    def test_catalog(self, P):
+        self.assert_matches_oracle(P)
+
+    @settings(max_examples=30, deadline=None)
+    @given(P=st.one_of(monic_polys(), integer_root_polys()).filter(
+        lambda P: P.is_squarefree()))
+    def test_random_squarefree(self, P):
+        self.assert_matches_oracle(P)
+
+    @pytest.mark.parametrize("P, want", [(P_GENUS_THREE, 92),
+                                         (P_GENUS_FOUR, 254)])
+    def test_high_genus_against_root_tuples(self, P, want):
+        assert P.is_squarefree() and weil_weight_check(P)
+        assert eigenproduct_multiplicity(P, 4, -2) == want
+        for j, r in ((2, -1), (3, -1), (4, -2), (4, -1)):
+            assert eigenproduct_multiplicity(P, j, r) == \
+                float_root_tuple_count(P.coefficients, j, P.q ** (j + r))
+
+
 class TestMemoAgainstSlowRoutes:
     @settings(max_examples=40, deadline=None)
     @given(P=monic_polys(), j=st.integers(0, 3))
     def test_integer_newton_matches_fractions(self, P, j):
-        assert eigenproduct_poly(P, j) == fraction_eigenproduct_poly(P, j)
+        assert expanded(eigenproduct_poly(P, j)) \
+            == fraction_eigenproduct_poly(P, j)
 
     @settings(max_examples=80, deadline=None)
     @given(roots=st.lists(st.tuples(st.integers(-6, 6), st.integers(1, 4)),
