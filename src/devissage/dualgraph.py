@@ -262,8 +262,8 @@ class HomologyLattice:
 
     basis columns span ker of the boundary map Z^E -> Z^V for the fixed
     orientation component -> node, edges in sorted order.  action_matrices
-    give, per generator, the matrix M with basis @ M = P @ basis where P
-    permutes oriented edges.
+    give, per generator, the matrix M with basis @ M equal to basis with
+    its rows (the oriented edges) permuted by the generator.
     """
 
     basis: IntMatrix
@@ -284,21 +284,19 @@ def _boundary_matrix(graph: DualGraph) -> IntMatrix:
     return IntMatrix.from_rows(rows, len(graph.edges))
 
 
-def perm_matrix(order: Sequence, image) -> IntMatrix:
-    """Permutation matrix with a 1 at (position of image(x), position of x).
+def perm_rows(order: Sequence, image) -> tuple:
+    """Row indices that move the row at x to the position of image(x):
+    X.take_rows(perm_rows(order, image)) permutes X's rows.  order lists
+    the coordinates; image maps each of them into order, bijectively.
 
-    order lists the coordinates; image maps each of them to a member of
-    order, bijectively.
+    >>> perm_rows("abc", {"a": "b", "b": "c", "c": "a"}.get)
+    (2, 0, 1)
     """
     index = {x: i for i, x in enumerate(order)}
-    rows = [[0] * len(order) for _ in order]
+    rows = [None] * len(order)
     for j, x in enumerate(order):
-        rows[index[image(x)]][j] = 1
-    return IntMatrix.from_rows(rows, len(order))
-
-
-def _edge_perm_matrix(graph: DualGraph, perm: Dict[str, str]) -> IntMatrix:
-    return perm_matrix(graph.edges, lambda e: graph.edge_image(perm, e))
+        rows[index[image(x)]] = j
+    return tuple(rows)
 
 
 def _compose_perms(first: Dict[str, str], then: Dict[str, str]) -> Dict[str, str]:
@@ -316,11 +314,16 @@ def h1_lattice(graph: DualGraph) -> HomologyLattice:
     """
     basis = graph.cycle_basis
     c = basis.cols
+
+    def moved(perm):
+        return basis.take_rows(
+            perm_rows(graph.edges, lambda e: graph.edge_image(perm, e)))
+
     mats = []
     for p in graph.action:
-        P = _edge_perm_matrix(graph, p)
-        M = solve_integer(basis, P @ basis)
-        if M is None or (basis @ M) != (P @ basis):
+        target = moved(p)
+        M = solve_integer(basis, target)
+        if M is None or (basis @ M) != target:
             raise VerificationFailed("induced matrix does not reproduce the edge action")
         if c and M.det() not in (1, -1):
             raise VerificationFailed("induced action matrix is not unimodular")
@@ -328,7 +331,7 @@ def h1_lattice(graph: DualGraph) -> HomologyLattice:
 
     # relation check: every word of length <= 4 in the generators must act
     # through the matrix computed from the composed permutation; the basis
-    # columns are independent, so basis @ mat = P_w @ basis pins mat down
+    # columns are independent, so basis @ mat = the moved basis pins mat down
     ngen = len(graph.action)
     if ngen and c:
         words: List[Tuple[int, ...]] = [()]
@@ -342,7 +345,7 @@ def h1_lattice(graph: DualGraph) -> HomologyLattice:
                 for i in w:
                     perm = _compose_perms(perm, graph.action[i])
                     mat = mats[i] @ mat
-                if basis @ mat != _edge_perm_matrix(graph, perm) @ basis:
+                if basis @ mat != moved(perm):
                     raise VerificationFailed(
                         f"action matrices violate the group relation for word {w}")
     return HomologyLattice(basis, tuple(mats))
@@ -697,10 +700,12 @@ class XiLattice:
     to zero.  The constraint rows are the components, then the support
     points; its columns are the alphas, then the y incidences grouped by
     component.  cycles embeds the cycle lattice via the y coordinates on
-    node incidences; projection reads the divisor block.  kernel holds the
-    SmithForm of the transposed constraints and cycle_span that of the
+    node incidences; projection reads the divisor block.  ambient_actions
+    and divisor_actions hold, per generator, its permutation of the ambient
+    and of the divisor coordinates as perm_rows index tuples.  kernel holds
+    the SmithForm of the transposed constraints and cycle_span that of the
     cycle embedding, which build_xi reads at every level; psi keeps
-    build_psi's integer sections by orbit.
+    build_psi's verified integer sections by orbit.
     """
 
     config: DivisorConfig
@@ -709,8 +714,8 @@ class XiLattice:
     constraint: IntMatrix
     projection: IntMatrix
     cycles: IntMatrix
-    ambient_actions: Tuple[IntMatrix, ...]
-    divisor_actions: Tuple[IntMatrix, ...]
+    ambient_actions: Tuple[tuple, ...]
+    divisor_actions: Tuple[tuple, ...]
     kernel: SmithForm
     cycle_span: SmithForm
     psi: Dict[tuple, tuple] = field(default_factory=dict, compare=False,
@@ -734,9 +739,10 @@ class XiLattice:
 
     @cached_property
     def zero_sum_actions(self) -> tuple:
-        """Per generator, R with B R = PD B on the difference basis B, or None."""
+        """Per generator, R with B R = B permuted by it, or None."""
         B = difference_basis(len(self.config.ids))
-        return tuple(solve_integer(B, PD @ B) for PD in self.divisor_actions)
+        return tuple(solve_integer(B, B.take_rows(PD))
+                     for PD in self.divisor_actions)
 
 
 def xi_lattice(config: DivisorConfig) -> XiLattice:
@@ -803,9 +809,10 @@ def xi_lattice(config: DivisorConfig) -> XiLattice:
             new_pt = dp[pt] if pt in div_index else gp[pt]
             return ("y", gp[comp], new_pt)
 
-        P = perm_matrix(var_names, var_image)
-        PD = perm_matrix(div_ids, dp.__getitem__)
-        if (proj @ P) != (PD @ proj):
+        P = perm_rows(var_names, var_image)
+        PD = perm_rows(div_ids, dp.__getitem__)
+        # projection keeps the first ndiv coordinates, the divisor block
+        if P[:ndiv] != PD:
             raise VerificationFailed("divisor projection is not equivariant")
         ambient_actions.append(P)
         divisor_actions.append(PD)
@@ -919,7 +926,7 @@ def build_xi(lattice: XiLattice, ell: int, s: int) -> XiModule:
         raise VerificationFailed("phi misses part of the zero sum block")
 
     for P in lattice.ambient_actions:
-        if not (C @ (P @ K.matrix)).mod(mod).is_zero():
+        if not (C @ K.matrix.take_rows(P)).mod(mod).is_zero():
             raise VerificationFailed("action does not preserve the assembled kernel")
 
     return XiModule(
@@ -943,7 +950,7 @@ class PsiSplitting:
     psi_ambient sends the difference basis of the zero sum divisor block
     into ambient Xi coordinates; phi after psi multiplies by the orbit size
     m, and psi commutes with the action.  Both facts are verified exactly
-    during construction.
+    over Z, once per orbit, before any level reduces the section.
     """
 
     xi: XiModule
@@ -981,10 +988,12 @@ def _psi_column(lattice: XiLattice, m: int, alpha: Dict[str, int],
 
 
 def _orbit_section(lattice: XiLattice, tree_orbit):
-    """The validated orbit, sorted, and its integer section over Z.
+    """The validated orbit, sorted, and its integer section Psi over Z.
 
     Each edge value is linear in the vertex values, so every column of the
-    difference basis goes through each tree's leaf order at once."""
+    difference basis goes through each tree's leaf order at once.  Psi is
+    then proved a section over Z, hence at every level: it meets the
+    constraints, phi after Psi is m B, and it commutes with each generator."""
     graph, config = lattice.graph, lattice.config
     normalized = [_validate_tree(graph, t) for t in tree_orbit]
     leaf_orders = {t: _leaf_order(graph, t) for t in normalized}
@@ -1027,6 +1036,13 @@ def _orbit_section(lattice: XiLattice, tree_orbit):
             for j, alpha in enumerate(alphas)]
     Psi = (IntMatrix.from_rows(list(map(list, zip(*cols))), len(cols))
            if cols else IntMatrix.zeros(len(lattice.var_names), 0))
+    if not (lattice.constraint @ Psi).is_zero():
+        raise VerificationFailed("psi columns violate the defining constraints")
+    if (lattice.projection @ Psi) != B.scale(len(trees)):
+        raise VerificationFailed("phi after psi is not multiplication by the orbit size")
+    for P, R in zip(lattice.ambient_actions, lattice.zero_sum_actions):
+        if R is None or Psi.take_rows(P) != (Psi @ R):
+            raise VerificationFailed("psi does not commute with the action")
     return trees, Psi
 
 
@@ -1037,30 +1053,20 @@ def build_psi(xi: XiModule, tree_orbit) -> PsiSplitting:
     member a spanning tree of xi's graph, closed under each generator, and
     reachable from any member.  The construction sums the balanced tree
     solutions over the orbit, which is what makes the result equivariant.
-    Neither the orbit's validation nor those integer solutions depend on
-    the level: xi's lattice keeps them by the orbit as given, and each level
-    checks the solutions again and reduces them.
+    Neither the orbit's validation, nor those integer solutions, nor their
+    proof as a section over Z depends on the level: _orbit_section does all
+    three once, xi's lattice keeps the verified result by the orbit as
+    given (a failed orbit is not kept), and each level only reduces it.
     """
     lattice = xi.lattice
     orbit = tuple(tuple(map(tuple, t)) for t in tree_orbit)
     if orbit not in lattice.psi:
         lattice.psi[orbit] = _orbit_section(lattice, orbit)
     trees, Psi = lattice.psi[orbit]
-    m = len(trees)
     B = difference_basis(len(lattice.config.ids))
     domain = free_level(xi.ell, xi.level, B.cols)
-
-    if not (lattice.constraint @ Psi).is_zero():
-        raise VerificationFailed("psi columns violate the defining constraints")
-    if (lattice.projection @ Psi) != B.scale(m):
-        raise VerificationFailed("phi after psi is not multiplication by the orbit size")
-
-    for P, R in zip(lattice.ambient_actions, lattice.zero_sum_actions):
-        if R is None or (P @ Psi) != (Psi @ R):
-            raise VerificationFailed("psi does not commute with the action")
-
     return PsiSplitting(
-        xi=xi, trees=trees, m=m, domain=domain, basis=B,
+        xi=xi, trees=trees, m=len(trees), domain=domain, basis=B,
         psi_ambient=LMap(domain, xi.ambient, Psi),
     )
 

@@ -164,10 +164,6 @@ class IntMatrix:
         return cls._trusted(n, n, tuple([
             (0,) * i + (index(x),) + (0,) * (n - 1 - i) for i, x in enumerate(entries)]))
 
-    @classmethod
-    def column(cls, entries: Sequence[int]) -> "IntMatrix":
-        return cls(len(entries), 1, [[x] for x in entries])
-
     # -- basic ops ----------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -186,12 +182,6 @@ class IntMatrix:
 
     def entry(self, i: int, j: int) -> int:
         return self.data[i][j]
-
-    def row(self, i: int) -> tuple:
-        return self.data[i]
-
-    def col(self, j: int) -> tuple:
-        return tuple(self.data[i][j] for i in range(self.rows))
 
     def transpose(self) -> "IntMatrix":
         data = tuple(zip(*self.data)) if self.rows else ((),) * self.cols
@@ -653,12 +643,6 @@ class LModule:
     def is_finite(self) -> bool:
         return self.free_rank == 0
 
-    def order(self) -> Optional[int]:
-        """Cardinality for finite modules, None otherwise."""
-        if not self.is_finite:
-            return None
-        return self.ell ** sum(self.torsion_exponents)
-
     def gen_orders(self) -> tuple:
         """Per-generator order exponent, None meaning free."""
         return (None,) * self.free_rank + self.torsion_exponents
@@ -1112,3 +1096,11 @@ def tensor_power_with_index(M: LModule, n: int):
         tuples = [tuples[i] + (j,) for i, j in pairs]
         mod = nxt
     return mod, tuples
+
+
+def matrix_power_kron(m: IntMatrix, n: int) -> IntMatrix:
+    """The n-fold Kronecker power of m; the 0th power is the 1 x 1 identity."""
+    out = IntMatrix.identity(1)
+    for _ in range(n):
+        out = out.kron(m)
+    return out

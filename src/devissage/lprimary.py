@@ -28,7 +28,6 @@ from typing import Sequence
 from .errors import (
     InputNotExact,
     MismatchedBase,
-    MismatchedPrime,
     NotDivisible,
     NotFiniteExponent,
 )
@@ -39,6 +38,7 @@ from .exactlin import (
     LModule,
     homology_at,
     is_prime_power,
+    matrix_power_kron,
     rank_mod,
     tensor_maps,
     tensor_power_with_index,
@@ -350,33 +350,15 @@ class FrobObject:
         return FrobObject(self.carrier, self.matrix, self.q, self.qpow + r)
 
 
-def box_frob(X: FrobObject, Y: FrobObject) -> FrobObject:
-    """Box product of Frobenius objects; q-powers add, matrices multiply.
-
-    Twisted scalars distribute over the product:
-    (q^a F) box (q^b G) = q^(a+b) (F box G).
-    """
-    if X.ell != Y.ell:
-        raise MismatchedPrime("box of frobenius objects across primes")
-    if X.q != Y.q:
-        raise MismatchedBase("box of frobenius objects over different bases")
-    fx = LMap(X.rep_module, X.rep_module, X.matrix)
-    fy = LMap(Y.rep_module, Y.rep_module, Y.matrix)
-    big = tensor_maps(fx, fy)
-    return FrobObject(box(X.carrier, Y.carrier), big.matrix, X.q,
-                      X.qpow + Y.qpow)
-
-
 def box_frob_power(X: FrobObject, n: int) -> FrobObject:
-    """n-fold box power of a Frobenius object; the 0th power is the unit."""
+    """n-fold box power of a Frobenius object; the 0th power is the unit.
+
+    The carrier's dual is free: its tensor power orders generator tuples as
+    the Kronecker power does, and (q^a F)^box n = q^(n a) F^box n."""
     if n < 0:
         raise ValueError("negative box power")
-    if n == 0:
-        return FrobObject(box_unit(X.ell), IntMatrix.identity(1), X.q)
-    out = X
-    for _ in range(n - 1):
-        out = box_frob(out, X)
-    return out
+    return FrobObject(box_power(X.carrier, n), matrix_power_kron(X.matrix, n),
+                      X.q, n * X.qpow)
 
 
 # ---------------------------------------------------------------------------

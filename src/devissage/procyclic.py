@@ -52,6 +52,7 @@ from .exactlin import (
     integer_kernel_basis,
     is_prime_power,
     kernel,
+    matrix_power_kron,
     nullity,
     rank_mod,
     solve_integer,
@@ -563,13 +564,6 @@ def _box_nullity(P: CharPoly, ell: int, j: int, r: int) -> int:
         if rank_mod(H + shift, p) == n:
             return 0
     return integer_kernel_basis(cleared_minus_one(K, P.q, a)).cols
-
-
-def matrix_power_kron(m: IntMatrix, j: int) -> IntMatrix:
-    out = IntMatrix.identity(1)
-    for _ in range(j):
-        out = out.kron(m)
-    return out
 
 
 @_memo(lambda P, j: (P.coefficients, j))

@@ -25,7 +25,7 @@ from .dualgraph import (
     invariant_rank,
     n_x,
     orbit_partition,
-    perm_matrix,
+    perm_rows,
     tree_orbits,
     xi_lattice,
 )
@@ -50,11 +50,10 @@ from .exactlin import (
     kernel_coordinates,
     level_kernel,
     preimage,
-    solve_integer,
 )
 from .lprimary import FrobObject
-from .procyclic import (CharPoly, h1, require_decided, torsion_frob,
-                        weil_weight_check)
+from .procyclic import (CharPoly, _adjugate, h1, require_decided,
+                        torsion_frob, weil_weight_check)
 
 MODELED_NOTE = (
     "middle term assembled as the direct sum of the outer terms; it models "
@@ -326,9 +325,9 @@ def lambda_structure(inst: SingularityInstance, s: int) -> LambdaReport:
     lift = preimage(co, unit)
     frob_flags = []
     for gp, dp in zip(inst.graph.action, inst.divisors.action):
-        P = perm_matrix(xi.lattice.support, {**gp, **dp}.__getitem__)
+        P = perm_rows(xi.lattice.support, {**gp, **dp}.__getitem__)
         frob_flags.append(lift is not None and co.codomain.reduce_columns(
-            co.matrix @ (P @ lift)) == unit)
+            co.matrix @ lift.take_rows(P)) == unit)
 
     verdict = "PASS" if structure_ok and all(frob_flags) else "FAIL"
     return LambdaReport(
@@ -398,13 +397,6 @@ class OnoReport:
     matches: bool
 
 
-def _unimodular_inverse(m: IntMatrix) -> IntMatrix:
-    inv = solve_integer(m, IntMatrix.identity(m.rows))
-    if inv is None or (m @ inv) != IntMatrix.identity(m.rows):
-        raise VerificationFailed("inverse verification failed")
-    return inv
-
-
 def ono_check(mats: Sequence[IntMatrix], n: int) -> OnoReport:
     """Fixed rank of Z^n under the generators mats equals the fixed rank of
     its dual.
@@ -419,7 +411,8 @@ def ono_check(mats: Sequence[IntMatrix], n: int) -> OnoReport:
         if m.det() not in (1, -1):
             raise ValueError("generators must be invertible over the integers")
     right = fixed_rank(mats, n)
-    contra = [_unimodular_inverse(m).transpose() for m in mats]
+    # det m = +-1, so m^-1 = det(m) adj(m)
+    contra = [_adjugate(m).scale(m.det()).transpose() for m in mats]
     left = fixed_rank(contra, n)
     return OnoReport(n, len(mats), right, left, left == right)
 
@@ -471,10 +464,10 @@ class BhnReport:
     verdict: str
 
 
-def _module_action(xi: XiModule, amb: IntMatrix) -> IntMatrix:
-    """Express an ambient action in the coordinates of the kernel module."""
+def _module_action(xi: XiModule, amb: Sequence[int]) -> IntMatrix:
+    """Express an ambient permutation (perm_rows indices) in module coordinates."""
     sol = kernel_coordinates(xi.lattice.kernel, xi.ell, xi.level,
-                             amb @ xi.inclusion.matrix)
+                             xi.inclusion.matrix.take_rows(amb))
     if sol is None:
         raise VerificationFailed("action does not descend to the kernel module")
     return sol
@@ -529,7 +522,7 @@ def bhn_finite_field_report(inst: SingularityInstance) -> BhnReport:
     for s in range(1, inst.max_level + 1):
         xi = inst.xi(s)
         amb = (xi.lattice.ambient_actions[0] if xi.lattice.ambient_actions
-               else IntMatrix.identity(len(xi.lattice.var_names)))
+               else range(len(xi.lattice.var_names)))
         sigma_xi = _module_action(xi, amb)
 
         a_level = free_level(ell, s, c)

@@ -30,7 +30,11 @@ canonical_orders and smith_level_orders, the two ways canonicalize_with_maps
 and level_kernel classified a Smith diagonal before both read
 SmithForm.orders; divisor_action, the divisor permutation the instance
 parser induced from one graph generator and handed to DivisorConfig,
-before DivisorConfig derived its action itself.  float_root_tuple_count
+before DivisorConfig derived its action itself; perm_matrix, the dense
+0/1 matrix of a coordinate permutation that the graph code multiplied by
+before it reindexed rows with perm_rows; tensor_maps_frob_power, the box
+power of a Frobenius object as repeated tensor_maps products of two maps,
+before box_frob_power took one Kronecker power.  float_root_tuple_count
 counts ordered root tuples with a given product in floating point.
 """
 
@@ -943,4 +947,35 @@ def divisor_action(entries, perm):
                     f"free divisor counts differ between component "
                     f"{target!r} and its image {image!r}")
             out[did] = dst[src.index(did)]
+    return out
+
+
+def perm_matrix(order, image):
+    """Permutation matrix with a 1 at (position of image(x), position of x).
+
+    order lists the coordinates; image maps each of them to a member of
+    order, bijectively.
+    """
+    from devissage.exactlin import IntMatrix
+    index = {x: i for i, x in enumerate(order)}
+    rows = [[0] * len(order) for _ in order]
+    for j, x in enumerate(order):
+        rows[index[image(x)]][j] = 1
+    return IntMatrix.from_rows(rows, len(order))
+
+
+def tensor_maps_frob_power(X, n):
+    """The n-fold box power of the Frobenius object X as n - 1 box products
+    of two objects, each the tensor_maps product of their matrices as maps
+    on the dual modules, with q-powers adding; the 0th power is the unit."""
+    from devissage.exactlin import IntMatrix, LMap, tensor_maps
+    from devissage.lprimary import FrobObject, box, box_unit
+    if n == 0:
+        return FrobObject(box_unit(X.ell), IntMatrix.identity(1), X.q)
+    out = X
+    for _ in range(n - 1):
+        big = tensor_maps(LMap(out.rep_module, out.rep_module, out.matrix),
+                          LMap(X.rep_module, X.rep_module, X.matrix))
+        out = FrobObject(box(out.carrier, X.carrier), big.matrix, X.q,
+                         out.qpow + X.qpow)
     return out

@@ -124,6 +124,24 @@ def banana4_raw():
     }
 
 
+def dihedral_cycle4_raw():
+    """A 4-cycle of components with a node on every edge, acted on by a
+    rotation and a reflection (two generators)."""
+    comps = [f"c{i}" for i in range(4)]
+    nodes = [f"n{i}" for i in range(4)]  # n_i joins c_i and c_(i+1)
+    return {
+        "schema": "devissage/1",
+        "components": [{"id": c, "genus": 0} for c in comps],
+        "nodes": nodes,
+        "edges": [[comps[k], nodes[i]] for i in range(4)
+                  for k in (i, (i + 1) % 4)],
+        "action": [[comps, nodes],
+                   [["c1", "c3"], ["n0", "n3"], ["n1", "n2"]]],
+        "ell": 3,
+        "q": 5,
+    }
+
+
 def config_for(path, **kw):
     kw.setdefault("suites", ("graph",))
     return RunConfig(input_path=path, **kw)
@@ -703,6 +721,19 @@ class TestRunLibrary:
         report["input"] = "instance.json"
         rendered = render_json(report).encode()
         assert hashlib.sha256(rendered).hexdigest() == digest
+
+    # two generators: the h1 relation words, two ambient actions and the
+    # stacked fixed-rank system; bhn is left out, it takes one generator
+    def test_golden_digest_two_generators(self, tmp_path):
+        code, report = run(RunConfig(
+            input_path=write_instance(tmp_path, dihedral_cycle4_raw()),
+            suites=("graph", "splitting", "devissage"), seed=0))
+        assert code == 0
+        assert report["instance"]["generators"] == 2
+        report["input"] = "instance.json"
+        rendered = render_json(report).encode()
+        assert hashlib.sha256(rendered).hexdigest() == (
+            "f4e432d9bdd8890ef14fc22777b9d0808b6020c307a4a39e1d9325d6d83dd16f")
 
     # explicit divisor configurations through every suite: node divisors
     # following a node swap, two free divisors per component under a

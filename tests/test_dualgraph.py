@@ -28,7 +28,7 @@ from devissage.dualgraph import (
     laplacian,
     m_gamma,
     n_x,
-    perm_matrix,
+    perm_rows,
     spanning_trees,
     tree_orbits,
     xi_lattice,
@@ -40,6 +40,7 @@ from devissage.errors import (
     GcdShortfall,
     NotAnOrbit,
     NotASpanningTree,
+    VerificationFailed,
 )
 from devissage.exactlin import IntMatrix, LModule, cokernel, kernel
 
@@ -50,6 +51,7 @@ from oracles import (
     edge_recursion_trees,
     frozenset_tree_orbits,
     per_column_orbit_section,
+    perm_matrix,
     rational_nullity,
     rational_rank,
     sympy_laplacian_cofactor,
@@ -386,10 +388,32 @@ class TestBetti:
 
 
 class TestPermMatrix:
+    """perm_rows reindexes as the reference permutation matrix multiplies."""
+
     def test_column_of_x_has_its_one_at_the_image_of_x(self):
         P = perm_matrix(("a", "b", "c"), {"a": "b", "b": "c", "c": "a"}.get)
         assert [list(r) for r in P.data] == [[0, 0, 1], [1, 0, 0], [0, 1, 0]]
         assert P.apply((1, 2, 3)) == (3, 1, 2)
+        rows = perm_rows(("a", "b", "c"), {"a": "b", "b": "c", "c": "a"}.get)
+        assert rows == (2, 0, 1)
+        for n, cols in ((0, 0), (0, 3), (3, 0)):
+            X = IntMatrix.zeros(n, cols)
+            image = {x: x for x in range(n)}.get
+            assert X.take_rows(perm_rows(range(n), image)) \
+                == perm_matrix(range(n), image) @ X
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_reindex_matches_permutation_matrix(self, data):
+        n = data.draw(st.integers(0, 7))
+        cols = data.draw(st.integers(0, 4))
+        order = data.draw(st.permutations([("y", i) for i in range(n)]))
+        image = dict(zip(order, data.draw(st.permutations(order)))).get
+        X = IntMatrix.from_rows(
+            [[data.draw(st.integers(-9, 9)) for _ in range(cols)]
+             for _ in range(n)], cols)
+        assert X.take_rows(perm_rows(order, image)) \
+            == perm_matrix(order, image) @ X
 
 
 class TestHomologyLattice:
@@ -994,8 +1018,8 @@ class TestBuildXi:
         for _ in range(5):
             coords = [rng.randrange(mod) for _ in range(xi.module.num_gens)]
             amb = xi.inclusion.matrix.apply(coords)
-            for p_mat in xi.lattice.ambient_actions:
-                moved = p_mat.apply(amb)
+            for rows in xi.lattice.ambient_actions:
+                moved = [amb[i] for i in rows]
                 img = xi.constraint.matrix.apply(moved)
                 assert all(x % mod == 0 for x in img)
 
@@ -1082,8 +1106,8 @@ class TestBuildPsi:
         B, Psi = sp.basis, sp.psi_ambient.matrix
         lat = xi.lattice
         for P, PD in zip(lat.ambient_actions, lat.divisor_actions):
-            R = (PD @ B).take_rows(range(B.cols))
-            assert ((P @ Psi) - (Psi @ R)).mod(4).is_zero()
+            R = B.take_rows(PD).take_rows(range(B.cols))
+            assert (Psi.take_rows(P) - (Psi @ R)).mod(4).is_zero()
         assert ((xi.phi_ambient.matrix @ Psi) - B.scale(2)).mod(4).is_zero()
 
     def test_fixed_tree_gives_unit_section(self):
@@ -1101,6 +1125,53 @@ class TestBuildPsi:
         assert sp.m == 4
         lhs = xi.phi_ambient.matrix @ sp.psi_ambient.matrix
         assert (lhs - sp.basis.scale(4)).mod(9).is_zero()
+
+    # one corruption of the proof's columns per integer identity of the
+    # section: a y entry off by one breaks the constraints, a doubled column
+    # the projection, and a cycle added (which the swap reverses) only the
+    # equivariance
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda lat, col: col[:-1] + [col[-1] + 1],
+         "psi columns violate the defining constraints"),
+        (lambda lat, col: [2 * v for v in col],
+         "phi after psi is not multiplication by the orbit size"),
+        (lambda lat, col: [v + row[0] for v, row in
+                           zip(col, lat.cycles.data)],
+         "psi does not commute with the action"),
+    ], ids=["constraints", "projection", "equivariance"])
+    def test_identities_fail_at_the_first_level(self, monkeypatch, corrupt,
+                                                message):
+        real = dualgraph._psi_column
+        monkeypatch.setattr(dualgraph, "_psi_column",
+                            lambda lat, *a: corrupt(lat, real(lat, *a)))
+        g = banana()
+        lat = xi_lattice(default_divisors(g))
+        orbit = tree_orbits(g)[0]
+        for _ in range(2):
+            # a failed orbit is not kept, so asking again fails again
+            with pytest.raises(VerificationFailed, match=f"^{message}$"):
+                build_psi(build_xi(lat, 3, 1), orbit)
+            assert lat.psi == {}
+
+    def test_section_is_proved_once_per_orbit(self, monkeypatch):
+        sections = []
+        real = dualgraph._orbit_section
+
+        def counted(lattice, orbit):
+            sections.append(orbit)
+            return real(lattice, orbit)
+
+        monkeypatch.setattr(dualgraph, "_orbit_section", counted)
+        g = rotation_cycle()
+        lat = xi_lattice(default_divisors(g))
+        orbits = tree_orbits(g)
+        for s in (1, 2, 3):
+            xi = build_xi(lat, 3, s)
+            for orbit in orbits:
+                sp = build_psi(xi, orbit)
+                Psi = lat.psi[tuple(orbit)][1]
+                assert sp.psi_ambient.matrix == Psi.mod(3 ** s)
+        assert sections == list(orbits)
 
     def test_orbit_validation(self):
         g = banana()

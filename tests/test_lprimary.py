@@ -26,7 +26,6 @@ from devissage.lprimary import (
     CoMap,
     FrobObject,
     box,
-    box_frob,
     box_frob_power,
     box_maps,
     box_power,
@@ -46,6 +45,7 @@ from oracles import (
     composed_torsbis_commutes,
     group_structure,
     subgroup_closure,
+    tensor_maps_frob_power,
 )
 
 
@@ -267,7 +267,7 @@ class TestLevels:
         A = CoLGroup(LModule(2, 1, (2,)))
         lvl = A.level(1)
         # in (Q2/Z2) + Z/4 the 2-torsion has order 4
-        assert lvl.order() == 4
+        assert lvl.is_finite and 2 ** sum(lvl.torsion_exponents) == 4
 
 
 class TestTorsBis:
@@ -381,19 +381,18 @@ class TestFrob:
     def test_box_frob_adds_twists(self):
         rng = random.Random(3)
         for _ in range(20):
-            a, b = rng.randint(-2, 2), rng.randint(-2, 2)
-            X = FrobObject(CoLGroup(LModule(3, 1)), IntMatrix.column([2]), 7,
-                           qpow=a)
-            Y = FrobObject(CoLGroup(LModule(3, 1)), IntMatrix.column([4]), 7,
-                           qpow=b)
-            Z = box_frob(X, Y)
-            assert Z.qpow == a + b
-            assert Z.matrix.data == ((8,),)
+            a = rng.randint(-2, 2)
+            X = FrobObject(CoLGroup(LModule(3, 1)),
+                           IntMatrix.from_rows([[2]]), 7, qpow=a)
+            for n in range(4):
+                Z = box_frob_power(X, n)
+                assert Z.qpow == n * a
+                assert Z.matrix.data == ((2 ** n,),)
 
     def test_mu_box_mu(self):
         # Ql/Zl(1) box Ql/Zl(1) = Ql/Zl(2)
         mu = FrobObject(box_unit(2), IntMatrix.identity(1), 7, qpow=1)
-        sq = box_frob(mu, mu)
+        sq = box_frob_power(mu, 2)
         assert sq.carrier == box_unit(2)
         assert sq.qpow == 2
         assert sq.matrix.data == ((1,),)
@@ -402,15 +401,29 @@ class TestFrob:
         X = FrobObject(CoLGroup(LModule(2, 2)),
                        IntMatrix.from_rows([[1, 1], [0, 1]], 2), 3, qpow=1)
         unit = box_frob_power(X, 0)
-        Y = box_frob(X, unit)
-        assert Y.carrier == X.carrier
-        assert Y.matrix == X.matrix and Y.qpow == X.qpow
+        assert unit.carrier == box_unit(2)
+        assert unit.matrix == IntMatrix.identity(1) and unit.qpow == 0
+        assert unit.matrix.kron(X.matrix) == X.matrix \
+            == X.matrix.kron(unit.matrix)
+        assert box_frob_power(X, 1) == X
 
-    def test_base_mismatch(self):
-        X = FrobObject(CoLGroup(LModule(3, 1)), IntMatrix.identity(1), 7)
-        Y = FrobObject(CoLGroup(LModule(3, 1)), IntMatrix.identity(1), 4)
-        with pytest.raises(MismatchedBase):
-            box_frob(X, Y)
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from((2, 3, 5)), st.integers(1, 3), st.integers(-2, 2),
+           st.data())
+    def test_power_matches_tensor_maps_route(self, ell, c, qpow, data):
+        """One Kronecker power against n - 1 two-map tensor products."""
+        rows = [[data.draw(st.integers(-4, 4)) for _ in range(c)]
+                for _ in range(c)]
+        for i in range(c):
+            # a unit diagonal over an upper triangle is invertible mod l
+            rows[i][i] = data.draw(st.integers(1, ell - 1))
+            rows[i][:i] = [0] * i
+        perm = data.draw(st.permutations(range(c)))
+        X = FrobObject(CoLGroup(LModule(ell, c)),
+                       IntMatrix.from_rows([rows[k] for k in perm], c), 7,
+                       qpow=qpow)
+        for n in range(4):
+            assert box_frob_power(X, n) == tensor_maps_frob_power(X, n)
 
     def test_q_must_be_unit(self):
         with pytest.raises(MismatchedBase):
@@ -418,7 +431,7 @@ class TestFrob:
 
     def test_frobenius_must_be_invertible(self):
         with pytest.raises(ValueError):
-            FrobObject(CoLGroup(LModule(3, 1)), IntMatrix.column([3]), 7)
+            FrobObject(CoLGroup(LModule(3, 1)), IntMatrix.from_rows([[3]]), 7)
 
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from((2, 3, 5, 7)), st.integers(1, 4), st.data())
@@ -538,7 +551,7 @@ class TestOracleCrossChecks:
                               reverse=True))
             A = CoLGroup(LModule(2, 0, ga))
             B = CoLGroup(LModule(2, 0, gb))
-            got = box(A, B).dual_module.order()
+            got = 2 ** sum(box(A, B).dual_module.torsion_exponents)
             want = 2 ** sum(min(a, b) for a in ga for b in gb)
             assert got == want
 

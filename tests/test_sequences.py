@@ -7,7 +7,7 @@ from itertools import product
 import pytest
 import sympy
 
-from devissage import sequences
+from devissage import procyclic, sequences
 from devissage.cli import RunConfig, build_instance, load_raw
 from devissage.dualgraph import (
     DivisorConfig,
@@ -24,6 +24,7 @@ from devissage.errors import (
     InvalidInstance,
     ModeledTermCaveat,
     PrecisionExhausted,
+    VerificationFailed,
     WeilCheckFailed,
 )
 from devissage.exactlin import (
@@ -758,6 +759,11 @@ class TestOnoCheck:
         rep = ono_check([a, b], 2)
         assert rep.fixed_rank == 0 and rep.matches
 
+    def test_wrong_inverse_solve_raises(self, monkeypatch):
+        monkeypatch.setattr(procyclic, "solve_integer", lambda A, B: B)
+        with pytest.raises(VerificationFailed):
+            ono_check([IntMatrix.from_rows([[0, 1], [1, 1]], 2)], 2)
+
     def test_shear_conjugated_negation(self):
         # -1 conjugated by a shear is no longer monomial; ranks unchanged
         m = IntMatrix.from_rows([[-1, -2], [0, 1]], 2)
@@ -773,10 +779,10 @@ class TestOnoCheck:
             rep = ono_check(gens, m.rows)
             assert rep.matches
             n = m.rows
-            stack = [list((g - IntMatrix.identity(n)).row(k))
-                     for g in gens for k in range(n)]
+            stack = [list(row) for g in gens
+                     for row in (g - IntMatrix.identity(n)).data]
             assert rep.fixed_rank == rational_nullity(stack, n)
-            sm = sympy.Matrix([list(m.row(k)) for k in range(n)])
+            sm = sympy.Matrix([list(row) for row in m.data])
             contra = sm.inv().T
             cstack = [[int(x) for x in (contra - sympy.eye(n)).row(k)]
                       for k in range(n)]
@@ -833,12 +839,12 @@ class TestBhnReport:
         # (sigma - 1)w = cycle column for some w in the kernel module
         g = banana(swap=True)
         xi = build_xi(xi_lattice(default_divisors(g)), 2, 1)
-        P = xi.lattice.ambient_actions[0]
-        target = xi.cycle_embedding.matrix.col(0)
+        rows = xi.lattice.ambient_actions[0]
+        target = [row[0] for row in xi.cycle_embedding.matrix.data]
         hits = []
         for z in product(range(2), repeat=xi.module.num_gens):
             w = xi.inclusion.matrix.apply(z)
-            moved = P.apply(w)
+            moved = [w[i] for i in rows]
             if all((a - b - t) % 2 == 0
                    for a, b, t in zip(moved, w, target)):
                 hits.append(z)
