@@ -3,10 +3,11 @@
 The run command reads a JSON instance description, assembles the graph,
 divisor and jacobian data, executes the selected check suites, and prints
 one report.  Exit codes: 0 when every selected check passes, 2 when at
-least one check fails, 3 when the tree cap or the exact-kernel cap is hit
-(--precision only bounds --level), 4 when the input fails parsing or
-validation.  A proof step found false (VerificationFailed) fails its suite
-with one "internal verification" check, and the other suites still run.
+least one check fails, 3 when the tree cap or the exact-kernel cap is hit,
+4 when the input fails parsing or validation.  --precision is checked
+against --level and written into the report's config; nothing else reads
+it.  A proof step found false (VerificationFailed) fails its suite with
+one "internal verification" check, and the other suites still run.
 
 JSON reports are deterministic for a fixed (input, config, seed) triple:
 keys are sorted and timings are kept out of the JSON rendering.  The text
@@ -40,7 +41,6 @@ from .errors import (
     EnumerationCapExceeded,
     InvalidInstance,
     ParseError,
-    PrecisionExhausted,
     UnknownSequence,
     VerificationFailed,
     WeilCheckFailed,
@@ -96,9 +96,7 @@ class RunConfig:
     precision: int = 8
     max_level: int = 4
     tree_cap: int = DEFAULT_TREE_CAP
-    fmt: str = "json"
     seed: int = 0
-    out: Optional[str] = None
 
     def __post_init__(self):
         # an ell at or above PRIME_BOUND is rejected by build_instance
@@ -111,8 +109,6 @@ class RunConfig:
                 f"{self.precision} and level {self.max_level}")
         if self.tree_cap < 1:
             raise InvalidInstance("tree cap must be positive")
-        if self.fmt not in ("json", "text"):
-            raise InvalidInstance(f"unknown output format {self.fmt!r}")
         names = tuple(self.suites) or ("all",)
         for name in names:
             if name != "all" and name not in SUITE_NAMES:
@@ -201,10 +197,10 @@ def _perm_from_cycles(cycles, vertex_ids, where: str) -> dict:
     return perm
 
 
-def _parse_divisors(raw_divs, where="divisors"):
+def _parse_divisors(raw_divs):
     entries = []
     for i, d in enumerate(raw_divs):
-        spot = f"{where}[{i}]"
+        spot = f"divisors[{i}]"
         if not isinstance(d, dict) or "id" not in d or "at" not in d:
             raise ParseError(f"{spot}: needs 'id' and 'at'")
         at = d["at"]
@@ -292,8 +288,7 @@ def build_instance(raw: dict, config: RunConfig):
     try:
         return sequences.SingularityInstance(
             divisors, jacobians, ell, _int(raw["q"], "q"),
-            precision=config.precision, max_level=config.max_level,
-            tree_cap=config.tree_cap)
+            max_level=config.max_level, tree_cap=config.tree_cap)
     except (InvalidInstance, ConfigIncompatible, WeilCheckFailed, TypeError,
             ValueError) as exc:
         raise ParseError(f"instance: {exc}") from exc
@@ -398,7 +393,7 @@ def _run_torsionlevels(inst, config) -> dict:
             for n in (1, 2, 3):
                 for s in (1, 2, 3):
                     tors_total += 1
-                    tors_hits += tors_level_check(A, n, s).agree
+                    tors_hits += tors_level_check(A, n, s)
                 for s in (1, 2):
                     for t in range(s + 1, 4):
                         comm_total += 1
@@ -614,7 +609,7 @@ def run(config: RunConfig):
         started = time.perf_counter()
         try:
             suites[name] = _RUNNERS[name](inst, config)
-        except (PrecisionExhausted, EnumerationCapExceeded) as exc:
+        except EnumerationCapExceeded as exc:
             report = _error_report(config, "cap", f"{name}: {exc}")
             report["suites"] = suites
             return 3, report
@@ -728,9 +723,9 @@ _SEQUENCE_NOTES = {
     "upsilon": (
         "Upsilon(r-1)[l^s] = (Z/l^s)^(n_X) with n_X = sum of genera + "
         "betti",
-        (("Upsilon(r-1)[l^s]", "COMPUTED",
-          "assembled at each finite level; Frobenius acts through the "
-          "jacobian blocks and the cycle action"),
+        (("Upsilon(r-1)[l^s]", "MODELED",
+          "middle term represented as a split extension of the ends; the "
+          "structure check reports the defect against the predicted rank"),
          ("(Z/l^s)^(n_X)", "COMPUTED",
           "predicted shape; the report records any defect"))),
     "bhnfin": (
@@ -795,7 +790,7 @@ def main():
 @click.option("--ell", type=int, default=None,
               help="override the prime from the instance file")
 @click.option("--precision", type=int, default=8, show_default=True,
-              help="largest level N a check may use; at least --level")
+              help="at least --level; recorded in the report's config")
 @click.option("--level", "max_level", type=int, default=4, show_default=True,
               help="largest level S probed by the suites")
 @click.option("--format", "fmt", type=click.Choice(["json", "text"]),
@@ -826,7 +821,7 @@ def run_command(input_path, suites, ell, precision, max_level, fmt, seed,
             input_path=input_path,
             suites=tuple(p.strip() for p in suites.split(",") if p.strip()),
             ell=ell, precision=precision, max_level=max_level,
-            tree_cap=tree_cap, fmt=fmt, seed=seed, out=out)
+            tree_cap=tree_cap, seed=seed)
     except InvalidInstance as exc:
         click.echo(f"error: {exc}", err=True)
         raise SystemExit(4)

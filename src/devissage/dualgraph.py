@@ -954,7 +954,6 @@ class PsiSplitting:
     """
 
     xi: XiModule
-    trees: tuple
     m: int
     domain: LModule
     basis: IntMatrix
@@ -1065,10 +1064,8 @@ def build_psi(xi: XiModule, tree_orbit) -> PsiSplitting:
     trees, Psi = lattice.psi[orbit]
     B = difference_basis(len(lattice.config.ids))
     domain = free_level(xi.ell, xi.level, B.cols)
-    return PsiSplitting(
-        xi=xi, trees=trees, m=len(trees), domain=domain, basis=B,
-        psi_ambient=LMap(domain, xi.ambient, Psi),
-    )
+    return PsiSplitting(xi=xi, m=len(trees), domain=domain, basis=B,
+                        psi_ambient=LMap(domain, xi.ambient, Psi))
 
 
 @dataclass

@@ -18,13 +18,6 @@ class MismatchedBase(DevissageError):
     """Frobenius operands disagree on q or l."""
 
 
-class PrecisionExhausted(DevissageError):
-    """A level above the instance's working precision was asked for.
-
-    Re-run with a precision at least as large as the level.
-    """
-
-
 class NotDivisible(DevissageError):
     """Operation requires a divisible (corank-only) group."""
 

@@ -191,19 +191,10 @@ def finite_box_power(F: LModule, n: int) -> LModule:
     return mod
 
 
-@dataclass(frozen=True)
-class TorsLevelReport:
-    """Level-s snapshot comparison for a box power."""
+def tors_level_check(A: CoLGroup, n: int, s: int) -> bool:
+    """l^s-torsion of A^box n equals the n-th tensor power of the l^s-torsion.
 
-    box_side: LModule
-    tensor_side: LModule
-    agree: bool
-
-
-def tors_level_check(A: CoLGroup, n: int, s: int) -> TorsLevelReport:
-    """l^s-torsion of A^box n versus the n-th tensor power of the l^s-torsion.
-
-    For divisible A these are canonically isomorphic; the report compares
+    For divisible A these are canonically isomorphic; the check compares
     canonical forms.
     """
     if not A.is_divisible:
@@ -214,7 +205,7 @@ def tors_level_check(A: CoLGroup, n: int, s: int) -> TorsLevelReport:
         tensor_side = LModule(A.ell, 0, (s,))
     else:
         tensor_side = finite_box_power(A.level(s), n)
-    return TorsLevelReport(box_side, tensor_side, box_side == tensor_side)
+    return box_side == tensor_side
 
 
 @dataclass(frozen=True)
@@ -369,7 +360,6 @@ def box_frob_power(X: FrobObject, n: int) -> FrobObject:
 class ProbeResult:
     """Outcome of boxing a short exact sequence with a fixed group."""
 
-    terms: tuple
     injective: bool
     middle_exact: bool
     surjective: bool
@@ -402,7 +392,6 @@ def left_exactness_probe(iota: CoMap, pi: CoMap, A: CoLGroup) -> ProbeResult:
     hs = co_exactness([bi, bp])
     obstruction = hs[-1]
     return ProbeResult(
-        terms=(bi.domain, bi.codomain, bp.codomain),
         injective=hs[0].is_trivial,
         middle_exact=hs[1].is_trivial,
         surjective=obstruction.is_trivial,

@@ -479,8 +479,6 @@ class VanishingVerdict:
 
     ell: int
     q: int
-    j: int
-    r: int
     nontrivial: bool
     corank: int
     corank_method: str
@@ -520,7 +518,7 @@ def vanishing_probe(P: CharPoly, ell: int, j: int, r: int) -> VanishingVerdict:
             raise VerificationFailed("root-product and kernel coranks disagree")
         crosschecked = True
     return VanishingVerdict(
-        ell=ell, q=P.q, j=j, r=r,
+        ell=ell, q=P.q,
         nontrivial=corank > 0,
         corank=corank,
         corank_method=method,

@@ -32,7 +32,6 @@ from .dualgraph import (
 from .errors import (
     InvalidInstance,
     ModeledTermCaveat,
-    PrecisionExhausted,
     VerificationFailed,
     WeilCheckFailed,
 )
@@ -82,22 +81,19 @@ class SingularityInstance:
     """
 
     def __init__(self, divisors: DivisorConfig, jacobians, ell: int, q: int,
-                 precision: int = 8, max_level: int = 4,
-                 tree_cap: int = DEFAULT_TREE_CAP):
+                 max_level: int = 4, tree_cap: int = DEFAULT_TREE_CAP):
         if not isinstance(divisors, DivisorConfig):
             raise TypeError("divisors must be a DivisorConfig")
         require_decided(is_prime, ell, "l", "prime")
         require_decided(is_prime_power, q, "q", "a prime power")
         if gcd(q, ell) != 1:
             raise InvalidInstance(f"l = {ell} divides q = {q}")
-        if not 1 <= max_level <= precision:
-            raise InvalidInstance(
-                f"need 1 <= max_level <= precision, got {max_level} and {precision}")
+        if max_level < 1:
+            raise InvalidInstance(f"need max_level >= 1, got {max_level}")
         self.graph = graph = divisors.graph
         self.divisors = divisors
         self.ell = int(ell)
         self.q = int(q)
-        self.precision = int(precision)
         self.max_level = int(max_level)
         self.tree_cap = int(tree_cap)
         self._xi = {}
@@ -194,9 +190,6 @@ class SingularityInstance:
     def _require_level(self, s: int):
         if s < 1:
             raise ValueError("level must be >= 1")
-        if s > self.precision:
-            raise PrecisionExhausted(
-                f"level {s} exceeds working precision {self.precision}")
 
 
 def induced_jacobian_block(inst: SingularityInstance, rep: str) -> FrobObject:
@@ -299,7 +292,6 @@ def upsilon_structure(inst: SingularityInstance, s: int) -> SequenceReport:
 
 @dataclass(frozen=True)
 class LambdaReport:
-    level: int
     structure: LModule
     frobenius_trivial_untwisted: Tuple[bool, ...]
     twist: int
@@ -331,9 +323,8 @@ def lambda_structure(inst: SingularityInstance, s: int) -> LambdaReport:
 
     verdict = "PASS" if structure_ok and all(frob_flags) else "FAIL"
     return LambdaReport(
-        level=s, structure=co.codomain,
-        frobenius_trivial_untwisted=tuple(frob_flags), twist=-1,
-        verdict=verdict)
+        structure=co.codomain, frobenius_trivial_untwisted=tuple(frob_flags),
+        twist=-1, verdict=verdict)
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +382,6 @@ def devissage(inst: SingularityInstance,
 @dataclass(frozen=True)
 class OnoReport:
     rank: int
-    generators: int
     fixed_rank: int
     dual_fixed_rank: int
     matches: bool
@@ -414,7 +404,7 @@ def ono_check(mats: Sequence[IntMatrix], n: int) -> OnoReport:
     # det m = +-1, so m^-1 = det(m) adj(m)
     contra = [_adjugate(m).scale(m.det()).transpose() for m in mats]
     left = fixed_rank(contra, n)
-    return OnoReport(n, len(mats), right, left, left == right)
+    return OnoReport(n, right, left, left == right)
 
 
 # ---------------------------------------------------------------------------
@@ -448,9 +438,6 @@ class DisplayTerm:
 
 @dataclass(frozen=True)
 class BhnReport:
-    ell: int
-    q: int
-    max_level: int
     rho: int
     m_value: int
     h1_corank: int
@@ -585,8 +572,7 @@ def bhn_finite_field_report(inst: SingularityInstance) -> BhnReport:
     )
     verdict = "PASS" if all(ok for _, ok in checks) else "FAIL"
     return BhnReport(
-        ell=ell, q=q, max_level=inst.max_level, rho=rho_value,
-        m_value=m_value, h1_corank=h1_corank, corank_matches_rho=corank_ok,
-        ono=ono, levels=tuple(levels), jacobian_vanishing=tuple(vanishing),
-        display=display, checks=checks,
+        rho=rho_value, m_value=m_value, h1_corank=h1_corank,
+        corank_matches_rho=corank_ok, ono=ono, levels=tuple(levels),
+        jacobian_vanishing=tuple(vanishing), display=display, checks=checks,
         caveats=(ModeledTermCaveat(MODELED_NOTE),), verdict=verdict)

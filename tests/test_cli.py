@@ -173,10 +173,6 @@ class TestRunConfig:
         with pytest.raises(InvalidInstance):
             RunConfig(input_path="x", suites=("graph", "nope"))
 
-    def test_bad_format_rejected(self):
-        with pytest.raises(InvalidInstance):
-            RunConfig(input_path="x", fmt="yaml")
-
     def test_tree_cap_must_be_positive(self):
         with pytest.raises(InvalidInstance):
             RunConfig(input_path="x", tree_cap=0)
@@ -976,15 +972,23 @@ class TestRuntimeDependencies:
             assert json.loads(res.stdout)["verdict"] == "PASS"
 
     def test_reach_tool_runs(self):
-        # tools/reach.py lists the functions no suite enters, with a total
+        # tools/reach.py lists the functions no suite enters, with a total,
+        # then the line count of the package
         tool = os.path.join(os.path.dirname(__file__), os.pardir, "tools",
                             "reach.py")
         res = subprocess.run([sys.executable, tool, G2_TREE],
                              capture_output=True, text=True, check=False)
         assert res.returncode == 0, res.stderr
-        last = res.stdout.splitlines()[-1]
+        total, last = res.stdout.splitlines()[-2:]
         assert re.fullmatch(r"\s*\d+  total in \d+ functions never entered",
-                            last), last
+                            total), total
+        pkg = os.path.join(SRC, "devissage")
+        lines = 0
+        for name in os.listdir(pkg):
+            if name.endswith(".py"):
+                with open(os.path.join(pkg, name), "rb") as fh:
+                    lines += fh.read().count(b"\n")
+        assert last == f"{lines:5d}  lines in src/devissage/*.py"
 
     def test_src_has_no_sympy_import(self):
         pattern = re.compile(r"^\s*(import|from)\s+sympy\b", re.M)
@@ -1289,6 +1293,21 @@ class TestCommandLine:
                             env={"DEVISSAGE_TREE_CAP": "2"})
         assert res.exit_code == 0
 
+    def test_precision_is_only_recorded(self):
+        # --precision is checked against --level and written into config;
+        # no suite reads it, so the reports differ in that line alone
+        outs = []
+        for precision in ("2", "8"):
+            res = CliRunner().invoke(main, ["run", "--input", G1_SWAP,
+                                            "--level", "2",
+                                            "--precision", precision])
+            assert res.exit_code == 0
+            outs.append(res.output.splitlines())
+        low, high = outs
+        assert len(low) == len(high)
+        assert [(a, b) for a, b in zip(low, high) if a != b] == [
+            ('    "precision": 2,', '    "precision": 8,')]
+
     def test_identical_runs_are_byte_identical(self):
         runner = CliRunner()
         args = ["run", "--input", G1_SWAP, "--suite", FAST_SUITES]
@@ -1319,7 +1338,8 @@ class TestExplain:
             assert "COMPUTED" in text
 
     def test_modeled_terms_flagged(self):
-        for name in ("spl1", "dev1", "dev2", "bhnfin", "cohom1", "cohom2"):
+        for name in ("spl1", "dev1", "dev2", "upsilon", "bhnfin", "cohom1",
+                     "cohom2"):
             assert "MODELED" in explain(name)
         assert "MODELED" not in explain("spl2")
 

@@ -9,12 +9,14 @@ Every instance (the three shipped fixtures by default) is run through
 ``render_json``, under ``sys.setprofile``; the import of the package is
 profiled as well.  The script then prints each function or method
 defined in ``src/devissage`` that was never entered, with its line count
-from ``def`` to the end of its body, and a total.  Only the standard
-library is used besides the program itself.
+from ``def`` to the end of its body, and a total.  A last line gives the
+line count of the package, the number ``cat src/devissage/*.py | wc -l``
+prints.  Only the standard library is used besides the program itself.
 """
 
 import argparse
 import ast
+import glob
 import os
 import sys
 
@@ -55,6 +57,15 @@ def definitions():
     return out
 
 
+def package_lines():
+    """Newlines in src/devissage/*.py, counted as ``wc -l`` counts them."""
+    total = 0
+    for path in glob.glob(os.path.join(PACKAGE, "*.py")):
+        with open(path, "rb") as fh:
+            total += fh.read().count(b"\n")
+    return total
+
+
 def entered_code(paths, seed):
     """(filename, first line) of every Python code object the runs enter."""
     seen = set()
@@ -92,6 +103,7 @@ def main(argv=None):
         print(f"{lines:5d}  {qual}")
     print(f"{sum(n for _, n in missed):5d}  total in {len(missed)} "
           f"functions never entered")
+    print(f"{package_lines():5d}  lines in src/devissage/*.py")
 
 
 if __name__ == "__main__":
