@@ -4,10 +4,11 @@ The run command reads a JSON instance description, assembles the graph,
 divisor and jacobian data, executes the selected check suites, and prints
 one report.  Exit codes: 0 when every selected check passes, 2 when at
 least one check fails, 3 when the tree cap or the exact-kernel cap is hit,
-4 when the input fails parsing or validation.  --precision is checked
-against --level and written into the report's config; nothing else reads
-it.  A proof step found false (VerificationFailed) fails its suite with
-one "internal verification" check, and the other suites still run.
+4 when the input or a flag value fails parsing or validation.
+--precision is checked against --level and written into the report's
+config; nothing else reads it.  A proof step found false
+(VerificationFailed) fails its suite with one "internal verification"
+check, and the other suites still run.
 
 JSON reports are deterministic for a fixed (input, config, seed) triple:
 keys are sorted and timings are kept out of the JSON rendering.  The text
@@ -15,7 +16,6 @@ rendering carries per-suite timings and is not byte-stable.
 """
 
 import json
-import os
 import random
 import time
 from dataclasses import dataclass
@@ -37,13 +37,10 @@ from .dualgraph import (
     n_x,
 )
 from .errors import (
-    ConfigIncompatible,
     EnumerationCapExceeded,
     InvalidInstance,
     ParseError,
-    UnknownSequence,
     VerificationFailed,
-    WeilCheckFailed,
 )
 from .exactlin import (
     PRIME_BOUND,
@@ -253,7 +250,7 @@ def build_instance(raw: dict, config: RunConfig):
         entries = _parse_divisors(_req(raw, "divisors", list))
         try:
             divisors = DivisorConfig(graph, entries)
-        except (ValueError, ConfigIncompatible) as exc:
+        except ValueError as exc:
             raise ParseError(f"divisors: {exc}") from exc
     else:
         divisors = default_divisors(graph)
@@ -289,8 +286,7 @@ def build_instance(raw: dict, config: RunConfig):
         return sequences.SingularityInstance(
             divisors, jacobians, ell, _int(raw["q"], "q"),
             max_level=config.max_level, tree_cap=config.tree_cap)
-    except (InvalidInstance, ConfigIncompatible, WeilCheckFailed, TypeError,
-            ValueError) as exc:
+    except (InvalidInstance, TypeError, ValueError) as exc:
         raise ParseError(f"instance: {exc}") from exc
 
 
@@ -686,13 +682,17 @@ def render_text(report: dict) -> str:
 # sequence explanations
 
 
+# the note of a MODELED middle term, and of one a structure check measures
+_SPLIT = "middle term represented as a split extension of the ends"
+_SPLIT_DEFECT = (_SPLIT + "; the structure check reports the defect against "
+                 "the predicted rank")
+
 _SEQUENCE_NOTES = {
     "spl1": (
         "0 -> (+)_v Ind(J_v[l^oo](r-2)) -> Br(r-1) -> Xi(r-2) -> 0",
         (("(+)_v Ind(J_v[l^oo](r-2))", "COMPUTED",
           "induced jacobian torsion blocks, one per orbit"),
-         ("Br(r-1)", "MODELED",
-          "middle term represented as a split extension of the ends"),
+         ("Br(r-1)", "MODELED", _SPLIT),
          ("Xi(r-2)", "COMPUTED", "kernel assembly from graph and divisors"))),
     "spl2": (
         "0 -> Ql/Zl (x) H1(Gamma) -> Xi -> "
@@ -706,9 +706,8 @@ _SEQUENCE_NOTES = {
     "dev1": (
         "0 -> Upsilon(r-1) -> Br(r-1) -> "
         "Ker((+)_v Ql/Zl(r-2) -> Ql/Zl(r-2)) -> 0",
-        (("Upsilon(r-1)", "COMPUTED", "kernel object, assembled per level"),
-         ("Br(r-1)", "MODELED",
-          "middle term represented as a split extension of the ends"),
+        (("Upsilon(r-1)", "MODELED", _SPLIT_DEFECT),
+         ("Br(r-1)", "MODELED", _SPLIT),
          ("Ker((+)_v Ql/Zl(r-2) -> Ql/Zl(r-2))", "COMPUTED",
           "zero sum block over the divisor set"))),
     "dev2": (
@@ -716,16 +715,12 @@ _SEQUENCE_NOTES = {
         "Ql/Zl(r-2) (x) H1(Gamma) -> 0",
         (("(+)_v Ind(J_v[l^oo](r-2))", "COMPUTED",
           "induced jacobian torsion blocks, one per orbit"),
-         ("Upsilon(r-1)", "MODELED",
-          "middle term represented as a split extension of the ends; the "
-          "structure check reports the defect against the predicted rank"),
+         ("Upsilon(r-1)", "MODELED", _SPLIT_DEFECT),
          ("Ql/Zl(r-2) (x) H1(Gamma)", "COMPUTED", "cycle lattice block"))),
     "upsilon": (
         "Upsilon(r-1)[l^s] = (Z/l^s)^(n_X) with n_X = sum of genera + "
         "betti",
-        (("Upsilon(r-1)[l^s]", "MODELED",
-          "middle term represented as a split extension of the ends; the "
-          "structure check reports the defect against the predicted rank"),
+        (("Upsilon(r-1)[l^s]", "MODELED", _SPLIT_DEFECT),
          ("(Z/l^s)^(n_X)", "COMPUTED",
           "predicted shape; the report records any defect"))),
     "bhnfin": (
@@ -764,7 +759,7 @@ def explain(name: str) -> str:
     """Shape of a named sequence with computed/modeled markers per term."""
     if name not in _SEQUENCE_NOTES:
         known = ", ".join(sorted(_SEQUENCE_NOTES))
-        raise UnknownSequence(f"unknown sequence {name!r}; known: {known}")
+        raise ValueError(f"unknown sequence {name!r}; known: {known}")
     shape, terms = _SEQUENCE_NOTES[name]
     lines = [f"{name}: {shape}", ""]
     for term, status, note in terms:
@@ -777,7 +772,26 @@ def explain(name: str) -> str:
 # command line entry points
 
 
-@click.group()
+class _Main(click.Group):
+    """A usage error (a bad flag value, a missing option, an unknown
+    command) is bad input, so it exits 4 where click would exit 2."""
+
+    def make_context(self, *args, **kwargs):
+        return _usage_exits_4(super().make_context, *args, **kwargs)
+
+    def invoke(self, ctx):
+        return _usage_exits_4(super().invoke, ctx)
+
+
+def _usage_exits_4(call, *args, **kwargs):
+    try:
+        return call(*args, **kwargs)
+    except click.UsageError as exc:
+        exc.exit_code = 4
+        raise
+
+
+@click.group(cls=_Main)
 def main():
     """Check suites for residue devissage instances."""
 
@@ -797,7 +811,8 @@ def main():
               default="json", show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True,
               help="seed for the randomized property suites")
-@click.option("--tree-cap", type=int, default=None,
+@click.option("--tree-cap", type=int, default=DEFAULT_TREE_CAP,
+              envvar="DEVISSAGE_TREE_CAP",
               help="spanning tree enumeration cap "
                    "(default: DEVISSAGE_TREE_CAP or 1000000)")
 @click.option("--out", type=click.Path(), default=None,
@@ -805,17 +820,6 @@ def main():
 def run_command(input_path, suites, ell, precision, max_level, fmt, seed,
                 tree_cap, out):
     """Run the selected check suites on one instance file."""
-    if tree_cap is None:
-        env = os.environ.get("DEVISSAGE_TREE_CAP", "")
-        if env:
-            try:
-                tree_cap = int(env)
-            except ValueError:
-                click.echo(f"error: DEVISSAGE_TREE_CAP={env!r} is not an "
-                           f"integer", err=True)
-                raise SystemExit(4)
-        else:
-            tree_cap = DEFAULT_TREE_CAP
     try:
         config = RunConfig(
             input_path=input_path,
@@ -849,10 +853,11 @@ def run_command(input_path, suites, ell, precision, max_level, fmt, seed,
 def explain_command(name):
     """Print the shape of a named sequence and its term statuses."""
     try:
-        click.echo(explain(name), nl=False)
-    except UnknownSequence as exc:
+        text = explain(name)
+    except ValueError as exc:
         click.echo(f"error: {exc}", err=True)
         raise SystemExit(4)
+    click.echo(text, nl=False)
 
 
 if __name__ == "__main__":

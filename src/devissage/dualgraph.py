@@ -21,15 +21,7 @@ from itertools import product
 from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import (
-    BalanceViolated,
-    ConfigIncompatible,
-    EnumerationCapExceeded,
-    GcdShortfall,
-    NotAnOrbit,
-    NotASpanningTree,
-    VerificationFailed,
-)
+from .errors import EnumerationCapExceeded, VerificationFailed
 from .exactlin import (
     IntMatrix,
     LMap,
@@ -513,13 +505,13 @@ def _validate_tree(graph: DualGraph, tree) -> Tuple[Edge, ...]:
         pair = tuple(e)
         cand = pair if pair in eset else (pair[1], pair[0])
         if cand not in eset:
-            raise NotASpanningTree(f"edge {pair!r} is not an edge of the graph")
+            raise ValueError(f"edge {pair!r} is not an edge of the graph")
         edges.append(cand)
     if len(set(edges)) != len(edges):
-        raise NotASpanningTree("repeated edge in the tree")
+        raise ValueError("repeated edge in the tree")
     verts = graph.vertex_ids
     if len(edges) != len(verts) - 1:
-        raise NotASpanningTree(
+        raise ValueError(
             f"{len(edges)} edges cannot span {len(verts)} vertices")
     # |V| - 1 edges that do not connect the vertices must close a cycle,
     # which _leaf_order, run next by both callers, rejects
@@ -552,14 +544,14 @@ def _leaf_order(graph: DualGraph, edges):
         if degree[other] == 1:
             leaves.append(other)
     if any(degree.values()):
-        raise NotASpanningTree("leaf elimination left a cycle")
+        raise ValueError("leaf elimination left a cycle")
     peeled = {v for v, _, _ in steps}
     return steps, [v for v in verts if v not in peeled]
 
 
 def _check_balance(diff):
     if diff != 0:
-        raise BalanceViolated(
+        raise VerificationFailed(
             f"class totals differ by {diff}; the vertex sums admit no solution")
 
 
@@ -622,7 +614,7 @@ class DivisorConfig:
         if len(set(node_anchors)) != len(node_anchors):
             raise ValueError("at most one divisor per node")
         if not entries:
-            raise ConfigIncompatible("empty divisor set")
+            raise ValueError("empty divisor set")
         self.divisors: Tuple[Tuple[str, str, str], ...] = tuple(sorted(entries))
         self._by_id = {d: (k, t) for d, k, t in self.divisors}
         self._at_node = {t: d for d, k, t in self.divisors if k == "node"}
@@ -636,7 +628,7 @@ class DivisorConfig:
 
         for orbit in graph.component_orbits():
             if not any(self._free[c] for c in orbit):
-                raise ConfigIncompatible(
+                raise ValueError(
                     f"component orbit {orbit} has no free point divisor")
 
     def _induced(self, perm: Dict[str, str]) -> Dict[str, str]:
@@ -644,13 +636,13 @@ class DivisorConfig:
         for c, ds in self._free.items():
             image = self._free[perm[c]]
             if len(ds) != len(image):
-                raise ConfigIncompatible(
+                raise ValueError(
                     f"free divisor counts differ between component {c!r} "
                     f"and its image {perm[c]!r}")
             out.update(zip(ds, image))
         for n, d in self._at_node.items():
             if perm[n] not in self._at_node:
-                raise ConfigIncompatible(
+                raise ValueError(
                     f"divisor {d!r}: no divisor is anchored at the image "
                     f"node {perm[n]!r}")
             out[d] = self._at_node[perm[n]]
@@ -997,10 +989,10 @@ def _orbit_section(lattice: XiLattice, tree_orbit):
     normalized = [_validate_tree(graph, t) for t in tree_orbit]
     leaf_orders = {t: _leaf_order(graph, t) for t in normalized}
     if len(set(normalized)) != len(normalized):
-        raise NotAnOrbit("repeated tree in the orbit")
-    if len(_tree_orbit_positions(graph, normalized, NotAnOrbit(
+        raise ValueError("repeated tree in the orbit")
+    if len(_tree_orbit_positions(graph, normalized, ValueError(
             "orbit is not closed under the action"))) != 1:
-        raise NotAnOrbit("the given trees split into several orbits")
+        raise ValueError("the given trees split into several orbits")
 
     trees = tuple(sorted(normalized))
     div_ids = config.ids
@@ -1082,7 +1074,7 @@ def bezout_combine(splittings: Sequence[PsiSplitting],
     """Combine per orbit sections into one achieving the orbit size gcd.
 
     The gcd of the supplied orbit sizes must equal m, the gcd over all
-    tree orbits (m_gamma); GcdShortfall reports both numbers otherwise.
+    tree orbits (m_gamma); a ValueError reports both numbers otherwise.
     """
     if not splittings:
         raise ValueError("no splittings supplied")
@@ -1094,7 +1086,7 @@ def bezout_combine(splittings: Sequence[PsiSplitting],
     sizes = [sp.m for sp in splittings]
     g = gcd(*sizes)
     if g != m:
-        raise GcdShortfall(
+        raise ValueError(
             f"orbit sizes {sizes} reach gcd {g}, but the full orbit gcd is "
             f"{m}; supply more orbits")
 

@@ -28,7 +28,7 @@ from math import inf
 from operator import index, itemgetter, lt, mul
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .errors import MismatchedPrime, VerificationFailed
+from .errors import VerificationFailed
 
 
 # ---------------------------------------------------------------------------
@@ -671,7 +671,7 @@ class LModule:
 
     def _check_prime(self, other: "LModule"):
         if self.ell != other.ell:
-            raise MismatchedPrime(f"l={self.ell} vs l={other.ell}")
+            raise ValueError(f"l={self.ell} vs l={other.ell}")
 
     def direct_sum(self, other: "LModule") -> "LModule":
         self._check_prime(other)
@@ -688,7 +688,7 @@ class LModule:
         'Z3^2 x C9 x C9'
         """
         if self.ell != other.ell:
-            raise MismatchedPrime("tensor across primes")
+            raise ValueError("tensor across primes")
         a, b = self.torsion_exponents, other.torsion_exponents
         exps = [min(x, y) for x in a for y in b]
         exps += a * other.free_rank + b * self.free_rank
@@ -861,7 +861,7 @@ class LMap:
 
     def __post_init__(self):
         if self.domain.ell != self.codomain.ell:
-            raise MismatchedPrime("map between modules over different primes")
+            raise ValueError("map between modules over different primes")
         mat = self.matrix
         if not isinstance(mat, IntMatrix):
             mat = IntMatrix.from_rows(mat, self.domain.num_gens)
@@ -1050,7 +1050,7 @@ def tensor_with_index(M: LModule, N: LModule):
     x_i (x) y_j sitting at canonical position p.
     """
     if M.ell != N.ell:
-        raise MismatchedPrime("tensor across primes")
+        raise ValueError("tensor across primes")
     free, tors = [], []
     for i, x in enumerate(M.gen_orders()):
         for j, y in enumerate(N.gen_orders()):

@@ -25,12 +25,6 @@ from dataclasses import dataclass
 from math import gcd, prod
 from typing import Sequence
 
-from .errors import (
-    InputNotExact,
-    MismatchedBase,
-    NotDivisible,
-    NotFiniteExponent,
-)
 from .exactlin import (
     CoLGroup,
     IntMatrix,
@@ -163,7 +157,7 @@ def co_exactness(maps: Sequence[CoMap]):
         if a.codomain != b.domain:
             raise ValueError("maps do not form a chain")
         if not b.compose(a).is_zero_map():
-            raise InputNotExact("consecutive maps do not compose to zero")
+            raise ValueError("consecutive maps do not compose to zero")
     terms = [maps[0].domain] + [f.codomain for f in maps]
     n = len(terms)
     out = []
@@ -182,7 +176,7 @@ def co_exactness(maps: Sequence[CoMap]):
 def finite_box_power(F: LModule, n: int) -> LModule:
     """Box power of a finite group, which is just the tensor power of itself."""
     if not F.is_finite:
-        raise NotFiniteExponent("finite box power needs a finite module")
+        raise ValueError("finite box power needs a finite module")
     if n < 1:
         raise ValueError("finite box power needs n >= 1; the unit is Ql/Zl")
     mod = F
@@ -198,7 +192,7 @@ def tors_level_check(A: CoLGroup, n: int, s: int) -> bool:
     canonical forms.
     """
     if not A.is_divisible:
-        raise NotDivisible("level comparison is stated for divisible groups")
+        raise ValueError("level comparison is stated for divisible groups")
     box_side = box_power(A, n).level(s)
     if n == 0:
         # empty products: the level of the unit Ql/Zl is cyclic of order l^s
@@ -235,7 +229,7 @@ def torsbis_maps(A: CoLGroup, s: int, t: int, n: int, rng=None) -> TorsBisData:
     divide-then-multiply recipe.
     """
     if not A.is_divisible:
-        raise NotDivisible("level-raising maps need a divisible group")
+        raise ValueError("level-raising maps need a divisible group")
     if not 1 <= s <= t:
         raise ValueError("need 1 <= s <= t")
     ell = A.ell
@@ -308,7 +302,7 @@ class FrobObject:
         if mat.rows != n or mat.cols != n:
             raise ValueError("frobenius matrix must be square on the carrier")
         if gcd(self.q, self.ell) != 1:
-            raise MismatchedBase(f"q={self.q} is not a unit at l={self.ell}")
+            raise ValueError(f"q={self.q} is not a unit at l={self.ell}")
         if not is_prime_power(self.q):
             raise ValueError("q must be a prime power >= 2")
         if n and rank_mod(mat, self.ell) < n:
@@ -375,7 +369,7 @@ def _require_ses(iota: CoMap, pi: CoMap):
         raise ValueError("maps do not compose into a sequence")
     hs = co_exactness([iota, pi])
     if any(not h.is_trivial for h in hs):
-        raise InputNotExact("input sequence is not exact")
+        raise ValueError("input sequence is not exact")
 
 
 def left_exactness_probe(iota: CoMap, pi: CoMap, A: CoLGroup) -> ProbeResult:

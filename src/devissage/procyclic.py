@@ -35,13 +35,7 @@ from functools import wraps
 from math import factorial, gcd, perm, prod
 from operator import mul
 
-from .errors import (
-    EnumerationCapExceeded,
-    InvalidInstance,
-    MismatchedBase,
-    VerificationFailed,
-    WeilCheckFailed,
-)
+from .errors import EnumerationCapExceeded, InvalidInstance, VerificationFailed
 from .exactlin import (
     CoLGroup,
     IntMatrix,
@@ -332,7 +326,7 @@ def torsion_frob(P: CharPoly, ell: int) -> FrobObject:
 
 def _check_base(P: CharPoly, ell: int):
     if gcd(P.q, ell) != 1:
-        raise MismatchedBase(f"l = {ell} divides q = {P.q}")
+        raise ValueError(f"l = {ell} divides q = {P.q}")
 
 
 def box_torsion_frob(P: CharPoly, ell: int, j: int, r: int) -> FrobObject:
@@ -498,7 +492,7 @@ def vanishing_probe(P: CharPoly, ell: int, j: int, r: int) -> VanishingVerdict:
     EnumerationCapExceeded above the cap.
     """
     if not weil_weight_check(P):
-        raise WeilCheckFailed(f"{P.coefficients} is not pure of weight 1 at q={P.q}")
+        raise InvalidInstance(f"{P.coefficients} is not pure of weight 1 at q={P.q}")
     _check_base(P, ell)
     if j < 0:
         raise InvalidInstance("box power must be non-negative")

@@ -5,10 +5,10 @@ kernel/cokernel structure results, the fixed-rank equality for dual
 lattices, and the finite-base five-term report all live here.  Middle
 terms that the theory identifies with field cohomology are assembled as
 direct sums of their outer terms (divisible extensions split as abelian
-groups); every report that contains such a term says so explicitly.
+groups).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 from typing import Sequence, Tuple
@@ -29,12 +29,7 @@ from .dualgraph import (
     tree_orbits,
     xi_lattice,
 )
-from .errors import (
-    InvalidInstance,
-    ModeledTermCaveat,
-    VerificationFailed,
-    WeilCheckFailed,
-)
+from .errors import InvalidInstance, VerificationFailed
 from .exactlin import (
     CoLGroup,
     IntMatrix,
@@ -53,12 +48,6 @@ from .exactlin import (
 from .lprimary import FrobObject
 from .procyclic import (CharPoly, _adjugate, h1, require_decided,
                         torsion_frob, weil_weight_check)
-
-MODELED_NOTE = (
-    "middle term assembled as the direct sum of the outer terms; it models "
-    "the field-theoretic object, it is not computed from a field"
-)
-
 
 # ---------------------------------------------------------------------------
 # instances
@@ -132,7 +121,7 @@ class SingularityInstance:
                 raise InvalidInstance(
                     f"jacobian base {poly.q} is not q^f = {q ** int(f)} for {rep!r}")
             if not weil_weight_check(poly):
-                raise WeilCheckFailed(
+                raise InvalidInstance(
                     f"jacobian polynomial for {rep!r} is not pure of weight one")
             checked.append((rep, poly, int(f)))
         for orb in orbits:
@@ -242,8 +231,7 @@ class SequenceReport:
     label: str
     terms: Tuple[LModule, LModule, LModule]
     verdict: str
-    caveats: tuple = ()
-    structure: dict = field(default_factory=dict)
+    structure: dict
 
 
 def _split_terms(ell: int, s: int, a: int, b: int) -> Tuple[LModule, ...]:
@@ -279,11 +267,8 @@ def upsilon_structure(inst: SingularityInstance, s: int) -> SequenceReport:
         "defect": defect,
         "equivariant": True,
     }
-    return SequenceReport(
-        "upsilon", terms, "PASS" if defect == 0 else "FAIL",
-        caveats=(ModeledTermCaveat(MODELED_NOTE),),
-        structure=structure,
-    )
+    return SequenceReport("upsilon", terms, "PASS" if defect == 0 else "FAIL",
+                          structure)
 
 
 # ---------------------------------------------------------------------------
@@ -367,11 +352,8 @@ def devissage(inst: SingularityInstance,
         "divisor_block_matches_projection_image": divisor_ok,
     }
     ok = theta_ok and divisor_ok
-    outer = SequenceReport(
-        "devissage", terms, "PASS" if ok else "FAIL",
-        caveats=(ModeledTermCaveat(MODELED_NOTE),),
-        structure=structure,
-    )
+    outer = SequenceReport("devissage", terms, "PASS" if ok else "FAIL",
+                           structure)
     return outer, inner
 
 
@@ -447,7 +429,6 @@ class BhnReport:
     jacobian_vanishing: Tuple[JacobianVanishing, ...]
     display: Tuple[DisplayTerm, ...]
     checks: Tuple[Tuple[str, bool], ...]
-    caveats: tuple
     verdict: str
 
 
@@ -575,4 +556,4 @@ def bhn_finite_field_report(inst: SingularityInstance) -> BhnReport:
         rho=rho_value, m_value=m_value, h1_corank=h1_corank,
         corank_matches_rho=corank_ok, ono=ono, levels=tuple(levels),
         jacobian_vanishing=tuple(vanishing), display=display, checks=checks,
-        caveats=(ModeledTermCaveat(MODELED_NOTE),), verdict=verdict)
+        verdict=verdict)

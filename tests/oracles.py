@@ -324,10 +324,8 @@ def entrywise_lmap_matrix(domain, codomain, rows):
     the same checks in the same order, so the first bad input raises the
     same exception with the same message.  rows must have the map's shape.
     """
-    from devissage.errors import MismatchedPrime
-
     if domain.ell != codomain.ell:
-        raise MismatchedPrime("map between modules over different primes")
+        raise ValueError("map between modules over different primes")
     ell = domain.ell
     out = []
     for i, bo in enumerate(codomain.gen_orders()):
@@ -877,15 +875,15 @@ def per_column_orbit_section(lattice, tree_orbit):
     column, tree) pair, each call validating its tree again, and each
     column placed by var_names.index.  Returns (trees, Psi)."""
     from devissage.dualgraph import (
-        NotAnOrbit, _tree_orbit_positions, _validate_tree, difference_basis)
+        _tree_orbit_positions, _validate_tree, difference_basis)
     from devissage.exactlin import IntMatrix
     graph, config = lattice.graph, lattice.config
     normalized = [_validate_tree(graph, t) for t in tree_orbit]
     if len(set(normalized)) != len(normalized):
-        raise NotAnOrbit("repeated tree in the orbit")
-    if len(_tree_orbit_positions(graph, normalized, NotAnOrbit(
+        raise ValueError("repeated tree in the orbit")
+    if len(_tree_orbit_positions(graph, normalized, ValueError(
             "orbit is not closed under the action"))) != 1:
-        raise NotAnOrbit("the given trees split into several orbits")
+        raise ValueError("the given trees split into several orbits")
     trees = tuple(sorted(normalized))
     m = len(trees)
     B = difference_basis(len(config.ids))
@@ -922,8 +920,6 @@ def divisor_action(entries, perm):
     their node.  Free divisors on a component map to the free divisors of
     the image component matched by sorted position.
     """
-    from devissage.errors import ConfigIncompatible
-
     by_node = {t: d for d, (k, t) in entries if k == "node"}
     free = {}
     for d, (k, t) in entries:
@@ -936,14 +932,14 @@ def divisor_action(entries, perm):
         image = perm.get(target, target)
         if kind == "node":
             if image not in by_node:
-                raise ConfigIncompatible(
+                raise ValueError(
                     f"divisor {did!r}: no divisor is anchored at the image "
                     f"node {image!r}")
             out[did] = by_node[image]
         else:
             src, dst = free[target], free.get(image, [])
             if len(src) != len(dst):
-                raise ConfigIncompatible(
+                raise ValueError(
                     f"free divisor counts differ between component "
                     f"{target!r} and its image {image!r}")
             out[did] = dst[src.index(did)]

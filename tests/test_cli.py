@@ -29,7 +29,13 @@ from devissage.cli import (
     render_text,
     run,
 )
-from devissage.errors import InvalidInstance, ParseError, UnknownSequence
+from devissage.errors import (
+    DevissageError,
+    EnumerationCapExceeded,
+    InvalidInstance,
+    ParseError,
+    VerificationFailed,
+)
 from devissage.exactlin import PRIME_BOUND, IntMatrix
 
 from generators import random_legal_graph, random_symmetric_graph
@@ -816,6 +822,72 @@ class TestVerificationFailure:
         assert json.loads(res.stdout)["suites"][suite] == \
             report["suites"][suite]
 
+    def test_false_balance_fails_only_its_suite(self, monkeypatch):
+        # the balance in _orbit_section is an identity, so a false one is a
+        # defect of the computation: it fails the splitting suite alone
+        real = dualgraph._check_balance
+        monkeypatch.setattr(dualgraph, "_check_balance",
+                            lambda diff: real(diff + 1))
+        suites = ("graph", "splitting", "devissage")
+        code, report = run(RunConfig(input_path=G1_SWAP, suites=suites))
+        assert code == 2
+        checks = report["suites"]["splitting"]["checks"]
+        assert [(c["name"], c["verdict"]) for c in checks] == \
+            [("internal verification", "FAIL")]
+        assert checks[0]["structure"].startswith("class totals differ by 1")
+        assert report["suites"]["graph"]["verdict"] == "PASS"
+        assert report["suites"]["devissage"]["verdict"] == "PASS"
+
+        res = CliRunner().invoke(main, ["run", "--input", G1_SWAP,
+                                        "--suite", ",".join(suites)])
+        assert res.exit_code == 2
+        assert "Traceback" not in res.output
+        assert json.loads(res.stdout)["suites"] == report["suites"]
+
+
+# error class -> (the call that raises it, exit code, the report's error
+# kind, None where the class fails its suite and the run goes on)
+OUTCOMES = {
+    ParseError: ("build_instance", 4, "parse"),
+    InvalidInstance: ("suite", 4, "invalid"),
+    EnumerationCapExceeded: ("suite", 3, "cap"),
+    VerificationFailed: ("suite", 2, None),
+}
+
+
+class TestErrorOutcomes:
+
+    def test_every_error_class_has_an_outcome(self):
+        # a new class needs a caller that branches on it, and a row here
+        assert set(DevissageError.__subclasses__()) == set(OUTCOMES)
+
+    @pytest.mark.parametrize("cls", list(OUTCOMES),
+                             ids=lambda cls: cls.__name__)
+    def test_outcome_of_each_class(self, monkeypatch, cls):
+        where, want_code, kind = OUTCOMES[cls]
+
+        def planted(*args):
+            raise cls("planted")
+
+        if where == "build_instance":
+            monkeypatch.setattr(cli, "build_instance", planted)
+        else:
+            monkeypatch.setitem(cli._RUNNERS, "graph", planted)
+        suites = ("graph", "boxcalc")
+        code, report = run(RunConfig(input_path=G1_SWAP, suites=suites))
+        assert code == want_code
+        if kind is None:
+            assert report["verdict"] == "FAIL"
+            assert report["suites"]["graph"]["checks"] == [
+                {"name": "internal verification", "structure": "planted",
+                 "verdict": "FAIL"}]
+            assert report["suites"]["boxcalc"]["verdict"] == "PASS"
+        else:
+            message = "planted" if where == "build_instance" \
+                else "graph: planted"
+            assert report["verdict"] == "ERROR"
+            assert report["error"] == {"kind": kind, "message": message}
+
 
 # ---------------------------------------------------------------------------
 # instance-file fuzzing
@@ -1238,6 +1310,23 @@ class TestCommandLine:
         assert error["kind"] == "parse"
         assert str(path) in error["message"]
 
+    @pytest.mark.parametrize("args", [
+        ["--input", G2_TREE, "--format", "yaml"],
+        ["--input", G2_TREE, "--level", "x"],
+        [],
+    ], ids=["format-yaml", "level-x", "no-input"])
+    def test_usage_error_exits_four(self, args):
+        res = CliRunner().invoke(main, ["run"] + args)
+        assert res.exit_code == 4
+        assert res.stdout == ""
+        assert "Usage:" in res.stderr and "Error:" in res.stderr
+
+    @pytest.mark.parametrize("args", [["--help"], ["run", "--help"]])
+    def test_help_exits_zero(self, args):
+        res = CliRunner().invoke(main, args)
+        assert res.exit_code == 0
+        assert res.stdout.startswith("Usage:")
+
     def test_bad_flag_combination_exits_four(self):
         runner = CliRunner()
         res = runner.invoke(main, ["run", "--input", G2_TREE, "--ell", "9"])
@@ -1284,6 +1373,7 @@ class TestCommandLine:
                                    "--suite", "graph"],
                             env={"DEVISSAGE_TREE_CAP": "junk"})
         assert res.exit_code == 4
+        assert "'junk' is not a valid integer" in res.stderr
 
     def test_flag_beats_env(self):
         runner = CliRunner()
@@ -1342,9 +1432,17 @@ class TestExplain:
                      "cohom2"):
             assert "MODELED" in explain(name)
         assert "MODELED" not in explain("spl2")
+        # the kernel object is modeled wherever a sequence names it
+        upsilon = {name: re.findall(r"\[(\w+)\] Upsilon\(r-1\)",
+                                    explain(name))
+                   for name in self.KNOWN}
+        assert {n for n, found in upsilon.items() if found} == \
+            {"dev1", "dev2", "upsilon"}
+        assert all(status == "MODELED" for found in upsilon.values()
+                   for status in found)
 
     def test_unknown_name(self):
-        with pytest.raises(UnknownSequence):
+        with pytest.raises(ValueError, match="unknown sequence 'bogus'"):
             explain("bogus")
 
     def test_command_exit_codes(self):

@@ -33,15 +33,7 @@ from devissage.dualgraph import (
     tree_orbits,
     xi_lattice,
 )
-from devissage.errors import (
-    BalanceViolated,
-    ConfigIncompatible,
-    EnumerationCapExceeded,
-    GcdShortfall,
-    NotAnOrbit,
-    NotASpanningTree,
-    VerificationFailed,
-)
+from devissage.errors import EnumerationCapExceeded, VerificationFailed
 from devissage.exactlin import IntMatrix, LModule, cokernel, kernel
 
 from generators import random_legal_graph, random_symmetric_graph
@@ -693,8 +685,8 @@ class TestOrbitImagesByByteTables:
     def test_image_outside_the_trees_raises_the_given_error(self):
         g = complete(5, [[1, 2, 3, 4, 0]])
         trees = spanning_trees(g)
-        missing = NotAnOrbit("not closed")
-        with pytest.raises(NotAnOrbit) as caught:
+        missing = ValueError("not closed")
+        with pytest.raises(ValueError) as caught:
             _tree_orbit_positions(g, trees[1:], missing)
         assert caught.value is missing
 
@@ -792,7 +784,7 @@ class TestTreeSolve:
         for v in g.vertex_ids:
             incident = sum(val for (c, n), val in x.items() if v in (c, n))
             assert incident % 4 == values[v] % 4
-        with pytest.raises(BalanceViolated):
+        with pytest.raises(VerificationFailed, match="class totals differ"):
             tree_solve(g, tree, values)
 
     def test_brute_force_uniqueness(self):
@@ -814,7 +806,7 @@ class TestTreeSolve:
     def test_balance_precondition(self):
         g = banana()
         tree = (("u", "a"), ("u", "b"), ("v", "a"))
-        with pytest.raises(BalanceViolated):
+        with pytest.raises(VerificationFailed, match="class totals differ"):
             tree_solve(g, tree, {"u": 1})
 
     def test_unknown_vertex_rejected(self):
@@ -825,23 +817,23 @@ class TestTreeSolve:
 
     def test_not_a_tree_rejected(self):
         g = banana()
-        with pytest.raises(NotASpanningTree):
+        with pytest.raises(ValueError, match="cannot span"):
             tree_solve(g, tuple(g.edges), {})          # full cycle
-        with pytest.raises(NotASpanningTree):
+        with pytest.raises(ValueError, match="cannot span"):
             tree_solve(g, (("u", "a"), ("v", "a")), {})  # too few edges
-        with pytest.raises(NotASpanningTree):
+        with pytest.raises(ValueError, match="not an edge of the graph"):
             tree_solve(g, (("u", "a"), ("u", "b"), ("x", "q")), {})
 
     def test_cycle_with_tree_edge_count_rejected(self):
         # |V| - 1 distinct edges: the 4-cycle u-a-v-b leaves node c alone
         g = theta()
         cycle = (("u", "a"), ("v", "a"), ("u", "b"), ("v", "b"))
-        with pytest.raises(NotASpanningTree, match="cycle"):
+        with pytest.raises(ValueError, match="cycle"):
             tree_solve(g, cycle, {})
-        with pytest.raises(NotASpanningTree, match="cycle"):
+        with pytest.raises(ValueError, match="cycle"):
             tree_solve(g, cycle, {"u": 1})      # not balanced either
         xi = build_xi(xi_lattice(default_divisors(g)), 3, 1)
-        with pytest.raises(NotASpanningTree, match="cycle"):
+        with pytest.raises(ValueError, match="cycle"):
             build_psi(xi, [cycle])
 
 
@@ -915,13 +907,13 @@ class TestDivisorConfig:
 
     def test_every_component_orbit_needs_a_free_point(self):
         g = banana(swap=False)
-        with pytest.raises(ConfigIncompatible, match="free point"):
+        with pytest.raises(ValueError, match="free point"):
             DivisorConfig(g, [("p_u", ("free", "u"))])
-        with pytest.raises(ConfigIncompatible, match="free point"):
+        with pytest.raises(ValueError, match="free point"):
             DivisorConfig(g, [("d_a", ("node", "a")), ("d_b", ("node", "b"))])
 
     def test_empty_divisor_set_rejected(self):
-        with pytest.raises(ConfigIncompatible, match="empty"):
+        with pytest.raises(ValueError, match="empty"):
             DivisorConfig(banana(swap=False), [])
 
     def test_bad_entries_rejected(self):
@@ -1178,13 +1170,13 @@ class TestBuildPsi:
         cfg = default_divisors(g)
         orbits = tree_orbits(g)
         lat = xi_lattice(cfg)
-        with pytest.raises(NotAnOrbit, match="closed"):
+        with pytest.raises(ValueError, match="not closed"):
             build_psi(build_xi(lat, 3, 1), orbits[0][:1])
-        with pytest.raises(NotAnOrbit, match="several"):
+        with pytest.raises(ValueError, match="several"):
             build_psi(build_xi(lat, 3, 1), orbits[0] + orbits[1])
-        with pytest.raises(NotAnOrbit, match="repeated"):
+        with pytest.raises(ValueError, match="repeated tree"):
             build_psi(build_xi(lat, 3, 1), orbits[0] + orbits[0][:1])
-        with pytest.raises(NotASpanningTree):
+        with pytest.raises(ValueError, match="cannot span"):
             build_psi(build_xi(lat, 3, 1), [tuple(g.edges)])
 
 
@@ -1227,7 +1219,7 @@ class TestBezoutCombine:
         xi = build_xi(xi_lattice(cfg), 2, 1)
         big = [o for o in tree_orbits(g) if len(o) == 2]
         sps = [build_psi(xi, o) for o in big[:2]]
-        with pytest.raises(GcdShortfall, match="supply more orbits"):
+        with pytest.raises(ValueError, match="supply more orbits"):
             bezout_combine(sps, m_gamma(g))
 
     def test_mismatched_assemblies_rejected(self):

@@ -7,12 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from devissage.errors import (
-    InputNotExact,
-    MismatchedBase,
-    MismatchedPrime,
-    NotDivisible,
-)
 from devissage.exactlin import (
     CoLGroup,
     IntMatrix,
@@ -126,7 +120,7 @@ class TestBox:
         assert box_power(box_unit(7), 5) == box_unit(7)
 
     def test_prime_mismatch(self):
-        with pytest.raises(MismatchedPrime):
+        with pytest.raises(ValueError, match="tensor across primes"):
             box(box_unit(2), box_unit(3))
 
     @pytest.mark.parametrize("product", [box, co_direct_sum, tor_box])
@@ -134,9 +128,9 @@ class TestBox:
         # each product leaves the prime check to the LModule operation it wraps
         A = CoLGroup(LModule(2, 1, (2, 1)))
         B = CoLGroup(LModule(3, 1, (1,)))
-        with pytest.raises(MismatchedPrime):
+        with pytest.raises(ValueError, match="across primes|l=2 vs l=3"):
             product(A, B)
-        with pytest.raises(MismatchedPrime):
+        with pytest.raises(ValueError, match="across primes|l=3 vs l=2"):
             product(B, A)
 
 
@@ -236,7 +230,7 @@ class TestLeftExactness:
 
     def test_not_exact_rejected(self):
         U = box_unit(2)
-        with pytest.raises(InputNotExact):
+        with pytest.raises(ValueError, match="not compose to zero"):
             left_exactness_probe(CoMap.multiplication(U, 2),
                                  CoMap.multiplication(U, 2), U)
 
@@ -289,7 +283,7 @@ class TestTorsBis:
         assert data.commutes
 
     def test_rejects_finite_part(self):
-        with pytest.raises(NotDivisible):
+        with pytest.raises(ValueError, match="need a divisible group"):
             torsbis_maps(CoLGroup(LModule(2, 1, (1,))), 1, 2, 1)
 
     def test_well_definedness_many_seeds(self):
@@ -425,7 +419,7 @@ class TestFrob:
             assert box_frob_power(X, n) == tensor_maps_frob_power(X, n)
 
     def test_q_must_be_unit(self):
-        with pytest.raises(MismatchedBase):
+        with pytest.raises(ValueError, match="q=9 is not a unit at l=3"):
             FrobObject(CoLGroup(LModule(3, 1)), IntMatrix.identity(1), 9)
 
     def test_frobenius_must_be_invertible(self):

@@ -13,9 +13,7 @@ from devissage import procyclic
 from devissage.errors import (
     EnumerationCapExceeded,
     InvalidInstance,
-    MismatchedBase,
     VerificationFailed,
-    WeilCheckFailed,
 )
 from devissage.exactlin import (
     NULLITY_PRIME,
@@ -329,7 +327,7 @@ class TestFrobConstructors:
         assert X.matrix.det() == 5 ** 6
 
     def test_base_mismatch(self):
-        with pytest.raises(MismatchedBase):
+        with pytest.raises(ValueError, match="l = 5 divides q"):
             torsion_frob(P_GENERIC, 5)
 
     def test_box_torsion_frob_bookkeeping(self):
@@ -448,11 +446,11 @@ class TestEigenproduct:
 
 class TestVanishing:
     def test_gates(self):
-        with pytest.raises(WeilCheckFailed):
+        with pytest.raises(InvalidInstance, match="not pure of weight 1"):
             vanishing_probe(CharPoly((1, -6, 5), 5), 2, 1, 0)
-        with pytest.raises(MismatchedBase):
+        with pytest.raises(ValueError, match="l = 5 divides q"):
             vanishing_probe(P_GENERIC, 5, 1, 0)
-        with pytest.raises(InvalidInstance):
+        with pytest.raises(InvalidInstance, match="non-negative"):
             vanishing_probe(P_GENERIC, 3, -1, 0)
 
     def test_vanishing_slots(self):
