@@ -343,18 +343,18 @@ def _run_boxcalc(inst, config) -> dict:
         A = random_cogroup(rng, ell)
         B = random_cogroup(rng, ell)
         C = random_cogroup(rng, ell)
-        assoc = box(box(A, B), C) == box(A, box(B, C))
-        dist = (box(co_direct_sum(A, B), C)
-                == co_direct_sum(box(A, C), box(B, C)))
+        BC = box(B, C)
+        assoc = box(box(A, B), C) == box(A, BC)
+        dist = box(co_direct_sum(A, B), C) == co_direct_sum(box(A, C), BC)
         law_ok += assoc and dist
 
     tor_ok = True
     for p in (2, 3, 5):
+        cyclic = {n: CoLGroup(LModule(p, 0, (n,))) for n in range(1, 6)}
         for n in range(1, 6):
             for m in range(1, 6):
-                got = tor_box(CoLGroup(LModule(p, 0, (n,))),
-                              CoLGroup(LModule(p, 0, (m,))))
-                tor_ok &= got == CoLGroup(LModule(p, 0, (min(n, m),)))
+                got = tor_box(cyclic[n], cyclic[m])
+                tor_ok &= got == cyclic[min(n, m)]
 
     # multiplication by ell is onto the unit but dies after box with Z/ell
     fin = CoLGroup(LModule(ell, 0, (1,)))

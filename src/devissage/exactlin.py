@@ -690,7 +690,7 @@ class LModule:
         if self.ell != other.ell:
             raise ValueError("tensor across primes")
         a, b = self.torsion_exponents, other.torsion_exponents
-        exps = [min(x, y) for x in a for y in b]
+        exps = [x if x < y else y for x in a for y in b]
         exps += a * other.free_rank + b * self.free_rank
         exps.sort(reverse=True)
         return LModule._trusted(self.ell, self.free_rank * other.free_rank, tuple(exps))
@@ -770,14 +770,16 @@ class CoLGroup:
         """The l^s-torsion subgroup, a finite module.
 
         (Ql/Zl) contributes Z/l^s per copy, a finite cyclic factor C(l^e)
-        contributes Z/l^min(e,s).
+        contributes Z/l^min(e,s).  For s >= 1, listed in that order, these
+        are at least 1 and weakly decreasing: canonical with no sort.
         """
         s = index(s)
         if s < 0:
             raise ValueError("level must be >= 0")
-        exps = [s] * self.corank + [min(e, s) for e in self.finite_exponents]
-        exps = tuple(sorted((e for e in exps if e > 0), reverse=True))
-        return LModule._trusted(self.ell, 0, exps)
+        if not s:
+            return LModule._trusted(self.ell, 0, ())
+        fin = tuple([e if e < s else s for e in self.finite_exponents])
+        return LModule._trusted(self.ell, 0, (s,) * self.corank + fin)
 
     def level_inclusion_matrix(self, s: int, t: int) -> IntMatrix:
         """Matrix of the natural inclusion of the l^s-torsion into the l^t-torsion.
@@ -1023,15 +1025,19 @@ def homology_at(incoming: Optional[LMap], outgoing: Optional[LMap],
                 carrier: LModule) -> LModule:
     """ker(outgoing) / im(incoming) at a chain position.
 
-    None stands for the zero map off the end of a complex.
+    None stands for the zero map off the end of a complex.  Without an
+    outgoing map the kernel is the whole carrier, so the homology is the
+    cokernel of incoming, with no kernel taken and nothing solved.
     """
     if outgoing is not None and outgoing.domain != carrier:
         raise ValueError("outgoing map does not start at the carrier")
-    k = LMap.identity_on(carrier) if outgoing is None else kernel(outgoing)
+    if incoming is not None and incoming.codomain != carrier:
+        raise ValueError("incoming map does not end at the carrier")
+    if outgoing is None:
+        return carrier if incoming is None else cokernel(incoming).codomain
+    k = kernel(outgoing)
     if incoming is None:
         return k.domain
-    if incoming.codomain != carrier:
-        raise ValueError("incoming map does not end at the carrier")
     # incoming factors through the kernel: a complex has outgoing o incoming = 0
     mat = preimage(k, incoming.matrix)
     if mat is None:

@@ -31,6 +31,7 @@ from .exactlin import (
     LMap,
     LModule,
     homology_at,
+    is_prime,
     is_prime_power,
     matrix_power_kron,
     rank_mod,
@@ -66,7 +67,7 @@ def box_power(A: CoLGroup, n: int) -> CoLGroup:
     """n-fold box power; the 0th power is the unit Ql/Zl."""
     if n < 0:
         raise ValueError("negative box power")
-    out = box_unit(A.ell)
+    out = CoLGroup(LModule._trusted(A.ell, 1, ()))
     for _ in range(n):
         out = box(out, A)
     return out
@@ -85,12 +86,16 @@ def random_cogroup(rng, ell: int) -> CoLGroup:
     """A random (Ql/Zl)^c (+) finite group for property sweeps.
 
     Draws the corank c <= 2, the number k <= 2 of cyclic factors and then
-    each exponent, at most 3, from rng, in that order.
+    each exponent, at most 3, from rng, in that order, by randrange: CPython's
+    randint(a, b) is a + randrange(b - a + 1), so the values and the state
+    left behind are those of randint(0, 2), randint(0, 2) and randint(1, 3).
     """
-    c = rng.randint(0, 2)
-    k = rng.randint(0, 2)
-    exps = sorted((rng.randint(1, 3) for _ in range(k)), reverse=True)
-    return CoLGroup(LModule(ell, c, tuple(exps)))
+    if not is_prime(ell):
+        raise ValueError(f"l must be prime, got {ell}")
+    c = rng.randrange(3)
+    k = rng.randrange(3)
+    exps = sorted((rng.randrange(3) + 1 for _ in range(k)), reverse=True)
+    return CoLGroup(LModule._trusted(ell, c, tuple(exps)))
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +201,7 @@ def tors_level_check(A: CoLGroup, n: int, s: int) -> bool:
     box_side = box_power(A, n).level(s)
     if n == 0:
         # empty products: the level of the unit Ql/Zl is cyclic of order l^s
-        tensor_side = LModule(A.ell, 0, (s,))
+        tensor_side = LModule(A.ell, 0, (s,) if s else ())
     else:
         tensor_side = finite_box_power(A.level(s), n)
     return box_side == tensor_side
@@ -234,14 +239,15 @@ def torsbis_maps(A: CoLGroup, s: int, t: int, n: int, rng=None) -> TorsBisData:
         raise ValueError("need 1 <= s <= t")
     ell = A.ell
     c = A.corank
+    up, mod_s, mod_t = ell ** (t - s), ell ** s, ell ** t
     if n == 0:
         dom = LModule(ell, 0, (s,))
         cod = LModule(ell, 0, (t,))
-        f_st = LMap(dom, cod, [[ell ** (t - s)]])
+        f_st = LMap(dom, cod, [[up]])
     else:
         # A is divisible: level t has level s's generator order, all of order l^t
         dom, didx = tensor_power_with_index(A.level(s), n)
-        cod = LModule(ell, 0, (t,) * len(didx))
+        cod = LModule._trusted(ell, 0, (t,) * len(didx))
         cols = []
         for tup in didx:
             # lift each leg: a_{i} = l^(t-s) * b with b = e_i + l^s * z
@@ -251,11 +257,12 @@ def torsbis_maps(A: CoLGroup, s: int, t: int, n: int, rng=None) -> TorsBisData:
                 lift[i] = 1
                 if rng is not None:
                     for j in range(c):
-                        lift[j] += ell ** s * rng.randint(0, ell - 1)
+                        lift[j] += mod_s * rng.randrange(ell)
                 legs.append(lift)
-            cols.append([prod(leg[j] for leg, j in zip(legs, ctup)) * ell ** (t - s)
-                         % ell ** t for ctup in didx])
-        f_st = LMap(dom, cod, IntMatrix.from_rows(cols, len(didx)).transpose())
+            cols.append([prod(leg[j] for leg, j in zip(legs, ctup)) * up % mod_t
+                         for ctup in didx])
+        f_st = LMap(dom, cod, IntMatrix._trusted(
+            len(didx), len(didx), tuple(zip(*cols))))
     An = box_power(A, n)
     incl = LMap(An.level(s), An.level(t), An.level_inclusion_matrix(s, t))
     return TorsBisData(f_st, incl, incl.equal_as_maps(f_st))

@@ -34,8 +34,17 @@ before DivisorConfig derived its action itself; perm_matrix, the dense
 0/1 matrix of a coordinate permutation that the graph code multiplied by
 before it reindexed rows with perm_rows; tensor_maps_frob_power, the box
 power of a Frobenius object as repeated tensor_maps products of two maps,
-before box_frob_power took one Kronecker power.  float_root_tuple_count
-counts ordered root tuples with a given product in floating point.
+before box_frob_power took one Kronecker power; randint_random_cogroup and
+randint_torsbis_f_st, the draws of random_cogroup and of torsbis_maps's
+lifts through rng.randint, the groups built through the validating
+LModule and f_st through from_rows and a transpose, before both drew with
+randrange and built their values trusted; sorted_filtered_level, the
+torsion level sorted with its zero exponents filtered out, before
+CoLGroup.level took its closed form; identity_kernel_homology_at, the
+homology through the identity kernel and a preimage solve where no map
+leaves the position, before homology_at took the cokernel of the incoming
+map there.  float_root_tuple_count counts ordered root tuples with a
+given product in floating point.
 """
 
 from collections import namedtuple
@@ -975,3 +984,61 @@ def tensor_maps_frob_power(X, n):
         out = FrobObject(box(out.carrier, X.carrier), big.matrix, X.q,
                          out.qpow + X.qpow)
     return out
+
+
+def randint_random_cogroup(rng, ell):
+    """random_cogroup with its corank, factor count and exponents drawn by
+    rng.randint(0, 2), rng.randint(0, 2) and rng.randint(1, 3)."""
+    from devissage.exactlin import CoLGroup, LModule
+    c = rng.randint(0, 2)
+    k = rng.randint(0, 2)
+    exps = sorted((rng.randint(1, 3) for _ in range(k)), reverse=True)
+    return CoLGroup(LModule(ell, c, tuple(exps)))
+
+
+def randint_torsbis_f_st(A, s, t, n, rng):
+    """torsbis_maps(A, s, t, n, rng).f_st for n >= 1, each lift coordinate
+    perturbed by l^s * rng.randint(0, l - 1) and the l-powers taken per
+    entry."""
+    from math import prod
+
+    from devissage.exactlin import (IntMatrix, LMap, LModule,
+                                    tensor_power_with_index)
+    ell, c = A.ell, A.corank
+    dom, didx = tensor_power_with_index(A.level(s), n)
+    cod = LModule(ell, 0, (t,) * len(didx))
+    cols = []
+    for tup in didx:
+        legs = []
+        for i in tup:
+            lift = [0] * c
+            lift[i] = 1
+            for j in range(c):
+                lift[j] += ell ** s * rng.randint(0, ell - 1)
+            legs.append(lift)
+        cols.append([prod(leg[j] for leg, j in zip(legs, ctup)) * ell ** (t - s)
+                     % ell ** t for ctup in didx])
+    return LMap(dom, cod, IntMatrix.from_rows(cols, len(didx)).transpose())
+
+
+def sorted_filtered_level(G, s):
+    """The l^s-torsion of the discrete group G: Z/l^s per divisible copy and
+    Z/l^min(e, s) per cyclic factor, zero exponents dropped, then sorted."""
+    from devissage.exactlin import LModule
+    exps = [s] * G.corank + [min(e, s) for e in G.finite_exponents]
+    return LModule(G.ell, 0,
+                   tuple(sorted((e for e in exps if e > 0), reverse=True)))
+
+
+def identity_kernel_homology_at(incoming, outgoing, carrier):
+    """ker(outgoing) / im(incoming), None standing for a zero map: the
+    kernel is the identity on the carrier where outgoing is None, and
+    incoming's preimage in the kernel presents the image."""
+    from devissage.exactlin import LMap, cokernel, kernel, preimage
+    k = LMap.identity_on(carrier) if outgoing is None else kernel(outgoing)
+    if incoming is None:
+        return k.domain
+    mat = preimage(k, incoming.matrix)
+    if mat is None:
+        raise ValueError("map does not factor through the kernel")
+    return cokernel(LMap(incoming.domain, k.domain, mat)).codomain

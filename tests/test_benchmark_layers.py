@@ -35,11 +35,13 @@ def test_every_layer_name_resolves(monkeypatch):
 
 
 def count_layer_calls(monkeypatch, workload, suites):
-    """Calls into every layer traced on workload during one operation.
+    """Calls into every traced layer during one operation, and the labels
+    of the layers traced on workload.
 
-    The operation is one run of suites on the g1_swap fixture, then
-    rendering its report.  Functions are counted in every devissage module
-    that holds them and methods on their class, as the tracer rebinds them.
+    The operation is one run of suites on the g1_swap fixture at seed 0,
+    then rendering its report.  Functions are counted in every devissage
+    module that holds them and methods on their class, as the tracer
+    rebinds them.
     """
     from devissage import cli
 
@@ -47,6 +49,7 @@ def count_layer_calls(monkeypatch, workload, suites):
     modules = {name: mod for name, mod in sys.modules.items()
                if name.startswith("devissage.") and mod is not None}
     calls = {}
+    homes = set()
 
     def counting(label, fn):
         def wrapper(*args, **kwargs):
@@ -54,11 +57,11 @@ def count_layer_calls(monkeypatch, workload, suites):
             return fn(*args, **kwargs)
         return wrapper
 
-    for module, name, homes, _ in tracer.LAYERS:
-        if workload not in homes:
-            continue
+    for module, name, workloads, _ in tracer.LAYERS:
         label = f"{module}.{name}"
         calls[label] = 0
+        if workload in workloads:
+            homes.add(label)
         home = modules[f"devissage.{module}"]
         if "." in name:
             cls_name, attr = name.split(".")
@@ -77,7 +80,7 @@ def count_layer_calls(monkeypatch, workload, suites):
         suites=suites, seed=0))
     assert code == 0
     cli.render_json(report)
-    return calls
+    return calls, homes
 
 
 def test_algebra_seeds_layers_are_called(monkeypatch):
@@ -87,26 +90,31 @@ def test_algebra_seeds_layers_are_called(monkeypatch):
     name the tracer does not rebind, leaves its counter at zero and fails
     the traced benchmark run; this catches it in the test suite.
     """
-    calls = count_layer_calls(monkeypatch, "algebra-seeds",
-                              ("boxcalc", "torsionlevels"))
-    assert {"lprimary.box", "lprimary.torsbis_maps"} <= set(calls)
-    assert all(calls.values()), calls
+    calls, homes = count_layer_calls(monkeypatch, "algebra-seeds",
+                                     ("boxcalc", "torsionlevels"))
+    assert {"lprimary.box", "lprimary.torsbis_maps"} <= homes
+    assert all(calls[label] for label in homes), calls
+    # the reuse the workload's speed rests on: box(B, C) once per boxcalc
+    # triple, and no kernel, preimage or Smith form at the left end of a
+    # complex; these counts do not depend on the seed
+    assert (calls["lprimary.box"], calls["exactlin.solve_integer"],
+            calls["exactlin.smith_with_inverses"]) == (953, 4, 36)
 
 
 def test_graph_scale_layers_are_called(monkeypatch):
     """One run of the graph-scale suites reaches every layer traced there,
     the IntMatrix.det method among them."""
-    calls = count_layer_calls(monkeypatch, "graph-scale",
-                              ("graph", "splitting", "devissage", "bhn"))
+    calls, homes = count_layer_calls(
+        monkeypatch, "graph-scale", ("graph", "splitting", "devissage", "bhn"))
     assert {"dualgraph.build_psi", "sequences.lambda_structure",
-            "exactlin.IntMatrix.det"} <= set(calls)
-    assert all(calls.values()), calls
+            "exactlin.IntMatrix.det"} <= homes
+    assert all(calls[label] for label in homes), calls
 
 
 def test_fixture_all_layers_are_called(monkeypatch):
     """The README quickstart run, every suite on g1_swap, reaches every
     layer traced on fixture-all, the Frobenius-object layers among them."""
-    calls = count_layer_calls(monkeypatch, "fixture-all", ("all",))
+    calls, homes = count_layer_calls(monkeypatch, "fixture-all", ("all",))
     assert {"procyclic._kernel_corank", "lprimary.box_frob_power",
-            "lprimary.FrobObject.__post_init__"} <= set(calls)
-    assert all(calls.values()), calls
+            "lprimary.FrobObject.__post_init__"} <= homes
+    assert all(calls[label] for label in homes), calls

@@ -39,6 +39,7 @@ from devissage.exactlin import (
     tensor_with_index,
     valuation,
 )
+from devissage.lprimary import random_cogroup, torsbis_maps
 
 from generators import random_legal_graph
 from oracles import (
@@ -48,10 +49,12 @@ from oracles import (
     dense_smith_with_inverses,
     entrywise_lmap_matrix,
     generator_expression_lmodule_check,
+    identity_kernel_homology_at,
     interleaved_hessenberg_mod,
     rational_nullity,
     row_copying_rank_mod,
     smith_level_orders,
+    sorted_filtered_level,
     sorted_key_tensor_index,
     sympy_det,
     sympy_rank,
@@ -546,6 +549,34 @@ class TestFastPathsDifferential:
         big = tensor_maps(rel, LMap.identity_on(N))
         assert cokernel(big).codomain == T
 
+    @settings(max_examples=300, deadline=None)
+    @given(ell=st.sampled_from([2, 3, 5]), corank=st.integers(0, 3),
+           exps=st.lists(st.integers(1, 8), max_size=4), s=st.integers(0, 6))
+    def test_level_closed_form_matches_sort_and_filter(self, ell, corank,
+                                                       exps, s):
+        G = CoLGroup(LModule(ell, corank, tuple(sorted(exps, reverse=True))))
+        assert G.level(s) == sorted_filtered_level(G, s)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), terms=st.sampled_from([2, 3]),
+           rng=st.randoms(use_true_random=False))
+    def test_homology_matches_identity_kernel_route(self, data, terms, rng):
+        # random complexes M -f-> N (-g-> P), g = h o coker(f) so g o f = 0
+        M = data.draw(lmodules())
+        N = data.draw(lmodules(ell=M.ell))
+        maps = [_random_map(rng, M, N)]
+        if terms == 3:
+            proj = cokernel(maps[0])
+            P = data.draw(lmodules(ell=M.ell))
+            maps.append(_random_map(rng, proj.codomain, P).compose(proj))
+        carriers = [M] + [f.codomain for f in maps]
+        for i, carrier in enumerate(carriers):
+            incoming = maps[i - 1] if i else None
+            outgoing = maps[i] if i < len(maps) else None
+            assert (homology_at(incoming, outgoing, carrier)
+                    == identity_kernel_homology_at(incoming, outgoing,
+                                                   carrier))
+
     def test_tensor_across_primes(self):
         for M, N in ((LModule(2, 1), LModule(3, 0, (1,))),
                      (LModule(5, 0), LModule(3, 2))):
@@ -651,9 +682,14 @@ class TestTrustedRoutes:
             M.relation_cols(),
             M.reduce_columns(_random_matrix(rng, M.num_gens, k)),
             *smith_with_inverses(A), _random_map(rng, M, N).matrix]
+        s = rng.randint(1, 3)
+        f_st = torsbis_maps(CoLGroup(LModule(ell, rng.randint(0, 2))), s,
+                            rng.randint(s, 4), rng.randint(0, 3), rng).f_st
+        matrices.append(f_st.matrix)
         modules = [M.tensor(N), M.tor1(N), M.direct_sum(N),
                    M.dual().level(rng.randint(0, 4)),
-                   tensor_with_index(M, N)[0]]
+                   tensor_with_index(M, N)[0],
+                   random_cogroup(rng, ell).dual_module, f_st.codomain]
         for x in matrices + modules:
             _assert_equals_public_rebuild(x)
 

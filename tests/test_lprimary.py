@@ -38,6 +38,8 @@ from oracles import (
     co_cokernel,
     composed_torsbis_commutes,
     group_structure,
+    randint_random_cogroup,
+    randint_torsbis_f_st,
     subgroup_closure,
     tensor_maps_frob_power,
 )
@@ -250,6 +252,11 @@ class TestLevels:
             s = rng.randint(1, 3)
             assert tors_level_check(A, n, s)
 
+    def test_level_zero_is_trivial_on_both_sides(self):
+        for A in (box_unit(2), CoLGroup(LModule(3, 2))):
+            for n in range(4):
+                assert tors_level_check(A, n, 0)
+
     def test_level_box_matches_finite_power(self):
         A = CoLGroup(LModule(2, 2))
         lv = A.level(2)
@@ -329,6 +336,33 @@ class TestTorsBis:
                                     composed_torsbis_commutes(data)
                             broken = replace(data, f_st=data.f_st.scale(0))
                             assert not composed_torsbis_commutes(broken)
+
+
+class TestSameStreamDraws:
+    """The randrange draws of random_cogroup and of torsbis_maps's lifts
+    against their randint forms: CPython's randint(a, b) is
+    a + randrange(b - a + 1), so the values and the generator's state
+    afterwards must be the same."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2 ** 64), ell=st.sampled_from((2, 3, 5)),
+           corank=st.integers(1, 2), n=st.integers(1, 3),
+           levels=st.sampled_from(
+               [(s, t) for t in range(1, 5) for s in range(1, t + 1)]))
+    def test_draws_match_randint_forms(self, seed, ell, corank, n, levels):
+        s, t = levels
+        A = CoLGroup(LModule(ell, corank))
+        fast, slow = random.Random(seed), random.Random(seed)
+        for _ in range(3):
+            assert random_cogroup(fast, ell) == randint_random_cogroup(slow,
+                                                                       ell)
+        assert (torsbis_maps(A, s, t, n, rng=fast).f_st
+                == randint_torsbis_f_st(A, s, t, n, slow))
+        assert fast.getstate() == slow.getstate()
+
+    def test_random_cogroup_rejects_a_non_prime(self):
+        with pytest.raises(ValueError, match="l must be prime, got 4"):
+            random_cogroup(random.Random(0), 4)
 
 
 class TestDirectSystem:
