@@ -22,7 +22,7 @@ class InvalidInstance(DevissageError):
 
 class EnumerationCapExceeded(DevissageError):
     """A computation would exceed a size cap: more spanning trees than the
-    tree cap, or an exact kernel above the procyclic dimension cap."""
+    tree cap."""
 
 
 class VerificationFailed(DevissageError, ArithmeticError):

@@ -16,7 +16,8 @@ roots of P equal q^(j+r)?  The (2g)^j products fall into one small factor
 per exponent shape (a partition of j), whose power sums come from those of
 P by Moebius inversion and whose coefficients come from Newton's identities.
 The weighted multiplicities of the rational target as a root of the factors
-sum to the corank of H^1, exactly, for squarefree P.
+sum to the corank of H^1, exactly for every P, because Frobenius acts
+semisimply (CharPoly.frobenius_matrix).
 
 None of this depends on l, so each such result is memoized for the length
 of one CLI run (clear_memo); the checks that do depend on l run per call.
@@ -35,7 +36,7 @@ from functools import wraps
 from math import factorial, gcd, perm, prod
 from operator import mul
 
-from .errors import EnumerationCapExceeded, InvalidInstance, VerificationFailed
+from .errors import InvalidInstance, VerificationFailed
 from .exactlin import (
     CoLGroup,
     IntMatrix,
@@ -125,21 +126,28 @@ class CharPoly:
         """Coefficients constant-first."""
         return tuple(reversed(self.coefficients))
 
-    def companion(self) -> IntMatrix:
-        """Companion matrix with this characteristic polynomial."""
-        n = self.degree
-        low = self.low_coeffs()
-        rows = [[0] * n for _ in range(n)]
-        for i in range(1, n):
-            rows[i][i - 1] = 1
-        for i in range(n):
-            rows[i][n - 1] = -low[i]
-        return IntMatrix.from_rows(rows, n)
+    def frobenius_matrix(self) -> IntMatrix:
+        """The semisimple matrix with this characteristic polynomial.
 
-    @_memo()
-    def is_squarefree(self) -> bool:
-        low = list(self.low_coeffs())
-        return len(_poly_gcd(low, _derivative(low))) == 1
+        Frobenius acts semisimply on V_l (Tate, Invent. Math. 2, 1966), so
+        it is modeled by the companions of rad P, rad(P / rad P), ... on
+        the block diagonal; for squarefree P that is P's companion matrix.
+        """
+        n = self.degree
+        rows = [[0] * n for _ in range(n)]
+        rest, at = list(self.low_coeffs()), 0
+        while len(rest) > 1:
+            rad = _squarefree_part(rest)
+            if rad[-1] < 0:  # a primitive factor of a monic P: lc is +-1
+                rad = [-c for c in rad]
+            rest = _pseudo_divmod(rest, rad)[0]
+            d = len(rad) - 1
+            for i in range(d):
+                rows[at + i][at + d - 1] = -rad[i]
+                if i:
+                    rows[at + i][at + i - 1] = 1
+            at += d
+        return IntMatrix.from_rows(rows, n)
 
     def power_sums(self, upto: int) -> list:
         """Sums of k-th powers of the roots for k = 1..upto, exactly."""
@@ -320,7 +328,7 @@ def torsion_frob(P: CharPoly, ell: int) -> FrobObject:
     """
     _check_base(P, ell)
     carrier = CoLGroup(LModule(ell, P.degree))
-    mat = _adjugate(P.companion()).transpose()
+    mat = _adjugate(P.frobenius_matrix()).transpose()
     return FrobObject(carrier, mat, P.q, qpow=1 - P.g)
 
 
@@ -455,13 +463,6 @@ def eigenproduct_multiplicity(P: CharPoly, j: int, r: int) -> int:
 # the vanishing probe
 
 
-def _kernel_cap_error(dim: int) -> EnumerationCapExceeded:
-    # a repeated-root P has no root-product route: only the kernel counts
-    return EnumerationCapExceeded(
-        f"P has repeated roots, so its corank needs an exact kernel of "
-        f"dimension {dim}, above the cap of {KERNEL_DIM_CAP}")
-
-
 @dataclass(frozen=True)
 class VanishingVerdict:
     """Exact verdict for H^1 of a box-power twist over the finite base.
@@ -475,7 +476,6 @@ class VanishingVerdict:
     q: int
     nontrivial: bool
     corank: int
-    corank_method: str
     boundary_minus: bool   # j == -2r
     boundary_plus: bool    # j == +2r, the remark's printed variant
     matrix_dim: int
@@ -487,9 +487,7 @@ def vanishing_probe(P: CharPoly, ell: int, j: int, r: int) -> VanishingVerdict:
 
     Requires the Weil check; the verdict comes from root-product arithmetic
     on P, and is independently cross-checked through an integer kernel
-    computation whenever the matrix dimension is within KERNEL_DIM_CAP.  A
-    P with repeated roots takes the kernel route alone, and raises
-    EnumerationCapExceeded above the cap.
+    computation whenever the matrix dimension is within KERNEL_DIM_CAP.
     """
     if not weil_weight_check(P):
         raise InvalidInstance(f"{P.coefficients} is not pure of weight 1 at q={P.q}")
@@ -497,25 +495,14 @@ def vanishing_probe(P: CharPoly, ell: int, j: int, r: int) -> VanishingVerdict:
     if j < 0:
         raise InvalidInstance("box power must be non-negative")
     dim = P.degree ** j
-    if P.is_squarefree():
-        corank = eigenproduct_multiplicity(P, j, r)
-        method = "eigenproduct"
-    else:
-        if dim > KERNEL_DIM_CAP:
-            raise _kernel_cap_error(dim)
-        corank = _kernel_corank(P, ell, j, r)
-        method = "kernel"
-    crosschecked = False
-    if method == "eigenproduct" and dim <= KERNEL_DIM_CAP:
-        other = _kernel_corank(P, ell, j, r)
-        if other != corank:
-            raise VerificationFailed("root-product and kernel coranks disagree")
-        crosschecked = True
+    corank = eigenproduct_multiplicity(P, j, r)
+    crosschecked = dim <= KERNEL_DIM_CAP
+    if crosschecked and _kernel_corank(P, ell, j, r) != corank:
+        raise VerificationFailed("root-product and kernel coranks disagree")
     return VanishingVerdict(
         ell=ell, q=P.q,
         nontrivial=corank > 0,
         corank=corank,
-        corank_method=method,
         boundary_minus=(j == -2 * r),
         boundary_plus=(j == 2 * r),
         matrix_dim=dim,
@@ -560,8 +547,8 @@ def _box_nullity(P: CharPoly, ell: int, j: int, r: int) -> int:
 
 @_memo(lambda P, j: (P.coefficients, j))
 def _tate_power(P: CharPoly, j: int) -> IntMatrix:
-    """C^tensor j for the companion C of P, built once per (P, j) and run."""
-    return matrix_power_kron(P.companion(), j)
+    """C^tensor j for P's Frobenius matrix C, built once per (P, j) and run."""
+    return matrix_power_kron(P.frobenius_matrix(), j)
 
 
 # ---------------------------------------------------------------------------
@@ -588,16 +575,11 @@ def duality_crosscheck(P: CharPoly, ell: int, j: int, r: int) -> DualityReport:
     Left: H^1(k, A{l}^box j (r)), divisible of some corank.  Right: the
     Pontryagin dual of the fixed module of (T_l of the dual variety, which
     P describes)^tensor j twisted by -j-r.  Both coranks are computed.
-    Methods are recorded because the small-dimension
-    route uses genuine integer kernels while large dimensions fall back to
-    root-product arithmetic on both sides.  That fallback is exact only for
-    squarefree P; above KERNEL_DIM_CAP a P with repeated roots raises
-    EnumerationCapExceeded.
+    Methods are recorded because the small-dimension route uses genuine
+    integer kernels while large dimensions fall back to root-product
+    arithmetic, shared by both sides.
     """
-    dim = P.degree ** j
-    if dim > KERNEL_DIM_CAP and not P.is_squarefree():
-        raise _kernel_cap_error(dim)
-    if dim <= KERNEL_DIM_CAP:
+    if P.degree ** j <= KERNEL_DIM_CAP:
         left = _kernel_corank(P, ell, j, r)
         left_method = "kernel"
         right = _tate_fixed_rank(P, j, r)

@@ -43,8 +43,11 @@ torsion level sorted with its zero exponents filtered out, before
 CoLGroup.level took its closed form; identity_kernel_homology_at, the
 homology through the identity kernel and a preimage solve where no map
 leaves the position, before homology_at took the cokernel of the incoming
-map there.  float_root_tuple_count counts ordered root tuples with a
-given product in floating point.
+map there; companion_matrix, the companion matrix of P, the Frobenius
+model of CharPoly.companion before CharPoly.frobenius_matrix put the
+companions of rad P, rad(P / rad P), ... on the block diagonal.
+float_root_tuple_count counts ordered root tuples with a given product in
+floating point.
 """
 
 from collections import namedtuple
@@ -417,6 +420,20 @@ def incidence_layout_rows(graph, config):
         comp_rows[graph.component_ids.index(comp)][j] = 1
         point_rows[points.index(p)][j] = 1
     return comp_rows, point_rows
+
+
+def companion_matrix(P):
+    """The companion matrix of a CharPoly P: ones below the diagonal and
+    minus P's constant-first coefficients down the last column."""
+    from devissage.exactlin import IntMatrix
+    n = P.degree
+    low = P.low_coeffs()
+    rows = [[0] * n for _ in range(n)]
+    for i in range(1, n):
+        rows[i][i - 1] = 1
+    for i in range(n):
+        rows[i][n - 1] = -low[i]
+    return IntMatrix.from_rows(rows, n)
 
 
 def sympy_is_squarefree(coeffs):

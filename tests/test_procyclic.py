@@ -10,11 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from devissage import procyclic
-from devissage.errors import (
-    EnumerationCapExceeded,
-    InvalidInstance,
-    VerificationFailed,
-)
+from devissage.errors import InvalidInstance, VerificationFailed
 from devissage.exactlin import (
     NULLITY_PRIME,
     CoLGroup,
@@ -32,6 +28,7 @@ from devissage.procyclic import (
     _box_nullity,
     _kernel_corank,
     _poly_gcd,
+    _squarefree_part,
     box_torsion_frob,
     clear_memo,
     duality_crosscheck,
@@ -48,6 +45,7 @@ from devissage.procyclic import (
 from generators import matrix_power
 from oracles import (
     box_twist_nullity,
+    companion_matrix,
     float_root_tuple_count,
     fraction_eigenproduct_poly,
     fraction_root_multiplicity,
@@ -61,8 +59,9 @@ from oracles import (
 P_GENERIC = WEIL_CATALOG[0]      # T^2 - 2T + 5, q = 5
 P_CM = WEIL_CATALOG[1]           # T^2 + 5, q = 5
 P_QUARTIC = WEIL_CATALOG[6]      # (T^2 + 5)(T^2 - 2T + 5), q = 5
-# squarefull but still pure of weight one: the companion matrix is then
-# non-semisimple, so only the kernel route describes the built object
+# squarefull but still pure of weight one: (T^2 - 2T + 5)^2, the E x E of
+# a curve E, whose Frobenius matrix is two companion blocks of
+# T^2 - 2T + 5, not the (non-semisimple) companion matrix of P
 P_SQUARE = CharPoly((1, -4, 14, -20, 25), 5)
 # genus 3 and genus 4 jacobians over F_5, squarefree and pure of weight one
 P_GENUS_THREE = CharPoly((1, -6, 23, -60, 115, -150, 125), 5)
@@ -71,6 +70,12 @@ P_GENUS_FOUR = CharPoly((1, -4, 16, -44, 110, -220, 400, -500, 625), 5)
 
 def entries(m):
     return [list(r) for r in m.data]
+
+
+def is_squarefree(coeffs):
+    """P equals its squarefree part up to a constant: procyclic's PRS route."""
+    low = list(reversed(coeffs))
+    return len(_squarefree_part(low)) == len(low)
 
 
 def expanded(factors):
@@ -104,7 +109,7 @@ class TestCharPoly:
     def test_companion_satisfies_its_polynomial(self):
         # Horner on matrices: P(C) = 0
         for P in WEIL_CATALOG:
-            C = P.companion()
+            C = P.frobenius_matrix()
             n = P.degree
             total = IntMatrix.identity(n).scale(P.coefficients[0])
             for c in P.coefficients[1:]:
@@ -114,7 +119,7 @@ class TestCharPoly:
     def test_companion_charpoly_sympy(self):
         # independent route through sympy's characteristic polynomial
         for P in WEIL_CATALOG:
-            C = sympy.Matrix(P.companion().data)
+            C = sympy.Matrix(P.frobenius_matrix().data)
             lam = sympy.Symbol("lambda")
             got = sympy.Poly(C.charpoly(lam), lam).all_coeffs()
             assert tuple(int(c) for c in got) == P.coefficients
@@ -126,16 +131,17 @@ class TestCharPoly:
     def test_power_sums_match_traces(self):
         # trace of C^k is an independent route to the same numbers
         for P in WEIL_CATALOG:
-            C = P.companion()
+            C = P.frobenius_matrix()
             n = P.degree
             for k, tk in enumerate(P.power_sums(6), start=1):
                 Ck = matrix_power(C, k)
                 assert sum(Ck.data[i][i] for i in range(n)) == tk
 
     def test_squarefree_detection(self):
-        for P in WEIL_CATALOG:
-            assert P.is_squarefree()
-        assert not P_SQUARE.is_squarefree()
+        for P in WEIL_CATALOG + (P_SQUARE,):
+            assert is_squarefree(P.coefficients) == sympy_is_squarefree(
+                P.coefficients)
+        assert not is_squarefree(P_SQUARE.coefficients)
 
 
 class TestWeilCheck:
@@ -286,8 +292,7 @@ class TestSympyDifferential:
     @given(monic_even_polys())
     @example(P_SQUARE.coefficients)
     def test_squarefree_matches_sympy(self, coeffs):
-        assert CharPoly(coeffs, 2).is_squarefree() == sympy_is_squarefree(
-            coeffs)
+        assert is_squarefree(coeffs) == sympy_is_squarefree(coeffs)
 
     @settings(max_examples=100, deadline=None)
     @given(int_polys(), int_polys(), int_polys())
@@ -301,14 +306,14 @@ class TestSympyDifferential:
         CharPoly((1, -6, 23, -60, 115, -150, 125), 5),
         CharPoly((1, 1, 5), 5), P_SQUARE))
     def test_adjugate_matches_sympy(self, P):
-        C = P.companion()
+        C = P.frobenius_matrix()
         assert entries(_adjugate(C)) == sympy.Matrix(entries(C)).adjugate(
             ).tolist()
 
     def test_adjugate_is_verified(self, monkeypatch):
         monkeypatch.setattr(procyclic, "solve_integer", lambda A, B: B)
         with pytest.raises(VerificationFailed):
-            _adjugate(P_GENERIC.companion())
+            _adjugate(P_GENERIC.frobenius_matrix())
 
 
 class TestFrobConstructors:
@@ -435,7 +440,7 @@ class TestEigenproduct:
     def test_multiplicity_against_rational_nullity(self):
         # independent route: nullity of C kron C - q over Q
         for P in (P_GENERIC, P_CM, WEIL_CATALOG[4]):
-            C = P.companion()
+            C = P.frobenius_matrix()
             n = P.degree
             CC = C.kron(C)
             rows = [[CC.data[i][j] - (P.q if i == j else 0)
@@ -462,7 +467,7 @@ class TestVanishing:
         v = vanishing_probe(P_GENERIC, 3, 2, -1)
         assert v.nontrivial and v.corank == 2
         assert v.boundary_minus and not v.boundary_plus
-        assert v.corank_method == "eigenproduct" and v.crosschecked
+        assert v.crosschecked
 
     def test_both_sign_variants_probed(self):
         # the probe reports both sign conventions without privileging one:
@@ -494,17 +499,17 @@ class TestVanishing:
         v = vanishing_probe(P_QUARTIC, 3, 4, -2)
         assert v.matrix_dim == 256
         assert v.corank == 38
-        assert v.corank_method == "eigenproduct" and not v.crosschecked
+        assert not v.crosschecked
 
-    def test_squarefull_uses_kernel_route(self):
-        # the companion of a squarefull polynomial is not semisimple, so
-        # the geometric multiplicity (4) undercuts the algebraic one (8)
+    def test_squarefull_takes_the_shape_route(self):
+        # Frobenius is semisimple, so each root of T^2 - 2T + 5 counts
+        # twice: 2^j times the genus-one count, crosschecked by the kernel
         v = vanishing_probe(P_SQUARE, 3, 2, -1)
-        assert v.corank_method == "kernel"
-        assert v.corank == 4
+        assert v.corank == 8 and v.crosschecked
         assert vanishing_probe(P_SQUARE, 3, 1, 0).corank == 0
-        with pytest.raises(EnumerationCapExceeded):
-            vanishing_probe(P_SQUARE, 3, 4, -2)
+        v = vanishing_probe(P_SQUARE, 3, 4, -2)
+        assert v.matrix_dim == 256
+        assert v.corank == 2 ** 4 * 6 and not v.crosschecked
 
 
 class TestDuality:
@@ -530,12 +535,16 @@ class TestDuality:
         assert d.right_method == "eigenproduct-shared"
         assert d.left_corank == d.right_corank == 38 and d.levels_agree
 
-    def test_repeated_roots_above_the_cap_raise(self):
-        # the root product would count 8 where the kernel has nullity 4 at
-        # j = 2, so above the cap there is no exact route to share
-        with pytest.raises(EnumerationCapExceeded, match="256.*100"):
-            duality_crosscheck(P_SQUARE, 3, 4, -2)
-        assert duality_crosscheck(P_SQUARE, 3, 2, -1).left_corank == 4
+    def test_repeated_roots_share_the_root_route(self):
+        # the shape count is exact for a semisimple Frobenius, so above the
+        # cap a repeated-root P shares it like any other
+        d = duality_crosscheck(P_SQUARE, 3, 4, -2)
+        assert d.left_method == "eigenproduct"
+        assert d.right_method == "eigenproduct-shared"
+        assert d.left_corank == d.right_corank == 96 and d.levels_agree
+        d = duality_crosscheck(P_SQUARE, 3, 2, -1)
+        assert d.left_method == d.right_method == "kernel"
+        assert d.left_corank == d.right_corank == 8
 
     def test_sweep_agreement(self):
         for P in WEIL_CATALOG:
@@ -574,7 +583,7 @@ def uncached_corank(P, ell, j, r):
 def uncached_duality(P, ell, j, r):
     left = uncached_corank(P, ell, j, r)
     # the Tate side by Fraction elimination: q^a C^kron j - 1, a = -j - r
-    big = matrix_power_kron(P.companion(), j)
+    big = matrix_power_kron(P.frobenius_matrix(), j)
     a = -j - r
     n = big.rows
     rows = [[big.data[i][k] * P.q ** max(a, 0)
@@ -593,7 +602,7 @@ C0_SIX = CharPoly((1, 1, 6), 7)
 def shuffled_grid(draw):
     """One polynomial's (P, l, j, r) cases over every l, in random order."""
     P = draw(st.one_of(monic_polys(), st.sampled_from(WEIL_CATALOG[:6]),
-                       st.just(C0_SIX)))
+                       st.just(C0_SIX), st.just(P_SQUARE)))
     jmax = 2 if P.degree == 4 else 3
     slots = draw(st.lists(st.tuples(st.integers(0, jmax), st.integers(-2, 2)),
                           min_size=2, max_size=3, unique=True))
@@ -611,6 +620,83 @@ def integer_root_polys():
         st.sampled_from((2, 4)).flatmap(lambda deg: st.lists(
             st.sampled_from(((1, 0), (-1, 0), (1, 1), (-1, 1), (1, 2))),
             min_size=deg, max_size=deg, unique=True)))
+
+
+@st.composite
+def weil_quadratic_products(draw):
+    """CharPoly products of one to three Weil quadratics T^2 - aT + q,
+    a^2 < 4q, each taken one to three times, of degree at most 8."""
+    q = draw(st.sampled_from((2, 3, 5)))
+    edge = isqrt(4 * q - 1)
+    factors, degree = [], 0
+    for _ in range(draw(st.integers(1, 3))):
+        w = draw(st.integers(1, 3))
+        if degree + 2 * w > 8:
+            break
+        factors.append((w, (1, -draw(st.integers(-edge, edge)), q)))
+        degree += 2 * w
+    return CharPoly(expanded(factors), q)
+
+
+def evaluate_at(coeffs, M):
+    """The polynomial with leading-first coefficients coeffs at M, over Z."""
+    n = M.rows
+    total = IntMatrix.zeros(n, n)
+    for c in coeffs:
+        total = total @ M + IntMatrix.identity(n).scale(int(c))
+    return total
+
+
+class TestFrobeniusMatrix:
+    """The semisimple Frobenius matrix: companions of rad P, rad(P / rad P),
+    ... on the block diagonal."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(monic_even_polys())
+    @example(P_SQUARE.coefficients)
+    @example(weil_poly([0, 0, 0, 1], 5))  # (T^2 + 5)^3
+    def test_charpoly_and_radical_witness(self, coeffs):
+        # charpoly P by sympy, and rad P (sympy's squarefree part) kills
+        # the matrix over Z, so its minimal polynomial has distinct roots;
+        # the same witness fails on the companion exactly when P repeats
+        M = CharPoly(coeffs, 2).frobenius_matrix()
+        lam = sympy.Symbol("lambda")
+        got = sympy.Poly(sympy.Matrix(entries(M)).charpoly(lam), lam)
+        assert tuple(int(c) for c in got.all_coeffs()) == coeffs
+        rad = sympy.Poly(coeffs, lam).sqf_part().all_coeffs()
+        zero = IntMatrix.zeros(M.rows, M.rows)
+        assert evaluate_at(rad, M) == zero
+        companion = companion_matrix(CharPoly(coeffs, 2))
+        assert (evaluate_at(rad, companion) == zero) == \
+            sympy_is_squarefree(coeffs)
+
+    @pytest.mark.parametrize("P", WEIL_CATALOG)
+    def test_catalog_matrix_is_the_companion(self, P):
+        assert P.frobenius_matrix() == companion_matrix(P)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(monic_polys(), integer_root_polys(),
+                     monic_even_polys().map(lambda c: CharPoly(c, 2))).filter(
+        lambda P: sympy_is_squarefree(P.coefficients)))
+    def test_squarefree_matrix_is_the_companion(self, P):
+        assert P.frobenius_matrix() == companion_matrix(P)
+
+    @settings(max_examples=25, deadline=None)
+    @given(weil_quadratic_products())
+    @example(P_SQUARE)
+    def test_shape_count_matches_kernel_ranks(self, P):
+        # the integer kernel ranks of the box power and of the Tate side's
+        # Kronecker power, built afresh, against the shape count, at the
+        # two twists next to the boundary r = -j/2
+        C = P.frobenius_matrix()
+        j = 0
+        while P.degree ** j <= KERNEL_DIM_CAP:
+            for r in (-(j // 2), -(j // 2) - 1):
+                want = eigenproduct_multiplicity(P, j, r)
+                assert uncached_corank(P, 7, j, r) == want, (j, r)
+                tate = cleared_minus_one(matrix_power_kron(C, j), P.q, -j - r)
+                assert integer_kernel_basis(tate).cols == want, (j, r)
+            j += 1
 
 
 class TestEigenproductByShape:
@@ -634,15 +720,16 @@ class TestEigenproductByShape:
         self.assert_matches_oracle(P)
 
     @settings(max_examples=30, deadline=None)
-    @given(P=st.one_of(monic_polys(), integer_root_polys()).filter(
-        lambda P: P.is_squarefree()))
+    @given(P=st.one_of(monic_polys(), integer_root_polys()))
     def test_random_squarefree(self, P):
+        # drawn with or without repeated roots: the shape count is exact
+        # for every P
         self.assert_matches_oracle(P)
 
     @pytest.mark.parametrize("P, want", [(P_GENUS_THREE, 92),
                                          (P_GENUS_FOUR, 254)])
     def test_high_genus_against_root_tuples(self, P, want):
-        assert P.is_squarefree() and weil_weight_check(P)
+        assert sympy_is_squarefree(P.coefficients) and weil_weight_check(P)
         assert eigenproduct_multiplicity(P, 4, -2) == want
         for j, r in ((2, -1), (3, -1), (4, -2), (4, -1)):
             assert eigenproduct_multiplicity(P, j, r) == \
