@@ -360,8 +360,7 @@ def _run_boxcalc(inst, config) -> dict:
     fin = CoLGroup(LModule(ell, 0, (1,)))
     iota = CoMap.from_dual_matrix(fin, unit, [[1]])
     pi = CoMap.multiplication(unit, ell)
-    plain = left_exactness_probe(iota, pi, unit)
-    probe = left_exactness_probe(iota, pi, fin)
+    plain, probe = left_exactness_probe(iota, pi, unit, fin)
     witness = (plain.surjective and probe.left_exact
                and not probe.surjective and probe.obstruction == fin
                and box(fin, unit) == fin)

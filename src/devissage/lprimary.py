@@ -379,22 +379,26 @@ def _require_ses(iota: CoMap, pi: CoMap):
         raise ValueError("input sequence is not exact")
 
 
-def left_exactness_probe(iota: CoMap, pi: CoMap, A: CoLGroup) -> ProbeResult:
-    """Box an exact 0 -> X -> Y -> Z -> 0 with A and measure what survives.
+def left_exactness_probe(iota: CoMap, pi: CoMap,
+                         *groups: CoLGroup) -> tuple:
+    """Box an exact 0 -> X -> Y -> Z -> 0 with each group A and measure what
+    survives; one ProbeResult per group, in order, and one proof that the
+    input sequence is exact for all of them.
 
     The boxed sequence is always exact except possibly at the right end;
     the cokernel of the right map is reported as the obstruction.
     """
     _require_ses(iota, pi)
-    idA = CoMap.identity_on(A)
-    bi = box_maps(iota, idA)
-    bp = box_maps(pi, idA)
-    # the last homology is the cokernel of bp: the dual of ker(bp.dual_map)
-    hs = co_exactness([bi, bp])
-    obstruction = hs[-1]
-    return ProbeResult(
-        injective=hs[0].is_trivial,
-        middle_exact=hs[1].is_trivial,
-        surjective=obstruction.is_trivial,
-        obstruction=obstruction,
-    )
+    out = []
+    for A in groups:
+        idA = CoMap.identity_on(A)
+        # the last homology is the cokernel of the boxed pi: the dual of the
+        # kernel of its dual map
+        hs = co_exactness([box_maps(iota, idA), box_maps(pi, idA)])
+        out.append(ProbeResult(
+            injective=hs[0].is_trivial,
+            middle_exact=hs[1].is_trivial,
+            surjective=hs[2].is_trivial,
+            obstruction=hs[2],
+        ))
+    return tuple(out)

@@ -21,12 +21,11 @@ semisimply (CharPoly.frobenius_matrix).
 
 None of this depends on l, so each such result is memoized for the length
 of one CLI run (clear_memo); the checks that do depend on l run per call.
-The kernel crosscheck memoizes one box power per (P, j): its matrix, its
-q-power and its Hessenberg form mod NULLITY_PRIME (O(n^3) once).  A twist
-r moves only the q-power, so each twist's nullity is one O(n^2) full rank
-of a shifted Hessenberg matrix, with an exact integer kernel where that
-rank is short.  The Tate side memoizes one C^tensor j per (P, j) and keeps
-a dense nullity per twist, independent of the box side.
+The kernel crosscheck memoizes one box power per (P, j), its matrix and
+its q-power, and the Tate side one C^tensor j per (P, j), independent of
+the box side.  A twist moves only the q-power, so each twist's nullity on
+either side is one sparse rank mod NULLITY_PRIME of the shifted matrix,
+with an exact Bareiss rank where that rank is short.
 """
 
 from __future__ import annotations
@@ -43,12 +42,9 @@ from .exactlin import (
     LModule,
     NULLITY_PRIME,
     dual,
-    hessenberg_mod,
-    integer_kernel_basis,
     is_prime_power,
     kernel,
     matrix_power_kron,
-    nullity,
     rank_mod,
     solve_integer,
 )
@@ -319,12 +315,14 @@ def _adjugate(m: IntMatrix) -> IntMatrix:
     return X
 
 
+@_memo()
 def torsion_frob(P: CharPoly, ell: int) -> FrobObject:
     """Arithmetic Frobenius on the l-primary torsion of the paired variety.
 
     With P describing Frobenius C on the Tate module of the dual variety,
     the pairing into Z_l(1) forces the action here to be q * C^(-T); since
     det C = q^g this is q^(1-g) * adj(C)^T with an exact symbolic q-power.
+    Memoized per (P, l) and run, so adj(C) is taken once for every j.
     """
     _check_base(P, ell)
     carrier = CoLGroup(LModule(ell, P.degree))
@@ -522,27 +520,36 @@ def _kernel_corank(P: CharPoly, ell: int, j: int, r: int) -> int:
 
 @_memo(lambda P, ell, j: (P, j))
 def _box_family(P: CharPoly, ell: int, j: int):
-    """The transposed untwisted box power K, its q-power and K's Hessenberg
-    form mod NULLITY_PRIME; none of them depends on l or on the twist."""
+    """The transposed untwisted box power K and its q-power; neither
+    depends on l or on the twist."""
     X = box_torsion_frob(P, ell, j, 0)
-    K = X.matrix.transpose()
-    return K, X.qpow, hessenberg_mod(K, NULLITY_PRIME)
+    return X.matrix.transpose(), X.qpow
 
 
 @_memo(lambda P, ell, j, r: (P, j, r))
 def _box_nullity(P: CharPoly, ell: int, j: int, r: int) -> int:
     """Integer nullity of the cleared Frobenius - 1; the same at every l.
 
-    q^a K - 1, a = base + r, is a unit times K - q^-a, similar to H - q^-a
-    mod p: its full rank proves nullity 0, as in exactlin.nullity.  A short
-    rank, or p | q, takes the integer kernel."""
-    K, base, H = _box_family(P, ell, j)
-    a, p, n = base + r, NULLITY_PRIME, H.rows
-    if P.q % p:
-        shift = IntMatrix.diagonal((-pow(P.q, -a, p),) * n)
-        if rank_mod(H + shift, p) == n:
+    It is read on the box power K, not on C^tensor j: the two nullities are
+    equal, so the Tate side's matrix here would compare a number with
+    itself in duality_crosscheck."""
+    K, base = _box_family(P, ell, j)
+    return _twist_nullity(K, P.q, base + r)
+
+
+def _twist_nullity(M: IntMatrix, q: int, a: int) -> int:
+    """Rational nullity of q^a M - 1 (M - q^-a for a < 0), M square.
+
+    For p = NULLITY_PRIME prime to q it is a unit times M - q^-a mod p, and
+    full rank there proves nullity 0: a minor that is nonzero mod p is
+    nonzero over Z.  A short rank, or p | q, takes the exact Bareiss rank.
+    """
+    n, p = M.rows, NULLITY_PRIME
+    if q % p:
+        shift = IntMatrix.diagonal((-pow(q, -a, p),) * n)
+        if rank_mod(M + shift, p) == n:
             return 0
-    return integer_kernel_basis(cleared_minus_one(K, P.q, a)).cols
+    return n - cleared_minus_one(M, q, a).rank()
 
 
 @_memo(lambda P, j: (P.coefficients, j))
@@ -595,4 +602,4 @@ def duality_crosscheck(P: CharPoly, ell: int, j: int, r: int) -> DualityReport:
 @_memo()
 def _tate_fixed_rank(P: CharPoly, j: int, r: int) -> int:
     """Rank of the vectors fixed by q^(-j-r) C^tensor j on the free module."""
-    return nullity(cleared_minus_one(_tate_power(P, j), P.q, -j - r))
+    return _twist_nullity(_tate_power(P, j), P.q, -j - r)

@@ -16,6 +16,9 @@ through the component multigraph and held as edge bitmasks; co_cokernel,
 the cokernel of a discrete map that left_exactness_probe took besides its
 homology; box_twist_nullity, the kernel nullity of one twisted box power
 built afresh, before each twist read one box power per (P, j);
+hessenberg_mod, the Hessenberg form of each box power mod NULLITY_PRIME,
+and hessenberg_box_nullity, the twist nullity read off it, before each
+twist took one sparse rank of the shifted box power itself;
 row_copying_rank_mod and interleaved_hessenberg_mod, the forms of rank_mod
 and hessenberg_mod before they eliminated in place and batched each step's
 column operations; integer_newton_eigenproduct_poly, the composed power of
@@ -53,6 +56,7 @@ floating point.
 from collections import namedtuple
 from fractions import Fraction
 from itertools import product
+from operator import mul
 from types import SimpleNamespace
 
 import sympy
@@ -646,12 +650,68 @@ def co_cokernel(f):
 
 def box_twist_nullity(P, ell, j, r):
     """Nullity of the cleared Frobenius - 1 on the dual of A{l}^box j (r),
-    with the twisted box power built for this twist alone."""
-    from devissage.exactlin import nullity
+    with the twisted box power built for this twist alone, by its integer
+    kernel."""
+    from devissage.exactlin import integer_kernel_basis
     from devissage.lprimary import cleared_minus_one
     from devissage.procyclic import box_torsion_frob
     X = box_torsion_frob(P, ell, j, r)
-    return nullity(cleared_minus_one(X.matrix.transpose(), X.q, X.qpow))
+    return integer_kernel_basis(
+        cleared_minus_one(X.matrix.transpose(), X.q, X.qpow)).cols
+
+
+def hessenberg_mod(A, p):
+    """An upper Hessenberg matrix similar to the square A over Z/p, p prime.
+
+    Gaussian similarity (Cohen, Algorithm 2.2.9): each step's row operations
+    are followed by their inverse column operations, so rank(H - mu) equals
+    rank(A - mu) mod p at every shift mu.
+    """
+    from devissage.exactlin import IntMatrix
+    n = A.rows
+    if A.cols != n:
+        raise ValueError("Hessenberg form of a non-square matrix")
+    h = [[x % p for x in r] for r in A.data]
+    for k in range(n - 2):
+        i = next((i for i in range(k + 1, n) if h[i][k]), None)
+        if i is None:
+            continue
+        # move the pivot to the subdiagonal: swap rows, then the columns
+        h[i], h[k + 1] = h[k + 1], h[i]
+        for r in h:
+            r[i], r[k + 1] = r[k + 1], r[i]
+        top = h[k + 1]
+        inv = pow(top[k], -1, p)
+        cs = [h[i][k] * inv % p for i in range(k + 2, n)]
+        # L H L^-1 for L = I - sum c_i e_i e_(k+1)^T: row_i -= c_i row_(k+1)
+        # (both 0 left of k), then one column update col_(k+1) += sum c_i col_i
+        for i, c in enumerate(cs, k + 2):
+            if c:
+                row = h[i]
+                row[k:] = [(x - c * y) % p for x, y in zip(row[k:], top[k:])]
+        if any(cs):
+            for r in h:
+                r[k + 1] = (r[k + 1] + sum(map(mul, cs, r[k + 2:]))) % p
+    return IntMatrix(n, n, h)
+
+
+def hessenberg_box_nullity(P, ell, j, r):
+    """The twist nullity of the box power by its Hessenberg form H mod
+    p = NULLITY_PRIME: full rank of H - q^-a mod p proves nullity 0, and a
+    short rank, or p | q, takes the integer kernel of q^a K - 1."""
+    from devissage.exactlin import (
+        NULLITY_PRIME, IntMatrix, integer_kernel_basis, rank_mod)
+    from devissage.lprimary import cleared_minus_one
+    from devissage.procyclic import box_torsion_frob
+    X = box_torsion_frob(P, ell, j, 0)
+    K = X.matrix.transpose()
+    a, p, n = X.qpow + r, NULLITY_PRIME, K.rows
+    if P.q % p:
+        H = hessenberg_mod(K, p)
+        shift = IntMatrix.diagonal((-pow(P.q, -a, p),) * n)
+        if rank_mod(H + shift, p) == n:
+            return 0
+    return integer_kernel_basis(cleared_minus_one(K, P.q, a)).cols
 
 
 def row_copying_rank_mod(A, p):

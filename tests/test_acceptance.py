@@ -139,8 +139,7 @@ def test_criterion_03_non_right_exactness():
     ok = True
     for ell in (2, 3, 5):
         fin, unit, iota, pi = mult_ell_ses(ell)
-        plain = left_exactness_probe(iota, pi, unit)
-        boxed = left_exactness_probe(iota, pi, fin)
+        plain, boxed = left_exactness_probe(iota, pi, unit, fin)
         induced = box_maps(pi, CoMap.identity_on(fin))
         ok &= plain.surjective
         ok &= box(fin, unit) == fin

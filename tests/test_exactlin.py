@@ -22,7 +22,6 @@ from devissage.exactlin import (
     cokernel,
     dual,
     free_level,
-    hessenberg_mod,
     homology_at,
     integer_kernel_basis,
     is_prime,
@@ -30,7 +29,7 @@ from devissage.exactlin import (
     kernel,
     kernel_coordinates,
     level_kernel,
-    nullity,
+    matrix_power_kron,
     preimage,
     rank_mod,
     smith_with_inverses,
@@ -39,7 +38,8 @@ from devissage.exactlin import (
     tensor_with_index,
     valuation,
 )
-from devissage.lprimary import random_cogroup, torsbis_maps
+from devissage.lprimary import cleared_minus_one, random_cogroup, torsbis_maps
+from devissage.procyclic import _adjugate, _twist_nullity
 
 from generators import random_legal_graph
 from oracles import (
@@ -49,6 +49,7 @@ from oracles import (
     dense_smith_with_inverses,
     entrywise_lmap_matrix,
     generator_expression_lmodule_check,
+    hessenberg_mod,
     identity_kernel_homology_at,
     interleaved_hessenberg_mod,
     rational_nullity,
@@ -730,29 +731,37 @@ class TestBareiss:
 
 
 @st.composite
-def nullity_matrices(draw):
-    """L @ R of a random inner size: square, wide, tall, zero and rank
+def twist_cases(draw):
+    """(M, q, a) for the twist nullity of q^a M - 1, M square: M - 1 is
+    L @ R of a random inner size, so the twist a = 0 is often rank
     deficient.  Half the draws shift entries by multiples of NULLITY_PRIME,
-    which keeps the rank mod the prime but often raises the rank over Q."""
-    m, n, k = (draw(st.integers(0, 6)) for _ in range(3))
+    which keeps the rank mod the prime but often raises the rank over Q;
+    q = NULLITY_PRIME takes the exact route at every twist."""
+    n, k = draw(st.integers(0, 6)), draw(st.integers(0, 6))
     entries = st.integers(-4, 4)
-    L = [[draw(entries) for _ in range(k)] for _ in range(m)]
+    L = [[draw(entries) for _ in range(k)] for _ in range(n)]
     R = [[draw(entries) for _ in range(n)] for _ in range(k)]
     shifts = st.sampled_from((0, NULLITY_PRIME, -2 * NULLITY_PRIME)) \
         if draw(st.booleans()) else st.just(0)
-    return IntMatrix(m, n, [[sum(L[i][t] * R[t][j] for t in range(k))
-                             + draw(shifts) for j in range(n)]
-                            for i in range(m)])
+    M = IntMatrix(n, n, [[sum(L[i][t] * R[t][j] for t in range(k))
+                          + draw(shifts) + (i == j) for j in range(n)]
+                         for i in range(n)])
+    return (M, draw(st.sampled_from((2, 5, NULLITY_PRIME))),
+            draw(st.sampled_from((0, 0, 1, -1, 2))))
 
 
 class TestNullity:
-    """Rank mod a prime as a proof of full rank, the Smith form otherwise."""
+    """The twist nullity: full rank mod a prime as a proof of nullity 0,
+    the exact Bareiss rank otherwise."""
 
     @settings(max_examples=300, deadline=None)
-    @given(nullity_matrices())
-    def test_matches_kernel_basis_and_fractions(self, A):
+    @given(twist_cases())
+    def test_matches_kernel_basis_and_fractions(self, case):
+        M, q, a = case
+        A = cleared_minus_one(M, q, a)
         want = rational_nullity(A.data, A.cols)
-        assert nullity(A) == integer_kernel_basis(A).cols == want
+        assert _twist_nullity(M, q, a) == integer_kernel_basis(A).cols \
+            == want
         # a minor that is nonzero mod p is nonzero over Z
         assert rank_mod(A, NULLITY_PRIME) <= A.cols - want
 
@@ -761,14 +770,19 @@ class TestNullity:
         ([[NULLITY_PRIME, 0], [0, 1]], 1, 0),
         ([[1, 1], [1, 1 + NULLITY_PRIME]], 1, 0),       # det = p
         ([[NULLITY_PRIME, 2 * NULLITY_PRIME], [1, 2]], 1, 1),  # short over Q
-        ([[2, 4], [1, 2], [3, 6 - NULLITY_PRIME]], 1, 0),      # tall
-        ([[0, 0, 0]], 0, 3),
+        ([[2, 4, 0], [1, 2, NULLITY_PRIME],
+          [3, 6 - NULLITY_PRIME, 0]], 1, 0),             # det = 2p^2
+        ([[0, 0, 0]] * 3, 0, 3),
     ])
     def test_prime_dividing_a_minor_takes_the_fallback(self, rows, rank_p,
                                                        want):
+        # rows is M - 1, the twist a = 0; a short rank mod p goes to the
+        # exact route
         A = IntMatrix.from_rows(rows)
-        assert rank_mod(A, NULLITY_PRIME) == rank_p
-        assert nullity(A) == want == rational_nullity(rows, A.cols)
+        assert rank_mod(A, NULLITY_PRIME) == rank_p < A.cols
+        M = A + IntMatrix.identity(A.rows)
+        assert _twist_nullity(M, 5, 0) == want == rational_nullity(rows,
+                                                                   A.cols)
 
     def test_rank_mod_small_primes(self):
         A = IntMatrix.from_rows([[2, 0, 0], [0, 3, 0], [0, 0, 5]])
@@ -778,30 +792,59 @@ class TestNullity:
 
 @st.composite
 def rank_cases(draw):
-    """A matrix up to 8x8 and a prime p: any shape, 0 rows or 0 columns
-    included, with rows repeated up to a factor, or an upper Hessenberg
-    matrix with zero subdiagonal entries."""
+    """A matrix and a prime p, of three kinds: any shape up to 8x8, 0 rows
+    or 0 columns included, with rows repeated up to a factor; an upper
+    Hessenberg matrix with zero subdiagonal entries; a shifted Kronecker
+    power, up to 16x16, of a companion matrix C or of adj(C)^T, rows
+    permuted, as the vanishing suite's twists are.  C's polynomial has
+    integer roots, so half the shifts are an eigenvalue of the power: a
+    product of j roots of C, or of adj(C)^T, whose roots are det(C)/x."""
     p = draw(st.sampled_from((2, 3, NULLITY_PRIME)))
     entries = st.one_of(st.integers(-4, 4), st.integers(0, p - 1))
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(("any", "hessenberg", "kronecker")))
+    if kind == "hessenberg":
         m = n = draw(st.integers(0, 8))
         rows = [[draw(entries) if c + 1 >= i else 0 for c in range(n)]
                 for i in range(n)]
         for k in draw(st.lists(st.integers(0, n - 2), max_size=3)) \
                 if n > 1 else ():
             rows[k + 1][k] = 0
-    else:
+    elif kind == "any":
         m, n = draw(st.integers(0, 8)), draw(st.integers(0, 8))
         rows = [[draw(entries) for _ in range(n)] for _ in range(m)]
         for _ in range(draw(st.integers(0, 3)) if m else 0):
             i, k = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
             c = draw(st.integers(-3, 3))
             rows[i] = [c * x for x in rows[k]]
+    else:
+        roots = draw(st.lists(st.integers(-3, 3).filter(bool), min_size=1,
+                              max_size=4))
+        coeffs = [1]   # low degree first, times T - x for each root x
+        for x in roots:
+            coeffs = [b - x * a for a, b in zip(coeffs + [0], [0] + coeffs)]
+        C = companion(coeffs)
+        eigen = roots
+        if draw(st.booleans()):
+            det = C.det()
+            C, eigen = _adjugate(C).transpose(), [det // x for x in roots]
+        j = draw(st.integers(1, 4 if len(roots) <= 2 else 2))
+        power = matrix_power_kron(C, j)
+        mu = draw(entries)
+        if draw(st.booleans()):
+            mu = 1
+            for _ in range(j):
+                mu *= draw(st.sampled_from(eigen))
+        m = n = power.rows
+        order = draw(st.permutations(range(n)))
+        rows = [[x - mu * (i == c) for c, x in enumerate(power.data[i])]
+                for i in order]
     return IntMatrix(m, n, rows), p
 
 
 class TestRankMod:
-    """In-place elimination against the row-copying one it replaced."""
+    """In-place elimination with the fewest-nonzeros pivot against the
+    row-copying one, which pivots on the first nonzero row: over a field
+    the rank does not depend on the pivot order."""
 
     @settings(max_examples=400, deadline=None)
     @given(rank_cases())
@@ -888,7 +931,8 @@ def hessenberg_cases(draw):
 
 
 class TestHessenberg:
-    """The Gaussian similarity behind the twist families' rank test."""
+    """The Gaussian similarity behind the slow twist route,
+    oracles.hessenberg_box_nullity."""
 
     @settings(max_examples=300, deadline=None)
     @given(hessenberg_cases())

@@ -189,14 +189,14 @@ class TestLeftExactness:
 
     def test_probe_records_obstruction(self):
         fin, unit, iota, pi = mult_ell_ses(2)
-        res = left_exactness_probe(iota, pi, fin)
+        res, = left_exactness_probe(iota, pi, fin)
         assert res.left_exact
         assert not res.surjective
         assert res.obstruction == CoLGroup(LModule(2, 0, (1,)))
 
     def test_probe_with_divisible_stays_exact(self):
         _, unit, iota, pi = mult_ell_ses(3)
-        res = left_exactness_probe(iota, pi, unit)
+        res, = left_exactness_probe(iota, pi, unit)
         assert res.left_exact and res.surjective
 
     def test_split_sequence_stays_exact(self):
@@ -207,7 +207,7 @@ class TestLeftExactness:
             Z = random_cogroup(rng, ell)
             A = random_cogroup(rng, ell)
             _, iota, pi = split_ses(X, Z)
-            res = left_exactness_probe(iota, pi, A)
+            res, = left_exactness_probe(iota, pi, A)
             assert res.left_exact and res.surjective
 
     def test_obstruction_is_the_cokernel_of_the_boxed_right_map(self):
@@ -228,13 +228,23 @@ class TestLeftExactness:
                 idA = CoMap.identity_on(A)
                 for i, p in seqs:
                     want, _ = co_cokernel(box_maps(p, idA))
-                    assert left_exactness_probe(i, p, A).obstruction == want
+                    res, = left_exactness_probe(i, p, A)
+                    assert res.obstruction == want
 
     def test_not_exact_rejected(self):
         U = box_unit(2)
         with pytest.raises(ValueError, match="not compose to zero"):
             left_exactness_probe(CoMap.multiplication(U, 2),
                                  CoMap.multiplication(U, 2), U)
+
+    def test_composing_but_not_exact_rejected(self):
+        # pi iota = 0 but iota is not injective, and each boxed sequence is
+        # a complex: only the proof on the input sequence can reject it,
+        # once for all the groups
+        fin, unit, _, _ = mult_ell_ses(2)
+        zero = CoMap.from_dual_matrix(fin, unit, [[0]])
+        with pytest.raises(ValueError, match="input sequence is not exact"):
+            left_exactness_probe(zero, CoMap.identity_on(unit), unit, fin)
 
 
 class TestLevels:
@@ -496,7 +506,7 @@ class TestSequenceTransform:
         A = box_unit(2)
         C = CoLGroup(LModule(2, 0, (1,)))
         _, ia, pc = split_ses(A, C)
-        res = left_exactness_probe(ia, pc, box_unit(2))
+        res, = left_exactness_probe(ia, pc, box_unit(2))
         assert res.left_exact and res.surjective
 
     def test_divisible_mode_higher_powers(self):
@@ -506,7 +516,7 @@ class TestSequenceTransform:
         for j in [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)]:
             X = box(box(box_power(A, j[0]), box_power(B, j[1])),
                     box_power(C, j[2]))
-            res = left_exactness_probe(ia, pc, X)
+            res, = left_exactness_probe(ia, pc, X)
             assert res.left_exact and res.surjective
 
     def test_divisible_mode_nonsplit(self):
@@ -514,7 +524,7 @@ class TestSequenceTransform:
         # only after replacing the kernel: use 0 -> Ql/Zl ->(1,l) handled
         # instead through the mult-l sequence boxed with divisible A
         _, unit, iota, pi = mult_ell_ses(5)
-        res = left_exactness_probe(iota, pi, CoLGroup(LModule(5, 2)))
+        res, = left_exactness_probe(iota, pi, CoLGroup(LModule(5, 2)))
         assert res.left_exact and res.surjective
 
     def test_finite_mode_obstruction(self):
@@ -528,7 +538,7 @@ class TestSequenceTransform:
         # projection dual is mult by l into Z/l^2
         iota = CoMap.from_dual_matrix(A, B, [[1]])
         pi = CoMap.from_dual_matrix(B, C, [[ell]])
-        res = left_exactness_probe(iota, pi, A)
+        res, = left_exactness_probe(iota, pi, A)
         assert res.left_exact
         assert res.obstruction == CoLGroup(LModule(ell, 0, (1,)))
         assert tor_box(A, A) == CoLGroup(LModule(ell, 0, (1,)))
@@ -553,7 +563,7 @@ class TestSequenceTransform:
         C = CoLGroup(LModule(ell, 0, (1,)))
         iota = CoMap.from_dual_matrix(A, B, [[1]])
         pi = CoMap.from_dual_matrix(B, C, [[ell]])
-        res = left_exactness_probe(iota, pi, box_unit(ell))
+        res, = left_exactness_probe(iota, pi, box_unit(ell))
         assert res.obstruction.is_trivial
         assert res.left_exact and res.surjective
 

@@ -49,6 +49,7 @@ from oracles import (
     float_root_tuple_count,
     fraction_eigenproduct_poly,
     fraction_root_multiplicity,
+    hessenberg_box_nullity,
     integer_newton_eigenproduct_poly,
     rational_nullity,
     sympy_gcd_degree,
@@ -783,21 +784,24 @@ class TestMemoAgainstSlowRoutes:
 
 @pytest.fixture
 def exact_route(monkeypatch):
-    """The dimensions of the matrices _box_nullity hands to the integer
-    kernel, in call order."""
+    """The dimensions of the matrices whose exact Bareiss rank is taken,
+    in call order: the twist nullity's route where the rank mod p is
+    short."""
     dims = []
-    real = procyclic.integer_kernel_basis
+    real = IntMatrix.rank
 
     def counted(A):
         dims.append(A.rows)
         return real(A)
-    monkeypatch.setattr(procyclic, "integer_kernel_basis", counted)
+    monkeypatch.setattr(IntMatrix, "rank", counted)
     return dims
 
 
 class TestTwistFamilies:
-    """One box power and Hessenberg form per (P, j), read at every twist,
-    against the box power built for each twist alone."""
+    """One box power per (P, j), read at every twist by one sparse rank mod
+    NULLITY_PRIME and an exact Bareiss rank where that rank is short,
+    against the box power built for each twist alone and against the
+    Hessenberg route it replaced (oracles.hessenberg_box_nullity)."""
 
     def test_vanishing_grid_matches_per_twist_route(self, exact_route):
         # the grid of the vanishing suite, plus a repeated-root P whose
@@ -814,8 +818,10 @@ class TestTwistFamilies:
                         break
                     for r in range(-3, 4):
                         calls += 1
-                        assert _box_nullity(P, ell, j, r) == \
-                            box_twist_nullity(P, ell, j, r), (P, ell, j, r)
+                        assert _box_nullity(P, ell, j, r) \
+                            == box_twist_nullity(P, ell, j, r) \
+                            == hessenberg_box_nullity(P, ell, j, r), \
+                            (P, ell, j, r)
         # both routes ran, the exact one on P_SQUARE too
         assert exact_before < len(exact_route) < calls
 
