@@ -221,6 +221,11 @@ class IntMatrix:
         return IntMatrix._trusted(self.rows, self.cols, tuple([
             tuple([x % m for x in r]) for r in self.data]))
 
+    def residue_rows(self, p: int) -> list:
+        """self mod p as one {column: nonzero residue} dict per row."""
+        return [{k: y for k, x in enumerate(r) if (y := x % p)}
+                for r in self.data]
+
     def apply(self, vec: Sequence[int]) -> tuple:
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
@@ -498,39 +503,37 @@ def solve_integer(A: IntMatrix, B: IntMatrix) -> Optional[IntMatrix]:
 NULLITY_PRIME = 2 ** 30 - 35
 
 
-def rank_mod(A: IntMatrix, p: int) -> int:
-    """Rank of A over Z/p for a prime p, by Gaussian elimination in place:
-    each pivot updates only the rows with a nonzero entry in its column, at
-    its own nonzero columns.  The pivot of a column is the candidate row
-    with the fewest nonzeros, which fills in the fewest entries (Markowitz,
-    Management Sci. 3, 1957); over a field the rank is the same for every
-    pivot order.
+def rank_mod(rows: list, p: int) -> int:
+    """Rank over Z/p, p prime, of IntMatrix.residue_rows, by elimination in
+    place: each pivot updates only the rows with an entry in its column, at
+    its own columns, and drops each entry that cancels.  The pivot of a
+    column is the candidate row with the fewest nonzeros, which fills in the
+    fewest entries (Markowitz, Management Sci. 3, 1957); over a field the
+    rank is the same for every pivot order.
 
     A minor that is nonzero mod p is nonzero over Z, so this never exceeds
     the rank over Q.
 
-    >>> rank_mod(IntMatrix.from_rows([[1, 2], [3, 4]]), 2)
+    >>> rank_mod(IntMatrix.from_rows([[1, 2], [3, 4]]).residue_rows(2), 2)
     1
     """
-    rows = [[x % p for x in r] for r in A.data]
-    n = A.cols
     rank = 0
-    for c in range(n):
-        # rows holds the rows not yet taken as pivots; columns < c are zero
-        # in each, so the most zeros means the fewest nonzeros
-        below = [r for r in rows if r[c]]
+    for c in sorted(set().union(*rows)):  # fill stays in the input's columns
+        # rows holds the rows not yet taken as pivots, none with a column < c
+        below = [r for r in rows if c in r]
         if not below:
             continue
-        top = max(below, key=lambda r: r.count(0))
+        top = min(below, key=len)
         rows = [r for r in rows if r is not top]
-        inv = pow(top[c], -1, p)
-        tail = [(k, top[k] * inv % p) for k in range(c + 1, n) if top[k]]
+        inv = pow(top.pop(c), -1, p)
+        tail = [(k, y * inv % p) for k, y in top.items()]
         rank += 1
         for r in below:
             if r is not top:
-                x = r[c]
+                x = r.pop(c)
                 for k, y in tail:
-                    r[k] = (r[k] - x * y) % p
+                    if z := (r.pop(k, 0) - x * y) % p:
+                        r[k] = z
         if not rows:
             break
     return rank

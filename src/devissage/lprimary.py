@@ -312,7 +312,7 @@ class FrobObject:
             raise ValueError(f"q={self.q} is not a unit at l={self.ell}")
         if not is_prime_power(self.q):
             raise ValueError("q must be a prime power >= 2")
-        if n and rank_mod(mat, self.ell) < n:
+        if n and rank_mod(mat.residue_rows(self.ell), self.ell) < n:
             raise ValueError("frobenius must be an automorphism at l")
 
     @property
@@ -338,8 +338,11 @@ class FrobObject:
     # -- constructions ------------------------------------------------
 
     def twist(self, r: int) -> "FrobObject":
-        """Tate twist: multiply the Frobenius by q^r, tracked exactly."""
-        return FrobObject(self.carrier, self.matrix, self.q, self.qpow + r)
+        """Tate twist: multiply the Frobenius by q^r, tracked exactly; no
+        check reads qpow, so the twist is stored unchecked."""
+        out = object.__new__(FrobObject)
+        out.__dict__.update(self.__dict__, qpow=self.qpow + r)
+        return out
 
 
 def box_frob_power(X: FrobObject, n: int) -> FrobObject:

@@ -21,11 +21,11 @@ semisimply (CharPoly.frobenius_matrix).
 
 None of this depends on l, so each such result is memoized for the length
 of one CLI run (clear_memo); the checks that do depend on l run per call.
-The kernel crosscheck memoizes one box power per (P, j), its matrix and
-its q-power, and the Tate side one C^tensor j per (P, j), independent of
-the box side.  A twist moves only the q-power, so each twist's nullity on
-either side is one sparse rank mod NULLITY_PRIME of the shifted matrix,
-with an exact Bareiss rank where that rank is short.
+The kernel crosscheck memoizes one box power per (P, j), its matrix,
+q-power and residue rows mod NULLITY_PRIME, and the Tate side one C^tensor
+j per (P, j) with its residue rows, independent of the box side.  A twist
+moves only the q-power: its nullity on either side is one sparse rank of
+those rows shifted on the diagonal, or an exact Bareiss rank if short.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from .exactlin import (
     LModule,
     NULLITY_PRIME,
     dual,
+    is_prime,
     is_prime_power,
     kernel,
     matrix_power_kron,
@@ -512,7 +513,8 @@ def _kernel_corank(P: CharPoly, ell: int, j: int, r: int) -> int:
     # torsion_frob's checks on l, which a memo hit skips: the determinant of
     # every box power is a power of the constant term of P
     _check_base(P, ell)
-    LModule(ell, 0)  # rejects an l that is not prime
+    if not is_prime(ell):
+        raise ValueError(f"l must be prime, got {ell}")
     if P.coefficients[-1] % ell == 0:
         raise ValueError("frobenius must be an automorphism at l")
     return _box_nullity(P, ell, j, r)
@@ -520,10 +522,11 @@ def _kernel_corank(P: CharPoly, ell: int, j: int, r: int) -> int:
 
 @_memo(lambda P, ell, j: (P, j))
 def _box_family(P: CharPoly, ell: int, j: int):
-    """The transposed untwisted box power K and its q-power; neither
-    depends on l or on the twist."""
+    """The transposed untwisted box power K, its residue rows mod
+    NULLITY_PRIME and its q-power; none depends on l or on the twist."""
     X = box_torsion_frob(P, ell, j, 0)
-    return X.matrix.transpose(), X.qpow
+    K = X.matrix.transpose()
+    return K, K.residue_rows(NULLITY_PRIME), X.qpow
 
 
 @_memo(lambda P, ell, j, r: (P, j, r))
@@ -533,29 +536,35 @@ def _box_nullity(P: CharPoly, ell: int, j: int, r: int) -> int:
     It is read on the box power K, not on C^tensor j: the two nullities are
     equal, so the Tate side's matrix here would compare a number with
     itself in duality_crosscheck."""
-    K, base = _box_family(P, ell, j)
-    return _twist_nullity(K, P.q, base + r)
+    K, rows, base = _box_family(P, ell, j)
+    return _twist_nullity(K, rows, P.q, base + r)
 
 
-def _twist_nullity(M: IntMatrix, q: int, a: int) -> int:
-    """Rational nullity of q^a M - 1 (M - q^-a for a < 0), M square.
+def _twist_nullity(M: IntMatrix, rows: list, q: int, a: int) -> int:
+    """Rational nullity of q^a M - 1 (M - q^-a for a < 0), M square, with
+    rows = M.residue_rows(p) for p = NULLITY_PRIME.
 
-    For p = NULLITY_PRIME prime to q it is a unit times M - q^-a mod p, and
-    full rank there proves nullity 0: a minor that is nonzero mod p is
-    nonzero over Z.  A short rank, or p | q, takes the exact Bareiss rank.
-    """
+    For p prime to q it is a unit times M - q^-a mod p, rows with -q^-a on
+    the diagonal, and full rank there proves nullity 0: a minor that is
+    nonzero mod p is nonzero over Z.  A short rank, or p | q, takes the
+    exact Bareiss rank."""
     n, p = M.rows, NULLITY_PRIME
     if q % p:
-        shift = IntMatrix.diagonal((-pow(q, -a, p),) * n)
-        if rank_mod(M + shift, p) == n:
+        s, shifted = pow(q, -a, p), [dict(r) for r in rows]
+        for i, r in enumerate(shifted):
+            if d := (r.pop(i, 0) - s) % p:  # a cancelled entry stays out
+                r[i] = d
+        if rank_mod(shifted, p) == n:
             return 0
     return n - cleared_minus_one(M, q, a).rank()
 
 
 @_memo(lambda P, j: (P.coefficients, j))
-def _tate_power(P: CharPoly, j: int) -> IntMatrix:
-    """C^tensor j for P's Frobenius matrix C, built once per (P, j) and run."""
-    return matrix_power_kron(P.frobenius_matrix(), j)
+def _tate_power(P: CharPoly, j: int) -> tuple:
+    """C^tensor j for P's Frobenius matrix C and its residue rows mod
+    NULLITY_PRIME, built once per (P, j) and run."""
+    C = matrix_power_kron(P.frobenius_matrix(), j)
+    return C, C.residue_rows(NULLITY_PRIME)
 
 
 # ---------------------------------------------------------------------------
@@ -602,4 +611,4 @@ def duality_crosscheck(P: CharPoly, ell: int, j: int, r: int) -> DualityReport:
 @_memo()
 def _tate_fixed_rank(P: CharPoly, j: int, r: int) -> int:
     """Rank of the vectors fixed by q^(-j-r) C^tensor j on the free module."""
-    return _twist_nullity(_tate_power(P, j), P.q, -j - r)
+    return _twist_nullity(*_tate_power(P, j), P.q, -j - r)

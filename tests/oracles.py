@@ -20,8 +20,8 @@ hessenberg_mod, the Hessenberg form of each box power mod NULLITY_PRIME,
 and hessenberg_box_nullity, the twist nullity read off it, before each
 twist took one sparse rank of the shifted box power itself;
 row_copying_rank_mod and interleaved_hessenberg_mod, the forms of rank_mod
-and hessenberg_mod before they eliminated in place and batched each step's
-column operations; integer_newton_eigenproduct_poly, the composed power of
+and hessenberg_mod before they eliminated in place on sparse residue rows
+and batched each step's column operations; integer_newton_eigenproduct_poly, the composed power of
 degree (2g)^j that eigenproduct_poly built before it split the products by
 exponent shape, Newton's recurrence written term by term;
 dense_smith_with_inverses, the Smith form before it skipped zeros and
@@ -709,7 +709,7 @@ def hessenberg_box_nullity(P, ell, j, r):
     if P.q % p:
         H = hessenberg_mod(K, p)
         shift = IntMatrix.diagonal((-pow(P.q, -a, p),) * n)
-        if rank_mod(H + shift, p) == n:
+        if rank_mod((H + shift).residue_rows(p), p) == n:
             return 0
     return integer_kernel_basis(cleared_minus_one(K, P.q, a)).cols
 

@@ -750,20 +750,41 @@ def twist_cases(draw):
             draw(st.sampled_from((0, 0, 1, -1, 2))))
 
 
+def twist_nullity(M, q, a):
+    """_twist_nullity on M with its residue rows mod NULLITY_PRIME."""
+    return _twist_nullity(M, M.residue_rows(NULLITY_PRIME), q, a)
+
+
+def rank_mod_of(A, p):
+    """rank_mod on the residue rows of A mod p."""
+    return rank_mod(A.residue_rows(p), p)
+
+
 class TestNullity:
-    """The twist nullity: full rank mod a prime as a proof of nullity 0,
-    the exact Bareiss rank otherwise."""
+    """The twist nullity: full rank mod a prime of the residue rows shifted
+    on the diagonal as a proof of nullity 0, the exact Bareiss rank
+    otherwise."""
 
     @settings(max_examples=300, deadline=None)
     @given(twist_cases())
+    # the shift cancels a stored diagonal residue, M_00 = q^-a mod p, at
+    # full rank and at a short one, and at a > 0 through the inverse of q
+    @example((IntMatrix.from_rows([[5, 1], [1, 0]]), 5, -1))
+    @example((IntMatrix.from_rows([[5, 1], [0, 2]]), 5, -1))
+    @example((IntMatrix.from_rows([[pow(5, -1, NULLITY_PRIME), 1], [1, 0]]),
+              5, 1))
+    # a zero residue row, and a zero row of the shifted matrix
+    @example((IntMatrix.from_rows([[0, 0], [3, 4]]), 5, 0))
+    @example((IntMatrix.from_rows([[1, 0], [3, 4]]), 5, 0))
+    @example((IntMatrix(0, 0, []), 5, 1))
     def test_matches_kernel_basis_and_fractions(self, case):
         M, q, a = case
         A = cleared_minus_one(M, q, a)
         want = rational_nullity(A.data, A.cols)
-        assert _twist_nullity(M, q, a) == integer_kernel_basis(A).cols \
+        assert twist_nullity(M, q, a) == integer_kernel_basis(A).cols \
             == want
         # a minor that is nonzero mod p is nonzero over Z
-        assert rank_mod(A, NULLITY_PRIME) <= A.cols - want
+        assert rank_mod_of(A, NULLITY_PRIME) <= A.cols - want
 
     @pytest.mark.parametrize("rows, rank_p, want", [
         ([[NULLITY_PRIME]], 0, 0),
@@ -779,15 +800,15 @@ class TestNullity:
         # rows is M - 1, the twist a = 0; a short rank mod p goes to the
         # exact route
         A = IntMatrix.from_rows(rows)
-        assert rank_mod(A, NULLITY_PRIME) == rank_p < A.cols
+        assert rank_mod_of(A, NULLITY_PRIME) == rank_p < A.cols
         M = A + IntMatrix.identity(A.rows)
-        assert _twist_nullity(M, 5, 0) == want == rational_nullity(rows,
+        assert twist_nullity(M, 5, 0) == want == rational_nullity(rows,
                                                                    A.cols)
 
     def test_rank_mod_small_primes(self):
         A = IntMatrix.from_rows([[2, 0, 0], [0, 3, 0], [0, 0, 5]])
-        assert [rank_mod(A, p) for p in (2, 3, 5, 7)] == [2, 2, 2, 3]
-        assert rank_mod(IntMatrix(0, 4, []), 3) == 0
+        assert [rank_mod_of(A, p) for p in (2, 3, 5, 7)] == [2, 2, 2, 3]
+        assert rank_mod_of(IntMatrix(0, 4, []), 3) == 0
 
 
 @st.composite
@@ -850,10 +871,14 @@ class TestRankMod:
     @given(rank_cases())
     @example((IntMatrix(0, 3, []), 2))
     @example((IntMatrix(3, 0, [[], [], []]), NULLITY_PRIME))
+    @example((IntMatrix(0, 0, []), 3))
     @example((IntMatrix.from_rows([[1, 2, 3], [0, 0, 4], [0, 0, 5]]), 3))
+    # a zero row, and residues that cancel: fill meets an entry it clears
+    @example((IntMatrix.from_rows([[0, 0, 0], [1, 2, 3], [0, 0, 0]]), 5))
+    @example((IntMatrix.from_rows([[1, 1, 1], [1, 1, 3], [2, 2, 0]]), 7))
     def test_matches_row_copying_elimination(self, case):
         A, p = case
-        assert rank_mod(A, p) == row_copying_rank_mod(A, p)
+        assert rank_mod_of(A, p) == row_copying_rank_mod(A, p)
 
 
 @st.composite
@@ -948,8 +973,8 @@ class TestHessenberg:
                    for i in range(k + 2, n))
         one = IntMatrix.identity(n)
         for mu in mus:
-            assert rank_mod(H - one.scale(mu), p) == \
-                rank_mod(A - one.scale(mu), p)
+            assert rank_mod_of(H - one.scale(mu), p) == \
+                rank_mod_of(A - one.scale(mu), p)
 
     @settings(max_examples=300, deadline=None)
     @given(hessenberg_cases())

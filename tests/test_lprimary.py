@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from devissage import lprimary
 from devissage.exactlin import (
     CoLGroup,
     IntMatrix,
@@ -392,9 +393,21 @@ class TestDirectSystem:
 
 
 class TestFrob:
-    def test_twist_composes_to_identity(self):
+    def test_twist_composes_to_identity(self, monkeypatch):
         X = FrobObject(CoLGroup(LModule(3, 2)), IntMatrix.identity(2), 7)
+        # no check reads qpow, so a twist proves nothing again
+        checks, real = [], lprimary.rank_mod
+        monkeypatch.setattr(lprimary, "rank_mod",
+                            lambda rows, p: checks.append(p) or real(rows, p))
         assert X.twist(4).twist(-4) == X
+        assert X.twist(-1).qpow == -1 and not checks
+        FrobObject(X.carrier, X.matrix, 7, qpow=-1)  # the constructor checks
+        assert checks == [3]
+        monkeypatch.undo()
+        # the constructor still rejects a matrix singular mod l
+        with pytest.raises(ValueError, match="automorphism"):
+            FrobObject(CoLGroup(LModule(3, 2)),
+                       IntMatrix.from_rows([[1, 2], [2, 1]]), 7)
 
     def test_twist_on_mu(self):
         # Frobenius on mu = Ql/Zl(1) is multiplication by q

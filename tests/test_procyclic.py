@@ -1,6 +1,7 @@
 """Cohomology over a finite base: Weil checks, vanishing probes, duality."""
 
 import os
+import sys
 from fractions import Fraction
 from math import comb, isqrt
 
@@ -855,4 +856,45 @@ class TestTatePowers:
         code, _ = cli.run(cli.RunConfig(fixture, suites=("vanishing",)))
         assert code == 0
         assert len(built) == len(set(built)) == 34
+
+    def test_residue_rows_once_per_family_and_no_dense_shift(
+            self, monkeypatch, exact_route):
+        """A vanishing run on g1_swap builds the residue rows of each box
+        power and each C^kron j once, and a twist of full rank mod p builds
+        no dense shift matrix and adds no matrices."""
+        from devissage import cli
+        built, dense, full_rank = [], [], []
+        real_twist = procyclic._twist_nullity
+        real_rows = IntMatrix.residue_rows
+        real_diagonal, real_add = IntMatrix.diagonal, IntMatrix.__add__
+
+        def rows(M, p):
+            # FrobObject's checks take the rows mod l
+            if p == NULLITY_PRIME:
+                caller = sys._getframe(1)
+                P, j = caller.f_locals["P"], caller.f_locals["j"]
+                built.append((caller.f_code.co_name, P.coefficients, P.q, j))
+            return real_rows(M, p)
+
+        def twist(*args):
+            dense_before, exact_before = len(dense), len(exact_route)
+            nullity = real_twist(*args)
+            if len(exact_route) == exact_before:
+                full_rank.append(len(dense) - dense_before)
+            return nullity
+        monkeypatch.setattr(IntMatrix, "residue_rows", rows)
+        monkeypatch.setattr(procyclic, "_twist_nullity", twist)
+        monkeypatch.setattr(IntMatrix, "diagonal", staticmethod(
+            lambda entries: dense.append(1) or real_diagonal(entries)))
+        monkeypatch.setattr(IntMatrix, "__add__",
+                            lambda A, B: dense.append(1) or real_add(A, B))
+        fixture = os.path.join(os.path.dirname(__file__), os.pardir,
+                               "fixtures", "g1_swap.json")
+        code, _ = cli.run(cli.RunConfig(fixture, suites=("vanishing",)))
+        assert code == 0
+        assert len(built) == len(set(built)) == 68
+        assert sorted(side for side, *_ in built) \
+            == ["_box_family"] * 34 + ["_tate_power"] * 34
+        # both routes ran, and no full-rank twist touched a dense matrix
+        assert exact_route and full_rank and not any(full_rank)
 
