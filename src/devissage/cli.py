@@ -35,6 +35,7 @@ from .dualgraph import (
     default_divisors,
     laplacian,
     n_x,
+    tree_edges,
 )
 from .errors import (
     EnumerationCapExceeded,
@@ -493,7 +494,7 @@ def _run_splitting(inst, config) -> dict:
     chosen = []
     running = 0
     for orbit in inst.orbits:
-        chosen.append(orbit)
+        chosen.append([tree_edges(inst.graph, t) for t in orbit])
         running = gcd(running, len(orbit))
         if running == inst.m:
             break

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product
 from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -45,25 +44,25 @@ DEFAULT_TREE_CAP = 10 ** 6
 # the graph
 
 
-def orbit_partition(points, images) -> List[set]:
+def orbit_partition(points, images) -> List[list]:
     """Orbits of points under a group action, in order of first appearance.
 
-    images(x) lists the image of x under each generator; an orbit is the
-    set reached from its first point by repeatedly applying them.
+    images(x) lists the image of x under each generator; an orbit lists
+    the points reached from its first one by repeatedly applying them, in
+    the order found.
     """
     seen = set()
     out = []
     for start in points:
         if start in seen:
             continue
-        orbit = {start}
-        frontier = [start]
-        while frontier:
-            for img in images(frontier.pop()):
-                if img not in orbit:
-                    orbit.add(img)
-                    frontier.append(img)
-        seen |= orbit
+        seen.add(start)
+        orbit = [start]
+        for x in orbit:
+            for img in images(x):
+                if img not in seen:
+                    seen.add(img)
+                    orbit.append(img)
         out.append(orbit)
     return out
 
@@ -379,13 +378,14 @@ def _multigraph_trees(nverts: int, ends: Sequence[Tuple[int, int]]):
     allowed.  Deletion/contraction on the first remaining edge: the branch
     that keeps it merges its ends and drops the loops this makes, the
     branch that deletes it is taken only when the rest still connects the
-    graph.  Every branch so holds a connected graph and ends in a tree.
+    graph.  Every branch so holds a connected graph, and one with an edge
+    fewer than vertices is a tree, emitted whole without recursing.
     """
     found: List[Tuple[int, ...]] = []
 
     def rec(edges, alive: frozenset, chosen: Tuple[int, ...]):
-        if len(alive) == 1:
-            found.append(chosen)
+        if len(edges) == len(alive) - 1:
+            found.append(chosen + tuple(j for _, _, j in edges))
             return
         (a, b, j), rest = edges[0], edges[1:]
         merged = [(a if x == b else x, a if y == b else y, k)
@@ -399,20 +399,33 @@ def _multigraph_trees(nverts: int, ends: Sequence[Tuple[int, int]]):
     return found
 
 
-def spanning_trees(graph: DualGraph, cap: int = DEFAULT_TREE_CAP):
-    """All spanning trees, each a sorted tuple of edges, in sorted order.
+def _edge_bits(graph: DualGraph) -> Dict[Edge, int]:
+    """Edge i of graph.edges as bit E-1-i of a tree mask, so that decreasing
+    masks list trees in the order of their sorted edge index tuples."""
+    top = len(graph.edges) - 1
+    return {e: 1 << top - i for e, i in graph.edge_index.items()}
 
-    A Laplacian cofactor counts the trees first (the matrix-tree theorem),
-    so more than cap trees raise EnumerationCapExceeded, naming the count,
-    before anything is enumerated.  Every node lies on exactly two distinct
-    components, so the graph is the subdivision of its component multigraph
-    M, whose vertices are the components and whose edges are the nodes.  A
-    spanning tree of the graph is a spanning tree T of M with both edges at
-    every node of T, plus one of the two edges at every other node: with N
-    nodes and C components there are tau(M) * 2^(N - C + 1) of them.  M's
-    trees are enumerated and the product expanded.  The count is cross
-    checked against the cofactor; a mismatch means the enumerator itself is
-    broken and raises immediately.
+
+def tree_edges(graph: DualGraph, mask: int) -> Tuple[Edge, ...]:
+    """The edges of a tree mask, in graph.edges order."""
+    return tuple(e for e, b in _edge_bits(graph).items() if mask & b)
+
+
+def spanning_trees(graph: DualGraph, cap: int = DEFAULT_TREE_CAP):
+    """All spanning trees as edge bitmasks (see _edge_bits), decreasing.
+
+    Every node lies on exactly two distinct components, so the graph is the
+    subdivision of its component multigraph M, whose vertices are the
+    components and whose edges are the nodes.  A spanning tree of the graph
+    is a spanning tree T of M with both edges at every node of T, plus one
+    of the two edges at every other node: with N nodes and C components
+    there are tau(M) * 2^(N - C + 1) of them.  That count comes first, from
+    a cofactor of M's C x C Laplacian (the matrix-tree theorem), so more
+    than cap trees raise EnumerationCapExceeded, naming the count, before
+    any larger determinant or any enumeration.  Under the cap M's trees are
+    enumerated and each expanded by OR-ing the masks of its nodes' halves.
+    The count is checked against the graph's own Laplacian cofactor; a
+    mismatch means the enumerator itself is broken and raises immediately.
 
     The 3-banana, two components through three nodes, has tau(M) = 3:
 
@@ -421,50 +434,54 @@ def spanning_trees(graph: DualGraph, cap: int = DEFAULT_TREE_CAP):
     >>> len(spanning_trees(g))  # 3 * 2^(3 - 2 + 1)
     12
     """
-    verts = graph.vertex_ids
-    idx = list(range(1, len(verts)))
-    cofactor = laplacian(graph).take_rows(idx).take_cols(idx).det()
-    if cofactor > cap:
-        raise EnumerationCapExceeded(
-            f"{cofactor} spanning trees exceed the cap of {cap}; raise the "
-            f"cap to enumerate")
-    edges, eindex = graph.edges, graph.edge_index
     cindex = {c: i for i, c in enumerate(graph.component_ids)}
     pairs = [graph.node_components(n) for n in graph.nodes]
-    halves = [(eindex[a, n], eindex[b, n])
-              for (a, b), n in zip(pairs, graph.nodes)]
-    found: List[Tuple[int, ...]] = []
-    for t in _multigraph_trees(len(cindex),
-                               [(cindex[a], cindex[b]) for a, b in pairs]):
-        inside = [i for j in t for i in halves[j]]
+    ends = [(cindex[a], cindex[b]) for a, b in pairs]
+    lap = [[0] * len(cindex) for _ in cindex]   # M's Laplacian
+    for a, b in ends + [e[::-1] for e in ends]:
+        lap[a][a] += 1
+        lap[a][b] -= 1
+    minor = IntMatrix.from_rows([r[1:] for r in lap[1:]], len(lap) - 1)
+    count = minor.det() * 2 ** (len(ends) - len(lap) + 1)
+    if count > cap:
+        raise EnumerationCapExceeded(
+            f"{count} spanning trees exceed the cap of {cap}; raise the "
+            f"cap to enumerate")
+    bit = _edge_bits(graph)
+    halves = [(bit[a, n], bit[b, n]) for (a, b), n in zip(pairs, graph.nodes)]
+    found: List[int] = []
+    for t in _multigraph_trees(len(lap), ends):
         kept = set(t)
-        outside = [h for j, h in enumerate(halves) if j not in kept]
-        found.extend(tuple(sorted(inside + list(pick)))
-                     for pick in product(*outside))
-    found.sort()
-    if cofactor != len(found):
+        masks = [sum(x | y for x, y in map(halves.__getitem__, t))]
+        for j, (x, y) in enumerate(halves):
+            if j not in kept:
+                masks = [m | x for m in masks] + [m | y for m in masks]
+        found += masks
+    found.sort(reverse=True)
+    idx = range(1, len(graph.vertex_ids))
+    cofactor = laplacian(graph).take_rows(idx).take_cols(idx).det()
+    if not len(found) == count == cofactor:
         raise VerificationFailed(
             f"spanning tree enumeration found {len(found)} trees but the "
-            f"Laplacian cofactor is {cofactor}")
-    return tuple(tuple(edges[i] for i in t) for t in found)
+            f"matrix-tree theorem counts {count} (M) and {cofactor} (graph)")
+    return tuple(found)
 
 
-def _tree_orbit_positions(graph: DualGraph, trees, not_closed: Exception):
-    """Orbits of trees (sorted tuples of graph edges) under the action, each
-    a sorted list of positions in trees; an image outside the given trees
-    raises not_closed.  Trees are held as bitmasks over edge indices, and a
-    generator maps a mask one byte at a time: per 8-bit chunk of the mask,
-    a table sends each byte value to the bits of its edges' images."""
+def _tree_orbit_positions(graph: DualGraph, masks, not_closed: Exception):
+    """Orbits of tree masks (see _edge_bits) under the action, each a
+    sorted list of positions in masks; an image outside the given masks
+    raises not_closed.  A generator maps a mask one byte at a time: per
+    8-bit chunk of the mask, a table sends each byte value to the bits of
+    its edges' images."""
     edges = graph.edges
-    bit_of = {e: 1 << i for e, i in graph.edge_index.items()}
-    # a tree's edges are distinct bits, so their sum is the mask
-    masks = [sum(map(bit_of.__getitem__, t)) for t in trees]
+    bit = _edge_bits(graph)
     position = {mask: k for k, mask in enumerate(masks)}
     nbytes = (len(edges) + 7) // 8
     data = [mask.to_bytes(nbytes, "little") for mask in masks]
     images = []
     for p in graph.action:
-        moved = [bit_of[graph.edge_image(p, e)] for e in edges]
+        # the image bit of each bit, lowest first
+        moved = [bit[graph.edge_image(p, e)] for e in reversed(edges)]
         img = [0] * len(masks)
         for c in range(nbytes):
             table = [0]
@@ -475,14 +492,15 @@ def _tree_orbit_positions(graph: DualGraph, trees, not_closed: Exception):
         if None in pos:
             raise not_closed
         images.append(pos)
-    per_tree = list(zip(*images)) if images else [()] * len(trees)
-    return [sorted(o) for o in orbit_partition(range(len(trees)),
+    per_tree = list(zip(*images)) if images else [()] * len(masks)
+    return [sorted(o) for o in orbit_partition(range(len(masks)),
                                                per_tree.__getitem__)]
 
 
 def tree_orbits(graph: DualGraph, cap: int = DEFAULT_TREE_CAP):
-    """Orbits of the spanning tree set under the generated action group,
-    each a sorted tuple of trees, in sorted order."""
+    """Orbits of the spanning tree masks under the generated action group,
+    each a tuple of masks in spanning_trees order, the orbits ordered by
+    their position lists; tree_edges reads a mask's edges."""
     trees = spanning_trees(graph, cap)
     orbits = _tree_orbit_positions(graph, trees, VerificationFailed(
         "action image of a spanning tree is not a spanning tree"))
@@ -990,7 +1008,9 @@ def _orbit_section(lattice: XiLattice, tree_orbit):
     leaf_orders = {t: _leaf_order(graph, t) for t in normalized}
     if len(set(normalized)) != len(normalized):
         raise ValueError("repeated tree in the orbit")
-    if len(_tree_orbit_positions(graph, normalized, ValueError(
+    bit = _edge_bits(graph)
+    masks = [sum(map(bit.__getitem__, t)) for t in normalized]
+    if len(_tree_orbit_positions(graph, masks, ValueError(
             "orbit is not closed under the action"))) != 1:
         raise ValueError("the given trees split into several orbits")
 

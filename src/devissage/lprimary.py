@@ -337,23 +337,31 @@ class FrobObject:
 
     # -- constructions ------------------------------------------------
 
+    @classmethod
+    def _trusted(cls, carrier, matrix, q, qpow) -> "FrobObject":
+        """Derived from a checked object: stored without the checks."""
+        out = object.__new__(cls)
+        out.__dict__.update(carrier=carrier, matrix=matrix, q=q, qpow=qpow)
+        return out
+
     def twist(self, r: int) -> "FrobObject":
         """Tate twist: multiply the Frobenius by q^r, tracked exactly; no
         check reads qpow, so the twist is stored unchecked."""
-        out = object.__new__(FrobObject)
-        out.__dict__.update(self.__dict__, qpow=self.qpow + r)
-        return out
+        return self._trusted(self.carrier, self.matrix, self.q, self.qpow + r)
 
 
 def box_frob_power(X: FrobObject, n: int) -> FrobObject:
     """n-fold box power of a Frobenius object; the 0th power is the unit.
 
     The carrier's dual is free: its tensor power orders generator tuples as
-    the Kronecker power does, and (q^a F)^box n = q^(n a) F^box n."""
+    the Kronecker power does, and (q^a F)^box n = q^(n a) F^box n.  The
+    power is stored unchecked: the box power of a divisible carrier is
+    divisible, and det(F^kron n) = det(F)^(n c^(n-1)) on c generators, a
+    unit mod l because det(F) is."""
     if n < 0:
         raise ValueError("negative box power")
-    return FrobObject(box_power(X.carrier, n), matrix_power_kron(X.matrix, n),
-                      X.q, n * X.qpow)
+    return FrobObject._trusted(box_power(X.carrier, n),
+                               matrix_power_kron(X.matrix, n), X.q, n * X.qpow)
 
 
 # ---------------------------------------------------------------------------

@@ -27,14 +27,16 @@ def matrix_power(m: IntMatrix, k: int) -> IntMatrix:
 
 def random_legal_graph(rng, max_components: int = 4, max_extra_nodes: int = 3,
                        genus_pool: Sequence[int] = (0, 0, 0, 1, 2),
-                       allow_action: bool = True) -> DualGraph:
+                       allow_action: bool = True,
+                       generators: int = 1) -> DualGraph:
     """A random valid graph, optionally with a random nontrivial symmetry.
 
     Components are joined into a random tree by degree two nodes, then extra
     nodes add independent cycles, so the Betti number equals the number of
     extras by construction.  When allow_action is set, a nontrivial
     automorphism is searched for by brute force over genus preserving
-    component permutations and used as a single generator when found.
+    component permutations, and that many random nontrivial ones (repeats
+    allowed) become the action's generators when any is found.
     """
     n1 = rng.randint(1, max_components)
     comps = [(f"c{i}", rng.choice(genus_pool)) for i in range(1, n1 + 1)]
@@ -67,8 +69,9 @@ def random_legal_graph(rng, max_components: int = 4, max_extra_nodes: int = 3,
     nontrivial = [a for a in autos if any(a[v] != v for v in a)]
     if not nontrivial:
         return graph
-    pick = nontrivial[rng.randrange(len(nontrivial))]
-    return DualGraph(comps, nodes, edges, action=[pick])
+    picks = [nontrivial[rng.randrange(len(nontrivial))]
+             for _ in range(generators)]
+    return DualGraph(comps, nodes, edges, action=picks)
 
 
 def random_symmetric_graph(rng, tries: int = 100, **kw) -> DualGraph:

@@ -12,7 +12,12 @@ proved every assembled split sequence exact before the verdict was read off
 its identity blocks; edge_recursion_trees with frozenset_tree_orbits,
 the spanning-tree enumeration over the graph's own edges and the orbit
 partition of trees as frozensets of edges, before trees were enumerated
-through the component multigraph and held as edge bitmasks; co_cokernel,
+through the component multigraph; recursive_multigraph_trees,
+edge_tuple_spanning_trees, edge_tuple_orbit_positions and
+edge_tuple_tree_orbits, that enumeration recursing down to one vertex and
+the trees held as edge tuples with the bitmask of edge i at bit i, before
+a branch that is a tree was emitted whole and a tree was one bitmask from
+enumeration to orbit; co_cokernel,
 the cokernel of a discrete map that left_exactness_probe took besides its
 homology; box_twist_nullity, the kernel nullity of one twisted box power
 built afresh, before each twist read one box power per (P, j);
@@ -636,6 +641,100 @@ def frozenset_tree_orbits(graph, trees):
     return tuple(sorted(orbits))
 
 
+def recursive_multigraph_trees(nverts, ends):
+    """_multigraph_trees before it emitted a tree branch whole: spanning
+    trees of a connected loopless multigraph as edge index tuples, by
+    deletion/contraction that recurses down to a single vertex."""
+    from devissage.dualgraph import _components
+    found = []
+
+    def rec(edges, alive, chosen):
+        if len(alive) == 1:
+            found.append(chosen)
+            return
+        (a, b, j), rest = edges[0], edges[1:]
+        merged = [(a if x == b else x, a if y == b else y, k)
+                  for x, y, k in rest]
+        rec([e for e in merged if e[0] != e[1]], alive - {b}, chosen + (j,))
+        if len(_components(alive, [e[:2] for e in rest])) == 1:
+            rec(rest, alive, chosen)
+
+    rec([(a, b, j) for j, (a, b) in enumerate(ends)], frozenset(range(nverts)),
+        ())
+    return found
+
+
+def edge_tuple_spanning_trees(graph):
+    """spanning_trees before trees were edge bitmasks: each tree a tuple of
+    edges in graph.edges order, built from sorted edge index tuples through
+    the product of the halves at the nodes outside each multigraph tree,
+    in sorted order."""
+    eindex = graph.edge_index
+    cindex = {c: i for i, c in enumerate(graph.component_ids)}
+    pairs = [graph.node_components(n) for n in graph.nodes]
+    halves = [(eindex[a, n], eindex[b, n])
+              for (a, b), n in zip(pairs, graph.nodes)]
+    found = []
+    for t in recursive_multigraph_trees(
+            len(cindex), [(cindex[a], cindex[b]) for a, b in pairs]):
+        inside = [i for j in t for i in halves[j]]
+        kept = set(t)
+        outside = [h for j, h in enumerate(halves) if j not in kept]
+        found.extend(tuple(sorted(inside + list(pick)))
+                     for pick in product(*outside))
+    found.sort()
+    return tuple(tuple(graph.edges[i] for i in t) for t in found)
+
+
+def edge_tuple_orbit_positions(graph, trees, not_closed):
+    """_tree_orbit_positions before it read masks: trees are sorted tuples
+    of edges, turned into masks with edge i at bit i and mapped one byte
+    at a time, and the orbits partitioned as sets of positions."""
+    edges = graph.edges
+    bit_of = {e: 1 << i for e, i in graph.edge_index.items()}
+    masks = [sum(map(bit_of.__getitem__, t)) for t in trees]
+    position = {mask: k for k, mask in enumerate(masks)}
+    nbytes = (len(edges) + 7) // 8
+    data = [mask.to_bytes(nbytes, "little") for mask in masks]
+    images = []
+    for p in graph.action:
+        moved = [bit_of[graph.edge_image(p, e)] for e in edges]
+        img = [0] * len(masks)
+        for c in range(nbytes):
+            table = [0]
+            for b in moved[8 * c:8 * c + 8]:
+                table += [x | b for x in table]
+            img = [x | table[d[c]] for x, d in zip(img, data)]
+        pos = list(map(position.get, img))
+        if None in pos:
+            raise not_closed
+        images.append(pos)
+    seen, orbits = set(), []
+    for start in range(len(trees)):
+        if start in seen:
+            continue
+        orbit, frontier = {start}, [start]
+        while frontier:
+            k = frontier.pop()
+            for img in images:
+                if img[k] not in orbit:
+                    orbit.add(img[k])
+                    frontier.append(img[k])
+        seen |= orbit
+        orbits.append(sorted(orbit))
+    return orbits
+
+
+def edge_tuple_tree_orbits(graph):
+    """tree_orbits before trees were edge bitmasks: orbits of
+    edge_tuple_spanning_trees, each a tuple of trees in tree order, the
+    orbits sorted by their position lists."""
+    trees = edge_tuple_spanning_trees(graph)
+    orbits = edge_tuple_orbit_positions(graph, trees, AssertionError(
+        "action image of a spanning tree is not a spanning tree"))
+    return tuple(tuple(trees[k] for k in o) for o in sorted(orbits))
+
+
 def co_cokernel(f):
     """Cokernel of a discrete map: dual of the kernel of the dual.
 
@@ -960,14 +1059,13 @@ def per_column_orbit_section(lattice, tree_orbit):
     validated and sorted, then tree_solve for every (difference basis
     column, tree) pair, each call validating its tree again, and each
     column placed by var_names.index.  Returns (trees, Psi)."""
-    from devissage.dualgraph import (
-        _tree_orbit_positions, _validate_tree, difference_basis)
+    from devissage.dualgraph import _validate_tree, difference_basis
     from devissage.exactlin import IntMatrix
     graph, config = lattice.graph, lattice.config
     normalized = [_validate_tree(graph, t) for t in tree_orbit]
     if len(set(normalized)) != len(normalized):
         raise ValueError("repeated tree in the orbit")
-    if len(_tree_orbit_positions(graph, normalized, ValueError(
+    if len(edge_tuple_orbit_positions(graph, normalized, ValueError(
             "orbit is not closed under the action"))) != 1:
         raise ValueError("the given trees split into several orbits")
     trees = tuple(sorted(normalized))

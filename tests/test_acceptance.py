@@ -24,6 +24,7 @@ from devissage.dualgraph import (
     m_gamma,
     n_x,
     spanning_trees,
+    tree_edges,
     tree_orbits,
     xi_lattice,
 )
@@ -234,7 +235,7 @@ def _splitting_ok(graph, config, ell, s, m_value, orbits) -> bool:
     xi = build_xi(xi_lattice(config), ell, s)
     chosen, running = [], 0
     for orbit in orbits:
-        chosen.append(orbit)
+        chosen.append([tree_edges(graph, t) for t in orbit])
         running = gcd(running, len(orbit))
         if running == m_value:
             break

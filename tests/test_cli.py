@@ -461,6 +461,29 @@ class TestRunLibrary:
         assert run(RunConfig(input_path=G1_SWAP, suites=("graph",)))[0] == 0
         assert {"h1_lattice", "smith_with_inverses"} <= set(calls)
 
+    def test_capped_large_banana_exits_at_once(self, tmp_path, monkeypatch):
+        # two components through 600 nodes: the count 600 * 2^599 comes
+        # from the component multigraph's 1 x 1 cofactor, and the graph's
+        # own 601 x 601 determinant is never taken
+        nodes = [f"n{k}" for k in range(600)]
+        path = write_instance(tmp_path, banana_raw(
+            action=False, nodes=nodes,
+            edges=[[c, n] for n in nodes for c in "uv"]))
+        sizes = []
+        real = IntMatrix.det
+        monkeypatch.setattr(IntMatrix, "det",
+                            lambda A: sizes.append(A.rows) or real(A))
+        started = time.perf_counter()
+        res = CliRunner().invoke(main, ["run", "--input", path,
+                                        "--suite", "graph"])
+        elapsed = time.perf_counter() - started
+        assert res.exit_code == 3
+        assert json.loads(res.stdout)["error"]["message"].startswith(
+            f"graph: {600 * 2 ** 599} spanning trees exceed the cap of "
+            f"{dualgraph.DEFAULT_TREE_CAP};")
+        assert sizes and max(sizes) <= 1
+        assert elapsed < 1.0, f"capped graph suite took {elapsed:.2f} s"
+
     def test_fixed_rank_taken_once_per_run(self, monkeypatch):
         # the graph and bhn suites both read the instance's one rho
         calls = []

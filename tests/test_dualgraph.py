@@ -7,7 +7,7 @@ from math import gcd
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form
 
@@ -30,6 +30,7 @@ from devissage.dualgraph import (
     n_x,
     perm_rows,
     spanning_trees,
+    tree_edges,
     tree_orbits,
     xi_lattice,
 )
@@ -41,11 +42,14 @@ from oracles import (
     brute_kernel_structure,
     divisor_action,
     edge_recursion_trees,
+    edge_tuple_spanning_trees,
+    edge_tuple_tree_orbits,
     frozenset_tree_orbits,
     per_column_orbit_section,
     perm_matrix,
     rational_nullity,
     rational_rank,
+    recursive_multigraph_trees,
     sympy_laplacian_cofactor,
     tree_solve,
 )
@@ -208,6 +212,17 @@ def is_spanning_tree(graph, edge_subset):
                 seen.add(w)
                 stack.append(w)
     return seen == verts
+
+
+def edge_trees(graph):
+    """spanning_trees(graph), each tree read as edges by tree_edges."""
+    return tuple(tree_edges(graph, t) for t in spanning_trees(graph))
+
+
+def edge_orbits(graph):
+    """tree_orbits(graph), each tree read as edges by tree_edges."""
+    return tuple(tuple(tree_edges(graph, t) for t in o)
+                 for o in tree_orbits(graph))
 
 
 def matrix_group_closure(mats, cap=5000):
@@ -523,12 +538,12 @@ class TestSpanningTrees:
 
     def test_tree_graph_is_its_own_unique_tree(self):
         g = tree_pair()
-        trees = spanning_trees(g)
-        assert list(trees) == [tuple(sorted(g.edges))]
+        assert spanning_trees(g) == (2 ** len(g.edges) - 1,)
+        assert list(edge_trees(g)) == [tuple(sorted(g.edges))]
 
     def test_banana_trees_drop_one_edge_each(self):
         g = banana()
-        trees = spanning_trees(g)
+        trees = edge_trees(g)
         expected = sorted(
             tuple(sorted(set(g.edges) - {e})) for e in g.edges)
         assert list(trees) == expected
@@ -558,7 +573,7 @@ class TestSpanningTrees:
             assert len(trees) == laplacian_cofactor(g)
             assert len(set(trees)) == len(trees)
             for t in trees[:6]:
-                assert is_spanning_tree(g, t)
+                assert is_spanning_tree(g, tree_edges(g, t))
 
 
 class TestTreeOrbits:
@@ -600,9 +615,9 @@ class TestComponentMultigraphRoute:
     and the frozenset orbit partition of tests/oracles.py."""
 
     def assert_matches_oracle(self, g):
-        trees = spanning_trees(g)
+        trees = edge_trees(g)
         assert trees == edge_recursion_trees(g)
-        assert tree_orbits(g) == frozenset_tree_orbits(g, trees)
+        assert edge_orbits(g) == frozenset_tree_orbits(g, trees)
 
     @settings(max_examples=60, deadline=None)
     @given(st.randoms(use_true_random=False), st.booleans(),
@@ -627,8 +642,9 @@ class TestComponentMultigraphRoute:
 
     def test_one_component_graph(self):
         g = DualGraph([("c", 2)], [], [])
-        assert spanning_trees(g) == ((),)
-        assert tree_orbits(g) == (((),),)
+        assert spanning_trees(g) == (0,)
+        assert tree_orbits(g) == ((0,),)
+        assert edge_orbits(g) == (((),),)
         self.assert_matches_oracle(g)
 
     def test_count_is_multigraph_count_times_powers_of_two(self):
@@ -638,6 +654,89 @@ class TestComponentMultigraphRoute:
         cases += [(complete(4), 16, 6, 4), (complete(5), 125, 10, 5)]
         for g, tau_m, n, c in cases:
             assert len(spanning_trees(g)) == tau_m * 2 ** (n - c + 1)
+
+
+class TestMaskRouteAgainstEdgeTuples:
+    """Trees as edge bitmasks against the edge-tuple route they replaced:
+    the same trees in the same order, and the same orbits in the same
+    order, so that the splitting suite picks the same orbits."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.booleans(), st.integers(1, 3))
+    # 18 edges under three distinct generators, 10 under two, and 16
+    # under one: the byte tables cross one and two chunk boundaries
+    @example(285, True, 3)
+    @example(140, True, 2)
+    @example(0, True, 1)
+    def test_random_graphs(self, seed, symmetric, generators):
+        # a seeded Random: hypothesis' own randoms seldom draw an action
+        rng = random.Random(seed)
+        draw = random_symmetric_graph if symmetric else random_legal_graph
+        g = draw(rng, max_components=6, max_extra_nodes=5,
+                 generators=generators)
+        assert edge_trees(g) == edge_tuple_spanning_trees(g)
+        assert edge_orbits(g) == edge_tuple_tree_orbits(g)
+
+
+class TestMultigraphTrees:
+    """_multigraph_trees, which emits a tree branch whole, against the
+    recursion down to one vertex."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 6), st.data())
+    def test_random_multigraphs(self, nverts, data):
+        # a random spanning tree keeps the multigraph connected; the extra
+        # edges may run parallel to it and to each other
+        ends = [(data.draw(st.integers(0, v - 1)), v)
+                for v in range(1, nverts)]
+        if nverts > 1:
+            pair = st.lists(st.integers(0, nverts - 1), min_size=2,
+                            max_size=2, unique=True)
+            ends += data.draw(st.lists(pair.map(tuple), max_size=6))
+        ends = data.draw(st.permutations(ends))
+        found = dualgraph._multigraph_trees(nverts, ends)
+        assert len(set(found)) == len(found)
+        assert sorted(found) == sorted(
+            recursive_multigraph_trees(nverts, ends))
+
+    def test_a_tree_is_emitted_without_recursing(self, monkeypatch):
+        # a path is a tree at the root branch, so no deletion branch runs
+        # and no connectivity test is made
+        calls = []
+        real = dualgraph._components
+        monkeypatch.setattr(dualgraph, "_components",
+                            lambda *a: calls.append(a) or real(*a))
+        path = [(k, k + 1) for k in range(40)]
+        assert dualgraph._multigraph_trees(41, path) == [tuple(range(40))]
+        assert calls == []
+
+
+class TestCapFirst:
+    """The cap reads tau(M) * 2^(N - C + 1) from the component multigraph
+    before any larger determinant or any enumeration."""
+
+    @pytest.mark.parametrize("g", [complete(5), n_cycle(16), k_banana(8)],
+                             ids=["k5", "cycle16", "banana8"])
+    def test_count_named_is_the_laplacian_cofactor(self, g):
+        count = laplacian_cofactor(g)
+        with pytest.raises(EnumerationCapExceeded,
+                           match=fr"^{count} spanning trees exceed the cap "
+                                 fr"of {count - 1}; raise the cap"):
+            spanning_trees(g, cap=count - 1)
+        assert len(spanning_trees(g, cap=count)) == count
+
+    def test_capped_graph_takes_only_the_multigraph_determinant(
+            self, monkeypatch):
+        sizes = []
+        real = IntMatrix.det
+        monkeypatch.setattr(IntMatrix, "det",
+                            lambda A: sizes.append(A.rows) or real(A))
+        g = complete(4)     # 4 components, 128 trees
+        with pytest.raises(EnumerationCapExceeded, match="^128 "):
+            spanning_trees(g, cap=127)
+        assert sizes == [3]
+        spanning_trees(g, cap=128)
+        assert sizes == [3, 3, len(g.vertex_ids) - 1]
 
 
 class TestTreeCapBoundary:
@@ -677,8 +776,9 @@ class TestOrbitImagesByByteTables:
                                    complete(5, [[1, 2, 3, 4, 0]])])
     def test_matches_frozenset_orbits(self, g):
         assert len(g.edges) in (12, 20)
-        trees = spanning_trees(g)
-        orbits = _tree_orbit_positions(g, trees, AssertionError())
+        orbits = _tree_orbit_positions(g, spanning_trees(g),
+                                       AssertionError())
+        trees = edge_trees(g)
         assert tuple(sorted(tuple(trees[k] for k in o) for o in orbits)) \
             == frozenset_tree_orbits(g, trees)
 
@@ -705,7 +805,7 @@ class TestOrbitSectionAgainstPerColumnRoute:
         if node_divisors:
             divisors += [(f"d_{n}", ("node", n)) for n in g.nodes]
         lattice = xi_lattice(DivisorConfig(g, divisors))
-        for orbit in tree_orbits(g):
+        for orbit in edge_orbits(g):
             given_order = orbit[::-1]
             assert _orbit_section(lattice, given_order) \
                 == per_column_orbit_section(lattice, given_order)
@@ -745,7 +845,7 @@ class TestTreeSolve:
         rng = random.Random(505)
         for _ in range(20):
             g = random_legal_graph(rng)
-            tree = spanning_trees(g)[0]
+            tree = edge_trees(g)[0]
             comps = list(g.component_ids)
             values = {v: rng.randrange(-9, 10) for v in g.vertex_ids}
             total_c = sum(values[c] for c, _ in g.components)
@@ -759,7 +859,7 @@ class TestTreeSolve:
 
     def test_linearity(self):
         g = double_cycle()
-        tree = spanning_trees(g)[3]
+        tree = edge_trees(g)[3]
         rng = random.Random(606)
 
         def balanced():
@@ -1034,7 +1134,7 @@ class TestBuildPsi:
         g = banana()
         cfg = default_divisors(g)
         xi = build_xi(xi_lattice(cfg), 3, 1)
-        for orbit in tree_orbits(g):
+        for orbit in edge_orbits(g):
             sp = build_psi(xi, orbit)
             assert sp.m == 2
             psi_m = sp.psi_ambient.matrix
@@ -1050,7 +1150,7 @@ class TestBuildPsi:
         cfg = default_divisors(g)
         for s in (1, 2, 3):
             xi = build_xi(xi_lattice(cfg), 3, s)
-            orbit = [spanning_trees(g)[0]]
+            orbit = [edge_trees(g)[0]]
             sp = build_psi(xi, orbit)
             assert sp.m == 1
             lhs = (xi.phi_ambient.matrix @ sp.psi_ambient.matrix)
@@ -1063,7 +1163,7 @@ class TestBuildPsi:
         for s in (1, 2, 3):
             mod = 3 ** s
             xi = build_xi(xi_lattice(cfg), 3, s)
-            sp = build_psi(xi, tree_orbits(g)[0])
+            sp = build_psi(xi, edge_orbits(g)[0])
             inv = pow(sp.m, -1, mod)
             section = sp.psi_ambient.matrix.scale(inv)
             lhs = xi.phi_ambient.matrix @ section
@@ -1076,7 +1176,7 @@ class TestBuildPsi:
             [("p_u", ("free", "u")), ("p_v", ("free", "v")),
              ("d_a", ("node", "a")), ("d_b", ("node", "b"))])
         xi = build_xi(xi_lattice(cfg), 3, 1)
-        orbit = tree_orbits(g)[0]
+        orbit = edge_orbits(g)[0]
         sp = build_psi(xi, orbit)
         assert sp.m == 2
         for coords in product(range(3), repeat=3):
@@ -1090,7 +1190,7 @@ class TestBuildPsi:
         g = double_cycle()
         cfg = default_divisors(g)
         xi = build_xi(xi_lattice(cfg), 2, 2)
-        orbit = max(tree_orbits(g), key=len)
+        orbit = max(edge_orbits(g), key=len)
         sp = build_psi(xi, orbit)
         assert sp.m == 2
         # the action on the zero sum block in the difference basis B: its
@@ -1105,7 +1205,7 @@ class TestBuildPsi:
     def test_fixed_tree_gives_unit_section(self):
         g = double_cycle()
         cfg = default_divisors(g)
-        orbit = min(tree_orbits(g), key=len)
+        orbit = min(edge_orbits(g), key=len)
         sp = build_psi(build_xi(xi_lattice(cfg), 2, 2), orbit)
         assert sp.m == 1
 
@@ -1113,7 +1213,7 @@ class TestBuildPsi:
         g = rotation_cycle()
         cfg = default_divisors(g)
         xi = build_xi(xi_lattice(cfg), 3, 2)
-        sp = build_psi(xi, tree_orbits(g)[0])
+        sp = build_psi(xi, edge_orbits(g)[0])
         assert sp.m == 4
         lhs = xi.phi_ambient.matrix @ sp.psi_ambient.matrix
         assert (lhs - sp.basis.scale(4)).mod(9).is_zero()
@@ -1138,7 +1238,7 @@ class TestBuildPsi:
                             lambda lat, *a: corrupt(lat, real(lat, *a)))
         g = banana()
         lat = xi_lattice(default_divisors(g))
-        orbit = tree_orbits(g)[0]
+        orbit = edge_orbits(g)[0]
         for _ in range(2):
             # a failed orbit is not kept, so asking again fails again
             with pytest.raises(VerificationFailed, match=f"^{message}$"):
@@ -1156,7 +1256,7 @@ class TestBuildPsi:
         monkeypatch.setattr(dualgraph, "_orbit_section", counted)
         g = rotation_cycle()
         lat = xi_lattice(default_divisors(g))
-        orbits = tree_orbits(g)
+        orbits = edge_orbits(g)
         for s in (1, 2, 3):
             xi = build_xi(lat, 3, s)
             for orbit in orbits:
@@ -1168,7 +1268,7 @@ class TestBuildPsi:
     def test_orbit_validation(self):
         g = banana()
         cfg = default_divisors(g)
-        orbits = tree_orbits(g)
+        orbits = edge_orbits(g)
         lat = xi_lattice(cfg)
         with pytest.raises(ValueError, match="not closed"):
             build_psi(build_xi(lat, 3, 1), orbits[0][:1])
@@ -1185,7 +1285,7 @@ class TestBezoutCombine:
         g = banana()
         cfg = default_divisors(g)
         xi = build_xi(xi_lattice(cfg), 3, 1)
-        sps = [build_psi(xi, o) for o in tree_orbits(g)]
+        sps = [build_psi(xi, o) for o in edge_orbits(g)]
         combined = bezout_combine(sps, m_gamma(g))
         assert combined.m == 2
         assert combined.orbit_sizes == (2, 2)
@@ -1195,7 +1295,7 @@ class TestBezoutCombine:
     def test_single_orbit_passthrough(self):
         g = rotation_cycle()
         cfg = default_divisors(g)
-        sp = build_psi(build_xi(xi_lattice(cfg), 2, 2), tree_orbits(g)[0])
+        sp = build_psi(build_xi(xi_lattice(cfg), 2, 2), edge_orbits(g)[0])
         combined = bezout_combine([sp], m_gamma(g))
         assert combined.m == 4
         assert combined.psi_ambient.matrix == sp.psi_ambient.matrix
@@ -1204,7 +1304,7 @@ class TestBezoutCombine:
         g = double_cycle()
         cfg = default_divisors(g)
         xi = build_xi(xi_lattice(cfg), 3, 2)
-        orbits = sorted(tree_orbits(g), key=len)
+        orbits = sorted(edge_orbits(g), key=len)
         sps = [build_psi(xi, orbits[0]),
                build_psi(xi, orbits[-1])]
         combined = bezout_combine(sps, m_gamma(g))
@@ -1217,7 +1317,7 @@ class TestBezoutCombine:
         g = double_cycle()
         cfg = default_divisors(g)
         xi = build_xi(xi_lattice(cfg), 2, 1)
-        big = [o for o in tree_orbits(g) if len(o) == 2]
+        big = [o for o in edge_orbits(g) if len(o) == 2]
         sps = [build_psi(xi, o) for o in big[:2]]
         with pytest.raises(ValueError, match="supply more orbits"):
             bezout_combine(sps, m_gamma(g))
@@ -1225,7 +1325,7 @@ class TestBezoutCombine:
     def test_mismatched_assemblies_rejected(self):
         g = banana()
         cfg = default_divisors(g)
-        orbits = tree_orbits(g)
+        orbits = edge_orbits(g)
         sp1 = build_psi(build_xi(xi_lattice(cfg), 3, 1), orbits[0])
         sp2 = build_psi(build_xi(xi_lattice(cfg), 3, 2), orbits[1])
         with pytest.raises(ValueError, match="different assemblies"):
@@ -1255,7 +1355,7 @@ class TestRandomPipeline:
             ell, s = rng.choice([(2, 1), (2, 2), (3, 1), (3, 2), (5, 1)])
             # build_xi and build_psi raise on a false proof step
             xi = build_xi(xi_lattice(cfg), ell, s)
-            orbits = tree_orbits(g)
+            orbits = edge_orbits(g)
             sps = [build_psi(xi, o) for o in orbits[:2]]
             sizes_gcd = 0
             for sp in sps:

@@ -15,6 +15,7 @@ from devissage.exactlin import (
     LModule,
     cokernel,
     kernel,
+    matrix_power_kron,
     tensor_power_with_index,
 )
 from devissage.lprimary import (
@@ -408,6 +409,27 @@ class TestFrob:
         with pytest.raises(ValueError, match="automorphism"):
             FrobObject(CoLGroup(LModule(3, 2)),
                        IntMatrix.from_rows([[1, 2], [2, 1]]), 7)
+
+    def test_power_is_stored_unchecked_and_equals_the_checked_one(
+            self, monkeypatch):
+        # det(F^kron n) is a power of det(F), a unit mod l since X was
+        # checked, so a box power proves nothing again
+        X = FrobObject(CoLGroup(LModule(3, 2)),
+                       IntMatrix.from_rows([[1, 1], [1, 2]]), 7, qpow=1)
+        checks, real = [], lprimary.rank_mod
+        monkeypatch.setattr(lprimary, "rank_mod",
+                            lambda rows, p: checks.append(p) or real(rows, p))
+        powers = [box_frob_power(X, n) for n in range(4)]
+        assert not checks
+        for n, Z in enumerate(powers):
+            assert Z == FrobObject(box_power(X.carrier, n),
+                                   matrix_power_kron(X.matrix, n), 7, n)
+        assert checks == [3] * 4    # the constructor checks
+        monkeypatch.undo()
+        # and still rejects a matrix singular mod l
+        with pytest.raises(ValueError, match="automorphism"):
+            FrobObject(box_power(X.carrier, 2),
+                       IntMatrix.identity(4).scale(3), 7)
 
     def test_twist_on_mu(self):
         # Frobenius on mu = Ql/Zl(1) is multiplication by q
