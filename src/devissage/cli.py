@@ -35,7 +35,6 @@ from .dualgraph import (
     default_divisors,
     laplacian,
     n_x,
-    tree_edges,
 )
 from .errors import (
     EnumerationCapExceeded,
@@ -119,11 +118,7 @@ class RunConfig:
     def selected(self) -> Tuple[str, ...]:
         if "all" in self.suites:
             return SUITE_NAMES
-        seen = []
-        for name in self.suites:
-            if name not in seen:
-                seen.append(name)
-        return tuple(seen)
+        return tuple(dict.fromkeys(self.suites))
 
 
 # ---------------------------------------------------------------------------
@@ -405,18 +400,9 @@ def _run_torsionlevels(inst, config) -> dict:
 
 
 def _run_vanishing(inst, config) -> dict:
-    polys = []
-    seen = set()
-    for _, poly, _ in inst.jacobians:
-        key = (poly.coefficients, poly.q)
-        if key not in seen:
-            seen.add(key)
-            polys.append(poly)
-    for poly in WEIL_CATALOG:
-        key = (poly.coefficients, poly.q)
-        if key not in seen:
-            seen.add(key)
-            polys.append(poly)
+    # CharPoly is a frozen dataclass: equal exactly when (coefficients, q) are
+    polys = list(dict.fromkeys(
+        [poly for _, poly, _ in inst.jacobians] + list(WEIL_CATALOG)))
 
     weil_ok = all(weil_weight_check(P) for P in polys)
     rule_ok = duality_ok = True
@@ -494,7 +480,7 @@ def _run_splitting(inst, config) -> dict:
     chosen = []
     running = 0
     for orbit in inst.orbits:
-        chosen.append([tree_edges(inst.graph, t) for t in orbit])
+        chosen.append(orbit)
         running = gcd(running, len(orbit))
         if running == inst.m:
             break

@@ -127,7 +127,11 @@ class DualGraph:
         if len(set(norm)) != len(norm):
             raise ValueError("duplicate edge")
         self.edges: Tuple[Edge, ...] = tuple(sorted(norm))
-        self.edge_index: Dict[Edge, int] = {e: i for i, e in enumerate(self.edges)}
+        # edge i of a tree mask is bit E-1-i, so that decreasing masks list
+        # trees in the order of their sorted edge index tuples
+        top = len(self.edges) - 1
+        self.edge_bit: Dict[Edge, int] = {
+            e: 1 << top - i for i, e in enumerate(self.edges)}
 
         at_node: Dict[str, List[str]] = {n: [] for n in self.nodes}
         for c, n in self.edges:
@@ -399,20 +403,14 @@ def _multigraph_trees(nverts: int, ends: Sequence[Tuple[int, int]]):
     return found
 
 
-def _edge_bits(graph: DualGraph) -> Dict[Edge, int]:
-    """Edge i of graph.edges as bit E-1-i of a tree mask, so that decreasing
-    masks list trees in the order of their sorted edge index tuples."""
-    top = len(graph.edges) - 1
-    return {e: 1 << top - i for e, i in graph.edge_index.items()}
-
-
 def tree_edges(graph: DualGraph, mask: int) -> Tuple[Edge, ...]:
-    """The edges of a tree mask, in graph.edges order."""
-    return tuple(e for e, b in _edge_bits(graph).items() if mask & b)
+    """The edges of a tree mask, in graph.edges order: the one reader of a
+    mask's edges."""
+    return tuple(e for e, b in graph.edge_bit.items() if mask & b)
 
 
 def spanning_trees(graph: DualGraph, cap: int = DEFAULT_TREE_CAP):
-    """All spanning trees as edge bitmasks (see _edge_bits), decreasing.
+    """All spanning trees as edge bitmasks (graph.edge_bit), decreasing.
 
     Every node lies on exactly two distinct components, so the graph is the
     subdivision of its component multigraph M, whose vertices are the
@@ -447,7 +445,7 @@ def spanning_trees(graph: DualGraph, cap: int = DEFAULT_TREE_CAP):
         raise EnumerationCapExceeded(
             f"{count} spanning trees exceed the cap of {cap}; raise the "
             f"cap to enumerate")
-    bit = _edge_bits(graph)
+    bit = graph.edge_bit
     halves = [(bit[a, n], bit[b, n]) for (a, b), n in zip(pairs, graph.nodes)]
     found: List[int] = []
     for t in _multigraph_trees(len(lap), ends):
@@ -468,13 +466,12 @@ def spanning_trees(graph: DualGraph, cap: int = DEFAULT_TREE_CAP):
 
 
 def _tree_orbit_positions(graph: DualGraph, masks, not_closed: Exception):
-    """Orbits of tree masks (see _edge_bits) under the action, each a
+    """Orbits of tree masks (graph.edge_bit) under the action, each a
     sorted list of positions in masks; an image outside the given masks
     raises not_closed.  A generator maps a mask one byte at a time: per
     8-bit chunk of the mask, a table sends each byte value to the bits of
     its edges' images."""
-    edges = graph.edges
-    bit = _edge_bits(graph)
+    edges, bit = graph.edges, graph.edge_bit
     position = {mask: k for k, mask in enumerate(masks)}
     nbytes = (len(edges) + 7) // 8
     data = [mask.to_bytes(nbytes, "little") for mask in masks]
@@ -500,7 +497,8 @@ def _tree_orbit_positions(graph: DualGraph, masks, not_closed: Exception):
 def tree_orbits(graph: DualGraph, cap: int = DEFAULT_TREE_CAP):
     """Orbits of the spanning tree masks under the generated action group,
     each a tuple of masks in spanning_trees order, the orbits ordered by
-    their position lists; tree_edges reads a mask's edges."""
+    their position lists.  build_psi takes each orbit as it is, and
+    tree_edges reads a mask's edges."""
     trees = spanning_trees(graph, cap)
     orbits = _tree_orbit_positions(graph, trees, VerificationFailed(
         "action image of a spanning tree is not a spanning tree"))
@@ -514,26 +512,6 @@ def m_gamma(graph: DualGraph, cap: int = DEFAULT_TREE_CAP) -> int:
 
 # ---------------------------------------------------------------------------
 # the balanced tree solver
-
-
-def _validate_tree(graph: DualGraph, tree) -> Tuple[Edge, ...]:
-    edges = []
-    eset = graph.edge_index
-    for e in tree:
-        pair = tuple(e)
-        cand = pair if pair in eset else (pair[1], pair[0])
-        if cand not in eset:
-            raise ValueError(f"edge {pair!r} is not an edge of the graph")
-        edges.append(cand)
-    if len(set(edges)) != len(edges):
-        raise ValueError("repeated edge in the tree")
-    verts = graph.vertex_ids
-    if len(edges) != len(verts) - 1:
-        raise ValueError(
-            f"{len(edges)} edges cannot span {len(verts)} vertices")
-    # |V| - 1 edges that do not connect the vertices must close a cycle,
-    # which _leaf_order, run next by both callers, rejects
-    return tuple(sorted(edges))
 
 
 def _leaf_order(graph: DualGraph, edges):
@@ -715,7 +693,7 @@ class XiLattice:
     and of the divisor coordinates as perm_rows index tuples.  kernel holds
     the SmithForm of the transposed constraints and cycle_span that of the
     cycle embedding, which build_xi reads at every level; psi keeps
-    build_psi's verified integer sections by orbit.
+    build_psi's verified integer sections by their orbit of tree masks.
     """
 
     config: DivisorConfig
@@ -997,24 +975,33 @@ def _psi_column(lattice: XiLattice, m: int, alpha: Dict[str, int],
 
 
 def _orbit_section(lattice: XiLattice, tree_orbit):
-    """The validated orbit, sorted, and its integer section Psi over Z.
+    """The validated orbit of tree masks, in decreasing (spanning_trees)
+    order, and its integer section Psi over Z.
 
     Each edge value is linear in the vertex values, so every column of the
     difference basis goes through each tree's leaf order at once.  Psi is
     then proved a section over Z, hence at every level: it meets the
     constraints, phi after Psi is m B, and it commutes with each generator."""
     graph, config = lattice.graph, lattice.config
-    normalized = [_validate_tree(graph, t) for t in tree_orbit]
-    leaf_orders = {t: _leaf_order(graph, t) for t in normalized}
-    if len(set(normalized)) != len(normalized):
+    nedges, nverts = len(graph.edges), len(graph.vertex_ids)
+    for t in tree_orbit:
+        if t >> nedges:     # nonzero for a negative mask too
+            raise ValueError(
+                f"tree mask {t} has bits outside the graph's {nedges} edges")
+        if t.bit_count() != nverts - 1:
+            raise ValueError(
+                f"{t.bit_count()} edges cannot span {nverts} vertices")
+    # |V| - 1 edges that do not connect the vertices close a cycle, which
+    # _leaf_order rejects
+    leaf_orders = {t: _leaf_order(graph, tree_edges(graph, t))
+                   for t in tree_orbit}
+    if len(leaf_orders) != len(tree_orbit):
         raise ValueError("repeated tree in the orbit")
-    bit = _edge_bits(graph)
-    masks = [sum(map(bit.__getitem__, t)) for t in normalized]
-    if len(_tree_orbit_positions(graph, masks, ValueError(
+    if len(_tree_orbit_positions(graph, tree_orbit, ValueError(
             "orbit is not closed under the action"))) != 1:
         raise ValueError("the given trees split into several orbits")
 
-    trees = tuple(sorted(normalized))
+    trees = tuple(sorted(tree_orbit, reverse=True))
     div_ids = config.ids
     B = difference_basis(len(div_ids))
     alphas = [{d: B.entry(i, j) for i, d in enumerate(div_ids)}
@@ -1060,17 +1047,23 @@ def _orbit_section(lattice: XiLattice, tree_orbit):
 def build_psi(xi: XiModule, tree_orbit) -> PsiSplitting:
     """Construct the section of xi's phi for one orbit of spanning trees.
 
-    tree_orbit must be a full orbit under the generated action group: every
-    member a spanning tree of xi's graph, closed under each generator, and
-    reachable from any member.  The construction sums the balanced tree
-    solutions over the orbit, which is what makes the result equivariant.
+    tree_orbit must be a full orbit of tree masks, as tree_orbits returns
+    it, under the generated action group: every member a spanning tree of
+    xi's graph, closed under each generator, and reachable from any member.
+    The construction sums the balanced tree solutions over the orbit, which
+    is what makes the result equivariant.
     Neither the orbit's validation, nor those integer solutions, nor their
     proof as a section over Z depends on the level: _orbit_section does all
     three once, xi's lattice keeps the verified result by the orbit as
     given (a failed orbit is not kept), and each level only reduces it.
     """
     lattice = xi.lattice
-    orbit = tuple(tuple(map(tuple, t)) for t in tree_orbit)
+    orbit = tuple(tree_orbit)
+    # the orbit is the cache key, so its trees are checked to be masks
+    # before it is hashed
+    for t in orbit:
+        if not isinstance(t, int):
+            raise ValueError(f"tree {t!r} is not an edge bitmask")
     if orbit not in lattice.psi:
         lattice.psi[orbit] = _orbit_section(lattice, orbit)
     trees, Psi = lattice.psi[orbit]

@@ -607,13 +607,6 @@ class LModule:
             tuple([self.ell ** e if j == f + i else 0 for i, e in enumerate(exps)])
             for j in range(self.num_gens)]))
 
-    def reduce_vector(self, vec: Sequence[int]) -> tuple:
-        """Reduce generator coordinates into canonical range."""
-        out = []
-        for x, e in zip(vec, self.gen_orders()):
-            out.append(int(x) if e is None else int(x) % self.ell ** e)
-        return tuple(out)
-
     def reduce_columns(self, M: IntMatrix) -> IntMatrix:
         """Reduce every column of generator coordinates into canonical range."""
         return IntMatrix._trusted(M.rows, M.cols, tuple([
@@ -872,9 +865,6 @@ class LMap:
 
     def scale(self, c: int) -> "LMap":
         return LMap(self.domain, self.codomain, self.matrix.scale(c))
-
-    def apply(self, vec: Sequence[int]) -> tuple:
-        return self.codomain.reduce_vector(self.matrix.apply(vec))
 
     def is_zero_map(self) -> bool:
         return self.matrix.is_zero()

@@ -33,7 +33,9 @@ dense_smith_with_inverses, the Smith form before it skipped zeros and
 stopped at the first unit pivot; tree_solve, the per-tree solver of vertex
 sums on a spanning tree, and per_column_orbit_section, the section of one
 tree orbit by a tree_solve call per (column, tree) pair, before
-_orbit_section pushed every column through one leaf order per tree;
+_orbit_section pushed every column through one leaf order per tree, both
+taking trees as edge tuples through validate_edge_tree, the parser
+build_psi used before it took tree masks;
 canonical_orders and smith_level_orders, the two ways canonicalize_with_maps
 and level_kernel classified a Smith diagonal before both read
 SmithForm.orders; divisor_action, the divisor permutation the instance
@@ -669,7 +671,7 @@ def edge_tuple_spanning_trees(graph):
     edges in graph.edges order, built from sorted edge index tuples through
     the product of the halves at the nodes outside each multigraph tree,
     in sorted order."""
-    eindex = graph.edge_index
+    eindex = {e: i for i, e in enumerate(graph.edges)}
     cindex = {c: i for i, c in enumerate(graph.component_ids)}
     pairs = [graph.node_components(n) for n in graph.nodes]
     halves = [(eindex[a, n], eindex[b, n])
@@ -691,7 +693,7 @@ def edge_tuple_orbit_positions(graph, trees, not_closed):
     of edges, turned into masks with edge i at bit i and mapped one byte
     at a time, and the orbits partitioned as sets of positions."""
     edges = graph.edges
-    bit_of = {e: 1 << i for e, i in graph.edge_index.items()}
+    bit_of = {e: 1 << i for i, e in enumerate(edges)}
     masks = [sum(map(bit_of.__getitem__, t)) for t in trees]
     position = {mask: k for k, mask in enumerate(masks)}
     nbytes = (len(edges) + 7) // 8
@@ -1021,6 +1023,29 @@ def dense_smith_with_inverses(A):
                  for M, cols in ((U, m), (a, n), (V, n), (Ui, m)))
 
 
+def validate_edge_tree(graph, tree):
+    """A spanning tree given as edges, either orientation accepted, checked
+    and sorted into graph.edges order: the parser of trees as edge tuples
+    before build_psi took tree masks."""
+    edges = []
+    eset = set(graph.edges)
+    for e in tree:
+        pair = tuple(e)
+        cand = pair if pair in eset else (pair[1], pair[0])
+        if cand not in eset:
+            raise ValueError(f"edge {pair!r} is not an edge of the graph")
+        edges.append(cand)
+    if len(set(edges)) != len(edges):
+        raise ValueError("repeated edge in the tree")
+    verts = graph.vertex_ids
+    if len(edges) != len(verts) - 1:
+        raise ValueError(
+            f"{len(edges)} edges cannot span {len(verts)} vertices")
+    # |V| - 1 edges that do not connect the vertices must close a cycle,
+    # which _leaf_order, run next by both callers, rejects
+    return tuple(sorted(edges))
+
+
 def tree_solve(graph, tree, values, modulus=None):
     """Unique edge values on a spanning tree with prescribed vertex sums:
     the per-tree route that _orbit_section replaced.
@@ -1032,10 +1057,9 @@ def tree_solve(graph, tree, values, modulus=None):
     one is given) or no solution exists.  Leaf elimination is subtraction
     only, hence exact over Z and over Z/m alike.
     """
-    from devissage.dualgraph import (
-        _check_balance, _check_root, _leaf_order, _validate_tree)
+    from devissage.dualgraph import _check_balance, _check_root, _leaf_order
     reduce = (lambda x: x % modulus) if modulus else (lambda x: x)
-    edges = _validate_tree(graph, tree)
+    edges = validate_edge_tree(graph, tree)
     steps, roots = _leaf_order(graph, edges)
     verts = graph.vertex_ids
     for k in values:
@@ -1059,10 +1083,10 @@ def per_column_orbit_section(lattice, tree_orbit):
     validated and sorted, then tree_solve for every (difference basis
     column, tree) pair, each call validating its tree again, and each
     column placed by var_names.index.  Returns (trees, Psi)."""
-    from devissage.dualgraph import _validate_tree, difference_basis
+    from devissage.dualgraph import difference_basis
     from devissage.exactlin import IntMatrix
     graph, config = lattice.graph, lattice.config
-    normalized = [_validate_tree(graph, t) for t in tree_orbit]
+    normalized = [validate_edge_tree(graph, t) for t in tree_orbit]
     if len(set(normalized)) != len(normalized):
         raise ValueError("repeated tree in the orbit")
     if len(edge_tuple_orbit_positions(graph, normalized, ValueError(

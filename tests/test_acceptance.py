@@ -7,6 +7,7 @@ wall time and fail when over budget.
 
 import json
 import random
+import re
 import time
 from itertools import product
 from math import gcd
@@ -24,7 +25,6 @@ from devissage.dualgraph import (
     m_gamma,
     n_x,
     spanning_trees,
-    tree_edges,
     tree_orbits,
     xi_lattice,
 )
@@ -40,13 +40,6 @@ from devissage.lprimary import (
     tor_box,
     tors_level_check,
     torsbis_maps,
-)
-from devissage.procyclic import (
-    WEIL_CATALOG,
-    clear_memo,
-    duality_crosscheck,
-    vanishing_probe,
-    weil_weight_check,
 )
 from devissage.sequences import (
     bhn_finite_field_report,
@@ -150,42 +143,38 @@ def test_criterion_03_non_right_exactness():
     _verdict(3, "multiplication by ell dies after box with Z/ell", ok)
 
 
-def test_criterion_04_vanishing_grid():
-    # timed from an empty memo, as one CLI run starts
-    clear_memo()
+def _vanishing_checks():
+    """The CLI's vanishing suite on g1_swap.json, which has no jacobian, so
+    it probes exactly WEIL_CATALOG on the criteria's grid; run starts from
+    an empty memo.  Returns the checks by name and the run's wall time."""
     started = time.perf_counter()
-    polys = WEIL_CATALOG
-    ok = len(polys) >= 5
-    ok &= all(weil_weight_check(P) for P in polys)
-    minus_hits = plus_hits = 0
-    for P in polys:
-        for ell in (2, 3, 5, 7):
-            if P.q % ell == 0:
-                continue
-            for j in range(0, 5):
-                for r in range(-3, 4):
-                    v = vanishing_probe(P, ell, j, r)
-                    ok &= v.nontrivial == (j == -2 * r)
-                    minus_hits += v.boundary_minus
-                    plus_hits += v.boundary_plus
-    ok &= minus_hits > 0 and plus_hits > 0
+    _, report = run(RunConfig(G1_SWAP, suites=("vanishing",)))
     elapsed = time.perf_counter() - started
+    checks = report["suites"]["vanishing"]["checks"]
+    return {c["name"]: c for c in checks}, elapsed
+
+
+def test_criterion_04_vanishing_grid():
+    checks, elapsed = _vanishing_checks()
+    weight = checks["weight bounds hold for every fixture polynomial"]
+    rule = checks["torsion h1 is nontrivial exactly on the boundary twist "
+                  "j = -2r"]
+    signs = checks["both boundary sign variants were exercised"]
+    ok = all(c["verdict"] == "PASS" for c in (weight, rule, signs))
+    ok &= weight["structure"] == "7 fixtures"
+    ok &= rule["structure"] == "735 probes"
+    minus_hits, plus_hits = map(int, re.fullmatch(
+        r"j=-2r hit (\d+), j=\+2r hit (\d+)", signs["structure"]).groups())
+    ok &= minus_hits > 0 and plus_hits > 0
     ok &= elapsed < 20.0
     _verdict(4, f"vanishing boundary rule ({elapsed:.2f}s)", ok)
 
 
 def test_criterion_05_duality_crosscheck():
-    clear_memo()
-    started = time.perf_counter()
-    ok = True
-    for P in WEIL_CATALOG:
-        for ell in (2, 3, 5, 7):
-            if P.q % ell == 0:
-                continue
-            for j in range(0, 5):
-                for r in range(-3, 4):
-                    ok &= duality_crosscheck(P, ell, j, r).levels_agree
-    elapsed = time.perf_counter() - started
+    checks, elapsed = _vanishing_checks()
+    duality = checks["duality comparison agrees level by level"]
+    ok = duality["verdict"] == "PASS"
+    ok &= duality["structure"] == "735 comparisons"
     ok &= elapsed < 20.0
     _verdict(5, f"duality chain agrees level-wise ({elapsed:.2f}s)", ok)
 
@@ -235,7 +224,7 @@ def _splitting_ok(graph, config, ell, s, m_value, orbits) -> bool:
     xi = build_xi(xi_lattice(config), ell, s)
     chosen, running = [], 0
     for orbit in orbits:
-        chosen.append([tree_edges(graph, t) for t in orbit])
+        chosen.append(orbit)
         running = gcd(running, len(orbit))
         if running == m_value:
             break

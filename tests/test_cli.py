@@ -484,6 +484,25 @@ class TestRunLibrary:
         assert sizes and max(sizes) <= 1
         assert elapsed < 1.0, f"capped graph suite took {elapsed:.2f} s"
 
+    def test_splitting_hands_build_psi_the_instance_orbits(self, tmp_path,
+                                                           monkeypatch):
+        # orbit sizes 2, 2, 1, ...: three orbits reach the gcd m = 1, and
+        # each goes to build_psi as the instance holds it, a tuple of masks
+        graph = random_symmetric_graph(random.Random(146))
+        path = write_instance(tmp_path,
+                              valid_raw(graph, random.Random(0), 3, 5))
+        config = RunConfig(input_path=path, suites=("splitting",),
+                           max_level=2)
+        inst = build_instance(load_raw(path), config)
+        given = []
+        real = cli.build_psi
+        monkeypatch.setattr(cli, "build_psi",
+                            lambda xi, orbit: given.append(orbit)
+                            or real(xi, orbit))
+        cli._run_splitting(inst, config)
+        assert [len(o) for o in given] == [2, 2, 1] * 2
+        assert all(any(o is orbit for orbit in inst.orbits) for o in given)
+
     def test_fixed_rank_taken_once_per_run(self, monkeypatch):
         # the graph and bhn suites both read the instance's one rho
         calls = []

@@ -792,7 +792,8 @@ class TestOrbitImagesByByteTables:
 
 
 class TestOrbitSectionAgainstPerColumnRoute:
-    """One leaf order per tree against tree_solve per (column, tree)."""
+    """One leaf order per tree on masks against tree_solve per (column,
+    tree) on edge tuples."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.booleans(), st.booleans())
@@ -805,10 +806,12 @@ class TestOrbitSectionAgainstPerColumnRoute:
         if node_divisors:
             divisors += [(f"d_{n}", ("node", n)) for n in g.nodes]
         lattice = xi_lattice(DivisorConfig(g, divisors))
-        for orbit in edge_orbits(g):
+        for orbit in tree_orbits(g):
             given_order = orbit[::-1]
-            assert _orbit_section(lattice, given_order) \
-                == per_column_orbit_section(lattice, given_order)
+            trees, Psi = _orbit_section(lattice, given_order)
+            assert (tuple(tree_edges(g, t) for t in trees), Psi) \
+                == per_column_orbit_section(
+                    lattice, [tree_edges(g, t) for t in given_order])
 
 
 class TestExtendedGcd:
@@ -934,7 +937,7 @@ class TestTreeSolve:
             tree_solve(g, cycle, {"u": 1})      # not balanced either
         xi = build_xi(xi_lattice(default_divisors(g)), 3, 1)
         with pytest.raises(ValueError, match="cycle"):
-            build_psi(xi, [cycle])
+            build_psi(xi, [sum(g.edge_bit[e] for e in cycle)])
 
 
 class TestDivisorConfig:
@@ -1134,7 +1137,7 @@ class TestBuildPsi:
         g = banana()
         cfg = default_divisors(g)
         xi = build_xi(xi_lattice(cfg), 3, 1)
-        for orbit in edge_orbits(g):
+        for orbit in tree_orbits(g):
             sp = build_psi(xi, orbit)
             assert sp.m == 2
             psi_m = sp.psi_ambient.matrix
@@ -1150,7 +1153,7 @@ class TestBuildPsi:
         cfg = default_divisors(g)
         for s in (1, 2, 3):
             xi = build_xi(xi_lattice(cfg), 3, s)
-            orbit = [edge_trees(g)[0]]
+            orbit = [spanning_trees(g)[0]]
             sp = build_psi(xi, orbit)
             assert sp.m == 1
             lhs = (xi.phi_ambient.matrix @ sp.psi_ambient.matrix)
@@ -1163,7 +1166,7 @@ class TestBuildPsi:
         for s in (1, 2, 3):
             mod = 3 ** s
             xi = build_xi(xi_lattice(cfg), 3, s)
-            sp = build_psi(xi, edge_orbits(g)[0])
+            sp = build_psi(xi, tree_orbits(g)[0])
             inv = pow(sp.m, -1, mod)
             section = sp.psi_ambient.matrix.scale(inv)
             lhs = xi.phi_ambient.matrix @ section
@@ -1176,7 +1179,7 @@ class TestBuildPsi:
             [("p_u", ("free", "u")), ("p_v", ("free", "v")),
              ("d_a", ("node", "a")), ("d_b", ("node", "b"))])
         xi = build_xi(xi_lattice(cfg), 3, 1)
-        orbit = edge_orbits(g)[0]
+        orbit = tree_orbits(g)[0]
         sp = build_psi(xi, orbit)
         assert sp.m == 2
         for coords in product(range(3), repeat=3):
@@ -1190,7 +1193,7 @@ class TestBuildPsi:
         g = double_cycle()
         cfg = default_divisors(g)
         xi = build_xi(xi_lattice(cfg), 2, 2)
-        orbit = max(edge_orbits(g), key=len)
+        orbit = max(tree_orbits(g), key=len)
         sp = build_psi(xi, orbit)
         assert sp.m == 2
         # the action on the zero sum block in the difference basis B: its
@@ -1205,7 +1208,7 @@ class TestBuildPsi:
     def test_fixed_tree_gives_unit_section(self):
         g = double_cycle()
         cfg = default_divisors(g)
-        orbit = min(edge_orbits(g), key=len)
+        orbit = min(tree_orbits(g), key=len)
         sp = build_psi(build_xi(xi_lattice(cfg), 2, 2), orbit)
         assert sp.m == 1
 
@@ -1213,7 +1216,7 @@ class TestBuildPsi:
         g = rotation_cycle()
         cfg = default_divisors(g)
         xi = build_xi(xi_lattice(cfg), 3, 2)
-        sp = build_psi(xi, edge_orbits(g)[0])
+        sp = build_psi(xi, tree_orbits(g)[0])
         assert sp.m == 4
         lhs = xi.phi_ambient.matrix @ sp.psi_ambient.matrix
         assert (lhs - sp.basis.scale(4)).mod(9).is_zero()
@@ -1238,7 +1241,7 @@ class TestBuildPsi:
                             lambda lat, *a: corrupt(lat, real(lat, *a)))
         g = banana()
         lat = xi_lattice(default_divisors(g))
-        orbit = edge_orbits(g)[0]
+        orbit = tree_orbits(g)[0]
         for _ in range(2):
             # a failed orbit is not kept, so asking again fails again
             with pytest.raises(VerificationFailed, match=f"^{message}$"):
@@ -1256,7 +1259,7 @@ class TestBuildPsi:
         monkeypatch.setattr(dualgraph, "_orbit_section", counted)
         g = rotation_cycle()
         lat = xi_lattice(default_divisors(g))
-        orbits = edge_orbits(g)
+        orbits = tree_orbits(g)
         for s in (1, 2, 3):
             xi = build_xi(lat, 3, s)
             for orbit in orbits:
@@ -1268,7 +1271,7 @@ class TestBuildPsi:
     def test_orbit_validation(self):
         g = banana()
         cfg = default_divisors(g)
-        orbits = edge_orbits(g)
+        orbits = tree_orbits(g)
         lat = xi_lattice(cfg)
         with pytest.raises(ValueError, match="not closed"):
             build_psi(build_xi(lat, 3, 1), orbits[0][:1])
@@ -1277,7 +1280,28 @@ class TestBuildPsi:
         with pytest.raises(ValueError, match="repeated tree"):
             build_psi(build_xi(lat, 3, 1), orbits[0] + orbits[0][:1])
         with pytest.raises(ValueError, match="cannot span"):
-            build_psi(build_xi(lat, 3, 1), [tuple(g.edges)])
+            build_psi(build_xi(lat, 3, 1), [(1 << len(g.edges)) - 1])
+
+    def test_mask_validation(self):
+        # theta: 5 vertices, 6 edges, no action, so every tree is an orbit
+        g = theta()
+        lat = xi_lattice(default_divisors(g))
+        tree = spanning_trees(g)[0]
+        cycle = sum(g.edge_bit[e] for e in
+                    [("u", "a"), ("v", "a"), ("u", "b"), ("v", "b")])
+        edges = tree_edges(g, tree)
+        for orbit, message in [
+                ([-tree], f"^tree mask {-tree} has bits outside the "
+                          "graph's 6 edges$"),
+                ([tree | 1 << 6], "bits outside the graph's 6 edges"),
+                ([tree & tree - 1], "^3 edges cannot span 5 vertices$"),
+                ([cycle], "^leaf elimination left a cycle$"),
+                ([tree, tree], "^repeated tree in the orbit$"),
+                ([edges], "is not an edge bitmask$"),
+                ([[list(e) for e in edges]], "is not an edge bitmask$")]:
+            with pytest.raises(ValueError, match=message):
+                build_psi(build_xi(lat, 3, 1), orbit)
+        assert lat.psi == {}
 
 
 class TestBezoutCombine:
@@ -1285,7 +1309,7 @@ class TestBezoutCombine:
         g = banana()
         cfg = default_divisors(g)
         xi = build_xi(xi_lattice(cfg), 3, 1)
-        sps = [build_psi(xi, o) for o in edge_orbits(g)]
+        sps = [build_psi(xi, o) for o in tree_orbits(g)]
         combined = bezout_combine(sps, m_gamma(g))
         assert combined.m == 2
         assert combined.orbit_sizes == (2, 2)
@@ -1295,7 +1319,7 @@ class TestBezoutCombine:
     def test_single_orbit_passthrough(self):
         g = rotation_cycle()
         cfg = default_divisors(g)
-        sp = build_psi(build_xi(xi_lattice(cfg), 2, 2), edge_orbits(g)[0])
+        sp = build_psi(build_xi(xi_lattice(cfg), 2, 2), tree_orbits(g)[0])
         combined = bezout_combine([sp], m_gamma(g))
         assert combined.m == 4
         assert combined.psi_ambient.matrix == sp.psi_ambient.matrix
@@ -1304,7 +1328,7 @@ class TestBezoutCombine:
         g = double_cycle()
         cfg = default_divisors(g)
         xi = build_xi(xi_lattice(cfg), 3, 2)
-        orbits = sorted(edge_orbits(g), key=len)
+        orbits = sorted(tree_orbits(g), key=len)
         sps = [build_psi(xi, orbits[0]),
                build_psi(xi, orbits[-1])]
         combined = bezout_combine(sps, m_gamma(g))
@@ -1317,7 +1341,7 @@ class TestBezoutCombine:
         g = double_cycle()
         cfg = default_divisors(g)
         xi = build_xi(xi_lattice(cfg), 2, 1)
-        big = [o for o in edge_orbits(g) if len(o) == 2]
+        big = [o for o in tree_orbits(g) if len(o) == 2]
         sps = [build_psi(xi, o) for o in big[:2]]
         with pytest.raises(ValueError, match="supply more orbits"):
             bezout_combine(sps, m_gamma(g))
@@ -1325,7 +1349,7 @@ class TestBezoutCombine:
     def test_mismatched_assemblies_rejected(self):
         g = banana()
         cfg = default_divisors(g)
-        orbits = edge_orbits(g)
+        orbits = tree_orbits(g)
         sp1 = build_psi(build_xi(xi_lattice(cfg), 3, 1), orbits[0])
         sp2 = build_psi(build_xi(xi_lattice(cfg), 3, 2), orbits[1])
         with pytest.raises(ValueError, match="different assemblies"):
@@ -1355,7 +1379,7 @@ class TestRandomPipeline:
             ell, s = rng.choice([(2, 1), (2, 2), (3, 1), (3, 2), (5, 1)])
             # build_xi and build_psi raise on a false proof step
             xi = build_xi(xi_lattice(cfg), ell, s)
-            orbits = edge_orbits(g)
+            orbits = tree_orbits(g)
             sps = [build_psi(xi, o) for o in orbits[:2]]
             sizes_gcd = 0
             for sp in sps:

@@ -363,9 +363,13 @@ class TestMaps:
             f = _random_map(rng, A, B)
             g = _random_map(rng, B, C)
             gf = g.compose(f)
-            for _ in range(5):
-                v = [rng.randint(0, 7) for _ in range(A.num_gens)]
-                assert gf.apply(v) == C.reduce_vector(g.apply(f.apply(v)))
+            # five random coefficient columns, acted on one map after the
+            # other and by the composite
+            V = IntMatrix.from_rows(
+                [[rng.randint(0, 7) for _ in range(5)]
+                 for _ in range(A.num_gens)], 5)
+            assert C.reduce_columns(gf.matrix @ V) == C.reduce_columns(
+                g.matrix @ B.reduce_columns(f.matrix @ V))
 
 
 class TestKernelsCokernels:
