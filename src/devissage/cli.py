@@ -180,12 +180,11 @@ def _perm_from_cycles(cycles, vertex_ids, where: str) -> dict:
         if not isinstance(cyc, list) or not cyc:
             raise ParseError(f"{where}: each cycle must be a nonempty list")
         ids = [str(v) for v in cyc]
-        for v in ids:
-            if v not in vertex_ids:
-                raise ParseError(f"{where}: unknown vertex id {v!r}")
-            if v in perm:
-                raise ParseError(f"{where}: vertex {v!r} appears twice")
         for a, b in zip(ids, ids[1:] + ids[:1]):
+            if a not in vertex_ids:
+                raise ParseError(f"{where}: unknown vertex id {a!r}")
+            if a in perm:
+                raise ParseError(f"{where}: vertex {a!r} appears twice")
             perm[a] = b
     return perm
 

@@ -148,16 +148,13 @@ class DualGraph:
             comp_nodes[c].append(n)
         self._comp_nodes = {c: tuple(sorted(ns)) for c, ns in comp_nodes.items()}
 
-        self._check_connected()
+        if len(_components(self.vertex_ids, self.edges)) != 1:
+            raise ValueError("graph is not connected")
         self.action: Tuple[Dict[str, str], ...] = tuple(
             self._normalize_perm(p) for p in action
         )
 
     # -- validation helpers ------------------------------------------
-
-    def _check_connected(self):
-        if len(_components(self.vertex_ids, self.edges)) != 1:
-            raise ValueError("graph is not connected")
 
     def _normalize_perm(self, p) -> Dict[str, str]:
         verts = list(self._genus) + list(self.nodes)
@@ -205,13 +202,10 @@ class DualGraph:
     def edge_image(self, perm: Dict[str, str], e: Edge) -> Edge:
         return (perm[e[0]], perm[e[1]])
 
-    def _orbits(self, ids: Sequence[str]) -> Tuple[Tuple[str, ...], ...]:
-        found = orbit_partition(sorted(ids),
+    def component_orbits(self) -> Tuple[Tuple[str, ...], ...]:
+        found = orbit_partition(self.component_ids,
                                 lambda v: [p[v] for p in self.action])
         return tuple(tuple(sorted(o)) for o in found)
-
-    def component_orbits(self) -> Tuple[Tuple[str, ...], ...]:
-        return self._orbits(self.component_ids)
 
     @cached_property
     def cycle_basis(self) -> IntMatrix:
@@ -347,13 +341,13 @@ def h1_lattice(graph: DualGraph) -> HomologyLattice:
 
 
 def fixed_rank(mats: Sequence[IntMatrix], n: int) -> int:
-    """Rank of the common fixed sublattice of n x n integer matrices."""
+    """Rank of the common fixed sublattice of n x n integer matrices: the
+    kernel rank of the rows of every M - 1, stacked."""
     if not mats or n == 0:
         return n
-    stacked = mats[0] - IntMatrix.identity(n)
-    for M in mats[1:]:
-        stacked = stacked.vstack(M - IntMatrix.identity(n))
-    return integer_kernel_basis(stacked).cols
+    one = IntMatrix.identity(n)
+    rows = tuple(r for M in mats for r in (M - one).data)
+    return integer_kernel_basis(IntMatrix._trusted(len(rows), n, rows)).cols
 
 
 def invariant_rank(lattice: HomologyLattice) -> int:
@@ -819,37 +813,28 @@ class XiModule:
     """Level s assembly of the residue kernel with its two structure maps.
 
     lattice holds the integer data behind it (see XiLattice): the graph,
-    the divisor configuration, the coordinate names, support points and
-    actions.  module is the kernel of the constraints mod l^s; the cycle
-    lattice embeds via the y coordinates on node incidences and phi projects
-    onto the divisor block.  phi_kernel is the kernel of phi, as its
-    inclusion into the module.
+    the divisor configuration, the coordinates, the constraints, the cycle
+    columns and the actions; no level repeats them.  module is the kernel
+    of the constraints mod l^s, with its inclusion into the ambient level;
+    h1_inclusion gives the cycle columns in module coordinates and phi
+    projects onto the divisor block.  phi_kernel is the kernel of phi, as
+    its inclusion into the module.
     """
 
     lattice: XiLattice
     ell: int
     level: int
     ambient: LModule
-    constraint: LMap
     module: LModule
     inclusion: LMap
     phi_ambient: LMap
     phi: LMap
     phi_kernel: LMap
-    cycle_embedding: LMap
     h1_inclusion: LMap
 
     @property
     def modulus(self) -> int:
         return self.ell ** self.level
-
-    def incidence_maps(self) -> Tuple[LMap, LMap]:
-        """The per-component sum and the map to the support points on the y
-        incidences: the y columns of the component and support point rows."""
-        return tuple(
-            LMap(free_level(self.ell, self.level, M.cols),
-                 free_level(self.ell, self.level, M.rows), M)
-            for M in self.lattice.incidence_blocks())
 
 
 def _span_contains(span: SmithForm, ell: int, s: int, B: IntMatrix) -> bool:
@@ -883,7 +868,6 @@ def build_xi(lattice: XiLattice, ell: int, s: int) -> XiModule:
     ndiv = len(lattice.config.ids)
 
     ambient = free_level(ell, s, C.cols)
-    constraint = LMap(ambient, free_level(ell, s, C.rows), C)
     K = level_kernel(lattice.kernel, ell, s)
 
     phi_ambient = LMap(ambient, free_level(ell, s, ndiv), lattice.projection)
@@ -891,7 +875,6 @@ def build_xi(lattice: XiLattice, ell: int, s: int) -> XiModule:
 
     H = lattice.cycles
     h1_dom = free_level(ell, s, H.cols)
-    cycle_embedding = LMap(h1_dom, ambient, H)
     coords = kernel_coordinates(lattice.kernel, ell, s, H)
     if coords is None:
         raise VerificationFailed("cycle columns do not lie in the assembled kernel")
@@ -919,11 +902,9 @@ def build_xi(lattice: XiLattice, ell: int, s: int) -> XiModule:
 
     return XiModule(
         lattice=lattice, ell=ell, level=s,
-        ambient=ambient, constraint=constraint,
-        module=K.domain, inclusion=K,
-        phi_ambient=phi_ambient, phi=phi,
-        phi_kernel=phi_kernel,
-        cycle_embedding=cycle_embedding, h1_inclusion=h1_inclusion,
+        ambient=ambient, module=K.domain, inclusion=K,
+        phi_ambient=phi_ambient, phi=phi, phi_kernel=phi_kernel,
+        h1_inclusion=h1_inclusion,
     )
 
 

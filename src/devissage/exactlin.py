@@ -237,11 +237,6 @@ class IntMatrix:
         return IntMatrix._trusted(self.rows, self.cols + other.cols, tuple([
             r1 + r2 for r1, r2 in zip(self.data, other.data)]))
 
-    def vstack(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.cols:
-            raise ValueError("column mismatch in vstack")
-        return IntMatrix._trusted(self.rows + other.rows, self.cols, self.data + other.data)
-
     def take_rows(self, idx: Sequence[int]) -> "IntMatrix":
         return IntMatrix._trusted(len(idx), self.cols, tuple([self.data[i] for i in idx]))
 
@@ -495,6 +490,15 @@ def solve_integer(A: IntMatrix, B: IntMatrix) -> Optional[IntMatrix]:
     # unknowns past A.rows are free and set to zero
     Y = (Y + [[0] * B.cols] * A.cols)[:A.cols]
     return sf.V @ IntMatrix(A.cols, B.cols, Y)
+
+
+def adjugate(m: IntMatrix) -> IntMatrix:
+    """adj(m), the integer X with m X = det(m) I, for a nonsingular m."""
+    target = IntMatrix.identity(m.rows).scale(m.det())
+    X = solve_integer(m, target)
+    if X is None or m @ X != target:
+        raise VerificationFailed("m adj(m) is not det(m) I")
+    return X
 
 
 # the largest prime below 2^30: a residue is one 30-bit digit of a CPython
@@ -754,11 +758,6 @@ class CoLGroup:
         return " x ".join(parts)
 
 
-def dual(x):
-    """Pontryagin duality in either direction.  Involutive."""
-    return x.dual()
-
-
 # ---------------------------------------------------------------------------
 # presentations
 
@@ -868,13 +867,6 @@ class LMap:
 
     def is_zero_map(self) -> bool:
         return self.matrix.is_zero()
-
-    def equal_as_maps(self, other: "LMap") -> bool:
-        return (
-            self.domain == other.domain
-            and self.codomain == other.codomain
-            and self.matrix == other.matrix
-        )
 
 
 # ---------------------------------------------------------------------------

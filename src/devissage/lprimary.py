@@ -265,7 +265,7 @@ def torsbis_maps(A: CoLGroup, s: int, t: int, n: int, rng=None) -> TorsBisData:
             len(didx), len(didx), tuple(zip(*cols))))
     An = box_power(A, n)
     incl = LMap(An.level(s), An.level(t), An.level_inclusion_matrix(s, t))
-    return TorsBisData(f_st, incl, incl.equal_as_maps(f_st))
+    return TorsBisData(f_st, incl, incl == f_st)
 
 
 # ---------------------------------------------------------------------------

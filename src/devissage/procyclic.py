@@ -41,13 +41,12 @@ from .exactlin import (
     IntMatrix,
     LModule,
     NULLITY_PRIME,
-    dual,
+    adjugate,
     is_prime,
     is_prime_power,
     kernel,
     matrix_power_kron,
     rank_mod,
-    solve_integer,
 )
 from .lprimary import FrobObject, box_frob_power, cleared_minus_one
 
@@ -63,7 +62,8 @@ def clear_memo():
 
 
 def _memo(key=lambda *args: args):
-    """Memoize a function in _MEMO under key(*args)."""
+    """Memoize a function in _MEMO under key(*args), by default the
+    arguments themselves; the box side's key drops l, which it ignores."""
     def decorate(fn):
         @wraps(fn)
         def cached(*args):
@@ -307,15 +307,6 @@ def _variations(chain: list, c: int, q: int) -> int:
 # Frobenius objects attached to a characteristic polynomial
 
 
-def _adjugate(m: IntMatrix) -> IntMatrix:
-    """adj(m), the integer X with m X = det(m) I, for a nonsingular m."""
-    target = IntMatrix.identity(m.rows).scale(m.det())
-    X = solve_integer(m, target)
-    if X is None or m @ X != target:
-        raise VerificationFailed("m adj(m) is not det(m) I")
-    return X
-
-
 @_memo()
 def torsion_frob(P: CharPoly, ell: int) -> FrobObject:
     """Arithmetic Frobenius on the l-primary torsion of the paired variety.
@@ -327,7 +318,7 @@ def torsion_frob(P: CharPoly, ell: int) -> FrobObject:
     """
     _check_base(P, ell)
     carrier = CoLGroup(LModule(ell, P.degree))
-    mat = _adjugate(P.frobenius_matrix()).transpose()
+    mat = adjugate(P.frobenius_matrix()).transpose()
     return FrobObject(carrier, mat, P.q, qpow=1 - P.g)
 
 
@@ -347,7 +338,7 @@ def box_torsion_frob(P: CharPoly, ell: int, j: int, r: int) -> FrobObject:
 
 def h1(X: FrobObject) -> CoLGroup:
     """Co-fixed points (the only higher cohomology of a procyclic group)."""
-    return dual(kernel(X.frob_minus_one_cleared()).domain)
+    return kernel(X.frob_minus_one_cleared()).domain.dual()
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +376,7 @@ def _set_partitions(items: list):
             yield part[:i] + [items[:1] + block] + part[i + 1:]
 
 
-@_memo(lambda P, j: (P.coefficients, P.q, j))
+@_memo()
 def eigenproduct_poly(P: CharPoly, j: int) -> tuple:
     """The ordered j-fold products of roots of P, with multiplicity, as the
     roots of prod Q^w over the factors ((w, Q), ...), each Q monic, integral
@@ -445,7 +436,7 @@ def rational_root_multiplicity(coeffs: tuple, target) -> int:
     return mult
 
 
-@_memo(lambda P, j, r: (P.coefficients, P.q, j, r))
+@_memo()
 def eigenproduct_multiplicity(P: CharPoly, j: int, r: int) -> int:
     """Number of ordered j-tuples of roots of P whose product is q^(j+r).
 
@@ -559,7 +550,7 @@ def _twist_nullity(M: IntMatrix, rows: list, q: int, a: int) -> int:
     return n - cleared_minus_one(M, q, a).rank()
 
 
-@_memo(lambda P, j: (P.coefficients, j))
+@_memo()
 def _tate_power(P: CharPoly, j: int) -> tuple:
     """C^tensor j for P's Frobenius matrix C and its residue rows mod
     NULLITY_PRIME, built once per (P, j) and run."""

@@ -36,6 +36,7 @@ from .exactlin import (
     LMap,
     LModule,
     SmithForm,
+    adjugate,
     cokernel,
     free_level,
     is_prime,
@@ -46,8 +47,8 @@ from .exactlin import (
     preimage,
 )
 from .lprimary import FrobObject
-from .procyclic import (CharPoly, _adjugate, h1, require_decided,
-                        torsion_frob, weil_weight_check)
+from .procyclic import (CharPoly, h1, require_decided, torsion_frob,
+                        weil_weight_check)
 
 # ---------------------------------------------------------------------------
 # instances
@@ -286,14 +287,17 @@ class LambdaReport:
 def lambda_structure(inst: SingularityInstance, s: int) -> LambdaReport:
     """Cokernel of the per-component zero-sum families inside the point block.
 
-    The result is a single cyclic level with the point permutation acting
-    trivially; the residue identification hangs one inverse Tate twist on
-    it, so the recorded action is q^-1 times the verified identity.
+    The families are the level-s kernel of the per-component sum, and the
+    map to the support points is the support-point block of the lattice's
+    incidence_blocks(), both on the y incidences.  The result is a single
+    cyclic level with the point permutation acting trivially; the residue
+    identification hangs one inverse Tate twist on it, so the recorded
+    action is q^-1 times the verified identity.
     """
-    inst._require_level(s)
     xi = inst.xi(s)
-    _, to_points = xi.incidence_maps()
+    Y = xi.lattice.incidence_blocks()[1]
     sums = level_kernel(xi.lattice.component_sums, inst.ell, s)
+    to_points = LMap(sums.codomain, free_level(inst.ell, s, Y.rows), Y)
     co = cokernel(to_points.compose(sums))
 
     structure_ok = co.codomain == free_level(inst.ell, s, 1)
@@ -328,7 +332,6 @@ def devissage(inst: SingularityInstance,
     blocks are crosschecked against the level-s residue kernel built on the
     graph side.
     """
-    inst._require_level(s)
     ell = inst.ell
     c = inst.lattice.rank
     jrank = inst.jacobian_rank()
@@ -384,7 +387,7 @@ def ono_check(mats: Sequence[IntMatrix], n: int) -> OnoReport:
             raise ValueError("generators must be invertible over the integers")
     right = fixed_rank(mats, n)
     # det m = +-1, so m^-1 = det(m) adj(m)
-    contra = [_adjugate(m).scale(m.det()).transpose() for m in mats]
+    contra = [adjugate(m).scale(m.det()).transpose() for m in mats]
     left = fixed_rank(contra, n)
     return OnoReport(n, right, left, left == right)
 

@@ -277,7 +277,7 @@ def composed_torsbis_commutes(data):
 
     iso_s = identification(data.f_st.domain, data.incl.domain)
     iso_t = identification(data.f_st.codomain, data.incl.codomain)
-    return data.incl.compose(iso_s).equal_as_maps(iso_t.compose(data.f_st))
+    return data.incl.compose(iso_s) == iso_t.compose(data.f_st)
 
 
 Complex = namedtuple("Complex", "terms maps")
@@ -290,7 +290,8 @@ def split_sequence(ell, s, a, b):
     from devissage.exactlin import IntMatrix, LMap, free_level
 
     t_a, t_mid, t_b = (free_level(ell, s, n) for n in (a, a + b, b))
-    inc = LMap(t_a, t_mid, IntMatrix.identity(a).vstack(IntMatrix.zeros(b, a)))
+    inc = LMap(t_a, t_mid, IntMatrix.from_rows(
+        [[int(i == j) for j in range(a)] for i in range(a + b)], a))
     proj = LMap(t_mid, t_b,
                 IntMatrix.zeros(b, a).hstack(IntMatrix.identity(b)))
     return Complex((t_a, t_mid, t_b), (inc, proj))

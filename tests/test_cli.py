@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import time
+from collections import Counter
 from itertools import combinations
 from math import isqrt
 from types import SimpleNamespace
@@ -230,10 +231,15 @@ class TestParsing:
             build_instance(load_raw(path), config_for(path))
 
     def test_action_vertex_repeated(self, tmp_path):
-        path = write_instance(
-            tmp_path, banana_raw(action=[[["a", "b"], ["b", "a"]]]))
-        with pytest.raises(ParseError, match="twice"):
-            build_instance(load_raw(path), config_for(path))
+        # across two cycles, and inside one
+        for cycles, v in (([["a", "b"], ["b", "a"]], "b"), ([["a", "a"]], "a"),
+                          ([["a", "b", "a"]], "a")):
+            path = write_instance(tmp_path, banana_raw(action=[cycles]))
+            with pytest.raises(ParseError, match=f"vertex '{v}' appears twice"):
+                build_instance(load_raw(path), config_for(path))
+        res = CliRunner().invoke(main, ["run", "--input", path])
+        assert res.exit_code == 4
+        assert "vertex 'a' appears twice" in res.output
 
     def test_unknown_jacobian_component(self, tmp_path):
         payload = banana_raw(
@@ -777,6 +783,18 @@ class TestRunLibrary:
         assert sizes == [0]
         assert first[0] == second[0] == 0
         assert render_json(first[1]) == render_json(second[1])
+
+    @pytest.mark.parametrize("name, frobs", [("g1_swap.json", 7),
+                                             ("banana4_divisors.json", 8)])
+    def test_memo_entries_per_function(self, name, frobs):
+        # a memo key that merged or split results would move these counts
+        run(RunConfig(input_path=os.path.join(FIXTURES, name)))
+        counts = Counter(fn.__name__ for fn, _ in procyclic._MEMO)
+        assert counts == {
+            "_box_family": 34, "_box_nullity": 238,
+            "_tate_power": 34, "_tate_fixed_rank": 238,
+            "eigenproduct_poly": 35, "eigenproduct_multiplicity": 245,
+            "torsion_frob": frobs, "weil_weight_check": 7}
 
     @pytest.mark.parametrize("shape, want_code, digest", [
         ("k4", 0,

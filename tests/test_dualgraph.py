@@ -1115,7 +1115,7 @@ class TestBuildXi:
             amb = xi.inclusion.matrix.apply(coords)
             for rows in xi.lattice.ambient_actions:
                 moved = [amb[i] for i in rows]
-                img = xi.constraint.matrix.apply(moved)
+                img = xi.lattice.constraint.apply(moved)
                 assert all(x % mod == 0 for x in img)
 
     def test_level_must_be_positive(self):
@@ -1145,7 +1145,7 @@ class TestBuildPsi:
                 amb = psi_m.apply((x,))
                 proj = xi.phi_ambient.matrix.apply(amb)
                 assert [v % 3 for v in proj] == [(2 * x) % 3, (-2 * x) % 3]
-                cons = xi.constraint.matrix.apply(amb)
+                cons = xi.lattice.constraint.apply(amb)
                 assert all(v % 3 == 0 for v in cons)
 
     def test_trivial_action_splits(self):
@@ -1187,7 +1187,7 @@ class TestBuildPsi:
             proj = xi.phi_ambient.matrix.apply(amb)
             want = sp.basis.apply(coords)
             assert all((p - 2 * w) % 3 == 0 for p, w in zip(proj, want))
-            assert all(v % 3 == 0 for v in xi.constraint.matrix.apply(amb))
+            assert all(v % 3 == 0 for v in xi.lattice.constraint.apply(amb))
 
     def test_equivariance(self):
         g = double_cycle()

@@ -18,9 +18,9 @@ from devissage.exactlin import (
     LMap,
     LModule,
     SmithForm,
+    adjugate,
     canonicalize_with_maps,
     cokernel,
-    dual,
     free_level,
     homology_at,
     integer_kernel_basis,
@@ -39,7 +39,7 @@ from devissage.exactlin import (
     valuation,
 )
 from devissage.lprimary import cleared_minus_one, random_cogroup, torsbis_maps
-from devissage.procyclic import _adjugate, _twist_nullity
+from devissage.procyclic import _twist_nullity
 
 from generators import random_legal_graph
 from oracles import (
@@ -303,10 +303,10 @@ class TestClosedForms:
 
     def test_dual_involution(self):
         M = LModule(5, 2, (4, 1))
-        C = dual(M)
+        C = M.dual()
         assert isinstance(C, CoLGroup)
         assert C.corank == 2 and C.finite_exponents == (4, 1)
-        assert dual(C) == M
+        assert C.dual() == M
 
     def test_colgroup_levels(self):
         C = LModule(2, 1, (2,)).dual()
@@ -353,7 +353,7 @@ class TestMaps:
         f = LMap(LModule(2, 0, (2,)), LModule(2, 0, (2,)), [[5]])
         assert f.matrix.entry(0, 0) == 1
         g = LMap(LModule(2, 0, (2,)), LModule(2, 0, (2,)), [[-3]])
-        assert f.equal_as_maps(g)
+        assert f == g
 
     def test_compose_and_apply(self):
         rng = random.Random(9)
@@ -513,10 +513,10 @@ class TestSumsTensors:
             g2 = _random_map(rng, B, C)
             lhs = tensor_maps(f2.compose(f1), g2.compose(g1))
             rhs = tensor_maps(f2, g2).compose(tensor_maps(f1, g1))
-            assert lhs.equal_as_maps(rhs)
+            assert lhs == rhs
         idm = LMap.identity_on(LModule(2, 1, (2,)))
-        assert tensor_maps(idm, idm).equal_as_maps(
-            LMap.identity_on(LModule(2, 1, (2,)).tensor(LModule(2, 1, (2,)))))
+        assert tensor_maps(idm, idm) == LMap.identity_on(
+            LModule(2, 1, (2,)).tensor(LModule(2, 1, (2,))))
 
 
 @st.composite
@@ -674,13 +674,13 @@ class TestTrustedRoutes:
     def test_trusted_results_equal_their_public_rebuild(self, ell, m, n, k,
                                                          rng):
         A, B = _random_matrix(rng, m, n), _random_matrix(rng, m, n)
-        C, R = _random_matrix(rng, n, k), _random_matrix(rng, k, n)
+        C = _random_matrix(rng, n, k)
         M, N = _random_module(rng, ell), _random_module(rng, ell)
         rows = [rng.randrange(m) for _ in range(k)] if m else []
         cols = [rng.randrange(n) for _ in range(k)] if n else []
         matrices = [
             A.transpose(), A @ C, A + B, A - B, A.scale(rng.randint(-9, 9)),
-            A.mod(ell ** rng.randint(1, 3)), A.hstack(A @ C), A.vstack(R),
+            A.mod(ell ** rng.randint(1, 3)), A.hstack(A @ C),
             A.take_rows(rows), A.take_cols(cols), A.kron(C),
             IntMatrix.identity(n), IntMatrix.zeros(m, n),
             IntMatrix.diagonal([rng.randint(-9, 9) for _ in range(k)]),
@@ -851,7 +851,7 @@ def rank_cases(draw):
         eigen = roots
         if draw(st.booleans()):
             det = C.det()
-            C, eigen = _adjugate(C).transpose(), [det // x for x in roots]
+            C, eigen = adjugate(C).transpose(), [det // x for x in roots]
         j = draw(st.integers(1, 4 if len(roots) <= 2 else 2))
         power = matrix_power_kron(C, j)
         mu = draw(entries)

@@ -166,7 +166,7 @@ class TestCoMaps:
     def test_identity_and_zero(self):
         A = CoLGroup(LModule(2, 1, (2,)))
         assert CoMap.identity_on(A).compose(CoMap.identity_on(A)).dual_map \
-            .equal_as_maps(CoMap.identity_on(A).dual_map)
+            == CoMap.identity_on(A).dual_map
         assert CoMap.multiplication(A, 0).is_zero_map()
 
     def test_kernel_of_mult(self):
@@ -295,7 +295,7 @@ class TestTorsBis:
         base = torsbis_maps(A, 1, 3, 2)
         pert = torsbis_maps(A, 1, 3, 2, rng=rng)
         assert base.commutes and pert.commutes
-        assert base.f_st.equal_as_maps(pert.f_st)
+        assert base.f_st == pert.f_st
 
     def test_degenerate_power(self):
         data = torsbis_maps(box_unit(3), 2, 4, 0)
@@ -310,7 +310,7 @@ class TestTorsBis:
         base = torsbis_maps(A, 1, 2, 3)
         for seed in range(10):
             pert = torsbis_maps(A, 1, 2, 3, rng=random.Random(seed))
-            assert base.f_st.equal_as_maps(pert.f_st)
+            assert base.f_st == pert.f_st
 
     @settings(max_examples=60, deadline=None)
     @given(ell=st.sampled_from((2, 3, 5)), corank=st.integers(1, 2),
@@ -648,4 +648,4 @@ class TestOracleCrossChecks:
         g = CoMap.from_dual_matrix(A, A, [[1, 2], [0, 1]])
         lhs = box_maps(f, f).compose(box_maps(g, g))
         rhs = box_maps(f.compose(g), f.compose(g))
-        assert lhs.dual_map.equal_as_maps(rhs.dual_map)
+        assert lhs.dual_map == rhs.dual_map

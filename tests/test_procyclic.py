@@ -10,7 +10,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from devissage import procyclic
+from devissage import exactlin, procyclic
 from devissage.errors import InvalidInstance, VerificationFailed
 from devissage.exactlin import (
     NULLITY_PRIME,
@@ -18,6 +18,7 @@ from devissage.exactlin import (
     IntMatrix,
     LModule,
     SmithForm,
+    adjugate,
     integer_kernel_basis,
 )
 from devissage.lprimary import FrobObject, cleared_minus_one
@@ -25,7 +26,6 @@ from devissage.procyclic import (
     KERNEL_DIM_CAP,
     WEIL_CATALOG,
     CharPoly,
-    _adjugate,
     _box_nullity,
     _kernel_corank,
     _poly_gcd,
@@ -309,13 +309,13 @@ class TestSympyDifferential:
         CharPoly((1, 1, 5), 5), P_SQUARE))
     def test_adjugate_matches_sympy(self, P):
         C = P.frobenius_matrix()
-        assert entries(_adjugate(C)) == sympy.Matrix(entries(C)).adjugate(
+        assert entries(adjugate(C)) == sympy.Matrix(entries(C)).adjugate(
             ).tolist()
 
     def test_adjugate_is_verified(self, monkeypatch):
-        monkeypatch.setattr(procyclic, "solve_integer", lambda A, B: B)
+        monkeypatch.setattr(exactlin, "solve_integer", lambda A, B: B)
         with pytest.raises(VerificationFailed):
-            _adjugate(P_GENERIC.frobenius_matrix())
+            adjugate(P_GENERIC.frobenius_matrix())
 
 
 class TestFrobConstructors:

@@ -7,7 +7,7 @@ from itertools import product
 import pytest
 import sympy
 
-from devissage import procyclic, sequences
+from devissage import exactlin, sequences
 from devissage.cli import RunConfig, build_instance, load_raw
 from devissage.dualgraph import (
     DivisorConfig,
@@ -578,8 +578,9 @@ class TestLambdaStructure:
         assert rep.structure.torsion_exponents == (1,)
 
     def test_incidence_maps_match_the_incidence_layout(self):
-        # differential: the y-column blocks of Xi's constraints against the
-        # incidence layout built directly from the graph and the divisors
+        # differential: the y-column blocks of Xi's constraints, which Lambda
+        # reads at every level, against the incidence layout built directly
+        # from the graph and the divisors
         rng = random.Random(17)
         graphs = [tree_pair(), banana(swap=False), banana(), comp_swap(),
                   triangle()] + [random_legal_graph(rng) for _ in range(20)]
@@ -588,17 +589,9 @@ class TestLambdaStructure:
         for g, cfg in cases:
             comp_rows, point_rows = incidence_layout_rows(g, cfg)
             n = len(comp_rows[0])
-            for ell, s in ((2, 1), (3, 2)):
-                per_comp_sum, to_points = build_xi(
-                    xi_lattice(cfg), ell, s).incidence_maps()
-                assert per_comp_sum.matrix == IntMatrix.from_rows(comp_rows, n)
-                assert to_points.matrix == IntMatrix.from_rows(point_rows, n)
-                assert per_comp_sum.domain == free_level(ell, s, n)
-                assert to_points.domain == free_level(ell, s, n)
-                assert per_comp_sum.codomain == free_level(
-                    ell, s, len(comp_rows))
-                assert to_points.codomain == free_level(
-                    ell, s, len(point_rows))
+            per_comp_sum, to_points = xi_lattice(cfg).incidence_blocks()
+            assert per_comp_sum == IntMatrix.from_rows(comp_rows, n)
+            assert to_points == IntMatrix.from_rows(point_rows, n)
 
 
 class TestDevissage:
@@ -744,7 +737,7 @@ class TestOnoCheck:
         assert rep.fixed_rank == 0 and rep.matches
 
     def test_wrong_inverse_solve_raises(self, monkeypatch):
-        monkeypatch.setattr(procyclic, "solve_integer", lambda A, B: B)
+        monkeypatch.setattr(exactlin, "solve_integer", lambda A, B: B)
         with pytest.raises(VerificationFailed):
             ono_check([IntMatrix.from_rows([[0, 1], [1, 1]], 2)], 2)
 
@@ -824,7 +817,7 @@ class TestBhnReport:
         g = banana(swap=True)
         xi = build_xi(xi_lattice(default_divisors(g)), 2, 1)
         rows = xi.lattice.ambient_actions[0]
-        target = [row[0] for row in xi.cycle_embedding.matrix.data]
+        target = [row[0] for row in xi.lattice.cycles.data]
         hits = []
         for z in product(range(2), repeat=xi.module.num_gens):
             w = xi.inclusion.matrix.apply(z)
