@@ -683,8 +683,9 @@ class XiLattice:
     points; its columns are the alphas, then the y incidences grouped by
     component.  cycles embeds the cycle lattice via the y coordinates on
     node incidences; projection reads the divisor block.  ambient_actions
-    and divisor_actions hold, per generator, its permutation of the ambient
-    and of the divisor coordinates as perm_rows index tuples.  kernel holds
+    hold, per generator, its permutation of the ambient coordinates as a
+    perm_rows index tuple; its first len(config.ids) entries permute the
+    divisor block, which xi_lattice checks.  kernel holds
     the SmithForm of the transposed constraints and cycle_span that of the
     cycle embedding, which build_xi reads at every level; psi keeps
     build_psi's verified integer sections by their orbit of tree masks.
@@ -697,7 +698,6 @@ class XiLattice:
     projection: IntMatrix
     cycles: IntMatrix
     ambient_actions: Tuple[tuple, ...]
-    divisor_actions: Tuple[tuple, ...]
     kernel: SmithForm
     cycle_span: SmithForm
     psi: Dict[tuple, tuple] = field(default_factory=dict, compare=False,
@@ -722,9 +722,10 @@ class XiLattice:
     @cached_property
     def zero_sum_actions(self) -> tuple:
         """Per generator, R with B R = B permuted by it, or None."""
-        B = difference_basis(len(self.config.ids))
-        return tuple(solve_integer(B, B.take_rows(PD))
-                     for PD in self.divisor_actions)
+        ndiv = len(self.config.ids)
+        B = difference_basis(ndiv)
+        return tuple(solve_integer(B, B.take_rows(P[:ndiv]))
+                     for P in self.ambient_actions)
 
 
 def xi_lattice(config: DivisorConfig) -> XiLattice:
@@ -781,7 +782,6 @@ def xi_lattice(config: DivisorConfig) -> XiLattice:
         raise VerificationFailed("cycle columns leak into the divisor block")
 
     ambient_actions = []
-    divisor_actions = []
     for gp, dp in zip(graph.action, config.action):
 
         def var_image(name):
@@ -792,18 +792,15 @@ def xi_lattice(config: DivisorConfig) -> XiLattice:
             return ("y", gp[comp], new_pt)
 
         P = perm_rows(var_names, var_image)
-        PD = perm_rows(div_ids, dp.__getitem__)
         # projection keeps the first ndiv coordinates, the divisor block
-        if P[:ndiv] != PD:
+        if P[:ndiv] != perm_rows(div_ids, dp.__getitem__):
             raise VerificationFailed("divisor projection is not equivariant")
         ambient_actions.append(P)
-        divisor_actions.append(PD)
 
     return XiLattice(
         config=config, var_names=tuple(var_names), support=support,
         constraint=C, projection=proj, cycles=H,
         ambient_actions=tuple(ambient_actions),
-        divisor_actions=tuple(divisor_actions),
         kernel=SmithForm.of(C.transpose()), cycle_span=SmithForm.of(H),
     )
 

@@ -15,12 +15,13 @@ Vanishing questions for box powers reduce to: does some j-fold product of
 roots of P equal q^(j+r)?  The (2g)^j products fall into one small factor
 per exponent shape (a partition of j), whose power sums come from those of
 P by Moebius inversion and whose coefficients come from Newton's identities.
-The weighted multiplicities of the rational target as a root of the factors
-sum to the corank of H^1, exactly for every P, because Frobenius acts
-semisimply (CharPoly.frobenius_matrix).
+The weighted multiplicities of the integer target as a root of the factors
+sum to the corank of H^1, which vanishing_probe returns, exactly for every
+P, because Frobenius acts semisimply (CharPoly.frobenius_matrix).
 
 None of this depends on l, so each such result is memoized for the length
-of one CLI run (clear_memo); the checks that do depend on l run per call.
+of one CLI run (clear_memo); the one check on l (_check_ell) runs first at
+every entry, at every matrix size.
 The kernel crosscheck memoizes one box power per (P, j), its matrix,
 q-power and residue rows mod NULLITY_PRIME, and the Tate side one C^tensor
 j per (P, j) with its residue rows, independent of the box side.  A twist
@@ -150,23 +151,14 @@ class CharPoly:
         """Sums of k-th powers of the roots for k = 1..upto, exactly."""
         n = self.degree
         low = self.low_coeffs()
-        # elementary symmetric functions with sign folded out
-        e = [0] * (n + 1)
-        e[0] = 1
-        for i in range(1, n + 1):
-            e[i] = (-1) ** i * low[n - i]
+        # elementary symmetric functions with sign folded out, zero past n
+        e = [(-1) ** i * low[n - i] for i in range(n + 1)] + [0] * upto
         t = [0] * (upto + 1)
-        for k in range(1, upto + 1):
-            if k <= n:
-                acc = (-1) ** (k - 1) * k * e[k]
-                for i in range(1, k):
-                    acc += (-1) ** (i - 1) * e[i] * t[k - i]
-                t[k] = acc
-            else:
-                acc = 0
-                for i in range(1, n + 1):
-                    acc += (-1) ** (i - 1) * e[i] * t[k - i]
-                t[k] = acc
+        for k in range(1, upto + 1):  # Newton's identity
+            acc = (-1) ** (k - 1) * k * e[k]
+            for i in range(1, min(k - 1, n) + 1):
+                acc += (-1) ** (i - 1) * e[i] * t[k - i]
+            t[k] = acc
         return t[1:]
 
 
@@ -316,15 +308,22 @@ def torsion_frob(P: CharPoly, ell: int) -> FrobObject:
     det C = q^g this is q^(1-g) * adj(C)^T with an exact symbolic q-power.
     Memoized per (P, l) and run, so adj(C) is taken once for every j.
     """
-    _check_base(P, ell)
+    _check_ell(P, ell)
     carrier = CoLGroup(LModule(ell, P.degree))
     mat = adjugate(P.frobenius_matrix()).transpose()
     return FrobObject(carrier, mat, P.q, qpow=1 - P.g)
 
 
-def _check_base(P: CharPoly, ell: int):
+def _check_ell(P: CharPoly, ell: int):
+    """Raise ValueError unless l is prime to q, prime, and keeps Frobenius
+    an automorphism: the determinant of every box power is a power of the
+    constant term of P, so the last test reads P(0) mod l, no adjugate."""
     if gcd(P.q, ell) != 1:
         raise ValueError(f"l = {ell} divides q = {P.q}")
+    if not is_prime(ell):
+        raise ValueError(f"l must be prime, got {ell}")
+    if P.coefficients[-1] % ell == 0:
+        raise ValueError("frobenius must be an automorphism at l")
 
 
 def box_torsion_frob(P: CharPoly, ell: int, j: int, r: int) -> FrobObject:
@@ -411,28 +410,23 @@ def eigenproduct_poly(P: CharPoly, j: int) -> tuple:
     return tuple(factors)
 
 
-def rational_root_multiplicity(coeffs: tuple, target) -> int:
-    """Multiplicity of a rational target as a root, by exact division.
+def rational_root_multiplicity(coeffs: tuple, target: int) -> int:
+    """Multiplicity of target as a root, by synthetic division by x - target.
 
-    coeffs leading-first, integers; target int or Fraction a/b.  Synthetic
-    division is by the primitive factor b*x - a, so by Gauss's lemma every
-    quotient coefficient of a root is an integer: an inexact step, like a
-    nonzero remainder, means the target is not a root.
+    coeffs leading-first.  The probe's target is the integer q^(j+r), so
+    every step stays in Z; the division is exact arithmetic, so an exact
+    rational target (a Fraction) is counted correctly as well.
     """
-    a, b = target.numerator, target.denominator
     cur = list(coeffs)
     mult = 0
     while len(cur) > 1:
-        out = [0]
-        for c in cur[:-1]:
-            quo, rem = divmod(c + a * out[-1], b)
-            if rem:
-                return mult
-            out.append(quo)
-        if cur[-1] + a * out[-1]:
+        out = [cur[0]]
+        for c in cur[1:]:
+            out.append(c + target * out[-1])
+        if out.pop():
             return mult
         mult += 1
-        cur = out[1:]
+        cur = out
     return mult
 
 
@@ -453,61 +447,32 @@ def eigenproduct_multiplicity(P: CharPoly, j: int, r: int) -> int:
 # the vanishing probe
 
 
-@dataclass(frozen=True)
-class VanishingVerdict:
-    """Exact verdict for H^1 of a box-power twist over the finite base.
+def vanishing_probe(P: CharPoly, ell: int, j: int, r: int) -> int:
+    """The corank of H^1(k, A{l}^box j (r)), exactly; it is 0 exactly
+    when that group vanishes.
 
-    corank is the Q-nullity of (Frobenius - 1) on the dual lattice, which
-    does not depend on l; the boundary slot j = -2r is the only one where
-    a weight-1 polynomial can put eigenvalue products on a rational q-power.
+    It is the Q-nullity of (Frobenius - 1) on the dual lattice, which does
+    not depend on l; the boundary slot j = -2r is the only one where a
+    weight-1 polynomial can put eigenvalue products on a rational q-power.
+    l is checked first, at every size, then the Weil gate.  The corank
+    comes from root-product arithmetic on P, and is independently
+    cross-checked through an integer kernel computation whenever the
+    matrix dimension (2g)^j is within KERNEL_DIM_CAP.
     """
-
-    ell: int
-    q: int
-    nontrivial: bool
-    corank: int
-    boundary_minus: bool   # j == -2r
-    boundary_plus: bool    # j == +2r, the remark's printed variant
-    matrix_dim: int
-    crosschecked: bool
-
-
-def vanishing_probe(P: CharPoly, ell: int, j: int, r: int) -> VanishingVerdict:
-    """Decide triviality of H^1(k, A{l}^box j (r)) exactly.
-
-    Requires the Weil check; the verdict comes from root-product arithmetic
-    on P, and is independently cross-checked through an integer kernel
-    computation whenever the matrix dimension is within KERNEL_DIM_CAP.
-    """
+    _check_ell(P, ell)
     if not weil_weight_check(P):
         raise InvalidInstance(f"{P.coefficients} is not pure of weight 1 at q={P.q}")
-    _check_base(P, ell)
     if j < 0:
         raise InvalidInstance("box power must be non-negative")
-    dim = P.degree ** j
     corank = eigenproduct_multiplicity(P, j, r)
-    crosschecked = dim <= KERNEL_DIM_CAP
-    if crosschecked and _kernel_corank(P, ell, j, r) != corank:
+    if (P.degree ** j <= KERNEL_DIM_CAP
+            and _kernel_corank(P, ell, j, r) != corank):
         raise VerificationFailed("root-product and kernel coranks disagree")
-    return VanishingVerdict(
-        ell=ell, q=P.q,
-        nontrivial=corank > 0,
-        corank=corank,
-        boundary_minus=(j == -2 * r),
-        boundary_plus=(j == 2 * r),
-        matrix_dim=dim,
-        crosschecked=crosschecked,
-    )
+    return corank
 
 
 def _kernel_corank(P: CharPoly, ell: int, j: int, r: int) -> int:
-    # torsion_frob's checks on l, which a memo hit skips: the determinant of
-    # every box power is a power of the constant term of P
-    _check_base(P, ell)
-    if not is_prime(ell):
-        raise ValueError(f"l must be prime, got {ell}")
-    if P.coefficients[-1] % ell == 0:
-        raise ValueError("frobenius must be an automorphism at l")
+    _check_ell(P, ell)  # here too: the memo behind it drops l
     return _box_nullity(P, ell, j, r)
 
 
@@ -584,8 +549,9 @@ def duality_crosscheck(P: CharPoly, ell: int, j: int, r: int) -> DualityReport:
     P describes)^tensor j twisted by -j-r.  Both coranks are computed.
     Methods are recorded because the small-dimension route uses genuine
     integer kernels while large dimensions fall back to root-product
-    arithmetic, shared by both sides.
+    arithmetic, shared by both sides.  l is checked at every size.
     """
+    _check_ell(P, ell)
     if P.degree ** j <= KERNEL_DIM_CAP:
         left = _kernel_corank(P, ell, j, r)
         left_method = "kernel"

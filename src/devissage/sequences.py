@@ -177,10 +177,6 @@ class SingularityInstance:
         """Total number of torsion coordinates over the base: sum of 2 g f."""
         return sum(p.degree * f for _, p, f in self.jacobians)
 
-    def _require_level(self, s: int):
-        if s < 1:
-            raise ValueError("level must be >= 1")
-
 
 def induced_jacobian_block(inst: SingularityInstance, rep: str) -> FrobObject:
     """Torsion of one jacobian orbit as a Frobenius object over the base.
@@ -253,7 +249,8 @@ def upsilon_structure(inst: SingularityInstance, s: int) -> SequenceReport:
     genus overshoot the genus-count prediction; the defect is reported and a
     nonzero defect fails the run rather than being absorbed.
     """
-    inst._require_level(s)
+    if s < 1:
+        raise ValueError("level must be >= 1")
     ell = inst.ell
     lat = inst.lattice
     jrank = inst.jacobian_rank()

@@ -1154,6 +1154,20 @@ class TestRuntimeDependencies:
                     lines += fh.read().count(b"\n")
         assert last == f"{lines:5d}  lines in src/devissage/*.py"
 
+    def test_report_digests_are_recorded(self):
+        """tools/digests.py prints, line by line, what tests/digests.txt
+        records: the exit code and report digest of the fixtures at seeds
+        0 and 3, the graph-scale files at seeds 0, 3 and 1000 and the
+        algebra seeds.  A change that means to alter report bytes
+        re-records the file with the tool and says so in CHANGES.md."""
+        root = os.path.join(os.path.dirname(__file__), os.pardir)
+        res = subprocess.run([sys.executable, "tools/digests.py"], cwd=root,
+                             capture_output=True, text=True, check=False)
+        assert res.returncode == 0, res.stderr
+        with open(os.path.join(root, "tests", "digests.txt"),
+                  encoding="utf-8") as fh:
+            assert res.stdout.splitlines() == fh.read().splitlines()
+
     def test_src_has_no_sympy_import(self):
         pattern = re.compile(r"^\s*(import|from)\s+sympy\b", re.M)
         pkg = os.path.join(SRC, "devissage")

@@ -461,29 +461,22 @@ class TestVanishing:
             vanishing_probe(P_GENERIC, 3, -1, 0)
 
     def test_vanishing_slots(self):
-        v = vanishing_probe(P_GENERIC, 3, 1, 0)
-        assert not v.nontrivial and v.corank == 0
-        assert v.crosschecked
+        assert vanishing_probe(P_GENERIC, 3, 1, 0) == 0
 
     def test_boundary_slot(self):
-        v = vanishing_probe(P_GENERIC, 3, 2, -1)
-        assert v.nontrivial and v.corank == 2
-        assert v.boundary_minus and not v.boundary_plus
-        assert v.crosschecked
+        # j = -2r, the minus boundary
+        assert vanishing_probe(P_GENERIC, 3, 2, -1) == 2
 
     def test_both_sign_variants_probed(self):
         # the probe reports both sign conventions without privileging one:
         # only the minus slot actually hits
-        plus = vanishing_probe(P_GENERIC, 3, 2, 1)
-        assert plus.boundary_plus and not plus.boundary_minus
-        assert not plus.nontrivial
-        zero = vanishing_probe(P_GENERIC, 3, 0, 0)
-        assert zero.boundary_minus and zero.boundary_plus
-        assert zero.nontrivial and zero.corank == 1
+        assert vanishing_probe(P_GENERIC, 3, 2, 1) == 0
+        # j = 0 = r sits on both boundaries
+        assert vanishing_probe(P_GENERIC, 3, 0, 0) == 1
 
     def test_verdict_is_ell_independent(self):
         for j, r in [(2, -1), (3, 0), (4, -2)]:
-            coranks = {vanishing_probe(P_GENERIC, ell, j, r).corank
+            coranks = {vanishing_probe(P_GENERIC, ell, j, r)
                        for ell in (2, 3, 7)}
             assert len(coranks) == 1
 
@@ -494,24 +487,49 @@ class TestVanishing:
             ell = 3 if P.q % 3 else 7
             for j in range(4):
                 for r in (-2, -1, 0, 1):
-                    v = vanishing_probe(P, ell, j, r)
-                    assert v.nontrivial == (j == -2 * r)
+                    corank = vanishing_probe(P, ell, j, r)
+                    assert (corank > 0) == (j == -2 * r)
 
-    def test_large_power_skips_crosscheck(self):
-        v = vanishing_probe(P_QUARTIC, 3, 4, -2)
-        assert v.matrix_dim == 256
-        assert v.corank == 38
-        assert not v.crosschecked
+    def test_large_power_skips_crosscheck(self, kernel_calls):
+        # dimension 4^4 = 256 is above KERNEL_DIM_CAP
+        assert vanishing_probe(P_QUARTIC, 3, 4, -2) == 38
+        assert kernel_calls == []
 
-    def test_squarefull_takes_the_shape_route(self):
+    def test_squarefull_takes_the_shape_route(self, kernel_calls):
         # Frobenius is semisimple, so each root of T^2 - 2T + 5 counts
         # twice: 2^j times the genus-one count, crosschecked by the kernel
-        v = vanishing_probe(P_SQUARE, 3, 2, -1)
-        assert v.corank == 8 and v.crosschecked
-        assert vanishing_probe(P_SQUARE, 3, 1, 0).corank == 0
-        v = vanishing_probe(P_SQUARE, 3, 4, -2)
-        assert v.matrix_dim == 256
-        assert v.corank == 2 ** 4 * 6 and not v.crosschecked
+        # at dimension 16 and not at 256
+        assert vanishing_probe(P_SQUARE, 3, 2, -1) == 8
+        assert len(kernel_calls) >= 1
+        assert vanishing_probe(P_SQUARE, 3, 1, 0) == 0
+        kernel_calls.clear()
+        assert vanishing_probe(P_SQUARE, 3, 4, -2) == 2 ** 4 * 6
+        assert kernel_calls == []
+
+    def test_ell_is_checked_at_every_size(self):
+        # j = 4 puts P_QUARTIC at dimension 256, past the kernel route
+        assert P_QUARTIC.degree ** 4 > KERNEL_DIM_CAP
+        for probe in (vanishing_probe, duality_crosscheck):
+            with pytest.raises(ValueError, match="l must be prime, got 4"):
+                probe(P_QUARTIC, 4, 4, -2)
+            with pytest.raises(ValueError, match="l = 5 divides q"):
+                probe(P_QUARTIC, 5, 4, -2)
+            # 2^7 = 128 and 2 divides the constant term 6
+            with pytest.raises(ValueError, match="automorphism"):
+                probe(C0_SIX, 2, 7, 0)
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The arguments of every _kernel_corank call, the kernel crosscheck."""
+    calls = []
+    real = procyclic._kernel_corank
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(procyclic, "_kernel_corank", counted)
+    return calls
 
 
 class TestDuality:
