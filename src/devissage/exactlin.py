@@ -1021,24 +1021,6 @@ def tensor_maps(f: LMap, g: LMap) -> LMap:
     return LMap(dom, cod, IntMatrix.from_rows(rows, dom.num_gens))
 
 
-def tensor_power_with_index(M: LModule, n: int):
-    """n-fold tensor power with multi-index bookkeeping.
-
-    Returns (module, tuples) where tuples[p] is the n-tuple of generator
-    indices at canonical position p.  The 0-th power is Zl with the empty
-    tuple.
-    """
-    if n < 0:
-        raise ValueError("negative tensor power")
-    mod = LModule(M.ell, 1)
-    tuples = [()]
-    for _ in range(n):
-        nxt, pairs = tensor_with_index(mod, M)
-        tuples = [tuples[i] + (j,) for i, j in pairs]
-        mod = nxt
-    return mod, tuples
-
-
 def matrix_power_kron(m: IntMatrix, n: int) -> IntMatrix:
     """The n-fold Kronecker power of m; the 0th power is the 1 x 1 identity."""
     out = IntMatrix.identity(1)

@@ -22,7 +22,8 @@ automorphism and can be cleared before any kernel or cokernel is taken.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, prod
+from itertools import product
+from math import gcd
 from typing import Sequence
 
 from .exactlin import (
@@ -36,7 +37,6 @@ from .exactlin import (
     matrix_power_kron,
     rank_mod,
     tensor_maps,
-    tensor_power_with_index,
 )
 
 
@@ -64,11 +64,18 @@ def box(A: CoLGroup, B: CoLGroup) -> CoLGroup:
 
 
 def box_power(A: CoLGroup, n: int) -> CoLGroup:
-    """n-fold box power; the 0th power is the unit Ql/Zl."""
+    """n-fold box power; the 0th power is the unit Ql/Zl.
+
+    For n >= 1 it starts from A and takes n - 1 products: the closed-form
+    tensor with the unit's dual Zl returns the canonical input, so this is
+    the power started from the unit, one product fewer.
+    """
     if n < 0:
         raise ValueError("negative box power")
-    out = CoLGroup(LModule._trusted(A.ell, 1, ()))
-    for _ in range(n):
+    if not n:
+        return CoLGroup(LModule._trusted(A.ell, 1, ()))
+    out = A
+    for _ in range(n - 1):
         out = box(out, A)
     return out
 
@@ -94,7 +101,7 @@ def random_cogroup(rng, ell: int) -> CoLGroup:
         raise ValueError(f"l must be prime, got {ell}")
     c = rng.randrange(3)
     k = rng.randrange(3)
-    exps = sorted((rng.randrange(3) + 1 for _ in range(k)), reverse=True)
+    exps = sorted([rng.randrange(3) + 1 for _ in range(k)], reverse=True)
     return CoLGroup(LModule._trusted(ell, c, tuple(exps)))
 
 
@@ -216,8 +223,9 @@ class TorsBisData:
     the s-level of the box power into its t-level.  The identifications
     iso_s, iso_t of tensor powers of levels with levels of the box power
     close the square  incl o iso_s = iso_t o f_st,  which must commute.
-    A is divisible, so both are identities on equal modules (level tensor
-    powers and box-power levels share their multi-index order), and the
+    A is divisible, so both are identities on equal modules: the level-s
+    tensor power and the level s of the box power are both (Z/l^s)^(c^n)
+    with generator tuples in Kronecker (lexicographic) order, and the
     square commutes iff incl and f_st agree as maps.
     """
 
@@ -229,40 +237,39 @@ class TorsBisData:
 def torsbis_maps(A: CoLGroup, s: int, t: int, n: int, rng=None) -> TorsBisData:
     """Construct the level-raising diagram for A^box n between levels s <= t.
 
-    With an rng the lifts used in f_st are perturbed by random l^s-multiples;
-    the outcome must not change, which demonstrates well-definedness of the
+    A = (Ql/Zl)^c, so f_st runs from (Z/l^s)^N to (Z/l^t)^N, N = c^n, with
+    generator tuples in itertools.product order.  The column of a tuple is
+    l^(t-s) times the Kronecker product of the lifts of its legs, reduced
+    mod l^t by LMap; n = 0 has one empty tuple and the column [l^(t-s)].
+    With an rng each lift e_i is perturbed by random l^s-multiples, drawn
+    tuple by tuple, leg by leg, coordinate by coordinate; the outcome must
+    not change, which demonstrates well-definedness of the
     divide-then-multiply recipe.
     """
     if not A.is_divisible:
         raise ValueError("level-raising maps need a divisible group")
     if not 1 <= s <= t:
         raise ValueError("need 1 <= s <= t")
+    if n < 0:
+        raise ValueError("negative tensor power")
     ell = A.ell
     c = A.corank
-    up, mod_s, mod_t = ell ** (t - s), ell ** s, ell ** t
-    if n == 0:
-        dom = LModule(ell, 0, (s,))
-        cod = LModule(ell, 0, (t,))
-        f_st = LMap(dom, cod, [[up]])
-    else:
-        # A is divisible: level t has level s's generator order, all of order l^t
-        dom, didx = tensor_power_with_index(A.level(s), n)
-        cod = LModule._trusted(ell, 0, (t,) * len(didx))
-        cols = []
-        for tup in didx:
+    up, mod_s = ell ** (t - s), ell ** s
+    cols = []
+    for tup in product(range(c), repeat=n):
+        col = [up]
+        for i in tup:
             # lift each leg: a_{i} = l^(t-s) * b with b = e_i + l^s * z
-            legs = []
-            for i in tup:
-                lift = [0] * c
-                lift[i] = 1
-                if rng is not None:
-                    for j in range(c):
-                        lift[j] += mod_s * rng.randrange(ell)
-                legs.append(lift)
-            cols.append([prod(leg[j] for leg, j in zip(legs, ctup)) * up % mod_t
-                         for ctup in didx])
-        f_st = LMap(dom, cod, IntMatrix._trusted(
-            len(didx), len(didx), tuple(zip(*cols))))
+            lift = ([0] * c if rng is None
+                    else [mod_s * rng.randrange(ell) for _ in range(c)])
+            lift[i] += 1
+            col = [x * y for x in col for y in lift]
+        cols.append(col)
+    # LMap reduces every row mod l^t, the order of each codomain generator
+    N = len(cols)
+    f_st = LMap(LModule._trusted(ell, 0, (s,) * N),
+                LModule._trusted(ell, 0, (t,) * N),
+                IntMatrix._trusted(N, N, tuple(zip(*cols))))
     An = box_power(A, n)
     incl = LMap(An.level(s), An.level(t), An.level_inclusion_matrix(s, t))
     return TorsBisData(f_st, incl, incl == f_st)

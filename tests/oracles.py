@@ -55,7 +55,13 @@ homology through the identity kernel and a preimage solve where no map
 leaves the position, before homology_at took the cokernel of the incoming
 map there; companion_matrix, the companion matrix of P, the Frobenius
 model of CharPoly.companion before CharPoly.frobenius_matrix put the
-companions of rad P, rad(P / rad P), ... on the block diagonal.
+companions of rad P, rad(P / rad P), ... on the block diagonal;
+tensor_power_with_index, the n-th tensor power with the generator tuple
+at each canonical position, through which torsbis_maps indexed f_st and
+took a product over the legs per matrix entry, before it built each
+column as a Kronecker product of its leg lifts; unit_box_power, the box
+power started from the unit in n products, before box_power started from
+A in n - 1.
 float_root_tuple_count counts ordered root tuples with a given product in
 floating point.
 """
@@ -1196,14 +1202,44 @@ def randint_random_cogroup(rng, ell):
     return CoLGroup(LModule(ell, c, tuple(exps)))
 
 
+def tensor_power_with_index(M, n):
+    """n-fold tensor power with multi-index bookkeeping.
+
+    Returns (module, tuples) where tuples[p] is the n-tuple of generator
+    indices at canonical position p, built by n tensor_with_index products
+    from Zl.  The 0-th power is Zl with the empty tuple.
+    """
+    from devissage.exactlin import LModule, tensor_with_index
+    if n < 0:
+        raise ValueError("negative tensor power")
+    mod = LModule(M.ell, 1)
+    tuples = [()]
+    for _ in range(n):
+        nxt, pairs = tensor_with_index(mod, M)
+        tuples = [tuples[i] + (j,) for i, j in pairs]
+        mod = nxt
+    return mod, tuples
+
+
+def unit_box_power(A, n):
+    """A^box n as n box products started from the unit Ql/Zl."""
+    from devissage.exactlin import CoLGroup, LModule
+    from devissage.lprimary import box
+    if n < 0:
+        raise ValueError("negative box power")
+    out = CoLGroup(LModule(A.ell, 1))
+    for _ in range(n):
+        out = box(out, A)
+    return out
+
+
 def randint_torsbis_f_st(A, s, t, n, rng):
     """torsbis_maps(A, s, t, n, rng).f_st for n >= 1, each lift coordinate
     perturbed by l^s * rng.randint(0, l - 1) and the l-powers taken per
     entry."""
     from math import prod
 
-    from devissage.exactlin import (IntMatrix, LMap, LModule,
-                                    tensor_power_with_index)
+    from devissage.exactlin import IntMatrix, LMap, LModule
     ell, c = A.ell, A.corank
     dom, didx = tensor_power_with_index(A.level(s), n)
     cod = LModule(ell, 0, (t,) * len(didx))

@@ -95,11 +95,12 @@ def test_algebra_seeds_layers_are_called(monkeypatch):
     assert {"lprimary.box", "lprimary.torsbis_maps"} <= homes
     assert all(calls[label] for label in homes), calls
     # the reuse the workload's speed rests on: box(B, C) once per boxcalc
-    # triple, no kernel, preimage or Smith form at the left end of a
-    # complex, and one exactness proof of the witness sequence for both of
-    # its probes; these counts do not depend on the seed
+    # triple, box_power(A, n) in n - 1 products from A, no kernel,
+    # preimage or Smith form at the left end of a complex, and one
+    # exactness proof of the witness sequence for both of its probes;
+    # these counts do not depend on the seed
     assert (calls["lprimary.box"], calls["exactlin.solve_integer"],
-            calls["exactlin.smith_with_inverses"]) == (953, 3, 27)
+            calls["exactlin.smith_with_inverses"]) == (881, 3, 27)
 
 
 def test_graph_scale_layers_are_called(monkeypatch):

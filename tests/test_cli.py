@@ -1,6 +1,7 @@
 """Front door coverage: parsing, suite execution, exit codes, determinism."""
 
 import hashlib
+import importlib.util
 import json
 import os
 import random
@@ -1167,6 +1168,39 @@ class TestRuntimeDependencies:
         with open(os.path.join(root, "tests", "digests.txt"),
                   encoding="utf-8") as fh:
             assert res.stdout.splitlines() == fh.read().splitlines()
+
+    def test_bench_summary_of_two_pairs(self):
+        # tools/bench_json.py's summary on a synthetic log: pair 1 a win
+        # for the change, pair 2 a tie (counted for neither side), and a
+        # traced run that the summary leaves out
+        spec = importlib.util.spec_from_file_location(
+            "bench_json", os.path.join(os.path.dirname(__file__), os.pardir,
+                                       "tools", "bench_json.py"))
+        bench = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench)
+
+        def run(pair, side, wall, rss, trace=0, failed=0):
+            return {"pair": pair, "side": side, "workload": "w", "seed": 0,
+                    "trace": trace, "result": {
+                        "metrics": {"wall_s": {"value": wall},
+                                    "peak_rss_mb": {"value": rss}},
+                        "attempted": 10, "failed": failed, "correct": True}}
+
+        runs = [run(1, "parent", 2.0, 30.0), run(1, "change", 1.5, 31.0),
+                run(2, "change", 3.0, 29.0, failed=1),
+                run(2, "parent", 3.0, 30.0),
+                run(3, "parent", 9.0, 99.0, trace=1)]
+        metrics = [{"name": "wall_s", "better": "lower"},
+                   {"name": "peak_rss_mb", "better": "lower"}]
+        wall, rss = bench.summarize(runs, metrics)
+        assert wall == {
+            "workload": "w", "seed": 0, "metric": "wall_s", "pairs": 2,
+            "parent_median": 2.5, "change_median": 2.25, "parent_iqr": 0.5,
+            "change_wins": 1, "parent_range": [2.0, 3.0],
+            "change_range": [1.5, 3.0], "parent_failed_ratio": 0.0,
+            "change_failed_ratio": 0.05, "all_correct": True}
+        assert (rss["parent_median"], rss["change_median"],
+                rss["parent_iqr"], rss["change_wins"]) == (30.0, 30.0, 0.0, 1)
 
     def test_src_has_no_sympy_import(self):
         pattern = re.compile(r"^\s*(import|from)\s+sympy\b", re.M)

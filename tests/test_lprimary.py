@@ -16,7 +16,6 @@ from devissage.exactlin import (
     cokernel,
     kernel,
     matrix_power_kron,
-    tensor_power_with_index,
 )
 from devissage.lprimary import (
     CoMap,
@@ -44,6 +43,8 @@ from oracles import (
     randint_torsbis_f_st,
     subgroup_closure,
     tensor_maps_frob_power,
+    tensor_power_with_index,
+    unit_box_power,
 )
 
 
@@ -122,6 +123,17 @@ class TestBox:
         A = CoLGroup(LModule(7, 2, (3, 1)))
         assert box_power(A, 0) == box_unit(7)
         assert box_power(box_unit(7), 5) == box_unit(7)
+
+    @settings(max_examples=80, deadline=None)
+    @given(ell=st.sampled_from((2, 3, 5)), corank=st.integers(0, 2),
+           exps=st.lists(st.integers(1, 3), max_size=3), n=st.integers(0, 4))
+    def test_power_matches_the_unit_started_power(self, ell, corank, exps, n):
+        # differential: n - 1 products from A against n from the unit,
+        # finite parts and the trivial group (corank 0, no exponents) included
+        A = CoLGroup(LModule(ell, corank, tuple(sorted(exps, reverse=True))))
+        assert box_power(A, n) == unit_box_power(A, n)
+        with pytest.raises(ValueError, match="negative box power"):
+            box_power(A, -1)
 
     def test_prime_mismatch(self):
         with pytest.raises(ValueError, match="tensor across primes"):
@@ -282,6 +294,12 @@ class TestLevels:
         assert lvl.is_finite and 2 ** sum(lvl.torsion_exponents) == 4
 
 
+def _unit_level_raising(ell, s, t):
+    """Multiplication by l^(t-s) from Z/l^s to Z/l^t: f_st at n = 0."""
+    return LMap(LModule(ell, 0, (s,)), LModule(ell, 0, (t,)),
+                [[ell ** (t - s)]])
+
+
 class TestTorsBis:
     def test_rank_one_inclusion(self):
         A = box_unit(2)
@@ -313,23 +331,29 @@ class TestTorsBis:
             assert base.f_st == pert.f_st
 
     @settings(max_examples=60, deadline=None)
-    @given(ell=st.sampled_from((2, 3, 5)), corank=st.integers(1, 2),
-           n=st.integers(1, 3), levels=st.sampled_from(
+    @given(ell=st.sampled_from((2, 3, 5)), corank=st.integers(0, 3),
+           n=st.integers(0, 3), levels=st.sampled_from(
                [(s, t) for t in range(2, 5) for s in range(1, t)]))
     def test_codomain_is_the_level_t_tensor_power(self, ell, corank, n,
                                                   levels):
         # differential: against the level-t tensor power and its own index;
         # with unperturbed lifts f_st sends the generator of each index
-        # tuple to l^(t-s) times the generator of that tuple at level t
+        # tuple to l^(t-s) times the generator of that tuple at level t.
+        # At n = 0 the tensor power is Zl, but the levels of the unit are
+        # cyclic: f_st is [l^(t-s)] from Z/l^s to Z/l^t
         s, t = levels
         A = CoLGroup(LModule(ell, corank))
         data = torsbis_maps(A, s, t, n)
-        cod, cidx = tensor_power_with_index(A.level(t), n)
-        _, didx = tensor_power_with_index(A.level(s), n)
-        assert data.f_st.codomain == cod
-        rows = [[ell ** (t - s) if ctup == dtup else 0 for dtup in didx]
-                for ctup in cidx]
-        assert data.f_st.matrix == IntMatrix.from_rows(rows, len(didx))
+        if n == 0:
+            assert data.f_st == _unit_level_raising(ell, s, t)
+        else:
+            cod, cidx = tensor_power_with_index(A.level(t), n)
+            dom, didx = tensor_power_with_index(A.level(s), n)
+            assert data.f_st.codomain == cod
+            assert data.f_st.domain == dom
+            rows = [[ell ** (t - s) if ctup == dtup else 0 for dtup in didx]
+                    for ctup in cidx]
+            assert data.f_st.matrix == IntMatrix.from_rows(rows, len(didx))
         assert data.commutes
 
     def test_direct_comparison_matches_composed_square(self):
@@ -358,19 +382,32 @@ class TestSameStreamDraws:
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2 ** 64), ell=st.sampled_from((2, 3, 5)),
-           corank=st.integers(1, 2), n=st.integers(1, 3),
+           corank=st.integers(0, 3), n=st.integers(0, 3),
            levels=st.sampled_from(
                [(s, t) for t in range(1, 5) for s in range(1, t + 1)]))
     def test_draws_match_randint_forms(self, seed, ell, corank, n, levels):
+        # n = 0 has no legs, so no draw: f_st is the closed form
         s, t = levels
         A = CoLGroup(LModule(ell, corank))
         fast, slow = random.Random(seed), random.Random(seed)
         for _ in range(3):
             assert random_cogroup(fast, ell) == randint_random_cogroup(slow,
                                                                        ell)
-        assert (torsbis_maps(A, s, t, n, rng=fast).f_st
-                == randint_torsbis_f_st(A, s, t, n, slow))
+        if n:
+            assert (torsbis_maps(A, s, t, n, rng=fast).f_st
+                    == randint_torsbis_f_st(A, s, t, n, slow))
+        else:
+            assert (torsbis_maps(A, s, t, n, rng=fast).f_st
+                    == _unit_level_raising(ell, s, t))
         assert fast.getstate() == slow.getstate()
+
+    @pytest.mark.parametrize("corank", [0, 1, 2])
+    def test_negative_power_raises_before_any_draw(self, corank):
+        rng = random.Random(7)
+        state = rng.getstate()
+        with pytest.raises(ValueError, match="negative tensor power"):
+            torsbis_maps(CoLGroup(LModule(3, corank)), 1, 2, -1, rng=rng)
+        assert rng.getstate() == state
 
     def test_random_cogroup_rejects_a_non_prime(self):
         with pytest.raises(ValueError, match="l must be prime, got 4"):

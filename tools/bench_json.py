@@ -7,8 +7,12 @@ Two steps, standard library only:
     python3 tools/bench_json.py write --log runs.jsonl --tag TAG \\
         --parent-commit REV --what "one line on the change"
 
-`run` executes `python3 perfbench/run.py` in the parent and change
-checkouts, pair by pair, for the `run_seconds` of BENCHMARK.json, and
+`run` first compiles the `src/` of both checkouts to bytecode
+(`compileall`), so that neither side's first import pays the compiler's
+peak memory inside `peak_rss_mb` (under PYTHONDONTWRITEBYTECODE a
+checkout never writes its own bytecode).  It then executes
+`python3 perfbench/run.py` in the parent and change checkouts, pair by
+pair, for the `run_seconds` of BENCHMARK.json, and
 appends each run's result line (the last line the benchmark prints) to
 the log as one JSON object with its pair, side, workload, seed and trace
 flag.  Pair i runs the parent first when i is odd and the change first
@@ -26,6 +30,7 @@ every run was correct.
 """
 
 import argparse
+import compileall
 import json
 import statistics
 import subprocess
@@ -46,6 +51,9 @@ def _benchmark():
 def run_pairs(args):
     sides = {"parent": args.parent, "change": args.change}
     seconds = _benchmark()["run_seconds"]
+    for path in sides.values():
+        if not compileall.compile_dir(Path(path) / "src", quiet=1):
+            sys.exit(f"cannot compile {path}/src")
     with open(args.log, "a", encoding="utf-8") as log:
         for pair in range(args.first_pair, args.first_pair + args.pairs):
             order = ("parent", "change") if pair % 2 else ("change", "parent")
