@@ -16,6 +16,7 @@ rendering carries per-suite timings and is not byte-stable.
 """
 
 import json
+import os
 import random
 import time
 from dataclasses import dataclass
@@ -512,7 +513,7 @@ def _run_devissage(inst, config) -> dict:
         outer, inner = sequences.devissage(inst, s)
         st = inner.structure
         checks.append(_check(
-            f"kernel object structure at level {s}", inner.verdict == "PASS",
+            f"kernel object structure at level {s}", inner.ok,
             sequence="upsilon",
             structure=(f"observed {st['observed']}, predicted "
                        f"{st['predicted']}, defect {st['defect']}"),
@@ -520,13 +521,13 @@ def _run_devissage(inst, config) -> dict:
         lam = sequences.lambda_structure(inst, s)
         checks.append(_check(
             f"boundary cokernel structure at level {s}",
-            lam.verdict == "PASS",
+            lam.ok,
             structure=f"{lam.structure} with twist {lam.twist}"))
         checks.append(_check(
-            f"outer assembly exact at level {s}", outer.verdict == "PASS",
+            f"outer assembly exact at level {s}", outer.ok,
             sequence="dev1", modeled=True))
         checks.append(_check(
-            f"inner assembly exact at level {s}", inner.verdict == "PASS",
+            f"inner assembly exact at level {s}", inner.ok,
             sequence="dev2", modeled=True))
     return _suite(checks)
 
@@ -814,9 +815,17 @@ def run_command(input_path, suites, ell, precision, max_level, fmt, seed,
     except InvalidInstance as exc:
         click.echo(f"error: {exc}", err=True)
         raise SystemExit(4)
-    # open the report file before any suite runs, so a bad path fails fast
+    # open the report file before any suite runs, so a bad path fails fast;
+    # opening truncates it, so it must not be the input file
     fh = None
     if out:
+        try:
+            clash = os.path.samefile(out, input_path)
+        except OSError:
+            clash = False
+        if clash:
+            click.echo(f"error: --out {out} is the input file", err=True)
+            raise SystemExit(4)
         try:
             fh = open(out, "w", encoding="utf-8")
         except OSError as exc:

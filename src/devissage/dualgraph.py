@@ -26,6 +26,7 @@ from .exactlin import (
     LMap,
     LModule,
     SmithForm,
+    adjugate,
     free_level,
     integer_kernel_basis,
     kernel,
@@ -342,12 +343,32 @@ def h1_lattice(graph: DualGraph) -> HomologyLattice:
 
 def fixed_rank(mats: Sequence[IntMatrix], n: int) -> int:
     """Rank of the common fixed sublattice of n x n integer matrices: the
-    kernel rank of the rows of every M - 1, stacked."""
+    kernel rank of the rows of every M - 1, stacked.  For the action
+    matrices of a cycle lattice this is its invariant_rank, rho."""
     if not mats or n == 0:
         return n
     one = IntMatrix.identity(n)
     rows = tuple(r for M in mats for r in (M - one).data)
     return integer_kernel_basis(IntMatrix._trusted(len(rows), n, rows)).cols
+
+
+def dual_fixed_rank(mats: Sequence[IntMatrix], n: int) -> int:
+    """fixed_rank of the dual of Z^n, which carries the contragredient
+    (inverse transpose) action of the generators mats.
+
+    A generator that is not n x n, or not invertible over the integers,
+    raises ValueError.  Each generator's det d = +-1 is taken once: it is
+    both the invertibility check and the sign in m^-1 = d adj(m).
+    """
+    contra = []
+    for m in mats:
+        if m.rows != n or m.cols != n:
+            raise ValueError("generators must be square of the lattice rank")
+        d = m.det()
+        if d not in (1, -1):
+            raise ValueError("generators must be invertible over the integers")
+        contra.append(adjugate(m).scale(d).transpose())
+    return fixed_rank(contra, n)
 
 
 def invariant_rank(lattice: HomologyLattice) -> int:

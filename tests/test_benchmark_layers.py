@@ -111,6 +111,12 @@ def test_graph_scale_layers_are_called(monkeypatch):
     assert {"dualgraph.build_psi", "sequences.lambda_structure",
             "exactlin.IntMatrix.det"} <= homes
     assert all(calls[label] for label in homes), calls
+    # the bhn report reads the instance's cached rho for the dual lattice
+    # check rather than reducing M - 1 once more, and dual_fixed_rank takes
+    # the one generator's det once, as its unimodularity check and as the
+    # sign of its inverse, so the Smith forms and determinants are pinned
+    assert (calls["exactlin.smith_with_inverses"],
+            calls["exactlin.IntMatrix.det"]) == (70, 5)
 
 
 def test_fixture_all_layers_are_called(monkeypatch):

@@ -1158,8 +1158,8 @@ class TestRuntimeDependencies:
     def test_report_digests_are_recorded(self):
         """tools/digests.py prints, line by line, what tests/digests.txt
         records: the exit code and report digest of the fixtures at seeds
-        0 and 3, the graph-scale files at seeds 0, 3 and 1000 and the
-        algebra seeds.  A change that means to alter report bytes
+        0 and 3, the graph-scale files at seeds 0, 3 and 1000, the jacobian
+        on a component orbit of size 2 and the algebra seeds.  A change that means to alter report bytes
         re-records the file with the tool and says so in CHANGES.md."""
         root = os.path.join(os.path.dirname(__file__), os.pardir)
         res = subprocess.run([sys.executable, "tools/digests.py"], cwd=root,
@@ -1427,6 +1427,31 @@ class TestCommandLine:
         assert res.stdout == ""
         assert res.stderr.startswith(f"error: cannot write {target}: ")
         assert "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize("spelling", ["same", "dotted", "hard-link"])
+    def test_out_naming_the_input_exits_four(self, tmp_path, monkeypatch,
+                                             spelling):
+        # opening --out truncates it, which would destroy the input
+        source = tmp_path / "x.json"
+        with open(G1_SWAP, "rb") as fh:
+            source.write_bytes(fh.read())
+        before = source.read_bytes()
+        target = {"same": str(source),
+                  "dotted": str(tmp_path / "." / "x.json"),
+                  "hard-link": str(tmp_path / "link.json")}[spelling]
+        if spelling == "hard-link":
+            os.link(source, target)
+
+        def no_suite(config):
+            raise AssertionError("a suite ran before --out was checked")
+
+        monkeypatch.setattr(cli, "run", no_suite)
+        res = CliRunner().invoke(main, ["run", "--input", str(source),
+                                        "--out", target])
+        assert res.exit_code == 4
+        assert res.stdout == ""
+        assert res.stderr == f"error: --out {target} is the input file\n"
+        assert source.read_bytes() == before
 
     def test_malformed_input_exits_four(self, tmp_path):
         path = tmp_path / "zz.json"

@@ -13,7 +13,11 @@ report.  The runs are
   1000, with the graph-scale suites, written to a temporary directory;
   each report's ``input`` is set to the file name, so the digest does not
   depend on that directory;
-* ``boxcalc,torsionlevels`` on ``g1_swap.json`` at seeds 0, 20, ..., 180.
+* ``boxcalc,torsionlevels`` on ``g1_swap.json`` at seeds 0, 20, ..., 180;
+* ``g1_swap.json`` with both components of genus 1 swapped by the action
+  and one jacobian on a component orbit of size 2 (so its block is
+  induced with a cyclic wrap), with ``bhn`` and with every suite at seed
+  0, written to the temporary directory as ``g1_jacobian_orbit.json``.
 
 Two checkouts print the same lines exactly when they give the same exit
 codes and byte-identical reports on these runs, so comparing a change
@@ -32,6 +36,12 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FIXTURES = ("g1_swap.json", "g2_tree.json", "banana4_divisors.json")
 GRAPH_SUITES = ("graph", "splitting", "devissage", "bhn")
 ALGEBRA_SUITES = ("boxcalc", "torsionlevels")
+JACOBIAN_ORBIT = {
+    "components": [{"id": "u", "genus": 1}, {"id": "v", "genus": 1}],
+    "action": [[["u", "v"]]],
+    "jacobians": [{"orbit_rep": "u", "charpoly": [1, -2, 25], "q": 25,
+                   "f": 2}],
+}
 
 
 def digest(cli, name, config):
@@ -63,6 +73,15 @@ def main():
                 config = cli.RunConfig(input_path=path, suites=GRAPH_SUITES,
                                        seed=seed, **extra)
                 print(digest(cli, f"{name}.json", config))
+        with open(g1_swap, encoding="utf-8") as fh:
+            raw = {**json.load(fh), **JACOBIAN_ORBIT}
+        name = "g1_jacobian_orbit.json"
+        path = os.path.join(work, name)
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(raw, fh)
+        for suites in (("bhn",), ("all",)):
+            config = cli.RunConfig(input_path=path, suites=suites, seed=0)
+            print(digest(cli, name, config))
     for seed in range(0, 200, 20):
         config = cli.RunConfig(input_path=g1_swap, suites=ALGEBRA_SUITES,
                                seed=seed)
