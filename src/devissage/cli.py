@@ -20,7 +20,7 @@ import os
 import random
 import time
 from dataclasses import dataclass
-from math import gcd, prod
+from math import prod
 from typing import Optional, Tuple
 
 import click
@@ -32,7 +32,6 @@ from .dualgraph import (
     DualGraph,
     bezout_combine,
     betti,
-    build_psi,
     default_divisors,
     laplacian,
     n_x,
@@ -259,7 +258,9 @@ def build_instance(raw: dict, config: RunConfig):
         for name in ("orbit_rep", "charpoly", "q", "f"):
             if name not in entry:
                 raise ParseError(f"{spot}: missing {name!r}")
-        coeffs = _req(entry, "charpoly", list)
+        coeffs = entry["charpoly"]
+        if not isinstance(coeffs, list):
+            raise ParseError(f"{spot}: field 'charpoly' has the wrong type")
         try:
             poly = CharPoly(
                 tuple(_int(c, f"{spot}.charpoly[{k}]")
@@ -476,30 +477,22 @@ def _run_graph(inst, config) -> dict:
 
 
 def _run_splitting(inst, config) -> dict:
-    # smallest deterministic prefix of orbits whose sizes reach the gcd
-    chosen = []
-    running = 0
-    for orbit in inst.orbits:
-        chosen.append(orbit)
-        running = gcd(running, len(orbit))
-        if running == inst.m:
-            break
-
+    # the orbits count and cap the trees before Xi's Smith forms
+    orbits, m = inst.orbits, inst.m
     # each construction raises VerificationFailed on a false step: returning proves it
+    combined = bezout_combine(inst.xi(1).lattice, orbits, m)
     checks = []
     for s in range(1, inst.max_level + 1):
         xi = inst.xi(s)
         checks.append(_check(
             f"residue sequence exact at level {s}", True,
             sequence="spl2", structure=str(xi.module)))
-        psis = [build_psi(xi, o) for o in chosen]
-        combined = bezout_combine(psis, inst.m)
         checks.append(_check(
             f"combined section multiplies by the orbit gcd at level {s}",
             True, sequence="spl2",
-            structure=f"m={combined.m}, orbits used {len(psis)}"))
-        if inst.m % inst.ell != 0:
-            # bezout_combine raised unless phi Psi = m B mod l^s, and m is a
+            structure=f"m={m}, orbits used {len(combined.orbit_sizes)}"))
+        if m % inst.ell != 0:
+            # bezout_combine raised unless phi Psi = m B over Z, and m is a
             # unit mod l^s here, so m^-1 Psi is a section of phi
             checks.append(_check(
                 f"prime-to-ell gcd splits the sequence at level {s}", True,

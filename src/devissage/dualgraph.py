@@ -520,11 +520,6 @@ def tree_orbits(graph: DualGraph, cap: int = DEFAULT_TREE_CAP):
     return tuple(tuple(trees[k] for k in o) for o in sorted(orbits))
 
 
-def m_gamma(graph: DualGraph, cap: int = DEFAULT_TREE_CAP) -> int:
-    """Gcd of the spanning tree orbit sizes under the action."""
-    return gcd(*(len(o) for o in tree_orbits(graph, cap)))
-
-
 # ---------------------------------------------------------------------------
 # the balanced tree solver
 
@@ -721,8 +716,8 @@ class XiLattice:
     ambient_actions: Tuple[tuple, ...]
     kernel: SmithForm
     cycle_span: SmithForm
-    psi: Dict[tuple, tuple] = field(default_factory=dict, compare=False,
-                                    repr=False)
+    psi: Dict[tuple, IntMatrix] = field(default_factory=dict,
+                                        compare=False, repr=False)
 
     @property
     def graph(self) -> DualGraph:
@@ -832,27 +827,22 @@ class XiModule:
 
     lattice holds the integer data behind it (see XiLattice): the graph,
     the divisor configuration, the coordinates, the constraints, the cycle
-    columns and the actions; no level repeats them.  module is the kernel
-    of the constraints mod l^s, with its inclusion into the ambient level;
-    h1_inclusion gives the cycle columns in module coordinates and phi
-    projects onto the divisor block.  phi_kernel is the kernel of phi, as
-    its inclusion into the module.
+    columns, the actions and the sections psi, which live over Z; no level
+    repeats them.  module is the kernel of the constraints mod l^s, with
+    its inclusion into the ambient level; h1_inclusion gives the cycle
+    columns in module coordinates and phi projects onto the divisor block.
+    phi_kernel is the kernel of phi, as its inclusion into the module.
     """
 
     lattice: XiLattice
     ell: int
     level: int
-    ambient: LModule
     module: LModule
     inclusion: LMap
     phi_ambient: LMap
     phi: LMap
     phi_kernel: LMap
     h1_inclusion: LMap
-
-    @property
-    def modulus(self) -> int:
-        return self.ell ** self.level
 
 
 def _span_contains(span: SmithForm, ell: int, s: int, B: IntMatrix) -> bool:
@@ -920,7 +910,7 @@ def build_xi(lattice: XiLattice, ell: int, s: int) -> XiModule:
 
     return XiModule(
         lattice=lattice, ell=ell, level=s,
-        ambient=ambient, module=K.domain, inclusion=K,
+        module=K.domain, inclusion=K,
         phi_ambient=phi_ambient, phi=phi, phi_kernel=phi_kernel,
         h1_inclusion=h1_inclusion,
     )
@@ -928,23 +918,6 @@ def build_xi(lattice: XiLattice, ell: int, s: int) -> XiModule:
 
 # ---------------------------------------------------------------------------
 # the explicit section psi and its Bezout combination
-
-
-@dataclass
-class PsiSplitting:
-    """Section data for one spanning tree orbit.
-
-    psi_ambient sends the difference basis of the zero sum divisor block
-    into ambient Xi coordinates; phi after psi multiplies by the orbit size
-    m, and psi commutes with the action.  Both facts are verified exactly
-    over Z, once per orbit, before any level reduces the section.
-    """
-
-    xi: XiModule
-    m: int
-    domain: LModule
-    basis: IntMatrix
-    psi_ambient: LMap
 
 
 def difference_basis(ndiv: int) -> IntMatrix:
@@ -973,14 +946,14 @@ def _psi_column(lattice: XiLattice, m: int, alpha: Dict[str, int],
     return col
 
 
-def _orbit_section(lattice: XiLattice, tree_orbit):
-    """The validated orbit of tree masks, in decreasing (spanning_trees)
-    order, and its integer section Psi over Z.
+def _orbit_section(lattice: XiLattice, tree_orbit) -> IntMatrix:
+    """The integer section Psi over Z of one orbit of tree masks, validated.
 
     Each edge value is linear in the vertex values, so every column of the
     difference basis goes through each tree's leaf order at once.  Psi is
     then proved a section over Z, hence at every level: it meets the
-    constraints, phi after Psi is m B, and it commutes with each generator."""
+    constraints, phi after Psi is m B (m the orbit size), and it commutes
+    with each generator."""
     graph, config = lattice.graph, lattice.config
     nedges, nverts = len(graph.edges), len(graph.vertex_ids)
     for t in tree_orbit:
@@ -1000,7 +973,7 @@ def _orbit_section(lattice: XiLattice, tree_orbit):
             "orbit is not closed under the action"))) != 1:
         raise ValueError("the given trees split into several orbits")
 
-    trees = tuple(sorted(tree_orbit, reverse=True))
+    m = len(leaf_orders)
     div_ids = config.ids
     B = difference_basis(len(div_ids))
     alphas = [{d: B.entry(i, j) for i, d in enumerate(div_ids)}
@@ -1017,9 +990,8 @@ def _orbit_section(lattice: XiLattice, tree_orbit):
                        - sum(values[n][j] for n in graph.nodes))
 
     sums: Dict[Edge, List[int]] = {}
-    for t in trees:
+    for steps, roots in leaf_orders.values():
         residual = dict(values)
-        steps, roots = leaf_orders[t]
         for v, e, other in steps:
             x = residual[v]
             residual[other] = [r - y for r, y in zip(residual[other], x)]
@@ -1028,35 +1000,35 @@ def _orbit_section(lattice: XiLattice, tree_orbit):
             for r in residual[v]:
                 _check_root(v, r)
 
-    cols = [_psi_column(lattice, len(trees), alpha,
+    cols = [_psi_column(lattice, m, alpha,
                         {e: s[j] for e, s in sums.items()})
             for j, alpha in enumerate(alphas)]
     Psi = (IntMatrix.from_rows(list(map(list, zip(*cols))), len(cols))
            if cols else IntMatrix.zeros(len(lattice.var_names), 0))
     if not (lattice.constraint @ Psi).is_zero():
         raise VerificationFailed("psi columns violate the defining constraints")
-    if (lattice.projection @ Psi) != B.scale(len(trees)):
+    if (lattice.projection @ Psi) != B.scale(m):
         raise VerificationFailed("phi after psi is not multiplication by the orbit size")
     for P, R in zip(lattice.ambient_actions, lattice.zero_sum_actions):
         if R is None or Psi.take_rows(P) != (Psi @ R):
             raise VerificationFailed("psi does not commute with the action")
-    return trees, Psi
+    return Psi
 
 
-def build_psi(xi: XiModule, tree_orbit) -> PsiSplitting:
-    """Construct the section of xi's phi for one orbit of spanning trees.
+def build_psi(lattice: XiLattice, tree_orbit) -> IntMatrix:
+    """The integer section Psi of lattice's phi for one orbit of spanning
+    trees: phi after Psi multiplies by the orbit size, over Z.
 
     tree_orbit must be a full orbit of tree masks, as tree_orbits returns
     it, under the generated action group: every member a spanning tree of
-    xi's graph, closed under each generator, and reachable from any member.
-    The construction sums the balanced tree solutions over the orbit, which
-    is what makes the result equivariant.
+    lattice's graph, closed under each generator, and reachable from any
+    member.  The construction sums the balanced tree solutions over the
+    orbit, which is what makes the result equivariant.
     Neither the orbit's validation, nor those integer solutions, nor their
-    proof as a section over Z depends on the level: _orbit_section does all
-    three once, xi's lattice keeps the verified result by the orbit as
-    given (a failed orbit is not kept), and each level only reduces it.
+    proof as a section over Z depends on a level: _orbit_section does all
+    three once, and lattice keeps the proved Psi by the orbit as given (a
+    failed orbit is not kept), so each level may reduce it mod l^s.
     """
-    lattice = xi.lattice
     orbit = tuple(tree_orbit)
     # the orbit is the cache key, so its trees are checked to be masks
     # before it is hashed
@@ -1065,38 +1037,33 @@ def build_psi(xi: XiModule, tree_orbit) -> PsiSplitting:
             raise ValueError(f"tree {t!r} is not an edge bitmask")
     if orbit not in lattice.psi:
         lattice.psi[orbit] = _orbit_section(lattice, orbit)
-    trees, Psi = lattice.psi[orbit]
-    B = difference_basis(len(lattice.config.ids))
-    domain = free_level(xi.ell, xi.level, B.cols)
-    return PsiSplitting(xi=xi, m=len(trees), domain=domain, basis=B,
-                        psi_ambient=LMap(domain, xi.ambient, Psi))
+    return lattice.psi[orbit]
 
 
 @dataclass
 class CombinedSplitting:
-    xi: XiModule
     m: int
     coefficients: Tuple[int, ...]
     orbit_sizes: Tuple[int, ...]
-    psi_ambient: LMap
+    psi: IntMatrix
 
 
-def bezout_combine(splittings: Sequence[PsiSplitting],
+def bezout_combine(lattice: XiLattice, orbits: Sequence,
                    m: int) -> CombinedSplitting:
-    """Combine per orbit sections into one achieving the orbit size gcd.
-
-    The gcd of the supplied orbit sizes must equal m, the gcd over all
-    tree orbits (m_gamma); a ValueError reports both numbers otherwise.
+    """Combine the build_psi sections of the smallest prefix of orbits
+    whose sizes reach m, the gcd over all tree orbits, into one integer Psi
+    with phi after Psi = m B, checked once over Z, hence at every level.
+    A ValueError reports both gcds when all of orbits falls short.
     """
-    if not splittings:
-        raise ValueError("no splittings supplied")
-    xi = splittings[0].xi
-    for sp in splittings[1:]:
-        if (sp.xi.lattice, sp.xi.ell, sp.xi.level) != (
-                xi.lattice, xi.ell, xi.level):
-            raise ValueError("splittings belong to different assemblies")
-    sizes = [sp.m for sp in splittings]
-    g = gcd(*sizes)
+    if not orbits:
+        raise ValueError("no orbits supplied")
+    chosen, g = [], 0
+    for orbit in orbits:
+        chosen.append(orbit)
+        g = gcd(g, len(orbit))
+        if g == m:
+            break
+    sizes = [len(o) for o in chosen]
     if g != m:
         raise ValueError(
             f"orbit sizes {sizes} reach gcd {g}, but the full orbit gcd is "
@@ -1105,22 +1072,16 @@ def bezout_combine(splittings: Sequence[PsiSplitting],
     # fold extended gcds into one coefficient list
     coeffs = [1]
     acc = sizes[0]
-    for szv in sizes[1:]:
-        old_g, x, y = _egcd(acc, szv)
+    for size in sizes[1:]:
+        acc, x, y = _egcd(acc, size)
         coeffs = [ci * x for ci in coeffs] + [y]
-        acc = old_g
-    Psi = None
-    for ci, sp in zip(coeffs, splittings):
-        term = sp.psi_ambient.matrix.scale(ci)
-        Psi = term if Psi is None else Psi + term
-    B = splittings[0].basis
-    # stored map matrices are already reduced mod l^s, so compare there
-    if not ((xi.phi_ambient.matrix @ Psi) - B.scale(g)).mod(xi.modulus).is_zero():
+    terms = [build_psi(lattice, o).scale(ci) for ci, o in zip(coeffs, chosen)]
+    Psi = sum(terms[1:], terms[0])
+    if lattice.projection @ Psi != difference_basis(
+            len(lattice.config.ids)).scale(m):
         raise VerificationFailed("combined section misses the gcd multiple")
-    return CombinedSplitting(
-        xi=xi, m=g, coefficients=tuple(coeffs), orbit_sizes=tuple(sizes),
-        psi_ambient=LMap(splittings[0].domain, xi.ambient, Psi),
-    )
+    return CombinedSplitting(m=m, coefficients=tuple(coeffs),
+                             orbit_sizes=tuple(sizes), psi=Psi)
 
 
 def _egcd(a: int, b: int):

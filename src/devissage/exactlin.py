@@ -226,11 +226,6 @@ class IntMatrix:
         return [{k: y for k, x in enumerate(r) if (y := x % p)}
                 for r in self.data]
 
-    def apply(self, vec: Sequence[int]) -> tuple:
-        if len(vec) != self.cols:
-            raise ValueError("vector length mismatch")
-        return tuple(sum(a * v for a, v in zip(row, vec)) for row in self.data)
-
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.rows != other.rows:
             raise ValueError("row mismatch in hstack")

@@ -63,7 +63,8 @@ column as a Kronecker product of its leg lifts; unit_box_power, the box
 power started from the unit in n products, before box_power started from
 A in n - 1.
 float_root_tuple_count counts ordered root tuples with a given product in
-floating point.
+floating point.  apply multiplies an IntMatrix into a vector, the
+IntMatrix.apply method that only tests called.
 """
 
 from collections import namedtuple
@@ -173,6 +174,13 @@ def brute_cokernel_structure(ell, dom_orders, cod_orders, matrix):
             for j in range(len(dom_orders))]
     sub = subgroup_closure(cod_orders, gens)
     return quotient_structure(ell, cod_orders, sub)
+
+
+def apply(M, vec):
+    """The IntMatrix M times the vector vec, as a tuple."""
+    if len(vec) != M.cols:
+        raise ValueError("vector length mismatch")
+    return tuple(sum(a * v for a, v in zip(row, vec)) for row in M.data)
 
 
 def rational_rank(rows):

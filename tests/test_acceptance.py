@@ -17,14 +17,13 @@ from devissage.cli import RunConfig, build_instance, load_raw, render_json, run
 from devissage.dualgraph import (
     betti,
     bezout_combine,
-    build_psi,
     build_xi,
     default_divisors,
+    difference_basis,
     dual_fixed_rank,
     fixed_rank,
     h1_lattice,
     invariant_rank,
-    m_gamma,
     n_x,
     spanning_trees,
     tree_orbits,
@@ -49,7 +48,7 @@ from devissage.sequences import (
     upsilon_structure,
 )
 from generators import random_legal_graph
-from oracles import rational_nullity, sympy_laplacian_cofactor
+from oracles import apply, rational_nullity, sympy_laplacian_cofactor
 from test_lprimary import mult_ell_ses
 from test_dualgraph import (
     banana as graph_banana,
@@ -214,37 +213,32 @@ def test_criterion_06_graph_invariants():
     pinned = graph_banana(swap=True)
     ok &= betti(pinned) == 1
     ok &= len(spanning_trees(pinned)) == 4
-    ok &= m_gamma(pinned) == 2
+    ok &= gcd(*(len(o) for o in tree_orbits(pinned))) == 2
     ok &= invariant_rank(h1_lattice(pinned)) == 0
     _verdict(6, "graph invariants on 50 random graphs + pinned 4-cycle", ok)
 
 
 def _splitting_ok(graph, config, ell, s, m_value, orbits) -> bool:
     mod = ell ** s
-    # build_xi, build_psi and bezout_combine raise on a false proof step
+    # build_xi and bezout_combine raise on a false proof step
     xi = build_xi(xi_lattice(config), ell, s)
-    chosen, running = [], 0
-    for orbit in orbits:
-        chosen.append(orbit)
-        running = gcd(running, len(orbit))
-        if running == m_value:
-            break
-    psis = [build_psi(xi, o) for o in chosen]
-    combined = bezout_combine(psis, m_value)
+    combined = bezout_combine(xi.lattice, orbits, m_value)
     ok = combined.m == m_value
-    basis = psis[0].basis
+    # the integer section, reduced to level s
+    section = combined.psi.mod(mod)
     ndiv = len(config.ids)
+    basis = difference_basis(ndiv)
     if ndiv <= 4 and mod <= 27:
         # exhaustive: phi psi = m on every vector of the zero sum block
         for coords in product(range(mod), repeat=ndiv - 1):
-            amb = combined.psi_ambient.matrix.apply(coords)
-            proj = xi.phi_ambient.matrix.apply(amb)
-            want = basis.apply(coords)
+            amb = apply(section, coords)
+            proj = apply(xi.phi_ambient.matrix, amb)
+            want = apply(basis, coords)
             ok &= all((p - m_value * w) % mod == 0
                       for p, w in zip(proj, want))
     if m_value % ell:
         inv = pow(m_value % mod, -1, mod)
-        lhs = xi.phi_ambient.matrix @ combined.psi_ambient.matrix.scale(inv)
+        lhs = xi.phi_ambient.matrix @ section.scale(inv)
         ok &= (lhs - basis).mod(mod).is_zero()
     return ok
 
@@ -264,7 +258,7 @@ def test_criterion_07_splitting():
         if config is None:
             config = default_divisors(g)
         orbits = tree_orbits(g)
-        m_value = m_gamma(g)
+        m_value = gcd(*(len(o) for o in orbits))
         for ell in (2, 3):
             for s in (1, 2, 3):
                 if ell ** s > 27:
@@ -274,7 +268,9 @@ def test_criterion_07_splitting():
     for _ in range(25):
         g = random_legal_graph(rng)
         config = default_divisors(g)
-        ok &= _splitting_ok(g, config, 3, 1, m_gamma(g), tree_orbits(g))
+        orbits = tree_orbits(g)
+        ok &= _splitting_ok(g, config, 3, 1, gcd(*(len(o) for o in orbits)),
+                            orbits)
     _verdict(7, "sections multiply by m and split when coprime", ok)
 
 

@@ -117,6 +117,10 @@ def test_graph_scale_layers_are_called(monkeypatch):
     # sign of its inverse, so the Smith forms and determinants are pinned
     assert (calls["exactlin.smith_with_inverses"],
             calls["exactlin.IntMatrix.det"]) == (70, 5)
+    # the splitting suite proves its combined section once over Z, from
+    # g1_swap's one orbit, and every level reads it
+    assert (calls["dualgraph.build_psi"],
+            calls["dualgraph.bezout_combine"]) == (1, 1)
 
 
 def test_fixture_all_layers_are_called(monkeypatch):

@@ -398,6 +398,7 @@ class TestRunLibrary:
         ("genus", None, "components[0].genus"),
         ("f", "x", "jacobians[0].f"),
         ("charpoly", [1, -2, 0], "jacobians[0]"),
+        ("charpoly", "x", "jacobians[0]: field 'charpoly' has the wrong type"),
         ("q", 1, "jacobians[0]"),
         ("jacobians", 5, "jacobians"),
         # JSON floats and bools are not integers: no silent truncation
@@ -502,12 +503,13 @@ class TestRunLibrary:
                            max_level=2)
         inst = build_instance(load_raw(path), config)
         given = []
-        real = cli.build_psi
-        monkeypatch.setattr(cli, "build_psi",
-                            lambda xi, orbit: given.append(orbit)
-                            or real(xi, orbit))
+        real = dualgraph.build_psi
+        monkeypatch.setattr(dualgraph, "build_psi",
+                            lambda lattice, orbit: given.append(orbit)
+                            or real(lattice, orbit))
         cli._run_splitting(inst, config)
-        assert [len(o) for o in given] == [2, 2, 1] * 2
+        # once per run: the combined section serves both levels
+        assert [len(o) for o in given] == [2, 2, 1]
         assert all(any(o is orbit for orbit in inst.orbits) for o in given)
 
     def test_fixed_rank_taken_once_per_run(self, monkeypatch):

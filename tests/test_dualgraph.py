@@ -23,10 +23,10 @@ from devissage.dualgraph import (
     build_psi,
     build_xi,
     default_divisors,
+    difference_basis,
     h1_lattice,
     invariant_rank,
     laplacian,
-    m_gamma,
     n_x,
     perm_rows,
     spanning_trees,
@@ -39,6 +39,7 @@ from devissage.exactlin import IntMatrix, LModule, cokernel, kernel
 
 from generators import random_legal_graph, random_symmetric_graph
 from oracles import (
+    apply,
     brute_kernel_structure,
     divisor_action,
     edge_recursion_trees,
@@ -72,6 +73,11 @@ def component_swap():
         [("u", 0), ("v", 0)], ["a", "b"],
         [("u", "a"), ("u", "b"), ("v", "a"), ("v", "b")],
         [{"u": "v", "v": "u"}])
+
+
+def orbit_gcd(graph):
+    # the full orbit gcd m, as SingularityInstance.m takes it
+    return gcd(*(len(o) for o in tree_orbits(graph)))
 
 
 def tree_pair():
@@ -400,7 +406,7 @@ class TestPermMatrix:
     def test_column_of_x_has_its_one_at_the_image_of_x(self):
         P = perm_matrix(("a", "b", "c"), {"a": "b", "b": "c", "c": "a"}.get)
         assert [list(r) for r in P.data] == [[0, 0, 1], [1, 0, 0], [0, 1, 0]]
-        assert P.apply((1, 2, 3)) == (3, 1, 2)
+        assert apply(P, (1, 2, 3)) == (3, 1, 2)
         rows = perm_rows(("a", "b", "c"), {"a": "b", "b": "c", "c": "a"}.get)
         assert rows == (2, 0, 1)
         for n, cols in ((0, 0), (0, 3), (3, 0)):
@@ -581,25 +587,25 @@ class TestTreeOrbits:
         g = banana()
         orbits = tree_orbits(g)
         assert sorted(len(o) for o in orbits) == [2, 2]
-        assert m_gamma(g) == 2
+        assert orbit_gcd(g) == 2
 
     def test_trivial_action_gives_m_one(self):
         g = banana(swap=False)
         orbits = tree_orbits(g)
         assert [len(o) for o in orbits] == [1, 1, 1, 1]
-        assert m_gamma(g) == 1
-        assert m_gamma(tree_pair()) == 1
+        assert orbit_gcd(g) == 1
+        assert orbit_gcd(tree_pair()) == 1
 
     def test_rotation_orbits(self):
         g = rotation_cycle()
         assert sorted(len(o) for o in tree_orbits(g)) == [4, 4]
-        assert m_gamma(g) == 4
+        assert orbit_gcd(g) == 4
 
     def test_double_cycle_has_fixed_trees(self):
         g = double_cycle()
         sizes = sorted(len(o) for o in tree_orbits(g))
         assert sizes == [1, 1, 1, 1, 2, 2, 2, 2, 2, 2]
-        assert m_gamma(g) == 1
+        assert orbit_gcd(g) == 1
 
     def test_orbits_partition_the_tree_set(self):
         for g in (banana(), double_cycle(), rotation_cycle()):
@@ -760,7 +766,7 @@ class TestTreeCapBoundary:
 
         monkeypatch.setattr(dualgraph, "_multigraph_trees", counted)
         g = complete(4, [[1, 2, 3, 0]])
-        for fn in (spanning_trees, tree_orbits, m_gamma):
+        for fn in (spanning_trees, tree_orbits):
             with pytest.raises(EnumerationCapExceeded, match=r"^128 "):
                 fn(g, cap=127)
         assert calls == []
@@ -808,10 +814,9 @@ class TestOrbitSectionAgainstPerColumnRoute:
         lattice = xi_lattice(DivisorConfig(g, divisors))
         for orbit in tree_orbits(g):
             given_order = orbit[::-1]
-            trees, Psi = _orbit_section(lattice, given_order)
-            assert (tuple(tree_edges(g, t) for t in trees), Psi) \
-                == per_column_orbit_section(
-                    lattice, [tree_edges(g, t) for t in given_order])
+            _, Psi = per_column_orbit_section(
+                lattice, [tree_edges(g, t) for t in given_order])
+            assert _orbit_section(lattice, given_order) == Psi
 
 
 class TestExtendedGcd:
@@ -935,9 +940,9 @@ class TestTreeSolve:
             tree_solve(g, cycle, {})
         with pytest.raises(ValueError, match="cycle"):
             tree_solve(g, cycle, {"u": 1})      # not balanced either
-        xi = build_xi(xi_lattice(default_divisors(g)), 3, 1)
         with pytest.raises(ValueError, match="cycle"):
-            build_psi(xi, [sum(g.edge_bit[e] for e in cycle)])
+            build_psi(xi_lattice(default_divisors(g)),
+                      [sum(g.edge_bit[e] for e in cycle)])
 
 
 class TestDivisorConfig:
@@ -1109,13 +1114,13 @@ class TestBuildXi:
         g = double_cycle()
         xi = build_xi(xi_lattice(default_divisors(g)), 3, 2)
         rng = random.Random(41)
-        mod = xi.modulus
+        mod = 3 ** 2
         for _ in range(5):
             coords = [rng.randrange(mod) for _ in range(xi.module.num_gens)]
-            amb = xi.inclusion.matrix.apply(coords)
+            amb = apply(xi.inclusion.matrix, coords)
             for rows in xi.lattice.ambient_actions:
                 moved = [amb[i] for i in rows]
-                img = xi.lattice.constraint.apply(moved)
+                img = apply(xi.lattice.constraint, moved)
                 assert all(x % mod == 0 for x in img)
 
     def test_level_must_be_positive(self):
@@ -1138,39 +1143,38 @@ class TestBuildPsi:
         cfg = default_divisors(g)
         xi = build_xi(xi_lattice(cfg), 3, 1)
         for orbit in tree_orbits(g):
-            sp = build_psi(xi, orbit)
-            assert sp.m == 2
-            psi_m = sp.psi_ambient.matrix
+            Psi = build_psi(xi.lattice, orbit)
+            assert len(orbit) == 2
             for x in range(3):
-                amb = psi_m.apply((x,))
-                proj = xi.phi_ambient.matrix.apply(amb)
+                amb = apply(Psi, (x,))
+                proj = apply(xi.phi_ambient.matrix, amb)
                 assert [v % 3 for v in proj] == [(2 * x) % 3, (-2 * x) % 3]
-                cons = xi.lattice.constraint.apply(amb)
+                cons = apply(xi.lattice.constraint, amb)
                 assert all(v % 3 == 0 for v in cons)
 
     def test_trivial_action_splits(self):
         g = banana(swap=False)
         cfg = default_divisors(g)
+        B = difference_basis(len(cfg.ids))
         for s in (1, 2, 3):
             xi = build_xi(xi_lattice(cfg), 3, s)
             orbit = [spanning_trees(g)[0]]
-            sp = build_psi(xi, orbit)
-            assert sp.m == 1
-            lhs = (xi.phi_ambient.matrix @ sp.psi_ambient.matrix)
-            assert (lhs - sp.basis).mod(3 ** s).is_zero()
+            Psi = build_psi(xi.lattice, orbit)
+            lhs = (xi.phi_ambient.matrix @ Psi.mod(3 ** s))
+            assert (lhs - B).mod(3 ** s).is_zero()
 
     def test_unit_orbit_size_section_at_every_level(self):
         # 3 does not divide m = 2, so scaling psi by the inverse splits phi
         g = banana()
         cfg = default_divisors(g)
+        orbit = tree_orbits(g)[0]
         for s in (1, 2, 3):
             mod = 3 ** s
             xi = build_xi(xi_lattice(cfg), 3, s)
-            sp = build_psi(xi, tree_orbits(g)[0])
-            inv = pow(sp.m, -1, mod)
-            section = sp.psi_ambient.matrix.scale(inv)
+            inv = pow(len(orbit), -1, mod)
+            section = build_psi(xi.lattice, orbit).mod(mod).scale(inv)
             lhs = xi.phi_ambient.matrix @ section
-            assert (lhs - sp.basis).mod(mod).is_zero()
+            assert (lhs - difference_basis(len(cfg.ids))).mod(mod).is_zero()
 
     def test_anchored_divisors_exhaustive(self):
         g = banana()
@@ -1180,25 +1184,25 @@ class TestBuildPsi:
              ("d_a", ("node", "a")), ("d_b", ("node", "b"))])
         xi = build_xi(xi_lattice(cfg), 3, 1)
         orbit = tree_orbits(g)[0]
-        sp = build_psi(xi, orbit)
-        assert sp.m == 2
+        Psi = build_psi(xi.lattice, orbit)
+        assert len(orbit) == 2
+        B = difference_basis(len(cfg.ids))
         for coords in product(range(3), repeat=3):
-            amb = sp.psi_ambient.matrix.apply(coords)
-            proj = xi.phi_ambient.matrix.apply(amb)
-            want = sp.basis.apply(coords)
+            amb = apply(Psi, coords)
+            proj = apply(xi.phi_ambient.matrix, amb)
+            want = apply(B, coords)
             assert all((p - 2 * w) % 3 == 0 for p, w in zip(proj, want))
-            assert all(v % 3 == 0 for v in xi.lattice.constraint.apply(amb))
+            assert all(v % 3 == 0 for v in apply(xi.lattice.constraint, amb))
 
     def test_equivariance(self):
         g = double_cycle()
         cfg = default_divisors(g)
         xi = build_xi(xi_lattice(cfg), 2, 2)
         orbit = max(tree_orbits(g), key=len)
-        sp = build_psi(xi, orbit)
-        assert sp.m == 2
+        assert len(orbit) == 2
         # the action on the zero sum block in the difference basis B: its
         # last row is minus the column sums, so the other rows determine it
-        B, Psi = sp.basis, sp.psi_ambient.matrix
+        B, Psi = difference_basis(len(cfg.ids)), build_psi(xi.lattice, orbit)
         lat = xi.lattice
         for P in lat.ambient_actions:
             R = B.take_rows(P[:B.rows]).take_rows(range(B.cols))
@@ -1209,17 +1213,20 @@ class TestBuildPsi:
         g = double_cycle()
         cfg = default_divisors(g)
         orbit = min(tree_orbits(g), key=len)
-        sp = build_psi(build_xi(xi_lattice(cfg), 2, 2), orbit)
-        assert sp.m == 1
+        assert len(orbit) == 1
+        lat = build_xi(xi_lattice(cfg), 2, 2).lattice
+        assert lat.projection @ build_psi(lat, orbit) \
+            == difference_basis(len(cfg.ids))
 
     def test_rotation_orbit(self):
         g = rotation_cycle()
         cfg = default_divisors(g)
         xi = build_xi(xi_lattice(cfg), 3, 2)
-        sp = build_psi(xi, tree_orbits(g)[0])
-        assert sp.m == 4
-        lhs = xi.phi_ambient.matrix @ sp.psi_ambient.matrix
-        assert (lhs - sp.basis.scale(4)).mod(9).is_zero()
+        orbit = tree_orbits(g)[0]
+        assert len(orbit) == 4
+        lhs = xi.phi_ambient.matrix @ build_psi(xi.lattice, orbit)
+        B = difference_basis(len(cfg.ids))
+        assert (lhs - B.scale(4)).mod(9).is_zero()
 
     # one corruption of the proof's columns per integer identity of the
     # section: a y entry off by one breaks the constraints, a doubled column
@@ -1245,7 +1252,7 @@ class TestBuildPsi:
         for _ in range(2):
             # a failed orbit is not kept, so asking again fails again
             with pytest.raises(VerificationFailed, match=f"^{message}$"):
-                build_psi(build_xi(lat, 3, 1), orbit)
+                build_psi(lat, orbit)
             assert lat.psi == {}
 
     def test_section_is_proved_once_per_orbit(self, monkeypatch):
@@ -1261,11 +1268,10 @@ class TestBuildPsi:
         lat = xi_lattice(default_divisors(g))
         orbits = tree_orbits(g)
         for s in (1, 2, 3):
-            xi = build_xi(lat, 3, s)
+            build_xi(lat, 3, s)
             for orbit in orbits:
-                sp = build_psi(xi, orbit)
-                Psi = lat.psi[tuple(orbit)][1]
-                assert sp.psi_ambient.matrix == Psi.mod(3 ** s)
+                assert build_psi(lat, orbit) is lat.psi[tuple(orbit)]
+            bezout_combine(lat, orbits, orbit_gcd(g))
         assert sections == list(orbits)
 
     def test_orbit_validation(self):
@@ -1274,13 +1280,13 @@ class TestBuildPsi:
         orbits = tree_orbits(g)
         lat = xi_lattice(cfg)
         with pytest.raises(ValueError, match="not closed"):
-            build_psi(build_xi(lat, 3, 1), orbits[0][:1])
+            build_psi(lat, orbits[0][:1])
         with pytest.raises(ValueError, match="several"):
-            build_psi(build_xi(lat, 3, 1), orbits[0] + orbits[1])
+            build_psi(lat, orbits[0] + orbits[1])
         with pytest.raises(ValueError, match="repeated tree"):
-            build_psi(build_xi(lat, 3, 1), orbits[0] + orbits[0][:1])
+            build_psi(lat, orbits[0] + orbits[0][:1])
         with pytest.raises(ValueError, match="cannot span"):
-            build_psi(build_xi(lat, 3, 1), [(1 << len(g.edges)) - 1])
+            build_psi(lat, [(1 << len(g.edges)) - 1])
 
     def test_mask_validation(self):
         # theta: 5 vertices, 6 edges, no action, so every tree is an orbit
@@ -1300,73 +1306,58 @@ class TestBuildPsi:
                 ([edges], "is not an edge bitmask$"),
                 ([[list(e) for e in edges]], "is not an edge bitmask$")]:
             with pytest.raises(ValueError, match=message):
-                build_psi(build_xi(lat, 3, 1), orbit)
+                build_psi(lat, orbit)
         assert lat.psi == {}
 
 
 class TestBezoutCombine:
     def test_banana_both_orbits(self):
+        # both orbits supplied: the first already reaches m = 2, so the
+        # prefix stops there
         g = banana()
         cfg = default_divisors(g)
         xi = build_xi(xi_lattice(cfg), 3, 1)
-        sps = [build_psi(xi, o) for o in tree_orbits(g)]
-        combined = bezout_combine(sps, m_gamma(g))
+        orbits = tree_orbits(g)
+        combined = bezout_combine(xi.lattice, orbits, orbit_gcd(g))
         assert combined.m == 2
-        assert combined.orbit_sizes == (2, 2)
-        lhs = xi.phi_ambient.matrix @ combined.psi_ambient.matrix
-        assert (lhs - sps[0].basis.scale(2)).mod(3).is_zero()
+        assert combined.orbit_sizes == (2,)
+        assert combined.psi == build_psi(xi.lattice, orbits[0])
+        lhs = xi.phi_ambient.matrix @ combined.psi
+        B = difference_basis(len(cfg.ids))
+        assert (lhs - B.scale(2)).mod(3).is_zero()
 
     def test_single_orbit_passthrough(self):
         g = rotation_cycle()
         cfg = default_divisors(g)
-        sp = build_psi(build_xi(xi_lattice(cfg), 2, 2), tree_orbits(g)[0])
-        combined = bezout_combine([sp], m_gamma(g))
+        lat = build_xi(xi_lattice(cfg), 2, 2).lattice
+        orbit = tree_orbits(g)[0]
+        combined = bezout_combine(lat, [orbit], orbit_gcd(g))
         assert combined.m == 4
-        assert combined.psi_ambient.matrix == sp.psi_ambient.matrix
+        assert combined.psi == build_psi(lat, orbit)
 
     def test_mixed_sizes_reach_gcd_one(self):
+        # the orbit of size 2 first, so the prefix needs both
         g = double_cycle()
         cfg = default_divisors(g)
         xi = build_xi(xi_lattice(cfg), 3, 2)
         orbits = sorted(tree_orbits(g), key=len)
-        sps = [build_psi(xi, orbits[0]),
-               build_psi(xi, orbits[-1])]
-        combined = bezout_combine(sps, m_gamma(g))
+        combined = bezout_combine(xi.lattice, [orbits[-1], orbits[0]],
+                                  orbit_gcd(g))
         assert combined.m == 1
         assert sorted(combined.orbit_sizes) == [1, 2]
-        lhs = xi.phi_ambient.matrix @ combined.psi_ambient.matrix
-        assert (lhs - sps[0].basis).mod(9).is_zero()
+        assert sum(c * n for c, n in zip(combined.coefficients,
+                                         combined.orbit_sizes)) == 1
+        lhs = xi.phi_ambient.matrix @ combined.psi
+        assert (lhs - difference_basis(len(cfg.ids))).mod(9).is_zero()
 
     def test_shortfall_reported(self):
         g = double_cycle()
-        cfg = default_divisors(g)
-        xi = build_xi(xi_lattice(cfg), 2, 1)
+        lat = xi_lattice(default_divisors(g))
         big = [o for o in tree_orbits(g) if len(o) == 2]
-        sps = [build_psi(xi, o) for o in big[:2]]
         with pytest.raises(ValueError, match="supply more orbits"):
-            bezout_combine(sps, m_gamma(g))
-
-    def test_mismatched_assemblies_rejected(self):
-        g = banana()
-        cfg = default_divisors(g)
-        orbits = tree_orbits(g)
-        sp1 = build_psi(build_xi(xi_lattice(cfg), 3, 1), orbits[0])
-        sp2 = build_psi(build_xi(xi_lattice(cfg), 3, 2), orbits[1])
-        with pytest.raises(ValueError, match="different assemblies"):
-            bezout_combine([sp1, sp2], m_gamma(g))
-        # equal lattices built apart are one assembly; another divisor
-        # configuration at the same level is not
-        same = build_psi(build_xi(xi_lattice(cfg), 3, 1), orbits[1])
-        assert bezout_combine([sp1, same], m_gamma(g)).m == 2
-        anchored = DivisorConfig(
-            g,
-            [("p_u", ("free", "u")), ("p_v", ("free", "v")),
-             ("d_a", ("node", "a")), ("d_b", ("node", "b"))])
-        other = build_psi(build_xi(xi_lattice(anchored), 3, 1), orbits[1])
-        with pytest.raises(ValueError, match="different assemblies"):
-            bezout_combine([sp1, other], m_gamma(g))
-        with pytest.raises(ValueError):
-            bezout_combine([], m_gamma(g))
+            bezout_combine(lat, big[:2], orbit_gcd(g))
+        with pytest.raises(ValueError, match="no orbits supplied"):
+            bezout_combine(lat, [], orbit_gcd(g))
 
 
 class TestRandomPipeline:
@@ -1377,16 +1368,19 @@ class TestRandomPipeline:
             g = random_legal_graph(rng)
             cfg = default_divisors(g)
             ell, s = rng.choice([(2, 1), (2, 2), (3, 1), (3, 2), (5, 1)])
-            # build_xi and build_psi raise on a false proof step
+            # build_xi, build_psi and bezout_combine raise on a false proof
+            # step
             xi = build_xi(xi_lattice(cfg), ell, s)
             orbits = tree_orbits(g)
-            sps = [build_psi(xi, o) for o in orbits[:2]]
-            sizes_gcd = 0
-            for sp in sps:
-                sizes_gcd = gcd(sizes_gcd, sp.m)
-            if sizes_gcd == m_gamma(g):
-                combined = bezout_combine(sps, m_gamma(g))
-                assert combined.m == m_gamma(g)
+            for o in orbits[:2]:
+                build_psi(xi.lattice, o)
+            m = orbit_gcd(g)
+            if gcd(*(len(o) for o in orbits[:2])) == m:
+                combined = bezout_combine(xi.lattice, orbits[:2], m)
+                assert combined.m == m
+                lhs = xi.phi_ambient.matrix @ combined.psi
+                B = difference_basis(len(cfg.ids))
+                assert (lhs - B.scale(m)).mod(ell ** s).is_zero()
             if g.action:
                 symmetric_seen += 1
         assert symmetric_seen >= 5

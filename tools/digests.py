@@ -17,7 +17,10 @@ report.  The runs are
 * ``g1_swap.json`` with both components of genus 1 swapped by the action
   and one jacobian on a component orbit of size 2 (so its block is
   induced with a cyclic wrap), with ``bhn`` and with every suite at seed
-  0, written to the temporary directory as ``g1_jacobian_orbit.json``.
+  0, written to the temporary directory as ``g1_jacobian_orbit.json``;
+* a four-component graph whose splitting suite combines three tree
+  orbits, of sizes 2, 2 and 1, to reach m = 1, with ``splitting`` and
+  with every suite at seed 0, written there as ``three_orbits.json``.
 
 Two checkouts print the same lines exactly when they give the same exit
 codes and byte-identical reports on these runs, so comparing a change
@@ -41,6 +44,17 @@ JACOBIAN_ORBIT = {
     "action": [[["u", "v"]]],
     "jacobians": [{"orbit_rep": "u", "charpoly": [1, -2, 25], "q": 25,
                    "f": 2}],
+}
+THREE_ORBITS = {
+    "schema": "devissage/1",
+    "components": [{"id": "c1"}, {"id": "c2"}, {"id": "c3"}, {"id": "c4"}],
+    "nodes": ["n1", "n2", "n3", "n4", "n5"],
+    "edges": [["c1", "n1"], ["c1", "n5"], ["c2", "n1"], ["c2", "n2"],
+              ["c2", "n3"], ["c2", "n4"], ["c2", "n5"], ["c3", "n2"],
+              ["c3", "n4"], ["c4", "n3"]],
+    "action": [[["c1", "c3"], ["n1", "n2"], ["n4", "n5"]]],
+    "ell": 3,
+    "q": 5,
 }
 
 
@@ -74,14 +88,17 @@ def main():
                                        seed=seed, **extra)
                 print(digest(cli, f"{name}.json", config))
         with open(g1_swap, encoding="utf-8") as fh:
-            raw = {**json.load(fh), **JACOBIAN_ORBIT}
-        name = "g1_jacobian_orbit.json"
-        path = os.path.join(work, name)
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(raw, fh)
-        for suites in (("bhn",), ("all",)):
-            config = cli.RunConfig(input_path=path, suites=suites, seed=0)
-            print(digest(cli, name, config))
+            jacobian_orbit = {**json.load(fh), **JACOBIAN_ORBIT}
+        for name, raw, first in (
+                ("g1_jacobian_orbit.json", jacobian_orbit, "bhn"),
+                ("three_orbits.json", THREE_ORBITS, "splitting")):
+            path = os.path.join(work, name)
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(raw, fh)
+            for suites in ((first,), ("all",)):
+                config = cli.RunConfig(input_path=path, suites=suites,
+                                       seed=0)
+                print(digest(cli, name, config))
     for seed in range(0, 200, 20):
         config = cli.RunConfig(input_path=g1_swap, suites=ALGEBRA_SUITES,
                                seed=seed)
